@@ -10,10 +10,10 @@ all verified through toleranced defects with replayable witnesses.
 __version__ = "0.1.0"
 
 from .matrix import (DEFAULT_TOL, Matrix, Tolerance, col_norm1, kron, op_norm,
-                     positivity_defect, psd_defect, split_norm)
-from .realform import (AntiAutomorphism, RealFormElement, StarAlgebra,
-                       apply_phi, check_antiautomorphism, conj_phi,
-                       real_decompose, real_form_basis, real_form_residual)
+                     positivity_defect, split_norm)
+from .realform import (AntiAutomorphism, StarAlgebra, check_antiautomorphism,
+                       conj_phi, real_decompose, real_form_basis,
+                       real_form_residual)
 from .cpmaps import (ChoiMatrix, LinearMapMat, amplify, choi, complexify,
                      compose, compress, cp_defect, cp_defect_real,
                      cp_defect_real_report, restrict_to_real_form)
@@ -25,7 +25,7 @@ from .certify import (AUDIT_CLAIMS, AuditReport, DefectReport, FiniteSubset,
                       QDCertificate, TraceWitness, lemma_audit,
                       nuclear_witness_verify, qd_complexify, qd_realify,
                       qd_verify, trace_qd_verify, trace_transport)
-from .tensorexact import (Functional, IdealPresentation, TensorAlgebra,
+from .tensorexact import (IdealPresentation, TensorAlgebra,
                           decompose_tensor, exactness_check, fubini,
                           fubini_check, min_tensor, slice_left_map,
                           slice_left_value, slice_right_map, slice_right_value)
@@ -33,10 +33,9 @@ from .tensorexact import (Functional, IdealPresentation, TensorAlgebra,
 __all__ = [
     "__version__",
     "DEFAULT_TOL", "Matrix", "Tolerance", "col_norm1", "kron", "op_norm",
-    "positivity_defect", "psd_defect", "split_norm",
-    "AntiAutomorphism", "RealFormElement", "StarAlgebra", "apply_phi",
-    "check_antiautomorphism", "conj_phi", "real_decompose", "real_form_basis",
-    "real_form_residual",
+    "positivity_defect", "split_norm",
+    "AntiAutomorphism", "StarAlgebra", "check_antiautomorphism", "conj_phi",
+    "real_decompose", "real_form_basis", "real_form_residual",
     "ChoiMatrix", "LinearMapMat", "amplify", "choi", "complexify", "compose",
     "compress", "cp_defect", "cp_defect_real", "cp_defect_real_report",
     "restrict_to_real_form",
@@ -47,7 +46,7 @@ __all__ = [
     "QDCertificate", "TraceWitness", "lemma_audit", "nuclear_witness_verify",
     "qd_complexify", "qd_realify", "qd_verify", "trace_qd_verify",
     "trace_transport",
-    "Functional", "IdealPresentation", "TensorAlgebra", "decompose_tensor",
+    "IdealPresentation", "TensorAlgebra", "decompose_tensor",
     "exactness_check", "fubini", "fubini_check", "min_tensor",
     "slice_left_map", "slice_left_value", "slice_right_map",
     "slice_right_value",

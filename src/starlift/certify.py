@@ -20,7 +20,8 @@ import numpy as np
 
 from .cpmaps import COMPLEX, REAL, LinearMapMat, complexify, compress, \
     compose, restrict_to_real_form
-from .matrix import as_array, col_norm1, op_norm, positivity_defect, split_norm
+from .matrix import (as_array, col_norm1, matrix_units, op_norm, positivity_defect,
+                     split_norm)
 from .realform import AntiAutomorphism, StarAlgebra, real_decompose, \
     real_form_basis, real_form_residual
 from .sampling import random_isometry, random_matrix, rng_from
@@ -130,10 +131,6 @@ class QDCertificate:
             if d > 1e-9:
                 raise ValueError(f"map is not unital: ||phi(1) - 1|| = {d:.3e}")
 
-    @property
-    def target_dim(self) -> int:
-        return self.phi.cod_dim
-
 
 @dataclass(frozen=True, eq=False)
 class DefectReport:
@@ -176,20 +173,35 @@ class DefectReport:
         return out
 
 
-def _mult_defects(phi_apply, subset: FiniteSubset, mode: str,
-                  anti: AntiAutomorphism | None) -> tuple[np.ndarray, dict]:
-    m = len(subset)
-    table = np.zeros((m, m))
+def _worst(rows) -> dict:
+    """The worst defect and its witness: the first row with the largest
+    ``"defect"``, or ``{"defect": -1.0}`` when there is none."""
     worst = {"defect": -1.0}
-    for i, a in enumerate(subset.elements):
-        for j, b in enumerate(subset.elements):
-            d = _value_norm(phi_apply(a @ b) - phi_apply(a) @ phi_apply(b),
-                            mode, anti)
-            table[i, j] = d
-            if d > worst["defect"]:
-                worst = {"left": subset.label(i), "right": subset.label(j),
-                         "defect": d}
-    return table, worst
+    for row in rows:
+        if row["defect"] > worst["defect"]:
+            worst = row
+    return worst
+
+
+def _mult_witness(phi_apply, subset: FiniteSubset, mode: str,
+                  anti: AntiAutomorphism | None) -> dict:
+    """Worst ||phi(ab) - phi(a)phi(b)|| over pairs of the subset."""
+    return _worst(
+        {"left": subset.label(i), "right": subset.label(j),
+         "defect": _value_norm(phi_apply(a @ b) - phi_apply(a) @ phi_apply(b),
+                               mode, anti)}
+        for i, a in enumerate(subset.elements)
+        for j, b in enumerate(subset.elements))
+
+
+def _norm_witness(phi_apply, subset: FiniteSubset, mode: str,
+                  anti: AntiAutomorphism | None) -> dict:
+    """Worst | ||phi(a)|| - ||a|| | over the subset."""
+    return _worst(
+        {"element": subset.label(i),
+         "defect": abs(_value_norm(phi_apply(a), mode, anti)
+                       - _value_norm(a, mode, anti, domain=True))}
+        for i, a in enumerate(subset.elements))
 
 
 def qd_verify(cert: QDCertificate) -> DefectReport:
@@ -200,22 +212,14 @@ def qd_verify(cert: QDCertificate) -> DefectReport:
     matrices, or the split norm ||a|| + ||b|| across a decomposition.
     """
     phi = cert.phi
-    table, mult_witness = _mult_defects(phi.apply, cert.subset, cert.norm_mode,
-                                        cert.anti)
-    norm_worst = {"defect": -1.0}
-    max_norm = 0.0
-    for i, a in enumerate(cert.subset.elements):
-        d = abs(_value_norm(phi.apply(a), cert.norm_mode, cert.anti)
-                - _value_norm(a, cert.norm_mode, cert.anti, domain=True))
-        if d > norm_worst["defect"]:
-            norm_worst = {"element": cert.subset.label(i), "defect": d}
-        max_norm = max(max_norm, d)
+    mult = _mult_witness(phi.apply, cert.subset, cert.norm_mode, cert.anti)
+    norm = _norm_witness(phi.apply, cert.subset, cert.norm_mode, cert.anti)
     return DefectReport(
         epsilon=cert.epsilon,
         norm_mode=cert.norm_mode,
-        max_mult_defect=float(np.max(table)),
-        max_norm_defect=max_norm,
-        witnesses={"mult": mult_witness, "norm": norm_worst},
+        max_mult_defect=mult["defect"],
+        max_norm_defect=norm["defect"],
+        witnesses={"mult": mult, "norm": norm},
         extra={"unitality_defect": float(phi.unitality_defect())},
     )
 
@@ -275,30 +279,24 @@ def qd_complexify(cert: QDCertificate,
     norm_op = [abs(op_norm(restricted.apply(x)) - op_norm(x)) for x in parts]
 
     complexified = [a + 1j * b for a, b in pairs]
-    max_mult = 0.0
-    max_norm = 0.0
-    mult_margin = -np.inf
-    norm_margin = -np.inf
-    mult_witness = {"defect": -1.0}
-    norm_witness = {"defect": -1.0}
+    norm_rows = []
+    mult_rows = []
     for k, ck in enumerate(complexified):
         ia, ib = 2 * k, 2 * k + 1
         nd = abs(split_norm(phi_c.apply(ck))
                  - (op_norm(pairs[k][0]) + op_norm(pairs[k][1])))
-        bound_n = norm_op[ia] + norm_op[ib]
-        norm_margin = max(norm_margin, nd - bound_n)
-        if nd > norm_witness["defect"]:
-            norm_witness = {"element": k, "defect": nd, "bound": bound_n}
-        max_norm = max(max_norm, nd)
+        norm_rows.append({"element": k, "defect": nd,
+                          "bound": norm_op[ia] + norm_op[ib]})
         for l, cl in enumerate(complexified):
             ja, jb = 2 * l, 2 * l + 1
             md = split_norm(phi_c.apply(ck @ cl) - phi_c.apply(ck) @ phi_c.apply(cl))
-            bound_m = dop[ia, ja] + dop[ib, jb] + dop[ib, ja] + dop[ia, jb]
-            mult_margin = max(mult_margin, md - bound_m)
-            if md > mult_witness["defect"]:
-                mult_witness = {"left": k, "right": l, "defect": md,
-                                "bound": bound_m}
-            max_mult = max(max_mult, md)
+            mult_rows.append({"left": k, "right": l, "defect": md,
+                              "bound": dop[ia, ja] + dop[ib, jb] + dop[ib, ja]
+                              + dop[ia, jb]})
+    mult_witness = _worst(mult_rows)
+    norm_witness = _worst(norm_rows)
+    mult_margin = max((r["defect"] - r["bound"] for r in mult_rows), default=-np.inf)
+    norm_margin = max((r["defect"] - r["bound"] for r in norm_rows), default=-np.inf)
 
     new_subset = FiniteSubset(tuple(complexified))
     new_cert = QDCertificate(cert.algebra, new_subset, phi_c, cert.epsilon,
@@ -306,8 +304,8 @@ def qd_complexify(cert: QDCertificate,
     report = DefectReport(
         epsilon=cert.epsilon,
         norm_mode=PHI_SPLIT,
-        max_mult_defect=max_mult,
-        max_norm_defect=max_norm,
+        max_mult_defect=mult_witness["defect"],
+        max_norm_defect=norm_witness["defect"],
         witnesses={"mult": mult_witness, "norm": norm_witness},
         extra={
             "mult_bound_margin": float(mult_margin),
@@ -354,14 +352,8 @@ def qd_realify(cert: QDCertificate, anti: AntiAutomorphism | None = None,
         scale = ThetaScale.for_working_set(working)
     rmap = realify_map(phi, anti, scale)
 
-    table, mult_witness = _mult_defects(rmap.apply, subset, REAL_COL1, anti)
-    max_norm = 0.0
-    norm_witness = {"defect": -1.0}
-    for i, a in enumerate(subset.elements):
-        d = abs(col_norm1(rmap.apply(a)) - col_norm1(a))
-        if d > norm_witness["defect"]:
-            norm_witness = {"element": subset.label(i), "defect": d}
-        max_norm = max(max_norm, d)
+    mult_witness = _mult_witness(rmap.apply, subset, REAL_COL1, anti)
+    norm_witness = _norm_witness(rmap.apply, subset, REAL_COL1, anti)
 
     extra: dict = {"theta_mode": scale.mode}
     new_cert = None
@@ -390,8 +382,8 @@ def qd_realify(cert: QDCertificate, anti: AntiAutomorphism | None = None,
     report = DefectReport(
         epsilon=cert.epsilon,
         norm_mode=REAL_COL1,
-        max_mult_defect=float(np.max(table)),
-        max_norm_defect=max_norm,
+        max_mult_defect=mult_witness["defect"],
+        max_norm_defect=norm_witness["defect"],
         witnesses={"mult": mult_witness, "norm": norm_witness},
         extra=extra,
     )
@@ -419,13 +411,10 @@ def nuclear_witness_verify(phi: LinearMapMat, psi: LinearMapMat,
         raise ValueError("target dimensions do not match the factorization")
 
     composed = compose(psi, phi)
-    worst = {"defect": -1.0}
-    max_defect = 0.0
-    for i, a in enumerate(subset.elements):
-        d = _value_norm(composed.apply(a) - target.apply(a), norm_mode, anti)
-        if d > worst["defect"]:
-            worst = {"element": subset.label(i), "defect": d}
-        max_defect = max(max_defect, d)
+    worst = _worst(
+        {"element": subset.label(i),
+         "defect": _value_norm(composed.apply(a) - target.apply(a), norm_mode, anti)}
+        for i, a in enumerate(subset.elements))
 
     extra: dict = {}
     if b_list:
@@ -442,7 +431,7 @@ def nuclear_witness_verify(phi: LinearMapMat, psi: LinearMapMat,
     return DefectReport(
         epsilon=epsilon,
         norm_mode=norm_mode,
-        max_norm_defect=max_defect,
+        max_norm_defect=worst["defect"],
         witnesses={"approximation": worst},
         extra=extra,
     )
@@ -500,21 +489,17 @@ def trace_qd_verify(cert: QDCertificate, witness: TraceWitness) -> DefectReport:
         raise ValueError("trace verification needs a unital map")
     if witness.dim != cert.algebra.n:
         raise ValueError("trace witness dimension does not match the algebra")
-    table, mult_witness = _mult_defects(cert.phi.apply, cert.subset,
-                                        cert.norm_mode, cert.anti)
-    worst = {"defect": -1.0}
-    max_trace = 0.0
-    for i, a in enumerate(cert.subset.elements):
-        d = abs(normalized_trace(cert.phi.apply(a)) - witness(a))
-        if d > worst["defect"]:
-            worst = {"element": cert.subset.label(i), "defect": float(d)}
-        max_trace = max(max_trace, float(d))
+    mult = _mult_witness(cert.phi.apply, cert.subset, cert.norm_mode, cert.anti)
+    trace = _worst(
+        {"element": cert.subset.label(i),
+         "defect": abs(normalized_trace(cert.phi.apply(a)) - witness(a))}
+        for i, a in enumerate(cert.subset.elements))
     return DefectReport(
         epsilon=cert.epsilon,
         norm_mode=cert.norm_mode,
-        max_mult_defect=float(np.max(table)),
-        max_trace_defect=max_trace,
-        witnesses={"mult": mult_witness, "trace": worst},
+        max_mult_defect=mult["defect"],
+        max_trace_defect=trace["defect"],
+        witnesses={"mult": mult, "trace": trace},
     )
 
 
@@ -709,9 +694,7 @@ def _audit_entrywise_cp(claim: str, apply_fn, samples: int, seed: int) -> AuditR
 
 def _audit_eq1t2(samples: int, seed: int) -> AuditReport:
     rng = rng_from(seed)
-    e11 = np.zeros((2, 2), dtype=np.complex128)
-    e11[0, 0] = 0.5
-    mats = [e11]
+    mats = [0.5 * matrix_units(2)[0]]
     for i in range(samples):
         k = 1 + (i % 3)
         c = random_matrix(rng, k)

@@ -23,16 +23,15 @@ from .certify import (COMPLEX_OP, NORM_MODES, FiniteSubset, lemma_audit,
                       nuclear_witness_verify, qd_complexify, qd_realify,
                       qd_verify, trace_qd_verify, trace_transport)
 from .cpmaps import (COMPLEX, REAL, choi, complexify, compose, cp_defect,
-                     cp_defect_real_report, doubled_units,
-                     restrict_to_real_form)
+                     cp_defect_real_report, restrict_to_real_form)
 from .io import (SchemaError, anti_from_json, algebra_from_json,
                  canonical_dumps, cert_from_json, cert_to_json,
                  ideal_from_json, load_json, map_from_json, map_to_json,
                  matrix_from_json, matrix_to_json, subset_from_json,
                  trace_from_json)
-from .matrix import DEFAULT_TOL, hermitian_defect, op_norm
-from .realform import (AntiAutomorphism, apply_phi, check_antiautomorphism,
-                       real_decompose, real_form_residual)
+from .matrix import DEFAULT_TOL, doubled_units, hermitian_defect, op_norm
+from .realform import (AntiAutomorphism, check_antiautomorphism, real_decompose,
+                       real_form_residual)
 from .tensorexact import exactness_check, fubini_check
 from .transport import ThetaScale, transport_factorization
 
@@ -119,7 +118,7 @@ def _cmd_realform(args) -> int:
         x = matrix_from_json(load_json(args.matrix), "matrix").array
         r, s = real_decompose(anti, x)
         out["decomposition"] = {
-            "phi_x": matrix_to_json(apply_phi(anti, x)),
+            "phi_x": matrix_to_json(anti.apply(x)),
             "r": matrix_to_json(r),
             "s": matrix_to_json(s),
             "recombine_residual": float(op_norm(x - (r + 1j * s))),
@@ -410,6 +409,11 @@ def cmd_dispatch(argv) -> int:
         return 2
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Exit 1 is reserved for verified mathematical failures, so an
+        # unexpected fault must not fall through to the interpreter's 1.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

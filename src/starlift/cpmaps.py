@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import as_array, kron, op_norm, positivity_defect
+from .matrix import (as_array, doubled_units, kron, matrix_units, op_norm,
+                     positivity_defect)
 from .realform import AntiAutomorphism, real_decompose, real_form_basis, real_form_residual
 from .sampling import rng_from
 
@@ -25,21 +26,12 @@ COMPLEX = "C"
 REAL = "R"
 
 
-def matrix_units(n: int) -> list[np.ndarray]:
-    """E_11, E_12, ..., row-major."""
-    out = []
-    for j in range(n):
-        for l in range(n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[j, l] = 1.0
-            out.append(e)
-    return out
-
-
-def doubled_units(n: int) -> list[np.ndarray]:
-    """Real basis of M_n(C): the matrix units followed by i times them."""
-    units = matrix_units(n)
-    return units + [1j * e for e in units]
+def canonical_basis(n: int, linearity: str, dom_field: str = COMPLEX) -> list[np.ndarray]:
+    """The domain basis a map is tabulated and serialized on: the matrix
+    units, doubled to {E_jl, i E_jl} for real-linear maps on M_n(C)."""
+    if linearity == REAL and dom_field == COMPLEX:
+        return doubled_units(n)
+    return matrix_units(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,12 +79,7 @@ class LinearMapMat:
                       cod_field: str = COMPLEX) -> "LinearMapMat":
         """Tabulate ``f`` on the canonical (or supplied) domain basis."""
         if basis is None:
-            if linearity == COMPLEX:
-                basis = matrix_units(dom_dim)
-            elif dom_field == REAL:
-                basis = matrix_units(dom_dim)
-            else:
-                basis = doubled_units(dom_dim)
+            basis = canonical_basis(dom_dim, linearity, dom_field)
         images = [as_array(f(b)).astype(np.complex128) for b in basis]
         cod_dim = images[0].shape[0]
         return cls(dom_dim, cod_dim, linearity, np.stack(basis),
@@ -111,6 +98,11 @@ class LinearMapMat:
         basis = real_form_basis(anti)
         return cls.from_function(f, anti.dim, REAL, dom_field=COMPLEX,
                                  basis=basis, cod_field=cod_field)
+
+    @property
+    def has_canonical_basis(self) -> bool:
+        ref = canonical_basis(self.dom_dim, self.linearity, self.dom_field)
+        return len(self.basis) == len(ref) and np.array_equal(self.basis, ref)
 
     # -- evaluation -----------------------------------------------------
 
@@ -323,18 +315,6 @@ def _canonical_positive(level: int, n: int, twist: bool = False) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _domain_is_full_units(phi: LinearMapMat) -> bool:
-    n = phi.dom_dim
-    units = matrix_units(n)
-    if phi.dom_field == REAL or phi.linearity == COMPLEX:
-        ref = units
-    else:
-        ref = doubled_units(n)
-    if len(phi.basis) != len(ref):
-        return False
-    return all(np.array_equal(b, r) for b, r in zip(phi.basis, ref))
-
-
 def cp_defect_real_report(phi: LinearMapMat, level: int, samples: int = 20,
                           seed: int = 0) -> RealCPReport:
     """Probe level-k positivity of a real-linear map on c*c samples.
@@ -352,7 +332,7 @@ def cp_defect_real_report(phi: LinearMapMat, level: int, samples: int = 20,
     rng = rng_from(seed)
 
     candidates: list[np.ndarray] = [np.eye(level * n, dtype=np.complex128)]
-    if _domain_is_full_units(phi):
+    if phi.has_canonical_basis:
         if phi.dom_field == COMPLEX:
             candidates.append(_canonical_positive(level, n, twist=True))
         candidates.append(_canonical_positive(level, n))

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .certify import NORM_MODES, FiniteSubset, QDCertificate, TraceWitness
-from .cpmaps import COMPLEX, REAL, LinearMapMat, doubled_units, matrix_units
+from .cpmaps import COMPLEX, REAL, LinearMapMat, canonical_basis
 from .matrix import Matrix, as_array
 from .realform import AntiAutomorphism, StarAlgebra
 from .tensorexact import IdealPresentation
@@ -105,6 +105,13 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+def _as_dim(value, path: str) -> int:
+    n = _as_int(value, path)
+    if n < 1:
+        raise SchemaError(path, f"expected a dimension >= 1, got {n}")
+    return n
+
+
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {value!r}")
@@ -144,8 +151,8 @@ def _entry(value, field: str, path: str) -> complex:
 
 
 def matrix_from_json(doc, path: str = "matrix") -> Matrix:
-    rows = _as_int(_need(doc, "rows", path), f"{path}.rows")
-    cols = _as_int(_need(doc, "cols", path), f"{path}.cols")
+    rows = _as_dim(_need(doc, "rows", path), f"{path}.rows")
+    cols = _as_dim(_need(doc, "cols", path), f"{path}.cols")
     fld = _need(doc, "field", path)
     if fld not in ("R", "C"):
         raise SchemaError(f"{path}.field", f"must be 'R' or 'C', got {fld!r}")
@@ -155,6 +162,10 @@ def matrix_from_json(doc, path: str = "matrix") -> Matrix:
                           f"expected {rows * cols} row-major entries")
     vals = [_entry(v, fld, f"{path}.data[{i}]") for i, v in enumerate(data)]
     arr = np.array(vals, dtype=np.complex128).reshape(rows, cols)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = int(np.argmin(finite.ravel()))
+        raise SchemaError(f"{path}.data[{bad}]", "non-finite number")
     if fld == "R":
         return Matrix(arr.real, "R")
     return Matrix(arr, "C")
@@ -164,15 +175,7 @@ def matrix_from_json(doc, path: str = "matrix") -> Matrix:
 
 
 def map_to_json(phi: LinearMapMat) -> dict:
-    n = phi.dom_dim
-    if phi.linearity == COMPLEX:
-        ref = matrix_units(n)
-    elif phi.dom_field == REAL:
-        ref = matrix_units(n)
-    else:
-        ref = doubled_units(n)
-    if len(phi.basis) != len(ref) or not all(
-            np.array_equal(b, r) for b, r in zip(phi.basis, ref)):
+    if not phi.has_canonical_basis:
         raise SchemaError("map", "only canonical-basis maps are serializable; "
                           "rebase real-form maps before saving")
     doc = {
@@ -189,8 +192,8 @@ def map_to_json(phi: LinearMapMat) -> dict:
 
 
 def map_from_json(doc, path: str = "map") -> LinearMapMat:
-    dom = _as_int(_need(doc, "dom", path), f"{path}.dom")
-    cod = _as_int(_need(doc, "cod", path), f"{path}.cod")
+    dom = _as_dim(_need(doc, "dom", path), f"{path}.dom")
+    cod = _as_dim(_need(doc, "cod", path), f"{path}.cod")
     lin = _need(doc, "linearity", path)
     if lin not in (COMPLEX, REAL):
         raise SchemaError(f"{path}.linearity", f"must be 'C' or 'R', got {lin!r}")
@@ -201,10 +204,7 @@ def map_from_json(doc, path: str = "map") -> LinearMapMat:
         raise SchemaError(f"{path}.dom_field",
                           "complex-linear maps need a complex domain")
     raw = _need(doc, "images", path)
-    if lin == COMPLEX or dom_field == REAL:
-        basis = matrix_units(dom)
-    else:
-        basis = doubled_units(dom)
+    basis = canonical_basis(dom, lin, dom_field)
     if not isinstance(raw, list) or len(raw) != len(basis):
         raise SchemaError(f"{path}.images",
                           f"expected {len(basis)} images in basis order")
@@ -214,12 +214,19 @@ def map_from_json(doc, path: str = "map") -> LinearMapMat:
         if im.shape != (cod, cod):
             raise SchemaError(f"{path}.images[{i}]",
                               f"expected a {cod}x{cod} matrix, got {im.shape}")
+    images = np.stack(images)
+    imaginary = images.imag.ravel() != 0
+    has_imag = imaginary.any()
     cod_field = doc.get("cod_field")
     if cod_field is None:
-        cod_field = REAL if all(not np.any(im.imag != 0) for im in images) else COMPLEX
+        cod_field = COMPLEX if has_imag else REAL
     if cod_field not in (COMPLEX, REAL):
         raise SchemaError(f"{path}.cod_field", "must be 'C' or 'R'")
-    return LinearMapMat(dom, cod, lin, np.stack(basis), np.stack(images),
+    if cod_field == REAL and has_imag:
+        i, entry = divmod(int(np.argmax(imaginary)), cod * cod)
+        raise SchemaError(f"{path}.images[{i}].data[{entry}]",
+                          "cod_field 'R' map has a nonzero imaginary part")
+    return LinearMapMat(dom, cod, lin, np.stack(basis), images,
                         dom_field, cod_field)
 
 
@@ -232,7 +239,7 @@ def algebra_to_json(a: StarAlgebra) -> dict:
 
 
 def algebra_from_json(doc, path: str = "algebra") -> StarAlgebra:
-    n = _as_int(_need(doc, "n", path), f"{path}.n")
+    n = _as_dim(_need(doc, "n", path), f"{path}.n")
     raw = _need(doc, "span", path)
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{path}.span", "expected a nonempty list of matrices")
@@ -307,6 +314,8 @@ def cert_from_json(doc, path: str = "certificate",
     phi = map_from_json(_need(doc, "phi_map", path), f"{path}.phi_map")
     elements = subset_from_json(_need(doc, "F", path), f"{path}.F")
     epsilon = _as_number(_need(doc, "epsilon", path), f"{path}.epsilon")
+    if not math.isfinite(epsilon):
+        raise SchemaError(f"{path}.epsilon", "non-finite number")
     norm_mode = _need(doc, "norm_mode", path)
     if norm_mode not in NORM_MODES:
         raise SchemaError(f"{path}.norm_mode",

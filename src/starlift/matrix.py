@@ -120,33 +120,14 @@ def hermitian_defect(m) -> float:
     return op_norm(a - a.conj().T)
 
 
-def psd_defect(m, hermitian_tol: float = 1e-8) -> float:
-    """Minimum eigenvalue of the Hermitian part (m + m*)/2.
-
-    The input must be square and Hermitian up to ``hermitian_tol``; the
-    symmetrization absorbs roundoff below that bar.  Nonnegative within
-    tolerance iff the matrix is positive semidefinite.
-    """
-    a = as_array(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"psd_defect needs a square matrix, got shape {a.shape}")
-    h = hermitian_defect(a)
-    if h > hermitian_tol:
-        raise ValueError(
-            f"matrix is not Hermitian within tolerance: defect {h:.3e} > {hermitian_tol:.3e}"
-        )
-    sym = (a + a.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(sym)[0])
-
-
 def positivity_defect(m) -> float:
     """Defect of being a positive element: lambda_min(herm) - ||skew||.
 
     Positive elements of a matrix *-algebra are self-adjoint with
     nonnegative spectrum, so any genuinely positive input scores
     >= 0 and a negative score certifies non-positivity, whether the
-    failure is spectral or a failure of self-adjointness.  Agrees with
-    :func:`psd_defect` on Hermitian input.
+    failure is spectral or a failure of self-adjointness.  On Hermitian
+    input it is the minimum eigenvalue.
     """
     a = as_array(m)
     if a.shape[0] != a.shape[1]:
@@ -155,6 +136,25 @@ def positivity_defect(m) -> float:
     skew = (a - a.conj().T) / 2.0
     lam = float(np.linalg.eigvalsh(sym)[0])
     return lam - op_norm(skew)
+
+
+def matrix_units(d: int, n: int | None = None, offset: int = 0) -> list[np.ndarray]:
+    """E_jl for j, l < d, row-major, as complex n x n matrices (n defaults
+    to d) with the d x d block placed at (offset, offset)."""
+    n = d if n is None else n
+    out = []
+    for j in range(offset, offset + d):
+        for l in range(offset, offset + d):
+            e = np.zeros((n, n), dtype=np.complex128)
+            e[j, l] = 1.0
+            out.append(e)
+    return out
+
+
+def doubled_units(n: int) -> list[np.ndarray]:
+    """Real basis of M_n(C): the matrix units followed by i times them."""
+    units = matrix_units(n)
+    return units + [1j * e for e in units]
 
 
 def kron(a, b) -> np.ndarray:

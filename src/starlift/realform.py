@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import DEFAULT_TOL, as_array, op_norm
+from .matrix import DEFAULT_TOL, as_array, doubled_units, matrix_units, op_norm
 from .sampling import random_matrix, rng_from
+from .subspace import realify, unrealify
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,10 +64,6 @@ class AntiAutomorphism:
         return self.u @ a.T @ self.u.conj().T
 
 
-def apply_phi(anti: AntiAutomorphism, x) -> np.ndarray:
-    return anti.apply(x)
-
-
 def conj_phi(anti: AntiAutomorphism, x) -> np.ndarray:
     """The conjugation Phi(x*): real-linear, multiplicative, involutive.
 
@@ -102,49 +99,12 @@ def real_form_basis(anti: AntiAutomorphism) -> list[np.ndarray]:
     """
     n = anti.dim
     if anti.is_transpose:
-        out = []
-        for j in range(n):
-            for l in range(n):
-                e = np.zeros((n, n), dtype=np.complex128)
-                e[j, l] = 1.0
-                out.append(e)
-        return out
-    # Realified coordinates: stack Re and Im of the vectorized matrix.
-    dim = 2 * n * n
-    proj = np.zeros((dim, dim))
-    for idx in range(dim):
-        v = np.zeros(dim)
-        v[idx] = 1.0
-        x = (v[: n * n] + 1j * v[n * n:]).reshape(n, n)
-        px = (x + conj_phi(anti, x)) / 2.0
-        proj[:, idx] = np.concatenate([px.real.ravel(), px.imag.ravel()])
+        return matrix_units(n)
+    # In realified coordinates the doubled units are the standard basis,
+    # so column k of the projection is the image of the k-th unit.
+    proj = realify([(x + conj_phi(anti, x)) / 2.0 for x in doubled_units(n)]).T
     w, vecs = np.linalg.eigh(proj)
-    cols = vecs[:, w > 0.5]
-    out = []
-    for idx in range(cols.shape[1]):
-        v = cols[:, idx]
-        out.append((v[: n * n] + 1j * v[n * n:]).reshape(n, n))
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class RealFormElement:
-    """A matrix certified to lie in the real form of its antiautomorphism."""
-
-    value: np.ndarray
-    parent: AntiAutomorphism
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self) -> None:
-        v = as_array(self.value).astype(np.complex128)
-        res = real_form_residual(self.parent, v)
-        if res > self.tol:
-            raise ValueError(
-                f"matrix is not in the real form: ||Phi(x) - x*|| = {res:.3e}"
-            )
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "value", v)
+    return [unrealify(v, (n, n)) for v in vecs[:, w > 0.5].T]
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,13 +190,7 @@ class StarAlgebra:
 
     @classmethod
     def full_matrix(cls, n: int) -> "StarAlgebra":
-        span = []
-        for j in range(n):
-            for l in range(n):
-                e = np.zeros((n, n), dtype=np.complex128)
-                e[j, l] = 1.0
-                span.append(e)
-        return cls(n, tuple(span), unital=True, validate=False)
+        return cls(n, tuple(matrix_units(n)), unital=True, validate=False)
 
     @classmethod
     def block_diagonal(cls, dims: list[int]) -> "StarAlgebra":
@@ -245,11 +199,7 @@ class StarAlgebra:
         span = []
         off = 0
         for d in dims:
-            for j in range(d):
-                for l in range(d):
-                    e = np.zeros((n, n), dtype=np.complex128)
-                    e[off + j, off + l] = 1.0
-                    span.append(e)
+            span += matrix_units(d, n, off)
             off += d
         return cls(n, tuple(span), unital=True, validate=False)
 

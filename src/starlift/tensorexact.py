@@ -13,40 +13,17 @@ C*-algebra is one), which keeps the quotient map exactly computable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .certify import TraceWitness
 from .cpmaps import COMPLEX, REAL, LinearMapMat
-from .matrix import as_array, kron, op_norm
+from .matrix import as_array, kron, matrix_units, op_norm
 from .realform import AntiAutomorphism, StarAlgebra, real_decompose, real_form_basis
 from .subspace import (complex_orth_basis, containment_residual, kernel_rows,
                        max_principal_angle, orth_rows, realify, subspaces_equal,
                        unrealify)
-
-
-@dataclass(frozen=True, eq=False)
-class Functional:
-    """A linear functional a -> trace(t a) on an n x n matrix space.
-
-    ``field`` = "R" tags functionals promised to be real-valued on the
-    intended domain (a real form, or real matrices); the Fubini machinery
-    uses the tag to pick dual families, it is not a constraint on t.
-    """
-
-    t: np.ndarray
-    field: str = COMPLEX
-
-    def __post_init__(self) -> None:
-        t = as_array(self.t).astype(np.complex128)
-        t.setflags(write=False)
-        object.__setattr__(self, "t", t)
-
-    def __call__(self, a) -> complex:
-        return complex(np.trace(self.t @ as_array(a)))
-
-    @classmethod
-    def normalized_trace(cls, n: int) -> "Functional":
-        return cls(np.eye(n) / n)
 
 
 def slice_right_value(t_phi, x, na: int, nb: int) -> np.ndarray:
@@ -70,7 +47,20 @@ class TensorAlgebra:
 
     a: StarAlgebra
     b: StarAlgebra
-    span: tuple
+
+    @cached_property
+    def span(self) -> tuple:
+        """A linearly independent spanning set of Kronecker products,
+        chosen greedily in the order of the factors' spans."""
+        prods = [kron(x, y) for x in self.a.span for y in self.b.span]
+        target = len(complex_orth_basis(prods, prods[0].shape))
+        keep: list[np.ndarray] = []
+        for p in prods:
+            if len(complex_orth_basis(keep + [p], p.shape)) > len(keep):
+                keep.append(p)
+                if len(keep) == target:
+                    break
+        return tuple(keep)
 
     @property
     def na(self) -> int:
@@ -89,31 +79,23 @@ class TensorAlgebra:
 
 
 def min_tensor(a: StarAlgebra, b: StarAlgebra) -> TensorAlgebra:
-    """Spatial tensor product: span of Kronecker products, pruned to a
-    linearly independent product spanning set."""
-    prods = [kron(x, y) for x in a.span for y in b.span]
-    target = len(complex_orth_basis(prods, prods[0].shape))
-    keep: list[np.ndarray] = []
-    for p in prods:
-        if len(complex_orth_basis(keep + [p], p.shape)) > len(keep):
-            keep.append(p)
-            if len(keep) == target:
-                break
-    return TensorAlgebra(a, b, tuple(keep))
+    """Spatial tensor product of two matrix algebras; its pruned
+    spanning set is computed on first use of ``span``."""
+    return TensorAlgebra(a, b)
 
 
-def slice_right_map(phi: Functional, t: TensorAlgebra) -> LinearMapMat:
+def slice_right_map(phi: TraceWitness, t: TensorAlgebra) -> LinearMapMat:
     """R_phi as a complex-linear map M_{na nb} -> M_nb."""
     na, nb = t.na, t.nb
     return LinearMapMat.from_function(
-        lambda x: slice_right_value(phi.t, x, na, nb), na * nb, COMPLEX)
+        lambda x: slice_right_value(phi.gram, x, na, nb), na * nb, COMPLEX)
 
 
-def slice_left_map(psi: Functional, t: TensorAlgebra) -> LinearMapMat:
+def slice_left_map(psi: TraceWitness, t: TensorAlgebra) -> LinearMapMat:
     """L_psi as a complex-linear map M_{na nb} -> M_na."""
     na, nb = t.na, t.nb
     return LinearMapMat.from_function(
-        lambda x: slice_left_value(psi.t, x, na, nb), na * nb, COMPLEX)
+        lambda x: slice_left_value(psi.gram, x, na, nb), na * nb, COMPLEX)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,28 +132,15 @@ class IdealPresentation:
         return idx
 
     @property
-    def ideal_indices(self) -> list[int]:
-        idx = []
-        for bi in self.ideal_blocks:
-            start, size = self.blocks[bi]
-            idx.extend(range(start, start + size))
-        return idx
-
-    @property
     def quotient_dim(self) -> int:
         return len(self.quotient_indices)
 
     def ideal_span(self) -> list[np.ndarray]:
         """Matrix units spanning the ideal summand, embedded in M_n."""
         out = []
-        n = self.b.n
         for bi in self.ideal_blocks:
             start, size = self.blocks[bi]
-            for j in range(start, start + size):
-                for l in range(start, start + size):
-                    e = np.zeros((n, n), dtype=np.complex128)
-                    e[j, l] = 1.0
-                    out.append(e)
+            out += matrix_units(size, self.b.n, start)
         return out
 
     def quotient_apply(self, x) -> np.ndarray:
@@ -265,8 +234,8 @@ def fubini(a1, b1, t: TensorAlgebra, anti: AntiAutomorphism | None = None,
     each functional.  Degenerate (empty) working spans are rejected.
     """
     na, nb = t.na, t.nb
+    a_leg = real_form_basis(anti) if anti is not None else list(t.a.span)
     if working_rows is None:
-        a_leg = real_form_basis(anti) if anti is not None else list(t.a.span)
         working_rows = tensor_span_rows(a_leg, list(t.b.span), complex_scalars=True)
     if working_rows.shape[0] == 0:
         raise ValueError("degenerate working span")
@@ -276,7 +245,6 @@ def fubini(a1, b1, t: TensorAlgebra, anti: AntiAutomorphism | None = None,
     b1_rows = orth_rows(realify(b1)) if b1 else np.zeros((0, 2 * nb * nb))
     a1_rows = orth_rows(realify(a1)) if a1 else np.zeros((0, 2 * na * na))
 
-    a_leg = real_form_basis(anti) if anti is not None else list(t.a.span)
     a_duals = [g.conj().T for g in a_leg]
     if phi_field == COMPLEX:
         a_duals = a_duals + [1j * g for g in a_duals]
@@ -388,6 +356,30 @@ class ExactnessReport:
         }
 
 
+def _real_leg(a: StarAlgebra, anti: AntiAutomorphism, pres: IdealPresentation,
+              angle_tol: float):
+    """Setup shared by the exactness and Fubini checks, ending with the
+    Fubini check itself.
+
+    After validating the inputs, returns the tensor algebra A (x) B, the
+    ideal's matrix units, the real-form basis, the working rows
+    span(real form (x) B), the rows span(real form (x) ideal), and the
+    comparison of fubini(real form, ideal) with those rows.
+    """
+    pres.validate()
+    if anti.dim != a.n:
+        raise ValueError("antiautomorphism dimension does not match the algebra")
+    t = min_tensor(a, pres.b)
+    ideal = pres.ideal_span()
+    form_basis = real_form_basis(anti)
+    rows = tensor_span_rows(form_basis, list(pres.b.span), complex_scalars=True)
+    ideal_rows = tensor_span_rows(form_basis, ideal, complex_scalars=True) \
+        if ideal else np.zeros((0, rows.shape[1]))
+    fub = fubini(form_basis, ideal + [1j * e for e in ideal], t, anti=anti,
+                 phi_field=REAL, psi_field=REAL, working_rows=rows)
+    return t, ideal, form_basis, rows, ideal_rows, _compare(fub.rows, ideal_rows, angle_tol)
+
+
 def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
                     pres: IdealPresentation, angle_tol: float = 1e-6
                     ) -> ExactnessReport:
@@ -398,32 +390,20 @@ def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
     the complex leg, the matching Fubini-product identities, and that the
     real-form part plus i times it rebuilds the whole tensor span.
     """
-    pres.validate()
-    if anti.dim != a.n:
-        raise ValueError("antiautomorphism dimension does not match the algebra")
-    t = min_tensor(a, pres.b)
+    t, ideal, form_basis, real_rows, real_span_ideal, fub_real_check = \
+        _real_leg(a, anti, pres, angle_tol)
     na, nb = t.na, t.nb
-    ideal = pres.ideal_span()
     ideal_cx = ideal + [1j * e for e in ideal]
 
-    form_basis = real_form_basis(anti)
-    real_rows = tensor_span_rows(form_basis, list(pres.b.span), complex_scalars=True)
     complex_rows = tensor_span_rows(list(a.span), list(pres.b.span), complex_scalars=True)
-
-    zero = np.zeros((0, real_rows.shape[1]))
-    real_span_ideal = tensor_span_rows(form_basis, ideal, complex_scalars=True) \
-        if ideal else zero
     complex_span_ideal = tensor_span_rows(list(a.span), ideal, complex_scalars=True) \
-        if ideal else zero
+        if ideal else np.zeros((0, real_rows.shape[1]))
 
     real_check = _compare(quotient_kernel_rows(real_rows, pres, na, nb),
                           real_span_ideal, angle_tol)
     complex_check = _compare(quotient_kernel_rows(complex_rows, pres, na, nb),
                              complex_span_ideal, angle_tol)
 
-    fub_real = fubini(form_basis, ideal_cx, t, anti=anti,
-                      phi_field=REAL, psi_field=REAL, working_rows=real_rows)
-    fub_real_check = _compare(fub_real.rows, real_span_ideal, angle_tol)
     a_span_cx = list(a.span) + [1j * m for m in a.span]
     fub_complex = fubini(a_span_cx, ideal_cx, t, anti=None,
                          phi_field=COMPLEX, psi_field=REAL,
@@ -457,16 +437,7 @@ def fubini_check(a: StarAlgebra, anti: AntiAutomorphism,
                  pres: IdealPresentation, angle_tol: float = 1e-6
                  ) -> KernelCheck:
     """Compare fubini(real form, ideal) with span(real form (x) ideal)."""
-    pres.validate()
-    t = min_tensor(a, pres.b)
-    ideal = pres.ideal_span()
-    ideal_cx = ideal + [1j * e for e in ideal]
-    form_basis = real_form_basis(anti)
-    working = tensor_span_rows(form_basis, list(pres.b.span), complex_scalars=True)
-    span_rows = tensor_span_rows(form_basis, ideal, complex_scalars=True) \
-        if ideal else np.zeros((0, working.shape[1]))
-    fub = fubini(form_basis, ideal_cx, t, anti=anti, working_rows=working)
-    return _compare(fub.rows, span_rows, angle_tol)
+    return _real_leg(a, anti, pres, angle_tol)[-1]
 
 
 def decompose_tensor(x, anti: AntiAutomorphism, t: TensorAlgebra,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmaps import COMPLEX, REAL, LinearMapMat, compose
-from .matrix import as_array, col_norm1
+from .matrix import as_array
 from .realform import AntiAutomorphism, conj_phi
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -245,8 +245,3 @@ def realify_map(phi: LinearMapMat, anti: AntiAutomorphism,
     if anti.dim != phi.dom_dim:
         raise ValueError("antiautomorphism dimension does not match the map's domain")
     return RealifiedMap(phi, anti, scale)
-
-
-def theta_contraction_margin(x, scale: ThetaScale = ThetaScale()) -> float:
-    """col_norm1(theta(x)); < 1 in paper mode for any nonzero x."""
-    return col_norm1(theta(x, scale))

@@ -8,6 +8,7 @@ import pytest
 
 from starlift.certify import FiniteSubset, QDCertificate, TraceWitness, \
     unital_compression_map
+from starlift import cli
 from starlift.cli import cmd_dispatch
 from starlift.cpmaps import LinearMapMat, complexify
 from starlift.io import (SchemaError, algebra_to_json, anti_to_json,
@@ -119,6 +120,31 @@ class TestMatrixSchema:
         with pytest.raises(SchemaError):
             matrix_from_json(doc)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, value, tmp_path, capsys):
+        doc = map_to_json(LinearMapMat.identity(2))
+        doc["images"][3]["data"][1] = [float(value), 0.0]
+        text = json.dumps(doc)          # NaN / Infinity literals, as json.load accepts
+        with pytest.raises(SchemaError) as err:
+            map_from_json(json.loads(text))
+        assert err.value.path == "map.images[3].data[1]"
+        p = tmp_path / "map.json"
+        p.write_text(text)
+        code, out, err_text = _run(["cp-check", "--map", str(p)], capsys)
+        assert (code, out) == (2, "")
+        assert "map.images[3].data[1]" in err_text
+
+    def test_rejects_dimension_below_one(self, tmp_path, capsys):
+        doc = {"rows": 0, "cols": 0, "field": "R", "data": []}
+        with pytest.raises(SchemaError) as err:
+            matrix_from_json(doc)
+        assert err.value.path == "matrix.rows"
+        p = tmp_path / "u0.json"
+        p.write_text(json.dumps({"u": doc}))
+        code, out, err_text = _run(["realform", "--phi", str(p)], capsys)
+        assert (code, out) == (2, "")
+        assert "phi.u.rows" in err_text
+
 
 class TestMapSchema:
     def test_complex_round_trip(self):
@@ -144,6 +170,18 @@ class TestMapSchema:
         doc["images"] = doc["images"][:-1]
         with pytest.raises(SchemaError, match="images"):
             map_from_json(doc)
+
+    def test_real_codomain_rejects_imaginary_images(self, tmp_path, capsys):
+        doc = map_to_json(LinearMapMat.identity(2))
+        doc["cod_field"] = "R"
+        doc["images"][1]["data"][3] = [0.0, 1.0]
+        with pytest.raises(SchemaError) as err:
+            map_from_json(doc)
+        assert err.value.path == "map.images[1].data[3]"
+        p = tmp_path / "map.json"
+        p.write_text(json.dumps(doc))
+        code, out, _ = _run(["cp-check", "--map", str(p)], capsys)
+        assert (code, out) == (2, "")
 
     def test_non_canonical_basis_not_serializable(self):
         phi = LinearMapMat.on_real_form(lambda m: m, ANTI2)
@@ -318,6 +356,57 @@ class TestCli:
         code, _, err = _run(["qd-verify", "--cert", str(p)], capsys)
         assert code == 2
         assert "field" in err
+
+    def test_zero_codomain_map_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "cod0.json"
+        p.write_text(json.dumps({"dom": 1, "cod": 0, "linearity": "C",
+                                 "images": [{"rows": 0, "cols": 0, "field": "R",
+                                             "data": []}]}))
+        code, out, err = _run(["cp-check", "--map", str(p)], capsys)
+        assert (code, out) == (2, "")
+        assert "map.cod" in err
+
+    def test_unexpected_exception_exits_two(self, workdir, capsys, monkeypatch):
+        def broken(args):
+            raise IndexError("index 0 is out of bounds")
+
+        monkeypatch.setattr(cli, "_cmd_choi", broken)
+        code, out, err = _run(["choi", "--map", workdir["transpose2.json"]],
+                              capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("internal error: IndexError")
+
+    def test_witness_ties_report_first_occurrence(self, tmp_path, capsys):
+        # F = [x, 1, x]: the repeated x ties every defect it attains with
+        # its first copy, which the witness must name.
+        rng = np.random.default_rng(5)
+        phi = unital_compression_map(rng, 2, 3)
+        psi = unital_compression_map(rng, 3, 2)
+        x = random_matrix(rng, 2)
+        subset = FiniteSubset((x, np.eye(2), x))
+        cert = QDCertificate(StarAlgebra.full_matrix(2), subset, phi, 9.0)
+        files = {}
+        for name, doc in (("cert", cert_to_json(cert)),
+                          ("trace", trace_to_json(TraceWitness.normalized_trace(2))),
+                          ("phi", map_to_json(phi)), ("psi", map_to_json(psi)),
+                          ("F", [matrix_to_json(m) for m in subset.elements])):
+            files[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(canonical_dumps(doc))
+
+        _, out, _ = _run(["qd-verify", "--cert", files["cert"]], capsys)
+        w = json.loads(out)["report"]["witnesses"]
+        assert (w["mult"]["left"], w["mult"]["right"]) == ("F[0]", "F[0]")
+        assert w["norm"]["element"] == "F[0]"
+        _, out, _ = _run(["trace-audit", "--cert", files["cert"],
+                          "--trace", files["trace"]], capsys)
+        w = json.loads(out)["verify"]["witnesses"]
+        assert (w["mult"]["left"], w["mult"]["right"]) == ("F[0]", "F[0]")
+        assert w["trace"]["element"] == "F[0]"
+        _, out, _ = _run(["nuclear-verify", "--phi-map", files["phi"],
+                          "--psi-map", files["psi"], "--set", files["F"],
+                          "--epsilon", "9"], capsys)
+        w = json.loads(out)["report"]["witnesses"]
+        assert w["approximation"]["element"] == "F[0]"
 
     def test_missing_file(self, capsys):
         code, _, _ = _run(["qd-verify", "--cert", "/nonexistent.json"], capsys)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starlift.matrix import (Matrix, Tolerance, col_norm1, hermitian_defect,
-                             kron, op_norm, positivity_defect, psd_defect,
-                             split_norm)
+                             kron, op_norm, positivity_defect, split_norm)
 from starlift.sampling import random_matrix, random_unitary
 
 
@@ -84,24 +83,28 @@ class TestColNorm1:
 
 
 class TestPsdDefect:
+    """On Hermitian input positivity_defect is the minimum eigenvalue."""
+
     def test_identity(self):
-        assert psd_defect(np.eye(4)) == pytest.approx(1.0)
+        assert positivity_defect(np.eye(4)) == pytest.approx(1.0)
 
     def test_indefinite_diagonal(self):
-        assert psd_defect(np.diag([1.0, -2.0])) == pytest.approx(-2.0)
+        assert positivity_defect(np.diag([1.0, -2.0])) == pytest.approx(-2.0)
 
     def test_rank_deficient_hermitian(self):
         # eigenvalues {0, 2} by the characteristic polynomial
         m = np.array([[1, 1j], [-1j, 1]])
-        assert psd_defect(m) == pytest.approx(0.0, abs=1e-12)
+        assert positivity_defect(m) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            psd_defect(np.zeros((2, 3)))
+            positivity_defect(np.zeros((2, 3)))
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            psd_defect(np.array([[0.0, 1.0], [-1.0, 0.0]]), hermitian_tol=1e-10)
+        # A positive Hermitian part does not make the input positive: the
+        # skew part is charged against it, so the score is negative.
+        m = np.array([[1.0, 2.0], [-2.0, 1.0]])
+        assert positivity_defect(m) == pytest.approx(-1.0)
 
     def test_unitary_conjugation(self):
         rng = np.random.default_rng(7)
@@ -110,14 +113,14 @@ class TestPsdDefect:
             u = random_unitary(rng, n)
             d = rng.standard_normal(n)
             m = u @ np.diag(d) @ u.conj().T
-            assert psd_defect(m, hermitian_tol=1e-8) == pytest.approx(
+            assert positivity_defect(m) == pytest.approx(
                 float(np.min(d)), abs=1e-10)
 
 
 class TestPositivityDefect:
     def test_matches_psd_defect_on_hermitian(self):
         m = np.diag([3.0, -0.5])
-        assert positivity_defect(m) == pytest.approx(psd_defect(m))
+        assert positivity_defect(m) == pytest.approx(-0.5)
 
     def test_penalizes_skew_part(self):
         m = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -13,7 +13,8 @@ from starlift.realform import AntiAutomorphism, StarAlgebra, real_form_basis
 from starlift.sampling import random_matrix
 from starlift.subspace import (containment_residual, max_principal_angle,
                                orth_rows, realify, subspaces_equal)
-from starlift.tensorexact import (Functional, IdealPresentation, decompose_tensor,
+from starlift.certify import TraceWitness
+from starlift.tensorexact import (IdealPresentation, decompose_tensor,
                                   detect_blocks, exactness_check, fubini,
                                   fubini_check, min_tensor, quotient_kernel_rows,
                                   slice_left_map, slice_left_value,
@@ -52,16 +53,16 @@ class TestSliceMaps:
         rng = np.random.default_rng(0)
         a, b = random_matrix(rng, 2), random_matrix(rng, 3)
         x = kron(a, b)
-        tau = Functional.normalized_trace(2)
-        out = slice_right_value(tau.t, x, 2, 3)
+        tau = TraceWitness.normalized_trace(2)
+        out = slice_right_value(tau.gram, x, 2, 3)
         assert op_norm(out - (np.trace(a) / 2) * b) < 1e-12
-        psi = Functional.normalized_trace(3)
-        out_l = slice_left_value(psi.t, x, 2, 3)
+        psi = TraceWitness.normalized_trace(3)
+        out_l = slice_left_value(psi.gram, x, 2, 3)
         assert op_norm(out_l - (np.trace(b) / 3) * a) < 1e-12
 
     def test_zero(self):
-        tau = Functional.normalized_trace(2)
-        assert op_norm(slice_right_value(tau.t, np.zeros((6, 6)), 2, 3)) == 0.0
+        tau = TraceWitness.normalized_trace(2)
+        assert op_norm(slice_right_value(tau.gram, np.zeros((6, 6)), 2, 3)) == 0.0
 
     def test_product_functional_identity(self):
         # phi (x) psi (x) = psi(R_phi(x)) = phi(L_psi(x))
@@ -76,12 +77,12 @@ class TestSliceMaps:
 
     def test_as_linear_maps(self):
         t = min_tensor(A2, StarAlgebra.full_matrix(3))
-        tau = Functional.normalized_trace(2)
+        tau = TraceWitness.normalized_trace(2)
         rm = slice_right_map(tau, t)
         rng = np.random.default_rng(2)
         x = random_matrix(rng, 6)
-        assert op_norm(rm.apply(x) - slice_right_value(tau.t, x, 2, 3)) < 1e-10
-        lm = slice_left_map(Functional.normalized_trace(3), t)
+        assert op_norm(rm.apply(x) - slice_right_value(tau.gram, x, 2, 3)) < 1e-10
+        lm = slice_left_map(TraceWitness.normalized_trace(3), t)
         assert op_norm(lm.apply(x) - slice_left_value(np.eye(3) / 3, x, 2, 3)) < 1e-10
 
     def test_slices_commute_with_quotient(self):
