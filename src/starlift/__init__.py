@@ -14,7 +14,7 @@ from .matrix import (DEFAULT_TOL, Matrix, Tolerance, col_norm1, kron, op_norm,
 from .realform import (AntiAutomorphism, StarAlgebra, check_antiautomorphism,
                        conj_phi, real_decompose, real_form_basis,
                        real_form_residual)
-from .cpmaps import (ChoiMatrix, LinearMapMat, amplify, choi, complexify,
+from .cpmaps import (ChoiMatrix, LinearMapMat, choi, complexify,
                      compose, compress, cp_defect, cp_defect_real,
                      cp_defect_real_report, restrict_to_real_form)
 from .transport import (RealifiedMap, ThetaScale, eta, eta1, realify_map, rho,
@@ -36,7 +36,7 @@ __all__ = [
     "positivity_defect", "split_norm",
     "AntiAutomorphism", "StarAlgebra", "check_antiautomorphism", "conj_phi",
     "real_decompose", "real_form_basis", "real_form_residual",
-    "ChoiMatrix", "LinearMapMat", "amplify", "choi", "complexify", "compose",
+    "ChoiMatrix", "LinearMapMat", "choi", "complexify", "compose",
     "compress", "cp_defect", "cp_defect_real", "cp_defect_real_report",
     "restrict_to_real_form",
     "RealifiedMap", "ThetaScale", "eta", "eta1", "realify_map", "rho",

@@ -183,25 +183,33 @@ def _worst(rows) -> dict:
     return worst
 
 
-def _mult_witness(phi_apply, subset: FiniteSubset, mode: str,
-                  anti: AntiAutomorphism | None) -> dict:
-    """Worst ||phi(ab) - phi(a)phi(b)|| over pairs of the subset."""
+def _evaluate(f, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f on a stack and on the products x_i x_j of every ordered pair,
+    the latter shaped (k, k, m, m); ``f`` takes and returns stacks."""
+    k = len(xs)
+    img = f(xs)
+    prods = f((xs[:, None] @ xs[None]).reshape((k * k,) + xs.shape[1:]))
+    return img, prods.reshape((k, k) + img.shape[1:])
+
+
+def _mult_witness(img: np.ndarray, prods: np.ndarray, subset: FiniteSubset,
+                  mode: str, anti: AntiAutomorphism | None) -> dict:
+    """Worst ||phi(ab) - phi(a)phi(b)|| over pairs of the subset, from
+    the images of the elements and of their products (see _evaluate)."""
     return _worst(
         {"left": subset.label(i), "right": subset.label(j),
-         "defect": _value_norm(phi_apply(a @ b) - phi_apply(a) @ phi_apply(b),
-                               mode, anti)}
-        for i, a in enumerate(subset.elements)
-        for j, b in enumerate(subset.elements))
+         "defect": _value_norm(prods[i, j] - img[i] @ img[j], mode, anti)}
+        for i in range(len(img)) for j in range(len(img)))
 
 
-def _norm_witness(phi_apply, subset: FiniteSubset, mode: str,
+def _norm_witness(img: np.ndarray, subset: FiniteSubset, mode: str,
                   anti: AntiAutomorphism | None) -> dict:
-    """Worst | ||phi(a)|| - ||a|| | over the subset."""
+    """Worst | ||phi(a)|| - ||a|| | over the subset, from the images."""
     return _worst(
         {"element": subset.label(i),
-         "defect": abs(_value_norm(phi_apply(a), mode, anti)
+         "defect": abs(_value_norm(y, mode, anti)
                        - _value_norm(a, mode, anti, domain=True))}
-        for i, a in enumerate(subset.elements))
+        for i, (a, y) in enumerate(zip(subset.elements, img)))
 
 
 def qd_verify(cert: QDCertificate) -> DefectReport:
@@ -212,8 +220,9 @@ def qd_verify(cert: QDCertificate) -> DefectReport:
     matrices, or the split norm ||a|| + ||b|| across a decomposition.
     """
     phi = cert.phi
-    mult = _mult_witness(phi.apply, cert.subset, cert.norm_mode, cert.anti)
-    norm = _norm_witness(phi.apply, cert.subset, cert.norm_mode, cert.anti)
+    img, prods = _evaluate(phi.apply, np.stack(cert.subset.elements))
+    mult = _mult_witness(img, prods, cert.subset, cert.norm_mode, cert.anti)
+    norm = _norm_witness(img, cert.subset, cert.norm_mode, cert.anti)
     return DefectReport(
         epsilon=cert.epsilon,
         norm_mode=cert.norm_mode,
@@ -268,28 +277,24 @@ def qd_complexify(cert: QDCertificate,
     if pairs is None:
         pairs = synthesize_pairs(cert.subset)
 
-    parts: list[np.ndarray] = []
-    for a, b in pairs:
-        parts.extend((a, b))
-    dop = np.zeros((len(parts), len(parts)))
-    for i, x in enumerate(parts):
-        for j, y in enumerate(parts):
-            dop[i, j] = op_norm(restricted.apply(x @ y)
-                                - restricted.apply(x) @ restricted.apply(y))
-    norm_op = [abs(op_norm(restricted.apply(x)) - op_norm(x)) for x in parts]
+    parts = np.stack([x for pair in pairs for x in pair])
+    img, prods = _evaluate(restricted.apply, parts)
+    dop = np.linalg.norm(prods - img[:, None] @ img[None], 2, axis=(2, 3))
+    part_norms = np.linalg.norm(parts, 2, axis=(1, 2))
+    norm_op = np.abs(np.linalg.norm(img, 2, axis=(1, 2)) - part_norms)
 
-    complexified = [a + 1j * b for a, b in pairs]
+    complexified = parts[0::2] + 1j * parts[1::2]
+    img_c, prod_c = _evaluate(phi_c.apply, complexified)
     norm_rows = []
     mult_rows = []
-    for k, ck in enumerate(complexified):
+    for k in range(len(complexified)):
         ia, ib = 2 * k, 2 * k + 1
-        nd = abs(split_norm(phi_c.apply(ck))
-                 - (op_norm(pairs[k][0]) + op_norm(pairs[k][1])))
+        nd = abs(split_norm(img_c[k]) - (part_norms[ia] + part_norms[ib]))
         norm_rows.append({"element": k, "defect": nd,
                           "bound": norm_op[ia] + norm_op[ib]})
-        for l, cl in enumerate(complexified):
+        for l in range(len(complexified)):
             ja, jb = 2 * l, 2 * l + 1
-            md = split_norm(phi_c.apply(ck @ cl) - phi_c.apply(ck) @ phi_c.apply(cl))
+            md = split_norm(prod_c[k, l] - img_c[k] @ img_c[l])
             mult_rows.append({"left": k, "right": l, "defect": md,
                               "bound": dop[ia, ja] + dop[ib, jb] + dop[ib, ja]
                               + dop[ia, jb]})
@@ -346,27 +351,26 @@ def qd_realify(cert: QDCertificate, anti: AntiAutomorphism | None = None,
     subset = FiniteSubset(tuple(f_real))
 
     phi = cert.phi
+    xs = np.stack(subset.elements)
+    img, prods = _evaluate(phi.apply, xs)
     if scale is None:
-        working = [phi.apply(x) for x in subset.elements]
-        working += [phi.apply(x @ y) for x in subset.elements for y in subset.elements]
-        scale = ThetaScale.for_working_set(working)
+        scale = ThetaScale.for_working_set([*img, *prods.reshape((-1,) + img.shape[1:])])
     rmap = realify_map(phi, anti, scale)
 
-    mult_witness = _mult_witness(rmap.apply, subset, REAL_COL1, anti)
-    norm_witness = _norm_witness(rmap.apply, subset, REAL_COL1, anti)
+    r_img, r_prods = _evaluate(lambda ys: np.stack([rmap.apply(y) for y in ys]), xs)
+    mult_witness = _mult_witness(r_img, r_prods, subset, REAL_COL1, anti)
+    norm_witness = _norm_witness(r_img, subset, REAL_COL1, anti)
 
     extra: dict = {"theta_mode": scale.mode}
     new_cert = None
     if scale.is_linear:
         s = scale.value
         margin = -np.inf
-        for a in subset.elements:
-            for b in subset.elements:
-                pa, pb = phi.apply(a), phi.apply(b)
-                dmat = phi.apply(a @ b) - pa @ pb
-                measured = col_norm1(theta(phi.apply(a @ b), scale)
+        for i, pa in enumerate(img):
+            for j, pb in enumerate(img):
+                measured = col_norm1(theta(prods[i, j], scale)
                                      - theta(pa, scale) @ theta(pb, scale))
-                bound = s * theta_normalizer(dmat) \
+                bound = s * theta_normalizer(prods[i, j] - pa @ pb) \
                     + abs(s - s * s) * theta_normalizer(pa @ pb)
                 margin = max(margin, measured - bound)
         extra["theta_scale"] = s
@@ -410,11 +414,11 @@ def nuclear_witness_verify(phi: LinearMapMat, psi: LinearMapMat,
     if target.dom_dim != phi.dom_dim or target.cod_dim != psi.cod_dim:
         raise ValueError("target dimensions do not match the factorization")
 
+    elements = np.stack(subset.elements)
     composed = compose(psi, phi)
     worst = _worst(
-        {"element": subset.label(i),
-         "defect": _value_norm(composed.apply(a) - target.apply(a), norm_mode, anti)}
-        for i, a in enumerate(subset.elements))
+        {"element": subset.label(i), "defect": _value_norm(d, norm_mode, anti)}
+        for i, d in enumerate(composed.apply(elements) - target.apply(elements)))
 
     extra: dict = {}
     if b_list:
@@ -422,8 +426,8 @@ def nuclear_witness_verify(phi: LinearMapMat, psi: LinearMapMat,
         for b in b_list:
             tb = compress(target, b)
             fb = compose(compress(psi, b), phi)
-            db = max(_value_norm(fb.apply(a) - tb.apply(a), norm_mode, anti)
-                     for a in subset.elements)
+            db = max(_value_norm(d, norm_mode, anti)
+                     for d in fb.apply(elements) - tb.apply(elements))
             per_b.append(float(db))
         extra["compressed_defects"] = per_b
         extra["max_compressed_defect"] = float(max(per_b))
@@ -489,11 +493,12 @@ def trace_qd_verify(cert: QDCertificate, witness: TraceWitness) -> DefectReport:
         raise ValueError("trace verification needs a unital map")
     if witness.dim != cert.algebra.n:
         raise ValueError("trace witness dimension does not match the algebra")
-    mult = _mult_witness(cert.phi.apply, cert.subset, cert.norm_mode, cert.anti)
+    img, prods = _evaluate(cert.phi.apply, np.stack(cert.subset.elements))
+    mult = _mult_witness(img, prods, cert.subset, cert.norm_mode, cert.anti)
     trace = _worst(
         {"element": cert.subset.label(i),
-         "defect": abs(normalized_trace(cert.phi.apply(a)) - witness(a))}
-        for i, a in enumerate(cert.subset.elements))
+         "defect": abs(normalized_trace(y) - witness(a))}
+        for i, (a, y) in enumerate(zip(cert.subset.elements, img)))
     return DefectReport(
         epsilon=cert.epsilon,
         norm_mode=cert.norm_mode,

@@ -46,7 +46,6 @@ class RunConfig:
     seed: int = 0
     theta_mode: str = "auto"
     norm_mode: str = COMPLEX_OP
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if not (self.tol > 0):
@@ -71,7 +70,6 @@ def _config(args) -> RunConfig:
         seed=int(getattr(args, "seed", 0) or 0),
         theta_mode=getattr(args, "theta_mode", "auto") or "auto",
         norm_mode=getattr(args, "norm_mode", COMPLEX_OP) or COMPLEX_OP,
-        output_path=getattr(args, "output", None),
     )
 
 
@@ -177,8 +175,8 @@ def _cmd_transport(args) -> int:
     phi_p, psi_p = transport_factorization(phi, psi)
     before = compose(psi, phi)
     after = compose(psi_p, phi_p)
-    resid = max(op_norm(after.apply(b) - before.apply(b))
-                for b in doubled_units(phi.dom_dim))
+    units = np.stack(doubled_units(phi.dom_dim))
+    resid = np.max(np.linalg.norm(after.apply(units) - before.apply(units), 2, axis=(1, 2)))
     _emit({
         "phi_prime": map_to_json(phi_p),
         "psi_prime": map_to_json(psi_p),

@@ -14,13 +14,14 @@ positive element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .matrix import (as_array, doubled_units, kron, matrix_units, op_norm,
-                     positivity_defect)
+from .matrix import as_array, doubled_units, matrix_units, op_norm, positivity_defect
 from .realform import AntiAutomorphism, real_decompose, real_form_basis, real_form_residual
 from .sampling import rng_from
+from .subspace import realify
 
 COMPLEX = "C"
 REAL = "R"
@@ -66,6 +67,8 @@ class LinearMapMat:
                 f"images shape {images.shape} does not match basis size {len(basis)} "
                 f"and cod_dim {self.cod_dim}"
             )
+        if self.cod_field == REAL and np.any(images.imag != 0):
+            raise ValueError("cod_field 'R' map has an image with a nonzero imaginary part")
         basis.setflags(write=False)
         images.setflags(write=False)
         object.__setattr__(self, "basis", basis)
@@ -106,51 +109,80 @@ class LinearMapMat:
 
     # -- evaluation -----------------------------------------------------
 
-    @property
-    def _solver(self) -> np.ndarray:
-        cached = getattr(self, "_solver_cache", None)
-        if cached is None:
-            if self.linearity == COMPLEX:
-                cols = np.stack([b.ravel() for b in self.basis], axis=1)
-            else:
-                cols = np.stack(
-                    [np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in self.basis],
-                    axis=1,
-                )
-            cached = np.linalg.pinv(cols)
-            object.__setattr__(self, "_solver_cache", cached)
-        return cached
-
-    def coordinates(self, x) -> np.ndarray:
-        """Coefficients of x in the stored basis (complex or real)."""
-        a = as_array(x).astype(np.complex128)
-        if a.shape != (self.dom_dim, self.dom_dim):
-            raise ValueError(
-                f"map expects {self.dom_dim}x{self.dom_dim} input, got {a.shape}"
-            )
+    @cached_property
+    def _basis_kind(self) -> str:
+        """How coefficients are read off an input: "units" (vec x),
+        "doubled" ([Re vec x, Im vec x]) and "real" (Re vec x) on the
+        canonical bases, "solve" (the pinv of the basis) on any other."""
+        if not self.has_canonical_basis:
+            return "solve"
         if self.linearity == COMPLEX:
-            return self._solver @ a.ravel()
-        return self._solver @ np.concatenate([a.real.ravel(), a.imag.ravel()])
+            return "units"
+        return "real" if self.dom_field == REAL else "doubled"
+
+    @cached_property
+    def _solver(self) -> np.ndarray:
+        if self.linearity == COMPLEX:
+            cols = self.basis.reshape(len(self.basis), -1)
+        else:
+            cols = realify(self.basis)
+        return np.linalg.pinv(cols.T)
 
     def apply(self, x, membership_tol: float = 1e-7) -> np.ndarray:
-        """Evaluate the map; rejects input outside the domain span."""
-        a = as_array(x).astype(np.complex128)
-        coeff = self.coordinates(a)
-        rec = np.tensordot(coeff, self.basis, axes=(0, 0))
-        scale = 1.0 + op_norm(a)
-        res = op_norm(a - rec)
-        if res > membership_tol * scale:
-            raise ValueError(
-                f"input is outside the map's domain span: residual {res:.3e}"
-            )
-        return np.tensordot(coeff, self.images, axes=(0, 0))
+        """Evaluate the map on one matrix or on a stack of shape (k, n, n).
 
-    def __call__(self, x) -> np.ndarray:
-        return self.apply(x)
+        The call is rejected when any input lies outside the domain span,
+        ||x - rec|| > membership_tol * (1 + ||x||) in operator norm, where
+        rec is x rebuilt from its coefficients.
+        """
+        single = np.ndim(x) != 3
+        xs = (as_array(x)[None] if single else np.asarray(x)).astype(np.complex128, copy=False)
+        n = self.dom_dim
+        if xs.shape[1:] != (n, n):
+            raise ValueError(f"map expects {n}x{n} input, got {xs.shape[1:]}")
+        flat = xs.reshape(len(xs), n * n)
+        kind = self._basis_kind
+        # On the canonical bases the coefficients rebuild x exactly, except
+        # for the imaginary part a real domain drops.
+        if kind == "units":
+            coeff = flat
+        elif kind == "doubled":
+            coeff = realify(xs)
+        elif kind == "real":
+            coeff = flat.real
+            imag = np.any(flat.imag != 0, axis=1)
+            if imag.any():
+                _check_membership(xs[imag], xs[imag].imag, membership_tol)
+        else:
+            vecs = flat if self.linearity == COMPLEX else realify(xs)
+            coeff = (self._solver @ vecs[:, :, None])[:, :, 0]
+            _check_membership(xs, xs - _combine(coeff, self.basis), membership_tol)
+        out = _combine(coeff, self.images)
+        return out[0] if single else out
 
     def unitality_defect(self) -> float:
         one = np.eye(self.dom_dim)
         return op_norm(self.apply(one) - np.eye(self.cod_dim))
+
+
+def _combine(coeff: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_i coeff[r, i] * mats[i] for each row r, in one matmul.
+
+    Each row is its own vector-matrix product rather than a row of one
+    matrix-matrix product, whose summation order differs: an input
+    evaluated in a stack gets the same bits as evaluated alone.
+    """
+    out = coeff[:, None, :] @ mats.reshape(len(mats), -1)
+    return out.reshape((len(coeff),) + mats.shape[1:])
+
+
+def _check_membership(xs: np.ndarray, residual: np.ndarray, tol: float) -> None:
+    res = np.linalg.norm(residual, 2, axis=(1, 2))
+    bad = res > tol * (1.0 + np.linalg.norm(xs, 2, axis=(1, 2)))
+    if bad.any():
+        raise ValueError(
+            f"input is outside the map's domain span: residual {res[bad][0]:.3e}"
+        )
 
 
 # -- structural operations ----------------------------------------------
@@ -163,43 +195,29 @@ def compose(psi: LinearMapMat, phi: LinearMapMat) -> LinearMapMat:
             f"dimension mismatch: phi maps into {phi.cod_dim}, psi expects {psi.dom_dim}"
         )
     linearity = COMPLEX if (psi.linearity == COMPLEX and phi.linearity == COMPLEX) else REAL
+    basis = phi.basis
     if linearity == REAL and phi.linearity == COMPLEX:
         # Rebase the complex-linear inner map on a real basis so the
         # merely real-linear composite stays well-defined.
-        basis = np.stack(list(phi.basis) + [1j * b for b in phi.basis])
-    else:
-        basis = phi.basis
-    images = np.stack([psi.apply(phi.apply(b)) for b in basis])
-    return LinearMapMat(phi.dom_dim, psi.cod_dim, linearity, basis, images,
-                        phi.dom_field, psi.cod_field)
-
-
-def amplify(phi: LinearMapMat, k: int) -> LinearMapMat:
-    """id_{M_k} (x) phi, acting blockwise on k x k block matrices."""
-    if k < 1:
-        raise ValueError("amplification level must be >= 1")
-    if k == 1:
-        return phi
-    level_units = matrix_units(k)
-    basis = np.stack([kron(e, b) for e in level_units for b in phi.basis])
-    images = np.stack([kron(e, im) for e in level_units for im in phi.images])
-    return LinearMapMat(k * phi.dom_dim, k * phi.cod_dim, phi.linearity,
-                        basis, images, phi.dom_field, phi.cod_field)
+        basis = np.concatenate([basis, 1j * basis])
+    return LinearMapMat(phi.dom_dim, psi.cod_dim, linearity, basis,
+                        psi.apply(phi.apply(basis)), phi.dom_field, psi.cod_field)
 
 
 def block_apply(phi: LinearMapMat, x, level: int) -> np.ndarray:
     """Evaluate (id_{M_level} (x) phi)(x) by acting on n x n blocks."""
     a = as_array(x).astype(np.complex128)
-    n, m = phi.dom_dim, phi.cod_dim
+    n = phi.dom_dim
     if a.shape != (level * n, level * n):
         raise ValueError(f"expected a {level * n}x{level * n} matrix, got {a.shape}")
-    out = np.zeros((level * m, level * m), dtype=np.complex128)
-    for r in range(level):
-        for c in range(level):
-            out[r * m:(r + 1) * m, c * m:(c + 1) * m] = phi.apply(
-                a[r * n:(r + 1) * n, c * n:(c + 1) * n]
-            )
-    return out
+    blocks = a.reshape(level, n, level, n).transpose(0, 2, 1, 3)
+    return _join_blocks(phi.apply(blocks.reshape(level * level, n, n)), level)
+
+
+def _join_blocks(blocks: np.ndarray, level: int) -> np.ndarray:
+    """The level x level block matrix with blocks[r * level + c] at (r, c)."""
+    m = blocks.shape[-1]
+    return blocks.reshape(level, level, m, m).transpose(0, 2, 1, 3).reshape(level * m, level * m)
 
 
 def compress(phi: LinearMapMat, b) -> LinearMapMat:
@@ -209,7 +227,7 @@ def compress(phi: LinearMapMat, b) -> LinearMapMat:
         raise ValueError(
             f"compression needs {phi.cod_dim} rows, got shape {bm.shape}"
         )
-    images = np.stack([bm.conj().T @ im @ bm for im in phi.images])
+    images = bm.conj().T @ phi.images @ bm
     breal = not np.any(bm.imag != 0)
     cod_field = REAL if (phi.cod_field == REAL and breal) else COMPLEX
     return LinearMapMat(phi.dom_dim, bm.shape[1], phi.linearity, phi.basis,
@@ -220,10 +238,9 @@ def restrict_to_real_form(phi: LinearMapMat, anti: AntiAutomorphism) -> LinearMa
     """Restrict a map on M_n(C) to the real form of ``anti``."""
     if anti.dim != phi.dom_dim:
         raise ValueError("antiautomorphism dimension does not match the map's domain")
-    basis = real_form_basis(anti)
-    images = np.stack([phi.apply(g) for g in basis])
-    return LinearMapMat(phi.dom_dim, phi.cod_dim, REAL, np.stack(basis),
-                        images, COMPLEX, phi.cod_field)
+    basis = np.stack(real_form_basis(anti))
+    return LinearMapMat(phi.dom_dim, phi.cod_dim, REAL, basis, phi.apply(basis),
+                        COMPLEX, phi.cod_field)
 
 
 def complexify(phi: LinearMapMat, anti: AntiAutomorphism) -> LinearMapMat:
@@ -242,13 +259,12 @@ def complexify(phi: LinearMapMat, anti: AntiAutomorphism) -> LinearMapMat:
             raise ValueError(
                 f"domain basis element is not inside the real form: residual {res:.3e}"
             )
-
-    def ext(x):
-        r, s = real_decompose(anti, x)
-        return phi.apply(r) + 1j * phi.apply(s)
-
-    return LinearMapMat.from_function(ext, phi.dom_dim, COMPLEX,
-                                      cod_field=COMPLEX)
+    n = phi.dom_dim
+    units = np.stack(canonical_basis(n, COMPLEX))
+    parts = [real_decompose(anti, e) for e in units]
+    images = phi.apply(np.stack([r for r, _ in parts] + [s for _, s in parts]))
+    return LinearMapMat(n, phi.cod_dim, COMPLEX, units,
+                        images[:len(units)] + 1j * images[len(units):])
 
 
 # -- Choi calculus -------------------------------------------------------
@@ -266,11 +282,10 @@ def choi(phi: LinearMapMat) -> ChoiMatrix:
     if phi.linearity != COMPLEX:
         raise ValueError("choi is defined for complex-linear maps; "
                          "use cp_defect_real for real-linear ones")
-    n, m = phi.dom_dim, phi.cod_dim
-    c = np.zeros((n * m, n * m), dtype=np.complex128)
-    for e in matrix_units(n):
-        c += kron(e, phi.apply(e))
-    return ChoiMatrix(c, phi)
+    n = phi.dom_dim
+    # Block (j, l) is phi(E_jl); adding 0.0 turns -0.0 into 0.0, as
+    # summing the blocks into a zero matrix does.
+    return ChoiMatrix(_join_blocks(phi.apply(np.stack(matrix_units(n))), n) + 0.0, phi)
 
 
 def cp_defect(phi: LinearMapMat) -> float:
@@ -337,31 +352,21 @@ def cp_defect_real_report(phi: LinearMapMat, level: int, samples: int = 20,
             candidates.append(_canonical_positive(level, n, twist=True))
         candidates.append(_canonical_positive(level, n))
     nb = len(phi.basis)
-    for _ in range(samples):
-        coeff = rng.standard_normal((level, level, nb)) / np.sqrt(nb)
-        c = np.zeros((level * n, level * n), dtype=np.complex128)
-        for a in range(level):
-            for b in range(level):
-                blk = np.tensordot(coeff[a, b], phi.basis, axes=(0, 0))
-                c[a * n:(a + 1) * n, b * n:(b + 1) * n] = blk
+    coeff = rng.standard_normal((samples * level * level, nb)) / np.sqrt(nb)
+    blocks = _combine(coeff, phi.basis).reshape(samples, level * level, n, n)
+    for c in (_join_blocks(b, level) for b in blocks):
         p = c.conj().T @ c
         nrm = op_norm(p)
         if nrm > 0:
             candidates.append(p / nrm)
 
-    worst = np.inf
-    witness = None
-    for p in candidates:
-        d = positivity_defect(block_apply(phi, p, level))
-        if d < worst:
-            worst = d
-            witness = p
+    defects = [positivity_defect(block_apply(phi, p, level)) for p in candidates]
+    best = int(np.argmin(defects))      # the first candidate with the least defect
+    worst, witness = defects[best], candidates[best]
 
     sa_worst = 0.0
     sa_witness = None
-    for _ in range(samples):
-        coeff = rng.standard_normal(nb)
-        x = np.tensordot(coeff, phi.basis, axes=(0, 0))
+    for x in _combine(rng.standard_normal((samples, nb)), phi.basis):
         try:
             r = op_norm(phi.apply(x.conj().T) - phi.apply(x).conj().T)
         except ValueError:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
 from .certify import NORM_MODES, FiniteSubset, QDCertificate, TraceWitness
 from .cpmaps import COMPLEX, REAL, LinearMapMat, canonical_basis
-from .matrix import Matrix, as_array
+from .matrix import Matrix
 from .realform import AntiAutomorphism, StarAlgebra
 from .tensorexact import IdealPresentation
 
@@ -122,20 +123,13 @@ def _as_number(value, path: str) -> float:
 
 
 def matrix_to_json(m, field: str | None = None) -> dict:
-    if isinstance(m, Matrix):
-        arr, field = m.array, m.field
+    mat = m if isinstance(m, Matrix) else Matrix.from_array(m, field)
+    arr = mat.array
+    if mat.field == "R":
+        data = arr.ravel().tolist()
     else:
-        arr = as_array(m)
-        if field is None:
-            real = not np.iscomplexobj(arr) or not np.any(arr.imag != 0)
-            field = "R" if real else "C"
-    rows, cols = arr.shape
-    if field == "R":
-        data = [float(v) for v in np.real(arr).ravel()]
-    else:
-        carr = arr.astype(np.complex128)
-        data = [[float(z.real), float(z.imag)] for z in carr.ravel()]
-    return {"rows": rows, "cols": cols, "field": field, "data": data}
+        data = arr.astype(np.complex128).view(np.float64).reshape(-1, 2).tolist()
+    return {"rows": arr.shape[0], "cols": arr.shape[1], "field": mat.field, "data": data}
 
 
 def _entry(value, field: str, path: str) -> complex:
@@ -150,6 +144,26 @@ def _entry(value, field: str, path: str) -> complex:
     raise SchemaError(path, f"expected a number or [re, im] pair, got {value!r}")
 
 
+_NUMBER_TYPES = {int, float}
+
+
+def _uniform_entries(data: list, field: str) -> np.ndarray | None:
+    """The entries as a complex vector when all are plain numbers or all
+    are valid [re, im] pairs, else None: the caller then parses entry by
+    entry, which names the first bad one.  Exact types keep bool and str
+    out; the values are those of complex(re, im)."""
+    kinds = set(map(type, data))
+    if kinds <= _NUMBER_TYPES:
+        return np.array(data, dtype=np.float64).astype(np.complex128)
+    if kinds == {list} and set(map(len, data)) == {2}:
+        flat = list(chain.from_iterable(data))
+        if set(map(type, flat)) <= _NUMBER_TYPES:
+            arr = np.array(flat, dtype=np.float64).view(np.complex128)
+            if field == "C" or not arr.imag.any():
+                return arr
+    return None
+
+
 def matrix_from_json(doc, path: str = "matrix") -> Matrix:
     rows = _as_dim(_need(doc, "rows", path), f"{path}.rows")
     cols = _as_dim(_need(doc, "cols", path), f"{path}.cols")
@@ -160,8 +174,11 @@ def matrix_from_json(doc, path: str = "matrix") -> Matrix:
     if not isinstance(data, list) or len(data) != rows * cols:
         raise SchemaError(f"{path}.data",
                           f"expected {rows * cols} row-major entries")
-    vals = [_entry(v, fld, f"{path}.data[{i}]") for i, v in enumerate(data)]
-    arr = np.array(vals, dtype=np.complex128).reshape(rows, cols)
+    arr = _uniform_entries(data, fld)
+    if arr is None:
+        arr = np.array([_entry(v, fld, f"{path}.data[{i}]") for i, v in enumerate(data)],
+                       dtype=np.complex128)
+    arr = arr.reshape(rows, cols)
     finite = np.isfinite(arr)
     if not finite.all():
         bad = int(np.argmin(finite.ravel()))
@@ -182,8 +199,7 @@ def map_to_json(phi: LinearMapMat) -> dict:
         "dom": phi.dom_dim,
         "cod": phi.cod_dim,
         "linearity": phi.linearity,
-        "images": [matrix_to_json(im, "R" if phi.cod_field == REAL else "C")
-                   for im in phi.images],
+        "images": [matrix_to_json(im, phi.cod_field) for im in phi.images],
         "cod_field": phi.cod_field,
     }
     if phi.dom_field == REAL:

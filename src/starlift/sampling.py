@@ -42,13 +42,3 @@ def random_isometry(rng, n: int, k: int, field: str = "C") -> np.ndarray:
         raise ValueError(f"isometry needs k <= n, got k={k}, n={n}")
     u = random_unitary(rng, n, field)
     return u[:, :k]
-
-
-def random_hermitian(rng, n: int, field: str = "C") -> np.ndarray:
-    a = random_matrix(rng, n, n, field)
-    return (a + a.conj().T) / 2.0
-
-
-def random_psd(rng, n: int, field: str = "C") -> np.ndarray:
-    c = random_matrix(rng, n, n, field)
-    return c.conj().T @ c

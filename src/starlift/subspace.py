@@ -18,12 +18,12 @@ RANK_TOL = 1e-9
 
 
 def realify(mats) -> np.ndarray:
-    """Stack matrices as rows [Re(vec), Im(vec)] of a real array."""
-    rows = []
-    for m in mats:
-        a = as_array(m).astype(np.complex128)
-        rows.append(np.concatenate([a.real.ravel(), a.imag.ravel()]))
-    return np.array(rows) if rows else np.zeros((0, 0))
+    """Stack matrices (a list or an array of them) as rows
+    [Re(vec), Im(vec)] of a real array."""
+    if len(mats) == 0:
+        return np.zeros((0, 0))
+    flat = np.asarray(mats, dtype=np.complex128).reshape(len(mats), -1)
+    return np.concatenate([flat.real, flat.imag], axis=1)
 
 
 def unrealify(row: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -215,9 +215,6 @@ class FubiniResult:
     phi_field: str
     psi_field: str
 
-    def spanning_matrices(self) -> list[np.ndarray]:
-        return [unrealify(r, self.shape) for r in self.rows]
-
 
 def fubini(a1, b1, t: TensorAlgebra, anti: AntiAutomorphism | None = None,
            phi_field: str = REAL, psi_field: str = REAL,

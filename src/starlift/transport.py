@@ -180,11 +180,6 @@ def eta_map(k: int) -> LinearMapMat:
                                       cod_field=REAL)
 
 
-def upsilon_map(k: int, scale: float = 0.5) -> LinearMapMat:
-    return LinearMapMat.from_function(lambda x: upsilon_entrywise(x, scale), k,
-                                      REAL, dom_field=COMPLEX, cod_field=REAL)
-
-
 def transport_factorization(phi: LinearMapMat, psi: LinearMapMat
                             ) -> tuple[LinearMapMat, LinearMapMat]:
     """Rewrite a factorization through M_n(C) as one through M_2n(R).
@@ -220,15 +215,8 @@ class RealifiedMap:
     def is_linear(self) -> bool:
         return self.scale.is_linear
 
-    @property
-    def cod_dim(self) -> int:
-        return 2 * self.phi.cod_dim
-
     def apply(self, x) -> np.ndarray:
         return theta(self.phi.apply(conj_phi(self.anti, x)), self.scale)
-
-    def __call__(self, x) -> np.ndarray:
-        return self.apply(x)
 
     def as_linear_map(self) -> LinearMapMat:
         if not self.is_linear:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from starlift.cpmaps import (LinearMapMat, amplify, block_apply, choi,
+from starlift.cpmaps import (LinearMapMat, block_apply, choi,
                              complexify, compose, compress, cp_defect,
                              cp_defect_real, cp_defect_real_report,
                              doubled_units, matrix_units,
@@ -199,28 +199,27 @@ class TestComplexify:
 
 class TestAmplifyCompressCompose:
     def test_amplify_level1(self):
-        phi = LinearMapMat.identity(2)
-        assert amplify(phi, 1) is phi
+        phi = TRANSPOSE_MAP2
+        x = random_matrix(np.random.default_rng(20), 2)
+        assert np.array_equal(block_apply(phi, x, 1), phi.apply(x))
 
     def test_amplify_identity_is_identity(self):
-        amp = amplify(LinearMapMat.identity(2), 3)
         x = random_matrix(np.random.default_rng(21), 6)
-        assert op_norm(amp.apply(x) - x) < 1e-10
+        assert op_norm(block_apply(LinearMapMat.identity(2), x, 3) - x) < 1e-10
 
     def test_amplify_block_action(self):
-        phi = TRANSPOSE_MAP2
-        amp = amplify(phi, 2)
         x = random_matrix(np.random.default_rng(10), 4)
-        assert op_norm(amp.apply(x) - block_apply(phi, x, 2)) < 1e-10
+        expected = x.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+        assert op_norm(block_apply(TRANSPOSE_MAP2, x, 2) - expected) < 1e-10
 
     def test_amplify_compose_commute(self):
         rng = np.random.default_rng(11)
         phi = unital_compression_map(rng, 2, 3)
         psi = unital_compression_map(rng, 3, 2)
-        lhs = amplify(compose(psi, phi), 2)
-        rhs = compose(amplify(psi, 2), amplify(phi, 2))
         x = random_matrix(rng, 4)
-        assert op_norm(lhs.apply(x) - rhs.apply(x)) < 1e-10
+        lhs = block_apply(compose(psi, phi), x, 2)
+        rhs = block_apply(psi, block_apply(phi, x, 2), 2)
+        assert op_norm(lhs - rhs) < 1e-10
 
     def test_compress_identity(self):
         phi = LinearMapMat.identity(2)

@@ -120,6 +120,35 @@ class TestMatrixSchema:
         with pytest.raises(SchemaError):
             matrix_from_json(doc)
 
+    def test_uniform_and_per_entry_parsing_agree(self):
+        mixed = [3, -2.5, [0.25], [-0.0, -1.5], [7, 0], 1e300]
+        pairs = [[3, 0.0], [-2.5, 0.0], [0.25, 0.0], [-0.0, -1.5], [7, 0], [1e300, 0.0]]
+        numbers = [3, -2.5, 0.25, -0.0, 7, 1e300]
+        got = {}
+        for name, data in (("mixed", mixed), ("pairs", pairs), ("numbers", numbers)):
+            doc = {"rows": 2, "cols": 3, "field": "C", "data": data}
+            got[name] = matrix_from_json(doc).array.ravel()
+            expected = np.array([complex(*v) if isinstance(v, list) else complex(v)
+                                 for v in data])
+            for part in (np.real, np.imag):
+                assert np.array_equal(part(got[name]), part(expected))
+                assert np.array_equal(np.signbit(part(got[name])),
+                                      np.signbit(part(expected)))
+        assert np.array_equal(got["mixed"], got["pairs"])
+
+    @pytest.mark.parametrize("data, path", [
+        ([1.0, True], "matrix.data[1]"),
+        ([1.0, "2"], "matrix.data[1]"),
+        ([[1.0, 0.0], [False, 0.0]], "matrix.data[1][0]"),
+        ([[1.0, 0.0], [2.0, "0"]], "matrix.data[1][1]"),
+        ([[1.0, 0.0], [2.0, 0.0, 3.0]], "matrix.data[1]"),
+    ])
+    def test_uniform_layouts_still_name_bad_entries(self, data, path):
+        doc = {"rows": 1, "cols": 2, "field": "C", "data": data}
+        with pytest.raises(SchemaError) as err:
+            matrix_from_json(doc)
+        assert err.value.path == path
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_rejects_non_finite(self, value, tmp_path, capsys):
         doc = map_to_json(LinearMapMat.identity(2))
@@ -182,6 +211,19 @@ class TestMapSchema:
         p.write_text(json.dumps(doc))
         code, out, _ = _run(["cp-check", "--map", str(p)], capsys)
         assert (code, out) == (2, "")
+
+    def test_real_codomain_map_rejects_complex_images(self):
+        with pytest.raises(ValueError, match="cod_field"):
+            LinearMapMat.from_function(lambda x: 1j * x, 2, "C", cod_field="R")
+
+    def test_real_codomain_map_round_trip_exact(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal((2, 3, 3))
+        phi = LinearMapMat.from_function(lambda x: a @ np.asarray(x).real @ b, 3, "R",
+                                         dom_field="R", cod_field="R")
+        back = map_from_json(json.loads(json.dumps(map_to_json(phi))))
+        assert back.cod_field == "R" and back.dom_field == "R"
+        assert np.array_equal(back.images, phi.images)
 
     def test_non_canonical_basis_not_serializable(self):
         phi = LinearMapMat.on_real_form(lambda m: m, ANTI2)
