@@ -11,6 +11,7 @@ command, unreadable file, schema violation, precondition breach).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -295,7 +296,9 @@ def _add_common(sp, seed: bool = True) -> None:
         sp.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; handlers are named here and looked up at dispatch."""
     parser = argparse.ArgumentParser(
         prog="starlift",
         description="verify real-form transport, CP certificates, and tensor "
@@ -308,19 +311,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--phi", help="antiautomorphism JSON (default: transpose)")
     _add_common(p, seed=False)
-    p.set_defaults(handler=_cmd_complexify)
+    p.set_defaults(handler="_cmd_complexify")
 
     p = sub.add_parser("realform", help="check an antiautomorphism and decompose a matrix")
     p.add_argument("--phi", required=True)
     p.add_argument("--matrix")
     p.add_argument("--samples", type=int, default=50)
     _add_common(p)
-    p.set_defaults(handler=_cmd_realform)
+    p.set_defaults(handler="_cmd_realform")
 
     p = sub.add_parser("choi", help="emit the Choi matrix of a complex-linear map")
     p.add_argument("--map", required=True)
     _add_common(p, seed=False)
-    p.set_defaults(handler=_cmd_choi)
+    p.set_defaults(handler="_cmd_choi")
 
     p = sub.add_parser("cp-check", help="complete-positivity defect of a map")
     p.add_argument("--map", required=True)
@@ -328,18 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="amplification level for real-linear maps")
     p.add_argument("--samples", type=int, default=20)
     _add_common(p)
-    p.set_defaults(handler=_cmd_cp_check)
+    p.set_defaults(handler="_cmd_cp_check")
 
     p = sub.add_parser("transport", help="rewrite a factorization through real matrices")
     p.add_argument("--phi-map", required=True)
     p.add_argument("--psi-map", required=True)
     _add_common(p, seed=False)
-    p.set_defaults(handler=_cmd_transport)
+    p.set_defaults(handler="_cmd_transport")
 
     p = sub.add_parser("qd-verify", help="verify a quasidiagonality certificate")
     p.add_argument("--cert", required=True)
     _add_common(p, seed=False)
-    p.set_defaults(handler=_cmd_qd_verify)
+    p.set_defaults(handler="_cmd_qd_verify")
 
     p = sub.add_parser("qd-transport", help="transport a certificate across the real form")
     p.add_argument("--cert", required=True)
@@ -348,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-mode", default="auto",
                    help="paper | fixed:<value> | auto (per-certificate constant)")
     _add_common(p, seed=False)
-    p.set_defaults(handler=_cmd_qd_transport)
+    p.set_defaults(handler="_cmd_qd_transport")
 
     p = sub.add_parser("trace-audit", help="quasidiagonal-trace defects and transport chain")
     p.add_argument("--cert", required=True)
@@ -357,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=0.5)
     p.add_argument("--theta-mode", default="auto")
     _add_common(p)
-    p.set_defaults(handler=_cmd_trace_audit)
+    p.set_defaults(handler="_cmd_trace_audit")
 
     p = sub.add_parser("nuclear-verify", help="check a factorization against a target map")
     p.add_argument("--phi-map", required=True)
@@ -368,27 +371,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-list", help="JSON list of compression witnesses")
     p.add_argument("--norm-mode", choices=NORM_MODES, default=COMPLEX_OP)
     _add_common(p, seed=False)
-    p.set_defaults(handler=_cmd_nuclear_verify)
+    p.set_defaults(handler="_cmd_nuclear_verify")
 
     p = sub.add_parser("fubini", help="compare the Fubini product with the ideal span")
     p.add_argument("--algebra", required=True)
     p.add_argument("--ideal", required=True)
     p.add_argument("--phi", help="antiautomorphism JSON (default: transpose)")
     _add_common(p, seed=False)
-    p.set_defaults(handler=_cmd_fubini)
+    p.set_defaults(handler="_cmd_fubini")
 
     p = sub.add_parser("exactness", help="kernel identities for a quotient sequence")
     p.add_argument("--algebra", required=True)
     p.add_argument("--ideal", required=True)
     p.add_argument("--phi", help="antiautomorphism JSON (default: transpose)")
     _add_common(p, seed=False)
-    p.set_defaults(handler=_cmd_exactness)
+    p.set_defaults(handler="_cmd_exactness")
 
     p = sub.add_parser("lemma-audit", help="audit a documented claim on seeded samples")
     p.add_argument("--claim", required=True)
     p.add_argument("--samples", type=int, default=50)
     _add_common(p)
-    p.set_defaults(handler=_cmd_lemma_audit)
+    p.set_defaults(handler="_cmd_lemma_audit")
 
     return parser
 
@@ -401,7 +404,7 @@ def cmd_dispatch(argv) -> int:
         code = exc.code
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

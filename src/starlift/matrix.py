@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+BATCH_ENTRIES = 2**18    # bounds the memory of a batch of stacked products
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,17 @@ def as_array(x) -> np.ndarray:
     if np.iscomplexobj(a):
         return a.astype(np.complex128, copy=False)
     return a.astype(np.float64, copy=False)
+
+
+def as_arrays(x) -> np.ndarray:
+    """``as_array`` for one matrix; a stack of shape (..., r, c) is taken as is."""
+    return np.asarray(x) if np.ndim(x) > 2 else as_array(x)
+
+
+def batches(count: int, entries_each: int) -> list[slice]:
+    """Slices of range(count) of about BATCH_ENTRIES entries (at least one item) each."""
+    step = max(1, BATCH_ENTRIES // entries_each)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,13 +174,7 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_array(a), as_array(b))
 
 
-def split_parts(m) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise real and imaginary parts as real matrices."""
-    a = as_array(m)
-    return np.real(a).astype(np.float64), np.imag(a).astype(np.float64)
-
-
 def split_norm(m) -> float:
     """The norm ||c|| = ||a|| + ||b|| for c = a + ib, op norms on parts."""
-    re, im = split_parts(m)
-    return op_norm(re) + op_norm(im)
+    a = as_array(m)
+    return op_norm(np.real(a)) + op_norm(np.imag(a))

@@ -11,10 +11,12 @@ both parts in the real form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .matrix import DEFAULT_TOL, as_array, doubled_units, matrix_units, op_norm
+from .matrix import (DEFAULT_TOL, as_array, as_arrays, batches, doubled_units,
+                     matrix_units, op_norm)
 from .sampling import random_matrix, rng_from
 from .subspace import realify, unrealify
 
@@ -57,26 +59,26 @@ class AntiAutomorphism:
         return bool(np.array_equal(self.u, np.eye(self.dim)))
 
     def apply(self, x) -> np.ndarray:
-        """Phi(x) = u x^T u*."""
-        a = as_array(x)
-        if a.shape != (self.dim, self.dim):
+        """Phi(x) = u x^T u*, on one matrix or on a stack of shape (k, n, n)."""
+        a = as_arrays(x)
+        if a.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {a.shape}")
-        return self.u @ a.T @ self.u.conj().T
+        return self.u @ np.swapaxes(a, -1, -2) @ self.u.conj().T
 
 
 def conj_phi(anti: AntiAutomorphism, x) -> np.ndarray:
     """The conjugation Phi(x*): real-linear, multiplicative, involutive.
 
     Fixes the real form pointwise; for Phi = transpose it is entrywise
-    complex conjugation.
+    complex conjugation.  Takes one matrix or a stack.
     """
-    a = as_array(x)
-    return anti.apply(a.conj().T)
+    a = as_arrays(x)
+    return anti.apply(np.swapaxes(a.conj(), -1, -2))
 
 
 def real_decompose(anti: AntiAutomorphism, x) -> tuple[np.ndarray, np.ndarray]:
-    """Split x = r + i s with r, s in the real form of ``anti``."""
-    a = as_array(x).astype(np.complex128)
+    """Split x = r + i s with r, s in the real form (one matrix or a stack)."""
+    a = as_arrays(x).astype(np.complex128)
     c = conj_phi(anti, a)
     r = (a + c) / 2.0
     s = (a - c) / 2.0j
@@ -102,7 +104,8 @@ def real_form_basis(anti: AntiAutomorphism) -> list[np.ndarray]:
         return matrix_units(n)
     # In realified coordinates the doubled units are the standard basis,
     # so column k of the projection is the image of the k-th unit.
-    proj = realify([(x + conj_phi(anti, x)) / 2.0 for x in doubled_units(n)]).T
+    units = np.stack(doubled_units(n))
+    proj = realify((units + conj_phi(anti, units)) / 2.0).T
     w, vecs = np.linalg.eigh(proj)
     return [unrealify(v, (n, n)) for v in vecs[:, w > 0.5].T]
 
@@ -203,33 +206,31 @@ class StarAlgebra:
             off += d
         return cls(n, tuple(span), unital=True, validate=False)
 
-    @property
-    def _span_pinv(self) -> np.ndarray:
-        cached = getattr(self, "_pinv_cache", None)
-        if cached is None:
-            basis = np.stack([m.ravel() for m in self.span], axis=1)
-            cached = np.linalg.pinv(basis)
-            object.__setattr__(self, "_pinv_cache", cached)
-        return cached
+    @cached_property
+    def _span_rows(self) -> np.ndarray:
+        return np.stack(self.span).reshape(len(self.span), -1)
 
-    def coordinates(self, x) -> np.ndarray:
-        return self._span_pinv @ as_array(x).astype(np.complex128).ravel()
+    @cached_property
+    def _span_pinv(self) -> np.ndarray:
+        return np.linalg.pinv(self._span_rows.T)
+
+    def _residuals(self, xs: np.ndarray) -> np.ndarray:
+        """Least-squares residuals (op norm) of a stack against the span."""
+        flat = xs.reshape(len(xs), -1)
+        rec = flat @ self._span_pinv.T @ self._span_rows
+        return np.linalg.norm(xs - rec.reshape(xs.shape), 2, axis=(1, 2))
 
     def contains_residual(self, x) -> float:
         """Least-squares residual of x against the span (op norm)."""
-        a = as_array(x).astype(np.complex128)
-        coeff = self.coordinates(a)
-        rec = sum(c * m for c, m in zip(coeff, self.span))
-        return op_norm(a - rec)
+        return float(self._residuals(as_array(x).astype(np.complex128)[None])[0])
 
     def _closure_defect(self) -> float:
-        worst = 0.0
-        for m in self.span:
-            worst = max(worst, self.contains_residual(m.conj().T))
-            for k in self.span:
-                worst = max(worst, self.contains_residual(m @ k))
-        return worst
+        s = np.stack(self.span)
+        worst = self._residuals(s.conj().transpose(0, 2, 1)).max()
+        for b in batches(len(s), s.size):    # all products s_i s_j
+            prods = (s[b, None] @ s[None]).reshape(-1, self.n, self.n)
+            worst = max(worst, self._residuals(prods).max())
+        return float(worst)
 
     def complex_dim(self) -> int:
-        basis = np.stack([m.ravel() for m in self.span], axis=1)
-        return int(np.linalg.matrix_rank(basis, tol=1e-9))
+        return int(np.linalg.matrix_rank(self._span_rows.T, tol=1e-9))

@@ -26,9 +26,10 @@ def realify(mats) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag], axis=1)
 
 
-def unrealify(row: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    half = row.size // 2
-    return (row[:half] + 1j * row[half:]).reshape(shape)
+def unrealify(rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """Inverse of ``realify``, on one row or on rows (``shape`` then leads with k)."""
+    half = rows.shape[-1] // 2
+    return (rows[..., :half] + 1j * rows[..., half:]).reshape(shape)
 
 
 def orth_rows(v: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
@@ -46,13 +47,7 @@ def complex_orth_basis(mats, shape: tuple[int, int], tol: float = RANK_TOL
                        ) -> list[np.ndarray]:
     """Orthonormal (Hilbert-Schmidt) basis of the complex span of mats."""
     rows = np.array([as_array(m).astype(np.complex128).ravel() for m in mats])
-    if rows.size == 0:
-        return []
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return []
-    rank = int(np.sum(s > tol * s[0]))
-    return [vt[i].reshape(shape) for i in range(rank)]
+    return list(orth_rows(rows, tol).reshape(-1, *shape))
 
 
 def kernel_rows(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
@@ -60,7 +55,8 @@ def kernel_rows(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     if a.size == 0:
         n = a.shape[1] if a.ndim == 2 else 0
         return np.eye(n)
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    # Only a wide a needs the full factorization for its null space.
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > tol * max(smax, 1.0)))
     return vt[rank:]

@@ -19,26 +19,32 @@ import numpy as np
 
 from .certify import TraceWitness
 from .cpmaps import COMPLEX, REAL, LinearMapMat
-from .matrix import as_array, kron, matrix_units, op_norm
+from .matrix import as_array, as_arrays, batches, kron, matrix_units, op_norm
 from .realform import AntiAutomorphism, StarAlgebra, real_decompose, real_form_basis
 from .subspace import (complex_orth_basis, containment_residual, kernel_rows,
                        max_principal_angle, orth_rows, realify, subspaces_equal,
                        unrealify)
 
 
+def _legs(x, na: int, nb: int) -> np.ndarray:
+    """x in M_na (x) M_nb, or a stack of them, as (..., na, nb, na, nb)."""
+    x = as_arrays(x)
+    return x.astype(np.complex128).reshape(x.shape[:-2] + (na, nb, na, nb))
+
+
 def slice_right_value(t_phi, x, na: int, nb: int) -> np.ndarray:
     """R_phi(x): contract the A leg of x in M_na (x) M_nb against t_phi,
-    so a (x) b -> trace(t_phi a) b."""
-    t = as_array(t_phi).astype(np.complex128)
-    x4 = as_array(x).astype(np.complex128).reshape(na, nb, na, nb)
-    return np.einsum("ij,jbic->bc", t, x4)
+    so a (x) b -> trace(t_phi a) b.  Stacks of functionals (..., na, na)
+    and of matrices (..., na*nb, na*nb) broadcast against each other."""
+    t = as_arrays(t_phi).astype(np.complex128)
+    return np.einsum("...ij,...jbic->...bc", t, _legs(x, na, nb), optimize=True)
 
 
 def slice_left_value(t_psi, x, na: int, nb: int) -> np.ndarray:
-    """L_psi(x): contract the B leg, a (x) b -> trace(t_psi b) a."""
-    t = as_array(t_psi).astype(np.complex128)
-    x4 = as_array(x).astype(np.complex128).reshape(na, nb, na, nb)
-    return np.einsum("bj,ajcb->ac", t, x4)
+    """L_psi(x): contract the B leg, a (x) b -> trace(t_psi b) a; stacks
+    broadcast as in ``slice_right_value``."""
+    t = as_arrays(t_psi).astype(np.complex128)
+    return np.einsum("...bj,...ajcb->...ac", t, _legs(x, na, nb), optimize=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,27 +150,30 @@ class IdealPresentation:
         return out
 
     def quotient_apply(self, x) -> np.ndarray:
-        a = as_array(x)
+        """pi(x), on one matrix or on a stack."""
         idx = self.quotient_indices
-        return a[np.ix_(idx, idx)]
+        return as_arrays(x)[..., idx, :][..., idx]
 
     def validate(self, tol: float = 1e-9) -> None:
         """Two-sided ideal closure and pi annihilating the ideal."""
         ideal = self.ideal_span()
         if not ideal:
             return
-        amb = orth_rows(realify(ideal + [1j * e for e in ideal]))
-        for s in self.b.span:
-            for x in ideal:
-                for prod in (s @ x, x @ s):
-                    if op_norm(prod) <= tol:
-                        continue
-                    r = containment_residual(orth_rows(realify([prod])), amb)
-                    if r > tol:
-                        raise ValueError(f"ideal span is not two-sided: residual {r:.3e}")
-        for x in ideal:
-            if op_norm(self.quotient_apply(x)) > tol:
-                raise ValueError("quotient does not annihilate the ideal")
+        x = np.stack(ideal)
+        amb = orth_rows(realify(np.concatenate([x, 1j * x])))
+        s = np.stack(self.b.span)
+        for b in batches(len(s), 2 * x.size):
+            # Products in the order s_i x_j, x_j s_i, by i then j.
+            si = s[b, None]
+            prods = np.stack([si @ x[None], x[None] @ si], axis=2).reshape(-1, self.b.n, self.b.n)
+            rows = realify(prods)[np.linalg.norm(prods, 2, axis=(1, 2)) > tol]
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            resid = np.linalg.norm(rows - rows @ amb.T @ amb, axis=1)
+            bad = resid[resid > tol]
+            if bad.size:
+                raise ValueError(f"ideal span is not two-sided: residual {bad[0]:.3e}")
+        if np.any(np.linalg.norm(self.quotient_apply(x), 2, axis=(1, 2)) > tol):
+            raise ValueError("quotient does not annihilate the ideal")
 
 
 def detect_blocks(span, n: int, tol: float = 1e-12) -> tuple:
@@ -197,14 +206,13 @@ def tensor_span_rows(a_leg, b_leg, complex_scalars: bool) -> np.ndarray:
     ``complex_scalars`` adds i(a (x) b), i.e. closes the span under
     multiplication by i (which for a complex b_leg it already is).
     """
-    mats = []
-    for x in a_leg:
-        for y in b_leg:
-            p = kron(x, y)
-            mats.append(p)
-            if complex_scalars:
-                mats.append(1j * p)
-    return orth_rows(realify(mats))
+    a, b = np.stack(a_leg), np.stack(b_leg)
+    n = a.shape[1] * b.shape[1]
+    # Entry (x, y, i, k, j, l) is a_x[i, j] b_y[k, l]: the products np.kron forms.
+    prods = (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(-1, n, n)
+    if complex_scalars:
+        prods = np.stack([prods, 1j * prods], axis=1).reshape(-1, n, n)
+    return orth_rows(realify(prods))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,41 +250,35 @@ def fubini(a1, b1, t: TensorAlgebra, anti: AntiAutomorphism | None = None,
     b1_rows = orth_rows(realify(b1)) if b1 else np.zeros((0, 2 * nb * nb))
     a1_rows = orth_rows(realify(a1)) if a1 else np.zeros((0, 2 * na * na))
 
-    a_duals = [g.conj().T for g in a_leg]
+    a_duals = np.stack(a_leg).conj().transpose(0, 2, 1)
     if phi_field == COMPLEX:
-        a_duals = a_duals + [1j * g for g in a_duals]
-    b_dual_grams = [h.conj().T for h in complex_orth_basis(t.b.span, (nb, nb))]
+        a_duals = np.concatenate([a_duals, 1j * a_duals])
+    b_dual_grams = np.stack(complex_orth_basis(t.b.span, (nb, nb))).conj().transpose(0, 2, 1)
 
-    working_mats = [unrealify(r, (na * nb, na * nb)) for r in working_rows]
+    k = working_rows.shape[0]
+    working = unrealify(working_rows, (k, na * nb, na * nb))
+    right = slice_right_value(a_duals[:, None], working, na, nb)    # functional x row
+    left = slice_left_value(b_dual_grams[:, None], working, na, nb)
+    if psi_field == REAL and anti is not None:
+        # A real-valued psi is the real or imaginary part of a
+        # complex contraction; on a span with A legs in the real
+        # form those parts are the real-form split of the complex
+        # slice, so constrain both components.
+        left = np.stack(real_decompose(anti, left), axis=1)
+    elif psi_field == COMPLEX:
+        # Complex-valued psi: the slice and i times it must both
+        # land in the (real) target span.
+        left = np.stack([left, 1j * left], axis=1)
 
-    def _resid(vecs: np.ndarray, target_rows: np.ndarray) -> np.ndarray:
-        if target_rows.shape[0] == 0:
-            return vecs
-        return vecs - vecs @ target_rows.T @ target_rows
+    def _constraints(vals: np.ndarray, target_rows: np.ndarray) -> np.ndarray:
+        """Per functional, the residuals of its k slices (vals: (..., k, n, n))
+        against the target span, one column per working row."""
+        vecs = realify(vals.reshape(-1, *vals.shape[-2:]))
+        if target_rows.shape[0]:
+            vecs = vecs - vecs @ target_rows.T @ target_rows
+        return vecs.reshape(-1, k, vecs.shape[1]).transpose(0, 2, 1).reshape(-1, k)
 
-    blocks = []
-    for tmat in a_duals:
-        vecs = realify([slice_right_value(tmat, w, na, nb) for w in working_mats])
-        blocks.append(_resid(vecs, b1_rows).T)
-    for tmat in b_dual_grams:
-        vals = [slice_left_value(tmat, w, na, nb) for w in working_mats]
-        if psi_field == REAL and anti is not None:
-            # A real-valued psi is the real or imaginary part of a
-            # complex contraction; on a span with A legs in the real
-            # form those parts are the real-form split of the complex
-            # slice, so constrain both components.
-            splits = [real_decompose(anti, v) for v in vals]
-            blocks.append(_resid(realify([r for r, _ in splits]), a1_rows).T)
-            blocks.append(_resid(realify([s for _, s in splits]), a1_rows).T)
-        elif psi_field == REAL:
-            blocks.append(_resid(realify(vals), a1_rows).T)
-        else:
-            # Complex-valued psi: the slice and i times it must both
-            # land in the (real) target span.
-            blocks.append(_resid(realify(vals), a1_rows).T)
-            blocks.append(_resid(realify([1j * v for v in vals]), a1_rows).T)
-
-    stacked = np.vstack(blocks)
+    stacked = np.vstack([_constraints(right, b1_rows), _constraints(left, a1_rows)])
     coeff_rows = kernel_rows(stacked)
     rows = orth_rows(coeff_rows @ working_rows)
     return FubiniResult(rows, rows.shape[0], (na * nb, na * nb),
@@ -306,15 +308,9 @@ class KernelCheck:
 def quotient_kernel_rows(working_rows: np.ndarray, pres: IdealPresentation,
                          na: int, nb: int) -> np.ndarray:
     """ker(id (x) pi) inside the working span, as orthonormal real rows."""
-    nq = pres.quotient_dim
     qi = pres.quotient_indices
-    images = []
-    for r in working_rows:
-        x = unrealify(r, (na * nb, na * nb))
-        x4 = x.reshape(na, nb, na, nb)
-        y = x4[np.ix_(range(na), qi, range(na), qi)].reshape(na * nq, na * nq)
-        images.append(y)
-    imat = realify(images)                      # row r = image of basis row r
+    x = unrealify(working_rows, (-1, na, nb, na, nb))
+    imat = realify(x[:, :, qi][:, :, :, :, qi])  # row r = image of basis row r
     coeff = kernel_rows(imat.T)                 # combos mapping to zero
     return orth_rows(coeff @ working_rows)
 
@@ -450,16 +446,14 @@ def decompose_tensor(x, anti: AntiAutomorphism, t: TensorAlgebra,
     a = as_array(x).astype(np.complex128)
     if a.shape != (na * nb, na * nb):
         raise ValueError(f"expected a {na * nb}x{na * nb} matrix, got {a.shape}")
-    bbasis = complex_orth_basis(t.b.span, (nb, nb))
-    x1 = np.zeros_like(a)
-    x2 = np.zeros_like(a)
-    recon = np.zeros_like(a)
-    for beta in bbasis:
-        y = slice_left_value(beta.conj().T, a, na, nb)
-        recon += kron(y, beta)
-        r, s = real_decompose(anti, y)
-        x1 += kron(r, beta)
-        x2 += kron(1j * s, beta)
-    if op_norm(a - recon) > tol * (1.0 + op_norm(a)):
+    bbasis = np.stack(complex_orth_basis(t.b.span, (nb, nb)))
+    y = slice_left_value(bbasis.conj().transpose(0, 2, 1), a, na, nb)
+    r, s = real_decompose(anti, y)
+
+    def _reassemble(coeff: np.ndarray) -> np.ndarray:
+        """sum_q coeff_q (x) beta_q."""
+        return np.einsum("qac,qbd->abcd", coeff, bbasis).reshape(na * nb, na * nb)
+
+    if op_norm(a - _reassemble(y)) > tol * (1.0 + op_norm(a)):
         raise ValueError("input is outside the tensor span")
-    return x1, x2
+    return _reassemble(r), _reassemble(1j * s)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starlift.matrix import (Matrix, Tolerance, col_norm1, hermitian_defect,
-                             kron, op_norm, positivity_defect, split_norm)
+from starlift.matrix import (BATCH_ENTRIES, Matrix, Tolerance, batches, col_norm1,
+                             hermitian_defect, kron, op_norm, positivity_defect,
+                             split_norm)
 from starlift.sampling import random_matrix, random_unitary
 
 
@@ -191,3 +192,11 @@ def test_split_norm_is_sum_of_part_norms():
 def test_hermitian_defect():
     assert hermitian_defect(np.eye(2)) == 0.0
     assert hermitian_defect([[0, 2], [0, 0]]) == pytest.approx(2.0)
+
+
+def test_batches_cover_the_range_in_order():
+    assert batches(5, BATCH_ENTRIES // 2) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+    # An item larger than a batch still gets a batch of its own.
+    assert batches(3, 2 * BATCH_ENTRIES) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert batches(4, 1) == [slice(0, BATCH_ENTRIES)]
+    assert batches(0, 1) == []

@@ -30,6 +30,8 @@ class TestApplyPhi:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             TRANSPOSE2.apply(np.eye(3))
+        with pytest.raises(ValueError):
+            TRANSPOSE2.apply(np.zeros((4, 3, 3)))
 
 
 class TestAntiAutomorphismValidation:
@@ -103,6 +105,18 @@ class TestRealDecompose:
             assert op_norm(x - (r + 1j * s)) < 1e-12
             assert real_form_residual(anti, r) < 1e-10
             assert real_form_residual(anti, s) < 1e-10
+
+    @pytest.mark.parametrize("anti", [TRANSPOSE2, ROTATION])
+    def test_stack_matches_one_at_a_time(self, anti):
+        rng = np.random.default_rng(12)
+        xs = np.stack([random_matrix(rng, 2) for _ in range(6)]).reshape(2, 3, 2, 2)
+        r, s = real_decompose(anti, xs)
+        for idx in np.ndindex(2, 3):
+            r1, s1 = real_decompose(anti, xs[idx])
+            np.testing.assert_allclose(r[idx], r1, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(s[idx], s1, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(anti.apply(xs)[idx], anti.apply(xs[idx]),
+                                       rtol=0, atol=1e-15)
 
     def test_uniqueness_zero_intersection(self):
         # if x is both a fixed point and i times a fixed point, x = 0

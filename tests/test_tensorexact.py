@@ -11,8 +11,9 @@ import pytest
 from starlift.matrix import kron, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra, real_form_basis
 from starlift.sampling import random_matrix
-from starlift.subspace import (containment_residual, max_principal_angle,
-                               orth_rows, realify, subspaces_equal)
+from starlift.subspace import (containment_residual, kernel_rows,
+                               max_principal_angle, orth_rows, realify,
+                               subspaces_equal)
 from starlift.certify import TraceWitness
 from starlift.tensorexact import (IdealPresentation, decompose_tensor,
                                   detect_blocks, exactness_check, fubini,
@@ -75,6 +76,21 @@ class TestSliceMaps:
             l = np.trace(tphi @ slice_left_value(tpsi, x, 2, 3))
             assert abs(r - l) < 1e-10
 
+    def test_stacks_broadcast(self):
+        # Functionals (p, 1, ...) against matrices (k, ...) give every
+        # pair (p, k), each as computed alone.
+        rng = np.random.default_rng(4)
+        ta = np.stack([random_matrix(rng, 2) for _ in range(3)])
+        tb = np.stack([random_matrix(rng, 3) for _ in range(3)])
+        xs = np.stack([random_matrix(rng, 6) for _ in range(4)])
+        right = slice_right_value(ta[:, None], xs, 2, 3)
+        left = slice_left_value(tb[:, None], xs, 2, 3)
+        assert right.shape == (3, 4, 3, 3) and left.shape == (3, 4, 2, 2)
+        for p in range(3):
+            for k in range(4):
+                assert op_norm(right[p, k] - slice_right_value(ta[p], xs[k], 2, 3)) < 1e-12
+                assert op_norm(left[p, k] - slice_left_value(tb[p], xs[k], 2, 3)) < 1e-12
+
     def test_as_linear_maps(self):
         t = min_tensor(A2, StarAlgebra.full_matrix(3))
         tau = TraceWitness.normalized_trace(2)
@@ -113,6 +129,13 @@ class TestIdealPresentation:
         pres = IdealPresentation.from_block_algebra(B23, [0])
         for e in pres.ideal_span():
             assert op_norm(pres.quotient_apply(e)) == 0.0
+
+    def test_quotient_apply_extracts_complementary_block(self):
+        pres = IdealPresentation.from_block_algebra(B23, [0])
+        x = np.arange(25.0).reshape(5, 5)
+        np.testing.assert_array_equal(pres.quotient_apply(x), x[2:, 2:])
+        np.testing.assert_array_equal(pres.quotient_apply(np.stack([x, -x])),
+                                      np.stack([x[2:, 2:], -x[2:, 2:]]))
 
     def test_bad_block_index(self):
         with pytest.raises(ValueError):
@@ -305,3 +328,21 @@ class TestSubspaceEngine:
         small = orth_rows(realify([np.eye(2)]))
         eq, _ = subspaces_equal(big, small)
         assert not eq
+
+    @pytest.mark.parametrize("shape, rank", [
+        ((12, 5), 5), ((5, 5), 5), ((3, 8), 3),        # tall, square, wide
+        ((12, 5), 2), ((5, 5), 4), ((3, 8), 1),        # rank-deficient
+        ((0, 4), 0), ((4, 0), 0)])                     # zero-size
+    def test_kernel_rows(self, shape, rank):
+        m, n = shape
+        rng = np.random.default_rng(m * 10 + n + rank)
+        a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        rows = kernel_rows(a)
+        if a.size:
+            s = np.linalg.svd(a, full_matrices=True, compute_uv=False)
+            dim = n - int(np.sum(s > 1e-9 * max(s[0], 1.0)))
+        else:
+            dim = n
+        assert rows.shape == (dim, n) and dim == n - rank
+        np.testing.assert_allclose(rows @ rows.T, np.eye(dim), atol=1e-12)
+        assert np.max(np.abs(a @ rows.T), initial=0.0) < 1e-10
