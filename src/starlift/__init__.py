@@ -16,7 +16,7 @@ from .realform import (AntiAutomorphism, StarAlgebra, check_antiautomorphism,
                        real_form_residual)
 from .cpmaps import (ChoiMatrix, LinearMapMat, choi, complexify,
                      compose, compress, cp_defect, cp_defect_real,
-                     cp_defect_real_report, restrict_to_real_form)
+                     cp_defect_real_report)
 from .transport import (RealifiedMap, ThetaScale, eta, eta1, realify_map, rho,
                         rho_isometry, rho_map, sigma, sigma_map, theta,
                         theta_normalizer, transport_factorization, upsilon,
@@ -38,7 +38,6 @@ __all__ = [
     "real_decompose", "real_form_basis", "real_form_residual",
     "ChoiMatrix", "LinearMapMat", "choi", "complexify", "compose",
     "compress", "cp_defect", "cp_defect_real", "cp_defect_real_report",
-    "restrict_to_real_form",
     "RealifiedMap", "ThetaScale", "eta", "eta1", "realify_map", "rho",
     "rho_isometry", "rho_map", "sigma", "sigma_map", "theta",
     "theta_normalizer", "transport_factorization", "upsilon", "upsilon1",

@@ -18,15 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import COMPLEX, REAL, LinearMapMat, complexify, compress, \
-    compose, restrict_to_real_form
+from .cpmaps import COMPLEX, REAL, LinearMapMat, complexify, compress, compose
 from .matrix import (as_array, col_norm1, matrix_units, op_norm, positivity_defect,
                      split_norm)
 from .realform import AntiAutomorphism, StarAlgebra, real_decompose, \
     real_form_basis, real_form_residual
 from .sampling import random_isometry, random_matrix, rng_from
-from .transport import ThetaScale, eta, eta1_entrywise, normalized_trace, \
-    realify_map, theta, theta_normalizer, upsilon, upsilon1, upsilon_entrywise
+from .transport import ThetaScale, eta, eta1, normalized_trace, realify_map, \
+    theta, theta_normalizer, upsilon, upsilon1
 
 COMPLEX_OP = "complex_op"
 REAL_COL1 = "real_col1"
@@ -272,13 +271,12 @@ def qd_complexify(cert: QDCertificate,
                 f"subset element {cert.subset.label(i)} is not in the real form "
                 f"(residual {res:.3e})")
 
-    restricted = restrict_to_real_form(cert.phi, anti)
-    phi_c = complexify(restricted, anti)
+    phi_c = complexify(cert.phi, anti)
     if pairs is None:
         pairs = synthesize_pairs(cert.subset)
 
     parts = np.stack([x for pair in pairs for x in pair])
-    img, prods = _evaluate(restricted.apply, parts)
+    img, prods = _evaluate(cert.phi.apply, parts)
     dop = np.linalg.norm(prods - img[:, None] @ img[None], 2, axis=(2, 3))
     part_norms = np.linalg.norm(parts, 2, axis=(1, 2))
     norm_op = np.abs(np.linalg.norm(img, 2, axis=(1, 2)) - part_norms)
@@ -354,10 +352,11 @@ def qd_realify(cert: QDCertificate, anti: AntiAutomorphism | None = None,
     xs = np.stack(subset.elements)
     img, prods = _evaluate(phi.apply, xs)
     if scale is None:
-        scale = ThetaScale.for_working_set([*img, *prods.reshape((-1,) + img.shape[1:])])
+        scale = ThetaScale.for_working_set(
+            np.concatenate([img, prods.reshape((-1,) + img.shape[1:])]))
     rmap = realify_map(phi, anti, scale)
 
-    r_img, r_prods = _evaluate(lambda ys: np.stack([rmap.apply(y) for y in ys]), xs)
+    r_img, r_prods = _evaluate(rmap.apply, xs)
     mult_witness = _mult_witness(r_img, r_prods, subset, REAL_COL1, anti)
     norm_witness = _norm_witness(r_img, subset, REAL_COL1, anti)
 
@@ -572,7 +571,7 @@ def trace_transport(witness: TraceWitness, anti: AntiAutomorphism,
             pa = cert.phi.apply(a)
             t2k_theta = float(np.trace(theta(pa, theta_scale)).real
                               / (2 * cert.phi.cod_dim))
-            t2k_eta1 = float(np.trace(eta1_entrywise(pa)).real
+            t2k_eta1 = float(np.trace(eta1(pa)).real
                              / (2 * cert.phi.cod_dim))
             ups_tau_k = upsilon1(normalized_trace(pa), scale)
             final = abs(float(np.trace(rmap.apply(a)).real / (2 * cert.phi.cod_dim))
@@ -708,7 +707,7 @@ def _audit_eq1t2(samples: int, seed: int) -> AuditReport:
     for a in mats:
         k2 = 2 * a.shape[0]
         lhs = float(np.trace(theta(a)).real) / k2
-        rhs = float(np.trace(eta1_entrywise(a)).real) / k2
+        rhs = float(np.trace(eta1(a)).real) / k2
         if lhs > rhs + 1e-12:
             witness = {"input": _mat_payload(a), "dim": a.shape[0],
                        "lhs": lhs, "rhs": rhs, "violation": lhs - rhs}
@@ -769,7 +768,7 @@ def lemma_audit(claim: str, samples: int = 50, seed: int = 0) -> AuditReport:
         return _audit_entrywise_cp("eta_cp", eta, samples, seed)
     if claim == "upsilon_cp":
         return _audit_entrywise_cp(
-            "upsilon_cp", lambda p: upsilon_entrywise(p, 1.0), samples, seed)
+            "upsilon_cp", lambda p: upsilon(p, 1.0), samples, seed)
     if claim == "eq1t2":
         return _audit_eq1t2(samples, seed)
     if claim in ("theta_homomorphism", "theta_linearity"):

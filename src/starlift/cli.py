@@ -24,7 +24,7 @@ from .certify import (COMPLEX_OP, NORM_MODES, FiniteSubset, lemma_audit,
                       nuclear_witness_verify, qd_complexify, qd_realify,
                       qd_verify, trace_qd_verify, trace_transport)
 from .cpmaps import (COMPLEX, REAL, choi, complexify, compose, cp_defect,
-                     cp_defect_real_report, restrict_to_real_form)
+                     cp_defect_real_report)
 from .io import (SchemaError, anti_from_json, algebra_from_json,
                  canonical_dumps, cert_from_json, cert_to_json,
                  ideal_from_json, load_json, map_from_json, map_to_json,
@@ -100,8 +100,7 @@ def _cmd_complexify(args) -> int:
         anti = anti_from_json(load_json(args.phi))
     else:
         anti = AntiAutomorphism.transpose(phi.dom_dim)
-    restricted = restrict_to_real_form(phi, anti)
-    phic = complexify(restricted, anti)
+    phic = complexify(phi, anti)
     _emit({"map": map_to_json(phic), "provenance": _prov(_config(args))}, args)
     return 0
 

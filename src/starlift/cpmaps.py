@@ -1,14 +1,13 @@
 """Linear maps between matrix spaces and their complete-positivity calculus.
 
-A map is stored by its action on an explicit domain basis: the matrix
+A map is stored by its images on the canonical domain basis: the matrix
 units for complex-linear maps, the doubled family {E_jl, i E_jl} for
-real-linear maps on a full complex matrix space, the real matrix units
-when the domain is a real matrix space, or an orthonormal basis of a
-real form.  Complex-linear complete positivity is decided by the Choi
-matrix; real-linear maps are probed by deterministic sampled
-amplification on elements c*c together with a self-adjointness
-preservation check, and violations always come with the witnessing
-positive element.
+real-linear maps on a full complex matrix space, and the real matrix
+units when the domain is a real matrix space.  Complex-linear complete
+positivity is decided by the Choi matrix; real-linear maps are probed by
+deterministic sampled amplification on elements c*c together with a
+self-adjointness preservation check, and violations always come with the
+witnessing positive element.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .matrix import as_array, doubled_units, matrix_units, op_norm, positivity_defect
-from .realform import AntiAutomorphism, real_decompose, real_form_basis, real_form_residual
+from .realform import AntiAutomorphism, real_decompose
 from .sampling import rng_from
 from .subspace import realify
 
@@ -41,14 +40,13 @@ class LinearMapMat:
 
     ``linearity`` is "C" or "R"; ``dom_field`` says whether the domain is
     a complex matrix space ("C") or a real one ("R"); ``cod_field``
-    likewise tags the codomain.  ``basis`` and ``images`` are aligned
-    stacks of matrices.
+    likewise tags the codomain.  ``images`` holds the images of the
+    canonical domain basis (see :func:`canonical_basis`), in its order.
     """
 
     dom_dim: int
     cod_dim: int
     linearity: str
-    basis: np.ndarray
     images: np.ndarray
     dom_field: str = COMPLEX
     cod_field: str = COMPLEX
@@ -58,35 +56,29 @@ class LinearMapMat:
             raise ValueError(f"linearity must be 'C' or 'R', got {self.linearity!r}")
         if self.linearity == COMPLEX and self.dom_field == REAL:
             raise ValueError("complex-linear maps need a complex domain")
-        basis = np.asarray(self.basis, dtype=np.complex128)
         images = np.asarray(self.images, dtype=np.complex128)
-        if basis.shape != (len(basis), self.dom_dim, self.dom_dim):
-            raise ValueError(f"basis shape {basis.shape} does not match dom_dim {self.dom_dim}")
-        if images.shape != (len(basis), self.cod_dim, self.cod_dim):
+        size = self.dom_dim ** 2 * (2 if self._basis_kind == "doubled" else 1)
+        if images.shape != (size, self.cod_dim, self.cod_dim):
             raise ValueError(
-                f"images shape {images.shape} does not match basis size {len(basis)} "
-                f"and cod_dim {self.cod_dim}"
+                f"images shape {images.shape} does not match the {size} basis elements "
+                f"of dom_dim {self.dom_dim} and cod_dim {self.cod_dim}"
             )
         if self.cod_field == REAL and np.any(images.imag != 0):
             raise ValueError("cod_field 'R' map has an image with a nonzero imaginary part")
-        basis.setflags(write=False)
         images.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "images", images)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_function(cls, f, dom_dim: int, linearity: str = COMPLEX,
-                      dom_field: str = COMPLEX, basis=None,
+                      dom_field: str = COMPLEX,
                       cod_field: str = COMPLEX) -> "LinearMapMat":
-        """Tabulate ``f`` on the canonical (or supplied) domain basis."""
-        if basis is None:
-            basis = canonical_basis(dom_dim, linearity, dom_field)
-        images = [as_array(f(b)).astype(np.complex128) for b in basis]
-        cod_dim = images[0].shape[0]
-        return cls(dom_dim, cod_dim, linearity, np.stack(basis),
-                   np.stack(images), dom_field, cod_field)
+        """Tabulate ``f`` on the canonical domain basis."""
+        images = [as_array(f(b)).astype(np.complex128)
+                  for b in canonical_basis(dom_dim, linearity, dom_field)]
+        return cls(dom_dim, images[0].shape[0], linearity, np.stack(images),
+                   dom_field, cod_field)
 
     @classmethod
     def identity(cls, n: int, linearity: str = COMPLEX,
@@ -94,46 +86,28 @@ class LinearMapMat:
         return cls.from_function(lambda x: x, n, linearity, dom_field=field,
                                  cod_field=field)
 
-    @classmethod
-    def on_real_form(cls, f, anti: AntiAutomorphism,
-                     cod_field: str = COMPLEX) -> "LinearMapMat":
-        """A real-linear map defined on the real form of ``anti``."""
-        basis = real_form_basis(anti)
-        return cls.from_function(f, anti.dim, REAL, dom_field=COMPLEX,
-                                 basis=basis, cod_field=cod_field)
-
     @property
-    def has_canonical_basis(self) -> bool:
-        ref = canonical_basis(self.dom_dim, self.linearity, self.dom_field)
-        return len(self.basis) == len(ref) and np.array_equal(self.basis, ref)
+    def basis(self) -> np.ndarray:
+        """The canonical domain basis the images are taken on."""
+        return np.stack(canonical_basis(self.dom_dim, self.linearity, self.dom_field))
 
     # -- evaluation -----------------------------------------------------
 
     @cached_property
     def _basis_kind(self) -> str:
         """How coefficients are read off an input: "units" (vec x),
-        "doubled" ([Re vec x, Im vec x]) and "real" (Re vec x) on the
-        canonical bases, "solve" (the pinv of the basis) on any other."""
-        if not self.has_canonical_basis:
-            return "solve"
+        "doubled" ([Re vec x, Im vec x]) or "real" (Re vec x)."""
         if self.linearity == COMPLEX:
             return "units"
         return "real" if self.dom_field == REAL else "doubled"
 
-    @cached_property
-    def _solver(self) -> np.ndarray:
-        if self.linearity == COMPLEX:
-            cols = self.basis.reshape(len(self.basis), -1)
-        else:
-            cols = realify(self.basis)
-        return np.linalg.pinv(cols.T)
-
     def apply(self, x, membership_tol: float = 1e-7) -> np.ndarray:
         """Evaluate the map on one matrix or on a stack of shape (k, n, n).
 
-        The call is rejected when any input lies outside the domain span,
-        ||x - rec|| > membership_tol * (1 + ||x||) in operator norm, where
-        rec is x rebuilt from its coefficients.
+        The coefficients rebuild x exactly, except for the imaginary part
+        a real domain drops: the call is rejected when an input of a
+        real-domain map has ||Im x|| > membership_tol * (1 + ||x||) in
+        operator norm.
         """
         single = np.ndim(x) != 3
         xs = (as_array(x)[None] if single else np.asarray(x)).astype(np.complex128, copy=False)
@@ -142,21 +116,20 @@ class LinearMapMat:
             raise ValueError(f"map expects {n}x{n} input, got {xs.shape[1:]}")
         flat = xs.reshape(len(xs), n * n)
         kind = self._basis_kind
-        # On the canonical bases the coefficients rebuild x exactly, except
-        # for the imaginary part a real domain drops.
         if kind == "units":
             coeff = flat
         elif kind == "doubled":
             coeff = realify(xs)
-        elif kind == "real":
+        else:
             coeff = flat.real
             imag = np.any(flat.imag != 0, axis=1)
             if imag.any():
-                _check_membership(xs[imag], xs[imag].imag, membership_tol)
-        else:
-            vecs = flat if self.linearity == COMPLEX else realify(xs)
-            coeff = (self._solver @ vecs[:, :, None])[:, :, 0]
-            _check_membership(xs, xs - _combine(coeff, self.basis), membership_tol)
+                res = np.linalg.norm(xs[imag].imag, 2, axis=(1, 2))
+                bad = res > membership_tol * (1.0 + np.linalg.norm(xs[imag], 2, axis=(1, 2)))
+                if bad.any():
+                    raise ValueError(
+                        f"input is outside the map's domain span: residual {res[bad][0]:.3e}"
+                    )
         out = _combine(coeff, self.images)
         return out[0] if single else out
 
@@ -176,15 +149,6 @@ def _combine(coeff: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return out.reshape((len(coeff),) + mats.shape[1:])
 
 
-def _check_membership(xs: np.ndarray, residual: np.ndarray, tol: float) -> None:
-    res = np.linalg.norm(residual, 2, axis=(1, 2))
-    bad = res > tol * (1.0 + np.linalg.norm(xs, 2, axis=(1, 2)))
-    if bad.any():
-        raise ValueError(
-            f"input is outside the map's domain span: residual {res[bad][0]:.3e}"
-        )
-
-
 # -- structural operations ----------------------------------------------
 
 
@@ -195,12 +159,10 @@ def compose(psi: LinearMapMat, phi: LinearMapMat) -> LinearMapMat:
             f"dimension mismatch: phi maps into {phi.cod_dim}, psi expects {psi.dom_dim}"
         )
     linearity = COMPLEX if (psi.linearity == COMPLEX and phi.linearity == COMPLEX) else REAL
-    basis = phi.basis
-    if linearity == REAL and phi.linearity == COMPLEX:
-        # Rebase the complex-linear inner map on a real basis so the
-        # merely real-linear composite stays well-defined.
-        basis = np.concatenate([basis, 1j * basis])
-    return LinearMapMat(phi.dom_dim, psi.cod_dim, linearity, basis,
+    # A merely real-linear composite of a complex-linear phi is tabulated
+    # on the doubled units.
+    basis = np.stack(canonical_basis(phi.dom_dim, linearity, phi.dom_field))
+    return LinearMapMat(phi.dom_dim, psi.cod_dim, linearity,
                         psi.apply(phi.apply(basis)), phi.dom_field, psi.cod_field)
 
 
@@ -230,41 +192,26 @@ def compress(phi: LinearMapMat, b) -> LinearMapMat:
     images = bm.conj().T @ phi.images @ bm
     breal = not np.any(bm.imag != 0)
     cod_field = REAL if (phi.cod_field == REAL and breal) else COMPLEX
-    return LinearMapMat(phi.dom_dim, bm.shape[1], phi.linearity, phi.basis,
-                        images, phi.dom_field, cod_field)
-
-
-def restrict_to_real_form(phi: LinearMapMat, anti: AntiAutomorphism) -> LinearMapMat:
-    """Restrict a map on M_n(C) to the real form of ``anti``."""
-    if anti.dim != phi.dom_dim:
-        raise ValueError("antiautomorphism dimension does not match the map's domain")
-    basis = np.stack(real_form_basis(anti))
-    return LinearMapMat(phi.dom_dim, phi.cod_dim, REAL, basis, phi.apply(basis),
-                        COMPLEX, phi.cod_field)
+    return LinearMapMat(phi.dom_dim, bm.shape[1], phi.linearity, images,
+                        phi.dom_field, cod_field)
 
 
 def complexify(phi: LinearMapMat, anti: AntiAutomorphism) -> LinearMapMat:
-    """Unique complex-linear extension of a real-linear map on a real form.
+    """Unique complex-linear extension of phi restricted to the real form.
 
-    The extension sends a + ib (a, b in the real form) to
-    phi(a) + i phi(b); its restriction to the real form equals phi.
+    Each matrix unit splits as E = r + is with r, s in the real form of
+    ``anti``; the extension sends E to phi(r) + i phi(s), so it agrees
+    with phi on the real form.  A real-domain map rejects the split when
+    the real form is not M_n(R).
     """
     if phi.linearity != REAL:
         raise ValueError("complexify expects a real-linear map")
     if anti.dim != phi.dom_dim:
         raise ValueError("antiautomorphism dimension does not match the map's domain")
-    for g in phi.basis:
-        res = real_form_residual(anti, g)
-        if res > 1e-8:
-            raise ValueError(
-                f"domain basis element is not inside the real form: residual {res:.3e}"
-            )
     n = phi.dom_dim
-    units = np.stack(canonical_basis(n, COMPLEX))
-    parts = [real_decompose(anti, e) for e in units]
-    images = phi.apply(np.stack([r for r, _ in parts] + [s for _, s in parts]))
-    return LinearMapMat(n, phi.cod_dim, COMPLEX, units,
-                        images[:len(units)] + 1j * images[len(units):])
+    r, s = real_decompose(anti, np.stack(matrix_units(n)))
+    images = phi.apply(np.concatenate([r, s]))
+    return LinearMapMat(n, phi.cod_dim, COMPLEX, images[:n * n] + 1j * images[n * n:])
 
 
 # -- Choi calculus -------------------------------------------------------
@@ -347,13 +294,13 @@ def cp_defect_real_report(phi: LinearMapMat, level: int, samples: int = 20,
     rng = rng_from(seed)
 
     candidates: list[np.ndarray] = [np.eye(level * n, dtype=np.complex128)]
-    if phi.has_canonical_basis:
-        if phi.dom_field == COMPLEX:
-            candidates.append(_canonical_positive(level, n, twist=True))
-        candidates.append(_canonical_positive(level, n))
-    nb = len(phi.basis)
+    if phi.dom_field == COMPLEX:
+        candidates.append(_canonical_positive(level, n, twist=True))
+    candidates.append(_canonical_positive(level, n))
+    basis = phi.basis
+    nb = len(basis)
     coeff = rng.standard_normal((samples * level * level, nb)) / np.sqrt(nb)
-    blocks = _combine(coeff, phi.basis).reshape(samples, level * level, n, n)
+    blocks = _combine(coeff, basis).reshape(samples, level * level, n, n)
     for c in (_join_blocks(b, level) for b in blocks):
         p = c.conj().T @ c
         nrm = op_norm(p)
@@ -366,13 +313,8 @@ def cp_defect_real_report(phi: LinearMapMat, level: int, samples: int = 20,
 
     sa_worst = 0.0
     sa_witness = None
-    for x in _combine(rng.standard_normal((samples, nb)), phi.basis):
-        try:
-            r = op_norm(phi.apply(x.conj().T) - phi.apply(x).conj().T)
-        except ValueError:
-            # x* can leave the domain span only for exotic bases; treat
-            # that as a maximal self-adjointness failure.
-            r = np.inf
+    for x in _combine(rng.standard_normal((samples, nb)), basis):
+        r = op_norm(phi.apply(x.conj().T) - phi.apply(x).conj().T)
         if r > sa_worst:
             sa_worst = r
             sa_witness = x

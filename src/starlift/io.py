@@ -192,9 +192,6 @@ def matrix_from_json(doc, path: str = "matrix") -> Matrix:
 
 
 def map_to_json(phi: LinearMapMat) -> dict:
-    if not phi.has_canonical_basis:
-        raise SchemaError("map", "only canonical-basis maps are serializable; "
-                          "rebase real-form maps before saving")
     doc = {
         "dom": phi.dom_dim,
         "cod": phi.cod_dim,
@@ -220,10 +217,10 @@ def map_from_json(doc, path: str = "map") -> LinearMapMat:
         raise SchemaError(f"{path}.dom_field",
                           "complex-linear maps need a complex domain")
     raw = _need(doc, "images", path)
-    basis = canonical_basis(dom, lin, dom_field)
-    if not isinstance(raw, list) or len(raw) != len(basis):
+    size = len(canonical_basis(dom, lin, dom_field))
+    if not isinstance(raw, list) or len(raw) != size:
         raise SchemaError(f"{path}.images",
-                          f"expected {len(basis)} images in basis order")
+                          f"expected {size} images in basis order")
     images = [matrix_from_json(m, f"{path}.images[{i}]").array.astype(np.complex128)
               for i, m in enumerate(raw)]
     for i, im in enumerate(images):
@@ -242,8 +239,7 @@ def map_from_json(doc, path: str = "map") -> LinearMapMat:
         i, entry = divmod(int(np.argmax(imaginary)), cod * cod)
         raise SchemaError(f"{path}.images[{i}].data[{entry}]",
                           "cod_field 'R' map has a nonzero imaginary part")
-    return LinearMapMat(dom, cod, lin, np.stack(basis), images,
-                        dom_field, cod_field)
+    return LinearMapMat(dom, cod, lin, images, dom_field, cod_field)
 
 
 # -- algebras, antiautomorphisms, ideals --------------------------------------

@@ -8,8 +8,10 @@ positive and ``rho . sigma`` is the identity.  ``theta`` is sigma scaled
 by 1/(N(x) + 1) with N(x) the largest column sum of |Re| + |Im|; that
 normalizer makes it contractive in the column-sum norm but also makes
 the literal map nonlinear, so a fixed-scale linear variant is provided
-alongside.  ``eta`` (entrywise diag(a, b)) and the scalar functionals
-``upsilon``, ``eta1``, ``upsilon1`` feed the trace-intertwining checks.
+alongside.  ``eta`` (entrywise diag(a, b)), ``eta1`` (entrywise
+diag(a, |b|)) and the entrywise functionals ``upsilon`` and ``upsilon1``
+feed the trace-intertwining checks.  The block maps and theta take one
+matrix or a stack of shape (..., n, n).
 """
 
 from __future__ import annotations
@@ -19,16 +21,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmaps import COMPLEX, REAL, LinearMapMat, compose
-from .matrix import as_array
+from .matrix import as_array, as_arrays
 from .realform import AntiAutomorphism, conj_phi
 
+_I = np.eye(2)
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_E11 = np.diag([1.0, 0.0])
+_E22 = np.diag([0.0, 1.0])
+
+
+def _embed(re: np.ndarray, im: np.ndarray, re_block: np.ndarray,
+           im_block: np.ndarray) -> np.ndarray:
+    """Replace each entry pair (a, b) of re, im by the 2x2 block
+    a re_block + b im_block; entry (j, l) becomes rows 2j, 2j+1 and
+    columns 2l, 2l+1, as in kron(re, re_block) + kron(im, im_block)."""
+    blocks = re[..., None, None] * re_block + im[..., None, None] * im_block
+    *lead, r, c, _, _ = blocks.shape
+    return np.swapaxes(blocks, -3, -2).reshape(*lead, 2 * r, 2 * c)
 
 
 def sigma(x) -> np.ndarray:
     """Entrywise block embedding a + ib -> [[a, b], [-b, a]]."""
-    a = as_array(x).astype(np.complex128)
-    return np.kron(a.real, np.eye(2)) + np.kron(a.imag, _J)
+    a = as_arrays(x).astype(np.complex128)
+    return _embed(a.real, a.imag, _I, _J)
 
 
 def rho(m) -> np.ndarray:
@@ -53,16 +68,16 @@ def rho_isometry(k: int) -> np.ndarray:
     return w
 
 
-def theta_normalizer(x) -> float:
+def theta_normalizer(x):
     """N(x) = max over columns of sum_j (|Re x_jl| + |Im x_jl|).
 
     Equals the column-sum norm of sigma(x), so the scaled map
-    sigma(x)/(N(x)+1) has column-sum norm N/(N+1) < 1 for x != 0.
+    sigma(x)/(N(x)+1) has column-sum norm N/(N+1) < 1 for x != 0.  A
+    float for one matrix, an array of shape (...) for a stack.
     """
-    a = as_array(x).astype(np.complex128)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(a.real) + np.abs(a.imag), axis=0)))
+    a = as_arrays(x).astype(np.complex128)
+    norms = np.max(np.sum(np.abs(a.real) + np.abs(a.imag), axis=-2), axis=-1, initial=0.0)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 @dataclass(frozen=True)
@@ -96,7 +111,7 @@ class ThetaScale:
     def for_working_set(cls, mats) -> "ThetaScale":
         """Fixed scale 1/(max N + 1) over the matrices theta will see,
         so the linear variant is contractive on that working set."""
-        worst = max((theta_normalizer(m) for m in mats), default=0.0)
+        worst = float(np.max(theta_normalizer(np.asarray(mats)), initial=0.0))
         return cls("fixed", 1.0 / (worst + 1.0))
 
 
@@ -104,55 +119,38 @@ def theta(x, scale: ThetaScale = ThetaScale()) -> np.ndarray:
     """Scaled block embedding; contractive in col_norm1 in paper mode."""
     s = sigma(x)
     if scale.mode == "paper":
-        return s / (theta_normalizer(x) + 1.0)
+        return s / (np.expand_dims(theta_normalizer(x), (-2, -1)) + 1.0)
     return scale.value * s
 
 
 def eta(x) -> np.ndarray:
     """Entrywise a + ib -> diag(a, b)."""
-    a = as_array(x).astype(np.complex128)
-    return np.kron(a.real, np.diag([1.0, 0.0])) + np.kron(a.imag, np.diag([0.0, 1.0]))
+    a = as_arrays(x).astype(np.complex128)
+    return _embed(a.real, a.imag, _E11, _E22)
 
 
-def eta1(z) -> np.ndarray:
-    """Scalar-only a + ib -> diag(a, |b|); matrix input is rejected
-    because |b| has no canonical meaning for a matrix imaginary part."""
-    if isinstance(z, np.ndarray) and z.ndim > 0:
-        raise TypeError("eta1 accepts scalars only")
-    z = complex(z)
-    return np.array([[z.real, 0.0], [0.0, abs(z.imag)]])
+def eta1(x) -> np.ndarray:
+    """Entrywise a + ib -> diag(a, |b|); a scalar is the 1x1 case."""
+    a = as_arrays(x).astype(np.complex128)
+    return _embed(a.real, np.abs(a.imag), _E11, _E22)
 
 
-def eta1_entrywise(x) -> np.ndarray:
-    """The level-k version of eta1: apply the scalar rule to each entry."""
-    a = as_array(x).astype(np.complex128)
-    return np.kron(a.real, np.diag([1.0, 0.0])) + np.kron(np.abs(a.imag), np.diag([0.0, 1.0]))
-
-
-def upsilon(z, scale: float = 0.5) -> float:
-    """scale * (a + b) for z = a + ib.
+def upsilon(z, scale: float = 0.5):
+    """Entrywise scale * (a + b) for z = a + ib: a float for a scalar,
+    an array for an array.
 
     The default scale 1/2 is what makes the normalized-trace
     intertwining with eta exact; scale 1 is the literal scalar map and
     is kept for auditing.
     """
-    if isinstance(z, np.ndarray) and z.ndim > 0:
-        raise TypeError("upsilon accepts scalars only; see upsilon_entrywise")
-    z = complex(z)
+    z = np.asarray(z)
     return scale * (z.real + z.imag)
 
 
-def upsilon_entrywise(x, scale: float = 0.5) -> np.ndarray:
-    a = as_array(x).astype(np.complex128)
-    return scale * (a.real + a.imag)
-
-
-def upsilon1(z, scale: float = 0.5) -> float:
-    """scale * (a + |b|) for z = a + ib; scalar-only like eta1."""
-    if isinstance(z, np.ndarray) and z.ndim > 0:
-        raise TypeError("upsilon1 accepts scalars only")
-    z = complex(z)
-    return scale * (z.real + abs(z.imag))
+def upsilon1(z, scale: float = 0.5):
+    """Entrywise scale * (a + |b|) for z = a + ib, shaped like upsilon."""
+    z = np.asarray(z)
+    return scale * (z.real + np.abs(z.imag))
 
 
 def normalized_trace(x) -> complex:

@@ -4,17 +4,35 @@ These are the loop versions that ``starlift.cpmaps`` replaced with batched
 linear algebra on the image array: evaluation solves for coordinates with
 a pinv of the basis and checks domain membership with two operator-norm
 SVDs per input, and every structural operation calls it once per basis
-element or block.  The differential tests compare the two.
+element or block.  A map here may sit on any basis: ``BasisMap`` holds
+an explicit one (a real form's, say), and ``apply`` also takes a
+``LinearMapMat`` through its canonical ``basis``.  The differential tests
+compare the two.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from starlift.cpmaps import COMPLEX, REAL, LinearMapMat, canonical_basis
+from starlift.cpmaps import COMPLEX, REAL, canonical_basis
 from starlift.matrix import as_array, kron, matrix_units, op_norm
 from starlift.realform import real_decompose, real_form_basis
 
 
-def solver(phi: LinearMapMat) -> np.ndarray:
+@dataclass(frozen=True)
+class BasisMap:
+    """A map given by its images on an explicit domain basis."""
+
+    dom_dim: int
+    cod_dim: int
+    linearity: str
+    basis: np.ndarray
+    images: np.ndarray
+    dom_field: str = COMPLEX
+    cod_field: str = COMPLEX
+
+
+def solver(phi) -> np.ndarray:
     if phi.linearity == COMPLEX:
         cols = np.stack([b.ravel() for b in phi.basis], axis=1)
     else:
@@ -23,7 +41,7 @@ def solver(phi: LinearMapMat) -> np.ndarray:
     return np.linalg.pinv(cols)
 
 
-def apply(phi: LinearMapMat, x, membership_tol: float = 1e-7) -> np.ndarray:
+def apply(phi, x, membership_tol: float = 1e-7) -> np.ndarray:
     a = as_array(x).astype(np.complex128)
     if a.shape != (phi.dom_dim, phi.dom_dim):
         raise ValueError(f"map expects {phi.dom_dim}x{phi.dom_dim} input, got {a.shape}")
@@ -38,7 +56,7 @@ def apply(phi: LinearMapMat, x, membership_tol: float = 1e-7) -> np.ndarray:
     return np.tensordot(coeff, phi.images, axes=(0, 0))
 
 
-def choi(phi: LinearMapMat) -> np.ndarray:
+def choi(phi) -> np.ndarray:
     n, m = phi.dom_dim, phi.cod_dim
     c = np.zeros((n * m, n * m), dtype=np.complex128)
     for e in matrix_units(n):
@@ -46,18 +64,18 @@ def choi(phi: LinearMapMat) -> np.ndarray:
     return c
 
 
-def compose(psi: LinearMapMat, phi: LinearMapMat) -> LinearMapMat:
+def compose(psi, phi) -> BasisMap:
     linearity = COMPLEX if (psi.linearity == COMPLEX and phi.linearity == COMPLEX) else REAL
     if linearity == REAL and phi.linearity == COMPLEX:
         basis = np.stack(list(phi.basis) + [1j * b for b in phi.basis])
     else:
         basis = phi.basis
     images = np.stack([apply(psi, apply(phi, b)) for b in basis])
-    return LinearMapMat(phi.dom_dim, psi.cod_dim, linearity, basis, images,
-                        phi.dom_field, psi.cod_field)
+    return BasisMap(phi.dom_dim, psi.cod_dim, linearity, basis, images,
+                    phi.dom_field, psi.cod_field)
 
 
-def block_apply(phi: LinearMapMat, x, level: int) -> np.ndarray:
+def block_apply(phi, x, level: int) -> np.ndarray:
     a = as_array(x).astype(np.complex128)
     n, m = phi.dom_dim, phi.cod_dim
     out = np.zeros((level * m, level * m), dtype=np.complex128)
@@ -68,15 +86,17 @@ def block_apply(phi: LinearMapMat, x, level: int) -> np.ndarray:
     return out
 
 
-def restrict_to_real_form(phi: LinearMapMat, anti) -> LinearMapMat:
+def restrict_to_real_form(phi, anti) -> BasisMap:
+    """phi on an orthonormal basis of the real form of ``anti``."""
     basis = real_form_basis(anti)
     images = np.stack([apply(phi, g) for g in basis])
-    return LinearMapMat(phi.dom_dim, phi.cod_dim, REAL, np.stack(basis), images,
-                        COMPLEX, phi.cod_field)
+    return BasisMap(phi.dom_dim, phi.cod_dim, REAL, np.stack(basis), images,
+                    COMPLEX, phi.cod_field)
 
 
-def complexify_images(phi: LinearMapMat, anti) -> np.ndarray:
-    """Images of the complex-linear extension on the matrix units."""
+def complexify_images(phi: BasisMap, anti) -> np.ndarray:
+    """Images on the matrix units of the complex-linear extension of a
+    map on the real form (see ``restrict_to_real_form``)."""
     out = []
     for e in canonical_basis(phi.dom_dim, COMPLEX):
         r, s = real_decompose(anti, e)

@@ -6,8 +6,7 @@ import pytest
 from starlift.cpmaps import (LinearMapMat, block_apply, choi,
                              complexify, compose, compress, cp_defect,
                              cp_defect_real, cp_defect_real_report,
-                             doubled_units, matrix_units,
-                             restrict_to_real_form)
+                             doubled_units, matrix_units)
 from starlift.certify import unital_compression_map
 from starlift.matrix import op_norm
 from starlift.realform import AntiAutomorphism
@@ -41,9 +40,8 @@ class TestLinearMapMat:
         assert op_norm(conj.apply(1j * x) + 1j * conj.apply(x)) < 1e-12
 
     def test_domain_membership_enforced(self):
-        anti = AntiAutomorphism.transpose(2)
-        phi = LinearMapMat.on_real_form(lambda m: m, anti)
-        with pytest.raises(ValueError):
+        phi = LinearMapMat.identity(2, "R", field="R")
+        with pytest.raises(ValueError, match="outside the map's domain span"):
             phi.apply(np.array([[1.0, 1.0j], [0.0, 1.0]]))
 
     def test_wrong_shape_rejected(self):
@@ -79,7 +77,7 @@ class TestChoi:
         rng = np.random.default_rng(3)
         f = LinearMapMat.from_function(lambda m: random_matrix(rng, 2) * 0 + np.asarray(m), 2, "C")
         g = TRANSPOSE_MAP2
-        summed = LinearMapMat(2, 2, "C", f.basis, f.images + g.images)
+        summed = LinearMapMat(2, 2, "C", f.images + g.images)
         assert op_norm(choi(summed).value - choi(f).value - choi(g).value) < 1e-12
 
 
@@ -98,8 +96,7 @@ class TestCpDefect:
 
     def test_positive_scaling(self):
         lam = 2.5
-        scaled = LinearMapMat(2, 2, "C", TRANSPOSE_MAP2.basis,
-                              lam * TRANSPOSE_MAP2.images)
+        scaled = LinearMapMat(2, 2, "C", lam * TRANSPOSE_MAP2.images)
         assert cp_defect(scaled) == pytest.approx(lam * cp_defect(TRANSPOSE_MAP2))
 
 
@@ -160,15 +157,15 @@ class TestCpTransfer:
 class TestComplexify:
     def test_identity_extends_to_identity(self):
         anti = AntiAutomorphism.transpose(2)
-        phi = LinearMapMat.on_real_form(lambda m: m, anti)
+        phi = LinearMapMat.identity(2, "R", field="R")
         phic = complexify(phi, anti)
         x = random_matrix(np.random.default_rng(6), 2)
         assert op_norm(phic.apply(x) - x) < 1e-12
 
     def test_trace_extends_to_trace(self):
         anti = AntiAutomorphism.transpose(2)
-        phi = LinearMapMat.on_real_form(
-            lambda m: np.array([[np.trace(m)]]), anti)
+        phi = LinearMapMat.from_function(
+            lambda m: np.array([[np.trace(m)]]), 2, "R", dom_field="R")
         phic = complexify(phi, anti)
         x = random_matrix(np.random.default_rng(7), 2)
         assert abs(phic.apply(x)[0, 0] - np.trace(x)) < 1e-12
@@ -190,10 +187,11 @@ class TestComplexify:
         assert op_norm(phic.apply(1j * a) - 1j * phi.apply(a)) < 1e-12
 
     def test_rejects_basis_outside_form(self):
-        anti = AntiAutomorphism.transpose(2)
-        bad = LinearMapMat.from_function(lambda m: np.asarray(m).real.astype(complex),
-                                         2, "R", dom_field="C")
-        with pytest.raises(ValueError):
+        # The real form of u = J has imaginary entries, so it lies outside
+        # the domain M_2(R) of a real-domain map.
+        anti = AntiAutomorphism(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        bad = LinearMapMat.identity(2, "R", field="R")
+        with pytest.raises(ValueError, match="outside the map's domain span"):
             complexify(bad, anti)
 
 
@@ -272,13 +270,16 @@ class TestAmplifyCompressCompose:
 
 
 def test_restrict_to_real_form_round_trip():
+    # complexify reads x -> Re x only on the real form M_2(R), where it is
+    # the identity, so its extension is the identity on M_2(C).
     anti = AntiAutomorphism.transpose(2)
     full = LinearMapMat.from_function(lambda m: np.asarray(m).real.astype(complex),
                                       2, "R", dom_field="C", cod_field="R")
-    restr = restrict_to_real_form(full, anti)
-    assert len(restr.basis) == 4
+    assert len(full.basis) == 8
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert op_norm(restr.apply(a) - a) < 1e-12
+    assert op_norm(full.apply(a) - a) < 1e-12
+    x = random_matrix(np.random.default_rng(15), 2)
+    assert op_norm(complexify(full, anti).apply(x) - x) < 1e-12
 
 
 def test_basis_layout():

@@ -1,9 +1,11 @@
 """Batched map evaluation against the one-matrix-at-a-time reference.
 
-Every basis kind a map can carry is covered: complex matrix units, the
-doubled units {E_jl, i E_jl}, real units on a real domain, orthonormal
-bases of the real forms of u = I (transpose) and u = J, and a
-non-canonical orthonormal basis of M_n(C).
+Every canonical basis a map can carry is covered: complex matrix units,
+the doubled units {E_jl, i E_jl} and real units on a real domain.
+Complexification, which evaluates a map on the real-form parts of the
+matrix units, is compared with the reference's restriction to an
+orthonormal basis of the real form (u = I, the transpose, and u = J)
+followed by its pinv-based extension.
 """
 
 import numpy as np
@@ -13,42 +15,29 @@ from hypothesis import strategies as st
 
 import cpmaps_oracle as oracle
 from starlift.cpmaps import (COMPLEX, REAL, LinearMapMat, block_apply,
-                             canonical_basis, choi, complexify, compose,
-                             restrict_to_real_form)
-from starlift.realform import AntiAutomorphism, real_form_basis
+                             canonical_basis, choi, complexify, compose)
+from starlift.realform import AntiAutomorphism
 
 TOL = 1e-12
-KINDS = ("units", "doubled", "real", "form_T", "form_J", "complex_basis")
+KINDS = ("units", "doubled", "real")
+FIELDS = {"units": (COMPLEX, COMPLEX), "doubled": (REAL, COMPLEX), "real": (REAL, REAL)}
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SETTINGS = settings(max_examples=25, deadline=None)
 
 
-def _anti(kind: str, n: int) -> AntiAutomorphism:
-    if kind == "form_J":
+def _anti(form: str, n: int) -> AntiAutomorphism:
+    """u = I (the transpose, real form M_n(R)) or u = J (n even)."""
+    if form == "J":
         return AntiAutomorphism(np.kron(np.eye(n // 2), J2))
     return AntiAutomorphism.transpose(n)
 
 
-def _basis(kind: str, n: int, rng) -> tuple[str, str, np.ndarray]:
-    """(linearity, dom_field, basis) of the given kind on n x n inputs."""
-    if kind == "units":
-        return COMPLEX, COMPLEX, np.stack(canonical_basis(n, COMPLEX))
-    if kind == "doubled":
-        return REAL, COMPLEX, np.stack(canonical_basis(n, REAL))
-    if kind == "real":
-        return REAL, REAL, np.stack(canonical_basis(n, REAL, REAL))
-    if kind == "complex_basis":
-        q, _ = np.linalg.qr(rng.standard_normal((n * n, n * n))
-                            + 1j * rng.standard_normal((n * n, n * n)))
-        return COMPLEX, COMPLEX, q.T.reshape(n * n, n, n)
-    return REAL, COMPLEX, np.stack(real_form_basis(_anti(kind, n)))
-
-
 def _random_map(kind: str, n: int, m: int, rng) -> LinearMapMat:
-    linearity, dom_field, basis = _basis(kind, n, rng)
-    images = (rng.standard_normal((len(basis), m, m))
-              + 1j * rng.standard_normal((len(basis), m, m)))
-    return LinearMapMat(n, m, linearity, basis, images, dom_field)
+    linearity, dom_field = FIELDS[kind]
+    size = len(canonical_basis(n, linearity, dom_field))
+    images = (rng.standard_normal((size, m, m))
+              + 1j * rng.standard_normal((size, m, m)))
+    return LinearMapMat(n, m, linearity, images, dom_field)
 
 
 def _in_span(phi: LinearMapMat, k: int, rng) -> np.ndarray:
@@ -59,10 +48,6 @@ def _in_span(phi: LinearMapMat, k: int, rng) -> np.ndarray:
     return np.tensordot(coeff, phi.basis, axes=(1, 0))
 
 
-def _dim(kind: str, size: int) -> int:
-    return 2 * size if kind == "form_J" else size + 1
-
-
 def _close(a, b) -> bool:
     return a.shape == b.shape and float(np.max(np.abs(a - b), initial=0.0)) <= TOL
 
@@ -70,7 +55,7 @@ def _close(a, b) -> bool:
 @st.composite
 def cases(draw, kinds=KINDS):
     kind = draw(st.sampled_from(kinds))
-    n = _dim(kind, draw(st.integers(0, 2) if kind != "form_J" else st.integers(1, 2)))
+    n = draw(st.integers(1, 3))
     return kind, n, draw(st.integers(1, 3)), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
@@ -88,13 +73,13 @@ def test_apply_matches_oracle(case, k):
 
 
 @SETTINGS
-@given(cases(("real", "form_T", "form_J")), st.integers(1, 4), st.data())
+@given(cases(("real",)), st.integers(1, 4), st.data())
 def test_outside_span_rejected_by_both(case, k, data):
     kind, n, m, rng = case
     phi = _random_map(kind, n, m, rng)
     xs = _in_span(phi, k, rng)
     bad = data.draw(st.integers(0, k - 1))
-    # i times a nonzero real(-form) element lies outside every real domain span.
+    # i times a nonzero real element lies outside the real domain span.
     xs[bad] = xs[bad] + 1j * _in_span(phi, 1, rng)[0]
     with pytest.raises(ValueError, match="outside the map's domain span"):
         oracle.apply(phi, xs[bad])
@@ -108,24 +93,22 @@ def test_outside_span_rejected_by_both(case, k, data):
 
 
 @SETTINGS
-@given(cases(("units", "complex_basis")))
+@given(cases(("units",)))
 def test_choi_matches_oracle(case):
     kind, n, m, rng = case
     phi = _random_map(kind, n, m, rng)
     images = phi.images.copy()
     images[:, 0, 0] = -0.0          # summing into a zero matrix leaves 0.0
-    phi = LinearMapMat(n, m, COMPLEX, phi.basis, images)
+    phi = LinearMapMat(n, m, COMPLEX, images)
     new, ref = choi(phi).value, oracle.choi(phi)
-    assert _close(new, ref)
-    if kind == "units":
-        # Units give each Choi entry exactly, down to the sign of zeros.
-        assert np.array_equal(new.view(np.float64), ref.view(np.float64))
-        assert np.array_equal(np.signbit(new.view(np.float64)),
-                              np.signbit(ref.view(np.float64)))
+    # Units give each Choi entry exactly, down to the sign of zeros.
+    assert np.array_equal(new.view(np.float64), ref.view(np.float64))
+    assert np.array_equal(np.signbit(new.view(np.float64)),
+                          np.signbit(ref.view(np.float64)))
 
 
 @SETTINGS
-@given(cases(), st.sampled_from(("units", "doubled", "complex_basis")), st.integers(1, 3))
+@given(cases(), st.sampled_from(("units", "doubled")), st.integers(1, 3))
 def test_compose_matches_oracle(case, outer, p):
     kind, n, m, rng = case
     phi = _random_map(kind, n, m, rng)
@@ -147,13 +130,24 @@ def test_block_apply_matches_oracle(case, level):
 
 
 @SETTINGS
-@given(cases(("units", "doubled")), st.sampled_from(("form_T", "form_J")))
-def test_restrict_and_complexify_match_oracle(case, form):
+@given(cases(("doubled", "real")), st.sampled_from(("I", "J")))
+def test_complexify_matches_oracle(case, form):
     kind, n, m, rng = case
-    n = 2 * n
+    if form == "J":
+        n = 2 * (1 + n % 2)
     phi = _random_map(kind, n, m, rng)
     anti = _anti(form, n)
-    new, ref = restrict_to_real_form(phi, anti), oracle.restrict_to_real_form(phi, anti)
-    assert np.array_equal(new.basis, ref.basis)
-    assert _close(new.images, ref.images)
-    assert _close(complexify(new, anti).images, oracle.complexify_images(new, anti))
+    if kind == "real" and form == "J":
+        # The real form of J has imaginary entries, outside a real domain.
+        with pytest.raises(ValueError, match="outside the map's domain span"):
+            oracle.restrict_to_real_form(phi, anti)
+        with pytest.raises(ValueError, match="outside the map's domain span"):
+            complexify(phi, anti)
+        return
+    new = complexify(phi, anti)
+    ref = oracle.complexify_images(oracle.restrict_to_real_form(phi, anti), anti)
+    assert (new.linearity, new.dom_field) == (COMPLEX, COMPLEX)
+    assert _close(new.images, ref)
+    if form == "I":
+        # The real form is M_n(R): both read phi off the real units exactly.
+        assert np.array_equal(new.images, ref)

@@ -1,0 +1,33 @@
+"""Smoke test of tools/diff_reports.py: the working tree against itself."""
+
+import importlib.util
+import io
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location(
+        "diff_reports", os.path.join(ROOT, "tools", "diff_reports.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_working_tree_matches_itself_on_seed_one_maps():
+    tool = _tool()
+    src = os.path.join(ROOT, "src")
+    out = io.StringIO()
+    assert tool.diff_reports(src, src, workloads=("maps",), seeds=(1,), out=out) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[-1].endswith(" identical, 0 differ")
+    assert len(lines) > 1 and all(line.startswith("same  maps/seed1/") for line in lines[:-1])
+
+
+def test_max_float_diff():
+    diff = _tool().max_float_diff
+    assert diff({"a": [1.0, 2]}, {"a": [1.5, 2]}) == 0.5
+    assert diff({"a": 1.0}, {"b": 1.0}) is None
+    assert diff([1.0, "x"], [1.0, "y"]) is None
+    assert diff([True], [1]) is None

@@ -225,11 +225,6 @@ class TestMapSchema:
         assert back.cod_field == "R" and back.dom_field == "R"
         assert np.array_equal(back.images, phi.images)
 
-    def test_non_canonical_basis_not_serializable(self):
-        phi = LinearMapMat.on_real_form(lambda m: m, ANTI2)
-        with pytest.raises(SchemaError):
-            map_to_json(phi)
-
 
 class TestCertSchema:
     def test_round_trip(self, workdir):

@@ -10,11 +10,10 @@ from starlift.matrix import col_norm1, op_norm
 from starlift.realform import AntiAutomorphism
 from starlift.sampling import random_isometry, random_matrix
 from starlift.transport import (RealifiedMap, ThetaScale, eta, eta1,
-                                eta1_entrywise, normalized_trace, realify_map,
-                                rho, rho_isometry, rho_map, sigma, sigma_map,
+                                normalized_trace, realify_map, rho,
+                                rho_isometry, rho_map, sigma, sigma_map,
                                 theta, theta_normalizer,
-                                transport_factorization, upsilon,
-                                upsilon_entrywise, upsilon1)
+                                transport_factorization, upsilon, upsilon1)
 
 
 def _stinespring(rng, n, k):
@@ -131,6 +130,7 @@ class TestTheta:
         mats = [np.array([[3 + 4j]]), np.array([[1.0]])]
         s = ThetaScale.for_working_set(mats)
         assert s.value == pytest.approx(1.0 / 8.0)
+        assert ThetaScale.for_working_set(np.stack(mats[::-1])).value == s.value
 
 
 class TestEtaUpsilon:
@@ -149,8 +149,8 @@ class TestEtaUpsilon:
         assert upsilon(0.0) == 0.0
 
     def test_upsilon_rejects_matrix(self):
-        with pytest.raises(TypeError):
-            upsilon(np.eye(2))
+        # A matrix is taken entrywise.
+        assert np.array_equal(upsilon(np.array([[1 + 2j, -3j]])), [[1.5, -1.5]])
 
     def test_eta1_upsilon1(self):
         assert np.array_equal(eta1(3 - 4j), np.diag([3.0, 4.0]))
@@ -158,13 +158,13 @@ class TestEtaUpsilon:
         assert upsilon1(2.0, 0.5) == 1.0
 
     def test_eta1_rejects_matrix(self):
-        with pytest.raises(TypeError):
-            eta1(np.eye(2))
-        with pytest.raises(TypeError):
-            upsilon1(np.eye(2))
+        # A matrix is taken entrywise.
+        x = np.array([[1 - 2j, 3j]])
+        assert np.array_equal(eta1(x), [[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 3.0]])
+        assert np.array_equal(upsilon1(x, 1.0), [[3.0, 3.0]])
 
     def test_eta1_entrywise(self):
-        out = eta1_entrywise(np.array([[3 - 4j]]))
+        out = eta1(np.array([[3 - 4j]]))
         assert np.array_equal(out, np.diag([3.0, 4.0]))
 
     def test_trace_intertwining_scale_half(self):
@@ -183,7 +183,7 @@ class TestEtaUpsilon:
         assert lhs == pytest.approx(2.0 * rhs)
 
     def test_upsilon_entrywise(self):
-        out = upsilon_entrywise(np.array([[1 + 2j, 3]]), 1.0)
+        out = upsilon(np.array([[1 + 2j, 3]]), 1.0)
         assert np.array_equal(out, [[3.0, 3.0]])
 
 
@@ -290,3 +290,49 @@ def test_theta_scale_validation():
         ThetaScale("fixed", 0.0)
     with pytest.raises(ValueError):
         ThetaScale("weird")
+
+
+
+def _signed_zero_stack(rng, k, n):
+    """k random n x n matrices with some real and imaginary parts +-0."""
+    re, im = rng.standard_normal((2, k, n, n))
+    zero = np.where(rng.integers(0, 2, (k, n, n)) == 1, -0.0, 0.0)
+    part = rng.integers(0, 4, (k, n, n))
+    xs = np.empty((k, n, n), dtype=complex)
+    xs.real = np.where(part == 1, zero, re)
+    xs.imag = np.where(part == 2, zero, im)
+    return xs
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a, b) \
+        and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_block_maps_match_kron_form(n, k, seed):
+    xs = _signed_zero_stack(np.random.default_rng(seed), k, n)
+    e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for x in xs:
+        assert _same_bits(sigma(x), np.kron(x.real, np.eye(2)) + np.kron(x.imag, j2))
+        assert _same_bits(eta(x), np.kron(x.real, e11) + np.kron(x.imag, e22))
+        assert _same_bits(eta1(x), np.kron(x.real, e11) + np.kron(np.abs(x.imag), e22))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_stack_matches_one_at_a_time(n, k, seed):
+    rng = np.random.default_rng(seed)
+    xs = _signed_zero_stack(rng, k, n)
+    fixed = ThetaScale("fixed", 0.3)
+    for f in (sigma, eta, eta1, theta_normalizer, theta, lambda x: theta(x, fixed)):
+        assert _same_bits(f(xs), np.stack([f(x) for x in xs]))
+    assert isinstance(theta_normalizer(xs[0]), float)
+    for anti in (AntiAutomorphism.transpose(2 * n),
+                 AntiAutomorphism(np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]))):
+        rm = realify_map(_stinespring(rng, 2 * n, 3), anti, ThetaScale())
+        ys = _signed_zero_stack(rng, k, 2 * n)
+        assert _same_bits(rm.apply(ys), np.stack([rm.apply(y) for y in ys]))

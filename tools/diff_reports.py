@@ -1,0 +1,162 @@
+"""Compare the CLI reports of the working tree with those of a git revision.
+
+    python3 tools/diff_reports.py REV [--seeds 1 2 3]
+
+Builds every ``maps``, ``tensor`` and ``certs`` document that
+``bench/gen.py`` makes for each seed and runs each document's argv through
+``starlift.cli.cmd_dispatch`` twice: once with the working tree's ``src/``
+and once with REV's ``src/``, extracted with ``git archive`` into a
+temporary directory.  Each side runs all documents in one subprocess with
+one BLAS thread, so the two sides differ only in their source.  For each
+document it prints whether the exit code and the stdout bytes match, and
+the largest difference between corresponding floats when they do not.
+Exits 0 iff every document matches.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("maps", "tensor", "certs")
+
+# Runs in each side's subprocess: reads [[name, argv], ...] on stdin and
+# writes {"module": ..., "results": {name: [code, stdout]}} to stdout.
+_SIDE = r"""
+import contextlib, io, json, sys
+import starlift
+from starlift import cli
+results = {}
+for name, argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.cmd_dispatch(argv)
+        except Exception as exc:
+            code, out = -1, io.StringIO(f"uncaught {type(exc).__name__}: {exc}")
+    results[name] = [code, out.getvalue()]
+json.dump({"module": starlift.__file__, "results": results}, sys.stdout)
+"""
+
+
+def _load_gen():
+    spec = importlib.util.spec_from_file_location("bench_gen", os.path.join(ROOT, "bench", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def build_documents(outdir: str, workloads, seeds) -> list[tuple[str, list]]:
+    """(name, argv) of every document of the workloads at the seeds."""
+    gen = _load_gen()
+    docs = []
+    for workload in workloads:
+        for seed in seeds:
+            where = os.path.join(outdir, f"{workload}-{seed}")
+            os.makedirs(where)
+            for cls in gen.build(workload, seed, where)["classes"]:
+                docs.append((f"{workload}/seed{seed}/{cls['id']}", cls["argv"]))
+    return docs
+
+
+def extract_src(rev: str, dest: str) -> str:
+    """Write REV's src/ under dest with git archive; returns its path."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return os.path.join(dest, "src")
+
+
+def run_side(src: str, docs, cwd: str) -> dict:
+    """Exit code and stdout of each document, run with ``src`` on the path."""
+    env = dict(os.environ, PYTHONPATH=src)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env.pop("STARLIFT_TOL", None)
+    proc = subprocess.run([sys.executable, "-c", _SIDE], input=json.dumps(docs),
+                          capture_output=True, text=True, env=env, cwd=cwd)
+    if proc.returncode != 0:
+        raise RuntimeError(f"side {src} failed:\n{proc.stderr}")
+    side = json.loads(proc.stdout)
+    if not os.path.realpath(side["module"]).startswith(os.path.realpath(src) + os.sep):
+        raise RuntimeError(f"side {src} imported starlift from {side['module']}")
+    return side["results"]
+
+
+def max_float_diff(a, b) -> float | None:
+    """Largest |x - y| over corresponding numbers of two JSON values, or
+    None when their structure (keys, lengths, types, other values) differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        parts = [max_float_diff(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        parts = [max_float_diff(x, y) for x, y in zip(a, b)]
+    elif isinstance(a, (int, float)) and isinstance(b, (int, float)) \
+            and not isinstance(a, bool) and not isinstance(b, bool):
+        return abs(a - b)
+    else:
+        return 0.0 if type(a) is type(b) and a == b else None
+    if any(p is None for p in parts):
+        return None
+    return max(parts, default=0.0)
+
+
+def compare(base: dict, new: dict, docs) -> tuple[int, list[str]]:
+    """Number of documents that differ, and one report line per document."""
+    lines, differ = [], 0
+    for name, _ in docs:
+        (code_a, out_a), (code_b, out_b) = base[name], new[name]
+        if code_a == code_b and out_a == out_b:
+            lines.append(f"same  {name}  exit {code_a}")
+            continue
+        differ += 1
+        note = f"exit {code_a} -> {code_b}"
+        if out_a != out_b:
+            try:
+                diff = max_float_diff(json.loads(out_a), json.loads(out_b))
+            except ValueError:
+                diff = None
+            note += ", stdout differs: " + ("structure or non-float values" if diff is None
+                                            else f"max float difference {diff:.3e}")
+        lines.append(f"DIFF  {name}  {note}")
+    return differ, lines
+
+
+def diff_reports(base_src: str, new_src: str, workloads=WORKLOADS, seeds=(1, 2, 3),
+                 out=None) -> int:
+    """Print the comparison of the two source trees; 0 iff all documents match."""
+    with tempfile.TemporaryDirectory() as tmp:
+        docs = build_documents(tmp, workloads, seeds)
+        base = run_side(base_src, docs, tmp)
+        new = run_side(new_src, docs, tmp)
+    differ, lines = compare(base, new, docs)
+    for line in lines:
+        print(line, file=out)
+    print(f"{len(docs)} documents: {len(docs) - differ} identical, {differ} differ", file=out)
+    return 0 if differ == 0 else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision whose src/ is the baseline")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        base_src = extract_src(args.rev, tmp)
+        return diff_reports(base_src, os.path.join(ROOT, "src"), seeds=args.seeds)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
