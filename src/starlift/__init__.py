@@ -25,10 +25,9 @@ from .certify import (AUDIT_CLAIMS, AuditReport, DefectReport, FiniteSubset,
                       QDCertificate, TraceWitness, lemma_audit,
                       nuclear_witness_verify, qd_complexify, qd_realify,
                       qd_verify, trace_qd_verify, trace_transport)
-from .tensorexact import (IdealPresentation, TensorAlgebra,
-                          decompose_tensor, exactness_check, fubini,
-                          fubini_check, min_tensor, slice_left_map,
-                          slice_left_value, slice_right_map, slice_right_value)
+from .tensorexact import (IdealPresentation, TensorAlgebra, exactness_check,
+                          fubini, fubini_check, min_tensor, slice_left_value,
+                          slice_right_value)
 
 __all__ = [
     "__version__",
@@ -45,8 +44,6 @@ __all__ = [
     "QDCertificate", "TraceWitness", "lemma_audit", "nuclear_witness_verify",
     "qd_complexify", "qd_realify", "qd_verify", "trace_qd_verify",
     "trace_transport",
-    "IdealPresentation", "TensorAlgebra", "decompose_tensor",
-    "exactness_check", "fubini", "fubini_check", "min_tensor",
-    "slice_left_map", "slice_left_value", "slice_right_map",
-    "slice_right_value",
+    "IdealPresentation", "TensorAlgebra", "exactness_check", "fubini",
+    "fubini_check", "min_tensor", "slice_left_value", "slice_right_value",
 ]

@@ -23,7 +23,7 @@ from .matrix import (as_array, col_norm1, matrix_units, op_norm, positivity_defe
                      split_norm)
 from .realform import AntiAutomorphism, StarAlgebra, real_decompose, \
     real_form_basis, real_form_residual
-from .sampling import random_isometry, random_matrix, rng_from
+from .sampling import random_matrix, rng_from
 from .transport import ThetaScale, eta, eta1, normalized_trace, realify_map, \
     theta, theta_normalizer, upsilon, upsilon1
 
@@ -44,12 +44,15 @@ def _value_norm(m, mode: str, anti: AntiAutomorphism | None = None,
     In split mode, domain elements split through the certificate's
     antiautomorphism; codomain values split entrywise (their real
     structure is the transpose one, since real targets are real matrix
-    algebras).
+    algebras).  In column-sum mode a domain element is measured through
+    its real realization sigma(a), which is col_norm1(a) itself when a
+    is a real matrix and stays defined on real forms with complex
+    entries (u = J).
     """
     if mode == COMPLEX_OP:
         return op_norm(m)
     if mode == REAL_COL1:
-        return col_norm1(m)
+        return theta_normalizer(m) if domain else col_norm1(m)
     if mode == PHI_SPLIT:
         if domain and anti is not None:
             r, s = real_decompose(anti, m)
@@ -774,50 +777,3 @@ def lemma_audit(claim: str, samples: int = 50, seed: int = 0) -> AuditReport:
     if claim in ("theta_homomorphism", "theta_linearity"):
         return _audit_theta(claim, samples, seed)
     raise ValueError(f"unknown claim {claim!r}; known: {', '.join(AUDIT_CLAIMS)}")
-
-
-# -- generators for tests and the CLI ---------------------------------------
-
-
-def unital_compression_map(rng, n: int, k: int, field: str = COMPLEX,
-                           terms: int = 2) -> LinearMapMat:
-    """x -> sum_i V_i* x V_i with sum_i V_i* V_i = I: unital and CP.
-
-    Real field gives a real-linear map on M_n(R) into M_k(R); complex
-    gives the complex-linear analogue.
-    """
-    rng = rng_from(rng)
-    vs = [random_matrix(rng, n, k, field) for _ in range(terms)]
-    s = sum(v.conj().T @ v for v in vs)
-    w, u = np.linalg.eigh((s + s.conj().T) / 2)
-    if np.min(w) <= 1e-12:
-        raise ValueError("degenerate normalization; retry with another seed")
-    inv_sqrt = u @ np.diag(1.0 / np.sqrt(w)) @ u.conj().T
-    vs = [v @ inv_sqrt for v in vs]
-
-    def f(x):
-        return sum(v.conj().T @ as_array(x) @ v for v in vs)
-
-    if field == REAL:
-        return LinearMapMat.from_function(f, n, REAL, dom_field=REAL,
-                                          cod_field=REAL)
-    return LinearMapMat.from_function(f, n, COMPLEX)
-
-
-def unital_stinespring_map(rng, n: int, k: int) -> LinearMapMat:
-    """x -> V*(x (x) I_p)V for an isometry V: unital CP into M_k(C),
-    with k allowed to exceed n."""
-    rng = rng_from(rng)
-    p = -(-k // n)
-    v = random_isometry(rng, n * p, k)
-
-    def f(x):
-        return v.conj().T @ np.kron(as_array(x), np.eye(p)) @ v
-
-    return LinearMapMat.from_function(f, n, COMPLEX)
-
-
-def unitary_conjugation_map(u) -> LinearMapMat:
-    um = as_array(u).astype(np.complex128)
-    return LinearMapMat.from_function(lambda x: um @ as_array(x) @ um.conj().T,
-                                      um.shape[0], COMPLEX)

@@ -229,10 +229,9 @@ def choi(phi: LinearMapMat) -> ChoiMatrix:
     if phi.linearity != COMPLEX:
         raise ValueError("choi is defined for complex-linear maps; "
                          "use cp_defect_real for real-linear ones")
-    n = phi.dom_dim
-    # Block (j, l) is phi(E_jl); adding 0.0 turns -0.0 into 0.0, as
-    # summing the blocks into a zero matrix does.
-    return ChoiMatrix(_join_blocks(phi.apply(np.stack(matrix_units(n))), n) + 0.0, phi)
+    # Block (j, l) is phi(E_jl), the image of the j*n + l-th unit; adding
+    # 0.0 turns -0.0 into 0.0, as summing the blocks into a zero matrix does.
+    return ChoiMatrix(_join_blocks(phi.images, phi.dom_dim) + 0.0, phi)
 
 
 def cp_defect(phi: LinearMapMat) -> float:

@@ -62,10 +62,6 @@ def kernel_rows(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     return vt[rank:]
 
 
-def span_dim(mats, tol: float = RANK_TOL) -> int:
-    return orth_rows(realify(mats), tol).shape[0]
-
-
 def containment_residual(sub: np.ndarray, ambient: np.ndarray) -> float:
     """Worst distance of a unit row of ``sub`` from span(``ambient``).
 
@@ -80,22 +76,20 @@ def containment_residual(sub: np.ndarray, ambient: np.ndarray) -> float:
 
 
 def max_principal_angle(u: np.ndarray, w: np.ndarray) -> float:
-    """Largest principal angle (radians) between equal-dim subspaces.
+    """Largest principal angle (radians) between two orthonormal row
+    bases of equal dimension.
 
-    Computed from the principal sines max ||u_i - proj_w u_i||-style via
-    singular values of u (I - P_w), which is accurate for small angles.
+    The singular values of u - (u w^T) w are the principal sines, which
+    stay accurate for small angles; for equal dimensions they are the
+    same seen from either side, so one SVD suffices.
     """
-    if u.shape[0] == 0 and w.shape[0] == 0:
+    if u.shape[0] != w.shape[0]:
+        raise ValueError(f"principal angles need equal dimensions, got "
+                         f"{u.shape[0]} and {w.shape[0]}")
+    if u.shape[0] == 0:
         return 0.0
-    if u.shape[0] == 0 or w.shape[0] == 0:
-        return float(np.pi / 2)
-    resid = u - u @ w.T @ w
-    s = np.linalg.svd(resid, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    resid2 = w - w @ u.T @ u
-    s2 = np.linalg.svd(resid2, compute_uv=False)
-    smax = max(smax, float(s2[0]) if s2.size else 0.0)
-    return float(np.arcsin(np.clip(smax, 0.0, 1.0)))
+    s = np.linalg.svd(u - u @ w.T @ w, compute_uv=False)
+    return float(np.arcsin(min(float(s[0]), 1.0)))
 
 
 def subspaces_equal(u: np.ndarray, w: np.ndarray, angle_tol: float = 1e-6

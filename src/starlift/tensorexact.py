@@ -8,6 +8,15 @@ slice-membership constraints, over R throughout, because real-form legs
 are only real-linear subspaces of the complex tensor algebra.  Ideals
 are block summands (every closed ideal of a finite-dimensional
 C*-algebra is one), which keeps the quotient map exactly computable.
+
+Frame contract: every tensor span is built from two leg frames, lists of
+matrices whose Hermitian Gram matrix tr(x* y) is the identity.  Since
+<a (x) b, a' (x) b'> = <a, a'><b, b'>, their Kronecker products and the
+i-multiples of those are orthonormal real rows as they stand, so no span
+of products is ever orthonormalized.  The frames are the real-form basis
+(tr(x* y) = tr(Phi(x) y) is real there), the ideal's matrix units, and
+``complex_orth_basis`` of each factor's span.  ``tensor_span_rows``
+checks the contract and raises on a leg that breaks it.
 """
 
 from __future__ import annotations
@@ -17,13 +26,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .certify import TraceWitness
-from .cpmaps import COMPLEX, REAL, LinearMapMat
-from .matrix import as_array, as_arrays, batches, kron, matrix_units, op_norm
+from .cpmaps import COMPLEX, REAL
+from .matrix import as_array, as_arrays, batches, matrix_units
 from .realform import AntiAutomorphism, StarAlgebra, real_decompose, real_form_basis
-from .subspace import (complex_orth_basis, containment_residual, kernel_rows,
-                       max_principal_angle, orth_rows, realify, subspaces_equal,
-                       unrealify)
+from .subspace import (RANK_TOL, complex_orth_basis, containment_residual,
+                       kernel_rows, max_principal_angle, orth_rows, realify,
+                       subspaces_equal, unrealify)
 
 
 def _legs(x, na: int, nb: int) -> np.ndarray:
@@ -49,24 +57,19 @@ def slice_left_value(t_psi, x, na: int, nb: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TensorAlgebra:
-    """Kronecker-product presentation of a minimal tensor product."""
+    """Kronecker-product presentation of a minimal tensor product, held
+    as orthonormal frames of its two legs."""
 
     a: StarAlgebra
     b: StarAlgebra
 
     @cached_property
-    def span(self) -> tuple:
-        """A linearly independent spanning set of Kronecker products,
-        chosen greedily in the order of the factors' spans."""
-        prods = [kron(x, y) for x in self.a.span for y in self.b.span]
-        target = len(complex_orth_basis(prods, prods[0].shape))
-        keep: list[np.ndarray] = []
-        for p in prods:
-            if len(complex_orth_basis(keep + [p], p.shape)) > len(keep):
-                keep.append(p)
-                if len(keep) == target:
-                    break
-        return tuple(keep)
+    def a_frame(self) -> list[np.ndarray]:
+        return complex_orth_basis(self.a.span, (self.na, self.na))
+
+    @cached_property
+    def b_frame(self) -> list[np.ndarray]:
+        return complex_orth_basis(self.b.span, (self.nb, self.nb))
 
     @property
     def na(self) -> int:
@@ -76,32 +79,11 @@ class TensorAlgebra:
     def nb(self) -> int:
         return self.b.n
 
-    @property
-    def n(self) -> int:
-        return self.a.n * self.b.n
-
-    def complex_dim(self) -> int:
-        return len(complex_orth_basis(self.span, (self.n, self.n)))
-
 
 def min_tensor(a: StarAlgebra, b: StarAlgebra) -> TensorAlgebra:
-    """Spatial tensor product of two matrix algebras; its pruned
-    spanning set is computed on first use of ``span``."""
+    """Spatial tensor product of two matrix algebras; the leg frames are
+    computed on first use."""
     return TensorAlgebra(a, b)
-
-
-def slice_right_map(phi: TraceWitness, t: TensorAlgebra) -> LinearMapMat:
-    """R_phi as a complex-linear map M_{na nb} -> M_nb."""
-    na, nb = t.na, t.nb
-    return LinearMapMat.from_function(
-        lambda x: slice_right_value(phi.gram, x, na, nb), na * nb, COMPLEX)
-
-
-def slice_left_map(psi: TraceWitness, t: TensorAlgebra) -> LinearMapMat:
-    """L_psi as a complex-linear map M_{na nb} -> M_na."""
-    na, nb = t.na, t.nb
-    return LinearMapMat.from_function(
-        lambda x: slice_left_value(psi.gram, x, na, nb), na * nb, COMPLEX)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +101,9 @@ class IdealPresentation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(tuple(bl) for bl in self.blocks))
+        # A repeated index names its block once, so the ideal's units stay a frame.
         object.__setattr__(self, "ideal_blocks",
-                           tuple(int(i) for i in self.ideal_blocks))
+                           tuple(dict.fromkeys(int(i) for i in self.ideal_blocks)))
         for i in self.ideal_blocks:
             if not (0 <= i < len(self.blocks)):
                 raise ValueError(f"ideal block index {i} out of range")
@@ -160,7 +143,8 @@ class IdealPresentation:
         if not ideal:
             return
         x = np.stack(ideal)
-        amb = orth_rows(realify(np.concatenate([x, 1j * x])))
+        # Realified units and i-units are standard basis vectors: a frame.
+        amb = realify(np.concatenate([x, 1j * x]))
         s = np.stack(self.b.span)
         for b in batches(len(s), 2 * x.size):
             # Products in the order s_i x_j, x_j s_i, by i then j.
@@ -200,19 +184,23 @@ def detect_blocks(span, n: int, tol: float = 1e-12) -> tuple:
 # -- spans entering the Fubini and exactness checks -----------------------
 
 
-def tensor_span_rows(a_leg, b_leg, complex_scalars: bool) -> np.ndarray:
-    """Orthonormal real rows of span_R{a (x) b: a in a_leg, b in b_leg}.
+def tensor_span_rows(a_leg, b_leg) -> np.ndarray:
+    """Orthonormal real rows of span_C{a (x) b: a in a_leg, b in b_leg}:
+    each product, then i times it.
 
-    ``complex_scalars`` adds i(a (x) b), i.e. closes the span under
-    multiplication by i (which for a complex b_leg it already is).
+    Both legs must be frames (Hermitian Gram matrix I within
+    ``RANK_TOL``); a leg that is not raises ValueError.
     """
     a, b = np.stack(a_leg), np.stack(b_leg)
+    for leg in (a, b):
+        flat = leg.reshape(len(leg), -1)
+        dev = np.max(np.abs(flat.conj() @ flat.T - np.eye(len(leg))))
+        if dev > RANK_TOL:
+            raise ValueError(f"tensor leg is not orthonormal: Gram deviation {dev:.3e}")
     n = a.shape[1] * b.shape[1]
     # Entry (x, y, i, k, j, l) is a_x[i, j] b_y[k, l]: the products np.kron forms.
     prods = (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(-1, n, n)
-    if complex_scalars:
-        prods = np.stack([prods, 1j * prods], axis=1).reshape(-1, n, n)
-    return orth_rows(realify(prods))
+    return realify(np.stack([prods, 1j * prods], axis=1).reshape(-1, n, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,12 +224,14 @@ def fubini(a1, b1, t: TensorAlgebra, anti: AntiAutomorphism | None = None,
     ``anti`` when given, else the complex span of the A factor); the left
     slices over the real coordinate functionals of span(B).  Choosing
     ``phi_field``/``psi_field`` = "C" doubles the family with i times
-    each functional.  Degenerate (empty) working spans are rejected.
+    each functional.  Supplied ``working_rows`` must be orthonormal, as
+    ``tensor_span_rows`` makes them; the result rows then are too.
+    Degenerate (empty) working spans are rejected.
     """
     na, nb = t.na, t.nb
-    a_leg = real_form_basis(anti) if anti is not None else list(t.a.span)
+    a_leg = real_form_basis(anti) if anti is not None else t.a_frame
     if working_rows is None:
-        working_rows = tensor_span_rows(a_leg, list(t.b.span), complex_scalars=True)
+        working_rows = tensor_span_rows(a_leg, t.b_frame)
     if working_rows.shape[0] == 0:
         raise ValueError("degenerate working span")
 
@@ -253,7 +243,7 @@ def fubini(a1, b1, t: TensorAlgebra, anti: AntiAutomorphism | None = None,
     a_duals = np.stack(a_leg).conj().transpose(0, 2, 1)
     if phi_field == COMPLEX:
         a_duals = np.concatenate([a_duals, 1j * a_duals])
-    b_dual_grams = np.stack(complex_orth_basis(t.b.span, (nb, nb))).conj().transpose(0, 2, 1)
+    b_dual_grams = np.stack(t.b_frame).conj().transpose(0, 2, 1)
 
     k = working_rows.shape[0]
     working = unrealify(working_rows, (k, na * nb, na * nb))
@@ -279,8 +269,8 @@ def fubini(a1, b1, t: TensorAlgebra, anti: AntiAutomorphism | None = None,
         return vecs.reshape(-1, k, vecs.shape[1]).transpose(0, 2, 1).reshape(-1, k)
 
     stacked = np.vstack([_constraints(right, b1_rows), _constraints(left, a1_rows)])
-    coeff_rows = kernel_rows(stacked)
-    rows = orth_rows(coeff_rows @ working_rows)
+    # Orthonormal kernel rows times orthonormal working rows: orthonormal.
+    rows = kernel_rows(stacked) @ working_rows
     return FubiniResult(rows, rows.shape[0], (na * nb, na * nb),
                         phi_field, psi_field)
 
@@ -307,12 +297,12 @@ class KernelCheck:
 
 def quotient_kernel_rows(working_rows: np.ndarray, pres: IdealPresentation,
                          na: int, nb: int) -> np.ndarray:
-    """ker(id (x) pi) inside the working span, as orthonormal real rows."""
+    """ker(id (x) pi) inside the span of the orthonormal ``working_rows``,
+    as orthonormal real rows."""
     qi = pres.quotient_indices
     x = unrealify(working_rows, (-1, na, nb, na, nb))
     imat = realify(x[:, :, qi][:, :, :, :, qi])  # row r = image of basis row r
-    coeff = kernel_rows(imat.T)                 # combos mapping to zero
-    return orth_rows(coeff @ working_rows)
+    return kernel_rows(imat.T) @ working_rows   # combos mapping to zero
 
 
 def _compare(kernel: np.ndarray, span: np.ndarray, angle_tol: float) -> KernelCheck:
@@ -355,9 +345,9 @@ def _real_leg(a: StarAlgebra, anti: AntiAutomorphism, pres: IdealPresentation,
     Fubini check itself.
 
     After validating the inputs, returns the tensor algebra A (x) B, the
-    ideal's matrix units, the real-form basis, the working rows
-    span(real form (x) B), the rows span(real form (x) ideal), and the
-    comparison of fubini(real form, ideal) with those rows.
+    ideal's matrix units, the working rows span(real form (x) B), the rows
+    span(real form (x) ideal), and the comparison of fubini(real form,
+    ideal) with those rows.
     """
     pres.validate()
     if anti.dim != a.n:
@@ -365,12 +355,11 @@ def _real_leg(a: StarAlgebra, anti: AntiAutomorphism, pres: IdealPresentation,
     t = min_tensor(a, pres.b)
     ideal = pres.ideal_span()
     form_basis = real_form_basis(anti)
-    rows = tensor_span_rows(form_basis, list(pres.b.span), complex_scalars=True)
-    ideal_rows = tensor_span_rows(form_basis, ideal, complex_scalars=True) \
-        if ideal else np.zeros((0, rows.shape[1]))
+    rows = tensor_span_rows(form_basis, t.b_frame)
+    ideal_rows = tensor_span_rows(form_basis, ideal) if ideal else np.zeros((0, rows.shape[1]))
     fub = fubini(form_basis, ideal + [1j * e for e in ideal], t, anti=anti,
                  phi_field=REAL, psi_field=REAL, working_rows=rows)
-    return t, ideal, form_basis, rows, ideal_rows, _compare(fub.rows, ideal_rows, angle_tol)
+    return t, ideal, rows, ideal_rows, _compare(fub.rows, ideal_rows, angle_tol)
 
 
 def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
@@ -383,14 +372,13 @@ def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
     the complex leg, the matching Fubini-product identities, and that the
     real-form part plus i times it rebuilds the whole tensor span.
     """
-    t, ideal, form_basis, real_rows, real_span_ideal, fub_real_check = \
-        _real_leg(a, anti, pres, angle_tol)
+    t, ideal, real_rows, real_span_ideal, fub_real_check = _real_leg(a, anti, pres, angle_tol)
     na, nb = t.na, t.nb
     ideal_cx = ideal + [1j * e for e in ideal]
 
-    complex_rows = tensor_span_rows(list(a.span), list(pres.b.span), complex_scalars=True)
-    complex_span_ideal = tensor_span_rows(list(a.span), ideal, complex_scalars=True) \
-        if ideal else np.zeros((0, real_rows.shape[1]))
+    complex_rows = tensor_span_rows(t.a_frame, t.b_frame)
+    complex_span_ideal = tensor_span_rows(t.a_frame, ideal) if ideal \
+        else np.zeros((0, real_rows.shape[1]))
 
     real_check = _compare(quotient_kernel_rows(real_rows, pres, na, nb),
                           real_span_ideal, angle_tol)
@@ -403,8 +391,9 @@ def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
                          working_rows=complex_rows)
     fub_complex_check = _compare(fub_complex.rows, complex_span_ideal, angle_tol)
 
-    i_rows = tensor_span_rows([1j * g for g in form_basis], list(pres.b.span),
-                              complex_scalars=True)
+    # i times a realified row [Re, Im] is [-Im, Re].
+    half = real_rows.shape[1] // 2
+    i_rows = np.hstack([-real_rows[:, half:], real_rows[:, :half]])
     stacked = orth_rows(np.vstack([real_rows, i_rows]))
     decomposition = {
         "real_part_dim": int(real_rows.shape[0]),
@@ -431,29 +420,3 @@ def fubini_check(a: StarAlgebra, anti: AntiAutomorphism,
                  ) -> KernelCheck:
     """Compare fubini(real form, ideal) with span(real form (x) ideal)."""
     return _real_leg(a, anti, pres, angle_tol)[-1]
-
-
-def decompose_tensor(x, anti: AntiAutomorphism, t: TensorAlgebra,
-                     tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Split x in A (x) B into real-form-leg and i real-form-leg parts.
-
-    Expands x over a fixed orthonormal basis of the complex span of the B
-    factor, applies the real-form split to each A-leg coefficient, and
-    reassembles.  The parts recombine to x up to roundoff, and the split
-    is idempotent for the fixed basis.
-    """
-    na, nb = t.na, t.nb
-    a = as_array(x).astype(np.complex128)
-    if a.shape != (na * nb, na * nb):
-        raise ValueError(f"expected a {na * nb}x{na * nb} matrix, got {a.shape}")
-    bbasis = np.stack(complex_orth_basis(t.b.span, (nb, nb)))
-    y = slice_left_value(bbasis.conj().transpose(0, 2, 1), a, na, nb)
-    r, s = real_decompose(anti, y)
-
-    def _reassemble(coeff: np.ndarray) -> np.ndarray:
-        """sum_q coeff_q (x) beta_q."""
-        return np.einsum("qac,qbd->abcd", coeff, bbasis).reshape(na * nb, na * nb)
-
-    if op_norm(a - _reassemble(y)) > tol * (1.0 + op_norm(a)):
-        raise ValueError("input is outside the tensor span")
-    return _reassemble(r), _reassemble(1j * s)

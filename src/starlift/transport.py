@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmaps import COMPLEX, REAL, LinearMapMat, compose
-from .matrix import as_array, as_arrays
+from .matrix import as_array, as_arrays, doubled_units
 from .realform import AntiAutomorphism, conj_phi
 
 _I = np.eye(2)
@@ -173,11 +173,6 @@ def rho_map(k: int) -> LinearMapMat:
                                       cod_field=COMPLEX)
 
 
-def eta_map(k: int) -> LinearMapMat:
-    return LinearMapMat.from_function(eta, k, REAL, dom_field=COMPLEX,
-                                      cod_field=REAL)
-
-
 def transport_factorization(phi: LinearMapMat, psi: LinearMapMat
                             ) -> tuple[LinearMapMat, LinearMapMat]:
     """Rewrite a factorization through M_n(C) as one through M_2n(R).
@@ -219,8 +214,9 @@ class RealifiedMap:
     def as_linear_map(self) -> LinearMapMat:
         if not self.is_linear:
             raise ValueError("the paper-mode theta is nonlinear; no LinearMapMat exists")
-        return LinearMapMat.from_function(self.apply, self.phi.dom_dim, REAL,
-                                          dom_field=COMPLEX, cod_field=REAL)
+        n = self.phi.dom_dim
+        images = self.apply(np.stack(doubled_units(n)))
+        return LinearMapMat(n, images.shape[-1], REAL, images, COMPLEX, REAL)
 
 
 def realify_map(phi: LinearMapMat, anti: AntiAutomorphism,

@@ -14,8 +14,7 @@ import pytest
 
 import starlift as sl
 from starlift.certify import (FiniteSubset, QDCertificate, lemma_audit,
-                              qd_complexify, qd_realify, unital_compression_map,
-                              unital_stinespring_map)
+                              qd_complexify, qd_realify)
 from starlift.cli import cmd_dispatch
 from starlift.cpmaps import (LinearMapMat, block_apply, compose, cp_defect,
                              cp_defect_real, complexify, doubled_units)
@@ -28,6 +27,8 @@ from starlift.tensorexact import (IdealPresentation, exactness_check,
                                   quotient_kernel_rows, tensor_span_rows)
 from starlift.transport import (ThetaScale, rho, rho_isometry, sigma,
                                 sigma_map, theta, transport_factorization)
+
+from map_fixtures import unital_compression_map, unital_stinespring_map
 
 
 def _report(num, ok, detail, t0):
@@ -281,7 +282,7 @@ def test_criterion_8_exactness_with_oracle():
     rank = int(np.sum(s > 1e-9 * s[0]))
     oracle = orth_rows(vt[rank:] @ realify(prods))
 
-    working = tensor_span_rows(form, list(b23.span), complex_scalars=True)
+    working = tensor_span_rows(form, list(b23.span))
     engine = quotient_kernel_rows(working, pres, 2, 5)
     eq, ang = subspaces_equal(engine, oracle, 1e-6)
     ok &= eq and oracle.shape[0] == 32

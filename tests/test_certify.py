@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
-from starlift.certify import (AUDIT_CLAIMS, FiniteSubset, QDCertificate,
-                              TraceWitness, lemma_audit,
-                              nuclear_witness_verify, qd_complexify,
-                              qd_realify, qd_verify, synthesize_pairs,
-                              trace_qd_verify, trace_transport,
-                              unital_compression_map, unital_stinespring_map,
-                              unitary_conjugation_map)
+from starlift.certify import (AUDIT_CLAIMS, REAL_COL1, FiniteSubset,
+                              QDCertificate, TraceWitness, _value_norm,
+                              lemma_audit, nuclear_witness_verify,
+                              qd_complexify, qd_realify, qd_verify,
+                              synthesize_pairs, trace_qd_verify,
+                              trace_transport)
 from starlift.cpmaps import LinearMapMat, complexify, compress
-from starlift.matrix import op_norm
+from starlift.matrix import col_norm1, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra
 from starlift.sampling import random_matrix, random_unitary
 from starlift.transport import ThetaScale, transport_factorization
+
+from map_fixtures import (unital_compression_map, unital_stinespring_map,
+                          unitary_conjugation_map)
 
 ANTI2 = AntiAutomorphism.transpose(2)
 M2 = StarAlgebra.full_matrix(2)
@@ -245,6 +247,25 @@ class TestQdRealify:
         cert = _real_cert(12)
         with pytest.raises(ValueError):
             qd_realify(cert)
+
+    def test_quaternionic_form(self):
+        # Under u = J the real-form parts have complex entries; a domain
+        # element is measured as col_norm1(sigma(a)), which the identity
+        # map transported at scale 1 (a -> sigma(a)) preserves.
+        anti = AntiAutomorphism(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        rng = np.random.default_rng(13)
+        subset = FiniteSubset(tuple(random_matrix(rng, 2) for _ in range(3)))
+        cert = QDCertificate(M2, subset, LinearMapMat.identity(2), 1e-3, anti=anti)
+        new_cert, rep = qd_realify(cert, scale=ThetaScale("fixed", 1.0))
+        assert rep.max_norm_defect < 1e-12 and rep.max_mult_defect < 1e-12
+        assert np.iscomplexobj(new_cert.subset.elements[0])
+        assert qd_verify(new_cert).max_norm_defect < 1e-12
+
+    def test_domain_col1_norm_is_col_norm1_on_real_matrices(self):
+        rng = np.random.default_rng(14)
+        for a in rng.standard_normal((20, 3, 3)):
+            assert _value_norm(a, REAL_COL1, domain=True) == col_norm1(a)
+            assert _value_norm(a + 0j, REAL_COL1, domain=True) == col_norm1(a)
 
 
 class TestNuclearWitness:

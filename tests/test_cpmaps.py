@@ -7,11 +7,12 @@ from starlift.cpmaps import (LinearMapMat, block_apply, choi,
                              complexify, compose, compress, cp_defect,
                              cp_defect_real, cp_defect_real_report,
                              doubled_units, matrix_units)
-from starlift.certify import unital_compression_map
 from starlift.matrix import op_norm
 from starlift.realform import AntiAutomorphism
 from starlift.sampling import random_matrix
-from starlift.transport import eta_map, rho_map, sigma_map
+from starlift.transport import rho_map, sigma_map
+
+from map_fixtures import eta_map, unital_compression_map
 
 TRANSPOSE_MAP2 = LinearMapMat.from_function(lambda m: np.asarray(m).T, 2, "C")
 

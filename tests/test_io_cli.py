@@ -6,8 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from starlift.certify import FiniteSubset, QDCertificate, TraceWitness, \
-    unital_compression_map
+from starlift.certify import FiniteSubset, QDCertificate, TraceWitness
 from starlift import cli
 from starlift.cli import cmd_dispatch
 from starlift.cpmaps import LinearMapMat, complexify
@@ -21,6 +20,8 @@ from starlift.realform import AntiAutomorphism, StarAlgebra
 from starlift.sampling import random_matrix
 from starlift.tensorexact import IdealPresentation
 from starlift.transport import rho_map, sigma_map
+
+from map_fixtures import unital_compression_map
 
 ANTI2 = AntiAutomorphism.transpose(2)
 
@@ -326,6 +327,25 @@ class TestCli:
         assert doc["certificate"] is None
         assert any("nonlinear theta" in f
                    for f in doc["report"]["extra"]["flags"])
+
+    @pytest.mark.parametrize("mode", ["auto", "paper", "fixed:0.5"])
+    def test_qd_transport_realify_quaternionic(self, tmp_path, capsys, mode):
+        # Under u = J the real-form parts of the subset have complex
+        # entries; the domain norm measures them through sigma.
+        anti = AntiAutomorphism(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        rng = np.random.default_rng(3)
+        subset = FiniteSubset(tuple(random_matrix(rng, 2) for _ in range(3)))
+        cert = QDCertificate(StarAlgebra.full_matrix(2), subset,
+                             LinearMapMat.identity(2), 1e-6, "complex_op", anti)
+        path = tmp_path / "cert_j.json"
+        path.write_text(canonical_dumps(cert_to_json(cert)), encoding="ascii")
+        code, out, err = _run(["qd-transport", "--cert", str(path),
+                               "--direction", "realify", "--theta-mode", mode], capsys)
+        assert code in (0, 1), err
+        report = json.loads(out)["report"]
+        assert report["norm_mode"] == "real_col1"
+        assert np.isfinite(report["max_norm_defect"])
+        assert np.isfinite(report["max_mult_defect"])
 
     def test_trace_audit(self, workdir, capsys):
         code, out, _ = _run(["trace-audit", "--cert", workdir["cx_cert.json"],

@@ -8,18 +8,17 @@ null-spaces it, independently of the subspace engine.
 import numpy as np
 import pytest
 
-from starlift.matrix import kron, op_norm
+from starlift.matrix import kron, matrix_units, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra, real_form_basis
 from starlift.sampling import random_matrix
 from starlift.subspace import (containment_residual, kernel_rows,
                                max_principal_angle, orth_rows, realify,
                                subspaces_equal)
 from starlift.certify import TraceWitness
-from starlift.tensorexact import (IdealPresentation, decompose_tensor,
-                                  detect_blocks, exactness_check, fubini,
-                                  fubini_check, min_tensor, quotient_kernel_rows,
-                                  slice_left_map, slice_left_value,
-                                  slice_right_map, slice_right_value,
+from starlift.tensorexact import (IdealPresentation, detect_blocks,
+                                  exactness_check, fubini, fubini_check,
+                                  min_tensor, quotient_kernel_rows,
+                                  slice_left_value, slice_right_value,
                                   tensor_span_rows)
 
 A2 = StarAlgebra.full_matrix(2)
@@ -27,26 +26,44 @@ B23 = StarAlgebra.block_diagonal([2, 3])
 ANTI2 = AntiAutomorphism.transpose(2)
 
 
+def _tensor_rows(t) -> np.ndarray:
+    """Realified rows of A (x) B built on the leg frames, checked to be
+    orthonormal as they stand; two rows per complex dimension."""
+    rows = tensor_span_rows(t.a_frame, t.b_frame)
+    assert op_norm(rows @ rows.T - np.eye(len(rows))) < 1e-12
+    return rows
+
+
 class TestMinTensor:
     def test_full_times_full(self):
-        t = min_tensor(A2, StarAlgebra.full_matrix(3))
-        assert t.complex_dim() == 36
+        rows = _tensor_rows(min_tensor(A2, StarAlgebra.full_matrix(3)))
+        assert rows.shape == (2 * 36, 2 * 36)
 
     def test_unit_factor(self):
         one = StarAlgebra(1, (np.eye(1),), unital=True)
-        t = min_tensor(A2, one)
-        assert t.complex_dim() == 4
-        assert all(m.shape == (2, 2) for m in t.span)
+        rows = _tensor_rows(min_tensor(A2, one))
+        assert rows.shape == (2 * 4, 2 * 2 * 2)
 
     def test_diagonal_times_diagonal(self):
-        diag = StarAlgebra(2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+        # A redundant spanning set: the frames keep two of its three matrices.
+        diag = StarAlgebra(2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)),
                            unital=True)
         t = min_tensor(diag, diag)
-        assert t.complex_dim() == 4
+        assert len(t.a_frame) == len(t.b_frame) == 2
+        assert _tensor_rows(t).shape[0] == 2 * 4
 
     def test_dimension_is_product_of_factor_dimensions(self):
-        t = min_tensor(A2, B23)
-        assert t.complex_dim() == A2.complex_dim() * B23.complex_dim() == 52
+        rows = _tensor_rows(min_tensor(A2, B23))
+        assert rows.shape[0] == 2 * A2.complex_dim() * B23.complex_dim() == 2 * 52
+
+    def test_rejects_non_orthonormal_leg(self):
+        units = matrix_units(2)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            tensor_span_rows([2.0 * units[0]], units)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            tensor_span_rows(units, [units[0], units[0] + units[3]])
+        with pytest.raises(ValueError, match="not orthonormal"):
+            tensor_span_rows(units, [units[1], units[1]])
 
 
 class TestSliceMaps:
@@ -90,16 +107,6 @@ class TestSliceMaps:
             for k in range(4):
                 assert op_norm(right[p, k] - slice_right_value(ta[p], xs[k], 2, 3)) < 1e-12
                 assert op_norm(left[p, k] - slice_left_value(tb[p], xs[k], 2, 3)) < 1e-12
-
-    def test_as_linear_maps(self):
-        t = min_tensor(A2, StarAlgebra.full_matrix(3))
-        tau = TraceWitness.normalized_trace(2)
-        rm = slice_right_map(tau, t)
-        rng = np.random.default_rng(2)
-        x = random_matrix(rng, 6)
-        assert op_norm(rm.apply(x) - slice_right_value(tau.gram, x, 2, 3)) < 1e-10
-        lm = slice_left_map(TraceWitness.normalized_trace(3), t)
-        assert op_norm(lm.apply(x) - slice_left_value(np.eye(3) / 3, x, 2, 3)) < 1e-10
 
     def test_slices_commute_with_quotient(self):
         # R_phi . (id (x) pi) = pi . R_phi on the tensor span
@@ -146,6 +153,13 @@ class TestIdealPresentation:
         assert len(pres.ideal_span()) == 4
         assert pres.quotient_dim == 3
 
+    def test_repeated_block_index_names_the_block_once(self):
+        pres = IdealPresentation.from_block_algebra(B23, [1, 0, 1])
+        assert pres.ideal_blocks == (1, 0)
+        assert len(pres.ideal_span()) == 13
+        pres.validate()
+        assert exactness_check(A2, ANTI2, pres).ok
+
 
 def _oracle_kernel_rows(a_leg, b_span, pres):
     """Brute force: map raw products through id (x) pi and null-space."""
@@ -188,8 +202,7 @@ class TestExactness:
 
     def test_kernel_matches_brute_force_oracle(self):
         pres = IdealPresentation.from_block_algebra(B23, [0])
-        working = tensor_span_rows(real_form_basis(ANTI2), list(B23.span),
-                                   complex_scalars=True)
+        working = tensor_span_rows(real_form_basis(ANTI2), list(B23.span))
         engine = quotient_kernel_rows(working, pres, 2, 5)
         oracle = _oracle_kernel_rows(real_form_basis(ANTI2), list(B23.span), pres)
         assert engine.shape[0] == oracle.shape[0] == 32
@@ -231,7 +244,7 @@ class TestFubini:
     def test_no_constraint_gives_everything(self):
         t = min_tensor(A2, B23)
         form = real_form_basis(ANTI2)
-        working = tensor_span_rows(form, list(B23.span), complex_scalars=True)
+        working = tensor_span_rows(form, list(B23.span))
         b_all = list(B23.span) + [1j * m for m in B23.span]
         res = fubini(form, b_all, t, anti=ANTI2, working_rows=working)
         assert res.dim == working.shape[0]
@@ -262,54 +275,11 @@ class TestFubini:
         pres = IdealPresentation.from_block_algebra(B23, [0])
         t = min_tensor(A2, B23)
         form = real_form_basis(ANTI2)
-        working = tensor_span_rows(form, list(B23.span), complex_scalars=True)
+        working = tensor_span_rows(form, list(B23.span))
         ideal = pres.ideal_span()
         res = fubini(form, ideal + [1j * e for e in ideal], t, anti=ANTI2,
                      psi_field="C", working_rows=working)
         assert res.dim < 32
-
-
-class TestDecomposeTensor:
-    def test_elementary_fixed_point(self):
-        t = min_tensor(A2, B23)
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        x = kron(a, B23.span[0])
-        x1, x2 = decompose_tensor(x, ANTI2, t)
-        assert op_norm(x1 - x) < 1e-10
-        assert op_norm(x2) < 1e-10
-
-    def test_elementary_imaginary(self):
-        t = min_tensor(A2, B23)
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        x = kron(1j * a, B23.span[0])
-        x1, x2 = decompose_tensor(x, ANTI2, t)
-        assert op_norm(x1) < 1e-10
-        assert op_norm(x2 - x) < 1e-10
-
-    def test_random_recombination(self):
-        t = min_tensor(A2, StarAlgebra.full_matrix(2))
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            x = random_matrix(rng, 4)
-            x1, x2 = decompose_tensor(x, ANTI2, t)
-            assert op_norm(x - (x1 + x2)) < 1e-12
-
-    def test_idempotent(self):
-        t = min_tensor(A2, B23)
-        rng = np.random.default_rng(6)
-        x = sum(kron(random_matrix(rng, 2), m) for m in B23.span[:5])
-        x1, _ = decompose_tensor(x, ANTI2, t)
-        y1, y2 = decompose_tensor(x1, ANTI2, t)
-        assert op_norm(y1 - x1) < 1e-10
-        assert op_norm(y2) < 1e-10
-
-    def test_rejects_outside_span(self):
-        diag = StarAlgebra(2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
-                           unital=True)
-        t = min_tensor(A2, diag)
-        off = kron(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            decompose_tensor(off, ANTI2, t)
 
 
 class TestSubspaceEngine:
@@ -328,6 +298,15 @@ class TestSubspaceEngine:
         small = orth_rows(realify([np.eye(2)]))
         eq, _ = subspaces_equal(big, small)
         assert not eq
+        with pytest.raises(ValueError, match="equal dimensions"):
+            max_principal_angle(big, small)
+
+    def test_principal_angle_of_rotated_line(self):
+        u = np.array([[1.0, 0.0]])
+        for angle in (1e-9, 0.3, np.pi / 2):
+            w = np.array([[np.cos(angle), np.sin(angle)]])
+            assert max_principal_angle(u, w) == pytest.approx(angle, rel=1e-9)
+            assert max_principal_angle(w, u) == pytest.approx(angle, rel=1e-9)
 
     @pytest.mark.parametrize("shape, rank", [
         ((12, 5), 5), ((5, 5), 5), ((3, 8), 3),        # tall, square, wide
