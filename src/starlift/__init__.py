@@ -9,7 +9,7 @@ all verified through toleranced defects with replayable witnesses.
 
 __version__ = "0.1.0"
 
-from .matrix import (DEFAULT_TOL, Matrix, Tolerance, col_norm1, kron, op_norm,
+from .matrix import (DEFAULT_TOL, Tolerance, col_norm1, kron, op_norm,
                      positivity_defect, split_norm)
 from .realform import (AntiAutomorphism, StarAlgebra, check_antiautomorphism,
                        conj_phi, real_decompose, real_form_basis,
@@ -31,7 +31,7 @@ from .tensorexact import (IdealPresentation, TensorAlgebra, exactness_check,
 
 __all__ = [
     "__version__",
-    "DEFAULT_TOL", "Matrix", "Tolerance", "col_norm1", "kron", "op_norm",
+    "DEFAULT_TOL", "Tolerance", "col_norm1", "kron", "op_norm",
     "positivity_defect", "split_norm",
     "AntiAutomorphism", "StarAlgebra", "check_antiautomorphism", "conj_phi",
     "real_decompose", "real_form_basis", "real_form_residual",

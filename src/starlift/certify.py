@@ -466,10 +466,6 @@ class TraceWitness:
     def __call__(self, x) -> complex:
         return complex(np.trace(self.gram @ as_array(x)))
 
-    @classmethod
-    def normalized_trace(cls, n: int) -> "TraceWitness":
-        return cls(np.eye(n) / n)
-
     def traciality_residual(self, algebra: StarAlgebra) -> float:
         worst = 0.0
         for a in algebra.span:

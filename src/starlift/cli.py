@@ -113,7 +113,7 @@ def _cmd_realform(args) -> int:
                                     tol=cfg.tol)
     out = {"check": report.to_json(), "provenance": _prov(cfg)}
     if args.matrix:
-        x = matrix_from_json(load_json(args.matrix), "matrix").array
+        x = matrix_from_json(load_json(args.matrix), "matrix")
         r, s = real_decompose(anti, x)
         out["decomposition"] = {
             "phi_x": matrix_to_json(anti.apply(x)),

@@ -1,9 +1,11 @@
 """Canonical JSON serialization and the documented artifact schemas.
 
-Documents are canonicalized (sorted keys, floats printed with %.17g,
+Documents are canonicalized by the stdlib encoder (sorted keys, compact
+separators, ASCII, floats in Python's shortest round-trip spelling,
 trailing newline) so that reports are byte-diffable in CI and
-save(load(doc)) reproduces the file exactly.  Schema violations raise
-:class:`SchemaError` naming the offending field.
+save(load(doc)) reproduces the file exactly.  Matrices are plain numpy
+arrays; their field tag exists only in the matrix schema.  Schema
+violations raise :class:`SchemaError` naming the offending field.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .certify import NORM_MODES, FiniteSubset, QDCertificate, TraceWitness
 from .cpmaps import COMPLEX, REAL, LinearMapMat, canonical_basis
-from .matrix import Matrix
+from .matrix import as_array
 from .realform import AntiAutomorphism, StarAlgebra
 from .tensorexact import IdealPresentation
 
@@ -32,56 +34,17 @@ class SchemaError(ValueError):
 # -- canonical serialization ------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("canonical JSON cannot represent NaN or infinity")
-    return format(float(x), ".17g")
-
-
-def _emit(obj, pieces: list) -> None:
-    if obj is None:
-        pieces.append("null")
-    elif isinstance(obj, bool):
-        pieces.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, dict):
-        pieces.append("{")
-        first = True
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise ValueError(f"canonical JSON keys must be strings, got {key!r}")
-            if not first:
-                pieces.append(",")
-            first = False
-            pieces.append(json.dumps(key, ensure_ascii=True))
-            pieces.append(":")
-            _emit(obj[key], pieces)
-        pieces.append("}")
-    elif isinstance(obj, (list, tuple)):
-        pieces.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                pieces.append(",")
-            _emit(item, pieces)
-        pieces.append("]")
-    else:
-        raise ValueError(f"cannot serialize {type(obj).__name__} canonically")
+def _default(obj):
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise ValueError(f"cannot serialize {type(obj).__name__} canonically")
 
 
 def canonical_dumps(obj) -> str:
-    pieces: list = []
-    _emit(obj, pieces)
-    return "".join(pieces) + "\n"
-
-
-def save_canonical(obj, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(canonical_dumps(obj))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                      allow_nan=False, default=_default) + "\n"
 
 
 def load_json(path):
@@ -123,13 +86,21 @@ def _as_number(value, path: str) -> float:
 
 
 def matrix_to_json(m, field: str | None = None) -> dict:
-    mat = m if isinstance(m, Matrix) else Matrix.from_array(m, field)
-    arr = mat.array
-    if mat.field == "R":
-        data = arr.ravel().tolist()
+    """The matrix schema of m; ``field`` defaults to "R" exactly when m
+    has no nonzero imaginary entry, and "R" refuses one."""
+    arr = as_array(m)
+    imaginary = np.iscomplexobj(arr) and bool(arr.imag.any())
+    if field is None:
+        field = "C" if imaginary else "R"
+    if field not in ("R", "C"):
+        raise ValueError(f"field must be 'R' or 'C', got {field!r}")
+    if field == "R":
+        if imaginary:
+            raise ValueError("field 'R' matrix has nonzero imaginary entries")
+        data = arr.real.ravel().tolist()
     else:
-        data = arr.astype(np.complex128).view(np.float64).reshape(-1, 2).tolist()
-    return {"rows": arr.shape[0], "cols": arr.shape[1], "field": mat.field, "data": data}
+        data = np.ascontiguousarray(arr, np.complex128).view(np.float64).reshape(-1, 2).tolist()
+    return {"rows": arr.shape[0], "cols": arr.shape[1], "field": field, "data": data}
 
 
 def _entry(value, field: str, path: str) -> complex:
@@ -164,7 +135,8 @@ def _uniform_entries(data: list, field: str) -> np.ndarray | None:
     return None
 
 
-def matrix_from_json(doc, path: str = "matrix") -> Matrix:
+def matrix_from_json(doc, path: str = "matrix") -> np.ndarray:
+    """The matrix of a matrix document: float64 for field "R", complex128 for "C"."""
     rows = _as_dim(_need(doc, "rows", path), f"{path}.rows")
     cols = _as_dim(_need(doc, "cols", path), f"{path}.cols")
     fld = _need(doc, "field", path)
@@ -183,9 +155,7 @@ def matrix_from_json(doc, path: str = "matrix") -> Matrix:
     if not finite.all():
         bad = int(np.argmin(finite.ravel()))
         raise SchemaError(f"{path}.data[{bad}]", "non-finite number")
-    if fld == "R":
-        return Matrix(arr.real, "R")
-    return Matrix(arr, "C")
+    return arr.real.copy() if fld == "R" else arr
 
 
 # -- linear maps --------------------------------------------------------------
@@ -221,7 +191,7 @@ def map_from_json(doc, path: str = "map") -> LinearMapMat:
     if not isinstance(raw, list) or len(raw) != size:
         raise SchemaError(f"{path}.images",
                           f"expected {size} images in basis order")
-    images = [matrix_from_json(m, f"{path}.images[{i}]").array.astype(np.complex128)
+    images = [matrix_from_json(m, f"{path}.images[{i}]").astype(np.complex128)
               for i, m in enumerate(raw)]
     for i, im in enumerate(images):
         if im.shape != (cod, cod):
@@ -255,8 +225,7 @@ def algebra_from_json(doc, path: str = "algebra") -> StarAlgebra:
     raw = _need(doc, "span", path)
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{path}.span", "expected a nonempty list of matrices")
-    span = [matrix_from_json(m, f"{path}.span[{i}]").array
-            for i, m in enumerate(raw)]
+    span = [matrix_from_json(m, f"{path}.span[{i}]") for i, m in enumerate(raw)]
     unital = _need(doc, "unital", path)
     if not isinstance(unital, bool):
         raise SchemaError(f"{path}.unital", "expected a boolean")
@@ -273,7 +242,7 @@ def anti_to_json(anti: AntiAutomorphism) -> dict:
 def anti_from_json(doc, path: str = "phi", validate: bool = True) -> AntiAutomorphism:
     u = matrix_from_json(_need(doc, "u", path), f"{path}.u")
     try:
-        return AntiAutomorphism(u.array, validate=validate)
+        return AntiAutomorphism(u, validate=validate)
     except ValueError as exc:
         raise SchemaError(f"{path}.u", str(exc)) from exc
 
@@ -298,7 +267,7 @@ def ideal_from_json(doc, path: str = "ideal") -> IdealPresentation:
 def subset_from_json(raw, path: str = "F"):
     if not isinstance(raw, list) or not raw:
         raise SchemaError(path, "expected a nonempty list of matrices")
-    return [matrix_from_json(m, f"{path}[{i}]").array.astype(np.complex128)
+    return [matrix_from_json(m, f"{path}[{i}]").astype(np.complex128)
             for i, m in enumerate(raw)]
 
 
@@ -353,5 +322,4 @@ def trace_to_json(witness: TraceWitness) -> dict:
 
 
 def trace_from_json(doc, path: str = "trace") -> TraceWitness:
-    gram = matrix_from_json(_need(doc, "gram", path), f"{path}.gram")
-    return TraceWitness(gram.array)
+    return TraceWitness(matrix_from_json(_need(doc, "gram", path), f"{path}.gram"))

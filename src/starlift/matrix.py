@@ -1,16 +1,15 @@
 """Dense matrix primitives: norms, positivity defects, Kronecker products.
 
 Every higher layer (real forms, CP calculus, transport, certificates,
-tensor checks) funnels its numerics through this module.  Computational
-values are plain numpy arrays; the :class:`Matrix` wrapper adds the
-scalar-field tag needed at serialization boundaries and for
-field-sensitive norms.  Spectral quantities are compared only through
-tolerances, never bit-exactly.
+tensor checks) funnels its numerics through this module.  Matrices are
+plain numpy arrays, real or complex by dtype; a scalar-field tag exists
+only in the JSON matrix schema (``io``).  Spectral quantities are
+compared only through tolerances, never bit-exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +29,7 @@ class Tolerance:
 
 
 def as_array(x) -> np.ndarray:
-    """Coerce a Matrix, ndarray, or nested sequence to a 2-D ndarray."""
-    if isinstance(x, Matrix):
-        return x.array
+    """Coerce an ndarray or nested sequence to a 2-D ndarray."""
     a = np.asarray(x)
     if a.ndim == 0:
         a = a.reshape(1, 1)
@@ -56,46 +53,6 @@ def batches(count: int, entries_each: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
-@dataclass(frozen=True, eq=False)
-class Matrix:
-    """A dense rectangular matrix over R or C.
-
-    The field tag is semantic: "R" promises that every entry has zero
-    imaginary part (enforced at construction).
-    """
-
-    array: np.ndarray
-    field: str = field(default="C")
-
-    def __post_init__(self) -> None:
-        a = as_array(self.array)
-        if self.field not in ("R", "C"):
-            raise ValueError(f"field must be 'R' or 'C', got {self.field!r}")
-        if self.field == "R":
-            if np.iscomplexobj(a) and np.any(a.imag != 0):
-                raise ValueError("field 'R' matrix has nonzero imaginary entries")
-            a = a.real.astype(np.float64)
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "array", a)
-
-    @classmethod
-    def from_array(cls, a, field: str | None = None) -> "Matrix":
-        arr = as_array(a)
-        if field is None:
-            is_real = not np.iscomplexobj(arr) or not np.any(arr.imag != 0)
-            field = "R" if is_real else "C"
-        return cls(arr, field)
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-
 def op_norm(m) -> float:
     """Largest singular value (the operator norm on column vectors)."""
     a = as_array(m)
@@ -110,11 +67,9 @@ def col_norm1(m, entrywise: bool = False) -> float:
     This is the norm induced by the vector 1-norm.  ``entrywise=True``
     switches to the entrywise l1 sum instead (kept as a variant because
     both readings of "the 1-norm on real matrices" occur in practice).
-    Complex input is rejected.
+    Input with a nonzero imaginary part is rejected.
     """
     a = as_array(m)
-    if isinstance(m, Matrix) and m.field == "C":
-        raise ValueError("col_norm1 requires a real matrix (field 'R')")
     if np.iscomplexobj(a):
         if np.any(a.imag != 0):
             raise ValueError("col_norm1 requires real entries")

@@ -231,6 +231,3 @@ class StarAlgebra:
             prods = (s[b, None] @ s[None]).reshape(-1, self.n, self.n)
             worst = max(worst, self._residuals(prods).max())
         return float(worst)
-
-    def complex_dim(self) -> int:
-        return int(np.linalg.matrix_rank(self._span_rows.T, tol=1e-9))

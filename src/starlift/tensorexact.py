@@ -13,7 +13,7 @@ Frame contract: every tensor span is built from two leg frames, lists of
 matrices whose Hermitian Gram matrix tr(x* y) is the identity.  Since
 <a (x) b, a' (x) b'> = <a, a'><b, b'>, their Kronecker products and the
 i-multiples of those are orthonormal real rows as they stand, so no span
-of products is ever orthonormalized.  The frames are the real-form basis
+of products is ever orthonormalized.  The frames are A's real form
 (tr(x* y) = tr(Phi(x) y) is real there), the ideal's matrix units, and
 ``complex_orth_basis`` of each factor's span.  ``tensor_span_rows``
 checks the contract and raises on a leg that breaks it.
@@ -70,6 +70,28 @@ class TensorAlgebra:
     @cached_property
     def b_frame(self) -> list[np.ndarray]:
         return complex_orth_basis(self.b.span, (self.nb, self.nb))
+
+    @cached_property
+    def _real_frames(self) -> dict:
+        return {}
+
+    def real_frame(self, anti: AntiAutomorphism) -> list[np.ndarray]:
+        """A's real form {a in A: Phi(a) = a*} as a frame, built once per
+        ``anti``: the real form of M_na projected onto A's realified frame.
+
+        The projection is A's real form only when Phi(A) lies in A, so a
+        containment residual above ``RANK_TOL`` raises ValueError.
+        """
+        if anti not in self._real_frames:
+            fa = np.stack(self.a_frame)
+            amb = realify(np.concatenate([fa, 1j * fa]))
+            resid = containment_residual(realify(anti.apply(fa)), amb)
+            if resid > RANK_TOL:
+                raise ValueError("the algebra is not invariant under the "
+                                 f"antiautomorphism: residual {resid:.3e}")
+            rows = orth_rows(realify(real_form_basis(anti)) @ amb.T @ amb)
+            self._real_frames[anti] = list(unrealify(rows, (-1, self.na, self.na)))
+        return self._real_frames[anti]
 
     @property
     def na(self) -> int:
@@ -220,8 +242,8 @@ def fubini(a1, b1, t: TensorAlgebra, anti: AntiAutomorphism | None = None,
 
     ``a1`` and ``b1`` are spanning sets of real subspaces (pass m and im
     together to describe a complex subspace).  The right slices range
-    over the coordinate functionals of the A leg (the real form of
-    ``anti`` when given, else the complex span of the A factor); the left
+    over the coordinate functionals of the A leg (A's real form under
+    ``anti`` when given, else the complex span of A); the left
     slices over the real coordinate functionals of span(B).  Choosing
     ``phi_field``/``psi_field`` = "C" doubles the family with i times
     each functional.  Supplied ``working_rows`` must be orthonormal, as
@@ -229,7 +251,7 @@ def fubini(a1, b1, t: TensorAlgebra, anti: AntiAutomorphism | None = None,
     Degenerate (empty) working spans are rejected.
     """
     na, nb = t.na, t.nb
-    a_leg = real_form_basis(anti) if anti is not None else t.a_frame
+    a_leg = t.real_frame(anti) if anti is not None else t.a_frame
     if working_rows is None:
         working_rows = tensor_span_rows(a_leg, t.b_frame)
     if working_rows.shape[0] == 0:
@@ -345,16 +367,16 @@ def _real_leg(a: StarAlgebra, anti: AntiAutomorphism, pres: IdealPresentation,
     Fubini check itself.
 
     After validating the inputs, returns the tensor algebra A (x) B, the
-    ideal's matrix units, the working rows span(real form (x) B), the rows
-    span(real form (x) ideal), and the comparison of fubini(real form,
-    ideal) with those rows.
+    ideal's matrix units, the working rows span(A's real form (x) B), the
+    rows span(A's real form (x) ideal), and the comparison of
+    fubini(A's real form, ideal) with those rows.
     """
     pres.validate()
     if anti.dim != a.n:
         raise ValueError("antiautomorphism dimension does not match the algebra")
     t = min_tensor(a, pres.b)
     ideal = pres.ideal_span()
-    form_basis = real_form_basis(anti)
+    form_basis = t.real_frame(anti)
     rows = tensor_span_rows(form_basis, t.b_frame)
     ideal_rows = tensor_span_rows(form_basis, ideal) if ideal else np.zeros((0, rows.shape[1]))
     fub = fubini(form_basis, ideal + [1j * e for e in ideal], t, anti=anti,
@@ -418,5 +440,5 @@ def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
 def fubini_check(a: StarAlgebra, anti: AntiAutomorphism,
                  pres: IdealPresentation, angle_tol: float = 1e-6
                  ) -> KernelCheck:
-    """Compare fubini(real form, ideal) with span(real form (x) ideal)."""
+    """Compare fubini(A's real form, ideal) with span(A's real form (x) ideal)."""
     return _real_leg(a, anti, pres, angle_tol)[-1]

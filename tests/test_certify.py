@@ -329,7 +329,7 @@ class TestTraceQd:
         subset = FiniteSubset(tuple(random_matrix(rng, 3) for _ in range(3)))
         cert = QDCertificate(StarAlgebra.full_matrix(3), subset,
                              LinearMapMat.identity(3), 1e-9)
-        rep = trace_qd_verify(cert, TraceWitness.normalized_trace(3))
+        rep = trace_qd_verify(cert, TraceWitness(np.eye(3) / 3))
         assert rep.max_trace_defect < 1e-12
         assert rep.passed
 
@@ -338,7 +338,7 @@ class TestTraceQd:
         mats = tuple(random_matrix(rng, 2) for _ in range(3))
         cert = QDCertificate(M2, FiniteSubset(mats),
                              LinearMapMat.identity(2), 1e3)
-        doubled = TraceWitness(2 * TraceWitness.normalized_trace(2).gram)
+        doubled = TraceWitness(2 * TraceWitness(np.eye(2) / 2).gram)
         rep = trace_qd_verify(cert, doubled)
         expect = max(abs(np.trace(m)) / 2 for m in mats)
         assert rep.max_trace_defect == pytest.approx(float(expect), abs=1e-12)
@@ -350,7 +350,7 @@ class TestTraceQd:
             u = random_unitary(rng, 3)
             cert = QDCertificate(StarAlgebra.full_matrix(3), subset,
                                  unitary_conjugation_map(u), 1e-9)
-            rep = trace_qd_verify(cert, TraceWitness.normalized_trace(3))
+            rep = trace_qd_verify(cert, TraceWitness(np.eye(3) / 3))
             assert rep.max_trace_defect < 1e-10
 
     def test_rejects_non_unital(self):
@@ -359,19 +359,19 @@ class TestTraceQd:
         cert = QDCertificate(M2, FiniteSubset((np.eye(2),)), phi, 1.0,
                              validate=False)
         with pytest.raises(ValueError):
-            trace_qd_verify(cert, TraceWitness.normalized_trace(2))
+            trace_qd_verify(cert, TraceWitness(np.eye(2) / 2))
 
 
 class TestTraceTransport:
     def test_real_valued_witness_restricts(self):
-        tau = TraceWitness.normalized_trace(2)
+        tau = TraceWitness(np.eye(2) / 2)
         func, rep = trace_transport(tau, ANTI2, scale=1.0)
         assert rep["real_valued_on_form"]
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert func(a) == pytest.approx(float(np.trace(a)) / 2)
 
     def test_normalized_trace_transports_to_real_trace(self):
-        tau = TraceWitness.normalized_trace(2)
+        tau = TraceWitness(np.eye(2) / 2)
         func, rep = trace_transport(tau, ANTI2)
         assert rep["traciality_residual"] < 1e-10
         assert func(np.eye(2)) == pytest.approx(0.5)
@@ -390,7 +390,7 @@ class TestTraceTransport:
 
     def test_chain_replay_statuses(self):
         cert = _complex_cert(18)
-        tau = TraceWitness.normalized_trace(2)
+        tau = TraceWitness(np.eye(2) / 2)
         _, rep = trace_transport(tau, ANTI2, cert=cert)
         assert len(rep["chain"]) == len(cert.subset)
         for step in rep["chain"]:

@@ -31,3 +31,16 @@ def test_max_float_diff():
     assert diff({"a": 1.0}, {"b": 1.0}) is None
     assert diff([1.0, "x"], [1.0, "y"]) is None
     assert diff([True], [1]) is None
+
+
+def test_integer_and_float_spellings_differ_in_bytes_but_not_in_value():
+    tool = _tool()
+    assert tool.max_float_diff({"a": 1}, {"a": 1.0}) == 0.0
+    docs = [("one", []), ("exit", []), ("same", [])]
+    base = {"one": [0, '{"a":1}\n'], "exit": [0, '{"a":1}\n'], "same": [1, "{}\n"]}
+    new = {"one": [0, '{"a":1.0}\n'], "exit": [1, '{"a":1.0}\n'], "same": [1, "{}\n"]}
+    differ, lines = tool.compare(base, new, docs)
+    assert differ == 2
+    assert lines[0] == "DIFF  one  exit 0 -> 0, stdout differs: max float difference 0.000e+00"
+    assert lines[-1] == ("3 documents, 1 of the differing ones equal in exit code and value: "
+                         "1 identical, 2 differ")

@@ -2,9 +2,12 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starlift.certify import FiniteSubset, QDCertificate, TraceWitness
 from starlift import cli
@@ -21,6 +24,7 @@ from starlift.sampling import random_matrix
 from starlift.tensorexact import IdealPresentation
 from starlift.transport import rho_map, sigma_map
 
+import codec_oracle
 from map_fixtures import unital_compression_map
 
 ANTI2 = AntiAutomorphism.transpose(2)
@@ -60,17 +64,28 @@ def workdir(tmp_path):
     pres = IdealPresentation.from_block_algebra(
         StarAlgebra.block_diagonal([2, 3]), [0])
     write("ideal.json", ideal_to_json(pres))
-    write("trace.json", trace_to_json(TraceWitness.normalized_trace(2)))
+    write("trace.json", trace_to_json(TraceWitness(np.eye(2) / 2)))
     write("x.json", matrix_to_json(np.array([[1.0, 2.0 + 1.0j], [0.0, 1.0]])))
     write("F.json", [matrix_to_json(m) for m in subset.elements])
     files["dir"] = str(tmp_path)
     return files
 
 
+def _typed(doc):
+    """doc with every float tagged by its sign, and numpy scalars as Python ones."""
+    if isinstance(doc, dict):
+        return {k: _typed(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_typed(v) for v in doc]
+    if isinstance(doc, (float, np.floating)):
+        return ("float", float(doc), math.copysign(1.0, doc))
+    return int(doc) if isinstance(doc, np.integer) else doc
+
+
 class TestCanonicalJson:
     def test_sorted_keys_and_float_format(self):
         text = canonical_dumps({"b": 0.5, "a": 1.0, "c": [True, None, "x"]})
-        assert text == '{"a":1,"b":0.5,"c":[true,null,"x"]}\n'
+        assert text == '{"a":1.0,"b":0.5,"c":[true,null,"x"]}\n'
 
     def test_seventeen_digit_floats(self):
         third = 1.0 / 3.0
@@ -86,25 +101,51 @@ class TestCanonicalJson:
         with pytest.raises(ValueError):
             canonical_dumps(float("nan"))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), np.float64("nan"),
+                                       np.zeros(2), 1j])
+    def test_rejects_infinity_arrays_and_complex(self, value):
+        with pytest.raises(ValueError):
+            canonical_dumps({"a": [value]})
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.recursive(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308 / 3, 1e308, -1e308]),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-2 ** 60, 2 ** 60).map(float),
+            st.integers(), st.booleans(), st.none(), st.text(max_size=6),
+            st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+            st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+            st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32)),
+        lambda kids: st.one_of(st.lists(kids, max_size=4),
+                               st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+        max_leaves=24))
+    def test_matches_the_per_value_emitter(self, doc):
+        text = canonical_dumps(doc)
+        assert json.loads(text) == json.loads(codec_oracle.canonical_dumps(doc))
+        assert canonical_dumps(json.loads(text)) == text
+        assert _typed(json.loads(text)) == _typed(doc)    # float type and zero sign kept
+
 
 class TestMatrixSchema:
     def test_round_trip_complex(self):
         m = random_matrix(np.random.default_rng(0), 2, 3)
         doc = matrix_to_json(m)
         back = matrix_from_json(doc)
-        assert back.field == "C"
-        assert op_norm(back.array - m) < 1e-15
+        assert back.dtype == np.complex128
+        assert op_norm(back - m) < 1e-15
 
     def test_round_trip_real_compact(self):
         doc = matrix_to_json(np.eye(2))
         assert doc["field"] == "R"
         assert doc["data"] == [1.0, 0.0, 0.0, 1.0]
         back = matrix_from_json(doc)
-        assert np.array_equal(back.array, np.eye(2))
+        assert back.dtype == np.float64
+        assert np.array_equal(back, np.eye(2))
 
     def test_real_accepts_pairs_with_zero_imag(self):
         doc = {"rows": 1, "cols": 1, "field": "R", "data": [[2.0, 0.0]]}
-        assert matrix_from_json(doc).array[0, 0] == 2.0
+        assert matrix_from_json(doc)[0, 0] == 2.0
 
     def test_bad_field(self):
         doc = {"rows": 1, "cols": 1, "field": "Q", "data": [1.0]}
@@ -128,7 +169,7 @@ class TestMatrixSchema:
         got = {}
         for name, data in (("mixed", mixed), ("pairs", pairs), ("numbers", numbers)):
             doc = {"rows": 2, "cols": 3, "field": "C", "data": data}
-            got[name] = matrix_from_json(doc).array.ravel()
+            got[name] = matrix_from_json(doc).ravel()
             expected = np.array([complex(*v) if isinstance(v, list) else complex(v)
                                  for v in data])
             for part in (np.real, np.imag):
@@ -372,6 +413,34 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["report"]["ok"]
 
+    def _exactness(self, workdir, capsys, span, u):
+        algebra = workdir["dir"] + "/sub_algebra.json"
+        phi = workdir["dir"] + "/sub_phi.json"
+        with open(algebra, "w") as fh:
+            fh.write(canonical_dumps(algebra_to_json(StarAlgebra(2, span))))
+        with open(phi, "w") as fh:
+            fh.write(canonical_dumps({"u": matrix_to_json(u)}))
+        return _run(["exactness", "--algebra", algebra, "--phi", phi,
+                     "--ideal", workdir["ideal.json"]], capsys)
+
+    def test_exactness_on_a_proper_subalgebra(self, workdir, capsys):
+        # The real leg is the real form of A = diag, not of all of M_2.
+        code, out, _ = self._exactness(
+            workdir, capsys, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.eye(2))
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["decomposition"]["real_part_dim"] == 52
+        assert report["decomposition"]["tensor_dim"] == 52
+        assert report["real_kernel"]["kernel_dim"] == 16
+        assert report["complex_kernel"]["kernel_dim"] == 16
+
+    def test_exactness_rejects_an_algebra_phi_does_not_preserve(self, workdir, capsys):
+        p = np.ones((2, 2)) / 2
+        code, out, err = self._exactness(workdir, capsys, (p, np.eye(2) - p),
+                                         np.diag([1.0, 1.0j]))
+        assert (code, out) == (2, "")
+        assert "not invariant under the antiautomorphism" in err
+
     def test_realform_check_and_decompose(self, workdir, capsys):
         code, out, _ = _run(["realform", "--phi", workdir["phi.json"],
                              "--matrix", workdir["x.json"]], capsys)
@@ -444,7 +513,7 @@ class TestCli:
         cert = QDCertificate(StarAlgebra.full_matrix(2), subset, phi, 9.0)
         files = {}
         for name, doc in (("cert", cert_to_json(cert)),
-                          ("trace", trace_to_json(TraceWitness.normalized_trace(2))),
+                          ("trace", trace_to_json(TraceWitness(np.eye(2) / 2))),
                           ("phi", map_to_json(phi)), ("psi", map_to_json(psi)),
                           ("F", [matrix_to_json(m) for m in subset.elements])):
             files[name] = str(tmp_path / f"{name}.json")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starlift.matrix import (BATCH_ENTRIES, Matrix, Tolerance, batches, col_norm1,
+from starlift.io import matrix_to_json
+from starlift.matrix import (BATCH_ENTRIES, Tolerance, batches, col_norm1,
                              hermitian_defect, kron, op_norm, positivity_defect,
                              split_norm)
 from starlift.sampling import random_matrix, random_unitary
@@ -68,8 +69,6 @@ class TestColNorm1:
     def test_rejects_complex(self):
         with pytest.raises(ValueError):
             col_norm1(np.array([[1j]]))
-        with pytest.raises(ValueError):
-            col_norm1(Matrix(np.eye(2).astype(complex), "C"))
 
     def test_entrywise_variant(self):
         assert col_norm1([[3, 4], [-4, 3]], entrywise=True) == 14.0
@@ -157,20 +156,15 @@ class TestKron:
 class TestMatrixType:
     def test_real_field_rejects_complex_entries(self):
         with pytest.raises(ValueError):
-            Matrix(np.array([[1j]]), "R")
+            matrix_to_json(np.array([[1j]]), "R")
+        assert matrix_to_json(np.array([[2 + 0j]]), "R")["data"] == [2.0]
 
     def test_field_inference(self):
-        assert Matrix.from_array(np.eye(2)).field == "R"
-        assert Matrix.from_array(np.array([[1j]])).field == "C"
-
-    def test_shape_properties(self):
-        m = Matrix.from_array(np.zeros((2, 3)))
-        assert (m.rows, m.cols) == (2, 3)
-
-    def test_immutable(self):
-        m = Matrix.from_array(np.eye(2))
-        with pytest.raises(ValueError):
-            m.array[0, 0] = 5.0
+        assert matrix_to_json(np.eye(2))["field"] == "R"
+        assert matrix_to_json(np.eye(2).astype(complex))["field"] == "R"
+        assert matrix_to_json(np.array([[1j]]))["field"] == "C"
+        assert matrix_to_json(np.eye(2), "C")["data"] == [[1.0, 0.0], [0.0, 0.0],
+                                                         [0.0, 0.0], [1.0, 0.0]]
 
 
 class TestTolerance:

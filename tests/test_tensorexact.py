@@ -53,8 +53,9 @@ class TestMinTensor:
         assert _tensor_rows(t).shape[0] == 2 * 4
 
     def test_dimension_is_product_of_factor_dimensions(self):
-        rows = _tensor_rows(min_tensor(A2, B23))
-        assert rows.shape[0] == 2 * A2.complex_dim() * B23.complex_dim() == 2 * 52
+        t = min_tensor(A2, B23)
+        rows = _tensor_rows(t)
+        assert rows.shape[0] == 2 * len(t.a_frame) * len(t.b_frame) == 2 * 52
 
     def test_rejects_non_orthonormal_leg(self):
         units = matrix_units(2)
@@ -71,15 +72,15 @@ class TestSliceMaps:
         rng = np.random.default_rng(0)
         a, b = random_matrix(rng, 2), random_matrix(rng, 3)
         x = kron(a, b)
-        tau = TraceWitness.normalized_trace(2)
+        tau = TraceWitness(np.eye(2) / 2)
         out = slice_right_value(tau.gram, x, 2, 3)
         assert op_norm(out - (np.trace(a) / 2) * b) < 1e-12
-        psi = TraceWitness.normalized_trace(3)
+        psi = TraceWitness(np.eye(3) / 3)
         out_l = slice_left_value(psi.gram, x, 2, 3)
         assert op_norm(out_l - (np.trace(b) / 3) * a) < 1e-12
 
     def test_zero(self):
-        tau = TraceWitness.normalized_trace(2)
+        tau = TraceWitness(np.eye(2) / 2)
         assert op_norm(slice_right_value(tau.gram, np.zeros((6, 6)), 2, 3)) == 0.0
 
     def test_product_functional_identity(self):

@@ -9,8 +9,10 @@ and once with REV's ``src/``, extracted with ``git archive`` into a
 temporary directory.  Each side runs all documents in one subprocess with
 one BLAS thread, so the two sides differ only in their source.  For each
 document it prints whether the exit code and the stdout bytes match, and
-the largest difference between corresponding floats when they do not.
-Exits 0 iff every document matches.
+the largest difference between corresponding floats when they do not.  The
+summary also counts the differing documents whose exit codes match and
+whose reports parse to equal values (a change of float spelling, say).
+Exits 0 iff every document matches byte for byte.
 """
 
 from __future__ import annotations
@@ -114,8 +116,9 @@ def max_float_diff(a, b) -> float | None:
 
 
 def compare(base: dict, new: dict, docs) -> tuple[int, list[str]]:
-    """Number of documents that differ, and one report line per document."""
-    lines, differ = [], 0
+    """Number of documents that differ, and one report line per document
+    followed by the summary line."""
+    lines, differ, equal = [], 0, 0
     for name, _ in docs:
         (code_a, out_a), (code_b, out_b) = base[name], new[name]
         if code_a == code_b and out_a == out_b:
@@ -128,9 +131,13 @@ def compare(base: dict, new: dict, docs) -> tuple[int, list[str]]:
                 diff = max_float_diff(json.loads(out_a), json.loads(out_b))
             except ValueError:
                 diff = None
+            if code_a == code_b and diff == 0.0:
+                equal += 1
             note += ", stdout differs: " + ("structure or non-float values" if diff is None
                                             else f"max float difference {diff:.3e}")
         lines.append(f"DIFF  {name}  {note}")
+    lines.append(f"{len(docs)} documents, {equal} of the differing ones equal in exit code "
+                 f"and value: {len(docs) - differ} identical, {differ} differ")
     return differ, lines
 
 
@@ -144,7 +151,6 @@ def diff_reports(base_src: str, new_src: str, workloads=WORKLOADS, seeds=(1, 2, 
     differ, lines = compare(base, new, docs)
     for line in lines:
         print(line, file=out)
-    print(f"{len(docs)} documents: {len(docs) - differ} identical, {differ} differ", file=out)
     return 0 if differ == 0 else 1
 
 
