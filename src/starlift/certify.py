@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cpmaps import COMPLEX, REAL, LinearMapMat, complexify, compress, compose
-from .matrix import (as_array, col_norm1, matrix_units, op_norm, positivity_defect,
-                     split_norm)
+from .matrix import (as_array, as_arrays, col_norm1, matrix_units, op_norm,
+                     positivity_defect, split_norm)
 from .realform import AntiAutomorphism, StarAlgebra, real_decompose, \
     real_form_basis, real_form_residual
 from .sampling import random_matrix, rng_from
@@ -37,9 +37,9 @@ NONLINEAR_THETA_FLAG = ("nonlinear theta: the normalizer is input-dependent, "
                         "defects are reported for audit only")
 
 
-def _value_norm(m, mode: str, anti: AntiAutomorphism | None = None,
-                domain: bool = False) -> float:
-    """Norm of a matrix under a certificate convention.
+def _value_norms(xs, mode: str, anti: AntiAutomorphism | None = None,
+                 domain: bool = False) -> np.ndarray:
+    """Norms of a stack of matrices (..., m, m) under a certificate convention.
 
     In split mode, domain elements split through the certificate's
     antiautomorphism; codomain values split entrywise (their real
@@ -50,14 +50,14 @@ def _value_norm(m, mode: str, anti: AntiAutomorphism | None = None,
     entries (u = J).
     """
     if mode == COMPLEX_OP:
-        return op_norm(m)
+        return op_norm(xs)
     if mode == REAL_COL1:
-        return theta_normalizer(m) if domain else col_norm1(m)
+        return theta_normalizer(xs) if domain else col_norm1(xs)
     if mode == PHI_SPLIT:
         if domain and anti is not None:
-            r, s = real_decompose(anti, m)
+            r, s = real_decompose(anti, xs)
             return op_norm(r) + op_norm(s)
-        return split_norm(m)
+        return split_norm(xs)
     raise ValueError(f"unknown norm mode {mode!r}")
 
 
@@ -164,25 +164,22 @@ class DefectReport:
             "pass": self.passed,
             "witnesses": self.witnesses,
         }
-        if self.max_mult_defect is not None:
-            out["max_mult_defect"] = self.max_mult_defect
-        if self.max_norm_defect is not None:
-            out["max_norm_defect"] = self.max_norm_defect
-        if self.max_trace_defect is not None:
-            out["max_trace_defect"] = self.max_trace_defect
+        for key in ("max_mult_defect", "max_norm_defect", "max_trace_defect"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         if self.extra:
             out["extra"] = self.extra
         return out
 
 
-def _worst(rows) -> dict:
-    """The worst defect and its witness: the first row with the largest
-    ``"defect"``, or ``{"defect": -1.0}`` when there is none."""
-    worst = {"defect": -1.0}
-    for row in rows:
-        if row["defect"] > worst["defect"]:
-            worst = row
-    return worst
+def _worst(defects: np.ndarray, describe) -> dict:
+    """The worst defect and its witness: ``describe(*index)`` of the first
+    largest entry of ``defects`` plus that ``"defect"``, or
+    ``{"defect": -1.0}`` when there is none."""
+    if defects.size == 0:
+        return {"defect": -1.0}
+    index = np.unravel_index(np.argmax(defects), defects.shape)
+    return {**describe(*map(int, index)), "defect": float(defects[index])}
 
 
 def _evaluate(f, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,23 +192,19 @@ def _evaluate(f, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mult_witness(img: np.ndarray, prods: np.ndarray, subset: FiniteSubset,
-                  mode: str, anti: AntiAutomorphism | None) -> dict:
+                  mode: str) -> dict:
     """Worst ||phi(ab) - phi(a)phi(b)|| over pairs of the subset, from
     the images of the elements and of their products (see _evaluate)."""
-    return _worst(
-        {"left": subset.label(i), "right": subset.label(j),
-         "defect": _value_norm(prods[i, j] - img[i] @ img[j], mode, anti)}
-        for i in range(len(img)) for j in range(len(img)))
+    return _worst(_value_norms(prods - img[:, None] @ img[None], mode),
+                  lambda i, j: {"left": subset.label(i), "right": subset.label(j)})
 
 
 def _norm_witness(img: np.ndarray, subset: FiniteSubset, mode: str,
                   anti: AntiAutomorphism | None) -> dict:
     """Worst | ||phi(a)|| - ||a|| | over the subset, from the images."""
-    return _worst(
-        {"element": subset.label(i),
-         "defect": abs(_value_norm(y, mode, anti)
-                       - _value_norm(a, mode, anti, domain=True))}
-        for i, (a, y) in enumerate(zip(subset.elements, img)))
+    norms = _value_norms(np.stack(subset.elements), mode, anti, domain=True)
+    return _worst(np.abs(_value_norms(img, mode) - norms),
+                  lambda i: {"element": subset.label(i)})
 
 
 def qd_verify(cert: QDCertificate) -> DefectReport:
@@ -221,9 +214,8 @@ def qd_verify(cert: QDCertificate) -> DefectReport:
     certificate's convention: operator norms, column-sum norms on real
     matrices, or the split norm ||a|| + ||b|| across a decomposition.
     """
-    phi = cert.phi
-    img, prods = _evaluate(phi.apply, np.stack(cert.subset.elements))
-    mult = _mult_witness(img, prods, cert.subset, cert.norm_mode, cert.anti)
+    img, prods = _evaluate(cert.phi.apply, np.stack(cert.subset.elements))
+    mult = _mult_witness(img, prods, cert.subset, cert.norm_mode)
     norm = _norm_witness(img, cert.subset, cert.norm_mode, cert.anti)
     return DefectReport(
         epsilon=cert.epsilon,
@@ -231,7 +223,7 @@ def qd_verify(cert: QDCertificate) -> DefectReport:
         max_mult_defect=mult["defect"],
         max_norm_defect=norm["defect"],
         witnesses={"mult": mult, "norm": norm},
-        extra={"unitality_defect": float(phi.unitality_defect())},
+        extra={"unitality_defect": float(cert.phi.unitality_defect())},
     )
 
 
@@ -240,12 +232,8 @@ def synthesize_pairs(subset: FiniteSubset) -> list[tuple[np.ndarray, np.ndarray]
     gets a zero imaginary partner."""
     mats = subset.elements
     half = (len(mats) + 1) // 2
-    pairs = []
-    for j in range(half):
-        a = mats[j]
-        b = mats[half + j] if half + j < len(mats) else np.zeros_like(a)
-        pairs.append((a, b))
-    return pairs
+    partners = mats[half:] + (np.zeros_like(mats[0]),) * (2 * half - len(mats))
+    return list(zip(mats[:half], partners))
 
 
 def qd_complexify(cert: QDCertificate,
@@ -280,29 +268,24 @@ def qd_complexify(cert: QDCertificate,
 
     parts = np.stack([x for pair in pairs for x in pair])
     img, prods = _evaluate(cert.phi.apply, parts)
-    dop = np.linalg.norm(prods - img[:, None] @ img[None], 2, axis=(2, 3))
-    part_norms = np.linalg.norm(parts, 2, axis=(1, 2))
-    norm_op = np.abs(np.linalg.norm(img, 2, axis=(1, 2)) - part_norms)
+    dop = _value_norms(prods - img[:, None] @ img[None], COMPLEX_OP)
+    part_norms = _value_norms(parts, COMPLEX_OP)
+    norm_op = np.abs(_value_norms(img, COMPLEX_OP) - part_norms)
 
-    complexified = parts[0::2] + 1j * parts[1::2]
+    # Complexified element k is re + i im with re, im the parts 2k, 2k + 1.
+    re, im = slice(0, None, 2), slice(1, None, 2)
+    complexified = parts[re] + 1j * parts[im]
     img_c, prod_c = _evaluate(phi_c.apply, complexified)
-    norm_rows = []
-    mult_rows = []
-    for k in range(len(complexified)):
-        ia, ib = 2 * k, 2 * k + 1
-        nd = abs(split_norm(img_c[k]) - (part_norms[ia] + part_norms[ib]))
-        norm_rows.append({"element": k, "defect": nd,
-                          "bound": norm_op[ia] + norm_op[ib]})
-        for l in range(len(complexified)):
-            ja, jb = 2 * l, 2 * l + 1
-            md = split_norm(prod_c[k, l] - img_c[k] @ img_c[l])
-            mult_rows.append({"left": k, "right": l, "defect": md,
-                              "bound": dop[ia, ja] + dop[ib, jb] + dop[ib, ja]
-                              + dop[ia, jb]})
-    mult_witness = _worst(mult_rows)
-    norm_witness = _worst(norm_rows)
-    mult_margin = max((r["defect"] - r["bound"] for r in mult_rows), default=-np.inf)
-    norm_margin = max((r["defect"] - r["bound"] for r in norm_rows), default=-np.inf)
+    norm_defects = np.abs(_value_norms(img_c, PHI_SPLIT) - (part_norms[re] + part_norms[im]))
+    norm_bounds = norm_op[re] + norm_op[im]
+    mult_defects = _value_norms(prod_c - img_c[:, None] @ img_c[None], PHI_SPLIT)
+    mult_bounds = dop[re, re] + dop[im, im] + dop[im, re] + dop[re, im]
+    mult_witness = _worst(mult_defects, lambda k, l: {
+        "left": k, "right": l, "bound": float(mult_bounds[k, l])})
+    norm_witness = _worst(norm_defects, lambda k: {"element": k,
+                                                   "bound": float(norm_bounds[k])})
+    mult_margin = np.max(mult_defects - mult_bounds)
+    norm_margin = np.max(norm_defects - norm_bounds)
 
     new_subset = FiniteSubset(tuple(complexified))
     new_cert = QDCertificate(cert.algebra, new_subset, phi_c, cert.epsilon,
@@ -321,6 +304,27 @@ def qd_complexify(cert: QDCertificate,
         },
     )
     return new_cert, report
+
+
+def _realify_working_set(cert: QDCertificate, anti: AntiAutomorphism,
+                         scale: ThetaScale | None = None):
+    """The real-form subset qd_realify transports (each element, or its
+    parts r, s when it is outside the real form), phi's images of it and
+    of its products (see _evaluate), and the theta scale: ``scale``, or
+    for None (the "auto" mode) the fixed scale 1/(max N + 1) over those
+    images, so the linear theta is contractive there."""
+    f_real: list[np.ndarray] = []
+    for a in cert.subset.elements:
+        if real_form_residual(anti, a) <= 1e-8:
+            f_real.append(a)
+        else:
+            f_real.extend(real_decompose(anti, a))
+    subset = FiniteSubset(tuple(f_real))
+    img, prods = _evaluate(cert.phi.apply, np.stack(subset.elements))
+    if scale is None:
+        scale = ThetaScale.for_working_set(
+            np.concatenate([img, prods.reshape((-1,) + img.shape[1:])]))
+    return subset, img, prods, scale
 
 
 def qd_realify(cert: QDCertificate, anti: AntiAutomorphism | None = None,
@@ -342,39 +346,22 @@ def qd_realify(cert: QDCertificate, anti: AntiAutomorphism | None = None,
     if anti is None:
         raise ValueError("realification needs an antiautomorphism")
 
-    f_real: list[np.ndarray] = []
-    for a in cert.subset.elements:
-        if real_form_residual(anti, a) <= 1e-8:
-            f_real.append(a)
-        else:
-            r, s = real_decompose(anti, a)
-            f_real.extend((r, s))
-    subset = FiniteSubset(tuple(f_real))
-
-    phi = cert.phi
-    xs = np.stack(subset.elements)
-    img, prods = _evaluate(phi.apply, xs)
-    if scale is None:
-        scale = ThetaScale.for_working_set(
-            np.concatenate([img, prods.reshape((-1,) + img.shape[1:])]))
-    rmap = realify_map(phi, anti, scale)
-
-    r_img, r_prods = _evaluate(rmap.apply, xs)
-    mult_witness = _mult_witness(r_img, r_prods, subset, REAL_COL1, anti)
+    subset, img, prods, scale = _realify_working_set(cert, anti, scale)
+    rmap = realify_map(cert.phi, anti, scale)
+    r_img, r_prods = _evaluate(rmap.apply, np.stack(subset.elements))
+    mult_witness = _mult_witness(r_img, r_prods, subset, REAL_COL1)
     norm_witness = _norm_witness(r_img, subset, REAL_COL1, anti)
 
     extra: dict = {"theta_mode": scale.mode}
     new_cert = None
     if scale.is_linear:
         s = scale.value
-        margin = -np.inf
-        for i, pa in enumerate(img):
-            for j, pb in enumerate(img):
-                measured = col_norm1(theta(prods[i, j], scale)
-                                     - theta(pa, scale) @ theta(pb, scale))
-                bound = s * theta_normalizer(prods[i, j] - pa @ pb) \
-                    + abs(s - s * s) * theta_normalizer(pa @ pb)
-                margin = max(margin, measured - bound)
+        t_img = theta(img, scale)
+        pp = img[:, None] @ img[None]
+        measured = _value_norms(theta(prods, scale) - t_img[:, None] @ t_img[None], REAL_COL1)
+        bound = s * _value_norms(prods - pp, REAL_COL1, domain=True) \
+            + abs(s - s * s) * _value_norms(pp, REAL_COL1, domain=True)
+        margin = np.max(measured - bound)
         extra["theta_scale"] = s
         extra["mult_bound_margin"] = float(margin)
         extra["bounds_hold"] = bool(margin <= 1e-9)
@@ -400,8 +387,7 @@ def nuclear_witness_verify(phi: LinearMapMat, psi: LinearMapMat,
                            subset: FiniteSubset, epsilon: float,
                            target: LinearMapMat | None = None,
                            norm_mode: str = COMPLEX_OP,
-                           b_list: list | None = None,
-                           anti: AntiAutomorphism | None = None) -> DefectReport:
+                           b_list: list | None = None) -> DefectReport:
     """Check how well the factorization psi . phi approximates the target.
 
     The defect is max over F of ||psi(phi(a)) - target(a)|| in the given
@@ -417,20 +403,16 @@ def nuclear_witness_verify(phi: LinearMapMat, psi: LinearMapMat,
         raise ValueError("target dimensions do not match the factorization")
 
     elements = np.stack(subset.elements)
-    composed = compose(psi, phi)
-    worst = _worst(
-        {"element": subset.label(i), "defect": _value_norm(d, norm_mode, anti)}
-        for i, d in enumerate(composed.apply(elements) - target.apply(elements)))
+    worst = _worst(_value_norms(compose(psi, phi).apply(elements) - target.apply(elements),
+                                norm_mode),
+                   lambda i: {"element": subset.label(i)})
 
     extra: dict = {}
     if b_list:
-        per_b = []
-        for b in b_list:
-            tb = compress(target, b)
-            fb = compose(compress(psi, b), phi)
-            db = max(_value_norm(d, norm_mode, anti)
-                     for d in fb.apply(elements) - tb.apply(elements))
-            per_b.append(float(db))
+        per_b = [float(np.max(_value_norms(compose(compress(psi, b), phi).apply(elements)
+                                           - compress(target, b).apply(elements),
+                                           norm_mode)))
+                 for b in b_list]
         extra["compressed_defects"] = per_b
         extra["max_compressed_defect"] = float(max(per_b))
 
@@ -463,25 +445,16 @@ class TraceWitness:
     def dim(self) -> int:
         return self.gram.shape[0]
 
-    def __call__(self, x) -> complex:
-        return complex(np.trace(self.gram @ as_array(x)))
+    def __call__(self, x):
+        """tau(x): a complex for one matrix, an array for a stack."""
+        t = np.trace(self.gram @ as_arrays(x), axis1=-2, axis2=-1)
+        return complex(t) if t.ndim == 0 else t
 
     def traciality_residual(self, algebra: StarAlgebra) -> float:
-        worst = 0.0
-        for a in algebra.span:
-            for b in algebra.span:
-                worst = max(worst, abs(self(a @ b) - self(b @ a)))
-        return worst
-
-    def positivity_defect(self, samples: int = 10, seed: int = 0) -> float:
-        rng = rng_from(seed)
-        worst = 0.0
-        for _ in range(samples):
-            c = random_matrix(rng, self.dim)
-            v = self(c.conj().T @ c)
-            worst = min(worst, v.real)
-            worst = min(worst, -abs(v.imag))
-        return worst
+        """max |tau(ab) - tau(ba)| over pairs of spanning matrices."""
+        s = np.stack(algebra.span)
+        d = self(s[:, None] @ s[None]) - self(s[None] @ s[:, None])
+        return float(np.max(np.hypot(d.real, d.imag)))
 
 
 def trace_qd_verify(cert: QDCertificate, witness: TraceWitness) -> DefectReport:
@@ -491,12 +464,15 @@ def trace_qd_verify(cert: QDCertificate, witness: TraceWitness) -> DefectReport:
         raise ValueError("trace verification needs a unital map")
     if witness.dim != cert.algebra.n:
         raise ValueError("trace witness dimension does not match the algebra")
-    img, prods = _evaluate(cert.phi.apply, np.stack(cert.subset.elements))
-    mult = _mult_witness(img, prods, cert.subset, cert.norm_mode, cert.anti)
-    trace = _worst(
-        {"element": cert.subset.label(i),
-         "defect": abs(normalized_trace(y) - witness(a))}
-        for i, (a, y) in enumerate(zip(cert.subset.elements, img)))
+    xs = np.stack(cert.subset.elements)
+    img, prods = _evaluate(cert.phi.apply, xs)
+    mult = _mult_witness(img, prods, cert.subset, cert.norm_mode)
+    # |normalized_trace(phi(a)) - tau(a)|; the parts are divided one by one
+    # because a complex quotient by the dimension can round differently.
+    tr, tau = np.trace(img, axis1=1, axis2=2), witness(xs)
+    k = img.shape[-1]
+    trace = _worst(np.hypot(tr.real / k - tau.real, tr.imag / k - tau.imag),
+                   lambda i: {"element": cert.subset.label(i)})
     return DefectReport(
         epsilon=cert.epsilon,
         norm_mode=cert.norm_mode,
@@ -514,7 +490,7 @@ class TransportedTrace:
     anti: AntiAutomorphism
     scale: float = 0.5
 
-    def __call__(self, a) -> float:
+    def __call__(self, a):
         return upsilon1(self.source(a), self.scale)
 
 
@@ -529,21 +505,22 @@ def trace_transport(witness: TraceWitness, anti: AntiAutomorphism,
     when tau is real-valued on the real form, so witnesses violating that
     are flagged.  When a certificate is supplied the full defect chain
     |tau'(theta(phi(a))) - tau_form(a)| is replayed step by step, with
-    the trace-comparison inequality audited rather than assumed.
+    the trace-comparison inequality audited rather than assumed; theta
+    scales by ``theta_scale``, or for None by the constant qd_realify
+    picks for the certificate, and the report records which.
     """
     if witness.dim != anti.dim:
         raise ValueError("trace witness dimension does not match the antiautomorphism")
     form = real_form_basis(anti)
-    imag_on_form = max(abs(witness(g).imag) for g in form)
+    imag_on_form = float(np.max(np.abs(witness(np.stack(form)).imag)))
     real_valued = imag_on_form <= 1e-9
     transported = TransportedTrace(witness, anti, scale)
 
-    rng = rng_from(seed)
-    traciality = 0.0
-    for _ in range(samples):
-        ca = np.tensordot(rng.standard_normal(len(form)), np.stack(form), axes=(0, 0))
-        cb = np.tensordot(rng.standard_normal(len(form)), np.stack(form), axes=(0, 0))
-        traciality = max(traciality, abs(transported(ca @ cb) - transported(cb @ ca)))
+    # Per sample the coefficients of a, then of b, each a vector-matrix product.
+    coeff = rng_from(seed).standard_normal((samples, 2, 1, len(form)))
+    c = (coeff @ np.stack(form).reshape(len(form), -1)).reshape(samples, 2, anti.dim, anti.dim)
+    ca, cb = c[:, 0], c[:, 1]
+    traciality = np.max(np.abs(transported(ca @ cb) - transported(cb @ ca)), initial=0.0)
 
     report: dict = {
         "scale": scale,
@@ -561,7 +538,10 @@ def trace_transport(witness: TraceWitness, anti: AntiAutomorphism,
         if cert.phi.linearity != COMPLEX:
             raise ValueError("chain replay needs a complex-linear certificate map")
         if theta_scale is None:
-            theta_scale = ThetaScale()
+            theta_scale = _realify_working_set(cert, anti)[3]
+        report["theta_mode"] = theta_scale.mode
+        if theta_scale.is_linear:
+            report["theta_scale"] = theta_scale.value
         rmap = realify_map(cert.phi, anti, theta_scale)
         steps = []
         for i, a in enumerate(cert.subset.elements):

@@ -176,7 +176,7 @@ def _cmd_transport(args) -> int:
     before = compose(psi, phi)
     after = compose(psi_p, phi_p)
     units = np.stack(doubled_units(phi.dom_dim))
-    resid = np.max(np.linalg.norm(after.apply(units) - before.apply(units), 2, axis=(1, 2)))
+    resid = np.max(op_norm(after.apply(units) - before.apply(units)))
     _emit({
         "phi_prime": map_to_json(phi_p),
         "psi_prime": map_to_json(psi_p),

@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrix import as_array, doubled_units, matrix_units, op_norm, positivity_defect
+from .matrix import (as_array, as_arrays, doubled_units, matrix_units, op_norm,
+                     positivity_defect)
 from .realform import AntiAutomorphism, real_decompose
 from .sampling import rng_from
 from .subspace import realify
@@ -124,8 +125,8 @@ class LinearMapMat:
             coeff = flat.real
             imag = np.any(flat.imag != 0, axis=1)
             if imag.any():
-                res = np.linalg.norm(xs[imag].imag, 2, axis=(1, 2))
-                bad = res > membership_tol * (1.0 + np.linalg.norm(xs[imag], 2, axis=(1, 2)))
+                res = op_norm(xs[imag].imag)
+                bad = res > membership_tol * (1.0 + op_norm(xs[imag]))
                 if bad.any():
                     raise ValueError(
                         f"input is outside the map's domain span: residual {res[bad][0]:.3e}"
@@ -167,19 +168,24 @@ def compose(psi: LinearMapMat, phi: LinearMapMat) -> LinearMapMat:
 
 
 def block_apply(phi: LinearMapMat, x, level: int) -> np.ndarray:
-    """Evaluate (id_{M_level} (x) phi)(x) by acting on n x n blocks."""
-    a = as_array(x).astype(np.complex128)
+    """Evaluate (id_{M_level} (x) phi)(x) by acting on n x n blocks, on
+    one matrix or on a stack of shape (..., level*n, level*n)."""
+    a = as_arrays(x).astype(np.complex128)
     n = phi.dom_dim
-    if a.shape != (level * n, level * n):
+    if a.shape[-2:] != (level * n, level * n):
         raise ValueError(f"expected a {level * n}x{level * n} matrix, got {a.shape}")
-    blocks = a.reshape(level, n, level, n).transpose(0, 2, 1, 3)
-    return _join_blocks(phi.apply(blocks.reshape(level * level, n, n)), level)
+    lead = a.shape[:-2]
+    blocks = np.swapaxes(a.reshape(*lead, level, n, level, n), -3, -2)
+    images = phi.apply(blocks.reshape(-1, n, n))
+    return _join_blocks(images.reshape(*lead, level * level, *images.shape[-2:]), level)
 
 
 def _join_blocks(blocks: np.ndarray, level: int) -> np.ndarray:
-    """The level x level block matrix with blocks[r * level + c] at (r, c)."""
-    m = blocks.shape[-1]
-    return blocks.reshape(level, level, m, m).transpose(0, 2, 1, 3).reshape(level * m, level * m)
+    """The level x level block matrix with blocks[..., r * level + c] at
+    (r, c), for each leading index of a stack (..., level**2, m, m)."""
+    *lead, _, m, _ = blocks.shape
+    grid = blocks.reshape(*lead, level, level, m, m)
+    return np.swapaxes(grid, -3, -2).reshape(*lead, level * m, level * m)
 
 
 def compress(phi: LinearMapMat, b) -> LinearMapMat:
@@ -292,31 +298,29 @@ def cp_defect_real_report(phi: LinearMapMat, level: int, samples: int = 20,
     n = phi.dom_dim
     rng = rng_from(seed)
 
-    candidates: list[np.ndarray] = [np.eye(level * n, dtype=np.complex128)]
+    fixed = [np.eye(level * n, dtype=np.complex128)]
     if phi.dom_field == COMPLEX:
-        candidates.append(_canonical_positive(level, n, twist=True))
-    candidates.append(_canonical_positive(level, n))
+        fixed.append(_canonical_positive(level, n, twist=True))
+    fixed.append(_canonical_positive(level, n))
     basis = phi.basis
     nb = len(basis)
     coeff = rng.standard_normal((samples * level * level, nb)) / np.sqrt(nb)
-    blocks = _combine(coeff, basis).reshape(samples, level * level, n, n)
-    for c in (_join_blocks(b, level) for b in blocks):
-        p = c.conj().T @ c
-        nrm = op_norm(p)
-        if nrm > 0:
-            candidates.append(p / nrm)
+    c = _join_blocks(_combine(coeff, basis).reshape(samples, level * level, n, n), level)
+    p = np.swapaxes(c.conj(), -1, -2) @ c
+    nrm = op_norm(p)
+    candidates = np.concatenate([fixed, p[nrm > 0] / nrm[nrm > 0, None, None]])
 
-    defects = [positivity_defect(block_apply(phi, p, level)) for p in candidates]
+    defects = positivity_defect(block_apply(phi, candidates, level))
     best = int(np.argmin(defects))      # the first candidate with the least defect
     worst, witness = defects[best], candidates[best]
 
-    sa_worst = 0.0
-    sa_witness = None
-    for x in _combine(rng.standard_normal((samples, nb)), basis):
-        r = op_norm(phi.apply(x.conj().T) - phi.apply(x).conj().T)
-        if r > sa_worst:
-            sa_worst = r
-            sa_witness = x
+    xs = _combine(rng.standard_normal((samples, nb)), basis)
+    sa = op_norm(phi.apply(np.swapaxes(xs.conj(), -1, -2))
+                 - np.swapaxes(phi.apply(xs).conj(), -1, -2))
+    sa_worst, sa_witness = 0.0, None
+    if sa.size and sa.max() > 0:
+        first = int(np.argmax(sa))      # the first sample with the largest residual
+        sa_worst, sa_witness = sa[first], xs[first]
 
     return RealCPReport(float(worst), level, witness, float(sa_worst),
                         sa_witness, samples, int(seed))

@@ -53,32 +53,31 @@ def batches(count: int, entries_each: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def op_norm(m) -> float:
-    """Largest singular value (the operator norm on column vectors)."""
+def op_norm(m):
+    """Largest singular value (the operator norm on column vectors): a
+    float for one matrix, an array of shape (...) for a stack (..., r, c)."""
+    if np.ndim(m) > 2:
+        a = np.asarray(m)
+        if a.size == 0:
+            return np.zeros(a.shape[:-2])
+        return np.linalg.norm(a, 2, axis=(-2, -1))
     a = as_array(m)
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
 
 
-def col_norm1(m, entrywise: bool = False) -> float:
-    """Max absolute column sum of a real matrix.
-
-    This is the norm induced by the vector 1-norm.  ``entrywise=True``
-    switches to the entrywise l1 sum instead (kept as a variant because
-    both readings of "the 1-norm on real matrices" occur in practice).
-    Input with a nonzero imaginary part is rejected.
-    """
-    a = as_array(m)
+def col_norm1(m):
+    """Max absolute column sum of a real matrix, the norm induced by the
+    vector 1-norm: a float for one matrix, an array of shape (...) for a
+    stack.  Input with a nonzero imaginary part is rejected."""
+    a = as_arrays(m)
     if np.iscomplexobj(a):
         if np.any(a.imag != 0):
             raise ValueError("col_norm1 requires real entries")
         a = a.real
-    if entrywise:
-        return float(np.sum(np.abs(a)))
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(a), axis=0)))
+    norms = np.max(np.sum(np.abs(a), axis=-2), axis=-1, initial=0.0)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def hermitian_defect(m) -> float:
@@ -87,22 +86,24 @@ def hermitian_defect(m) -> float:
     return op_norm(a - a.conj().T)
 
 
-def positivity_defect(m) -> float:
+def positivity_defect(m):
     """Defect of being a positive element: lambda_min(herm) - ||skew||.
 
     Positive elements of a matrix *-algebra are self-adjoint with
     nonnegative spectrum, so any genuinely positive input scores
     >= 0 and a negative score certifies non-positivity, whether the
     failure is spectral or a failure of self-adjointness.  On Hermitian
-    input it is the minimum eigenvalue.
+    input it is the minimum eigenvalue.  A float for one matrix, an
+    array of shape (...) for a stack.
     """
-    a = as_array(m)
-    if a.shape[0] != a.shape[1]:
+    a = as_arrays(m)
+    if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"positivity_defect needs a square matrix, got shape {a.shape}")
-    sym = (a + a.conj().T) / 2.0
-    skew = (a - a.conj().T) / 2.0
-    lam = float(np.linalg.eigvalsh(sym)[0])
-    return lam - op_norm(skew)
+    adj = np.swapaxes(a.conj(), -1, -2)
+    sym = (a + adj) / 2.0
+    skew = (a - adj) / 2.0
+    defect = np.linalg.eigvalsh(sym)[..., 0] - op_norm(skew)
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def matrix_units(d: int, n: int | None = None, offset: int = 0) -> list[np.ndarray]:
@@ -129,7 +130,8 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_array(a), as_array(b))
 
 
-def split_norm(m) -> float:
-    """The norm ||c|| = ||a|| + ||b|| for c = a + ib, op norms on parts."""
-    a = as_array(m)
+def split_norm(m):
+    """The norm ||c|| = ||a|| + ||b|| for c = a + ib, op norms on parts;
+    a float for one matrix, an array of shape (...) for a stack."""
+    a = as_arrays(m)
     return op_norm(np.real(a)) + op_norm(np.imag(a))

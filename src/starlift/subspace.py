@@ -10,6 +10,8 @@ computed through principal sines which stay well conditioned near zero.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .matrix import as_array
@@ -20,9 +22,8 @@ RANK_TOL = 1e-9
 def realify(mats) -> np.ndarray:
     """Stack matrices (a list or an array of them) as rows
     [Re(vec), Im(vec)] of a real array."""
-    if len(mats) == 0:
-        return np.zeros((0, 0))
-    flat = np.asarray(mats, dtype=np.complex128).reshape(len(mats), -1)
+    a = np.asarray(mats, dtype=np.complex128)
+    flat = a.reshape(len(a), math.prod(a.shape[1:]))
     return np.concatenate([flat.real, flat.imag], axis=1)
 
 

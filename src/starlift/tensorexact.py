@@ -15,7 +15,7 @@ matrices whose Hermitian Gram matrix tr(x* y) is the identity.  Since
 i-multiples of those are orthonormal real rows as they stand, so no span
 of products is ever orthonormalized.  The frames are A's real form
 (tr(x* y) = tr(Phi(x) y) is real there), the ideal's matrix units, and
-``complex_orth_basis`` of each factor's span.  ``tensor_span_rows``
+each factor's ``StarAlgebra.frame``.  ``tensor_span_rows``
 checks the contract and raises on a leg that breaks it.
 """
 
@@ -27,11 +27,10 @@ from functools import cached_property
 import numpy as np
 
 from .cpmaps import COMPLEX, REAL
-from .matrix import as_array, as_arrays, batches, matrix_units
+from .matrix import as_array, as_arrays, batches, matrix_units, op_norm
 from .realform import AntiAutomorphism, StarAlgebra, real_decompose, real_form_basis
-from .subspace import (RANK_TOL, complex_orth_basis, containment_residual,
-                       kernel_rows, max_principal_angle, orth_rows, realify,
-                       subspaces_equal, unrealify)
+from .subspace import (RANK_TOL, containment_residual, kernel_rows, orth_rows,
+                       realify, subspaces_equal, unrealify)
 
 
 def _legs(x, na: int, nb: int) -> np.ndarray:
@@ -57,19 +56,11 @@ def slice_left_value(t_psi, x, na: int, nb: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TensorAlgebra:
-    """Kronecker-product presentation of a minimal tensor product, held
-    as orthonormal frames of its two legs."""
+    """Kronecker-product presentation of a minimal tensor product; its
+    legs are the factors' orthonormal frames ``a.frame`` and ``b.frame``."""
 
     a: StarAlgebra
     b: StarAlgebra
-
-    @cached_property
-    def a_frame(self) -> list[np.ndarray]:
-        return complex_orth_basis(self.a.span, (self.na, self.na))
-
-    @cached_property
-    def b_frame(self) -> list[np.ndarray]:
-        return complex_orth_basis(self.b.span, (self.nb, self.nb))
 
     @cached_property
     def _real_frames(self) -> dict:
@@ -83,7 +74,7 @@ class TensorAlgebra:
         containment residual above ``RANK_TOL`` raises ValueError.
         """
         if anti not in self._real_frames:
-            fa = np.stack(self.a_frame)
+            fa = self.a.frame
             amb = realify(np.concatenate([fa, 1j * fa]))
             resid = containment_residual(realify(anti.apply(fa)), amb)
             if resid > RANK_TOL:
@@ -103,8 +94,7 @@ class TensorAlgebra:
 
 
 def min_tensor(a: StarAlgebra, b: StarAlgebra) -> TensorAlgebra:
-    """Spatial tensor product of two matrix algebras; the leg frames are
-    computed on first use."""
+    """Spatial tensor product of two matrix algebras."""
     return TensorAlgebra(a, b)
 
 
@@ -172,13 +162,13 @@ class IdealPresentation:
             # Products in the order s_i x_j, x_j s_i, by i then j.
             si = s[b, None]
             prods = np.stack([si @ x[None], x[None] @ si], axis=2).reshape(-1, self.b.n, self.b.n)
-            rows = realify(prods)[np.linalg.norm(prods, 2, axis=(1, 2)) > tol]
+            rows = realify(prods)[op_norm(prods) > tol]
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
             resid = np.linalg.norm(rows - rows @ amb.T @ amb, axis=1)
             bad = resid[resid > tol]
             if bad.size:
                 raise ValueError(f"ideal span is not two-sided: residual {bad[0]:.3e}")
-        if np.any(np.linalg.norm(self.quotient_apply(x), 2, axis=(1, 2)) > tol):
+        if np.any(op_norm(self.quotient_apply(x)) > tol):
             raise ValueError("quotient does not annihilate the ideal")
 
 
@@ -251,9 +241,9 @@ def fubini(a1, b1, t: TensorAlgebra, anti: AntiAutomorphism | None = None,
     Degenerate (empty) working spans are rejected.
     """
     na, nb = t.na, t.nb
-    a_leg = t.real_frame(anti) if anti is not None else t.a_frame
+    a_leg = t.real_frame(anti) if anti is not None else t.a.frame
     if working_rows is None:
-        working_rows = tensor_span_rows(a_leg, t.b_frame)
+        working_rows = tensor_span_rows(a_leg, t.b.frame)
     if working_rows.shape[0] == 0:
         raise ValueError("degenerate working span")
 
@@ -265,7 +255,7 @@ def fubini(a1, b1, t: TensorAlgebra, anti: AntiAutomorphism | None = None,
     a_duals = np.stack(a_leg).conj().transpose(0, 2, 1)
     if phi_field == COMPLEX:
         a_duals = np.concatenate([a_duals, 1j * a_duals])
-    b_dual_grams = np.stack(t.b_frame).conj().transpose(0, 2, 1)
+    b_dual_grams = t.b.frame.conj().transpose(0, 2, 1)
 
     k = working_rows.shape[0]
     working = unrealify(working_rows, (k, na * nb, na * nb))
@@ -377,7 +367,7 @@ def _real_leg(a: StarAlgebra, anti: AntiAutomorphism, pres: IdealPresentation,
     t = min_tensor(a, pres.b)
     ideal = pres.ideal_span()
     form_basis = t.real_frame(anti)
-    rows = tensor_span_rows(form_basis, t.b_frame)
+    rows = tensor_span_rows(form_basis, t.b.frame)
     ideal_rows = tensor_span_rows(form_basis, ideal) if ideal else np.zeros((0, rows.shape[1]))
     fub = fubini(form_basis, ideal + [1j * e for e in ideal], t, anti=anti,
                  phi_field=REAL, psi_field=REAL, working_rows=rows)
@@ -398,8 +388,8 @@ def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
     na, nb = t.na, t.nb
     ideal_cx = ideal + [1j * e for e in ideal]
 
-    complex_rows = tensor_span_rows(t.a_frame, t.b_frame)
-    complex_span_ideal = tensor_span_rows(t.a_frame, ideal) if ideal \
+    complex_rows = tensor_span_rows(t.a.frame, t.b.frame)
+    complex_span_ideal = tensor_span_rows(t.a.frame, ideal) if ideal \
         else np.zeros((0, real_rows.shape[1]))
 
     real_check = _compare(quotient_kernel_rows(real_rows, pres, na, nb),
@@ -413,18 +403,15 @@ def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
                          working_rows=complex_rows)
     fub_complex_check = _compare(fub_complex.rows, complex_span_ideal, angle_tol)
 
-    # i times a realified row [Re, Im] is [-Im, Re].
-    half = real_rows.shape[1] // 2
-    i_rows = np.hstack([-real_rows[:, half:], real_rows[:, :half]])
-    stacked = orth_rows(np.vstack([real_rows, i_rows]))
+    # real_rows hold the i-multiples of their products, so i times the
+    # real-form part spans the same rows and their sum is real_rows again.
+    real_dim = int(real_rows.shape[0])
     decomposition = {
-        "real_part_dim": int(real_rows.shape[0]),
-        "imag_part_dim": int(i_rows.shape[0]),
-        "sum_dim": int(stacked.shape[0]),
+        "real_part_dim": real_dim,
+        "imag_part_dim": real_dim,
+        "sum_dim": real_dim,
         "tensor_dim": int(complex_rows.shape[0]),
-        "spans_everything": bool(
-            stacked.shape[0] == complex_rows.shape[0]
-            and max_principal_angle(stacked, complex_rows) <= angle_tol),
+        "spans_everything": bool(subspaces_equal(real_rows, complex_rows, angle_tol)[0]),
     }
 
     ok = (real_check.match and complex_check.match and fub_real_check.match

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmaps import COMPLEX, REAL, LinearMapMat, compose
-from .matrix import as_array, as_arrays, doubled_units
+from .matrix import as_array, as_arrays, col_norm1, doubled_units
 from .realform import AntiAutomorphism, conj_phi
 
 _I = np.eye(2)
@@ -76,8 +76,7 @@ def theta_normalizer(x):
     float for one matrix, an array of shape (...) for a stack.
     """
     a = as_arrays(x).astype(np.complex128)
-    norms = np.max(np.sum(np.abs(a.real) + np.abs(a.imag), axis=-2), axis=-1, initial=0.0)
-    return float(norms) if norms.ndim == 0 else norms
+    return col_norm1(np.abs(a.real) + np.abs(a.imag))
 
 
 @dataclass(frozen=True)

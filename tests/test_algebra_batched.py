@@ -205,7 +205,7 @@ def test_span_and_quotient_rows_match_oracle(size, u_kind, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     t = min_tensor(_rotated_full(a, rng), StarAlgebra.block_diagonal(list(dims)))
     form = None if u_kind is None else real_form_basis(_anti(u_kind, a))
-    rows = tensor_span_rows(t.a_frame if form is None else form, t.b_frame)
+    rows = tensor_span_rows(t.a.frame if form is None else form, t.b.frame)
     want = oracle.tensor_span_rows(list(t.a.span) if form is None else form,
                                    list(t.b.span), complex_scalars=True)
     _assert_same_frame(rows, want)

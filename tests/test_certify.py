@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from starlift.certify import (AUDIT_CLAIMS, REAL_COL1, FiniteSubset,
-                              QDCertificate, TraceWitness, _value_norm,
+                              QDCertificate, TraceWitness, _value_norms,
                               lemma_audit, nuclear_witness_verify,
                               qd_complexify, qd_realify, qd_verify,
                               synthesize_pairs, trace_qd_verify,
@@ -262,10 +262,10 @@ class TestQdRealify:
         assert qd_verify(new_cert).max_norm_defect < 1e-12
 
     def test_domain_col1_norm_is_col_norm1_on_real_matrices(self):
-        rng = np.random.default_rng(14)
-        for a in rng.standard_normal((20, 3, 3)):
-            assert _value_norm(a, REAL_COL1, domain=True) == col_norm1(a)
-            assert _value_norm(a + 0j, REAL_COL1, domain=True) == col_norm1(a)
+        xs = np.random.default_rng(14).standard_normal((20, 3, 3))
+        expect = [col_norm1(a) for a in xs]
+        assert list(_value_norms(xs, REAL_COL1, domain=True)) == expect
+        assert list(_value_norms(xs + 0j, REAL_COL1, domain=True)) == expect
 
 
 class TestNuclearWitness:

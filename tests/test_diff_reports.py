@@ -15,14 +15,25 @@ def _tool():
     return mod
 
 
-def test_working_tree_matches_itself_on_seed_one_maps():
+def _matches_itself(workload: str) -> None:
     tool = _tool()
     src = os.path.join(ROOT, "src")
     out = io.StringIO()
-    assert tool.diff_reports(src, src, workloads=("maps",), seeds=(1,), out=out) == 0
+    assert tool.diff_reports(src, src, workloads=(workload,), seeds=(1,), out=out) == 0
     lines = out.getvalue().splitlines()
     assert lines[-1].endswith(" identical, 0 differ")
-    assert len(lines) > 1 and all(line.startswith("same  maps/seed1/") for line in lines[:-1])
+    assert len(lines) > 1 and all(line.startswith(f"same  {workload}/seed1/")
+                                  for line in lines[:-1])
+
+
+def test_working_tree_matches_itself_on_seed_one_maps():
+    _matches_itself("maps")
+
+
+def test_working_tree_matches_itself_on_seed_one_certs():
+    # The certs documents run every seeded probe: sampled axioms, CP
+    # amplification and trace transport draw whole stacks of samples.
+    _matches_itself("certs")
 
 
 def test_max_float_diff():

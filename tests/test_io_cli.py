@@ -395,6 +395,24 @@ class TestCli:
         doc = json.loads(out)
         assert "transport" in doc and "chain" in doc["transport"]
 
+    def test_trace_audit_auto_is_the_realify_constant(self, workdir, capsys):
+        # "auto" means in trace-audit what it means in qd-transport: the
+        # fixed per-certificate scale, not the paper normalizer.
+        def transport(*mode):
+            _, out, _ = _run(["trace-audit", "--cert", workdir["cx_cert.json"],
+                              "--trace", workdir["trace.json"],
+                              "--phi", workdir["phi.json"], *mode], capsys)
+            return json.loads(out)["transport"]
+
+        auto, paper = transport(), transport("--theta-mode", "paper")
+        _, out, _ = _run(["qd-transport", "--cert", workdir["cx_cert.json"],
+                          "--direction", "realify"], capsys)
+        realify = json.loads(out)["report"]["extra"]
+        assert transport("--theta-mode", "auto") == auto
+        assert (auto["theta_mode"], auto["theta_scale"]) == ("fixed", realify["theta_scale"])
+        assert paper["theta_mode"] == "paper" and "theta_scale" not in paper
+        assert auto["chain"] != paper["chain"]
+
     def test_nuclear_verify(self, workdir, capsys):
         code, out, _ = _run(["nuclear-verify",
                              "--phi-map", workdir["idmap2.json"],

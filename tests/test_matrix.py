@@ -70,9 +70,6 @@ class TestColNorm1:
         with pytest.raises(ValueError):
             col_norm1(np.array([[1j]]))
 
-    def test_entrywise_variant(self):
-        assert col_norm1([[3, 4], [-4, 3]], entrywise=True) == 14.0
-
     def test_submultiplicative(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
@@ -194,3 +191,17 @@ def test_batches_cover_the_range_in_order():
     assert batches(3, 2 * BATCH_ENTRIES) == [slice(0, 1), slice(1, 2), slice(2, 3)]
     assert batches(4, 1) == [slice(0, BATCH_ENTRIES)]
     assert batches(0, 1) == []
+
+
+@pytest.mark.parametrize("norm", [op_norm, col_norm1, split_norm, positivity_defect])
+@pytest.mark.parametrize("shape", [(5, 3, 3), (2, 3, 2, 2), (4, 1, 1), (0, 3, 3)])
+def test_norms_take_stacks(norm, shape):
+    rng = np.random.default_rng(21)
+    xs = rng.standard_normal(shape)
+    if norm is not col_norm1:
+        xs = xs + 1j * rng.standard_normal(shape)
+    got = norm(xs)
+    assert isinstance(got, np.ndarray) and got.shape == shape[:-2]
+    singles = [norm(x) for x in xs.reshape(-1, *shape[-2:])]
+    assert all(type(v) is float for v in singles)
+    assert got.ravel().tolist() == singles      # bit-equal to one at a time

@@ -29,7 +29,7 @@ ANTI2 = AntiAutomorphism.transpose(2)
 def _tensor_rows(t) -> np.ndarray:
     """Realified rows of A (x) B built on the leg frames, checked to be
     orthonormal as they stand; two rows per complex dimension."""
-    rows = tensor_span_rows(t.a_frame, t.b_frame)
+    rows = tensor_span_rows(t.a.frame, t.b.frame)
     assert op_norm(rows @ rows.T - np.eye(len(rows))) < 1e-12
     return rows
 
@@ -49,13 +49,13 @@ class TestMinTensor:
         diag = StarAlgebra(2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)),
                            unital=True)
         t = min_tensor(diag, diag)
-        assert len(t.a_frame) == len(t.b_frame) == 2
+        assert len(t.a.frame) == len(t.b.frame) == 2
         assert _tensor_rows(t).shape[0] == 2 * 4
 
     def test_dimension_is_product_of_factor_dimensions(self):
         t = min_tensor(A2, B23)
         rows = _tensor_rows(t)
-        assert rows.shape[0] == 2 * len(t.a_frame) * len(t.b_frame) == 2 * 52
+        assert rows.shape[0] == 2 * len(t.a.frame) * len(t.b.frame) == 2 * 52
 
     def test_rejects_non_orthonormal_leg(self):
         units = matrix_units(2)
