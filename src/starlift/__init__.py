@@ -14,7 +14,7 @@ from .matrix import (DEFAULT_TOL, Tolerance, col_norm1, kron, op_norm,
 from .realform import (AntiAutomorphism, StarAlgebra, check_antiautomorphism,
                        conj_phi, real_decompose, real_form_basis,
                        real_form_residual)
-from .cpmaps import (ChoiMatrix, LinearMapMat, choi, complexify,
+from .cpmaps import (LinearMapMat, choi, complexify,
                      compose, compress, cp_defect, cp_defect_real,
                      cp_defect_real_report)
 from .transport import (RealifiedMap, ThetaScale, eta, eta1, realify_map, rho,
@@ -35,7 +35,7 @@ __all__ = [
     "positivity_defect", "split_norm",
     "AntiAutomorphism", "StarAlgebra", "check_antiautomorphism", "conj_phi",
     "real_decompose", "real_form_basis", "real_form_residual",
-    "ChoiMatrix", "LinearMapMat", "choi", "complexify", "compose",
+    "LinearMapMat", "choi", "complexify", "compose",
     "compress", "cp_defect", "cp_defect_real", "cp_defect_real_report",
     "RealifiedMap", "ThetaScale", "eta", "eta1", "realify_map", "rho",
     "rho_isometry", "rho_map", "sigma", "sigma_map", "theta",

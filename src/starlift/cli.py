@@ -1,7 +1,8 @@
 """Command-line surface: verification subcommands emitting canonical JSON.
 
 Every subcommand writes one canonical JSON report to stdout (and to
---output when given); human diagnostics go to stderr.  Exit codes
+--output when given), with a ``provenance`` block naming the tool,
+version, seed and tolerance; human diagnostics go to stderr.  Exit codes
 separate outcomes: 0 means the checked property holds, 1 means a
 verified mathematical failure (a defect above epsilon, a falsified
 claim, a CP violation), and 2 means an operational error (unknown
@@ -12,10 +13,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,60 +39,30 @@ from .transport import ThetaScale, transport_factorization
 ENV_TOL = "STARLIFT_TOL"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run parameters: flag > environment > default."""
-
-    tol: float = DEFAULT_TOL
-    seed: int = 0
-    theta_mode: str = "auto"
-    norm_mode: str = COMPLEX_OP
-
-    def __post_init__(self) -> None:
-        if not (self.tol > 0):
-            raise ValueError("tolerance must be positive")
-
-
 def _resolve_tol(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        return float(args.tol)
-    env = os.environ.get(ENV_TOL)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise ValueError(f"bad {ENV_TOL} value {env!r}") from exc
-    return DEFAULT_TOL
+    """The run's tolerance: flag > environment > default, positive and finite."""
+    raw = args.tol if args.tol is not None else os.environ.get(ENV_TOL, DEFAULT_TOL)
+    try:
+        tol = float(raw)
+    except ValueError:
+        raise ValueError(f"tolerance {ENV_TOL}={raw!r} is not a number") from None
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    return tol
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        tol=_resolve_tol(args),
-        seed=int(getattr(args, "seed", 0) or 0),
-        theta_mode=getattr(args, "theta_mode", "auto") or "auto",
-        norm_mode=getattr(args, "norm_mode", COMPLEX_OP) or COMPLEX_OP,
-    )
-
-
-def _emit(doc: dict, args) -> None:
-    text = canonical_dumps(doc)
-    sys.stdout.write(text)
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
-
-
-def _theta_scale(cfg: RunConfig) -> ThetaScale | None:
-    if cfg.theta_mode == "auto":
-        return None
-    return ThetaScale.parse(cfg.theta_mode)
+def _theta_scale(mode: str) -> ThetaScale | None:
+    return None if mode in ("", "auto") else ThetaScale.parse(mode)
 
 
 # -- handlers -----------------------------------------------------------------
+#
+# Each handler loads its inputs, runs its check and returns (report, ok):
+# the report without provenance, and whether the checked property holds.
+# A handler's own provenance keys go in report["provenance"].
 
 
-def _cmd_complexify(args) -> int:
+def _cmd_complexify(args):
     phi = map_from_json(load_json(args.map), "map")
     if phi.linearity != REAL:
         raise SchemaError("map.linearity", "complexify expects a real-linear map")
@@ -101,17 +71,15 @@ def _cmd_complexify(args) -> int:
     else:
         anti = AntiAutomorphism.transpose(phi.dom_dim)
     phic = complexify(phi, anti)
-    _emit({"map": map_to_json(phic), "provenance": _prov(_config(args))}, args)
-    return 0
+    return {"map": map_to_json(phic)}, True
 
 
-def _cmd_realform(args) -> int:
-    cfg = _config(args)
+def _cmd_realform(args):
     doc = load_json(args.phi)
     anti = anti_from_json(doc, validate=False)
-    report = check_antiautomorphism(anti, samples=args.samples, seed=cfg.seed,
-                                    tol=cfg.tol)
-    out = {"check": report.to_json(), "provenance": _prov(cfg)}
+    report = check_antiautomorphism(anti, samples=args.samples, seed=args.seed,
+                                    tol=args.tol)
+    out = {"check": report.to_json()}
     if args.matrix:
         x = matrix_from_json(load_json(args.matrix), "matrix")
         r, s = real_decompose(anti, x)
@@ -122,54 +90,47 @@ def _cmd_realform(args) -> int:
             "recombine_residual": float(op_norm(x - (r + 1j * s))),
             "real_form_residual": float(real_form_residual(anti, x)),
         }
-    _emit(out, args)
-    return 0 if report.ok else 1
+    return out, report.ok
 
 
-def _cmd_choi(args) -> int:
+def _cmd_choi(args):
     phi = map_from_json(load_json(args.map), "map")
-    cm = choi(phi).value
+    cm = choi(phi)
     sym = (cm + cm.conj().T) / 2.0
-    _emit({
+    return {
         "choi": matrix_to_json(cm),
         "hermitian_defect": float(hermitian_defect(cm)),
         "min_eigenvalue": float(np.linalg.eigvalsh(sym)[0]),
         "trace": [float(np.trace(cm).real), float(np.trace(cm).imag)],
-    }, args)
-    return 0
+    }, True
 
 
-def _cmd_cp_check(args) -> int:
-    cfg = _config(args)
+def _cmd_cp_check(args):
     phi = map_from_json(load_json(args.map), "map")
     if phi.linearity == COMPLEX:
         defect = cp_defect(phi)
-        ok = defect >= -cfg.tol
-        _emit({"linearity": COMPLEX, "defect": float(defect),
-               "completely_positive": bool(ok),
-               "provenance": _prov(cfg)}, args)
-        return 0 if ok else 1
+        ok = defect >= -args.tol
+        return {"linearity": COMPLEX, "defect": float(defect),
+                "completely_positive": bool(ok)}, ok
     rep = cp_defect_real_report(phi, level=args.level, samples=args.samples,
-                                seed=cfg.seed)
-    ok = rep.defect >= -cfg.tol and rep.selfadj_defect <= cfg.tol
+                                seed=args.seed)
+    ok = rep.defect >= -args.tol and rep.selfadj_defect <= args.tol
     doc = {
         "linearity": REAL,
         "level": rep.level,
         "defect": float(rep.defect),
         "selfadjointness_defect": float(rep.selfadj_defect),
         "completely_positive": bool(ok),
-        "provenance": _prov(cfg, samples=rep.samples),
+        "provenance": {"samples": rep.samples},
     }
-    if rep.defect < -cfg.tol and rep.witness is not None:
+    if rep.defect < -args.tol and rep.witness is not None:
         doc["witness"] = matrix_to_json(rep.witness)
-    if rep.selfadj_defect > cfg.tol and rep.selfadj_witness is not None:
+    if rep.selfadj_defect > args.tol and rep.selfadj_witness is not None:
         doc["selfadjointness_witness"] = matrix_to_json(rep.selfadj_witness)
-    _emit(doc, args)
-    return 0 if ok else 1
+    return doc, ok
 
 
-def _cmd_transport(args) -> int:
-    cfg = _config(args)
+def _cmd_transport(args):
     phi = map_from_json(load_json(args.phi_map), "phi_map")
     psi = map_from_json(load_json(args.psi_map), "psi_map")
     phi_p, psi_p = transport_factorization(phi, psi)
@@ -177,24 +138,20 @@ def _cmd_transport(args) -> int:
     after = compose(psi_p, phi_p)
     units = np.stack(doubled_units(phi.dom_dim))
     resid = np.max(op_norm(after.apply(units) - before.apply(units)))
-    _emit({
+    return {
         "phi_prime": map_to_json(phi_p),
         "psi_prime": map_to_json(psi_p),
         "composition_residual": float(resid),
-        "provenance": _prov(cfg),
-    }, args)
-    return 0 if resid <= cfg.tol else 1
+    }, resid <= args.tol
 
 
-def _cmd_qd_verify(args) -> int:
+def _cmd_qd_verify(args):
     cert = cert_from_json(load_json(args.cert))
     report = qd_verify(cert)
-    _emit({"report": report.to_json()}, args)
-    return 0 if report.passed else 1
+    return {"report": report.to_json()}, report.passed
 
 
-def _cmd_qd_transport(args) -> int:
-    cfg = _config(args)
+def _cmd_qd_transport(args):
     cert = cert_from_json(load_json(args.cert))
     if args.direction == "complexify":
         new_cert, report = qd_complexify(cert)
@@ -203,36 +160,31 @@ def _cmd_qd_transport(args) -> int:
         anti = None
         if args.phi:
             anti = anti_from_json(load_json(args.phi))
-        new_cert, report = qd_realify(cert, anti=anti, scale=_theta_scale(cfg))
+        new_cert, report = qd_realify(cert, anti=anti, scale=_theta_scale(args.theta_mode))
         if report.extra.get("theta_mode") == "paper":
             ok = report.passed
         else:
             ok = report.passed and report.extra.get("bounds_hold", False)
-    doc = {"report": report.to_json(), "provenance": _prov(cfg)}
-    doc["certificate"] = cert_to_json(new_cert) if new_cert is not None else None
-    _emit(doc, args)
-    return 0 if ok else 1
+    return {"report": report.to_json(),
+            "certificate": cert_to_json(new_cert) if new_cert is not None else None}, ok
 
 
-def _cmd_trace_audit(args) -> int:
-    cfg = _config(args)
+def _cmd_trace_audit(args):
     cert = cert_from_json(load_json(args.cert))
     witness = trace_from_json(load_json(args.trace))
     report = trace_qd_verify(cert, witness)
-    doc = {"verify": report.to_json(), "provenance": _prov(cfg)}
+    doc = {"verify": report.to_json()}
     if args.phi:
         anti = anti_from_json(load_json(args.phi))
         chain_cert = cert if cert.phi.linearity == COMPLEX else None
         _, transport_report = trace_transport(
             witness, anti, scale=args.scale, cert=chain_cert,
-            theta_scale=_theta_scale(cfg), seed=cfg.seed)
+            theta_scale=_theta_scale(args.theta_mode), seed=args.seed)
         doc["transport"] = transport_report
-    _emit(doc, args)
-    return 0 if report.passed else 1
+    return doc, report.passed
 
 
-def _cmd_nuclear_verify(args) -> int:
-    cfg = _config(args)
+def _cmd_nuclear_verify(args):
     phi = map_from_json(load_json(args.phi_map), "phi_map")
     psi = map_from_json(load_json(args.psi_map), "psi_map")
     elements = subset_from_json(load_json(args.set), "F")
@@ -244,44 +196,32 @@ def _cmd_nuclear_verify(args) -> int:
     if args.b_list:
         b_list = [m for m in subset_from_json(load_json(args.b_list), "b_list")]
     report = nuclear_witness_verify(phi, psi, subset, epsilon=args.epsilon,
-                                    target=target, norm_mode=cfg.norm_mode,
+                                    target=target, norm_mode=args.norm_mode,
                                     b_list=b_list)
-    _emit({"report": report.to_json(), "provenance": _prov(cfg)}, args)
-    return 0 if report.passed else 1
+    return {"report": report.to_json()}, report.passed
 
 
-def _cmd_fubini(args) -> int:
+def _tensor_inputs(args):
+    """(algebra, antiautomorphism, ideal) of a fubini or exactness run."""
     algebra = algebra_from_json(load_json(args.algebra))
     anti = anti_from_json(load_json(args.phi)) if args.phi \
         else AntiAutomorphism.transpose(algebra.n)
-    pres = ideal_from_json(load_json(args.ideal))
-    check = fubini_check(algebra, anti, pres)
-    _emit({"fubini": check.to_json()}, args)
-    return 0 if check.match else 1
+    return algebra, anti, ideal_from_json(load_json(args.ideal))
 
 
-def _cmd_exactness(args) -> int:
-    algebra = algebra_from_json(load_json(args.algebra))
-    anti = anti_from_json(load_json(args.phi)) if args.phi \
-        else AntiAutomorphism.transpose(algebra.n)
-    pres = ideal_from_json(load_json(args.ideal))
-    report = exactness_check(algebra, anti, pres)
-    _emit({"report": report.to_json()}, args)
-    return 0 if report.ok else 1
+def _cmd_fubini(args):
+    check = fubini_check(*_tensor_inputs(args))
+    return {"fubini": check.to_json()}, check.match
 
 
-def _cmd_lemma_audit(args) -> int:
-    cfg = _config(args)
-    report = lemma_audit(args.claim, samples=args.samples, seed=cfg.seed)
-    _emit({"report": report.to_json(), "provenance": _prov(cfg)}, args)
-    return 0 if report.holds else 1
+def _cmd_exactness(args):
+    report = exactness_check(*_tensor_inputs(args))
+    return {"report": report.to_json()}, report.ok
 
 
-def _prov(cfg: RunConfig, **extra) -> dict:
-    doc = {"tool": "starlift", "version": __version__, "seed": cfg.seed,
-           "tol": cfg.tol}
-    doc.update(extra)
-    return doc
+def _cmd_lemma_audit(args):
+    report = lemma_audit(args.claim, samples=args.samples, seed=args.seed)
+    return {"report": report.to_json()}, report.holds
 
 
 # -- parser -------------------------------------------------------------------
@@ -403,11 +343,19 @@ def cmd_dispatch(argv) -> int:
         code = exc.code
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
     try:
-        return globals()[args.handler](args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+        args.tol = _resolve_tol(args)
+        doc, ok = globals()[args.handler](args)
+        doc["provenance"] = {"tool": "starlift", "version": __version__,
+                             "seed": getattr(args, "seed", 0), "tol": args.tol,
+                             **doc.get("provenance", {})}
+        text = canonical_dumps(doc)
+        if args.output:
+            with open(args.output, "w", encoding="ascii") as fh:
+                fh.write(text)
+        sys.stdout.write(text)
+        return 0 if ok else 1
+    except (ValueError, TypeError, OSError) as exc:
+        # SchemaError and json.JSONDecodeError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -223,26 +223,19 @@ def complexify(phi: LinearMapMat, anti: AntiAutomorphism) -> LinearMapMat:
 # -- Choi calculus -------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ChoiMatrix:
+def choi(phi: LinearMapMat) -> np.ndarray:
     """sum_jl E_jl (x) phi(E_jl) for a complex-linear phi."""
-
-    value: np.ndarray
-    source: LinearMapMat
-
-
-def choi(phi: LinearMapMat) -> ChoiMatrix:
     if phi.linearity != COMPLEX:
         raise ValueError("choi is defined for complex-linear maps; "
                          "use cp_defect_real for real-linear ones")
     # Block (j, l) is phi(E_jl), the image of the j*n + l-th unit; adding
     # 0.0 turns -0.0 into 0.0, as summing the blocks into a zero matrix does.
-    return ChoiMatrix(_join_blocks(phi.images, phi.dom_dim) + 0.0, phi)
+    return _join_blocks(phi.images, phi.dom_dim) + 0.0
 
 
 def cp_defect(phi: LinearMapMat) -> float:
     """Positivity defect of the Choi matrix; >= -tol iff phi is CP."""
-    return positivity_defect(choi(phi).value)
+    return positivity_defect(choi(phi))
 
 
 # -- real-linear complete positivity -------------------------------------

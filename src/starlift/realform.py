@@ -10,7 +10,7 @@ both parts in the real form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -124,16 +124,7 @@ class CheckReport:
     ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "unitary_defect": self.unitary_defect,
-            "symmetry_defect": self.symmetry_defect,
-            "antimultiplicative": self.antimultiplicative,
-            "star_compatible": self.star_compatible,
-            "involutive": self.involutive,
-            "samples": self.samples,
-            "seed": self.seed,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def check_antiautomorphism(anti_or_u, samples: int = 50, seed: int = 0,

@@ -21,13 +21,13 @@ checks the contract and raises on a leg that breaks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .cpmaps import COMPLEX, REAL
-from .matrix import as_array, as_arrays, batches, matrix_units, op_norm
+from .matrix import DEFAULT_TOL, as_array, as_arrays, batches, matrix_units, op_norm
 from .realform import AntiAutomorphism, StarAlgebra, real_decompose, real_form_basis
 from .subspace import (RANK_TOL, containment_residual, kernel_rows, orth_rows,
                        realify, subspaces_equal, unrealify)
@@ -122,7 +122,14 @@ class IdealPresentation:
 
     @classmethod
     def from_block_algebra(cls, b: StarAlgebra, ideal_blocks) -> "IdealPresentation":
-        return cls(b, detect_blocks(b.span, b.n), tuple(ideal_blocks))
+        """The ideal of B made of the named blocks, each of which must lie in B."""
+        pres = cls(b, detect_blocks(b.span, b.n), tuple(ideal_blocks))
+        for i in pres.ideal_blocks:
+            start, size = pres.blocks[i]
+            resid = b._residuals(np.stack(matrix_units(size, b.n, start))).max()
+            if resid > DEFAULT_TOL:
+                raise ValueError(f"ideal block {i} does not lie in B: residual {resid:.3e}")
+        return pres
 
     @property
     def quotient_indices(self) -> list[int]:
@@ -297,14 +304,7 @@ class KernelCheck:
     match: bool
 
     def to_json(self) -> dict:
-        return {
-            "kernel_dim": self.kernel_dim,
-            "span_dim": self.span_dim,
-            "principal_angle": self.principal_angle,
-            "containment_kernel_in_span": self.containment_kernel_in_span,
-            "containment_span_in_kernel": self.containment_span_in_kernel,
-            "match": self.match,
-        }
+        return asdict(self)
 
 
 def quotient_kernel_rows(working_rows: np.ndarray, pres: IdealPresentation,
@@ -335,20 +335,12 @@ class ExactnessReport:
     complex_kernel: KernelCheck
     fubini_real: KernelCheck
     fubini_complex: KernelCheck
-    decomposition_dims: dict
+    decomposition: dict
     dual_field_choice: dict
     ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "real_kernel": self.real_kernel.to_json(),
-            "complex_kernel": self.complex_kernel.to_json(),
-            "fubini_real": self.fubini_real.to_json(),
-            "fubini_complex": self.fubini_complex.to_json(),
-            "decomposition": self.decomposition_dims,
-            "dual_field_choice": self.dual_field_choice,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def _real_leg(a: StarAlgebra, anti: AntiAutomorphism, pres: IdealPresentation,

@@ -55,20 +55,20 @@ class TestLinearMapMat:
 
 class TestChoi:
     def test_identity_channel(self):
-        c = choi(LinearMapMat.identity(2)).value
+        c = choi(LinearMapMat.identity(2))
         assert op_norm(c - _entangled(2)) < 1e-12
         ev = np.linalg.eigvalsh((c + c.conj().T) / 2)
         assert ev[0] == pytest.approx(0.0, abs=1e-12)
         assert np.trace(c).real == pytest.approx(2.0)
 
     def test_transpose_is_swap(self):
-        c = choi(TRANSPOSE_MAP2).value
+        c = choi(TRANSPOSE_MAP2)
         ev = np.linalg.eigvalsh((c + c.conj().T) / 2)
         assert np.allclose(sorted(ev), [-1.0, 1.0, 1.0, 1.0], atol=1e-12)
 
     def test_zero_map(self):
         zero = LinearMapMat.from_function(lambda m: np.zeros((2, 2)), 2, "C")
-        assert op_norm(choi(zero).value) == 0.0
+        assert op_norm(choi(zero)) == 0.0
 
     def test_rejects_real_linear(self):
         with pytest.raises(ValueError):
@@ -79,7 +79,7 @@ class TestChoi:
         f = LinearMapMat.from_function(lambda m: random_matrix(rng, 2) * 0 + np.asarray(m), 2, "C")
         g = TRANSPOSE_MAP2
         summed = LinearMapMat(2, 2, "C", f.images + g.images)
-        assert op_norm(choi(summed).value - choi(f).value - choi(g).value) < 1e-12
+        assert op_norm(choi(summed) - choi(f) - choi(g)) < 1e-12
 
 
 class TestCpDefect:

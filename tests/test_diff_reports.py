@@ -55,3 +55,25 @@ def test_integer_and_float_spellings_differ_in_bytes_but_not_in_value():
     assert lines[0] == "DIFF  one  exit 0 -> 0, stdout differs: max float difference 0.000e+00"
     assert lines[-1] == ("3 documents, 1 of the differing ones equal in exit code and value: "
                          "1 identical, 2 differ")
+
+
+def test_a_structure_change_names_the_first_differing_path():
+    tool = _tool()
+    first = tool.first_difference
+    assert first({"a": 1, "b": [1.0]}, {"a": 1, "b": [2.0]}) is None
+    assert first({"r": {"x": 1.0}}, {"r": {"x": 1.0}, "provenance": {}}) == "provenance added"
+    assert first({"r": {"x": 1.0, "y": "s"}}, {"r": {"x": 1.0}}) == "r.y removed"
+    assert first({"r": [1.0, "s"]}, {"r": [1.0, "t"]}) == "r[1] changed"
+    assert first({"r": [1.0]}, {"r": [1.0, 2.0]}) == "r[1] added"
+    assert first([True], [1]) == "[0] changed"
+    docs = [("choi", []), ("exit", []), ("text", [])]
+    base = {"choi": [0, '{"c":1.0}\n'], "exit": [0, '{"c":1.0}\n'], "text": [0, "{}\n"]}
+    new = {"choi": [0, '{"c":1.0,"provenance":{"tol":1e-9}}\n'],
+           "exit": [2, ""], "text": [0, '{"c":true}\n']}
+    differ, lines = tool.compare(base, new, docs)
+    assert differ == 3
+    assert lines[:3] == ["DIFF  choi  exit 0 -> 0, stdout differs: provenance added",
+                         "DIFF  exit  exit 0 -> 2, stdout differs: not both JSON",
+                         "DIFF  text  exit 0 -> 0, stdout differs: c added"]
+    assert lines[-1] == ("3 documents, 0 of the differing ones equal in exit code and value: "
+                         "0 identical, 3 differ")

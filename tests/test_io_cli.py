@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starlift.certify import FiniteSubset, QDCertificate, TraceWitness
-from starlift import cli
+from starlift import __version__, cli
 from starlift.cli import cmd_dispatch
 from starlift.cpmaps import LinearMapMat, complexify
 from starlift.io import (SchemaError, algebra_to_json, anti_to_json,
@@ -56,6 +56,7 @@ def workdir(tmp_path):
     rcert = QDCertificate(StarAlgebra.full_matrix(2), subset, phi, 9.0,
                           "complex_op", ANTI2)
     write("real_cert.json", cert_to_json(rcert))
+    write("real_map.json", map_to_json(phi))
     ccert = QDCertificate(StarAlgebra.full_matrix(2), subset,
                           complexify(phi, ANTI2), 9.0, "complex_op", ANTI2)
     write("cx_cert.json", cert_to_json(ccert))
@@ -568,3 +569,77 @@ class TestCli:
         b = _run(["lemma-audit", "--claim", "eta_cp", "--samples", "60",
                   "--seed", "11"], capsys)
         assert a == b
+
+
+# Every subcommand on fixture inputs, with its --seed when it has one.
+SUBCOMMANDS = {
+    "complexify": ["--map", "real_map.json"],
+    "realform": ["--phi", "phi.json", "--matrix", "x.json", "--seed", "3"],
+    "choi": ["--map", "transpose2.json"],
+    "cp-check": ["--map", "real_map.json", "--samples", "4", "--seed", "3"],
+    "transport": ["--phi-map", "idmap2.json", "--psi-map", "idmap2.json"],
+    "qd-verify": ["--cert", "id_cert.json"],
+    "qd-transport": ["--cert", "real_cert.json", "--direction", "complexify"],
+    "trace-audit": ["--cert", "cx_cert.json", "--trace", "trace.json",
+                    "--phi", "phi.json", "--seed", "3"],
+    "nuclear-verify": ["--phi-map", "idmap2.json", "--psi-map", "idmap2.json",
+                       "--set", "F.json", "--epsilon", "1e-6"],
+    "fubini": ["--algebra", "A2.json", "--ideal", "ideal.json"],
+    "exactness": ["--algebra", "A2.json", "--ideal", "ideal.json"],
+    "lemma-audit": ["--claim", "eqtr1_scale1", "--samples", "5", "--seed", "3"],
+}
+
+
+def _argv(workdir, command):
+    return [command] + [workdir.get(a, a) for a in SUBCOMMANDS[command]]
+
+
+def test_every_subcommand_covers_the_parser():
+    choices = cli.build_parser()._subparsers._group_actions[0].choices
+    assert set(SUBCOMMANDS) == set(choices)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_every_report_is_canonical_with_provenance(workdir, tmp_path, capsys,
+                                                   monkeypatch, command):
+    monkeypatch.setenv("STARLIFT_TOL", "1e-8")
+    out_path = tmp_path / "report.json"
+    code, out, err = _run(_argv(workdir, command) + ["--output", str(out_path)], capsys)
+    assert code in (0, 1), err
+    assert canonical_dumps(json.loads(out)) == out
+    assert out_path.read_text(encoding="ascii") == out
+    seed = 3 if "--seed" in SUBCOMMANDS[command] else 0
+    prov = json.loads(out)["provenance"]
+    assert {k: prov[k] for k in ("tool", "version", "seed", "tol")} == {
+        "tool": "starlift", "version": __version__, "seed": seed, "tol": 1e-8}
+
+
+@pytest.mark.parametrize("command", ["qd-verify", "cp-check"])
+@pytest.mark.parametrize("flag, env", [("0", None), ("-1", None), ("nan", None),
+                                       ("inf", None), (None, "inf"), (None, "abc")])
+def test_a_tolerance_that_is_not_positive_and_finite_exits_two(
+        workdir, capsys, monkeypatch, command, flag, env):
+    if env is not None:
+        monkeypatch.setenv("STARLIFT_TOL", env)
+    argv = _argv(workdir, command) + ([f"--tol={flag}"] if flag is not None else [])
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "tolerance" in err
+
+
+@pytest.mark.parametrize("command", ["fubini", "exactness"])
+def test_an_ideal_outside_b_exits_two(workdir, tmp_path, capsys, command):
+    # B = span{I_2} splits into two 1x1 blocks, but E_11 is not in B.
+    ideal = tmp_path / "outside.json"
+    ideal.write_text(canonical_dumps(
+        {"B": algebra_to_json(StarAlgebra(2, (np.eye(2),))), "ideal_blocks": [0]}))
+    code, out, err = _run([command, "--algebra", workdir["A2.json"],
+                           "--ideal", str(ideal)], capsys)
+    assert (code, out) == (2, "")
+    assert "ideal.ideal_blocks" in err
+
+
+def test_an_unwritable_output_exits_two_before_stdout(workdir, tmp_path, capsys):
+    code, out, err = _run(_argv(workdir, "qd-verify") + ["--output", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert str(tmp_path) in err

@@ -196,7 +196,7 @@ class TestExactness:
         assert report.real_kernel.principal_angle < 1e-6
         assert report.complex_kernel.kernel_dim == 32
         assert report.fubini_real.match and report.fubini_complex.match
-        assert report.decomposition_dims["spans_everything"]
+        assert report.decomposition["spans_everything"]
         # the easy containment span(A (x) I) <= ker(id (x) pi) holds exactly
         assert report.real_kernel.containment_span_in_kernel < 1e-8
         assert report.complex_kernel.containment_span_in_kernel < 1e-8

@@ -8,10 +8,12 @@ Builds every ``maps``, ``tensor`` and ``certs`` document that
 and once with REV's ``src/``, extracted with ``git archive`` into a
 temporary directory.  Each side runs all documents in one subprocess with
 one BLAS thread, so the two sides differ only in their source.  For each
-document it prints whether the exit code and the stdout bytes match, and
-the largest difference between corresponding floats when they do not.  The
-summary also counts the differing documents whose exit codes match and
-whose reports parse to equal values (a change of float spelling, say).
+document it prints whether the exit code and the stdout bytes match.  When
+the bytes differ it prints the largest difference between corresponding
+floats, or, if the reports differ in more than float values, the first
+JSON path at which they do (``provenance added``, say).  The summary also
+counts the differing documents whose exit codes match and whose reports
+parse to equal values, as after a change of float spelling.
 Exits 0 iff every document matches byte for byte.
 """
 
@@ -115,6 +117,35 @@ def max_float_diff(a, b) -> float | None:
     return max(parts, default=0.0)
 
 
+def first_difference(a, b, path: str = "") -> str | None:
+    """Where two JSON values first differ in structure or in a non-float
+    value, keys in sorted order: "PATH added" or "PATH removed" when a key
+    or list item exists on one side only, "PATH changed" otherwise.  None
+    when they differ at most in the values of numbers."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            where = f"{path}.{key}" if path else key
+            if key not in a:
+                return f"{where} added"
+            if key not in b:
+                return f"{where} removed"
+            found = first_difference(a[key], b[key], where)
+            if found:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = first_difference(x, y, f"{path}[{i}]")
+            if found:
+                return found
+        if len(a) == len(b):
+            return None
+        return f"{path}[{min(len(a), len(b))}] " + ("added" if len(b) > len(a) else "removed")
+    if max_float_diff(a, b) is not None:
+        return None
+    return f"{path or '(root)'} changed"
+
+
 def compare(base: dict, new: dict, docs) -> tuple[int, list[str]]:
     """Number of documents that differ, and one report line per document
     followed by the summary line."""
@@ -128,13 +159,16 @@ def compare(base: dict, new: dict, docs) -> tuple[int, list[str]]:
         note = f"exit {code_a} -> {code_b}"
         if out_a != out_b:
             try:
-                diff = max_float_diff(json.loads(out_a), json.loads(out_b))
+                doc_a, doc_b = json.loads(out_a), json.loads(out_b)
             except ValueError:
-                diff = None
-            if code_a == code_b and diff == 0.0:
-                equal += 1
-            note += ", stdout differs: " + ("structure or non-float values" if diff is None
-                                            else f"max float difference {diff:.3e}")
+                what = "not both JSON"
+            else:
+                diff = max_float_diff(doc_a, doc_b)
+                if code_a == code_b and diff == 0.0:
+                    equal += 1
+                what = (first_difference(doc_a, doc_b) if diff is None
+                        else f"max float difference {diff:.3e}")
+            note += ", stdout differs: " + what
         lines.append(f"DIFF  {name}  {note}")
     lines.append(f"{len(docs)} documents, {equal} of the differing ones equal in exit code "
                  f"and value: {len(docs) - differ} identical, {differ} differ")
