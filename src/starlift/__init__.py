@@ -25,9 +25,8 @@ from .certify import (AUDIT_CLAIMS, AuditReport, DefectReport, FiniteSubset,
                       QDCertificate, TraceWitness, lemma_audit,
                       nuclear_witness_verify, qd_complexify, qd_realify,
                       qd_verify, trace_qd_verify, trace_transport)
-from .tensorexact import (IdealPresentation, TensorAlgebra, exactness_check,
-                          fubini, fubini_check, min_tensor, slice_left_value,
-                          slice_right_value)
+from .tensorexact import (IdealPresentation, exactness_check, fubini,
+                          fubini_check, real_frame, slice_right_value)
 
 __all__ = [
     "__version__",
@@ -44,6 +43,6 @@ __all__ = [
     "QDCertificate", "TraceWitness", "lemma_audit", "nuclear_witness_verify",
     "qd_complexify", "qd_realify", "qd_verify", "trace_qd_verify",
     "trace_transport",
-    "IdealPresentation", "TensorAlgebra", "exactness_check", "fubini",
-    "fubini_check", "min_tensor", "slice_left_value", "slice_right_value",
+    "IdealPresentation", "exactness_check", "fubini", "fubini_check",
+    "real_frame", "slice_right_value",
 ]

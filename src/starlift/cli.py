@@ -344,7 +344,10 @@ def cmd_dispatch(argv) -> int:
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
     try:
         args.tol = _resolve_tol(args)
-        doc, ok = globals()[args.handler](args)
+        # An overflow or NaN is an error, not a verdict; raising also keeps
+        # LAPACK from reporting an illegal argument on file descriptor 1.
+        with np.errstate(over="raise", invalid="raise"):
+            doc, ok = globals()[args.handler](args)
         doc["provenance"] = {"tool": "starlift", "version": __version__,
                              "seed": getattr(args, "seed", 0), "tol": args.tol,
                              **doc.get("provenance", {})}
@@ -354,7 +357,7 @@ def cmd_dispatch(argv) -> int:
                 fh.write(text)
         sys.stdout.write(text)
         return 0 if ok else 1
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, FloatingPointError) as exc:
         # SchemaError and json.JSONDecodeError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -289,8 +289,7 @@ def cert_to_json(cert: QDCertificate) -> dict:
     return doc
 
 
-def cert_from_json(doc, path: str = "certificate",
-                   validate: bool = True) -> QDCertificate:
+def cert_from_json(doc, path: str = "certificate") -> QDCertificate:
     algebra = algebra_from_json(_need(doc, "algebra", path), f"{path}.algebra")
     phi = map_from_json(_need(doc, "phi_map", path), f"{path}.phi_map")
     elements = subset_from_json(_need(doc, "F", path), f"{path}.F")
@@ -311,8 +310,7 @@ def cert_from_json(doc, path: str = "certificate",
     try:
         subset = FiniteSubset(tuple(elements),
                               tuple(labels) if labels else None)
-        return QDCertificate(algebra, subset, phi, epsilon, norm_mode, anti,
-                             validate=validate)
+        return QDCertificate(algebra, subset, phi, epsilon, norm_mode, anti)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 

@@ -9,34 +9,26 @@ are only real-linear subspaces of the complex tensor algebra.  Ideals
 are block summands (every closed ideal of a finite-dimensional
 C*-algebra is one), which keeps the quotient map exactly computable.
 
-Frame contract: every tensor span is built from two leg frames, lists of
-matrices whose Hermitian Gram matrix tr(x* y) is the identity.  Since
+Frame contract: every tensor span is built from two leg frames, stacks
+of matrices whose Hermitian Gram matrix tr(x* y) is the identity.  Since
 <a (x) b, a' (x) b'> = <a, a'><b, b'>, their Kronecker products and the
 i-multiples of those are orthonormal real rows as they stand, so no span
 of products is ever orthonormalized.  The frames are A's real form
-(tr(x* y) = tr(Phi(x) y) is real there), the ideal's matrix units, and
-each factor's ``StarAlgebra.frame``.  ``tensor_span_rows``
+(``real_frame``; tr(x* y) = tr(Phi(x) y) is real there), the ideal's
+matrix units, and each factor's ``StarAlgebra.frame``.  ``tensor_span_rows``
 checks the contract and raises on a leg that breaks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .cpmaps import COMPLEX, REAL
 from .matrix import DEFAULT_TOL, as_array, as_arrays, batches, matrix_units, op_norm
-from .realform import AntiAutomorphism, StarAlgebra, real_decompose, real_form_basis
+from .realform import AntiAutomorphism, StarAlgebra, real_form_basis
 from .subspace import (RANK_TOL, containment_residual, kernel_rows, orth_rows,
                        realify, subspaces_equal, unrealify)
-
-
-def _legs(x, na: int, nb: int) -> np.ndarray:
-    """x in M_na (x) M_nb, or a stack of them, as (..., na, nb, na, nb)."""
-    x = as_arrays(x)
-    return x.astype(np.complex128).reshape(x.shape[:-2] + (na, nb, na, nb))
 
 
 def slice_right_value(t_phi, x, na: int, nb: int) -> np.ndarray:
@@ -44,58 +36,26 @@ def slice_right_value(t_phi, x, na: int, nb: int) -> np.ndarray:
     so a (x) b -> trace(t_phi a) b.  Stacks of functionals (..., na, na)
     and of matrices (..., na*nb, na*nb) broadcast against each other."""
     t = as_arrays(t_phi).astype(np.complex128)
-    return np.einsum("...ij,...jbic->...bc", t, _legs(x, na, nb), optimize=True)
+    x = as_arrays(x).astype(np.complex128)
+    legs = x.reshape(x.shape[:-2] + (na, nb, na, nb))
+    return np.einsum("...ij,...jbic->...bc", t, legs, optimize=True)
 
 
-def slice_left_value(t_psi, x, na: int, nb: int) -> np.ndarray:
-    """L_psi(x): contract the B leg, a (x) b -> trace(t_psi b) a; stacks
-    broadcast as in ``slice_right_value``."""
-    t = as_arrays(t_psi).astype(np.complex128)
-    return np.einsum("...bj,...ajcb->...ac", t, _legs(x, na, nb), optimize=True)
+def real_frame(a: StarAlgebra, anti: AntiAutomorphism) -> np.ndarray:
+    """A's real form {x in A: Phi(x) = x*} as a frame: the real form of
+    M_n projected onto A's realified frame.
 
-
-@dataclass(frozen=True, eq=False)
-class TensorAlgebra:
-    """Kronecker-product presentation of a minimal tensor product; its
-    legs are the factors' orthonormal frames ``a.frame`` and ``b.frame``."""
-
-    a: StarAlgebra
-    b: StarAlgebra
-
-    @cached_property
-    def _real_frames(self) -> dict:
-        return {}
-
-    def real_frame(self, anti: AntiAutomorphism) -> list[np.ndarray]:
-        """A's real form {a in A: Phi(a) = a*} as a frame, built once per
-        ``anti``: the real form of M_na projected onto A's realified frame.
-
-        The projection is A's real form only when Phi(A) lies in A, so a
-        containment residual above ``RANK_TOL`` raises ValueError.
-        """
-        if anti not in self._real_frames:
-            fa = self.a.frame
-            amb = realify(np.concatenate([fa, 1j * fa]))
-            resid = containment_residual(realify(anti.apply(fa)), amb)
-            if resid > RANK_TOL:
-                raise ValueError("the algebra is not invariant under the "
-                                 f"antiautomorphism: residual {resid:.3e}")
-            rows = orth_rows(realify(real_form_basis(anti)) @ amb.T @ amb)
-            self._real_frames[anti] = list(unrealify(rows, (-1, self.na, self.na)))
-        return self._real_frames[anti]
-
-    @property
-    def na(self) -> int:
-        return self.a.n
-
-    @property
-    def nb(self) -> int:
-        return self.b.n
-
-
-def min_tensor(a: StarAlgebra, b: StarAlgebra) -> TensorAlgebra:
-    """Spatial tensor product of two matrix algebras."""
-    return TensorAlgebra(a, b)
+    The projection is A's real form only when Phi(A) lies in A, so a
+    containment residual above ``RANK_TOL`` raises ValueError.
+    """
+    fa = a.frame
+    amb = realify(np.concatenate([fa, 1j * fa]))
+    resid = containment_residual(realify(anti.apply(fa)), amb)
+    if resid > RANK_TOL:
+        raise ValueError("the algebra is not invariant under the "
+                         f"antiautomorphism: residual {resid:.3e}")
+    rows = orth_rows(realify(real_form_basis(anti)) @ amb.T @ amb)
+    return unrealify(rows, (-1, a.n, a.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +116,9 @@ class IdealPresentation:
         idx = self.quotient_indices
         return as_arrays(x)[..., idx, :][..., idx]
 
-    def validate(self, tol: float = 1e-9) -> None:
-        """Two-sided ideal closure and pi annihilating the ideal."""
+    def validate(self) -> None:
+        """Two-sided ideal closure and pi annihilating the ideal, to 1e-9."""
+        tol = 1e-9
         ideal = self.ideal_span()
         if not ideal:
             return
@@ -179,11 +140,12 @@ class IdealPresentation:
             raise ValueError("quotient does not annihilate the ideal")
 
 
-def detect_blocks(span, n: int, tol: float = 1e-12) -> tuple:
-    """Finest contiguous block partition supporting every span matrix."""
+def detect_blocks(span, n: int) -> tuple:
+    """Finest contiguous block partition supporting every span matrix
+    (entries above 1e-12)."""
     support = np.zeros((n, n), dtype=bool)
     for m in span:
-        support |= np.abs(as_array(m)) > tol
+        support |= np.abs(as_array(m)) > 1e-12
     support |= support.T
     blocks = []
     start = 0
@@ -208,12 +170,13 @@ def tensor_span_rows(a_leg, b_leg) -> np.ndarray:
     each product, then i times it.
 
     Both legs must be frames (Hermitian Gram matrix I within
-    ``RANK_TOL``); a leg that is not raises ValueError.
+    ``RANK_TOL``); a leg that is not raises ValueError.  An empty leg,
+    given as an array of no matrices, spans the zero subspace.
     """
-    a, b = np.stack(a_leg), np.stack(b_leg)
+    a, b = np.asarray(a_leg), np.asarray(b_leg)
     for leg in (a, b):
-        flat = leg.reshape(len(leg), -1)
-        dev = np.max(np.abs(flat.conj() @ flat.T - np.eye(len(leg))))
+        flat = leg.reshape(len(leg), leg.shape[1] ** 2)
+        dev = np.max(np.abs(flat.conj() @ flat.T - np.eye(len(leg))), initial=0.0)
         if dev > RANK_TOL:
             raise ValueError(f"tensor leg is not orthonormal: Gram deviation {dev:.3e}")
     n = a.shape[1] * b.shape[1]
@@ -222,76 +185,32 @@ def tensor_span_rows(a_leg, b_leg) -> np.ndarray:
     return realify(np.stack([prods, 1j * prods], axis=1).reshape(-1, n, n))
 
 
-@dataclass(frozen=True, eq=False)
-class FubiniResult:
-    rows: np.ndarray         # orthonormal real rows spanning the product
-    dim: int
-    shape: tuple[int, int]
-    phi_field: str
-    psi_field: str
+def fubini(a_leg, b_leg, ideal) -> np.ndarray:
+    """Orthonormal real rows of the elements of span_C(a_leg (x) b_leg)
+    whose right slices against a_leg's dual functionals all lie in the
+    complex span of ``ideal``.
 
-
-def fubini(a1, b1, t: TensorAlgebra, anti: AntiAutomorphism | None = None,
-           phi_field: str = REAL, psi_field: str = REAL,
-           working_rows: np.ndarray | None = None) -> FubiniResult:
-    """Elements of the working span all of whose right slices land in
-    span_R(b1) and left slices in span_R(a1).
-
-    ``a1`` and ``b1`` are spanning sets of real subspaces (pass m and im
-    together to describe a complex subspace).  The right slices range
-    over the coordinate functionals of the A leg (A's real form under
-    ``anti`` when given, else the complex span of A); the left
-    slices over the real coordinate functionals of span(B).  Choosing
-    ``phi_field``/``psi_field`` = "C" doubles the family with i times
-    each functional.  Supplied ``working_rows`` must be orthonormal, as
-    ``tensor_span_rows`` makes them; the result rows then are too.
-    Degenerate (empty) working spans are rejected.
+    ``a_leg`` and ``b_leg`` are frames, and ``ideal`` is matrix units of
+    B.  Only right slices are constrained: the left slice of a (x) b is
+    a multiple of a, in the A leg's span for every working row.  The
+    functionals need not be doubled by i either, as the target span is
+    closed under multiplication by i.
     """
-    na, nb = t.na, t.nb
-    a_leg = t.real_frame(anti) if anti is not None else t.a.frame
-    if working_rows is None:
-        working_rows = tensor_span_rows(a_leg, t.b.frame)
-    if working_rows.shape[0] == 0:
-        raise ValueError("degenerate working span")
-
-    b1 = list(b1)
-    a1 = list(a1)
-    b1_rows = orth_rows(realify(b1)) if b1 else np.zeros((0, 2 * nb * nb))
-    a1_rows = orth_rows(realify(a1)) if a1 else np.zeros((0, 2 * na * na))
-
-    a_duals = np.stack(a_leg).conj().transpose(0, 2, 1)
-    if phi_field == COMPLEX:
-        a_duals = np.concatenate([a_duals, 1j * a_duals])
-    b_dual_grams = t.b.frame.conj().transpose(0, 2, 1)
-
+    working_rows = tensor_span_rows(a_leg, b_leg)
+    a = np.asarray(a_leg)
+    na, nb = a.shape[1], np.shape(b_leg)[1]
+    ideal = np.reshape(ideal, (-1, nb, nb))
+    # Realified units and i-units are standard basis vectors: a frame.
+    target = realify(np.concatenate([ideal, 1j * ideal]))
     k = working_rows.shape[0]
     working = unrealify(working_rows, (k, na * nb, na * nb))
-    right = slice_right_value(a_duals[:, None], working, na, nb)    # functional x row
-    left = slice_left_value(b_dual_grams[:, None], working, na, nb)
-    if psi_field == REAL and anti is not None:
-        # A real-valued psi is the real or imaginary part of a
-        # complex contraction; on a span with A legs in the real
-        # form those parts are the real-form split of the complex
-        # slice, so constrain both components.
-        left = np.stack(real_decompose(anti, left), axis=1)
-    elif psi_field == COMPLEX:
-        # Complex-valued psi: the slice and i times it must both
-        # land in the (real) target span.
-        left = np.stack([left, 1j * left], axis=1)
-
-    def _constraints(vals: np.ndarray, target_rows: np.ndarray) -> np.ndarray:
-        """Per functional, the residuals of its k slices (vals: (..., k, n, n))
-        against the target span, one column per working row."""
-        vecs = realify(vals.reshape(-1, *vals.shape[-2:]))
-        if target_rows.shape[0]:
-            vecs = vecs - vecs @ target_rows.T @ target_rows
-        return vecs.reshape(-1, k, vecs.shape[1]).transpose(0, 2, 1).reshape(-1, k)
-
-    stacked = np.vstack([_constraints(right, b1_rows), _constraints(left, a1_rows)])
-    # Orthonormal kernel rows times orthonormal working rows: orthonormal.
-    rows = kernel_rows(stacked) @ working_rows
-    return FubiniResult(rows, rows.shape[0], (na * nb, na * nb),
-                        phi_field, psi_field)
+    right = slice_right_value(a.conj().transpose(0, 2, 1)[:, None], working, na, nb)
+    vecs = realify(right.reshape(-1, nb, nb))
+    vecs = vecs - vecs @ target.T @ target
+    # One column per working row; orthonormal kernel rows times
+    # orthonormal working rows are orthonormal.
+    constraints = vecs.reshape(-1, k, vecs.shape[1]).transpose(0, 2, 1).reshape(-1, k)
+    return kernel_rows(constraints) @ working_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,8 +236,8 @@ def quotient_kernel_rows(working_rows: np.ndarray, pres: IdealPresentation,
     return kernel_rows(imat.T) @ working_rows   # combos mapping to zero
 
 
-def _compare(kernel: np.ndarray, span: np.ndarray, angle_tol: float) -> KernelCheck:
-    eq, ang = subspaces_equal(kernel, span, angle_tol)
+def _compare(kernel: np.ndarray, span: np.ndarray) -> KernelCheck:
+    eq, ang = subspaces_equal(kernel, span)
     return KernelCheck(
         kernel_dim=int(kernel.shape[0]),
         span_dim=int(span.shape[0]),
@@ -343,32 +262,18 @@ class ExactnessReport:
         return asdict(self)
 
 
-def _real_leg(a: StarAlgebra, anti: AntiAutomorphism, pres: IdealPresentation,
-              angle_tol: float):
-    """Setup shared by the exactness and Fubini checks, ending with the
-    Fubini check itself.
-
-    After validating the inputs, returns the tensor algebra A (x) B, the
-    ideal's matrix units, the working rows span(A's real form (x) B), the
-    rows span(A's real form (x) ideal), and the comparison of
-    fubini(A's real form, ideal) with those rows.
-    """
+def _frames(a: StarAlgebra, anti: AntiAutomorphism, pres: IdealPresentation):
+    """Validated inputs of the exactness and Fubini checks as legs:
+    (A's real form as a frame, B's frame, the ideal's matrix units)."""
     pres.validate()
     if anti.dim != a.n:
         raise ValueError("antiautomorphism dimension does not match the algebra")
-    t = min_tensor(a, pres.b)
-    ideal = pres.ideal_span()
-    form_basis = t.real_frame(anti)
-    rows = tensor_span_rows(form_basis, t.b.frame)
-    ideal_rows = tensor_span_rows(form_basis, ideal) if ideal else np.zeros((0, rows.shape[1]))
-    fub = fubini(form_basis, ideal + [1j * e for e in ideal], t, anti=anti,
-                 phi_field=REAL, psi_field=REAL, working_rows=rows)
-    return t, ideal, rows, ideal_rows, _compare(fub.rows, ideal_rows, angle_tol)
+    nb = pres.b.n
+    return real_frame(a, anti), pres.b.frame, np.reshape(pres.ideal_span(), (-1, nb, nb))
 
 
 def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
-                    pres: IdealPresentation, angle_tol: float = 1e-6
-                    ) -> ExactnessReport:
+                    pres: IdealPresentation) -> ExactnessReport:
     """Kernel identities for the quotient sequence tensored with A and
     with its real form.
 
@@ -376,24 +281,18 @@ def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
     the complex leg, the matching Fubini-product identities, and that the
     real-form part plus i times it rebuilds the whole tensor span.
     """
-    t, ideal, real_rows, real_span_ideal, fub_real_check = _real_leg(a, anti, pres, angle_tol)
-    na, nb = t.na, t.nb
-    ideal_cx = ideal + [1j * e for e in ideal]
+    form, b_frame, ideal = _frames(a, anti, pres)
+    na, nb = a.n, pres.b.n
+    real_rows = tensor_span_rows(form, b_frame)
+    complex_rows = tensor_span_rows(a.frame, b_frame)
+    real_span_ideal = tensor_span_rows(form, ideal)
+    complex_span_ideal = tensor_span_rows(a.frame, ideal)
 
-    complex_rows = tensor_span_rows(t.a.frame, t.b.frame)
-    complex_span_ideal = tensor_span_rows(t.a.frame, ideal) if ideal \
-        else np.zeros((0, real_rows.shape[1]))
-
-    real_check = _compare(quotient_kernel_rows(real_rows, pres, na, nb),
-                          real_span_ideal, angle_tol)
+    real_check = _compare(quotient_kernel_rows(real_rows, pres, na, nb), real_span_ideal)
     complex_check = _compare(quotient_kernel_rows(complex_rows, pres, na, nb),
-                             complex_span_ideal, angle_tol)
-
-    a_span_cx = list(a.span) + [1j * m for m in a.span]
-    fub_complex = fubini(a_span_cx, ideal_cx, t, anti=None,
-                         phi_field=COMPLEX, psi_field=REAL,
-                         working_rows=complex_rows)
-    fub_complex_check = _compare(fub_complex.rows, complex_span_ideal, angle_tol)
+                             complex_span_ideal)
+    fub_real_check = _compare(fubini(form, b_frame, ideal), real_span_ideal)
+    fub_complex_check = _compare(fubini(a.frame, b_frame, ideal), complex_span_ideal)
 
     # real_rows hold the i-multiples of their products, so i times the
     # real-form part spans the same rows and their sum is real_rows again.
@@ -403,7 +302,7 @@ def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
         "imag_part_dim": real_dim,
         "sum_dim": real_dim,
         "tensor_dim": int(complex_rows.shape[0]),
-        "spans_everything": bool(subspaces_equal(real_rows, complex_rows, angle_tol)[0]),
+        "spans_everything": bool(subspaces_equal(real_rows, complex_rows)[0]),
     }
 
     ok = (real_check.match and complex_check.match and fub_real_check.match
@@ -417,7 +316,7 @@ def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
 
 
 def fubini_check(a: StarAlgebra, anti: AntiAutomorphism,
-                 pres: IdealPresentation, angle_tol: float = 1e-6
-                 ) -> KernelCheck:
-    """Compare fubini(A's real form, ideal) with span(A's real form (x) ideal)."""
-    return _real_leg(a, anti, pres, angle_tol)[-1]
+                 pres: IdealPresentation) -> KernelCheck:
+    """Compare fubini(A's real form, B, ideal) with span(A's real form (x) ideal)."""
+    form, b_frame, ideal = _frames(a, anti, pres)
+    return _compare(fubini(form, b_frame, ideal), tensor_span_rows(form, ideal))

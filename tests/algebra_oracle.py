@@ -6,17 +6,19 @@ closure check tests every product and adjoint on its own against the
 span, ideal validation runs one containment test per product, the
 Fubini constraints slice one working matrix at a time, and Kronecker
 products and quotient images are formed per element.  The differential
-tests compare the two.
+tests compare the two.  The Fubini reference keeps both slice families
+and every choice of functional field, of which ``tensorexact.fubini``
+needs only the right slices.
 """
 
 import numpy as np
 
 from starlift.cpmaps import COMPLEX, REAL
-from starlift.matrix import DEFAULT_TOL, as_array, kron, op_norm
+from starlift.matrix import DEFAULT_TOL, as_array, as_arrays, kron, op_norm
 from starlift.realform import real_decompose, real_form_basis
 from starlift.subspace import (complex_orth_basis, containment_residual,
                                kernel_rows, orth_rows, realify, unrealify)
-from starlift.tensorexact import slice_left_value, slice_right_value
+from starlift.tensorexact import slice_right_value
 
 
 def _solver(alg) -> np.ndarray:
@@ -65,6 +67,16 @@ def validate_ideal(pres, tol: float = 1e-9) -> None:
             raise ValueError("quotient does not annihilate the ideal")
 
 
+def slice_left_value(t_psi, x, na: int, nb: int) -> np.ndarray:
+    """L_psi(x): contract the B leg of x in M_na (x) M_nb, so
+    a (x) b -> trace(t_psi b) a; stacks broadcast as in
+    ``slice_right_value``."""
+    t = as_arrays(t_psi).astype(np.complex128)
+    x = as_arrays(x).astype(np.complex128)
+    legs = x.reshape(x.shape[:-2] + (na, nb, na, nb))
+    return np.einsum("...bj,...ajcb->...ac", t, legs, optimize=True)
+
+
 def tensor_span_rows(a_leg, b_leg, complex_scalars: bool) -> np.ndarray:
     mats = []
     for x in a_leg:
@@ -86,20 +98,23 @@ def quotient_kernel_rows(working_rows, pres, na: int, nb: int) -> np.ndarray:
     return orth_rows(kernel_rows(realify(images).T) @ working_rows)
 
 
-def fubini_rows(a1, b1, t, anti=None, phi_field: str = REAL, psi_field: str = REAL,
+def fubini_rows(a1, b1, a, b, anti=None, phi_field: str = REAL, psi_field: str = REAL,
                 working_rows=None) -> np.ndarray:
-    """Rows of the Fubini product, slicing one working matrix at a time."""
-    na, nb = t.na, t.nb
-    a_leg = real_form_basis(anti) if anti is not None else list(t.a.span)
+    """Rows of the elements of span(A's leg (x) B) whose right slices lie
+    in span_R(b1) and left slices in span_R(a1), slicing one working
+    matrix at a time.  The A leg is A's real form under ``anti`` when
+    given, else A; "C" fields double the functionals by i."""
+    na, nb = a.n, b.n
+    a_leg = real_form_basis(anti) if anti is not None else list(a.span)
     if working_rows is None:
-        working_rows = tensor_span_rows(a_leg, list(t.b.span), complex_scalars=True)
+        working_rows = tensor_span_rows(a_leg, list(b.span), complex_scalars=True)
     b1, a1 = list(b1), list(a1)
     b1_rows = orth_rows(realify(b1)) if b1 else np.zeros((0, 2 * nb * nb))
     a1_rows = orth_rows(realify(a1)) if a1 else np.zeros((0, 2 * na * na))
     a_duals = [g.conj().T for g in a_leg]
     if phi_field == COMPLEX:
         a_duals = a_duals + [1j * g for g in a_duals]
-    b_dual_grams = [h.conj().T for h in complex_orth_basis(t.b.span, (nb, nb))]
+    b_dual_grams = [h.conj().T for h in complex_orth_basis(b.span, (nb, nb))]
     working_mats = [unrealify(r, (na * nb, na * nb)) for r in working_rows]
 
     def _resid(vecs, target_rows):

@@ -23,7 +23,7 @@ from starlift.realform import AntiAutomorphism, StarAlgebra, real_form_basis
 from starlift.sampling import random_isometry, random_matrix
 from starlift.subspace import orth_rows, realify, subspaces_equal
 from starlift.tensorexact import (IdealPresentation, exactness_check,
-                                  fubini_check, min_tensor,
+                                  fubini_check,
                                   quotient_kernel_rows, tensor_span_rows)
 from starlift.transport import (ThetaScale, rho, rho_isometry, sigma,
                                 sigma_map, theta, transport_factorization)

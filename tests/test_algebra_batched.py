@@ -18,8 +18,8 @@ from starlift.cpmaps import COMPLEX, REAL
 from starlift.matrix import matrix_units, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra, real_form_basis
 from starlift.subspace import max_principal_angle
-from starlift.tensorexact import (IdealPresentation, fubini, min_tensor,
-                                  quotient_kernel_rows, tensor_span_rows)
+from starlift.tensorexact import (IdealPresentation, fubini, quotient_kernel_rows,
+                                  real_frame, tensor_span_rows)
 
 TOL = 1e-12
 ANGLE_TOL = 1e-10
@@ -172,25 +172,36 @@ TENSOR_SIZES = ((1, (1, 2)), (1, (3, 1)), (2, (1, 2)), (2, (2, 1, 1)), (3, (1, 1
                 (3, (2,)), (4, (1, 1)), (4, (1, 2)))
 
 
-@SETTINGS
-@given(st.sampled_from(TENSOR_SIZES), st.sampled_from(("T", "J", None)),
-       st.sampled_from((REAL, COMPLEX)), st.sampled_from((REAL, COMPLEX)), st.data())
-def test_fubini_matches_oracle(size, u_kind, phi_field, psi_field, data):
+def _tensor_case(size, u_kind, data):
+    """(A rotated, B, the antiautomorphism or None, a drawn ideal of B)."""
     a, dims = size
     if u_kind == "J" and a % 2:
         u_kind = "T"
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    t = min_tensor(_rotated_full(a, rng), StarAlgebra.block_diagonal(list(dims)))
+    alg, b = _rotated_full(a, rng), StarAlgebra.block_diagonal(list(dims))
     anti = None if u_kind is None else _anti(u_kind, a)
     pres = IdealPresentation.from_block_algebra(
-        t.b, data.draw(st.lists(st.integers(0, len(dims) - 1), unique=True)))
+        b, data.draw(st.lists(st.integers(0, len(dims) - 1), unique=True)))
+    return alg, b, anti, pres
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(TENSOR_SIZES), st.sampled_from(("T", "J", None)), st.data())
+def test_fubini_matches_oracle(size, u_kind, data):
+    # The two configurations the checks run: the real-form leg with real
+    # functionals on both legs, and the complex leg with the A-leg
+    # functionals doubled by i.  The oracle keeps the left slices.
+    alg, b, anti, pres = _tensor_case(size, u_kind, data)
     ideal = pres.ideal_span()
     ideal_cx = ideal + [1j * e for e in ideal]
-    a_leg = real_form_basis(anti) if anti is not None else list(t.a.span)
-    a1 = a_leg if anti is not None else a_leg + [1j * m for m in a_leg]
-    got = fubini(a1, ideal_cx, t, anti=anti, phi_field=phi_field, psi_field=psi_field).rows
-    want = oracle.fubini_rows(a1, ideal_cx, t, anti=anti, phi_field=phi_field,
-                              psi_field=psi_field)
+    if anti is None:
+        a1 = list(alg.span) + [1j * m for m in alg.span]
+        got = fubini(alg.frame, b.frame, ideal)
+        want = oracle.fubini_rows(a1, ideal_cx, alg, b, phi_field=COMPLEX, psi_field=REAL)
+    else:
+        got = fubini(real_frame(alg, anti), b.frame, ideal)
+        want = oracle.fubini_rows(real_form_basis(anti), ideal_cx, alg, b, anti=anti,
+                                  phi_field=REAL, psi_field=REAL)
     _assert_same_frame(got, want)
 
 
@@ -199,17 +210,11 @@ def test_fubini_matches_oracle(size, u_kind, phi_field, psi_field, data):
 def test_span_and_quotient_rows_match_oracle(size, u_kind, data):
     # The engine builds products of the leg frames without orthonormalizing
     # them; the oracle orthonormalizes the products of the raw spans.
-    a, dims = size
-    if u_kind == "J" and a % 2:
-        u_kind = "T"
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    t = min_tensor(_rotated_full(a, rng), StarAlgebra.block_diagonal(list(dims)))
-    form = None if u_kind is None else real_form_basis(_anti(u_kind, a))
-    rows = tensor_span_rows(t.a.frame if form is None else form, t.b.frame)
-    want = oracle.tensor_span_rows(list(t.a.span) if form is None else form,
-                                   list(t.b.span), complex_scalars=True)
+    alg, b, anti, pres = _tensor_case(size, u_kind, data)
+    form = None if anti is None else real_form_basis(anti)
+    rows = tensor_span_rows(alg.frame if form is None else form, b.frame)
+    want = oracle.tensor_span_rows(list(alg.span) if form is None else form,
+                                   list(b.span), complex_scalars=True)
     _assert_same_frame(rows, want)
-    pres = IdealPresentation.from_block_algebra(
-        t.b, data.draw(st.lists(st.integers(0, len(dims) - 1), unique=True)))
-    _assert_same_frame(quotient_kernel_rows(rows, pres, a, t.nb),
-                       oracle.quotient_kernel_rows(want, pres, a, t.nb))
+    _assert_same_frame(quotient_kernel_rows(rows, pres, alg.n, b.n),
+                       oracle.quotient_kernel_rows(want, pres, alg.n, b.n))

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from starlift.certify import FiniteSubset, QDCertificate, TraceWitness
@@ -643,3 +643,77 @@ def test_an_unwritable_output_exits_two_before_stdout(workdir, tmp_path, capsys)
     code, out, err = _run(_argv(workdir, "qd-verify") + ["--output", str(tmp_path)], capsys)
     assert (code, out) == (2, "")
     assert str(tmp_path) in err
+
+
+def test_an_overflow_exits_two_with_empty_stdout(workdir, tmp_path, capfd):
+    # A finite 1e308 image entry overflows the real CP probe.  Captured at
+    # the file-descriptor level, so LAPACK's own error handler, which
+    # writes to descriptor 1, would show in stdout.
+    doc = json.load(open(workdir["real_map.json"]))
+    doc["images"][0]["data"][1] = 1e308
+    p = tmp_path / "overflow.json"
+    p.write_text(json.dumps(doc))
+    capfd.readouterr()
+    code = cmd_dispatch(["cp-check", "--map", str(p), "--samples", "4", "--seed", "3"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: overflow")
+
+
+def _json_paths(doc, path=()):
+    """Every node of a JSON document, as its path of keys and indices."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+def _mutated(doc, data):
+    """doc with one node deleted, retyped, resized or made non-finite."""
+    holder = [copy.deepcopy(doc)]           # so that the root has a parent too
+    path = (0,) + data.draw(st.sampled_from(list(_json_paths(doc))))
+    parent = holder
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    kind = data.draw(st.sampled_from(("delete", "type", "dimension", "nonfinite")))
+    if kind == "delete":
+        del parent[key]
+    elif kind == "type":
+        parent[key] = data.draw(st.sampled_from(["x", [], {}, True, None, 1, 0.5])
+                                .filter(lambda new: type(new) is not type(value)))
+    elif kind == "dimension" and isinstance(value, list):
+        parent[key] = value[:-1] if data.draw(st.booleans()) else value + value[-1:]
+    elif kind == "dimension" and type(value) is int:
+        parent[key] = value + data.draw(st.sampled_from((-2, -1, 1)))
+    else:
+        parent[key] = data.draw(st.sampled_from((math.nan, math.inf, -math.inf, 1e308, -1e308)))
+    return holder[0] if holder else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(SUBCOMMANDS)), st.data())
+def test_mutated_inputs_keep_the_exit_code_contract(workdir, tmp_path, capfd, command, data):
+    # One input document per example is mutated; lemma-audit reads none,
+    # so its --samples value is replaced instead.  Output is captured at
+    # the file-descriptor level, so anything native code prints counts.
+    argv = _argv(workdir, command)
+    docs = [i for i, a in enumerate(argv) if a.endswith(".json")]
+    if docs:
+        i = data.draw(st.sampled_from(docs))
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(_mutated(json.load(open(argv[i])), data)))
+        argv[i] = str(path)
+    else:
+        i = argv.index("--samples") + 1
+        argv[i] = data.draw(st.sampled_from(("nan", "inf", "1e308", "-1", "0", "x")))
+    capfd.readouterr()
+    code = cmd_dispatch(argv)
+    out, err = capfd.readouterr()
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert out == "", err
+    else:
+        report = json.loads(out)
+        assert canonical_dumps(report) == out and "provenance" in report

