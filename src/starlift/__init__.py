@@ -26,7 +26,7 @@ from .certify import (AUDIT_CLAIMS, AuditReport, DefectReport, FiniteSubset,
                       nuclear_witness_verify, qd_complexify, qd_realify,
                       qd_verify, trace_qd_verify, trace_transport)
 from .tensorexact import (IdealPresentation, exactness_check, fubini,
-                          fubini_check, real_frame, slice_right_value)
+                          fubini_check, real_frame)
 
 __all__ = [
     "__version__",
@@ -44,5 +44,5 @@ __all__ = [
     "qd_complexify", "qd_realify", "qd_verify", "trace_qd_verify",
     "trace_transport",
     "IdealPresentation", "exactness_check", "fubini", "fubini_check",
-    "real_frame", "slice_right_value",
+    "real_frame",
 ]

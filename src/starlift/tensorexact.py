@@ -1,27 +1,36 @@
-"""Minimal tensor products, slice maps, Fubini products, exactness checks.
+"""Fubini products and exactness checks for an ideal's quotient sequence.
 
 Finite-dimensional algebras are presented on matrices, so the minimal
-tensor product is just the Kronecker-product presentation.  Slice maps
-are partial-trace contractions against a functional's Gram matrix.  The
-Fubini product is computed as the kernel of a stacked linear system of
-slice-membership constraints, over R throughout, because real-form legs
-are only real-linear subspaces of the complex tensor algebra.  Ideals
-are block summands (every closed ideal of a finite-dimensional
-C*-algebra is one), which keeps the quotient map exactly computable.
+tensor product is just the Kronecker-product presentation.  Subspaces
+are real-linear, as rows of ``realify``, because real-form legs are only
+real-linear subspaces of the complex tensor algebra.  Ideals are block
+summands (every closed ideal of a finite-dimensional C*-algebra is one),
+which keeps the quotient map exactly computable.
 
-Frame contract: every tensor span is built from two leg frames, stacks
-of matrices whose Hermitian Gram matrix tr(x* y) is the identity.  Since
-<a (x) b, a' (x) b'> = <a, a'><b, b'>, their Kronecker products and the
-i-multiples of those are orthonormal real rows as they stand, so no span
-of products is ever orthonormalized.  The frames are A's real form
-(``real_frame``; tr(x* y) = tr(Phi(x) y) is real there), the ideal's
-matrix units, and each factor's ``StarAlgebra.frame``.  ``tensor_span_rows``
-checks the contract and raises on a leg that breaks it.
+Frame contract: every span the checks compare is span_C(A_leg) (x) K,
+where K is a complex subspace of B's span and the A leg is a frame, a
+stack of matrices whose Hermitian Gram matrix tr(x* y) is the identity.
+The A legs are A's real form (``real_frame``; tr(x* y) = tr(Phi(x) y) is
+real there) and ``StarAlgebra.frame``.  Since <a (x) b, a' (x) b'> =
+<a, a'><b, b'>, K -> A_leg (x) K is then an isometry onto one copy of K
+for each leg element, so every check is solved once on K's rows in M_nb:
+
+- ker(id (x) pi) on A_leg (x) B is A_leg (x) ker(pi|B);
+- the right slice of sum_i a_i (x) b_i against the dual functional of
+  a_p is b_p, so the Fubini product is A_leg (x) (B meet span_C(ideal));
+- principal angles, and containment residuals on the product rows
+  a (x) k, between A_leg (x) K1 and A_leg (x) K2 are those between K1
+  and K2, and real dimensions are len(A_leg) times those on B.
+
+The reduction is exact only because the A leg is orthonormal: a leg with
+a repeated or rescaled element would count copies of K that are not
+there.  ``tensor_span_rows`` runs the Gram test on both legs and raises
+on a leg that fails it.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -29,16 +38,6 @@ from .matrix import DEFAULT_TOL, as_array, as_arrays, batches, matrix_units, op_
 from .realform import AntiAutomorphism, StarAlgebra, real_form_basis
 from .subspace import (RANK_TOL, containment_residual, kernel_rows, orth_rows,
                        realify, subspaces_equal, unrealify)
-
-
-def slice_right_value(t_phi, x, na: int, nb: int) -> np.ndarray:
-    """R_phi(x): contract the A leg of x in M_na (x) M_nb against t_phi,
-    so a (x) b -> trace(t_phi a) b.  Stacks of functionals (..., na, na)
-    and of matrices (..., na*nb, na*nb) broadcast against each other."""
-    t = as_arrays(t_phi).astype(np.complex128)
-    x = as_arrays(x).astype(np.complex128)
-    legs = x.reshape(x.shape[:-2] + (na, nb, na, nb))
-    return np.einsum("...ij,...jbic->...bc", t, legs, optimize=True)
 
 
 def real_frame(a: StarAlgebra, anti: AntiAutomorphism) -> np.ndarray:
@@ -99,10 +98,6 @@ class IdealPresentation:
                 idx.extend(range(start, start + size))
         return idx
 
-    @property
-    def quotient_dim(self) -> int:
-        return len(self.quotient_indices)
-
     def ideal_span(self) -> list[np.ndarray]:
         """Matrix units spanning the ideal summand, embedded in M_n."""
         out = []
@@ -162,12 +157,19 @@ def detect_blocks(span, n: int) -> tuple:
     return tuple(blocks)
 
 
-# -- spans entering the Fubini and exactness checks -----------------------
+# -- B's rows of the spans entering the Fubini and exactness checks -------
+
+
+def _complex_rows(frame: np.ndarray) -> np.ndarray:
+    """Orthonormal real rows of span_C(frame): each matrix, then i times it."""
+    n = frame.shape[-1]
+    return realify(np.stack([frame, 1j * frame], axis=1).reshape(-1, n, n))
 
 
 def tensor_span_rows(a_leg, b_leg) -> np.ndarray:
-    """Orthonormal real rows of span_C{a (x) b: a in a_leg, b in b_leg}:
-    each product, then i times it.
+    """B's rows of span_C{a (x) b: a in a_leg, b in b_leg}: the orthonormal
+    real rows of K = span_C(b_leg), each b then i times it.  The span is
+    span_C(a_leg) (x) K, of real dimension len(a_leg) * len(rows).
 
     Both legs must be frames (Hermitian Gram matrix I within
     ``RANK_TOL``); a leg that is not raises ValueError.  An empty leg,
@@ -179,38 +181,26 @@ def tensor_span_rows(a_leg, b_leg) -> np.ndarray:
         dev = np.max(np.abs(flat.conj() @ flat.T - np.eye(len(leg))), initial=0.0)
         if dev > RANK_TOL:
             raise ValueError(f"tensor leg is not orthonormal: Gram deviation {dev:.3e}")
-    n = a.shape[1] * b.shape[1]
-    # Entry (x, y, i, k, j, l) is a_x[i, j] b_y[k, l]: the products np.kron forms.
-    prods = (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(-1, n, n)
-    return realify(np.stack([prods, 1j * prods], axis=1).reshape(-1, n, n))
+    return _complex_rows(b)
 
 
 def fubini(a_leg, b_leg, ideal) -> np.ndarray:
-    """Orthonormal real rows of the elements of span_C(a_leg (x) b_leg)
-    whose right slices against a_leg's dual functionals all lie in the
-    complex span of ``ideal``.
+    """B's rows of the Fubini product: the elements of
+    span_C(a_leg (x) b_leg) whose right slices against a_leg's dual
+    functionals all lie in the complex span of ``ideal``.
 
     ``a_leg`` and ``b_leg`` are frames, and ``ideal`` is matrix units of
-    B.  Only right slices are constrained: the left slice of a (x) b is
-    a multiple of a, in the A leg's span for every working row.  The
-    functionals need not be doubled by i either, as the target span is
-    closed under multiplication by i.
+    B.  The right slice of sum_i a_i (x) b_i against tr(a_p* .) is b_p,
+    so the product is span_C(a_leg) (x) K for the orthonormal real rows K
+    returned: the elements of span_C(b_leg) in span_C(ideal).
     """
-    working_rows = tensor_span_rows(a_leg, b_leg)
-    a = np.asarray(a_leg)
-    na, nb = a.shape[1], np.shape(b_leg)[1]
+    rows = tensor_span_rows(a_leg, b_leg)
+    nb = np.shape(b_leg)[1]
     ideal = np.reshape(ideal, (-1, nb, nb))
     # Realified units and i-units are standard basis vectors: a frame.
     target = realify(np.concatenate([ideal, 1j * ideal]))
-    k = working_rows.shape[0]
-    working = unrealify(working_rows, (k, na * nb, na * nb))
-    right = slice_right_value(a.conj().transpose(0, 2, 1)[:, None], working, na, nb)
-    vecs = realify(right.reshape(-1, nb, nb))
-    vecs = vecs - vecs @ target.T @ target
-    # One column per working row; orthonormal kernel rows times
-    # orthonormal working rows are orthonormal.
-    constraints = vecs.reshape(-1, k, vecs.shape[1]).transpose(0, 2, 1).reshape(-1, k)
-    return kernel_rows(constraints) @ working_rows
+    # Orthonormal kernel rows times orthonormal rows are orthonormal.
+    return kernel_rows((rows - rows @ target.T @ target).T) @ rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,26 +216,32 @@ class KernelCheck:
         return asdict(self)
 
 
-def quotient_kernel_rows(working_rows: np.ndarray, pres: IdealPresentation,
-                         na: int, nb: int) -> np.ndarray:
-    """ker(id (x) pi) inside the span of the orthonormal ``working_rows``,
-    as orthonormal real rows."""
-    qi = pres.quotient_indices
-    x = unrealify(working_rows, (-1, na, nb, na, nb))
-    imat = realify(x[:, :, qi][:, :, :, :, qi])  # row r = image of basis row r
-    return kernel_rows(imat.T) @ working_rows   # combos mapping to zero
+def quotient_kernel_rows(b_rows: np.ndarray, pres: IdealPresentation) -> np.ndarray:
+    """ker(pi) inside the span of B's orthonormal real ``b_rows``, as
+    orthonormal real rows; ker(id (x) pi) on A_leg (x) span(b_rows) is
+    A_leg (x) these rows."""
+    nb = pres.b.n
+    images = realify(pres.quotient_apply(unrealify(b_rows, (-1, nb, nb))))
+    return kernel_rows(images.T) @ b_rows   # combos mapping to zero
 
 
 def _compare(kernel: np.ndarray, span: np.ndarray) -> KernelCheck:
+    """The identity kernel = span between B's rows of both."""
     eq, ang = subspaces_equal(kernel, span)
     return KernelCheck(
-        kernel_dim=int(kernel.shape[0]),
-        span_dim=int(span.shape[0]),
+        kernel_dim=len(kernel),
+        span_dim=len(span),
         principal_angle=float(ang),
         containment_kernel_in_span=float(containment_residual(kernel, span)),
         containment_span_in_kernel=float(containment_residual(span, kernel)),
         match=bool(eq),
     )
+
+
+def _tensored(check: KernelCheck, leg) -> KernelCheck:
+    """A check made on B's rows, for the spans tensored with ``leg``."""
+    return replace(check, kernel_dim=len(leg) * check.kernel_dim,
+                   span_dim=len(leg) * check.span_dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,36 +275,33 @@ def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
 
     Checks ker(id (x) pi) = span(A_leg (x) I) for the real-form leg and
     the complex leg, the matching Fubini-product identities, and that the
-    real-form part plus i times it rebuilds the whole tensor span.
+    real-form part plus i times it rebuilds the whole tensor span.  Both
+    legs have the same rows on B, so each identity is solved once there
+    and reported for each leg.
     """
     form, b_frame, ideal = _frames(a, anti, pres)
-    na, nb = a.n, pres.b.n
-    real_rows = tensor_span_rows(form, b_frame)
-    complex_rows = tensor_span_rows(a.frame, b_frame)
-    real_span_ideal = tensor_span_rows(form, ideal)
-    complex_span_ideal = tensor_span_rows(a.frame, ideal)
+    b_rows = tensor_span_rows(form, b_frame)
+    tensor_span_rows(a.frame, b_frame)          # the Gram test of the complex leg
+    span = tensor_span_rows(form, ideal)
+    kernel = _compare(quotient_kernel_rows(b_rows, pres), span)
+    fub = _compare(fubini(form, b_frame, ideal), span)
 
-    real_check = _compare(quotient_kernel_rows(real_rows, pres, na, nb), real_span_ideal)
-    complex_check = _compare(quotient_kernel_rows(complex_rows, pres, na, nb),
-                             complex_span_ideal)
-    fub_real_check = _compare(fubini(form, b_frame, ideal), real_span_ideal)
-    fub_complex_check = _compare(fubini(a.frame, b_frame, ideal), complex_span_ideal)
-
-    # real_rows hold the i-multiples of their products, so i times the
-    # real-form part spans the same rows and their sum is real_rows again.
-    real_dim = int(real_rows.shape[0])
+    # The real-form rows hold the i-multiples of their products, so i times
+    # the real-form part spans the same rows and their sum is those rows again.
+    real_dim = len(form) * len(b_rows)
     decomposition = {
         "real_part_dim": real_dim,
         "imag_part_dim": real_dim,
         "sum_dim": real_dim,
-        "tensor_dim": int(complex_rows.shape[0]),
-        "spans_everything": bool(subspaces_equal(real_rows, complex_rows)[0]),
+        "tensor_dim": len(a.frame) * len(b_rows),
+        "spans_everything": bool(subspaces_equal(_complex_rows(form),
+                                                 _complex_rows(a.frame))[0]),
     }
 
-    ok = (real_check.match and complex_check.match and fub_real_check.match
-          and fub_complex_check.match and decomposition["spans_everything"])
+    ok = kernel.match and fub.match and decomposition["spans_everything"]
     return ExactnessReport(
-        real_check, complex_check, fub_real_check, fub_complex_check,
+        _tensored(kernel, form), _tensored(kernel, a.frame),
+        _tensored(fub, form), _tensored(fub, a.frame),
         decomposition,
         {"phi_field": "either", "psi_field": "R"},
         ok,
@@ -319,4 +312,5 @@ def fubini_check(a: StarAlgebra, anti: AntiAutomorphism,
                  pres: IdealPresentation) -> KernelCheck:
     """Compare fubini(A's real form, B, ideal) with span(A's real form (x) ideal)."""
     form, b_frame, ideal = _frames(a, anti, pres)
-    return _compare(fubini(form, b_frame, ideal), tensor_span_rows(form, ideal))
+    return _tensored(_compare(fubini(form, b_frame, ideal), tensor_span_rows(form, ideal)),
+                     form)

@@ -9,6 +9,10 @@ products and quotient images are formed per element.  The differential
 tests compare the two.  The Fubini reference keeps both slice families
 and every choice of functional field, of which ``tensorexact.fubini``
 needs only the right slices.
+
+The exactness and Fubini checks here work on whole tensor spans, the
+realified products of A's leg with B, where ``starlift.tensorexact``
+solves once on B's rows and multiplies dimensions by the A leg's length.
 """
 
 import numpy as np
@@ -17,8 +21,9 @@ from starlift.cpmaps import COMPLEX, REAL
 from starlift.matrix import DEFAULT_TOL, as_array, as_arrays, kron, op_norm
 from starlift.realform import real_decompose, real_form_basis
 from starlift.subspace import (complex_orth_basis, containment_residual,
-                               kernel_rows, orth_rows, realify, unrealify)
-from starlift.tensorexact import slice_right_value
+                               kernel_rows, orth_rows, realify, subspaces_equal,
+                               unrealify)
+from starlift.tensorexact import real_frame
 
 
 def _solver(alg) -> np.ndarray:
@@ -67,6 +72,21 @@ def validate_ideal(pres, tol: float = 1e-9) -> None:
             raise ValueError("quotient does not annihilate the ideal")
 
 
+def quotient_dim(pres) -> int:
+    """The size of pi's image blocks."""
+    return len(pres.quotient_indices)
+
+
+def slice_right_value(t_phi, x, na: int, nb: int) -> np.ndarray:
+    """R_phi(x): contract the A leg of x in M_na (x) M_nb against t_phi,
+    so a (x) b -> trace(t_phi a) b.  Stacks of functionals (..., na, na)
+    and of matrices (..., na*nb, na*nb) broadcast against each other."""
+    t = as_arrays(t_phi).astype(np.complex128)
+    x = as_arrays(x).astype(np.complex128)
+    legs = x.reshape(x.shape[:-2] + (na, nb, na, nb))
+    return np.einsum("...ij,...jbic->...bc", t, legs)
+
+
 def slice_left_value(t_psi, x, na: int, nb: int) -> np.ndarray:
     """L_psi(x): contract the B leg of x in M_na (x) M_nb, so
     a (x) b -> trace(t_psi b) a; stacks broadcast as in
@@ -74,7 +94,7 @@ def slice_left_value(t_psi, x, na: int, nb: int) -> np.ndarray:
     t = as_arrays(t_psi).astype(np.complex128)
     x = as_arrays(x).astype(np.complex128)
     legs = x.reshape(x.shape[:-2] + (na, nb, na, nb))
-    return np.einsum("...bj,...ajcb->...ac", t, legs, optimize=True)
+    return np.einsum("...bj,...ajcb->...ac", t, legs)
 
 
 def tensor_span_rows(a_leg, b_leg, complex_scalars: bool) -> np.ndarray:
@@ -89,7 +109,7 @@ def tensor_span_rows(a_leg, b_leg, complex_scalars: bool) -> np.ndarray:
 
 
 def quotient_kernel_rows(working_rows, pres, na: int, nb: int) -> np.ndarray:
-    nq = pres.quotient_dim
+    nq = quotient_dim(pres)
     qi = pres.quotient_indices
     images = []
     for r in working_rows:
@@ -138,3 +158,77 @@ def fubini_rows(a1, b1, a, b, anti=None, phi_field: str = REAL, psi_field: str =
             blocks.append(_resid(realify(vals), a1_rows).T)
             blocks.append(_resid(realify([1j * v for v in vals]), a1_rows).T)
     return orth_rows(kernel_rows(np.vstack(blocks)) @ working_rows)
+
+
+def tensor_rows(a_leg, b_rows, nb: int) -> np.ndarray:
+    """Realified products a (x) k of a frame ``a_leg`` with the matrices
+    of B's orthonormal real rows: orthonormal real rows of the span the
+    engine describes by ``b_rows`` alone."""
+    if len(b_rows) == 0:
+        return np.zeros((0, 2 * (np.shape(a_leg)[1] * nb) ** 2))
+    return realify([kron(a, k) for a in a_leg for k in unrealify(b_rows, (-1, nb, nb))])
+
+
+def _check(kernel, span) -> dict:
+    eq, ang = subspaces_equal(kernel, span)
+    return {"kernel_dim": kernel.shape[0], "span_dim": span.shape[0],
+            "principal_angle": ang,
+            "containment_kernel_in_span": containment_residual(kernel, span),
+            "containment_span_in_kernel": containment_residual(span, kernel),
+            "match": eq}
+
+
+def _legs(a, anti, pres):
+    """(A's real form, the ideal's units and their i-multiples, B's span)
+    after the checks the CLI path runs."""
+    validate_ideal(pres)
+    if anti.dim != a.n:
+        raise ValueError("antiautomorphism dimension does not match the algebra")
+    ideal = pres.ideal_span()
+    return list(real_frame(a, anti)), ideal + [1j * e for e in ideal], list(pres.b.span)
+
+
+def _span_rows(a_leg, mats, nb: int) -> np.ndarray:
+    rows = tensor_span_rows(a_leg, mats, complex_scalars=True)
+    return rows if mats else np.zeros((0, 2 * (len(a_leg[0]) * nb) ** 2))
+
+
+def fubini_check(a, anti, pres) -> dict:
+    """The Fubini identity of A's real form on whole tensor spans."""
+    form, ideal_cx, b_span = _legs(a, anti, pres)
+    nb = pres.b.n
+    working = tensor_span_rows(form, b_span, complex_scalars=True)
+    fub = fubini_rows(real_form_basis(anti), ideal_cx, a, pres.b, anti=anti,
+                      working_rows=working)
+    return _check(fub, _span_rows(form, pres.ideal_span(), nb))
+
+
+def exactness_check(a, anti, pres) -> dict:
+    """The exactness report on whole tensor spans: the quotient kernel
+    and the Fubini product of A's real form and of A, each against its
+    leg tensored with the ideal, and the real-form part against A (x) B."""
+    form, ideal_cx, b_span = _legs(a, anti, pres)
+    na, nb = a.n, pres.b.n
+    ideal = pres.ideal_span()
+    real_rows = tensor_span_rows(form, b_span, complex_scalars=True)
+    complex_rows = tensor_span_rows(list(a.span), b_span, complex_scalars=True)
+    real_span = _span_rows(form, ideal, nb)
+    complex_span = _span_rows(list(a.span), ideal, nb)
+    a1 = list(a.span) + [1j * m for m in a.span]
+    report = {
+        "real_kernel": _check(quotient_kernel_rows(real_rows, pres, na, nb), real_span),
+        "complex_kernel": _check(quotient_kernel_rows(complex_rows, pres, na, nb),
+                                 complex_span),
+        "fubini_real": fubini_check(a, anti, pres),
+        "fubini_complex": _check(fubini_rows(a1, ideal_cx, a, pres.b, phi_field=COMPLEX),
+                                 complex_span),
+    }
+    real_dim = real_rows.shape[0]
+    report["decomposition"] = {
+        "real_part_dim": real_dim, "imag_part_dim": real_dim, "sum_dim": real_dim,
+        "tensor_dim": complex_rows.shape[0],
+        "spans_everything": subspaces_equal(real_rows, complex_rows)[0]}
+    report["ok"] = (all(report[k]["match"] for k in ("real_kernel", "complex_kernel",
+                                                     "fubini_real", "fubini_complex"))
+                    and report["decomposition"]["spans_everything"])
+    return report

@@ -21,7 +21,7 @@ from starlift.cpmaps import (LinearMapMat, block_apply, compose, cp_defect,
 from starlift.matrix import col_norm1, op_norm, split_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra, real_form_basis
 from starlift.sampling import random_isometry, random_matrix
-from starlift.subspace import orth_rows, realify, subspaces_equal
+from starlift.subspace import orth_rows, realify, subspaces_equal, unrealify
 from starlift.tensorexact import (IdealPresentation, exactness_check,
                                   fubini_check,
                                   quotient_kernel_rows, tensor_span_rows)
@@ -282,8 +282,10 @@ def test_criterion_8_exactness_with_oracle():
     rank = int(np.sum(s > 1e-9 * s[0]))
     oracle = orth_rows(vt[rank:] @ realify(prods))
 
-    working = tensor_span_rows(form, list(b23.span))
-    engine = quotient_kernel_rows(working, pres, 2, 5)
+    # The engine solves on B's rows; tensored with the A leg they are
+    # orthonormal rows of the whole kernel.
+    kernel = quotient_kernel_rows(tensor_span_rows(form, list(b23.span)), pres)
+    engine = realify([np.kron(g, k) for g in form for k in unrealify(kernel, (-1, 5, 5))])
     eq, ang = subspaces_equal(engine, oracle, 1e-6)
     ok &= eq and oracle.shape[0] == 32
 

@@ -3,9 +3,12 @@
 Covers A = M1..M4 (in a rotated spanning set), block algebras B, the
 real forms of u = I and u = J, and inputs each check must reject: a span
 not closed under products, one not closed under the adjoint, a one-sided
-"ideal" and a quotient that does not annihilate the ideal.
+"ideal", a quotient that does not annihilate the ideal and a tensor leg
+that is not a frame.  The tensor checks, solved on B's rows, are compared
+with the reference on whole tensor spans.
 """
 
+import itertools
 import re
 
 import numpy as np
@@ -18,8 +21,9 @@ from starlift.cpmaps import COMPLEX, REAL
 from starlift.matrix import matrix_units, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra, real_form_basis
 from starlift.subspace import max_principal_angle
-from starlift.tensorexact import (IdealPresentation, fubini, quotient_kernel_rows,
-                                  real_frame, tensor_span_rows)
+from starlift.tensorexact import (IdealPresentation, exactness_check, fubini,
+                                  fubini_check, quotient_kernel_rows, real_frame,
+                                  tensor_span_rows)
 
 TOL = 1e-12
 ANGLE_TOL = 1e-10
@@ -160,6 +164,14 @@ def test_ideal_validation_matches_oracle(dims, mode, data):
         assert want is not None and "annihilate" in want[0]
 
 
+@pytest.mark.parametrize("check", [exactness_check, fubini_check])
+def test_tensor_checks_validate_the_ideal(check):
+    # The CLI builds ideals from B's blocks, which always pass; a
+    # presentation made by hand must still be validated first.
+    with pytest.raises(ValueError, match="two-sided"):
+        check(StarAlgebra.full_matrix(2), _anti("T", 2), _presentation([1], [], "one_sided"))
+
+
 def _assert_same_frame(got: np.ndarray, want: np.ndarray) -> None:
     """Same subspace as the oracle's rows, and orthonormal as it stands."""
     assert got.shape == want.shape
@@ -190,31 +202,96 @@ def _tensor_case(size, u_kind, data):
 def test_fubini_matches_oracle(size, u_kind, data):
     # The two configurations the checks run: the real-form leg with real
     # functionals on both legs, and the complex leg with the A-leg
-    # functionals doubled by i.  The oracle keeps the left slices.
+    # functionals doubled by i.  The oracle slices whole tensor spans and
+    # keeps the left slices; the engine's rows on B, tensored with the A
+    # leg, must span the same subspace.
     alg, b, anti, pres = _tensor_case(size, u_kind, data)
     ideal = pres.ideal_span()
     ideal_cx = ideal + [1j * e for e in ideal]
     if anti is None:
+        leg = alg.frame
         a1 = list(alg.span) + [1j * m for m in alg.span]
-        got = fubini(alg.frame, b.frame, ideal)
         want = oracle.fubini_rows(a1, ideal_cx, alg, b, phi_field=COMPLEX, psi_field=REAL)
     else:
-        got = fubini(real_frame(alg, anti), b.frame, ideal)
+        leg = real_frame(alg, anti)
         want = oracle.fubini_rows(real_form_basis(anti), ideal_cx, alg, b, anti=anti,
                                   phi_field=REAL, psi_field=REAL)
-    _assert_same_frame(got, want)
+    _assert_same_frame(oracle.tensor_rows(leg, fubini(leg, b.frame, ideal), b.n), want)
 
 
 @SETTINGS
 @given(st.sampled_from(TENSOR_SIZES), st.sampled_from(("T", "J", None)), st.data())
 def test_span_and_quotient_rows_match_oracle(size, u_kind, data):
-    # The engine builds products of the leg frames without orthonormalizing
-    # them; the oracle orthonormalizes the products of the raw spans.
+    # The engine keeps B's rows of each span; the oracle orthonormalizes
+    # the products of the raw spans and maps them through id (x) pi.
     alg, b, anti, pres = _tensor_case(size, u_kind, data)
-    form = None if anti is None else real_form_basis(anti)
-    rows = tensor_span_rows(alg.frame if form is None else form, b.frame)
-    want = oracle.tensor_span_rows(list(alg.span) if form is None else form,
+    leg = alg.frame if anti is None else real_form_basis(anti)
+    rows = tensor_span_rows(leg, b.frame)
+    want = oracle.tensor_span_rows(list(alg.span) if anti is None else leg,
                                    list(b.span), complex_scalars=True)
-    _assert_same_frame(rows, want)
-    _assert_same_frame(quotient_kernel_rows(rows, pres, alg.n, b.n),
+    _assert_same_frame(oracle.tensor_rows(leg, rows, b.n), want)
+    _assert_same_frame(oracle.tensor_rows(leg, quotient_kernel_rows(rows, pres), b.n),
                        oracle.quotient_kernel_rows(want, pres, alg.n, b.n))
+
+
+def _assert_same_report(got: dict, want: dict) -> None:
+    """Equal flags and integers, floats within ``TOL``, key by key."""
+    assert set(got) - {"dual_field_choice"} == set(want)
+    for key, value in want.items():
+        if isinstance(value, dict):
+            _assert_same_report(got[key], value)
+        elif isinstance(value, (bool, np.bool_, int)):
+            assert got[key] == value, key
+        else:
+            assert abs(got[key] - value) <= TOL, key
+
+
+# Every TENSOR_SIZES entry, u = I, J and none (the CLI's default, the
+# transpose), and every ideal subset, the empty one included.
+TENSOR_CASES = [(size, u_kind, blocks) for size in TENSOR_SIZES for u_kind in ("T", "J", None)
+                for k in range(len(size[1]) + 1)
+                for blocks in itertools.combinations(range(len(size[1])), k)]
+
+
+@pytest.mark.parametrize("size, u_kind, ideal_blocks", TENSOR_CASES,
+                         ids=lambda v: str(v).replace(" ", ""))
+@settings(max_examples=2, deadline=None)
+@given(st.integers(0, 2**16))
+def test_checks_match_full_tensor_oracle(size, u_kind, ideal_blocks, seed):
+    a, dims = size
+    alg = _rotated_full(a, np.random.default_rng(seed))
+    anti = _anti("J" if u_kind == "J" and a % 2 == 0 else "T", a)
+    pres = IdealPresentation.from_block_algebra(StarAlgebra.block_diagonal(list(dims)),
+                                                ideal_blocks)
+    want = oracle.exactness_check(alg, anti, pres)
+    _assert_same_report(exactness_check(alg, anti, pres).to_json(), want)
+    _assert_same_report(fubini_check(alg, anti, pres).to_json(), want["fubini_real"])
+
+
+@pytest.mark.parametrize("bad", ["rescaled", "repeated", "skewed"])
+def test_a_leg_that_is_not_a_frame_is_rejected(bad):
+    # The checks count one copy of B's rows per A-leg element, which is
+    # right only for a frame, so every entry point that takes an A leg
+    # runs the Gram test on it.
+    units = np.stack(matrix_units(2))
+    leg = {"rescaled": 2.0 * units, "repeated": units[[0, 1, 1]],
+           "skewed": units + 0.1 * units[::-1]}[bad]
+    pres = IdealPresentation.from_block_algebra(StarAlgebra.block_diagonal([1, 2]), [1])
+    b_frame = pres.b.frame
+    for check in (lambda: tensor_span_rows(leg, b_frame),
+                  lambda: fubini(leg, b_frame, pres.ideal_span())):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            check()
+
+
+def test_a_complex_leg_that_is_not_a_frame_is_rejected():
+    # Each element of A's frame repeated and scaled by 1/sqrt(2) spans
+    # the same space with an idempotent Gram matrix, so A's real form is
+    # still found; only the Gram test of the complex leg stops
+    # exactness_check from reporting twice the complex dimensions.
+    alg = StarAlgebra.full_matrix(2)
+    alg.__dict__["frame"] = np.concatenate([alg.frame, alg.frame]) / np.sqrt(2.0)
+    pres = IdealPresentation.from_block_algebra(StarAlgebra.block_diagonal([1, 2]), [1])
+    real_frame(alg, _anti("T", 2))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        exactness_check(alg, _anti("T", 2), pres)

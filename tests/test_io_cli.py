@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from starlift.certify import FiniteSubset, QDCertificate, TraceWitness
-from starlift import __version__, cli
+from starlift import __version__, cli, tensorexact
 from starlift.cli import cmd_dispatch
 from starlift.cpmaps import LinearMapMat, complexify
 from starlift.io import (SchemaError, algebra_to_json, anti_to_json,
@@ -432,14 +433,14 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["report"]["ok"]
 
-    def _exactness(self, workdir, capsys, span, u):
+    def _exactness(self, workdir, capsys, span, u, command="exactness"):
         algebra = workdir["dir"] + "/sub_algebra.json"
         phi = workdir["dir"] + "/sub_phi.json"
         with open(algebra, "w") as fh:
             fh.write(canonical_dumps(algebra_to_json(StarAlgebra(2, span))))
         with open(phi, "w") as fh:
             fh.write(canonical_dumps({"u": matrix_to_json(u)}))
-        return _run(["exactness", "--algebra", algebra, "--phi", phi,
+        return _run([command, "--algebra", algebra, "--phi", phi,
                      "--ideal", workdir["ideal.json"]], capsys)
 
     def test_exactness_on_a_proper_subalgebra(self, workdir, capsys):
@@ -457,6 +458,13 @@ class TestCli:
         p = np.ones((2, 2)) / 2
         code, out, err = self._exactness(workdir, capsys, (p, np.eye(2) - p),
                                          np.diag([1.0, 1.0j]))
+        assert (code, out) == (2, "")
+        assert "not invariant under the antiautomorphism" in err
+
+    def test_fubini_rejects_an_algebra_phi_does_not_preserve(self, workdir, capsys):
+        p = np.ones((2, 2)) / 2
+        code, out, err = self._exactness(workdir, capsys, (p, np.eye(2) - p),
+                                         np.diag([1.0, 1.0j]), command="fubini")
         assert (code, out) == (2, "")
         assert "not invariant under the antiautomorphism" in err
 
@@ -637,6 +645,46 @@ def test_an_ideal_outside_b_exits_two(workdir, tmp_path, capsys, command):
                            "--ideal", str(ideal)], capsys)
     assert (code, out) == (2, "")
     assert "ideal.ideal_blocks" in err
+
+
+@pytest.mark.parametrize("command", ["fubini", "exactness"])
+def test_an_a_leg_that_is_not_a_frame_exits_two(workdir, capsys, monkeypatch, command):
+    # The checks are solved on B's rows and scaled by the A leg's length,
+    # which is right only for a frame: a repeated real-form element must
+    # fail the Gram test on the CLI path, not double the dimensions.
+    frame = tensorexact.real_frame
+    monkeypatch.setattr(tensorexact, "real_frame",
+                        lambda a, anti: np.concatenate([frame(a, anti)[:1], frame(a, anti)]))
+    code, out, err = _run([command, "--algebra", workdir["A2.json"],
+                           "--ideal", workdir["ideal.json"]], capsys)
+    assert (code, out) == (2, "")
+    assert "not orthonormal" in err
+
+
+@pytest.mark.parametrize("command", ["fubini", "exactness"])
+def test_tensor_checks_at_a_large_size(tmp_path, capsys, command):
+    # A = M6 under u = J and B = 1+2+3+4 with the ideal {0, 2}: the whole
+    # tensor spans have 2160 real dimensions, the kernels 720.
+    paths = {}
+    for name, doc in (
+            ("A", algebra_to_json(StarAlgebra.full_matrix(6))),
+            ("phi", anti_to_json(AntiAutomorphism(np.kron(np.eye(3), [[0.0, 1.0],
+                                                                      [-1.0, 0.0]])))),
+            ("ideal", ideal_to_json(IdealPresentation.from_block_algebra(
+                StarAlgebra.block_diagonal([1, 2, 3, 4]), [0, 2])))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(canonical_dumps(doc), encoding="ascii")
+    t0 = time.perf_counter()
+    code, out, _ = _run([command, "--algebra", str(paths["A"]), "--phi", str(paths["phi"]),
+                         "--ideal", str(paths["ideal"])], capsys)
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    doc = json.loads(out)
+    check = doc["fubini"] if command == "fubini" else doc["report"]["real_kernel"]
+    assert check["kernel_dim"] == check["span_dim"] == 720
+    if command == "exactness":
+        assert doc["report"]["decomposition"]["tensor_dim"] == 2160
+    assert elapsed < 2.0
 
 
 def test_an_unwritable_output_exits_two_before_stdout(workdir, tmp_path, capsys):

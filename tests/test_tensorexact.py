@@ -18,9 +18,9 @@ from starlift.certify import TraceWitness
 from starlift.tensorexact import (IdealPresentation, detect_blocks,
                                   exactness_check, fubini, fubini_check,
                                   quotient_kernel_rows, real_frame,
-                                  slice_right_value, tensor_span_rows)
+                                  tensor_span_rows)
 
-from algebra_oracle import slice_left_value
+from algebra_oracle import slice_left_value, slice_right_value, tensor_rows
 
 A2 = StarAlgebra.full_matrix(2)
 B23 = StarAlgebra.block_diagonal([2, 3])
@@ -28,9 +28,10 @@ ANTI2 = AntiAutomorphism.transpose(2)
 
 
 def _tensor_rows(a, b) -> np.ndarray:
-    """Realified rows of A (x) B built on the leg frames, checked to be
-    orthonormal as they stand; two rows per complex dimension."""
-    rows = tensor_span_rows(a.frame, b.frame)
+    """Realified rows of A (x) B: B's rows of the span tensored with A's
+    frame, checked to be orthonormal as they stand; two rows per complex
+    dimension."""
+    rows = tensor_rows(a.frame, tensor_span_rows(a.frame, b.frame), b.n)
     assert op_norm(rows @ rows.T - np.eye(len(rows))) < 1e-12
     return rows
 
@@ -151,7 +152,7 @@ class TestIdealPresentation:
     def test_ideal_span_size(self):
         pres = IdealPresentation.from_block_algebra(B23, [0])
         assert len(pres.ideal_span()) == 4
-        assert pres.quotient_dim == 3
+        assert len(pres.quotient_indices) == 3
 
     def test_repeated_block_index_names_the_block_once(self):
         pres = IdealPresentation.from_block_algebra(B23, [1, 0, 1])
@@ -202,9 +203,10 @@ class TestExactness:
 
     def test_kernel_matches_brute_force_oracle(self):
         pres = IdealPresentation.from_block_algebra(B23, [0])
-        working = tensor_span_rows(real_form_basis(ANTI2), list(B23.span))
-        engine = quotient_kernel_rows(working, pres, 2, 5)
-        oracle = _oracle_kernel_rows(real_form_basis(ANTI2), list(B23.span), pres)
+        form = real_form_basis(ANTI2)
+        kernel = quotient_kernel_rows(tensor_span_rows(form, list(B23.span)), pres)
+        engine = tensor_rows(form, kernel, 5)
+        oracle = _oracle_kernel_rows(form, list(B23.span), pres)
         assert engine.shape[0] == oracle.shape[0] == 32
         eq, ang = subspaces_equal(engine, oracle, 1e-6)
         assert eq, ang
@@ -246,7 +248,8 @@ class TestFubini:
         form = real_frame(A2, ANTI2)
         everything = IdealPresentation.from_block_algebra(B23, [0, 1]).ideal_span()
         rows = fubini(form, B23.frame, everything)
-        assert rows.shape[0] == tensor_span_rows(form, B23.frame).shape[0] == 2 * 4 * 13
+        assert rows.shape[0] == tensor_span_rows(form, B23.frame).shape[0] == 2 * 13
+        assert len(form) * rows.shape[0] == 2 * 4 * 13
 
     def test_zero_b_target_gives_zero(self):
         assert fubini(real_frame(A2, ANTI2), B23.frame, []).shape[0] == 0
