@@ -9,18 +9,16 @@ all verified through toleranced defects with replayable witnesses.
 
 __version__ = "0.1.0"
 
-from .matrix import (DEFAULT_TOL, Tolerance, col_norm1, kron, op_norm,
-                     positivity_defect, split_norm)
+from .matrix import (DEFAULT_TOL, col_norm1, op_norm, positivity_defect,
+                     split_norm)
 from .realform import (AntiAutomorphism, StarAlgebra, check_antiautomorphism,
                        conj_phi, real_decompose, real_form_basis,
                        real_form_residual)
 from .cpmaps import (LinearMapMat, choi, complexify,
-                     compose, compress, cp_defect, cp_defect_real,
-                     cp_defect_real_report)
+                     compose, compress, cp_defect, cp_defect_real_report)
 from .transport import (RealifiedMap, ThetaScale, eta, eta1, realify_map, rho,
-                        rho_isometry, rho_map, sigma, sigma_map, theta,
-                        theta_normalizer, transport_factorization, upsilon,
-                        upsilon1)
+                        rho_map, sigma, sigma_map, theta, theta_normalizer,
+                        transport_factorization, upsilon, upsilon1)
 from .certify import (AUDIT_CLAIMS, AuditReport, DefectReport, FiniteSubset,
                       QDCertificate, TraceWitness, lemma_audit,
                       nuclear_witness_verify, qd_complexify, qd_realify,
@@ -30,14 +28,13 @@ from .tensorexact import (IdealPresentation, exactness_check, fubini,
 
 __all__ = [
     "__version__",
-    "DEFAULT_TOL", "Tolerance", "col_norm1", "kron", "op_norm",
-    "positivity_defect", "split_norm",
+    "DEFAULT_TOL", "col_norm1", "op_norm", "positivity_defect", "split_norm",
     "AntiAutomorphism", "StarAlgebra", "check_antiautomorphism", "conj_phi",
     "real_decompose", "real_form_basis", "real_form_residual",
     "LinearMapMat", "choi", "complexify", "compose",
-    "compress", "cp_defect", "cp_defect_real", "cp_defect_real_report",
+    "compress", "cp_defect", "cp_defect_real_report",
     "RealifiedMap", "ThetaScale", "eta", "eta1", "realify_map", "rho",
-    "rho_isometry", "rho_map", "sigma", "sigma_map", "theta",
+    "rho_map", "sigma", "sigma_map", "theta",
     "theta_normalizer", "transport_factorization", "upsilon", "upsilon1",
     "AUDIT_CLAIMS", "AuditReport", "DefectReport", "FiniteSubset",
     "QDCertificate", "TraceWitness", "lemma_audit", "nuclear_witness_verify",

@@ -20,7 +20,6 @@ import numpy as np
 from .matrix import (as_array, as_arrays, doubled_units, matrix_units, op_norm,
                      positivity_defect)
 from .realform import AntiAutomorphism, real_decompose
-from .sampling import rng_from
 from .subspace import realify
 
 COMPLEX = "C"
@@ -102,13 +101,12 @@ class LinearMapMat:
             return "units"
         return "real" if self.dom_field == REAL else "doubled"
 
-    def apply(self, x, membership_tol: float = 1e-7) -> np.ndarray:
+    def apply(self, x) -> np.ndarray:
         """Evaluate the map on one matrix or on a stack of shape (k, n, n).
 
         The coefficients rebuild x exactly, except for the imaginary part
         a real domain drops: the call is rejected when an input of a
-        real-domain map has ||Im x|| > membership_tol * (1 + ||x||) in
-        operator norm.
+        real-domain map has ||Im x|| > 1e-7 * (1 + ||x||) in operator norm.
         """
         single = np.ndim(x) != 3
         xs = (as_array(x)[None] if single else np.asarray(x)).astype(np.complex128, copy=False)
@@ -126,7 +124,7 @@ class LinearMapMat:
             imag = np.any(flat.imag != 0, axis=1)
             if imag.any():
                 res = op_norm(xs[imag].imag)
-                bad = res > membership_tol * (1.0 + op_norm(xs[imag]))
+                bad = res > 1e-7 * (1.0 + op_norm(xs[imag]))
                 if bad.any():
                     raise ValueError(
                         f"input is outside the map's domain span: residual {res[bad][0]:.3e}"
@@ -227,7 +225,7 @@ def choi(phi: LinearMapMat) -> np.ndarray:
     """sum_jl E_jl (x) phi(E_jl) for a complex-linear phi."""
     if phi.linearity != COMPLEX:
         raise ValueError("choi is defined for complex-linear maps; "
-                         "use cp_defect_real for real-linear ones")
+                         "use cp_defect_real_report for real-linear ones")
     # Block (j, l) is phi(E_jl), the image of the j*n + l-th unit; adding
     # 0.0 turns -0.0 into 0.0, as summing the blocks into a zero matrix does.
     return _join_blocks(phi.images, phi.dom_dim) + 0.0
@@ -285,11 +283,11 @@ def cp_defect_real_report(phi: LinearMapMat, level: int, samples: int = 20,
     criterion for adjoint-preserving maps.
     """
     if phi.linearity != REAL:
-        raise ValueError("cp_defect_real expects a real-linear map")
+        raise ValueError("cp_defect_real_report expects a real-linear map")
     if level < 1:
         raise ValueError("level must be >= 1")
     n = phi.dom_dim
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
 
     fixed = [np.eye(level * n, dtype=np.complex128)]
     if phi.dom_field == COMPLEX:
@@ -317,8 +315,3 @@ def cp_defect_real_report(phi: LinearMapMat, level: int, samples: int = 20,
 
     return RealCPReport(float(worst), level, witness, float(sa_worst),
                         sa_witness, samples, int(seed))
-
-
-def cp_defect_real(phi: LinearMapMat, level: int, samples: int = 20,
-                   seed: int = 0) -> float:
-    return cp_defect_real_report(phi, level, samples, seed).defect

@@ -247,11 +247,6 @@ def anti_from_json(doc, path: str = "phi", validate: bool = True) -> AntiAutomor
         raise SchemaError(f"{path}.u", str(exc)) from exc
 
 
-def ideal_to_json(pres: IdealPresentation) -> dict:
-    return {"B": algebra_to_json(pres.b),
-            "ideal_blocks": list(pres.ideal_blocks)}
-
-
 def ideal_from_json(doc, path: str = "ideal") -> IdealPresentation:
     b = algebra_from_json(_need(doc, "B", path), f"{path}.B")
     raw = _need(doc, "ideal_blocks", path)
@@ -313,10 +308,6 @@ def cert_from_json(doc, path: str = "certificate") -> QDCertificate:
         return QDCertificate(algebra, subset, phi, epsilon, norm_mode, anti)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
-
-
-def trace_to_json(witness: TraceWitness) -> dict:
-    return {"gram": matrix_to_json(witness.gram)}
 
 
 def trace_from_json(doc, path: str = "trace") -> TraceWitness:

@@ -1,4 +1,4 @@
-"""Dense matrix primitives: norms, positivity defects, Kronecker products.
+"""Dense matrix primitives: norms, positivity defects, matrix units.
 
 Every higher layer (real forms, CP calculus, transport, certificates,
 tensor checks) funnels its numerics through this module.  Matrices are
@@ -9,23 +9,10 @@ compared only through tolerances, never bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_TOL = 1e-9
 BATCH_ENTRIES = 2**18    # bounds the memory of a batch of stacked products
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Nonnegative comparison tolerance, defaulting to 1e-9."""
-
-    eps: float = DEFAULT_TOL
-
-    def __post_init__(self) -> None:
-        if not (self.eps >= 0.0):
-            raise ValueError(f"tolerance must be nonnegative, got {self.eps}")
 
 
 def as_array(x) -> np.ndarray:
@@ -123,11 +110,6 @@ def doubled_units(n: int) -> list[np.ndarray]:
     """Real basis of M_n(C): the matrix units followed by i times them."""
     units = matrix_units(n)
     return units + [1j * e for e in units]
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices; dimensions multiply."""
-    return np.kron(as_array(a), as_array(b))
 
 
 def split_norm(m):

@@ -17,8 +17,14 @@ import numpy as np
 
 from .matrix import (DEFAULT_TOL, as_array, as_arrays, batches, doubled_units,
                      matrix_units, op_norm)
-from .sampling import rng_from
 from .subspace import complex_orth_basis, realify, unrealify
+
+
+def _u_defects(u: np.ndarray) -> tuple[float, float]:
+    """||u*u - I|| and min ||u^T -+ u||; Phi is an involutory
+    *-antiautomorphism when both are at most 1e-10."""
+    return (op_norm(u.conj().T @ u - np.eye(len(u))),
+            min(op_norm(u.T - u), op_norm(u.T + u)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,10 +42,9 @@ class AntiAutomorphism:
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
         if self.validate:
-            unit = op_norm(u.conj().T @ u - np.eye(u.shape[0]))
+            unit, sym = _u_defects(u)
             if unit > 1e-10:
                 raise ValueError(f"u is not unitary: ||u*u - I|| = {unit:.3e}")
-            sym = min(op_norm(u.T - u), op_norm(u.T + u))
             if sym > 1e-10:
                 raise ValueError(
                     f"u^T must equal +-u for an involution: defect {sym:.3e}"
@@ -85,10 +90,11 @@ def real_decompose(anti: AntiAutomorphism, x) -> tuple[np.ndarray, np.ndarray]:
     return r, s
 
 
-def real_form_residual(anti: AntiAutomorphism, x) -> float:
-    """||Phi(x) - x*||; zero iff x lies in the real form."""
-    a = as_array(x)
-    return op_norm(anti.apply(a) - a.conj().T)
+def real_form_residual(anti: AntiAutomorphism, x):
+    """||Phi(x) - x*||, zero iff x lies in the real form: a float for one
+    matrix, an array of shape (...) for a stack."""
+    a = as_arrays(x)
+    return op_norm(anti.apply(a) - np.swapaxes(a.conj(), -1, -2))
 
 
 def real_form_basis(anti: AntiAutomorphism) -> list[np.ndarray]:
@@ -140,12 +146,10 @@ def check_antiautomorphism(anti_or_u, samples: int = 50, seed: int = 0,
         anti = anti_or_u
     else:
         anti = AntiAutomorphism(anti_or_u, validate=False)
-    u = anti.u
     n = anti.dim
-    unit = op_norm(u.conj().T @ u - np.eye(n))
-    sym = min(op_norm(u.T - u), op_norm(u.T + u))
+    unit, sym = _u_defects(anti.u)
     # Per sample: Re x, Im x, Re y, Im y, the stream of two random_matrix calls.
-    g = rng_from(seed).standard_normal((samples, 2, 2, n, n))
+    g = np.random.default_rng(seed).standard_normal((samples, 2, 2, n, n))
     z = g[:, :, 0] + 1j * g[:, :, 1]
     x, y = z[:, 0], z[:, 1]
     ax = anti.apply(x)

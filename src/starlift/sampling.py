@@ -9,16 +9,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def rng_from(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_matrix(rng, rows: int, cols: int | None = None, field: str = "C",
                   scale: float = 1.0) -> np.ndarray:
-    """Dense matrix with iid standard normal entries (complex: N + iN)."""
-    rng = rng_from(rng)
+    """Dense matrix with iid standard normal entries (complex: N + iN);
+    ``rng`` is a Generator or a seed."""
+    rng = np.random.default_rng(rng)
     cols = rows if cols is None else cols
     re = rng.standard_normal((rows, cols))
     if field == "R":
@@ -29,7 +24,6 @@ def random_matrix(rng, rows: int, cols: int | None = None, field: str = "C",
 
 def random_unitary(rng, n: int, field: str = "C") -> np.ndarray:
     """Haar-ish unitary (orthogonal for field 'R') via QR with phase fix."""
-    rng = rng_from(rng)
     q, r = np.linalg.qr(random_matrix(rng, n, n, field))
     d = np.diagonal(r)
     ph = d / np.abs(d)

@@ -33,33 +33,34 @@ def unrealify(rows: np.ndarray, shape: tuple) -> np.ndarray:
     return (rows[..., :half] + 1j * rows[..., half:]).reshape(shape)
 
 
-def orth_rows(v: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal row basis of the row space of v (SVD, rank-pruned)."""
+def orth_rows(v: np.ndarray) -> np.ndarray:
+    """Orthonormal row basis of the row space of v (SVD, singular values
+    at most RANK_TOL times the largest pruned)."""
     if v.size == 0:
         return np.zeros((0, v.shape[1] if v.ndim == 2 else 0))
     _, s, vt = np.linalg.svd(v, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, v.shape[1]))
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     return vt[:rank]
 
 
-def complex_orth_basis(mats, shape: tuple[int, int], tol: float = RANK_TOL
-                       ) -> list[np.ndarray]:
+def complex_orth_basis(mats, shape: tuple[int, int]) -> list[np.ndarray]:
     """Orthonormal (Hilbert-Schmidt) basis of the complex span of mats."""
     rows = np.array([as_array(m).astype(np.complex128).ravel() for m in mats])
-    return list(orth_rows(rows, tol).reshape(-1, *shape))
+    return list(orth_rows(rows).reshape(-1, *shape))
 
 
-def kernel_rows(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (as rows) of the null space of a."""
+def kernel_rows(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (as rows) of the null space of a: singular values
+    at most RANK_TOL * max(||a||, 1) count as zero."""
     if a.size == 0:
         n = a.shape[1] if a.ndim == 2 else 0
         return np.eye(n)
     # Only a wide a needs the full factorization for its null space.
     _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * max(smax, 1.0)))
+    rank = int(np.sum(s > RANK_TOL * max(smax, 1.0)))
     return vt[rank:]
 
 
@@ -93,10 +94,9 @@ def max_principal_angle(u: np.ndarray, w: np.ndarray) -> float:
     return float(np.arcsin(min(float(s[0]), 1.0)))
 
 
-def subspaces_equal(u: np.ndarray, w: np.ndarray, angle_tol: float = 1e-6
-                    ) -> tuple[bool, float]:
-    """Dimension match + max principal angle below ``angle_tol``."""
+def subspaces_equal(u: np.ndarray, w: np.ndarray) -> tuple[bool, float]:
+    """Dimension match + max principal angle at most 1e-6 radians."""
     if u.shape[0] != w.shape[0]:
         return False, float(np.pi / 2)
     ang = max_principal_angle(u, w)
-    return ang <= angle_tol, ang
+    return ang <= 1e-6, ang

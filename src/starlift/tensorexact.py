@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .matrix import DEFAULT_TOL, as_array, as_arrays, batches, matrix_units, op_norm
+from .matrix import DEFAULT_TOL, as_arrays, batches, matrix_units, op_norm
 from .realform import AntiAutomorphism, StarAlgebra, real_form_basis
 from .subspace import (RANK_TOL, containment_residual, kernel_rows, orth_rows,
                        realify, subspaces_equal, unrealify)
@@ -112,8 +112,7 @@ class IdealPresentation:
         return as_arrays(x)[..., idx, :][..., idx]
 
     def validate(self) -> None:
-        """Two-sided ideal closure and pi annihilating the ideal, to 1e-9."""
-        tol = 1e-9
+        """Two-sided ideal closure and pi annihilating the ideal, to DEFAULT_TOL."""
         ideal = self.ideal_span()
         if not ideal:
             return
@@ -125,36 +124,25 @@ class IdealPresentation:
             # Products in the order s_i x_j, x_j s_i, by i then j.
             si = s[b, None]
             prods = np.stack([si @ x[None], x[None] @ si], axis=2).reshape(-1, self.b.n, self.b.n)
-            rows = realify(prods)[op_norm(prods) > tol]
+            rows = realify(prods)[op_norm(prods) > DEFAULT_TOL]
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
             resid = np.linalg.norm(rows - rows @ amb.T @ amb, axis=1)
-            bad = resid[resid > tol]
+            bad = resid[resid > DEFAULT_TOL]
             if bad.size:
                 raise ValueError(f"ideal span is not two-sided: residual {bad[0]:.3e}")
-        if np.any(op_norm(self.quotient_apply(x)) > tol):
+        if np.any(op_norm(self.quotient_apply(x)) > DEFAULT_TOL):
             raise ValueError("quotient does not annihilate the ideal")
 
 
 def detect_blocks(span, n: int) -> tuple:
     """Finest contiguous block partition supporting every span matrix
-    (entries above 1e-12)."""
-    support = np.zeros((n, n), dtype=bool)
-    for m in span:
-        support |= np.abs(as_array(m)) > 1e-12
-    support |= support.T
-    blocks = []
-    start = 0
-    while start < n:
-        end = start
-        reach = start
-        while end <= reach:
-            nz = np.nonzero(support[end])[0]
-            if nz.size:
-                reach = max(reach, int(nz.max()))
-            end += 1
-        blocks.append((start, end - start))
-        start = end
-    return tuple(blocks)
+    (entries above 1e-12): a block ends at row r when no row up to r has
+    support past column r."""
+    support = np.any(np.abs(np.asarray(span)) > 1e-12, axis=0)
+    support = support | support.T | np.eye(n, dtype=bool)
+    reach = np.maximum.accumulate(n - 1 - np.argmax(support[:, ::-1], axis=1))
+    ends = np.flatnonzero(reach == np.arange(n)) + 1
+    return tuple((int(s), int(e - s)) for s, e in zip(np.r_[0, ends[:-1]], ends))
 
 
 # -- B's rows of the spans entering the Fubini and exactness checks -------

@@ -3,8 +3,9 @@
 The block embedding ``sigma`` replaces each complex entry a + ib by the
 2x2 real block [[a, b], [-b, a]] and is a unital *-homomorphism; the
 block collapse ``rho`` averages each 2x2 block back to
-(a + d)/2 + i (b - c)/2 and is a compression, so both are completely
-positive and ``rho . sigma`` is the identity.  ``theta`` is sigma scaled
+(a + d)/2 + i (b - c)/2, the compression m -> w* m w by the 2k x k
+isometry with w[2l, l] = 1/sqrt(2) and w[2l + 1, l] = i/sqrt(2), so both
+are completely positive and ``rho . sigma`` is the identity.  ``theta`` is sigma scaled
 by 1/(N(x) + 1) with N(x) the largest column sum of |Re| + |Im|; that
 normalizer makes it contractive in the column-sum norm but also makes
 the literal map nonlinear, so a fixed-scale linear variant is provided
@@ -34,7 +35,7 @@ def _embed(re: np.ndarray, im: np.ndarray, re_block: np.ndarray,
            im_block: np.ndarray) -> np.ndarray:
     """Replace each entry pair (a, b) of re, im by the 2x2 block
     a re_block + b im_block; entry (j, l) becomes rows 2j, 2j+1 and
-    columns 2l, 2l+1, as in kron(re, re_block) + kron(im, im_block)."""
+    columns 2l, 2l+1, as in np.kron(re, re_block) + np.kron(im, im_block)."""
     blocks = re[..., None, None] * re_block + im[..., None, None] * im_block
     *lead, r, c, _, _ = blocks.shape
     return np.swapaxes(blocks, -3, -2).reshape(*lead, 2 * r, 2 * c)
@@ -57,15 +58,6 @@ def rho(m) -> np.ndarray:
     re = (a[0::2, 0::2] + a[1::2, 1::2]) / 2.0
     im = (a[0::2, 1::2] - a[1::2, 0::2]) / 2.0
     return re + 1j * im
-
-
-def rho_isometry(k: int) -> np.ndarray:
-    """The 2k x k isometry w with rho(m) = w* m w (compression form)."""
-    w = np.zeros((2 * k, k), dtype=np.complex128)
-    for l in range(k):
-        w[2 * l, l] = 1.0 / np.sqrt(2.0)
-        w[2 * l + 1, l] = 1j / np.sqrt(2.0)
-    return w
 
 
 def theta_normalizer(x):

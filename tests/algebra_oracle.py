@@ -5,7 +5,8 @@ These are the loop versions that ``starlift.realform`` and
 closure check tests every product and adjoint on its own against the
 span, ideal validation runs one containment test per product, the
 Fubini constraints slice one working matrix at a time, and Kronecker
-products and quotient images are formed per element.  The differential
+products and quotient images are formed per element, and block
+detection grows each block row by row.  The differential
 tests compare the two.  The Fubini reference keeps both slice families
 and every choice of functional field, of which ``tensorexact.fubini``
 needs only the right slices.
@@ -18,7 +19,7 @@ solves once on B's rows and multiplies dimensions by the A leg's length.
 import numpy as np
 
 from starlift.cpmaps import COMPLEX, REAL
-from starlift.matrix import DEFAULT_TOL, as_array, as_arrays, kron, op_norm
+from starlift.matrix import DEFAULT_TOL, as_array, as_arrays, op_norm
 from starlift.realform import real_decompose, real_form_basis
 from starlift.subspace import (complex_orth_basis, containment_residual,
                                kernel_rows, orth_rows, realify, subspaces_equal,
@@ -72,6 +73,28 @@ def validate_ideal(pres, tol: float = 1e-9) -> None:
             raise ValueError("quotient does not annihilate the ideal")
 
 
+def detect_blocks(span, n: int) -> tuple:
+    """Finest contiguous block partition supporting every span matrix
+    (entries above 1e-12), grown one row at a time."""
+    support = np.zeros((n, n), dtype=bool)
+    for m in span:
+        support |= np.abs(as_array(m)) > 1e-12
+    support |= support.T
+    blocks = []
+    start = 0
+    while start < n:
+        end = start
+        reach = start
+        while end <= reach:
+            nz = np.nonzero(support[end])[0]
+            if nz.size:
+                reach = max(reach, int(nz.max()))
+            end += 1
+        blocks.append((start, end - start))
+        start = end
+    return tuple(blocks)
+
+
 def quotient_dim(pres) -> int:
     """The size of pi's image blocks."""
     return len(pres.quotient_indices)
@@ -101,7 +124,7 @@ def tensor_span_rows(a_leg, b_leg, complex_scalars: bool) -> np.ndarray:
     mats = []
     for x in a_leg:
         for y in b_leg:
-            p = kron(x, y)
+            p = np.kron(x, y)
             mats.append(p)
             if complex_scalars:
                 mats.append(1j * p)
@@ -166,7 +189,7 @@ def tensor_rows(a_leg, b_rows, nb: int) -> np.ndarray:
     engine describes by ``b_rows`` alone."""
     if len(b_rows) == 0:
         return np.zeros((0, 2 * (np.shape(a_leg)[1] * nb) ** 2))
-    return realify([kron(a, k) for a in a_leg for k in unrealify(b_rows, (-1, nb, nb))])
+    return realify([np.kron(a, k) for a in a_leg for k in unrealify(b_rows, (-1, nb, nb))])
 
 
 def _check(kernel, span) -> dict:

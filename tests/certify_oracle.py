@@ -19,7 +19,7 @@ from starlift.cpmaps import (LinearMapMat, _canonical_positive, _combine,
 from starlift.matrix import as_array
 from starlift.realform import (AntiAutomorphism, CheckReport, real_decompose,
                                real_form_basis, real_form_residual)
-from starlift.sampling import random_matrix, rng_from
+from starlift.sampling import random_matrix
 from starlift.transport import ThetaScale, normalized_trace, realify_map, theta, upsilon1
 
 
@@ -231,7 +231,7 @@ def trace_transport_residuals(witness, anti, scale: float, samples: int, seed: i
     tau = witness_value(witness)
     form = real_form_basis(anti)
     imag_on_form = max(abs(tau(g).imag) for g in form)
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     traciality = 0.0
     for _ in range(samples):
         ca = np.tensordot(rng.standard_normal(len(form)), np.stack(form), axes=(0, 0))
@@ -258,7 +258,7 @@ def check_antiautomorphism(u, samples: int, seed: int, tol: float) -> dict:
     u, n = anti.u, anti.dim
     unit = op_norm(u.conj().T @ u - np.eye(n))
     sym = min(op_norm(u.T - u), op_norm(u.T + u))
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     anti_res = star_res = inv_res = 0.0
     for _ in range(samples):
         x = random_matrix(rng, n)
@@ -285,7 +285,7 @@ def _block_apply(phi: LinearMapMat, x, level: int) -> np.ndarray:
 def cp_defect_real_report(phi: LinearMapMat, level: int, samples: int, seed: int) -> tuple:
     """(defect, witness, selfadj_defect, selfadj_witness)."""
     n = phi.dom_dim
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     candidates = [np.eye(level * n, dtype=np.complex128)]
     if phi.dom_field == "C":
         candidates.append(_canonical_positive(level, n, twist=True))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from starlift.cpmaps import COMPLEX, REAL, canonical_basis
-from starlift.matrix import as_array, kron, matrix_units, op_norm
+from starlift.matrix import as_array, matrix_units, op_norm
 from starlift.realform import real_decompose, real_form_basis
 
 
@@ -60,7 +60,7 @@ def choi(phi) -> np.ndarray:
     n, m = phi.dom_dim, phi.cod_dim
     c = np.zeros((n * m, n * m), dtype=np.complex128)
     for e in matrix_units(n):
-        c += kron(e, apply(phi, e))
+        c += np.kron(e, apply(phi, e))
     return c
 
 

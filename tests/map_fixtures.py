@@ -8,7 +8,7 @@ import numpy as np
 
 from starlift.cpmaps import COMPLEX, REAL, LinearMapMat
 from starlift.matrix import as_array
-from starlift.sampling import random_isometry, random_matrix, rng_from
+from starlift.sampling import random_isometry, random_matrix
 from starlift.transport import eta
 
 
@@ -19,7 +19,7 @@ def unital_compression_map(rng, n: int, k: int, field: str = COMPLEX,
     Real field gives a real-linear map on M_n(R) into M_k(R); complex
     gives the complex-linear analogue.
     """
-    rng = rng_from(rng)
+    rng = np.random.default_rng(rng)
     vs = [random_matrix(rng, n, k, field) for _ in range(terms)]
     s = sum(v.conj().T @ v for v in vs)
     w, u = np.linalg.eigh((s + s.conj().T) / 2)
@@ -40,7 +40,7 @@ def unital_compression_map(rng, n: int, k: int, field: str = COMPLEX,
 def unital_stinespring_map(rng, n: int, k: int) -> LinearMapMat:
     """x -> V*(x (x) I_p)V for an isometry V: unital CP into M_k(C),
     with k allowed to exceed n."""
-    rng = rng_from(rng)
+    rng = np.random.default_rng(rng)
     p = -(-k // n)
     v = random_isometry(rng, n * p, k)
 

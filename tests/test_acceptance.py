@@ -17,7 +17,7 @@ from starlift.certify import (FiniteSubset, QDCertificate, lemma_audit,
                               qd_complexify, qd_realify)
 from starlift.cli import cmd_dispatch
 from starlift.cpmaps import (LinearMapMat, block_apply, compose, cp_defect,
-                             cp_defect_real, complexify, doubled_units)
+                             cp_defect_real_report, complexify, doubled_units)
 from starlift.matrix import col_norm1, op_norm, split_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra, real_form_basis
 from starlift.sampling import random_isometry, random_matrix
@@ -25,8 +25,8 @@ from starlift.subspace import orth_rows, realify, subspaces_equal, unrealify
 from starlift.tensorexact import (IdealPresentation, exactness_check,
                                   fubini_check,
                                   quotient_kernel_rows, tensor_span_rows)
-from starlift.transport import (ThetaScale, rho, rho_isometry, sigma,
-                                sigma_map, theta, transport_factorization)
+from starlift.transport import (ThetaScale, rho, sigma, sigma_map, theta,
+                                transport_factorization)
 
 from map_fixtures import unital_compression_map, unital_stinespring_map
 
@@ -82,10 +82,12 @@ def test_criterion_2_sigma_rho_are_cp():
     for k in (1, 2, 3):
         for level in (1, 2, 3):
             cp_worst = min(cp_worst,
-                           cp_defect_real(sigma_map(k), level, samples=8, seed=20 + k))
+                           cp_defect_real_report(sigma_map(k), level, samples=8,
+                                                 seed=20 + k).defect)
     rep_worst = 0.0
     for k in (1, 2, 3, 4):
-        w = rho_isometry(k)
+        # rho(m) = w* m w for w[2l, l] = 1/sqrt(2), w[2l + 1, l] = i/sqrt(2).
+        w = np.kron(np.eye(k), [[1.0], [1.0j]]) / np.sqrt(2.0)
         for _ in range(25):
             m = random_matrix(rng, 2 * k, field="R")
             rep_worst = max(rep_worst, op_norm(rho(m) - w.conj().T @ m @ w))
@@ -156,7 +158,7 @@ def test_criterion_4_cp_transfer_equivalence():
         n = 2 + (idx % 2)          # n in {2, 3}
         phi, intended_cp = _cp_ensemble_map(idx, n)
         anti = AntiAutomorphism.transpose(n)
-        real_ok = cp_defect_real(phi, level=n, samples=8, seed=idx) >= -1e-8
+        real_ok = cp_defect_real_report(phi, level=n, samples=8, seed=idx).defect >= -1e-8
         cplx_ok = cp_defect(complexify(phi, anti)) >= -1e-8
         if real_ok == cplx_ok:
             agreements += 1
@@ -286,7 +288,7 @@ def test_criterion_8_exactness_with_oracle():
     # orthonormal rows of the whole kernel.
     kernel = quotient_kernel_rows(tensor_span_rows(form, list(b23.span)), pres)
     engine = realify([np.kron(g, k) for g in form for k in unrealify(kernel, (-1, 5, 5))])
-    eq, ang = subspaces_equal(engine, oracle, 1e-6)
+    eq, ang = subspaces_equal(engine, oracle)
     ok &= eq and oracle.shape[0] == 32
 
     fub = fubini_check(a2, anti, pres)
@@ -330,7 +332,7 @@ def _battery() -> bytes:
     import tempfile
     import os
     from starlift.io import (algebra_to_json, anti_to_json, canonical_dumps,
-                             cert_to_json, ideal_to_json, map_to_json)
+                             cert_to_json, map_to_json)
 
     chunks = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -351,9 +353,8 @@ def _battery() -> bytes:
                               "complex_op", anti)
         rpath = path_for("rc.json", cert_to_json(rcert))
         apath = path_for("a.json", algebra_to_json(StarAlgebra.full_matrix(2)))
-        ipath = path_for("i.json", ideal_to_json(
-            IdealPresentation.from_block_algebra(
-                StarAlgebra.block_diagonal([2, 3]), [0])))
+        ipath = path_for("i.json", {
+            "B": algebra_to_json(StarAlgebra.block_diagonal([2, 3])), "ideal_blocks": [0]})
         phipath = path_for("phi.json", anti_to_json(anti))
 
         commands = [

@@ -5,7 +5,8 @@ real forms of u = I and u = J, and inputs each check must reject: a span
 not closed under products, one not closed under the adjoint, a one-sided
 "ideal", a quotient that does not annihilate the ideal and a tensor leg
 that is not a frame.  The tensor checks, solved on B's rows, are compared
-with the reference on whole tensor spans.
+with the reference on whole tensor spans, and block detection with the
+row-by-row reference on random supports.
 """
 
 import itertools
@@ -21,9 +22,9 @@ from starlift.cpmaps import COMPLEX, REAL
 from starlift.matrix import matrix_units, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra, real_form_basis
 from starlift.subspace import max_principal_angle
-from starlift.tensorexact import (IdealPresentation, exactness_check, fubini,
-                                  fubini_check, quotient_kernel_rows, real_frame,
-                                  tensor_span_rows)
+from starlift.tensorexact import (IdealPresentation, detect_blocks, exactness_check,
+                                  fubini, fubini_check, quotient_kernel_rows,
+                                  real_frame, tensor_span_rows)
 
 TOL = 1e-12
 ANGLE_TOL = 1e-10
@@ -295,3 +296,15 @@ def test_a_complex_leg_that_is_not_a_frame_is_rejected():
     real_frame(alg, _anti("T", 2))
     with pytest.raises(ValueError, match="not orthonormal"):
         exactness_check(alg, _anti("T", 2), pres)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.sampled_from((0.05, 0.2, 0.5)),
+       st.integers(0, 2**32 - 1))
+def test_detect_blocks_matches_oracle(n, count, density, seed):
+    # Entries are 0, 1e-13 (below the support threshold), real or complex.
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, 1e-13, 1.0, -2.5, 0.5j])
+    support = rng.random((count, n, n)) < density
+    span = np.where(support, rng.choice(values, size=(count, n, n)), 0.0)
+    assert detect_blocks(span, n) == oracle.detect_blocks(list(span), n)

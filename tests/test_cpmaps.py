@@ -5,8 +5,7 @@ import pytest
 
 from starlift.cpmaps import (LinearMapMat, block_apply, choi,
                              complexify, compose, compress, cp_defect,
-                             cp_defect_real, cp_defect_real_report,
-                             doubled_units, matrix_units)
+                             cp_defect_real_report, doubled_units, matrix_units)
 from starlift.matrix import op_norm
 from starlift.realform import AntiAutomorphism
 from starlift.sampling import random_matrix
@@ -105,7 +104,8 @@ class TestCpDefectReal:
     def test_sigma_is_cp(self):
         for k in (1, 2, 3):
             for level in (1, 2, 3):
-                assert cp_defect_real(sigma_map(k), level, samples=6, seed=0) >= -1e-10
+                assert cp_defect_real_report(sigma_map(k), level, samples=6,
+                                             seed=0).defect >= -1e-10
 
     def test_eta_level2_counterexample(self):
         rep = cp_defect_real_report(eta_map(1), level=2, samples=5, seed=0)
@@ -115,7 +115,7 @@ class TestCpDefectReal:
 
     def test_zero_map(self):
         zero = LinearMapMat.from_function(lambda m: np.zeros((2, 2)), 2, "R")
-        assert cp_defect_real(zero, 2, samples=5, seed=0) == 0.0
+        assert cp_defect_real_report(zero, 2, samples=5, seed=0).defect == 0.0
 
     def test_selfadjointness_reporting(self):
         rep = cp_defect_real_report(
@@ -127,7 +127,7 @@ class TestCpDefectReal:
 
     def test_rejects_complex_linear(self):
         with pytest.raises(ValueError):
-            cp_defect_real(LinearMapMat.identity(2), 2)
+            cp_defect_real_report(LinearMapMat.identity(2), 2)
 
 
 class TestCpTransfer:
@@ -150,7 +150,7 @@ class TestCpTransfer:
 
                 phi = LinearMapMat.from_function(f, n, "R", dom_field="R",
                                                  cod_field="R")
-            real_verdict = cp_defect_real(phi, level=n, samples=8, seed=5) >= -1e-8
+            real_verdict = cp_defect_real_report(phi, level=n, samples=8, seed=5).defect >= -1e-8
             cplx_verdict = cp_defect(complexify(phi, anti)) >= -1e-8
             assert real_verdict == cplx_verdict
 

@@ -10,19 +10,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from starlift.certify import FiniteSubset, QDCertificate, TraceWitness
+from starlift.certify import FiniteSubset, QDCertificate
 from starlift import __version__, cli, tensorexact
 from starlift.cli import cmd_dispatch
 from starlift.cpmaps import LinearMapMat, complexify
 from starlift.io import (SchemaError, algebra_to_json, anti_to_json,
                          canonical_dumps, cert_from_json, cert_to_json,
-                         ideal_from_json, ideal_to_json, map_from_json,
-                         map_to_json, matrix_from_json, matrix_to_json,
-                         trace_to_json)
+                         ideal_from_json, map_from_json, map_to_json,
+                         matrix_from_json, matrix_to_json)
 from starlift.matrix import op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra
 from starlift.sampling import random_matrix
-from starlift.tensorexact import IdealPresentation
 from starlift.transport import rho_map, sigma_map
 
 import codec_oracle
@@ -63,10 +61,9 @@ def workdir(tmp_path):
     write("cx_cert.json", cert_to_json(ccert))
     write("phi.json", anti_to_json(ANTI2))
     write("A2.json", algebra_to_json(StarAlgebra.full_matrix(2)))
-    pres = IdealPresentation.from_block_algebra(
-        StarAlgebra.block_diagonal([2, 3]), [0])
-    write("ideal.json", ideal_to_json(pres))
-    write("trace.json", trace_to_json(TraceWitness(np.eye(2) / 2)))
+    write("ideal.json", {"B": algebra_to_json(StarAlgebra.block_diagonal([2, 3])),
+                         "ideal_blocks": [0]})
+    write("trace.json", {"gram": matrix_to_json(np.eye(2) / 2)})
     write("x.json", matrix_to_json(np.array([[1.0, 2.0 + 1.0j], [0.0, 1.0]])))
     write("F.json", [matrix_to_json(m) for m in subset.elements])
     files["dir"] = str(tmp_path)
@@ -540,7 +537,7 @@ class TestCli:
         cert = QDCertificate(StarAlgebra.full_matrix(2), subset, phi, 9.0)
         files = {}
         for name, doc in (("cert", cert_to_json(cert)),
-                          ("trace", trace_to_json(TraceWitness(np.eye(2) / 2))),
+                          ("trace", {"gram": matrix_to_json(np.eye(2) / 2)}),
                           ("phi", map_to_json(phi)), ("psi", map_to_json(psi)),
                           ("F", [matrix_to_json(m) for m in subset.elements])):
             files[name] = str(tmp_path / f"{name}.json")
@@ -670,8 +667,8 @@ def test_tensor_checks_at_a_large_size(tmp_path, capsys, command):
             ("A", algebra_to_json(StarAlgebra.full_matrix(6))),
             ("phi", anti_to_json(AntiAutomorphism(np.kron(np.eye(3), [[0.0, 1.0],
                                                                       [-1.0, 0.0]])))),
-            ("ideal", ideal_to_json(IdealPresentation.from_block_algebra(
-                StarAlgebra.block_diagonal([1, 2, 3, 4]), [0, 2])))):
+            ("ideal", {"B": algebra_to_json(StarAlgebra.block_diagonal([1, 2, 3, 4])),
+                       "ideal_blocks": [0, 2]})):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(canonical_dumps(doc), encoding="ascii")
     t0 = time.perf_counter()

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starlift.io import matrix_to_json
-from starlift.matrix import (BATCH_ENTRIES, Tolerance, batches, col_norm1,
-                             hermitian_defect, kron, op_norm, positivity_defect,
-                             split_norm)
+from starlift.matrix import (BATCH_ENTRIES, batches, col_norm1, hermitian_defect,
+                             op_norm, positivity_defect, split_norm)
 from starlift.sampling import random_matrix, random_unitary
 
 
@@ -126,18 +125,18 @@ class TestPositivityDefect:
 
 class TestKron:
     def test_identities(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
+        assert np.array_equal(np.kron(np.eye(2), np.eye(3)), np.eye(6))
 
     def test_matrix_units(self):
         e = np.zeros((2, 2))
         e[0, 0] = 1
-        out = kron(e, e)
+        out = np.kron(e, e)
         expect = np.zeros((4, 4))
         expect[0, 0] = 1
         assert np.array_equal(out, expect)
 
     def test_scalar_factor(self):
-        assert np.array_equal(kron([[0, 1], [0, 0]], [[2]]), [[0, 2], [0, 0]])
+        assert np.array_equal(np.kron([[0, 1], [0, 0]], [[2]]), [[0, 2], [0, 0]])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10 ** 6))
@@ -145,8 +144,8 @@ class TestKron:
         rng = np.random.default_rng(seed)
         a, c = random_matrix(rng, n), random_matrix(rng, n)
         b, d = random_matrix(rng, m), random_matrix(rng, m)
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
+        lhs = np.kron(a, b) @ np.kron(c, d)
+        rhs = np.kron(a @ c, b @ d)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -162,15 +161,6 @@ class TestMatrixType:
         assert matrix_to_json(np.array([[1j]]))["field"] == "C"
         assert matrix_to_json(np.eye(2), "C")["data"] == [[1.0, 0.0], [0.0, 0.0],
                                                          [0.0, 0.0], [1.0, 0.0]]
-
-
-class TestTolerance:
-    def test_default(self):
-        assert Tolerance().eps == 1e-9
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Tolerance(-1e-3)
 
 
 def test_split_norm_is_sum_of_part_norms():

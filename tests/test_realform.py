@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starlift.matrix import op_norm
 from starlift.realform import (AntiAutomorphism, StarAlgebra,
                                check_antiautomorphism, conj_phi,
                                real_decompose, real_form_basis,
                                real_form_residual)
-from starlift.sampling import random_matrix
+from starlift.sampling import random_matrix, random_unitary
 
 TRANSPOSE2 = AntiAutomorphism.transpose(2)
 ROTATION = AntiAutomorphism(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -42,7 +44,6 @@ class TestAntiAutomorphismValidation:
     def test_rejects_asymmetric_u(self):
         # u^T differing from +-u breaks involutivity
         rng = np.random.default_rng(0)
-        from starlift.sampling import random_unitary
         u = random_unitary(rng, 3)
         with pytest.raises(ValueError):
             AntiAutomorphism(u)
@@ -57,6 +58,55 @@ class TestAntiAutomorphismValidation:
                                      samples=5, seed=0)
         assert not rep.ok
         assert rep.unitary_defect > 1e-10
+
+
+def _candidate_u(kind: tuple, move: str, size: float, rng) -> np.ndarray:
+    """A 4 x 4 candidate u built from a unitary or a general q: q q^T
+    (symmetric), q J q^T (antisymmetric) or q itself.  ``move`` then
+    scales it by 1 + size, which moves only the unitary defect, or twists
+    it by a unitary exp(i size H), which moves only the symmetry defect."""
+    q = random_unitary(rng, 4) if kind[0] == "unitary" else random_matrix(rng, 4)
+    j = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    u = {"symmetric": q @ q.T, "antisymmetric": q @ j @ q.T, "neither": q}[kind[1]]
+    if move == "scale":
+        return (1.0 + size) * u
+    h = random_matrix(rng, 4)
+    w, v = np.linalg.eigh(h + h.conj().T)
+    return u @ (v * np.exp(1j * size * w)) @ v.conj().T
+
+
+KINDS = [(m, s) for m in ("unitary", "general") for s in ("symmetric", "antisymmetric", "neither")]
+
+
+class TestValidationMatchesCheck:
+    """AntiAutomorphism(u) and check_antiautomorphism measure u alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(KINDS), st.sampled_from(("scale", "twist")),
+           st.sampled_from((0.0, 3e-11, 1e-10, 1e-9)), st.integers(0, 2**32 - 1))
+    def test_raises_exactly_on_a_reported_defect(self, kind, move, size, seed):
+        u = _candidate_u(kind, move, size, np.random.default_rng(seed))
+        rep = check_antiautomorphism(u, samples=2, seed=0)
+        if rep.unitary_defect > 1e-10 or rep.symmetry_defect > 1e-10:
+            with pytest.raises(ValueError):
+                AntiAutomorphism(u)
+        else:
+            AntiAutomorphism(u)
+
+    @pytest.mark.parametrize("kind, move, size, unitary, involutive", [
+        (("unitary", "symmetric"), "scale", 0.0, True, True),
+        (("unitary", "antisymmetric"), "scale", 0.0, True, True),
+        (("unitary", "neither"), "scale", 0.0, True, False),
+        (("general", "symmetric"), "scale", 0.0, False, True),
+        (("general", "antisymmetric"), "scale", 0.0, False, True),
+        (("general", "neither"), "scale", 0.0, False, False),
+        (("unitary", "symmetric"), "scale", 1e-10, False, True),
+        (("unitary", "symmetric"), "twist", 1e-10, True, False)])
+    def test_candidates_cover_each_defect(self, kind, move, size, unitary, involutive):
+        u = _candidate_u(kind, move, size, np.random.default_rng(3))
+        rep = check_antiautomorphism(u, samples=2, seed=0)
+        assert (rep.unitary_defect <= 1e-10) == unitary
+        assert (rep.symmetry_defect <= 1e-10) == involutive
 
 
 class TestCheckAntiautomorphism:
@@ -181,6 +231,20 @@ class TestRealFormElement:
     def test_rejects_non_member(self):
         x = np.array([[1.0, 1.0j], [0.0, 1.0]])
         assert real_form_residual(TRANSPOSE2, x) > 1e-9
+
+    @pytest.mark.parametrize("anti", [TRANSPOSE2, ROTATION], ids=["transpose", "rotation"])
+    def test_stack_matches_one_at_a_time(self, anti):
+        # Members of the real form, members moved off it, and random matrices.
+        rng = np.random.default_rng(8)
+        r, s = real_decompose(anti, np.stack([random_matrix(rng, 2) for _ in range(6)]))
+        xs = np.concatenate([r, s + 1e-9j * r, np.stack([random_matrix(rng, 2)
+                                                         for _ in range(6)])])
+        stacked = real_form_residual(anti, xs)
+        assert stacked.shape == (18,)
+        assert np.array_equal(stacked, [real_form_residual(anti, x) for x in xs])
+        assert np.array_equal(real_form_residual(anti, xs.reshape(3, 6, 2, 2)),
+                              stacked.reshape(3, 6))
+        assert type(real_form_residual(anti, xs[0])) is float
 
 
 def _complex_dim(a: StarAlgebra) -> int:

@@ -11,7 +11,7 @@ from starlift.realform import AntiAutomorphism
 from starlift.sampling import random_isometry, random_matrix
 from starlift.transport import (RealifiedMap, ThetaScale, eta, eta1,
                                 normalized_trace, realify_map, rho,
-                                rho_isometry, rho_map, sigma, sigma_map,
+                                rho_map, sigma, sigma_map,
                                 theta, theta_normalizer,
                                 transport_factorization, upsilon, upsilon1)
 
@@ -78,7 +78,8 @@ class TestRho:
     def test_compression_representation(self):
         rng = np.random.default_rng(3)
         for k in (1, 2, 3, 4):
-            w = rho_isometry(k)
+            # rho(m) = w* m w for w[2l, l] = 1/sqrt(2), w[2l + 1, l] = i/sqrt(2).
+            w = np.kron(np.eye(k), [[1.0], [1.0j]]) / np.sqrt(2.0)
             assert op_norm(w.conj().T @ w - np.eye(k)) < 1e-14
             for _ in range(10):
                 m = random_matrix(rng, 2 * k, field="R")
