@@ -16,7 +16,7 @@ from .realform import (AntiAutomorphism, StarAlgebra, check_antiautomorphism,
                        real_form_residual)
 from .cpmaps import (LinearMapMat, choi, complexify,
                      compose, compress, cp_defect, cp_defect_real_report)
-from .transport import (RealifiedMap, ThetaScale, eta, eta1, realify_map, rho,
+from .transport import (RealifiedMap, ThetaScale, eta, eta1, rho,
                         rho_map, sigma, sigma_map, theta, theta_normalizer,
                         transport_factorization, upsilon, upsilon1)
 from .certify import (AUDIT_CLAIMS, AuditReport, DefectReport, FiniteSubset,
@@ -33,7 +33,7 @@ __all__ = [
     "real_decompose", "real_form_basis", "real_form_residual",
     "LinearMapMat", "choi", "complexify", "compose",
     "compress", "cp_defect", "cp_defect_real_report",
-    "RealifiedMap", "ThetaScale", "eta", "eta1", "realify_map", "rho",
+    "RealifiedMap", "ThetaScale", "eta", "eta1", "rho",
     "rho_map", "sigma", "sigma_map", "theta",
     "theta_normalizer", "transport_factorization", "upsilon", "upsilon1",
     "AUDIT_CLAIMS", "AuditReport", "DefectReport", "FiniteSubset",

@@ -2,7 +2,8 @@
 
 A certificate bundles an algebra, a finite subset, a candidate map into
 a matrix algebra, a tolerance, and a norm convention; verification
-measures multiplicative, norm, and trace defects and reports worst-case
+measures multiplicative, norm, and trace defects (against a trace
+witness that must be tracial on the algebra) and reports worst-case
 witnesses.  The transport routines replay the complex <-> real
 bookkeeping at desk scale: complexification must respect the
 quarter-epsilon triangle decomposition, and the real transport through
@@ -14,18 +15,17 @@ expected to fail and the suite freezes those outcomes.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cpmaps import COMPLEX, REAL, LinearMapMat, complexify, compress, compose
-from .matrix import (as_array, as_arrays, col_norm1, matrix_units, op_norm,
-                     positivity_defect, split_norm)
+from .matrix import (DEFAULT_TOL, as_array, as_arrays, batches, col_norm1,
+                     matrix_units, op_norm, positivity_defect, split_norm)
 from .realform import AntiAutomorphism, StarAlgebra, real_decompose, \
     real_form_basis, real_form_residual
 from .sampling import random_matrix
-from .transport import ThetaScale, eta, eta1, normalized_trace, realify_map, \
+from .transport import RealifiedMap, ThetaScale, eta, eta1, normalized_trace, \
     theta, theta_normalizer, upsilon, upsilon1
 
 COMPLEX_OP = "complex_op"
@@ -237,9 +237,7 @@ def synthesize_pairs(subset: FiniteSubset) -> list[tuple[np.ndarray, np.ndarray]
     return list(zip(mats[:half], partners))
 
 
-def qd_complexify(cert: QDCertificate,
-                  pairs: list[tuple[np.ndarray, np.ndarray]] | None = None
-                  ) -> tuple[QDCertificate, DefectReport]:
+def qd_complexify(cert: QDCertificate) -> tuple[QDCertificate, DefectReport]:
     """Complexify a real-form certificate and check the bookkeeping.
 
     The complexified multiplicative defect of each synthesized element
@@ -263,10 +261,7 @@ def qd_complexify(cert: QDCertificate,
                          f"(residual {res[i]:.3e})")
 
     phi_c = complexify(cert.phi, anti)
-    if pairs is None:
-        pairs = synthesize_pairs(cert.subset)
-
-    parts = np.stack([x for pair in pairs for x in pair])
+    parts = np.stack([x for pair in synthesize_pairs(cert.subset) for x in pair])
     img, prods = _evaluate(cert.phi.apply, parts)
     dop = _value_norms(prods - img[:, None] @ img[None], COMPLEX_OP)
     part_norms = _value_norms(parts, COMPLEX_OP)
@@ -343,7 +338,7 @@ def qd_realify(cert: QDCertificate, anti: AntiAutomorphism | None = None,
         raise ValueError("realification needs an antiautomorphism")
 
     subset, img, prods, scale = _realify_working_set(cert, anti, scale)
-    rmap = realify_map(cert.phi, anti, scale)
+    rmap = RealifiedMap(cert.phi, anti, scale)
     r_img, r_prods = _evaluate(rmap.apply, np.stack(subset.elements))
     mult_witness = _mult_witness(r_img, r_prods, subset, REAL_COL1)
     norm_witness = _norm_witness(r_img, subset, REAL_COL1, anti)
@@ -449,8 +444,11 @@ class TraceWitness:
     def traciality_residual(self, algebra: StarAlgebra) -> float:
         """max |tau(ab) - tau(ba)| over pairs of spanning matrices."""
         s = np.stack(algebra.span)
-        d = self(s[:, None] @ s[None]) - self(s[None] @ s[:, None])
-        return float(np.max(np.hypot(d.real, d.imag)))
+        worst = 0.0
+        for b in batches(len(s), s.size):    # all products s_i s_j, in bounded batches
+            d = self(s[b, None] @ s[None]) - self(s[None] @ s[b, None])
+            worst = max(worst, float(np.max(np.hypot(d.real, d.imag))))
+        return worst
 
 
 def trace_qd_verify(cert: QDCertificate, witness: TraceWitness) -> DefectReport:
@@ -460,15 +458,15 @@ def trace_qd_verify(cert: QDCertificate, witness: TraceWitness) -> DefectReport:
         raise ValueError("trace verification needs a unital map")
     if witness.dim != cert.algebra.n:
         raise ValueError("trace witness dimension does not match the algebra")
+    residual = witness.traciality_residual(cert.algebra)
+    if residual > DEFAULT_TOL:
+        raise ValueError("trace witness is not tracial on the algebra: "
+                         f"max |tau(ab) - tau(ba)| = {residual:.3e}")
     xs = np.stack(cert.subset.elements)
     img, prods = _evaluate(cert.phi.apply, xs)
     mult = _mult_witness(img, prods, cert.subset, cert.norm_mode)
-    # |normalized_trace(phi(a)) - tau(a)|; the parts are divided one by one
-    # because a complex quotient by the dimension can round differently.
-    tr, tau = np.trace(img, axis1=1, axis2=2), witness(xs)
-    k = img.shape[-1]
-    trace = _worst(np.hypot(tr.real / k - tau.real, tr.imag / k - tau.imag),
-                   lambda i: {"element": cert.subset.label(i)})
+    d = normalized_trace(img) - witness(xs)
+    trace = _worst(np.hypot(d.real, d.imag), lambda i: {"element": cert.subset.label(i)})
     return DefectReport(
         epsilon=cert.epsilon,
         norm_mode=cert.norm_mode,
@@ -481,33 +479,30 @@ def trace_qd_verify(cert: QDCertificate, witness: TraceWitness) -> DefectReport:
 def trace_transport(witness: TraceWitness, anti: AntiAutomorphism,
                     scale: float = 0.5, cert: QDCertificate | None = None,
                     theta_scale: ThetaScale | None = None,
-                    samples: int = 20, seed: int = 0
-                    ) -> tuple[Callable, dict]:
+                    samples: int = 20, seed: int = 0) -> dict:
     """Transport a tracial functional to the real form and audit the chain.
 
     The transported functional is upsilon1 . tau; it is only real-linear
     when tau is real-valued on the real form, so witnesses violating that
     are flagged.  When a certificate is supplied the full defect chain
-    |tau'(theta(phi(a))) - tau_form(a)| is replayed step by step, with
-    the trace-comparison inequality audited rather than assumed; theta
-    scales by ``theta_scale``, or for None by the constant qd_realify
-    picks for the certificate, and the report records which.
+    |tau'(theta(phi(a))) - tau_form(a)| is replayed for the elements of F
+    in the real form, with the trace-comparison inequality audited rather
+    than assumed; theta scales by ``theta_scale``, or for None by the
+    constant qd_realify picks for the certificate, and the report records
+    which.
     """
     if witness.dim != anti.dim:
         raise ValueError("trace witness dimension does not match the antiautomorphism")
     form = real_form_basis(anti)
-    imag_on_form = float(np.max(np.abs(witness(np.stack(form)).imag)))
+    imag_on_form = float(np.max(np.abs(witness(form).imag)))
     real_valued = imag_on_form <= 1e-9
-
-    def transported(a):
-        """upsilon1 . tau, on the real form of ``anti``."""
-        return upsilon1(witness(a), scale)
 
     # Per sample the coefficients of a, then of b, each a vector-matrix product.
     coeff = np.random.default_rng(seed).standard_normal((samples, 2, 1, len(form)))
-    c = (coeff @ np.stack(form).reshape(len(form), -1)).reshape(samples, 2, anti.dim, anti.dim)
+    c = (coeff @ form.reshape(len(form), -1)).reshape(samples, 2, anti.dim, anti.dim)
     ca, cb = c[:, 0], c[:, 1]
-    traciality = np.max(np.abs(transported(ca @ cb) - transported(cb @ ca)), initial=0.0)
+    traciality = np.max(np.abs(upsilon1(witness(ca @ cb), scale)
+                               - upsilon1(witness(cb @ ca), scale)), initial=0.0)
 
     report: dict = {
         "scale": scale,
@@ -529,34 +524,28 @@ def trace_transport(witness: TraceWitness, anti: AntiAutomorphism,
         report["theta_mode"] = theta_scale.mode
         if theta_scale.is_linear:
             report["theta_scale"] = theta_scale.value
-        rmap = realify_map(cert.phi, anti, theta_scale)
-        steps = []
-        inside = real_form_residual(anti, np.stack(cert.subset.elements)) <= 1e-8
-        for i, a in enumerate(cert.subset.elements):
-            if not inside[i]:
-                continue
-            pa = cert.phi.apply(a)
-            t2k_theta = float(np.trace(theta(pa, theta_scale)).real
-                              / (2 * cert.phi.cod_dim))
-            t2k_eta1 = float(np.trace(eta1(pa)).real
-                             / (2 * cert.phi.cod_dim))
-            ups_tau_k = upsilon1(normalized_trace(pa), scale)
-            final = abs(float(np.trace(rmap.apply(a)).real / (2 * cert.phi.cod_dim))
-                        - transported(a))
-            base = abs(normalized_trace(pa) - witness(a))
-            steps.append({
-                "element": cert.subset.label(i),
-                "final_defect": final,
-                "trace_compare_lhs": t2k_theta,
-                "trace_compare_rhs": t2k_eta1,
-                "trace_compare_holds": bool(t2k_theta <= t2k_eta1 + 1e-12),
-                "eta1_intertwine_residual": abs(t2k_eta1 - ups_tau_k),
-                "complex_trace_defect": float(base),
-            })
-        report["chain"] = steps
-        report["chain_trace_compare_all_hold"] = bool(
-            all(s["trace_compare_holds"] for s in steps)) if steps else True
-    return transported, report
+        elements = np.stack(cert.subset.elements)
+        inside = np.flatnonzero(real_form_residual(anti, elements) <= 1e-8)
+        xs = elements[inside]
+        pa, tau = cert.phi.apply(xs), witness(xs)
+        tau_k = normalized_trace(pa)
+        lhs = normalized_trace(theta(pa, theta_scale)).real
+        rhs = normalized_trace(eta1(pa)).real
+        realified = RealifiedMap(cert.phi, anti, theta_scale).apply(xs)
+        steps = {
+            "final_defect": np.abs(normalized_trace(realified).real - upsilon1(tau, scale)),
+            "trace_compare_lhs": lhs,
+            "trace_compare_rhs": rhs,
+            "trace_compare_holds": lhs <= rhs + 1e-12,
+            "eta1_intertwine_residual": np.abs(rhs - upsilon1(tau_k, scale)),
+            # hypot rounds as abs() of a Python complex does; np.abs may not
+            "complex_trace_defect": np.hypot((tau_k - tau).real, (tau_k - tau).imag),
+        }
+        report["chain"] = [{"element": cert.subset.label(i),
+                            **{key: column[j].item() for key, column in steps.items()}}
+                           for j, i in enumerate(inside)]
+        report["chain_trace_compare_all_hold"] = bool(np.all(steps["trace_compare_holds"]))
+    return report
 
 
 # -- lemma audits -----------------------------------------------------------
@@ -599,6 +588,7 @@ def _mat_payload(m) -> list:
 
 
 def _audit_eqtr1(samples: int, seed: int, scale: float) -> AuditReport:
+    claim = "eqtr1_scale1" if scale == 1.0 else "eqtr1_scale_half"
     rng = np.random.default_rng(seed)
     xs = [np.array([[1.0 + 1.0j]])]
     for i in range(samples):
@@ -607,19 +597,16 @@ def _audit_eqtr1(samples: int, seed: int, scale: float) -> AuditReport:
     max_resid = 0.0
     for x in xs:
         lhs = upsilon(normalized_trace(x), scale)
-        ey = eta(x)
-        rhs = float(np.trace(ey).real) / ey.shape[0]
+        rhs = float(normalized_trace(eta(x)).real)
         resid = abs(lhs - rhs)
         if resid > 1e-12:
             witness = {"input": _mat_payload(x), "dim": x.shape[0],
                        "lhs": float(lhs), "rhs": rhs}
             if abs(rhs) > 1e-12:
                 witness["ratio"] = float(lhs / rhs)
-            claim = "eqtr1_scale1" if scale == 1.0 else "eqtr1_scale_half"
             return AuditReport(claim, "counterexample",
                                {"residual": resid}, witness, samples, seed)
         max_resid = max(max_resid, resid)
-    claim = "eqtr1_scale1" if scale == 1.0 else "eqtr1_scale_half"
     return AuditReport(claim, "holds", {"max_residual": max_resid}, None,
                        samples, seed)
 
@@ -672,9 +659,8 @@ def _audit_eq1t2(samples: int, seed: int) -> AuditReport:
         mats.append(c.conj().T @ c)
     worst_slack = np.inf
     for a in mats:
-        k2 = 2 * a.shape[0]
-        lhs = float(np.trace(theta(a)).real) / k2
-        rhs = float(np.trace(eta1(a)).real) / k2
+        lhs = float(normalized_trace(theta(a)).real)
+        rhs = float(normalized_trace(eta1(a)).real)
         if lhs > rhs + 1e-12:
             witness = {"input": _mat_payload(a), "dim": a.shape[0],
                        "lhs": lhs, "rhs": rhs, "violation": lhs - rhs}
@@ -692,30 +678,22 @@ def _audit_theta(claim: str, samples: int, seed: int) -> AuditReport:
     for i in range(samples):
         k = 1 + (i % 3)
         pairs.append((random_matrix(rng, k), random_matrix(rng, k)))
+    linearity = claim == "theta_linearity"
+    reported = "additivity_residual" if linearity else "multiplicativity_residual"
     for x, y in pairs:
-        add = col_norm1(theta(x + y) - (theta(x) + theta(y)))
-        mult = col_norm1(theta(x @ y) - theta(x) @ theta(y))
-        if claim == "theta_linearity":
-            hom = col_norm1(theta(2.0 * x) - 2.0 * theta(x))
-            if add > 1e-10 or hom > 1e-10:
-                witness = {"x": _mat_payload(x), "y": _mat_payload(y),
-                           "dim": x.shape[0],
-                           "additivity_residual": float(add),
-                           "homogeneity_residual": float(hom),
-                           "normalizer_x": theta_normalizer(x),
-                           "normalizer_y": theta_normalizer(y)}
-                return AuditReport(claim, "counterexample",
-                                   {"additivity_residual": float(add)},
-                                   witness, samples, seed)
+        res = {"additivity_residual": float(col_norm1(theta(x + y) - (theta(x) + theta(y))))}
+        if linearity:
+            res["homogeneity_residual"] = float(col_norm1(theta(2.0 * x) - 2.0 * theta(x)))
         else:
-            if add > 1e-10 or mult > 1e-10:
-                witness = {"x": _mat_payload(x), "y": _mat_payload(y),
-                           "dim": x.shape[0],
-                           "additivity_residual": float(add),
-                           "multiplicativity_residual": float(mult)}
-                return AuditReport(claim, "counterexample",
-                                   {"multiplicativity_residual": float(mult)},
-                                   witness, samples, seed)
+            res["multiplicativity_residual"] = float(col_norm1(theta(x @ y)
+                                                               - theta(x) @ theta(y)))
+        if max(res.values()) > 1e-10:
+            witness = {"x": _mat_payload(x), "y": _mat_payload(y), "dim": x.shape[0], **res}
+            if linearity:
+                witness.update(normalizer_x=theta_normalizer(x),
+                               normalizer_y=theta_normalizer(y))
+            return AuditReport(claim, "counterexample", {reported: res[reported]},
+                               witness, samples, seed)
     return AuditReport(claim, "holds", {}, None, samples, seed)
 
 

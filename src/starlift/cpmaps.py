@@ -1,19 +1,19 @@
 """Linear maps between matrix spaces and their complete-positivity calculus.
 
-A map is stored by its images on the canonical domain basis: the matrix
-units for complex-linear maps, the doubled family {E_jl, i E_jl} for
-real-linear maps on a full complex matrix space, and the real matrix
-units when the domain is a real matrix space.  Complex-linear complete
-positivity is decided by the Choi matrix; real-linear maps are probed by
-deterministic sampled amplification on elements c*c together with a
-self-adjointness preservation check, and violations always come with the
-witnessing positive element.
+A map is stored by its images on the canonical domain basis, which
+``canonical_basis`` alone builds: the matrix units for complex-linear
+maps, the doubled family {E_jl, i E_jl} for real-linear maps on a full
+complex matrix space, and the real matrix units when the domain is a
+real matrix space.  Complex-linear complete positivity is decided by the
+Choi matrix; real-linear maps are probed by deterministic sampled
+amplification on elements c*c together with a self-adjointness
+preservation check, and violations always come with the witnessing
+positive element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +26,18 @@ COMPLEX = "C"
 REAL = "R"
 
 
-def canonical_basis(n: int, linearity: str, dom_field: str = COMPLEX) -> list[np.ndarray]:
-    """The domain basis a map is tabulated and serialized on: the matrix
-    units, doubled to {E_jl, i E_jl} for real-linear maps on M_n(C)."""
+def canonical_basis(n: int, linearity: str, dom_field: str = COMPLEX) -> np.ndarray:
+    """The domain basis a map is tabulated and serialized on, as a stack:
+    the matrix units, doubled to {E_jl, i E_jl} for real-linear maps on
+    M_n(C)."""
     if linearity == REAL and dom_field == COMPLEX:
         return doubled_units(n)
     return matrix_units(n)
+
+
+def basis_size(n: int, linearity: str, dom_field: str = COMPLEX) -> int:
+    """len(canonical_basis(n, linearity, dom_field)), without building it."""
+    return n * n * (2 if linearity == REAL and dom_field == COMPLEX else 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +63,7 @@ class LinearMapMat:
         if self.linearity == COMPLEX and self.dom_field == REAL:
             raise ValueError("complex-linear maps need a complex domain")
         images = np.asarray(self.images, dtype=np.complex128)
-        size = self.dom_dim ** 2 * (2 if self._basis_kind == "doubled" else 1)
+        size = basis_size(self.dom_dim, self.linearity, self.dom_field)
         if images.shape != (size, self.cod_dim, self.cod_dim):
             raise ValueError(
                 f"images shape {images.shape} does not match the {size} basis elements "
@@ -74,7 +80,7 @@ class LinearMapMat:
     def from_function(cls, f, dom_dim: int, linearity: str = COMPLEX,
                       dom_field: str = COMPLEX,
                       cod_field: str = COMPLEX) -> "LinearMapMat":
-        """Tabulate ``f`` on the canonical domain basis."""
+        """Tabulate ``f`` on the canonical domain basis, one element at a time."""
         images = [as_array(f(b)).astype(np.complex128)
                   for b in canonical_basis(dom_dim, linearity, dom_field)]
         return cls(dom_dim, images[0].shape[0], linearity, np.stack(images),
@@ -83,23 +89,14 @@ class LinearMapMat:
     @classmethod
     def identity(cls, n: int, linearity: str = COMPLEX,
                  field: str = COMPLEX) -> "LinearMapMat":
-        return cls.from_function(lambda x: x, n, linearity, dom_field=field,
-                                 cod_field=field)
+        return cls(n, n, linearity, canonical_basis(n, linearity, field), field, field)
 
     @property
     def basis(self) -> np.ndarray:
         """The canonical domain basis the images are taken on."""
-        return np.stack(canonical_basis(self.dom_dim, self.linearity, self.dom_field))
+        return canonical_basis(self.dom_dim, self.linearity, self.dom_field)
 
     # -- evaluation -----------------------------------------------------
-
-    @cached_property
-    def _basis_kind(self) -> str:
-        """How coefficients are read off an input: "units" (vec x),
-        "doubled" ([Re vec x, Im vec x]) or "real" (Re vec x)."""
-        if self.linearity == COMPLEX:
-            return "units"
-        return "real" if self.dom_field == REAL else "doubled"
 
     def apply(self, x) -> np.ndarray:
         """Evaluate the map on one matrix or on a stack of shape (k, n, n).
@@ -114,10 +111,11 @@ class LinearMapMat:
         if xs.shape[1:] != (n, n):
             raise ValueError(f"map expects {n}x{n} input, got {xs.shape[1:]}")
         flat = xs.reshape(len(xs), n * n)
-        kind = self._basis_kind
-        if kind == "units":
+        # The coefficients on the canonical basis: vec x, [Re vec x, Im vec x]
+        # on the doubled units, or Re vec x on a real domain.
+        if self.linearity == COMPLEX:
             coeff = flat
-        elif kind == "doubled":
+        elif self.dom_field == COMPLEX:
             coeff = realify(xs)
         else:
             coeff = flat.real
@@ -160,7 +158,7 @@ def compose(psi: LinearMapMat, phi: LinearMapMat) -> LinearMapMat:
     linearity = COMPLEX if (psi.linearity == COMPLEX and phi.linearity == COMPLEX) else REAL
     # A merely real-linear composite of a complex-linear phi is tabulated
     # on the doubled units.
-    basis = np.stack(canonical_basis(phi.dom_dim, linearity, phi.dom_field))
+    basis = canonical_basis(phi.dom_dim, linearity, phi.dom_field)
     return LinearMapMat(phi.dom_dim, psi.cod_dim, linearity,
                         psi.apply(phi.apply(basis)), phi.dom_field, psi.cod_field)
 
@@ -213,7 +211,7 @@ def complexify(phi: LinearMapMat, anti: AntiAutomorphism) -> LinearMapMat:
     if anti.dim != phi.dom_dim:
         raise ValueError("antiautomorphism dimension does not match the map's domain")
     n = phi.dom_dim
-    r, s = real_decompose(anti, np.stack(matrix_units(n)))
+    r, s = real_decompose(anti, matrix_units(n))
     images = phi.apply(np.concatenate([r, s]))
     return LinearMapMat(n, phi.cod_dim, COMPLEX, images[:n * n] + 1j * images[n * n:])
 

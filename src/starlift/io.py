@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from .certify import NORM_MODES, FiniteSubset, QDCertificate, TraceWitness
-from .cpmaps import COMPLEX, REAL, LinearMapMat, canonical_basis
+from .cpmaps import COMPLEX, REAL, LinearMapMat, basis_size
 from .matrix import as_array
 from .realform import AntiAutomorphism, StarAlgebra
 from .tensorexact import IdealPresentation
@@ -187,7 +187,7 @@ def map_from_json(doc, path: str = "map") -> LinearMapMat:
         raise SchemaError(f"{path}.dom_field",
                           "complex-linear maps need a complex domain")
     raw = _need(doc, "images", path)
-    size = len(canonical_basis(dom, lin, dom_field))
+    size = basis_size(dom, lin, dom_field)
     if not isinstance(raw, list) or len(raw) != size:
         raise SchemaError(f"{path}.images",
                           f"expected {size} images in basis order")

@@ -3,8 +3,9 @@
 Every higher layer (real forms, CP calculus, transport, certificates,
 tensor checks) funnels its numerics through this module.  Matrices are
 plain numpy arrays, real or complex by dtype; a scalar-field tag exists
-only in the JSON matrix schema (``io``).  Spectral quantities are
-compared only through tolerances, never bit-exactly.
+only in the JSON matrix schema (``io``).  The norms take one matrix or a
+stack, and the matrix units come back as one stack.  Spectral quantities
+are compared only through tolerances, never bit-exactly.
 """
 
 from __future__ import annotations
@@ -93,23 +94,20 @@ def positivity_defect(m):
     return float(defect) if defect.ndim == 0 else defect
 
 
-def matrix_units(d: int, n: int | None = None, offset: int = 0) -> list[np.ndarray]:
-    """E_jl for j, l < d, row-major, as complex n x n matrices (n defaults
-    to d) with the d x d block placed at (offset, offset)."""
+def matrix_units(d: int, n: int | None = None, offset: int = 0) -> np.ndarray:
+    """E_jl for j, l < d, row-major, as a complex stack (d*d, n, n) (n
+    defaults to d) with the d x d block placed at (offset, offset)."""
     n = d if n is None else n
-    out = []
-    for j in range(offset, offset + d):
-        for l in range(offset, offset + d):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[j, l] = 1.0
-            out.append(e)
-    return out
+    idx = np.arange(offset, offset + d)
+    units = np.zeros((d * d, n, n), dtype=np.complex128)
+    units[np.arange(d * d), np.repeat(idx, d), np.tile(idx, d)] = 1.0
+    return units
 
 
-def doubled_units(n: int) -> list[np.ndarray]:
-    """Real basis of M_n(C): the matrix units followed by i times them."""
+def doubled_units(n: int) -> np.ndarray:
+    """Real basis of M_n(C) as a stack: the matrix units followed by i times them."""
     units = matrix_units(n)
-    return units + [1j * e for e in units]
+    return np.concatenate([units, 1j * units])
 
 
 def split_norm(m):

@@ -97,8 +97,8 @@ def real_form_residual(anti: AntiAutomorphism, x):
     return op_norm(anti.apply(a) - np.swapaxes(a.conj(), -1, -2))
 
 
-def real_form_basis(anti: AntiAutomorphism) -> list[np.ndarray]:
-    """Orthonormal (Hilbert-Schmidt, over R) basis of the real form.
+def real_form_basis(anti: AntiAutomorphism) -> np.ndarray:
+    """Orthonormal (Hilbert-Schmidt, over R) basis of the real form, as a stack.
 
     For the transpose antiautomorphism this is exactly the real matrix
     units.  In general the real form is the fixed space of the
@@ -110,10 +110,10 @@ def real_form_basis(anti: AntiAutomorphism) -> list[np.ndarray]:
         return matrix_units(n)
     # In realified coordinates the doubled units are the standard basis,
     # so column k of the projection is the image of the k-th unit.
-    units = np.stack(doubled_units(n))
+    units = doubled_units(n)
     proj = realify((units + conj_phi(anti, units)) / 2.0).T
     w, vecs = np.linalg.eigh(proj)
-    return [unrealify(v, (n, n)) for v in vecs[:, w > 0.5].T]
+    return unrealify(vecs[:, w > 0.5].T, (-1, n, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,11 +195,8 @@ class StarAlgebra:
     def block_diagonal(cls, dims: list[int]) -> "StarAlgebra":
         """Direct sum of full matrix blocks, embedded block-diagonally."""
         n = sum(dims)
-        span = []
-        off = 0
-        for d in dims:
-            span += matrix_units(d, n, off)
-            off += d
+        offsets = np.cumsum([0, *dims[:-1]])
+        span = np.concatenate([matrix_units(d, n, off) for d, off in zip(dims, offsets)])
         return cls(n, tuple(span), unital=True, validate=False)
 
     @cached_property

@@ -85,7 +85,7 @@ class IdealPresentation:
         pres = cls(b, detect_blocks(b.span, b.n), tuple(ideal_blocks))
         for i in pres.ideal_blocks:
             start, size = pres.blocks[i]
-            resid = b._residuals(np.stack(matrix_units(size, b.n, start))).max()
+            resid = b._residuals(matrix_units(size, b.n, start)).max()
             if resid > DEFAULT_TOL:
                 raise ValueError(f"ideal block {i} does not lie in B: residual {resid:.3e}")
         return pres
@@ -98,13 +98,13 @@ class IdealPresentation:
                 idx.extend(range(start, start + size))
         return idx
 
-    def ideal_span(self) -> list[np.ndarray]:
-        """Matrix units spanning the ideal summand, embedded in M_n."""
-        out = []
-        for bi in self.ideal_blocks:
-            start, size = self.blocks[bi]
-            out += matrix_units(size, self.b.n, start)
-        return out
+    def ideal_span(self) -> np.ndarray:
+        """Matrix units spanning the ideal summand, embedded in M_n, as a
+        stack (k, n, n); k is 0 for the zero ideal."""
+        n = self.b.n
+        blocks = [self.blocks[i] for i in self.ideal_blocks]
+        return np.concatenate([matrix_units(0, n)]
+                              + [matrix_units(size, n, start) for start, size in blocks])
 
     def quotient_apply(self, x) -> np.ndarray:
         """pi(x), on one matrix or on a stack."""
@@ -113,10 +113,9 @@ class IdealPresentation:
 
     def validate(self) -> None:
         """Two-sided ideal closure and pi annihilating the ideal, to DEFAULT_TOL."""
-        ideal = self.ideal_span()
-        if not ideal:
+        x = self.ideal_span()
+        if not len(x):
             return
-        x = np.stack(ideal)
         # Realified units and i-units are standard basis vectors: a frame.
         amb = realify(np.concatenate([x, 1j * x]))
         s = np.stack(self.b.span)
@@ -252,8 +251,7 @@ def _frames(a: StarAlgebra, anti: AntiAutomorphism, pres: IdealPresentation):
     pres.validate()
     if anti.dim != a.n:
         raise ValueError("antiautomorphism dimension does not match the algebra")
-    nb = pres.b.n
-    return real_frame(a, anti), pres.b.frame, np.reshape(pres.ideal_span(), (-1, nb, nb))
+    return real_frame(a, anti), pres.b.frame, pres.ideal_span()
 
 
 def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,

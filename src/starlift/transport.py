@@ -11,8 +11,9 @@ normalizer makes it contractive in the column-sum norm but also makes
 the literal map nonlinear, so a fixed-scale linear variant is provided
 alongside.  ``eta`` (entrywise diag(a, b)), ``eta1`` (entrywise
 diag(a, |b|)) and the entrywise functionals ``upsilon`` and ``upsilon1``
-feed the trace-intertwining checks.  The block maps and theta take one
-matrix or a stack of shape (..., n, n).
+feed the trace-intertwining checks.  The block maps, theta and the
+normalized trace take one matrix or a stack of shape (..., n, n), so
+``sigma_map`` and ``rho_map`` are tabulated in one call each.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmaps import COMPLEX, REAL, LinearMapMat, compose
-from .matrix import as_array, as_arrays, col_norm1, doubled_units
+from .matrix import as_arrays, col_norm1, doubled_units, matrix_units
 from .realform import AntiAutomorphism, conj_phi
 
 _I = np.eye(2)
@@ -49,14 +50,14 @@ def sigma(x) -> np.ndarray:
 
 def rho(m) -> np.ndarray:
     """Collapse of 2x2 blocks [[a, b], [c, d]] -> (a+d)/2 + i(b-c)/2."""
-    a = as_array(m)
+    a = as_arrays(m)
     if np.iscomplexobj(a) and np.any(a.imag != 0):
         raise ValueError("rho expects a real matrix")
     a = a.real
-    if a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
+    if a.shape[-2] != a.shape[-1] or a.shape[-1] % 2 != 0:
         raise ValueError(f"rho needs an even square matrix, got shape {a.shape}")
-    re = (a[0::2, 0::2] + a[1::2, 1::2]) / 2.0
-    im = (a[0::2, 1::2] - a[1::2, 0::2]) / 2.0
+    re = (a[..., 0::2, 0::2] + a[..., 1::2, 1::2]) / 2.0
+    im = (a[..., 0::2, 1::2] - a[..., 1::2, 0::2]) / 2.0
     return re + 1j * im
 
 
@@ -144,9 +145,15 @@ def upsilon1(z, scale: float = 0.5):
     return scale * (z.real + np.abs(z.imag))
 
 
-def normalized_trace(x) -> complex:
-    a = as_array(x)
-    return complex(np.trace(a)) / a.shape[0]
+def normalized_trace(x):
+    """tr(x)/k on k x k matrices: a complex for one matrix, an array for a
+    stack.  The parts are divided one by one, because a complex quotient
+    by k can round differently."""
+    a = as_arrays(x)
+    t = np.array(np.trace(a, axis1=-2, axis2=-1), dtype=np.complex128)
+    t.real /= a.shape[-1]
+    t.imag /= a.shape[-1]
+    return complex(t) if t.ndim == 0 else t
 
 
 # -- maps as LinearMapMat objects ----------------------------------------
@@ -154,14 +161,12 @@ def normalized_trace(x) -> complex:
 
 def sigma_map(k: int) -> LinearMapMat:
     """sigma on M_k(C) as a real-linear map into M_2k(R)."""
-    return LinearMapMat.from_function(sigma, k, REAL, dom_field=COMPLEX,
-                                      cod_field=REAL)
+    return LinearMapMat(k, 2 * k, REAL, sigma(doubled_units(k)), COMPLEX, REAL)
 
 
 def rho_map(k: int) -> LinearMapMat:
     """rho on M_2k(R) as a real-linear map into M_k(C)."""
-    return LinearMapMat.from_function(rho, 2 * k, REAL, dom_field=REAL,
-                                      cod_field=COMPLEX)
+    return LinearMapMat(2 * k, k, REAL, rho(matrix_units(2 * k)), REAL, COMPLEX)
 
 
 def transport_factorization(phi: LinearMapMat, psi: LinearMapMat
@@ -183,7 +188,8 @@ def transport_factorization(phi: LinearMapMat, psi: LinearMapMat
 
 @dataclass(frozen=True, eq=False)
 class RealifiedMap:
-    """theta . phi . Phi . * : the real-form transport of a complex map.
+    """theta . phi . Phi . * : the real-form transport of a complex-linear
+    phi into M_k(C).
 
     In fixed mode this is a genuine real-linear map (see
     :meth:`as_linear_map`); in paper mode the theta normalizer depends on
@@ -193,28 +199,20 @@ class RealifiedMap:
 
     phi: LinearMapMat
     anti: AntiAutomorphism
-    scale: ThetaScale
+    scale: ThetaScale = ThetaScale()
 
-    @property
-    def is_linear(self) -> bool:
-        return self.scale.is_linear
+    def __post_init__(self) -> None:
+        if self.phi.linearity != COMPLEX:
+            raise ValueError("RealifiedMap expects a complex-linear map")
+        if self.anti.dim != self.phi.dom_dim:
+            raise ValueError("antiautomorphism dimension does not match the map's domain")
 
     def apply(self, x) -> np.ndarray:
         return theta(self.phi.apply(conj_phi(self.anti, x)), self.scale)
 
     def as_linear_map(self) -> LinearMapMat:
-        if not self.is_linear:
+        if not self.scale.is_linear:
             raise ValueError("the paper-mode theta is nonlinear; no LinearMapMat exists")
         n = self.phi.dom_dim
-        images = self.apply(np.stack(doubled_units(n)))
+        images = self.apply(doubled_units(n))
         return LinearMapMat(n, images.shape[-1], REAL, images, COMPLEX, REAL)
-
-
-def realify_map(phi: LinearMapMat, anti: AntiAutomorphism,
-                scale: ThetaScale = ThetaScale()) -> RealifiedMap:
-    """Build theta . phi . (Phi . *) for a complex-linear phi into M_k(C)."""
-    if phi.linearity != COMPLEX:
-        raise ValueError("realify_map expects a complex-linear map")
-    if anti.dim != phi.dom_dim:
-        raise ValueError("antiautomorphism dimension does not match the map's domain")
-    return RealifiedMap(phi, anti, scale)

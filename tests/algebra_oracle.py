@@ -56,7 +56,7 @@ def algebra_accepts(alg) -> bool:
 
 
 def validate_ideal(pres, tol: float = 1e-9) -> None:
-    ideal = pres.ideal_span()
+    ideal = list(pres.ideal_span())
     if not ideal:
         return
     amb = orth_rows(realify(ideal + [1j * e for e in ideal]))
@@ -207,7 +207,7 @@ def _legs(a, anti, pres):
     validate_ideal(pres)
     if anti.dim != a.n:
         raise ValueError("antiautomorphism dimension does not match the algebra")
-    ideal = pres.ideal_span()
+    ideal = list(pres.ideal_span())
     return list(real_frame(a, anti)), ideal + [1j * e for e in ideal], list(pres.b.span)
 
 
@@ -223,7 +223,7 @@ def fubini_check(a, anti, pres) -> dict:
     working = tensor_span_rows(form, b_span, complex_scalars=True)
     fub = fubini_rows(real_form_basis(anti), ideal_cx, a, pres.b, anti=anti,
                       working_rows=working)
-    return _check(fub, _span_rows(form, pres.ideal_span(), nb))
+    return _check(fub, _span_rows(form, list(pres.ideal_span()), nb))
 
 
 def exactness_check(a, anti, pres) -> dict:
@@ -232,7 +232,7 @@ def exactness_check(a, anti, pres) -> dict:
     leg tensored with the ideal, and the real-form part against A (x) B."""
     form, ideal_cx, b_span = _legs(a, anti, pres)
     na, nb = a.n, pres.b.n
-    ideal = pres.ideal_span()
+    ideal = list(pres.ideal_span())
     real_rows = tensor_span_rows(form, b_span, complex_scalars=True)
     complex_rows = tensor_span_rows(list(a.span), b_span, complex_scalars=True)
     real_span = _span_rows(form, ideal, nb)

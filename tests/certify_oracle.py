@@ -20,7 +20,7 @@ from starlift.matrix import as_array
 from starlift.realform import (AntiAutomorphism, CheckReport, real_decompose,
                                real_form_basis, real_form_residual)
 from starlift.sampling import random_matrix
-from starlift.transport import ThetaScale, normalized_trace, realify_map, theta, upsilon1
+from starlift.transport import RealifiedMap, ThetaScale, eta1, theta, upsilon1
 
 
 # -- one-matrix norms --------------------------------------------------------
@@ -147,9 +147,9 @@ def qd_complexify(cert) -> dict:
                "real_defect_op_max": float(np.max(dop))}).to_json()
 
 
-def qd_realify(cert, anti, scale) -> dict:
-    """The report, without the transported certificate; ``scale`` None
-    is the per-certificate constant."""
+def _working_set(cert, anti, scale):
+    """The real-form subset qd_realify transports, phi's images of it and
+    of its products, and ``scale``, None being the per-certificate constant."""
     f_real = []
     for a in cert.subset.elements:
         if real_form_residual(anti, a) <= 1e-8:
@@ -157,12 +157,19 @@ def qd_realify(cert, anti, scale) -> dict:
         else:
             f_real.extend(real_decompose(anti, a))
     subset = FiniteSubset(tuple(f_real))
-    xs = np.stack(subset.elements)
-    img, prods = _evaluate(cert.phi.apply, xs)
+    img, prods = _evaluate(cert.phi.apply, np.stack(subset.elements))
     if scale is None:
         scale = ThetaScale.for_working_set(
             np.concatenate([img, prods.reshape((-1,) + img.shape[1:])]))
-    rmap = realify_map(cert.phi, anti, scale)
+    return subset, img, prods, scale
+
+
+def qd_realify(cert, anti, scale) -> dict:
+    """The report, without the transported certificate; ``scale`` None
+    is the per-certificate constant."""
+    subset, img, prods, scale = _working_set(cert, anti, scale)
+    xs = np.stack(subset.elements)
+    rmap = RealifiedMap(cert.phi, anti, scale)
     r_img, r_prods = _evaluate(rmap.apply, xs)
     mult_witness = _mult_witness(r_img, r_prods, subset, REAL_COL1)
     norm_witness = _norm_witness(r_img, subset, REAL_COL1, anti)
@@ -225,6 +232,11 @@ def witness_value(witness):
     return lambda x: complex(np.trace(witness.gram @ x))
 
 
+def normalized_trace(x) -> complex:
+    a = as_array(x)
+    return complex(np.trace(a)) / a.shape[0]
+
+
 def trace_transport_residuals(witness, anti, scale: float, samples: int, seed: int
                               ) -> tuple[float, float]:
     """imag_on_form and traciality_residual of a trace transport report."""
@@ -239,6 +251,45 @@ def trace_transport_residuals(witness, anti, scale: float, samples: int, seed: i
         traciality = max(traciality, abs(upsilon1(tau(ca @ cb), scale)
                                          - upsilon1(tau(cb @ ca), scale)))
     return float(imag_on_form), float(traciality)
+
+
+def trace_transport(witness, anti, scale: float, cert, theta_scale, samples: int,
+                    seed: int) -> dict:
+    """The trace transport report, its chain replayed one element at a time."""
+    imag_on_form, traciality = trace_transport_residuals(witness, anti, scale, samples, seed)
+    report = {"scale": scale, "real_valued_on_form": imag_on_form <= 1e-9,
+              "imag_on_form": imag_on_form, "traciality_residual": traciality,
+              "samples": samples, "seed": seed}
+    if imag_on_form > 1e-9:
+        report["flags"] = ["witness is not real-valued on the real form; "
+                           "the transported functional is not real-linear there"]
+    theta_scale = _working_set(cert, anti, theta_scale)[3]
+    report["theta_mode"] = theta_scale.mode
+    if theta_scale.is_linear:
+        report["theta_scale"] = theta_scale.value
+    tau = witness_value(witness)
+    rmap = RealifiedMap(cert.phi, anti, theta_scale)
+    k2 = 2 * cert.phi.cod_dim
+    steps = []
+    for i, a in enumerate(cert.subset.elements):
+        if real_form_residual(anti, a) > 1e-8:
+            continue
+        pa = cert.phi.apply(a)
+        t2k_theta = float(np.trace(theta(pa, theta_scale)).real / k2)
+        t2k_eta1 = float(np.trace(eta1(pa)).real / k2)
+        final = abs(float(np.trace(rmap.apply(a)).real / k2) - upsilon1(tau(a), scale))
+        steps.append({
+            "element": cert.subset.label(i),
+            "final_defect": final,
+            "trace_compare_lhs": t2k_theta,
+            "trace_compare_rhs": t2k_eta1,
+            "trace_compare_holds": bool(t2k_theta <= t2k_eta1 + 1e-12),
+            "eta1_intertwine_residual": abs(t2k_eta1 - upsilon1(normalized_trace(pa), scale)),
+            "complex_trace_defect": float(abs(normalized_trace(pa) - tau(a))),
+        })
+    report["chain"] = steps
+    report["chain_trace_compare_all_hold"] = all(s["trace_compare_holds"] for s in steps)
+    return report
 
 
 def traciality_residual(witness, algebra) -> float:

@@ -208,7 +208,7 @@ def test_fubini_matches_oracle(size, u_kind, data):
     # leg, must span the same subspace.
     alg, b, anti, pres = _tensor_case(size, u_kind, data)
     ideal = pres.ideal_span()
-    ideal_cx = ideal + [1j * e for e in ideal]
+    ideal_cx = list(np.concatenate([ideal, 1j * ideal]))
     if anti is None:
         leg = alg.frame
         a1 = list(alg.span) + [1j * m for m in alg.span]

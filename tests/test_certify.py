@@ -13,7 +13,7 @@ from starlift.cpmaps import LinearMapMat, complexify, compress
 from starlift.matrix import col_norm1, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra
 from starlift.sampling import random_matrix, random_unitary
-from starlift.transport import ThetaScale, transport_factorization
+from starlift.transport import ThetaScale, transport_factorization, upsilon1
 
 from map_fixtures import (unital_compression_map, unital_stinespring_map,
                           unitary_conjugation_map)
@@ -178,10 +178,15 @@ class TestQdComplexify:
 
     def test_pure_real_pairs_match_real_defects(self):
         cert = _real_cert(5)
-        pairs = [(a, np.zeros_like(a)) for a in cert.subset.elements]
-        new_cert, rep = qd_complexify(cert, pairs=pairs)
+        # F padded by as many zeros synthesizes the pairs (a, 0)
+        zeros = (np.zeros((2, 2)),) * len(cert.subset)
+        padded = QDCertificate(cert.algebra, FiniteSubset(cert.subset.elements + zeros),
+                               cert.phi, cert.epsilon, "complex_op", ANTI2)
+        new_cert, rep = qd_complexify(padded)
         # with b = 0 the complexified subset is F itself and split-norm
         # defects reduce to the real operator-norm defects
+        assert np.array_equal(np.stack(new_cert.subset.elements),
+                              np.stack(cert.subset.elements))
         direct = qd_verify(QDCertificate(cert.algebra, cert.subset, cert.phi,
                                          cert.epsilon, "complex_op", ANTI2))
         assert rep.max_mult_defect == pytest.approx(direct.max_mult_defect,
@@ -361,37 +366,55 @@ class TestTraceQd:
         with pytest.raises(ValueError):
             trace_qd_verify(cert, TraceWitness(np.eye(2) / 2))
 
+    def test_rejects_non_tracial_witness(self):
+        cert = QDCertificate(M2, FiniteSubset((np.eye(2),)), LinearMapMat.identity(2), 0.1)
+        witness = TraceWitness(np.diag([1.0, 0.0]))
+        assert witness.traciality_residual(M2) == 1.0
+        with pytest.raises(ValueError, match="not tracial.*1.000e"):
+            trace_qd_verify(cert, witness)
+
+    def test_block_constant_trace_on_block_algebra(self):
+        # tau = 0.35 tr on the first block and 0.1 tr on the second is
+        # tracial on M_2 + M_3, though not on M_5
+        b23 = StarAlgebra.block_diagonal([2, 3])
+        witness = TraceWitness(np.diag([0.35, 0.35, 0.1, 0.1, 0.1]))
+        assert witness.traciality_residual(b23) < 1e-15
+        assert witness.traciality_residual(StarAlgebra.full_matrix(5)) > 0.2
+        cert = QDCertificate(b23, FiniteSubset((np.eye(5),)), LinearMapMat.identity(5), 0.1)
+        assert trace_qd_verify(cert, witness).passed
+
 
 class TestTraceTransport:
     def test_real_valued_witness_restricts(self):
         tau = TraceWitness(np.eye(2) / 2)
-        func, rep = trace_transport(tau, ANTI2, scale=1.0)
+        rep = trace_transport(tau, ANTI2, scale=1.0)
         assert rep["real_valued_on_form"]
+        # the transported functional upsilon1 . tau at scale 1
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert func(a) == pytest.approx(float(np.trace(a)) / 2)
+        assert upsilon1(tau(a), 1.0) == pytest.approx(float(np.trace(a)) / 2)
 
     def test_normalized_trace_transports_to_real_trace(self):
         tau = TraceWitness(np.eye(2) / 2)
-        func, rep = trace_transport(tau, ANTI2)
+        rep = trace_transport(tau, ANTI2)
         assert rep["traciality_residual"] < 1e-10
-        assert func(np.eye(2)) == pytest.approx(0.5)
+        assert upsilon1(tau(np.eye(2)), rep["scale"]) == pytest.approx(0.5)
 
     def test_zero_functional(self):
         tau = TraceWitness(np.zeros((2, 2)))
-        func, _ = trace_transport(tau, ANTI2)
-        assert func(np.eye(2)) == 0.0
+        rep = trace_transport(tau, ANTI2)
+        assert rep["traciality_residual"] == 0.0 and rep["imag_on_form"] == 0.0
 
     def test_flags_complex_valued_witness(self):
         gram = np.array([[1.0j, 0.0], [0.0, 1.0j]]) / 2
         tau = TraceWitness(gram)
-        _, rep = trace_transport(tau, ANTI2)
+        rep = trace_transport(tau, ANTI2)
         assert not rep["real_valued_on_form"]
         assert "flags" in rep
 
     def test_chain_replay_statuses(self):
         cert = _complex_cert(18)
         tau = TraceWitness(np.eye(2) / 2)
-        _, rep = trace_transport(tau, ANTI2, cert=cert)
+        rep = trace_transport(tau, ANTI2, cert=cert)
         assert len(rep["chain"]) == len(cert.subset)
         for step in rep["chain"]:
             assert "trace_compare_holds" in step

@@ -131,7 +131,8 @@ def test_nuclear_witness_verify_matches_oracle(setup, mode, k, count, data):
 def test_trace_qd_verify_matches_oracle(setup, mode, k, data):
     n, anti, rng = setup
     cert = _cert(n, _subset(data, rng, n), unital_compression_map(rng, n, k, terms=k), mode, anti)
-    witness = TraceWitness(random_matrix(rng, n))
+    # A tracial functional on M_n is a multiple of the trace.
+    witness = TraceWitness(random_matrix(rng, 1)[0, 0] * np.eye(n))
     assert _same(trace_qd_verify(cert, witness).to_json(),
                  oracle.trace_qd_verify(cert, witness))
 
@@ -141,11 +142,37 @@ def test_trace_qd_verify_matches_oracle(setup, mode, k, data):
 def test_trace_transport_sampling_matches_oracle(setup, samples, seed):
     n, anti, rng = setup
     witness = TraceWitness(random_matrix(rng, n) if seed % 2 else np.eye(n) / n)
-    _, report = trace_transport(witness, anti, samples=samples, seed=seed)
+    report = trace_transport(witness, anti, samples=samples, seed=seed)
     assert (report["imag_on_form"], report["traciality_residual"]) == \
         oracle.trace_transport_residuals(witness, anti, 0.5, samples, seed)
     algebra = StarAlgebra.full_matrix(n)
     assert witness.traciality_residual(algebra) == oracle.traciality_residual(witness, algebra)
+
+
+def test_traciality_residual_in_batches_matches_oracle():
+    # M_9 has 81 spanning matrices, so its 6561 products come in 3 batches.
+    rng = np.random.default_rng(9)
+    algebra = StarAlgebra.full_matrix(9)
+    for gram in (random_matrix(rng, 9), np.eye(9) / 9):
+        witness = TraceWitness(gram)
+        assert witness.traciality_residual(algebra) == \
+            oracle.traciality_residual(witness, algebra)
+
+
+@SETTINGS
+@given(setups(), st.integers(1, 3), st.sampled_from(("auto", "paper", "fixed:0.3")),
+       st.sampled_from((0.5, 1.0)), st.data())
+def test_trace_transport_chain_matches_oracle(setup, m, mode, scale, data):
+    # Elements in the real form are replayed, the others skipped.
+    n, anti, rng = setup
+    mats = [real_decompose(anti, x)[0] if data.draw(st.booleans()) else x
+            for x in _subset(data, rng, n).elements]
+    cert = _cert(n, FiniteSubset(tuple(mats), tuple(f"x{i}" for i in range(len(mats)))),
+                 _map(rng, n, m, COMPLEX), COMPLEX_OP, anti)
+    witness = TraceWitness(random_matrix(rng, n) if data.draw(st.booleans()) else np.eye(n) / n)
+    theta_scale = None if mode == "auto" else ThetaScale.parse(mode)
+    report = trace_transport(witness, anti, scale, cert, theta_scale, samples=3, seed=m)
+    assert _same(report, oracle.trace_transport(witness, anti, scale, cert, theta_scale, 3, m))
 
 
 @SETTINGS

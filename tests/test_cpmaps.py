@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from starlift.cpmaps import (LinearMapMat, block_apply, choi,
+from starlift.cpmaps import (LinearMapMat, basis_size, block_apply, choi,
                              complexify, compose, compress, cp_defect,
                              cp_defect_real_report, doubled_units, matrix_units)
 from starlift.matrix import op_norm
@@ -288,3 +288,16 @@ def test_basis_layout():
     assert np.array_equal(units[1], np.array([[0, 1], [0, 0]], dtype=complex))
     doubled = doubled_units(2)
     assert np.array_equal(doubled[5], 1j * units[1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_identity_equals_its_tabulation(n):
+    for linearity, field in (("C", "C"), ("R", "C"), ("R", "R")):
+        fast = LinearMapMat.identity(n, linearity, field)
+        slow = LinearMapMat.from_function(lambda x: x, n, linearity, dom_field=field,
+                                          cod_field=field)
+        assert (fast.cod_dim, fast.dom_field, fast.cod_field) == (n, field, field)
+        assert np.array_equal(fast.images, slow.images)
+        assert np.array_equal(np.signbit(fast.images.view(float)),
+                              np.signbit(slow.images.view(float)))
+        assert len(fast.images) == basis_size(n, linearity, field) == len(fast.basis)

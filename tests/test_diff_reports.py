@@ -3,6 +3,7 @@
 import importlib.util
 import io
 import os
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -21,7 +22,7 @@ def _matches_itself(workload: str) -> None:
     out = io.StringIO()
     assert tool.diff_reports(src, src, workloads=(workload,), seeds=(1,), out=out) == 0
     lines = out.getvalue().splitlines()
-    assert lines[-1].endswith(" identical, 0 differ")
+    assert lines[-1].endswith(" identical, 0 differ, 0 oracle problems")
     assert len(lines) > 1 and all(line.startswith(f"same  {workload}/seed1/")
                                   for line in lines[:-1])
 
@@ -77,3 +78,26 @@ def test_a_structure_change_names_the_first_differing_path():
                          "DIFF  text  exit 0 -> 0, stdout differs: c added"]
     assert lines[-1] == ("3 documents, 0 of the differing ones equal in exit code and value: "
                          "0 identical, 3 differ")
+
+
+def test_the_oracle_grades_each_report():
+    tool = _tool()
+    with tempfile.TemporaryDirectory() as tmp:
+        classes = tool.build_documents(tmp, ("certs",), (1,))[:2]
+    (first, cls), (second, _) = classes
+    want = cls["expect"]["exit"]
+    results = {first: [2, ""], second: [classes[1][1]["expect"]["exit"], "not json"]}
+    assert tool.oracle_problems(classes, results) == [
+        f"ORACLE  {first}  exit code 2, expected {want}",
+        f"ORACLE  {second}  stdout is not one JSON report"]
+
+
+def test_an_oracle_problem_fails_the_run(monkeypatch):
+    tool = _tool()
+    monkeypatch.setattr(tool, "oracle_problems", lambda classes, results: ["ORACLE  x  y"])
+    src = os.path.join(ROOT, "src")
+    out = io.StringIO()
+    assert tool.diff_reports(src, src, workloads=("tensor",), seeds=(1,), out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[-2:] == ["ORACLE  x  y", lines[-1]]
+    assert lines[-1].endswith(" identical, 0 differ, 1 oracle problems")

@@ -412,6 +412,25 @@ class TestCli:
         assert paper["theta_mode"] == "paper" and "theta_scale" not in paper
         assert auto["chain"] != paper["chain"]
 
+    @pytest.mark.parametrize("dims, gram, expect", [
+        ([2], [1.0, 0.0], 2),                        # diag(1, 0) is not tracial on M_2
+        ([2, 3], [0.35, 0.35, 0.1, 0.1, 0.1], 0)])   # block-constant on M_2 + M_3
+    def test_trace_audit_checks_the_witness_is_tracial(self, tmp_path, capsys, dims, gram,
+                                                        expect):
+        n = sum(dims)
+        cert = QDCertificate(StarAlgebra.block_diagonal(dims), FiniteSubset((np.eye(n),)),
+                             LinearMapMat.identity(n), 0.1)
+        (tmp_path / "cert.json").write_text(canonical_dumps(cert_to_json(cert)))
+        (tmp_path / "trace.json").write_text(canonical_dumps({"gram": matrix_to_json(
+            np.diag(gram))}))
+        code, out, err = _run(["trace-audit", "--cert", str(tmp_path / "cert.json"),
+                               "--trace", str(tmp_path / "trace.json")], capsys)
+        assert code == expect
+        if expect == 2:
+            assert out == "" and "not tracial" in err and "1.000e+00" in err
+        else:
+            assert json.loads(out)["verify"]["pass"] is True
+
     def test_nuclear_verify(self, workdir, capsys):
         code, out, _ = _run(["nuclear-verify",
                              "--phi-map", workdir["idmap2.json"],

@@ -1,4 +1,4 @@
-"""Numeric core: norms, positivity defects, Kronecker products."""
+"""Numeric core: norms, positivity defects, matrix units, Kronecker products."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starlift.io import matrix_to_json
-from starlift.matrix import (BATCH_ENTRIES, batches, col_norm1, hermitian_defect,
-                             op_norm, positivity_defect, split_norm)
+from starlift.matrix import (BATCH_ENTRIES, batches, col_norm1, doubled_units,
+                             hermitian_defect, matrix_units, op_norm, positivity_defect,
+                             split_norm)
 from starlift.sampling import random_matrix, random_unitary
 
 
@@ -121,6 +122,34 @@ class TestPositivityDefect:
     def test_penalizes_skew_part(self):
         m = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert positivity_defect(m) == pytest.approx(-1.0)
+
+
+def _matrix_units_loop(d, n=None, offset=0):
+    """The list-building matrix units the stack replaced, kept as an oracle."""
+    n = d if n is None else n
+    out = []
+    for j in range(offset, offset + d):
+        for l in range(offset, offset + d):
+            e = np.zeros((n, n), dtype=np.complex128)
+            e[j, l] = 1.0
+            out.append(e)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 3), st.data())
+def test_matrix_units_match_the_loop(d, extra, data):
+    n = d + extra
+    offset = data.draw(st.integers(0, extra))
+    units = matrix_units(d, n, offset)
+    assert units.shape == (d * d, n, n) and units.dtype == np.complex128
+    assert np.array_equal(units, np.reshape(_matrix_units_loop(d, n, offset), (d * d, n, n)))
+    if extra == 0:
+        assert np.array_equal(matrix_units(d), units)
+        loop = _matrix_units_loop(d)
+        doubled = doubled_units(d)
+        assert doubled.shape == (2 * d * d, d, d)
+        assert np.array_equal(doubled, np.reshape(loop + [1j * e for e in loop], (2 * d * d, d, d)))
 
 
 class TestKron:

@@ -10,7 +10,7 @@ from starlift.matrix import col_norm1, op_norm
 from starlift.realform import AntiAutomorphism
 from starlift.sampling import random_isometry, random_matrix
 from starlift.transport import (RealifiedMap, ThetaScale, eta, eta1,
-                                normalized_trace, realify_map, rho,
+                                normalized_trace, rho,
                                 rho_map, sigma, sigma_map,
                                 theta, theta_normalizer,
                                 transport_factorization, upsilon, upsilon1)
@@ -236,7 +236,7 @@ class TestRealifyMap:
     def test_scalar_formula(self):
         anti = AntiAutomorphism.transpose(1)
         from starlift.cpmaps import LinearMapMat
-        rm = realify_map(LinearMapMat.identity(1), anti, ThetaScale("fixed", 0.5))
+        rm = RealifiedMap(LinearMapMat.identity(1), anti, ThetaScale("fixed", 0.5))
         out = rm.apply(np.array([[2 + 6j]]))
         # conjugate then embed then halve: [[a, -b], [b, a]] / 2
         assert np.allclose(out, np.array([[1.0, -3.0], [3.0, 1.0]]))
@@ -244,22 +244,22 @@ class TestRealifyMap:
     def test_fixes_real_form_at_scale_one(self):
         anti = AntiAutomorphism.transpose(2)
         from starlift.cpmaps import LinearMapMat
-        rm = realify_map(LinearMapMat.identity(2), anti, ThetaScale("fixed", 1.0))
+        rm = RealifiedMap(LinearMapMat.identity(2), anti, ThetaScale("fixed", 1.0))
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert op_norm(rm.apply(a) - sigma(a)) < 1e-12
 
     def test_zero(self):
         anti = AntiAutomorphism.transpose(2)
         from starlift.cpmaps import LinearMapMat
-        rm = realify_map(LinearMapMat.identity(2), anti)
+        rm = RealifiedMap(LinearMapMat.identity(2), anti)
         assert np.all(rm.apply(np.zeros((2, 2))) == 0.0)
 
     def test_fixed_mode_is_linear_map(self):
         anti = AntiAutomorphism.transpose(2)
         rng = np.random.default_rng(7)
         phi = _stinespring(rng, 2, 3)
-        rm = realify_map(phi, anti, ThetaScale("fixed", 0.25))
-        assert rm.is_linear
+        rm = RealifiedMap(phi, anti, ThetaScale("fixed", 0.25))
+        assert rm.scale.is_linear
         lin = rm.as_linear_map()
         x = random_matrix(rng, 2)
         assert op_norm(lin.apply(x) - rm.apply(x)) < 1e-10
@@ -267,8 +267,8 @@ class TestRealifyMap:
     def test_paper_mode_is_nonlinear(self):
         anti = AntiAutomorphism.transpose(1)
         from starlift.cpmaps import LinearMapMat
-        rm = realify_map(LinearMapMat.identity(1), anti, ThetaScale("paper"))
-        assert not rm.is_linear
+        rm = RealifiedMap(LinearMapMat.identity(1), anti, ThetaScale("paper"))
+        assert not rm.scale.is_linear
         with pytest.raises(ValueError):
             rm.as_linear_map()
         x, y = np.array([[1.0 + 0j]]), np.array([[2.0 + 0j]])
@@ -277,7 +277,7 @@ class TestRealifyMap:
     def test_rejects_real_linear_input(self):
         anti = AntiAutomorphism.transpose(2)
         with pytest.raises(ValueError):
-            realify_map(sigma_map(2), anti)
+            RealifiedMap(sigma_map(2), anti)
 
 
 def test_sigma_rho_maps_round_trip():
@@ -334,6 +334,33 @@ def test_stack_matches_one_at_a_time(n, k, seed):
     assert isinstance(theta_normalizer(xs[0]), float)
     for anti in (AntiAutomorphism.transpose(2 * n),
                  AntiAutomorphism(np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]))):
-        rm = realify_map(_stinespring(rng, 2 * n, 3), anti, ThetaScale())
+        rm = RealifiedMap(_stinespring(rng, 2 * n, 3), anti, ThetaScale())
         ys = _signed_zero_stack(rng, k, 2 * n)
         assert _same_bits(rm.apply(ys), np.stack([rm.apply(y) for y in ys]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_rho_and_normalized_trace_on_a_stack(n, k, seed):
+    rng = np.random.default_rng(seed)
+    ms = _signed_zero_stack(rng, k, 2 * n).real
+    assert _same_bits(rho(ms).view(float), np.stack([rho(m) for m in ms]).view(float))
+    xs = _signed_zero_stack(rng, k, n)
+    traces = normalized_trace(xs)
+    assert traces.shape == (k,)
+    for x, t in zip(xs, traces):
+        one = normalized_trace(x)
+        assert isinstance(one, complex)
+        assert _same_bits([t.real, t.imag], [one.real, one.imag])
+        # the parts divided one by one: Python's quotient, up to the sign of a zero
+        assert t == complex(np.trace(x)) / n
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_transport_maps_equal_their_tabulations(k):
+    from starlift.cpmaps import LinearMapMat
+    for fast, slow in ((sigma_map(k), LinearMapMat.from_function(sigma, k, "R", "C", "R")),
+                       (rho_map(k), LinearMapMat.from_function(rho, 2 * k, "R", "R", "C"))):
+        assert (fast.dom_dim, fast.cod_dim, fast.linearity, fast.dom_field, fast.cod_field) \
+            == (slow.dom_dim, slow.cod_dim, slow.linearity, slow.dom_field, slow.cod_field)
+        assert _same_bits(fast.images.view(float), slow.images.view(float))

@@ -13,8 +13,12 @@ the bytes differ it prints the largest difference between corresponding
 floats, or, if the reports differ in more than float values, the first
 JSON path at which they do (``provenance added``, say).  The summary also
 counts the differing documents whose exit codes match and whose reports
-parse to equal values, as after a change of float spelling.
-Exits 0 iff every document matches byte for byte.
+parse to equal values, as after a change of float spelling.  Each
+working-tree report is also graded by the benchmark's correctness oracle,
+``bench/oracle.py`` (imported, not changed): each problem it finds is
+printed, and the summary line ends with their count.
+Exits 0 iff every document matches byte for byte and the oracle finds no
+problem.
 """
 
 from __future__ import annotations
@@ -51,23 +55,25 @@ json.dump({"module": starlift.__file__, "results": results}, sys.stdout)
 """
 
 
-def _load_gen():
-    spec = importlib.util.spec_from_file_location("bench_gen", os.path.join(ROOT, "bench", "gen.py"))
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
+def _load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  os.path.join(ROOT, "bench", f"{name}.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
-def build_documents(outdir: str, workloads, seeds) -> list[tuple[str, list]]:
-    """(name, argv) of every document of the workloads at the seeds."""
-    gen = _load_gen()
+def build_documents(outdir: str, workloads, seeds) -> list[tuple[str, dict]]:
+    """(name, document class of the manifest) of every document of the
+    workloads at the seeds."""
+    gen = _load_bench("gen")
     docs = []
     for workload in workloads:
         for seed in seeds:
             where = os.path.join(outdir, f"{workload}-{seed}")
             os.makedirs(where)
             for cls in gen.build(workload, seed, where)["classes"]:
-                docs.append((f"{workload}/seed{seed}/{cls['id']}", cls["argv"]))
+                docs.append((f"{workload}/seed{seed}/{cls['id']}", cls))
     return docs
 
 
@@ -175,17 +181,29 @@ def compare(base: dict, new: dict, docs) -> tuple[int, list[str]]:
     return differ, lines
 
 
+def oracle_problems(classes, results) -> list[str]:
+    """One line per problem ``bench/oracle.py`` finds in a report."""
+    check = _load_bench("oracle").check
+    return [f"ORACLE  {name}  {problem}" for name, cls in classes
+            for problem in check(cls, *results[name])]
+
+
 def diff_reports(base_src: str, new_src: str, workloads=WORKLOADS, seeds=(1, 2, 3),
                  out=None) -> int:
-    """Print the comparison of the two source trees; 0 iff all documents match."""
+    """Print the comparison of the two source trees and the oracle's
+    problems with the new one; 0 iff all documents match and none has one."""
     with tempfile.TemporaryDirectory() as tmp:
-        docs = build_documents(tmp, workloads, seeds)
+        classes = build_documents(tmp, workloads, seeds)
+        docs = [(name, cls["argv"]) for name, cls in classes]
         base = run_side(base_src, docs, tmp)
         new = run_side(new_src, docs, tmp)
     differ, lines = compare(base, new, docs)
+    problems = oracle_problems(classes, new)
+    lines[-1:-1] = problems
+    lines[-1] += f", {len(problems)} oracle problems"
     for line in lines:
         print(line, file=out)
-    return 0 if differ == 0 else 1
+    return 0 if differ == 0 and not problems else 1
 
 
 def main(argv=None) -> int:
