@@ -6,6 +6,12 @@ plain numpy arrays, real or complex by dtype; a scalar-field tag exists
 only in the JSON matrix schema (``io``).  The norms take one matrix or a
 stack, and the matrix units come back as one stack.  Spectral quantities
 are compared only through tolerances, never bit-exactly.
+
+A threshold test whose norm no report prints goes through
+``op_norm_above``, which answers ``op_norm(stack) > tol`` from the
+Frobenius norm and runs an SVD only for matrices it cannot decide; the
+answer is the same as the SVD's, so the screen moves no threshold.
+``positivity_defect`` likewise skips the SVD of an exactly zero skew part.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 BATCH_ENTRIES = 2**18    # bounds the memory of a batch of stacked products
+SCREEN_GUARD = 1e-12     # relative guard band of the Frobenius screen in op_norm_above
+SCREEN_FLOOR = 1e-140    # the smallest tol that op_norm_above screens
 
 
 def as_array(x) -> np.ndarray:
@@ -55,6 +63,34 @@ def op_norm(m):
     return float(np.linalg.norm(a, 2))
 
 
+def op_norm_above(stack, tol: float) -> np.ndarray:
+    """``op_norm(stack) > tol`` as a bool array of shape (...), for a stack
+    (..., r, c), with an SVD only where the Frobenius norm cannot decide.
+
+    With k = min(r, c), sigma_1 <= F <= sqrt(k) sigma_1, so F <= tol means
+    no and F > sqrt(k) tol means yes.  Both edges are moved outward by a
+    relative guard band, SCREEN_GUARD plus a bound on the rounding of F
+    and of LAPACK's sigma_1 that grows with the entry count, so rounding
+    cannot decide a matrix the other way from ``op_norm``.  A norm that is
+    not finite, or a tol below SCREEN_FLOOR (where F**2 can underflow),
+    leaves the matrix to the SVD.
+    """
+    a = np.asarray(stack)
+    r, c = a.shape[-2:]
+    flat = np.ascontiguousarray(a).reshape(*a.shape[:-2], r * c)
+    if np.iscomplexobj(flat):
+        flat = flat.view(np.float64)     # (re, im) pairs: the same sum of squares
+    with np.errstate(over="ignore", invalid="ignore"):
+        fro = np.sqrt(np.einsum("...i,...i->...", flat, flat))
+    fro[~np.isfinite(fro) | (tol < SCREEN_FLOOR)] = np.nan
+    guard = SCREEN_GUARD + 4 * (r * c + r + c) * np.finfo(np.float64).eps
+    above = fro > np.sqrt(min(r, c)) * tol * (1.0 + guard)
+    unsure = ~above & ~(fro <= tol * (1.0 - guard))
+    if unsure.any():
+        above[unsure] = op_norm(a[unsure]) > tol
+    return above
+
+
 def col_norm1(m):
     """Max absolute column sum of a real matrix, the norm induced by the
     vector 1-norm: a float for one matrix, an array of shape (...) for a
@@ -90,7 +126,15 @@ def positivity_defect(m):
     adj = np.swapaxes(a.conj(), -1, -2)
     sym = (a + adj) / 2.0
     skew = (a - adj) / 2.0
-    defect = np.linalg.eigvalsh(sym)[..., 0] - op_norm(skew)
+    # An exactly Hermitian matrix has a zero skew part, whose SVD gives 0.0.
+    nonzero = skew.any(axis=(-2, -1))
+    if np.all(nonzero):
+        skew_norm = op_norm(skew)
+    else:
+        skew_norm = np.zeros(a.shape[:-2])
+        if nonzero.any():
+            skew_norm[nonzero] = op_norm(skew[nonzero])
+    defect = np.linalg.eigvalsh(sym)[..., 0] - skew_norm
     return float(defect) if defect.ndim == 0 else defect
 
 

@@ -16,15 +16,21 @@ from functools import cached_property
 import numpy as np
 
 from .matrix import (DEFAULT_TOL, as_array, as_arrays, batches, doubled_units,
-                     matrix_units, op_norm)
+                     matrix_units, op_norm, op_norm_above)
 from .subspace import complex_orth_basis, realify, unrealify
 
 
-def _u_defects(u: np.ndarray) -> tuple[float, float]:
-    """||u*u - I|| and min ||u^T -+ u||; Phi is an involutory
-    *-antiautomorphism when both are at most 1e-10."""
-    return (op_norm(u.conj().T @ u - np.eye(len(u))),
-            min(op_norm(u.T - u), op_norm(u.T + u)))
+def _u_residuals(u: np.ndarray) -> np.ndarray:
+    """The stack u*u - I, u^T - u, u^T + u; Phi is an involutory
+    *-antiautomorphism when the first and one of the others have op norm
+    at most 1e-10."""
+    return np.stack([u.conj().T @ u - np.eye(len(u)), u.T - u, u.T + u])
+
+
+def _u_defects(resid: np.ndarray) -> tuple[float, float]:
+    """||u*u - I|| and min ||u^T -+ u|| from ``_u_residuals``."""
+    unit, minus, plus = op_norm(resid)
+    return float(unit), float(min(minus, plus))
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,13 +48,13 @@ class AntiAutomorphism:
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
         if self.validate:
-            unit, sym = _u_defects(u)
-            if unit > 1e-10:
-                raise ValueError(f"u is not unitary: ||u*u - I|| = {unit:.3e}")
-            if sym > 1e-10:
-                raise ValueError(
-                    f"u^T must equal +-u for an involution: defect {sym:.3e}"
-                )
+            resid = _u_residuals(u)
+            unit_bad, minus_bad, plus_bad = op_norm_above(resid, 1e-10)
+            if unit_bad or (minus_bad and plus_bad):    # exact norms for the message
+                unit, sym = _u_defects(resid)
+                if unit_bad:
+                    raise ValueError(f"u is not unitary: ||u*u - I|| = {unit:.3e}")
+                raise ValueError(f"u^T must equal +-u for an involution: defect {sym:.3e}")
 
     @classmethod
     def transpose(cls, n: int) -> "AntiAutomorphism":
@@ -147,7 +153,7 @@ def check_antiautomorphism(anti_or_u, samples: int = 50, seed: int = 0,
     else:
         anti = AntiAutomorphism(anti_or_u, validate=False)
     n = anti.dim
-    unit, sym = _u_defects(anti.u)
+    unit, sym = _u_defects(_u_residuals(anti.u))
     # Per sample: Re x, Im x, Re y, Im y, the stream of two random_matrix calls.
     g = np.random.default_rng(seed).standard_normal((samples, 2, 2, n, n))
     z = g[:, :, 0] + 1j * g[:, :, 1]
@@ -208,20 +214,30 @@ class StarAlgebra:
         return frame
 
     def _residuals(self, xs: np.ndarray) -> np.ndarray:
-        """Least-squares residuals (op norm) of a stack against the span."""
+        """Least-squares residual matrices of a stack against the span."""
         flat = xs.reshape(len(xs), -1)
         rows = self.frame.reshape(len(self.frame), self.n * self.n)
         rec = flat @ rows.conj().T @ rows
-        return op_norm(xs - rec.reshape(xs.shape))
+        return xs - rec.reshape(xs.shape)
 
     def contains_residual(self, x) -> float:
         """Least-squares residual of x against the span (op norm)."""
-        return float(self._residuals(as_array(x).astype(np.complex128)[None])[0])
+        return float(op_norm(self._residuals(as_array(x).astype(np.complex128)[None]))[0])
+
+    def worst_residual(self, xs: np.ndarray) -> float:
+        """The largest residual (op norm) of a stack against the span if it
+        exceeds DEFAULT_TOL, else 0.0; ``op_norm_above`` screens the
+        residuals, so only those above DEFAULT_TOL are measured exactly."""
+        resid = self._residuals(xs)
+        bad = resid[op_norm_above(resid, DEFAULT_TOL)]
+        return float(op_norm(bad).max()) if len(bad) else 0.0
 
     def _closure_defect(self) -> float:
+        """The largest adjoint or product residual if it exceeds
+        DEFAULT_TOL, else 0.0."""
         s = np.stack(self.span)
-        worst = self._residuals(s.conj().transpose(0, 2, 1)).max()
+        worst = self.worst_residual(s.conj().transpose(0, 2, 1))
         for b in batches(len(s), s.size):    # all products s_i s_j
             prods = (s[b, None] @ s[None]).reshape(-1, self.n, self.n)
-            worst = max(worst, self._residuals(prods).max())
-        return float(worst)
+            worst = max(worst, self.worst_residual(prods))
+        return worst

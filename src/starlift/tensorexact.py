@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .matrix import DEFAULT_TOL, as_arrays, batches, matrix_units, op_norm
+from .matrix import DEFAULT_TOL, as_arrays, batches, matrix_units, op_norm_above
 from .realform import AntiAutomorphism, StarAlgebra, real_form_basis
 from .subspace import (RANK_TOL, containment_residual, kernel_rows, orth_rows,
                        realify, subspaces_equal, unrealify)
@@ -85,7 +85,7 @@ class IdealPresentation:
         pres = cls(b, detect_blocks(b.span, b.n), tuple(ideal_blocks))
         for i in pres.ideal_blocks:
             start, size = pres.blocks[i]
-            resid = b._residuals(matrix_units(size, b.n, start)).max()
+            resid = b.worst_residual(matrix_units(size, b.n, start))
             if resid > DEFAULT_TOL:
                 raise ValueError(f"ideal block {i} does not lie in B: residual {resid:.3e}")
         return pres
@@ -123,13 +123,13 @@ class IdealPresentation:
             # Products in the order s_i x_j, x_j s_i, by i then j.
             si = s[b, None]
             prods = np.stack([si @ x[None], x[None] @ si], axis=2).reshape(-1, self.b.n, self.b.n)
-            rows = realify(prods)[op_norm(prods) > DEFAULT_TOL]
+            rows = realify(prods)[op_norm_above(prods, DEFAULT_TOL)]
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
             resid = np.linalg.norm(rows - rows @ amb.T @ amb, axis=1)
             bad = resid[resid > DEFAULT_TOL]
             if bad.size:
                 raise ValueError(f"ideal span is not two-sided: residual {bad[0]:.3e}")
-        if np.any(op_norm(self.quotient_apply(x)) > DEFAULT_TOL):
+        if np.any(op_norm_above(self.quotient_apply(x), DEFAULT_TOL)):
             raise ValueError("quotient does not annihilate the ideal")
 
 

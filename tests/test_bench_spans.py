@@ -54,3 +54,22 @@ def test_unresolved_span_names_are_the_known_ones():
     spans = _spans()
     names = {name for _, group in spans.SPAN_METRICS.values() for name in group}
     assert {name for name in names if not _resolves(name)} == KNOWN_UNRESOLVED
+
+
+def test_the_recorder_times_the_op_norm_screen():
+    # op_norm_above is a public function of ``matrix``, so the recorder
+    # wraps it and rebinds it in every module that imported it.
+    from starlift import matrix, realform, tensorexact
+
+    raw = matrix.op_norm_above
+    rec = _spans().Recorder()
+    rec.install()
+    try:
+        for mod in (matrix, realform, tensorexact):
+            assert mod.op_norm_above is not raw
+            assert mod.op_norm_above.__wrapped__ is raw
+        realform.StarAlgebra(2, tuple(matrix.matrix_units(2)))
+    finally:
+        rec.uninstall()
+    assert matrix.op_norm_above is raw and realform.op_norm_above is raw
+    assert rec.names.index("matrix.op_norm_above") in rec.name    # a span was taken

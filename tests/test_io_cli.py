@@ -18,11 +18,12 @@ from starlift.io import (SchemaError, algebra_to_json, anti_to_json,
                          canonical_dumps, cert_from_json, cert_to_json,
                          ideal_from_json, map_from_json, map_to_json,
                          matrix_from_json, matrix_to_json)
-from starlift.matrix import op_norm
+from starlift.matrix import matrix_units, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra
 from starlift.sampling import random_matrix
 from starlift.transport import rho_map, sigma_map
 
+import algebra_oracle
 import codec_oracle
 from map_fixtures import unital_compression_map
 
@@ -661,6 +662,60 @@ def test_an_ideal_outside_b_exits_two(workdir, tmp_path, capsys, command):
                            "--ideal", str(ideal)], capsys)
     assert (code, out) == (2, "")
     assert "ideal.ideal_blocks" in err
+
+
+def _rejected_input(kind: str, tmp_path):
+    """(algebra path or None, ideal path or None, block partition or None,
+    the stderr line the loop oracles give) for an input the validation of
+    A, B or the ideal must reject."""
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(canonical_dumps(doc), encoding="ascii")
+        return str(path)
+
+    if kind in ("not_product_closed", "not_adjoint_closed"):
+        if kind == "not_product_closed":
+            g = np.random.default_rng(5).standard_normal((2, 3, 3))
+            h = g[0] + 1j * g[1]
+            span = (np.eye(3), h + h.conj().T, h @ h.conj().T)
+        else:
+            span = tuple(e for e in matrix_units(3) if np.argwhere(e)[0, 0] <= np.argwhere(e)[0, 1])
+        alg = StarAlgebra(3, span, validate=False)
+        want = ("algebra: span is not closed under product/adjoint: "
+                f"residual {algebra_oracle.closure_defect(alg):.3e}")
+        return write("A.json", algebra_to_json(alg)), None, None, want
+    if kind == "ideal_outside_b":
+        # B = span{I_2} splits into two 1x1 blocks, but E_11 is not in B.
+        b = StarAlgebra(2, (np.eye(2),))
+        resid = algebra_oracle.contains_residual(b, matrix_units(1, 2)[0])
+        want = f"ideal.ideal_blocks: ideal block 0 does not lie in B: residual {resid:.3e}"
+        return None, write("I.json", {"B": algebra_to_json(b), "ideal_blocks": [0]}), None, want
+    # B's own block partition always gives a two-sided ideal that pi
+    # annihilates, so these two need a partition that is not B's: block
+    # 0 = {E_11} inside B = M_2 + C is one-sided, and a quotient block
+    # that overlaps the ideal's keeps one of its units.
+    b = StarAlgebra.block_diagonal([2, 1])
+    blocks = ((0, 1), (1, 2)) if kind == "one_sided" else ((0, 2), (1, 2))
+    with pytest.raises(ValueError) as exc:
+        algebra_oracle.validate_ideal(tensorexact.IdealPresentation(b, blocks, (0,)))
+    return (None, write("I.json", {"B": algebra_to_json(b), "ideal_blocks": [0]}), blocks,
+            str(exc.value))
+
+
+@pytest.mark.parametrize("command", ["fubini", "exactness"])
+@pytest.mark.parametrize("kind", ["not_product_closed", "not_adjoint_closed",
+                                  "ideal_outside_b", "one_sided", "not_annihilated"])
+def test_rejected_inputs_print_the_oracle_message(workdir, tmp_path, capsys, monkeypatch,
+                                                  command, kind):
+    # The validation screens its residuals with op_norm_above and measures
+    # exactly only the ones above the tolerance, so each rejection must
+    # still print the residual that the one-at-a-time oracle measures.
+    algebra, ideal, blocks, want = _rejected_input(kind, tmp_path)
+    if blocks is not None:
+        monkeypatch.setattr(tensorexact, "detect_blocks", lambda span, n: blocks)
+    code, out, err = _run([command, "--algebra", algebra or workdir["A2.json"],
+                           "--ideal", ideal or workdir["ideal.json"]], capsys)
+    assert (code, out, err) == (2, "", f"error: {want}\n")
 
 
 @pytest.mark.parametrize("command", ["fubini", "exactness"])

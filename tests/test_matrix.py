@@ -1,4 +1,5 @@
-"""Numeric core: norms, positivity defects, matrix units, Kronecker products."""
+"""Numeric core: norms, the op-norm screen, positivity defects, matrix
+units, Kronecker products."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starlift.io import matrix_to_json
-from starlift.matrix import (BATCH_ENTRIES, batches, col_norm1, doubled_units,
-                             hermitian_defect, matrix_units, op_norm, positivity_defect,
-                             split_norm)
+from starlift import matrix
+from starlift.matrix import (BATCH_ENTRIES, SCREEN_FLOOR, SCREEN_GUARD, batches, col_norm1,
+                             doubled_units, hermitian_defect, matrix_units, op_norm,
+                             op_norm_above, positivity_defect, split_norm)
 from starlift.sampling import random_matrix, random_unitary
 
 
@@ -224,3 +226,130 @@ def test_norms_take_stacks(norm, shape):
     singles = [norm(x) for x in xs.reshape(-1, *shape[-2:])]
     assert all(type(v) is float for v in singles)
     assert got.ravel().tolist() == singles      # bit-equal to one at a time
+
+
+# -- the Frobenius screen ------------------------------------------------------
+
+EPS = np.finfo(np.float64).eps
+SCREEN_TOLS = (1e-9, 1e-10, 1.0, 3.5e4, 1e-150)
+
+
+def _unit_direction(rng, r: int, c: int, cplx: bool, kind: str) -> np.ndarray:
+    """A matrix with sigma_1 = 1 up to rounding: rank one (F = 1) or with
+    min(r, c) singular values 1 (F = sqrt(min(r, c)))."""
+    def draw(*shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if cplx else g
+
+    if kind == "rank1":
+        u, v = draw(r, 1), draw(c, 1)
+        return (u @ v.conj().T) / (np.linalg.norm(u) * np.linalg.norm(v))
+    q, _ = np.linalg.qr(draw(max(r, c), min(r, c)))
+    return q if r >= c else q.conj().T
+
+
+@st.composite
+def screen_cases(draw):
+    """(stack, tol): random, zero, rank-one and full-rank matrices, scaled
+    so that sigma_1 = tol or F sits on either edge of the guard band, each
+    to within a few ulp."""
+    tol = draw(st.sampled_from(SCREEN_TOLS))
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cplx = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = min(r, c)
+    mats = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("random", "zero", "rank1", "full")))
+        if kind == "zero":
+            mats.append(np.zeros((r, c)))
+            continue
+        if kind == "random":
+            g = rng.standard_normal((r, c)) + (1j * rng.standard_normal((r, c)) if cplx else 0)
+            mats.append(tol * 10.0 ** draw(st.floats(-1.5, 1.5)) * g)
+            continue
+        # The target is sigma_1 itself, or F on the low edge tol (1 - g) or
+        # the high edge sqrt(k) tol (1 + g), with g the guard band or just
+        # past it; F = sigma_1 for rank one and sqrt(k) sigma_1 at full rank.
+        fro_per_sigma = 1.0 if kind == "rank1" else np.sqrt(k)
+        band = draw(st.sampled_from((0.0, 0.5, 1.0, 1.02, 1.05, 1.5))) * SCREEN_GUARD
+        edge = draw(st.sampled_from(("sigma", "low", "high")))
+        fro = {"sigma": tol * fro_per_sigma, "low": tol * (1.0 - band),
+               "high": np.sqrt(k) * tol * (1.0 + band)}[edge]
+        fro *= 1.0 + draw(st.integers(-4, 4)) * EPS
+        mats.append(fro / fro_per_sigma * _unit_direction(rng, r, c, cplx, kind))
+    dtype = np.complex128 if cplx else np.float64
+    return np.array(mats, dtype=dtype).reshape(len(mats), r, c), tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(screen_cases())
+def test_op_norm_above_is_the_svd_threshold(case):
+    stack, tol = case
+    got = op_norm_above(stack, tol)
+    assert got.dtype == bool and got.shape == stack.shape[:-2]
+    assert got.tolist() == (op_norm(stack) > tol).tolist()
+
+
+def test_op_norm_above_takes_the_svd_only_inside_the_band(monkeypatch):
+    calls = []
+    monkeypatch.setattr(matrix, "op_norm", lambda a: calls.append(len(a)) or op_norm(a))
+    tol = 1e-9
+    clear = np.stack([np.zeros((3, 3)), 0.5 * tol * np.eye(3), 2.0 * tol * np.eye(3),
+                      tol * np.ones((3, 3))])
+    assert op_norm_above(clear, tol).tolist() == [False, False, True, True]
+    assert calls == []
+    # Each of I tol/1.1 and 1.1 I tol/sqrt(3) has sqrt(3) sigma_1 >= F > tol.
+    inside = np.stack([tol / 1.1 * np.eye(3), 1.1 * tol / np.sqrt(3) * np.eye(3)])
+    assert op_norm_above(np.concatenate([clear, inside]), tol).tolist() == \
+        [False, False, True, True, False, False]
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 3), (2, 3, 2, 2)])
+def test_op_norm_above_keeps_the_stack_shape(shape):
+    xs = np.random.default_rng(3).standard_normal(shape)
+    assert op_norm_above(xs, 0.5).tolist() == (op_norm(xs) > 0.5).tolist()
+
+
+def test_op_norm_above_leaves_what_it_cannot_screen_to_the_svd():
+    # F**2 overflows for entries near 1e200, although sigma_1 is finite;
+    # cmd_dispatch raises on overflow, so the screen must not.
+    big = np.stack([1e200 * np.eye(2), np.zeros((2, 2))])
+    with np.errstate(over="raise", invalid="raise"):
+        assert op_norm_above(big, 1e-9).tolist() == [True, False]
+        assert op_norm_above(big, 1e201).tolist() == [False, False]
+    # Below SCREEN_FLOOR, F**2 of tiny entries can underflow to 0.
+    tiny = 1e-170 * np.ones((1, 3, 3))
+    assert op_norm_above(tiny, SCREEN_FLOOR / 1e40).tolist() == [True]
+
+
+def _positivity_defect_full(xs):
+    """The defect with op_norm(skew) taken on every matrix, zero or not."""
+    adj = np.swapaxes(xs.conj(), -1, -2)
+    return np.linalg.eigvalsh((xs + adj) / 2.0)[..., 0] - op_norm((xs - adj) / 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.lists(st.sampled_from(("hermitian", "general", "zero")),
+                                   min_size=1, max_size=6),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_positivity_defect_skips_zero_skew_bit_exactly(n, kinds, cplx, seed):
+    rng = np.random.default_rng(seed)
+    mats = []
+    for kind in kinds:
+        g = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0)
+        mats.append({"hermitian": g + g.conj().T, "general": g, "zero": 0 * g}[kind])
+    xs = np.array(mats)
+    got = positivity_defect(xs)
+    assert got.tobytes() == _positivity_defect_full(xs).tobytes()
+    for x, want in zip(xs, got):
+        assert np.float64(positivity_defect(x)).tobytes() == want.tobytes()
+
+
+def test_positivity_defect_of_hermitian_input_takes_no_svd(monkeypatch):
+    calls = []
+    monkeypatch.setattr(matrix, "op_norm", lambda a: calls.append(len(a)) or op_norm(a))
+    xs = np.stack([np.eye(3), np.diag([1.0, -2.0, 0.5]), np.triu(np.ones((3, 3)))])
+    positivity_defect(xs)
+    assert calls == [1]

@@ -86,12 +86,19 @@ class TestValidationMatchesCheck:
            st.sampled_from((0.0, 3e-11, 1e-10, 1e-9)), st.integers(0, 2**32 - 1))
     def test_raises_exactly_on_a_reported_defect(self, kind, move, size, seed):
         u = _candidate_u(kind, move, size, np.random.default_rng(seed))
+        # The constructor screens the defects without an SVD and measures
+        # them exactly only for its message, which must match the report.
         rep = check_antiautomorphism(u, samples=2, seed=0)
-        if rep.unitary_defect > 1e-10 or rep.symmetry_defect > 1e-10:
-            with pytest.raises(ValueError):
-                AntiAutomorphism(u)
+        if rep.unitary_defect > 1e-10:
+            want = f"u is not unitary: ||u*u - I|| = {rep.unitary_defect:.3e}"
+        elif rep.symmetry_defect > 1e-10:
+            want = f"u^T must equal +-u for an involution: defect {rep.symmetry_defect:.3e}"
         else:
             AntiAutomorphism(u)
+            return
+        with pytest.raises(ValueError) as exc:
+            AntiAutomorphism(u)
+        assert str(exc.value) == want
 
     @pytest.mark.parametrize("kind, move, size, unitary, involutive", [
         (("unitary", "symmetric"), "scale", 0.0, True, True),
