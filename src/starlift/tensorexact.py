@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .matrix import DEFAULT_TOL, as_arrays, batches, matrix_units, op_norm_above
-from .realform import AntiAutomorphism, StarAlgebra, real_form_basis
+from .realform import AntiAutomorphism, StarAlgebra, detect_blocks, real_form_basis
 from .subspace import (RANK_TOL, containment_residual, kernel_rows, orth_rows,
                        realify, subspaces_equal, unrealify)
 
@@ -79,10 +79,19 @@ class IdealPresentation:
             if not (0 <= i < len(self.blocks)):
                 raise ValueError(f"ideal block index {i} out of range")
 
+    @property
+    def _on_full_blocks(self) -> bool:
+        """Whether B is all of the block algebra over exactly these
+        blocks, so every union of them lies in B, is a two-sided ideal and
+        is annihilated by pi."""
+        return self.blocks == self.b.blocks and self.b.is_block_full
+
     @classmethod
     def from_block_algebra(cls, b: StarAlgebra, ideal_blocks) -> "IdealPresentation":
         """The ideal of B made of the named blocks, each of which must lie in B."""
         pres = cls(b, detect_blocks(b.span, b.n), tuple(ideal_blocks))
+        if pres._on_full_blocks:
+            return pres
         for i in pres.ideal_blocks:
             start, size = pres.blocks[i]
             resid = b.worst_residual(matrix_units(size, b.n, start))
@@ -112,9 +121,11 @@ class IdealPresentation:
         return as_arrays(x)[..., idx, :][..., idx]
 
     def validate(self) -> None:
-        """Two-sided ideal closure and pi annihilating the ideal, to DEFAULT_TOL."""
+        """Two-sided ideal closure and pi annihilating the ideal, to
+        DEFAULT_TOL; both hold by structure when B is all of the block
+        algebra over these blocks."""
         x = self.ideal_span()
-        if not len(x):
+        if not len(x) or self._on_full_blocks:
             return
         # Realified units and i-units are standard basis vectors: a frame.
         amb = realify(np.concatenate([x, 1j * x]))
@@ -131,17 +142,6 @@ class IdealPresentation:
                 raise ValueError(f"ideal span is not two-sided: residual {bad[0]:.3e}")
         if np.any(op_norm_above(self.quotient_apply(x), DEFAULT_TOL)):
             raise ValueError("quotient does not annihilate the ideal")
-
-
-def detect_blocks(span, n: int) -> tuple:
-    """Finest contiguous block partition supporting every span matrix
-    (entries above 1e-12): a block ends at row r when no row up to r has
-    support past column r."""
-    support = np.any(np.abs(np.asarray(span)) > 1e-12, axis=0)
-    support = support | support.T | np.eye(n, dtype=bool)
-    reach = np.maximum.accumulate(n - 1 - np.argmax(support[:, ::-1], axis=1))
-    ends = np.flatnonzero(reach == np.arange(n)) + 1
-    return tuple((int(s), int(e - s)) for s, e in zip(np.r_[0, ends[:-1]], ends))
 
 
 # -- B's rows of the spans entering the Fubini and exactness checks -------

@@ -4,13 +4,16 @@ Covers A = M1..M4 (in a rotated spanning set), block algebras B, the
 real forms of u = I and u = J, and inputs each check must reject: a span
 not closed under products, one not closed under the adjoint, a one-sided
 "ideal", a quotient that does not annihilate the ideal and a tensor leg
-that is not a frame.  The tensor checks, solved on B's rows, are compared
-with the reference on whole tensor spans, and block detection with the
-row-by-row reference on random supports.
+that is not a frame.  Spans that are all of a block algebra are accepted
+by their structure, with the product path as their oracle.  The tensor
+checks, solved on B's rows, are compared with the reference on whole
+tensor spans, and block detection with the row-by-row reference on
+random supports.
 """
 
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ import algebra_oracle as oracle
 from starlift.cpmaps import COMPLEX, REAL
 from starlift.matrix import matrix_units, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra, real_form_basis
+from starlift.sampling import random_isometry, random_unitary
 from starlift.subspace import max_principal_angle
 from starlift.tensorexact import (IdealPresentation, detect_blocks, exactness_check,
                                   fubini, fubini_check, quotient_kernel_rows,
@@ -108,19 +112,122 @@ def test_unclosed_spans_are_rejected(kind):
 def test_closure_checks_every_batch():
     # M_9 without E_99 takes two batches of products, and only the
     # second holds a product outside the span (E_9j E_j9 = E_99).
+    # The whole of M_9 is accepted by its block structure, so its products
+    # are also checked here.
     units = matrix_units(9)
     StarAlgebra(9, tuple(units))
+    assert StarAlgebra(9, tuple(units), validate=False)._closure_defect() == 0.0
     alg = StarAlgebra(9, tuple(units[:-1]), unital=False, validate=False)
     assert alg._closure_defect() == pytest.approx(1.0, abs=TOL)
     with pytest.raises(ValueError, match="not closed"):
         StarAlgebra(9, alg.span, unital=False)
 
 
+STRUCTURE_KINDS = ("block_unitary", "rotated_full", "repeated", "projection", "doubled",
+                   "missing_summand", "off_block", "non_finite")
+
+
+def _structure_span(kind: str, dims: list, rng) -> tuple:
+    """(n, span) of the named kind, built on the block algebra over ``dims``."""
+    if kind in ("missing_summand", "off_block"):
+        dims = [*dims, 1]
+    n = sum(dims)
+    units = np.stack(StarAlgebra.block_diagonal(dims).span)
+    # A unitary inside each block keeps every entry outside the blocks exactly 0.
+    u = np.zeros((n, n), dtype=complex)
+    for start, size in zip(np.cumsum([0, *dims[:-1]]), dims):
+        u[start:start + size, start:start + size] = random_unitary(rng, size)
+    rotated = u @ units @ u.conj().T
+    if kind == "block_unitary":
+        return n, tuple(rotated)
+    if kind == "rotated_full":
+        return n, _rotated_full(n, rng).span
+    if kind == "repeated":
+        combos = np.tensordot(rng.standard_normal((3, len(rotated))), rotated, axes=(1, 0))
+        return n, tuple(np.concatenate([rotated, combos]))
+    if kind == "projection":
+        v = random_isometry(rng, n, 1)
+        p = v @ v.conj().T
+        return n, (p, np.eye(n) - p)
+    if kind == "doubled":
+        return 2 * n, tuple(np.kron(np.eye(2), a) for a in rotated)    # {a (+) a}
+    if kind == "missing_summand":
+        return n, tuple(rotated[:-1])    # the last 1x1 summand is 0
+    span = rotated.copy()
+    if kind == "off_block":
+        span[0, -1, 0] = 1e-13    # below detect_blocks' support threshold
+    else:
+        span[0, 0, 0] = np.nan
+    return n, tuple(span)
+
+
+def _outcome(build):
+    """None if ``build`` returns, else the type and message of what it raises."""
+    try:
+        build()
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _ideal_outcome(n, span, unital, ideal_blocks):
+    """The outcome of loading B and its ideal and validating the ideal."""
+    def build():
+        IdealPresentation.from_block_algebra(StarAlgebra(n, span, unital), ideal_blocks).validate()
+    return _outcome(build)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(STRUCTURE_KINDS), st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.booleans(), st.data())
+def test_structural_validation_matches_the_product_path(kind, dims, unital, data):
+    # Patching is_block_full to False gives the product path, the one every
+    # span that is not all of a block algebra takes.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    n, span = _structure_span(kind, dims, rng)
+    alg = StarAlgebra(n, span, unital, validate=False)
+    if kind in ("block_unitary", "rotated_full", "repeated"):
+        assert alg.is_block_full
+    if kind in ("doubled", "missing_summand", "off_block", "non_finite"):
+        assert not alg.is_block_full
+    with mock.patch.object(StarAlgebra, "_closure_defect", autospec=True,
+                           side_effect=StarAlgebra._closure_defect) as spy:
+        got = _outcome(lambda: StarAlgebra(n, span, unital))
+    assert spy.called == (not alg.is_block_full)
+    if kind == "non_finite":
+        assert got is not None and got[0] is np.linalg.LinAlgError
+    with mock.patch.object(StarAlgebra, "is_block_full", False):
+        assert got == _outcome(lambda: StarAlgebra(n, span, unital))
+    if got is not None:
+        return
+    ideal_blocks = data.draw(st.lists(st.integers(0, len(alg.blocks) - 1), unique=True))
+    got = _ideal_outcome(n, span, unital, ideal_blocks)
+    with mock.patch.object(StarAlgebra, "is_block_full", False):
+        assert got == _ideal_outcome(n, span, unital, ideal_blocks)
+    if got is None:
+        oracle.validate_ideal(IdealPresentation.from_block_algebra(alg, ideal_blocks))
+
+
+def test_a_rescaled_algebra_is_accepted_by_its_structure():
+    # 1e5 times a rotated M_3 is M_3, but its products are about 1e10 in
+    # size, so their residuals against the frame exceed the absolute
+    # DEFAULT_TOL: the product path rejects it, the structural path does not.
+    span = tuple(1e5 * m for m in _rotated_full(3, np.random.default_rng(0)).span)
+    assert StarAlgebra(3, span).is_block_full
+    with mock.patch.object(StarAlgebra, "is_block_full", False):
+        with pytest.raises(ValueError, match=r"not closed .* residual 3\.435e-06"):
+            StarAlgebra(3, span)
+
+
 def test_ideal_validation_checks_every_batch():
     # B = M_8 + M_8 with the second summand as the ideal takes many
     # batches of products; an extra E_{1,9} at the end of B's span
     # breaks two-sidedness in the last batch only.
+    # The first B is the whole block algebra, so the ideal is two-sided by
+    # structure; setting is_block_full to False runs its products as well.
     b = StarAlgebra.block_diagonal([8, 8])
+    IdealPresentation(b, ((0, 8), (8, 8)), (1,)).validate()
+    b.__dict__["is_block_full"] = False
     IdealPresentation(b, ((0, 8), (8, 8)), (1,)).validate()
     extra = matrix_units(16)[8]
     b = StarAlgebra(16, b.span + (extra,), validate=False)

@@ -12,6 +12,8 @@ import importlib.util
 import inspect
 import os
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Span names in SPAN_METRICS whose code is gone: ``io.save_canonical``
@@ -68,7 +70,9 @@ def test_the_recorder_times_the_op_norm_screen():
         for mod in (matrix, realform, tensorexact):
             assert mod.op_norm_above is not raw
             assert mod.op_norm_above.__wrapped__ is raw
-        realform.StarAlgebra(2, tuple(matrix.matrix_units(2)))
+        # span{1, X} is a proper subalgebra of M_2, so it is validated by
+        # its products, not by its block structure.
+        realform.StarAlgebra(2, (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])))
     finally:
         rec.uninstall()
     assert matrix.op_norm_above is raw and realform.op_norm_above is raw
