@@ -104,10 +104,10 @@ class FiniteSubset:
 class QDCertificate:
     """Candidate quasidiagonality data: (algebra, F, phi, epsilon, mode).
 
-    When the algebra is unital the map must be unital within 1e-9;
-    transported certificates produced by the scaled block embedding are
-    inherently non-unital, so they are built unvalidated and carry their
-    unitality defect in the verification report instead.
+    The map need not be unital: transported certificates produced by the
+    scaled block embedding are not, and carry their unitality defect in
+    the verification report.  Unitality is a rule for certificate
+    documents, checked by ``io.cert_from_json``.
     """
 
     algebra: StarAlgebra
@@ -116,7 +116,6 @@ class QDCertificate:
     epsilon: float
     norm_mode: str = COMPLEX_OP
     anti: AntiAutomorphism | None = None
-    validate: bool = True
 
     def __post_init__(self) -> None:
         if not (self.epsilon > 0):
@@ -129,10 +128,6 @@ class QDCertificate:
             raise ValueError("map domain does not match the algebra")
         if self.anti is not None and self.anti.dim != self.algebra.n:
             raise ValueError("antiautomorphism dimension does not match the algebra")
-        if self.validate and self.algebra.unital:
-            d = self.phi.unitality_defect()
-            if d > 1e-9:
-                raise ValueError(f"map is not unital: ||phi(1) - 1|| = {d:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +279,7 @@ def qd_complexify(cert: QDCertificate) -> tuple[QDCertificate, DefectReport]:
 
     new_subset = FiniteSubset(tuple(complexified))
     new_cert = QDCertificate(cert.algebra, new_subset, phi_c, cert.epsilon,
-                             PHI_SPLIT, anti, validate=False)
+                             PHI_SPLIT, anti)
     report = DefectReport(
         epsilon=cert.epsilon,
         norm_mode=PHI_SPLIT,
@@ -359,7 +354,7 @@ def qd_realify(cert: QDCertificate, anti: AntiAutomorphism | None = None,
         linear = rmap.as_linear_map()
         extra["unitality_defect"] = float(linear.unitality_defect())
         new_cert = QDCertificate(cert.algebra, subset, linear, cert.epsilon,
-                                 REAL_COL1, anti, validate=False)
+                                 REAL_COL1, anti)
     else:
         extra["flags"] = [NONLINEAR_THETA_FLAG]
 

@@ -254,7 +254,7 @@ def ideal_from_json(doc, path: str = "ideal") -> IdealPresentation:
         raise SchemaError(f"{path}.ideal_blocks", "expected a list of block indices")
     blocks = [_as_int(v, f"{path}.ideal_blocks[{i}]") for i, v in enumerate(raw)]
     try:
-        return IdealPresentation.from_block_algebra(b, blocks)
+        return IdealPresentation(b, blocks)
     except ValueError as exc:
         raise SchemaError(f"{path}.ideal_blocks", str(exc)) from exc
 
@@ -305,7 +305,10 @@ def cert_from_json(doc, path: str = "certificate") -> QDCertificate:
     try:
         subset = FiniteSubset(tuple(elements),
                               tuple(labels) if labels else None)
-        return QDCertificate(algebra, subset, phi, epsilon, norm_mode, anti)
+        cert = QDCertificate(algebra, subset, phi, epsilon, norm_mode, anti)
+        if algebra.unital and (d := phi.unitality_defect()) > 1e-9:
+            raise ValueError(f"map is not unital: ||phi(1) - 1|| = {d:.3e}")
+        return cert
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 

@@ -200,6 +200,8 @@ class StarAlgebra:
         for m in mats:
             if m.shape != (self.n, self.n):
                 raise ValueError(f"span matrix has shape {m.shape}, expected ({self.n},{self.n})")
+            if not np.isfinite(m).all():
+                raise ValueError("span matrix has a non-finite entry")
             m.setflags(write=False)
         object.__setattr__(self, "span", mats)
         if self.validate and not self.is_block_full:
@@ -237,13 +239,10 @@ class StarAlgebra:
     @cached_property
     def is_block_full(self) -> bool:
         """Whether the span is all of the block algebra (+) M_size over
-        ``blocks``: every entry is finite, every entry outside the blocks
-        is exactly 0, and the frame has sum size^2 elements.  Such a span
-        is a unital *-algebra, and any union of its blocks is a two-sided
-        ideal that the quotient onto the other blocks annihilates."""
+        ``blocks``: every entry outside the blocks is exactly 0, and the
+        frame has sum size^2 elements.  Such a span is a unital
+        *-algebra, and any union of its blocks is a two-sided ideal."""
         s = np.stack(self.span)
-        if not np.isfinite(s).all():
-            return False
         sizes = [size for _, size in self.blocks]
         label = np.repeat(np.arange(len(sizes)), sizes)
         if np.any(s[:, label[:, None] != label[None, :]]):

@@ -256,7 +256,7 @@ def test_criterion_8_exactness_with_oracle():
     a2 = StarAlgebra.full_matrix(2)
     b23 = StarAlgebra.block_diagonal([2, 3])
     anti = AntiAutomorphism.transpose(2)
-    pres = IdealPresentation.from_block_algebra(b23, [0])
+    pres = IdealPresentation(b23, [0])
     report = exactness_check(a2, anti, pres)
     ok = (report.ok
           and report.real_kernel.kernel_dim == report.real_kernel.span_dim == 32

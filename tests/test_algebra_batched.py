@@ -3,8 +3,7 @@
 Covers A = M1..M4 (in a rotated spanning set), block algebras B, the
 real forms of u = I and u = J, and inputs each check must reject: a span
 not closed under products, one not closed under the adjoint, a one-sided
-"ideal", a quotient that does not annihilate the ideal and a tensor leg
-that is not a frame.  Spans that are all of a block algebra are accepted
+"ideal" and a tensor leg that is not a frame.  Spans that are all of a block algebra are accepted
 by their structure, with the product path as their oracle.  The tensor
 checks, solved on B's rows, are compared with the reference on whole
 tensor spans, and block detection with the row-by-row reference on
@@ -23,12 +22,12 @@ from hypothesis import strategies as st
 import algebra_oracle as oracle
 from starlift.cpmaps import COMPLEX, REAL
 from starlift.matrix import matrix_units, op_norm
-from starlift.realform import AntiAutomorphism, StarAlgebra, real_form_basis
+from starlift.realform import AntiAutomorphism, StarAlgebra, detect_blocks, real_form_basis
 from starlift.sampling import random_isometry, random_unitary
 from starlift.subspace import max_principal_angle
-from starlift.tensorexact import (IdealPresentation, detect_blocks, exactness_check,
-                                  fubini, fubini_check, quotient_kernel_rows,
-                                  real_frame, tensor_span_rows)
+from starlift.tensorexact import (IdealPresentation, exactness_check, fubini,
+                                  fubini_check, quotient_kernel_rows, real_frame,
+                                  tensor_span_rows)
 
 TOL = 1e-12
 ANGLE_TOL = 1e-10
@@ -173,7 +172,7 @@ def _outcome(build):
 def _ideal_outcome(n, span, unital, ideal_blocks):
     """The outcome of loading B and its ideal and validating the ideal."""
     def build():
-        IdealPresentation.from_block_algebra(StarAlgebra(n, span, unital), ideal_blocks).validate()
+        IdealPresentation(StarAlgebra(n, span, unital), ideal_blocks)
     return _outcome(build)
 
 
@@ -185,17 +184,21 @@ def test_structural_validation_matches_the_product_path(kind, dims, unital, data
     # span that is not all of a block algebra takes.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     n, span = _structure_span(kind, dims, rng)
+    if kind == "non_finite":
+        # Rejected before any structural or product test, unvalidated too.
+        for validate in (True, False):
+            assert _outcome(lambda: StarAlgebra(n, span, unital, validate)) == (
+                ValueError, "span matrix has a non-finite entry")
+        return
     alg = StarAlgebra(n, span, unital, validate=False)
     if kind in ("block_unitary", "rotated_full", "repeated"):
         assert alg.is_block_full
-    if kind in ("doubled", "missing_summand", "off_block", "non_finite"):
+    if kind in ("doubled", "missing_summand", "off_block"):
         assert not alg.is_block_full
     with mock.patch.object(StarAlgebra, "_closure_defect", autospec=True,
                            side_effect=StarAlgebra._closure_defect) as spy:
         got = _outcome(lambda: StarAlgebra(n, span, unital))
     assert spy.called == (not alg.is_block_full)
-    if kind == "non_finite":
-        assert got is not None and got[0] is np.linalg.LinAlgError
     with mock.patch.object(StarAlgebra, "is_block_full", False):
         assert got == _outcome(lambda: StarAlgebra(n, span, unital))
     if got is not None:
@@ -205,7 +208,20 @@ def test_structural_validation_matches_the_product_path(kind, dims, unital, data
     with mock.patch.object(StarAlgebra, "is_block_full", False):
         assert got == _ideal_outcome(n, span, unital, ideal_blocks)
     if got is None:
-        oracle.validate_ideal(IdealPresentation.from_block_algebra(alg, ideal_blocks))
+        oracle.validate_ideal(IdealPresentation(alg, ideal_blocks))
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_a_non_finite_span_is_rejected_before_any_svd(value):
+    # The frame's SVD never returns on an inf entry (LAPACK does not
+    # converge) and raises LinAlgError on a NaN one, so the entries are
+    # tested first, whatever ``validate`` is.
+    span = np.stack(StarAlgebra.block_diagonal([2, 1]).span)
+    span[0, 0, 0] = value
+    with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("SVD called")):
+        for validate in (True, False):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                StarAlgebra(3, tuple(span), validate=validate)
 
 
 def test_a_rescaled_algebra_is_accepted_by_its_structure():
@@ -222,45 +238,46 @@ def test_a_rescaled_algebra_is_accepted_by_its_structure():
 def test_ideal_validation_checks_every_batch():
     # B = M_8 + M_8 with the second summand as the ideal takes many
     # batches of products; an extra E_{1,9} at the end of B's span
-    # breaks two-sidedness in the last batch only.
+    # breaks two-sidedness in the last batch only, once B's partition is
+    # set back to the two summands that E_{1,9} joins.
     # The first B is the whole block algebra, so the ideal is two-sided by
     # structure; setting is_block_full to False runs its products as well.
     b = StarAlgebra.block_diagonal([8, 8])
-    IdealPresentation(b, ((0, 8), (8, 8)), (1,)).validate()
+    IdealPresentation(b, (1,))
     b.__dict__["is_block_full"] = False
-    IdealPresentation(b, ((0, 8), (8, 8)), (1,)).validate()
+    IdealPresentation(b, (1,))
     extra = matrix_units(16)[8]
     b = StarAlgebra(16, b.span + (extra,), validate=False)
+    b.__dict__["blocks"] = ((0, 8), (8, 8))
     with pytest.raises(ValueError, match=r"two-sided: residual 1\.000e\+00"):
-        IdealPresentation(b, ((0, 8), (8, 8)), (1,)).validate()
+        IdealPresentation(b, (1,))
 
 
 def _presentation(dims, ideal_blocks, mode: str) -> IdealPresentation:
+    """The ideal, built without its validation, so that ``validate`` can be
+    compared with the oracle's."""
     b = StarAlgebra.block_diagonal(list(dims))
     if mode == "one_sided":
         # B = span{E11, E12, E22} with the ideal span{E11}: closed under
-        # left multiplication only (E11 E12 = E12).  The scaled E12 makes
+        # left multiplication only (E11 E12 = E12).  B's own partition is
+        # one block, so it is set to two by hand.  The scaled E12 makes
         # the offending product a non-unit vector.
         units = matrix_units(2)
         b = StarAlgebra(2, (units[0], 3.0 * units[1], units[3]), validate=False)
-        return IdealPresentation(b, ((0, 1), (1, 1)), (0,))
-    pres = IdealPresentation.from_block_algebra(b, ideal_blocks)
-    if mode == "overlap":
-        # The quotient block starts inside the ideal block, so pi keeps
-        # one of the ideal's diagonal units.
-        start, size = pres.blocks[0]
-        return IdealPresentation(b, ((start, size), (start + size - 1, b.n - start - size + 1)),
-                                 (0,))
-    return pres
+        b.__dict__["blocks"] = ((0, 1), (1, 1))
+        ideal_blocks = (0,)
+    with mock.patch.object(IdealPresentation, "validate"):
+        return IdealPresentation(b, ideal_blocks)
 
 
 @SETTINGS
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=3),
-       st.sampled_from(("valid", "one_sided", "overlap")), st.data())
+       st.sampled_from(("valid", "one_sided")), st.data())
 def test_ideal_validation_matches_oracle(dims, mode, data):
     ideal_blocks = data.draw(st.lists(st.integers(0, len(dims) - 1), unique=True))
     pres = _presentation(dims, ideal_blocks, mode)
     got, want = _error(pres.validate), _error(lambda: oracle.validate_ideal(pres))
+    assert _error(lambda: IdealPresentation(pres.b, pres.ideal_blocks)) == got
     if want is None:
         assert got is None
     else:
@@ -268,16 +285,19 @@ def test_ideal_validation_matches_oracle(dims, mode, data):
         assert np.allclose(got[1], want[1], rtol=0, atol=TOL)
     if mode == "one_sided":
         assert want is not None and "two-sided" in want[0]
-    if mode == "overlap":
-        assert want is not None and "annihilate" in want[0]
 
 
 @pytest.mark.parametrize("check", [exactness_check, fubini_check])
 def test_tensor_checks_validate_the_ideal(check):
-    # The CLI builds ideals from B's blocks, which always pass; a
-    # presentation made by hand must still be validated first.
+    # An ideal is validated once, when it is built: a one-sided one is
+    # never made, and the checks take the ideal they are given as valid.
+    one_sided = _presentation([1], [], "one_sided")
     with pytest.raises(ValueError, match="two-sided"):
-        check(StarAlgebra.full_matrix(2), _anti("T", 2), _presentation([1], [], "one_sided"))
+        IdealPresentation(one_sided.b, one_sided.ideal_blocks)
+    pres = IdealPresentation(StarAlgebra.block_diagonal([1, 2]), [1])
+    with mock.patch.object(IdealPresentation, "validate") as spy:
+        check(StarAlgebra.full_matrix(2), _anti("T", 2), pres)
+    spy.assert_not_called()
 
 
 def _assert_same_frame(got: np.ndarray, want: np.ndarray) -> None:
@@ -300,7 +320,7 @@ def _tensor_case(size, u_kind, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     alg, b = _rotated_full(a, rng), StarAlgebra.block_diagonal(list(dims))
     anti = None if u_kind is None else _anti(u_kind, a)
-    pres = IdealPresentation.from_block_algebra(
+    pres = IdealPresentation(
         b, data.draw(st.lists(st.integers(0, len(dims) - 1), unique=True)))
     return alg, b, anti, pres
 
@@ -369,7 +389,7 @@ def test_checks_match_full_tensor_oracle(size, u_kind, ideal_blocks, seed):
     a, dims = size
     alg = _rotated_full(a, np.random.default_rng(seed))
     anti = _anti("J" if u_kind == "J" and a % 2 == 0 else "T", a)
-    pres = IdealPresentation.from_block_algebra(StarAlgebra.block_diagonal(list(dims)),
+    pres = IdealPresentation(StarAlgebra.block_diagonal(list(dims)),
                                                 ideal_blocks)
     want = oracle.exactness_check(alg, anti, pres)
     _assert_same_report(exactness_check(alg, anti, pres).to_json(), want)
@@ -384,7 +404,7 @@ def test_a_leg_that_is_not_a_frame_is_rejected(bad):
     units = np.stack(matrix_units(2))
     leg = {"rescaled": 2.0 * units, "repeated": units[[0, 1, 1]],
            "skewed": units + 0.1 * units[::-1]}[bad]
-    pres = IdealPresentation.from_block_algebra(StarAlgebra.block_diagonal([1, 2]), [1])
+    pres = IdealPresentation(StarAlgebra.block_diagonal([1, 2]), [1])
     b_frame = pres.b.frame
     for check in (lambda: tensor_span_rows(leg, b_frame),
                   lambda: fubini(leg, b_frame, pres.ideal_span())):
@@ -399,7 +419,7 @@ def test_a_complex_leg_that_is_not_a_frame_is_rejected():
     # exactness_check from reporting twice the complex dimensions.
     alg = StarAlgebra.full_matrix(2)
     alg.__dict__["frame"] = np.concatenate([alg.frame, alg.frame]) / np.sqrt(2.0)
-    pres = IdealPresentation.from_block_algebra(StarAlgebra.block_diagonal([1, 2]), [1])
+    pres = IdealPresentation(StarAlgebra.block_diagonal([1, 2]), [1])
     real_frame(alg, _anti("T", 2))
     with pytest.raises(ValueError, match="not orthonormal"):
         exactness_check(alg, _anti("T", 2), pres)

@@ -10,6 +10,7 @@ from starlift.certify import (AUDIT_CLAIMS, REAL_COL1, FiniteSubset,
                               synthesize_pairs, trace_qd_verify,
                               trace_transport)
 from starlift.cpmaps import LinearMapMat, complexify, compress
+from starlift.io import SchemaError, cert_from_json, cert_to_json
 from starlift.matrix import col_norm1, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra
 from starlift.sampling import random_matrix, random_unitary
@@ -60,10 +61,16 @@ class TestFiniteSubset:
 
 class TestQDCertificate:
     def test_unitality_enforced(self):
+        # Unitality is a rule for certificate documents: the object holds
+        # a non-unital map, as a transported certificate does, and the
+        # document of a unital algebra is rejected.
         v = np.array([[1.0], [0.0]])
         phi = compress(LinearMapMat.identity(2), 0.5 * v)
-        with pytest.raises(ValueError):
-            QDCertificate(M2, FiniteSubset((np.eye(2),)), phi, 1.0)
+        cert = QDCertificate(M2, FiniteSubset((np.eye(2),)), phi, 1.0)
+        with pytest.raises(SchemaError, match=r"^certificate: map is not unital"):
+            cert_from_json(cert_to_json(cert))
+        cert_from_json(cert_to_json(QDCertificate(StarAlgebra(2, M2.span, unital=False),
+                                                  cert.subset, phi, 1.0)))
 
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
@@ -361,8 +368,7 @@ class TestTraceQd:
     def test_rejects_non_unital(self):
         v = np.array([[1.0], [0.0]])
         phi = compress(LinearMapMat.identity(2), 0.3 * v)
-        cert = QDCertificate(M2, FiniteSubset((np.eye(2),)), phi, 1.0,
-                             validate=False)
+        cert = QDCertificate(M2, FiniteSubset((np.eye(2),)), phi, 1.0)
         with pytest.raises(ValueError):
             trace_qd_verify(cert, TraceWitness(np.eye(2) / 2))
 

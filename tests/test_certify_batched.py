@@ -66,8 +66,7 @@ def _map(rng, n: int, m: int, linearity: str, dom_field: str = COMPLEX,
 
 
 def _cert(n, subset, phi, mode, anti) -> QDCertificate:
-    return QDCertificate(StarAlgebra.full_matrix(n), subset, phi, 1.0, mode, anti,
-                         validate=False)
+    return QDCertificate(StarAlgebra.full_matrix(n), subset, phi, 1.0, mode, anti)
 
 
 @SETTINGS

@@ -49,8 +49,9 @@ def test_integer_and_float_spellings_differ_in_bytes_but_not_in_value():
     tool = _tool()
     assert tool.max_float_diff({"a": 1}, {"a": 1.0}) == 0.0
     docs = [("one", []), ("exit", []), ("same", [])]
-    base = {"one": [0, '{"a":1}\n'], "exit": [0, '{"a":1}\n'], "same": [1, "{}\n"]}
-    new = {"one": [0, '{"a":1.0}\n'], "exit": [1, '{"a":1.0}\n'], "same": [1, "{}\n"]}
+    base = {"one": [0, '{"a":1}\n', ""], "exit": [0, '{"a":1}\n', ""], "same": [1, "{}\n", ""]}
+    new = {"one": [0, '{"a":1.0}\n', ""], "exit": [1, '{"a":1.0}\n', ""],
+           "same": [1, "{}\n", ""]}
     differ, lines = tool.compare(base, new, docs)
     assert differ == 2
     assert lines[0] == "DIFF  one  exit 0 -> 0, stdout differs: max float difference 0.000e+00"
@@ -68,16 +69,31 @@ def test_a_structure_change_names_the_first_differing_path():
     assert first({"r": [1.0]}, {"r": [1.0, 2.0]}) == "r[1] added"
     assert first([True], [1]) == "[0] changed"
     docs = [("choi", []), ("exit", []), ("text", [])]
-    base = {"choi": [0, '{"c":1.0}\n'], "exit": [0, '{"c":1.0}\n'], "text": [0, "{}\n"]}
-    new = {"choi": [0, '{"c":1.0,"provenance":{"tol":1e-9}}\n'],
-           "exit": [2, ""], "text": [0, '{"c":true}\n']}
+    base = {"choi": [0, '{"c":1.0}\n', ""], "exit": [0, '{"c":1.0}\n', ""],
+            "text": [0, "{}\n", ""]}
+    new = {"choi": [0, '{"c":1.0,"provenance":{"tol":1e-9}}\n', ""],
+           "exit": [2, "", "error: x\n"], "text": [0, '{"c":true}\n', ""]}
     differ, lines = tool.compare(base, new, docs)
     assert differ == 3
     assert lines[:3] == ["DIFF  choi  exit 0 -> 0, stdout differs: provenance added",
-                         "DIFF  exit  exit 0 -> 2, stdout differs: not both JSON",
+                         "DIFF  exit  exit 0 -> 2, stdout differs: not both JSON, stderr differs",
                          "DIFF  text  exit 0 -> 0, stdout differs: c added"]
     assert lines[-1] == ("3 documents, 0 of the differing ones equal in exit code and value: "
                          "0 identical, 3 differ")
+
+
+def test_a_stderr_change_alone_makes_a_document_differ():
+    # A new diagnostic on a success path changes neither the exit code nor
+    # the report, but the document still counts as differing.
+    tool = _tool()
+    docs = [("warn", []), ("same", [])]
+    base = {"warn": [0, "{}\n", ""], "same": [2, "", "error: x\n"]}
+    new = {"warn": [0, "{}\n", "note: slow path\n"], "same": [2, "", "error: x\n"]}
+    differ, lines = tool.compare(base, new, docs)
+    assert differ == 1
+    assert lines == ["DIFF  warn  exit 0 -> 0, stderr differs", "same  same  exit 2",
+                     "2 documents, 0 of the differing ones equal in exit code and value: "
+                     "1 identical, 1 differ"]
 
 
 def test_the_oracle_grades_each_report():

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from starlift.certify import FiniteSubset, QDCertificate
 from starlift import __version__, cli, tensorexact
 from starlift.cli import cmd_dispatch
-from starlift.cpmaps import LinearMapMat, complexify
+from starlift.cpmaps import LinearMapMat, complexify, compress
 from starlift.io import (SchemaError, algebra_to_json, anti_to_json,
                          canonical_dumps, cert_from_json, cert_to_json,
                          ideal_from_json, map_from_json, map_to_json,
@@ -293,7 +294,7 @@ class TestCertSchema:
 class TestIdealSchema:
     def test_round_trip_and_blocks(self, workdir):
         pres = ideal_from_json(json.load(open(workdir["ideal.json"])))
-        assert pres.blocks == ((0, 2), (2, 3))
+        assert pres.b.blocks == ((0, 2), (2, 3))
         assert pres.ideal_blocks == (0,)
 
 
@@ -527,6 +528,15 @@ class TestCli:
         assert code == 2
         assert "field" in err
 
+    def test_a_non_unital_certificate_exits_two(self, tmp_path, capsys):
+        # phi(x) = x_11 / 4 on the unital M_2: ||phi(1) - 1|| = 0.75.
+        phi = compress(LinearMapMat.identity(2), 0.5 * np.array([[1.0], [0.0]]))
+        cert = QDCertificate(StarAlgebra.full_matrix(2), FiniteSubset((np.eye(2),)), phi, 1.0)
+        p = tmp_path / "non_unital.json"
+        p.write_text(canonical_dumps(cert_to_json(cert)), encoding="ascii")
+        assert _run(["qd-verify", "--cert", str(p)], capsys) == (
+            2, "", "error: certificate: map is not unital: ||phi(1) - 1|| = 7.500e-01\n")
+
     def test_zero_codomain_map_exits_two(self, tmp_path, capsys):
         p = tmp_path / "cod0.json"
         p.write_text(json.dumps({"dom": 1, "cod": 0, "linearity": "C",
@@ -690,21 +700,23 @@ def _rejected_input(kind: str, tmp_path):
         resid = algebra_oracle.contains_residual(b, matrix_units(1, 2)[0])
         want = f"ideal.ideal_blocks: ideal block 0 does not lie in B: residual {resid:.3e}"
         return None, write("I.json", {"B": algebra_to_json(b), "ideal_blocks": [0]}), None, want
-    # B's own block partition always gives a two-sided ideal that pi
-    # annihilates, so these two need a partition that is not B's: block
-    # 0 = {E_11} inside B = M_2 + C is one-sided, and a quotient block
-    # that overlaps the ideal's keeps one of its units.
+    # B's own block partition always gives a two-sided ideal, so a
+    # one-sided one needs a partition that is not B's: block 0 = {E_11}
+    # inside B = M_2 + C is one-sided.
     b = StarAlgebra.block_diagonal([2, 1])
-    blocks = ((0, 1), (1, 2)) if kind == "one_sided" else ((0, 2), (1, 2))
+    blocks = ((0, 1), (1, 2))
+    b.__dict__["blocks"] = blocks
+    with mock.patch.object(tensorexact.IdealPresentation, "validate"):
+        pres = tensorexact.IdealPresentation(b, (0,))
     with pytest.raises(ValueError) as exc:
-        algebra_oracle.validate_ideal(tensorexact.IdealPresentation(b, blocks, (0,)))
+        algebra_oracle.validate_ideal(pres)
     return (None, write("I.json", {"B": algebra_to_json(b), "ideal_blocks": [0]}), blocks,
-            str(exc.value))
+            f"ideal.ideal_blocks: {exc.value}")
 
 
 @pytest.mark.parametrize("command", ["fubini", "exactness"])
 @pytest.mark.parametrize("kind", ["not_product_closed", "not_adjoint_closed",
-                                  "ideal_outside_b", "one_sided", "not_annihilated"])
+                                  "ideal_outside_b", "one_sided"])
 def test_rejected_inputs_print_the_oracle_message(workdir, tmp_path, capsys, monkeypatch,
                                                   command, kind):
     # The validation screens its residuals with op_norm_above and measures
@@ -712,7 +724,10 @@ def test_rejected_inputs_print_the_oracle_message(workdir, tmp_path, capsys, mon
     # still print the residual that the one-at-a-time oracle measures.
     algebra, ideal, blocks, want = _rejected_input(kind, tmp_path)
     if blocks is not None:
-        monkeypatch.setattr(tensorexact, "detect_blocks", lambda span, n: blocks)
+        # B (n = 3) gets the partition; A (n = 2) keeps its own.
+        own = StarAlgebra.blocks.func
+        monkeypatch.setattr(StarAlgebra, "blocks",
+                            property(lambda alg: blocks if alg.n == 3 else own(alg)))
     code, out, err = _run([command, "--algebra", algebra or workdir["A2.json"],
                            "--ideal", ideal or workdir["ideal.json"]], capsys)
     assert (code, out, err) == (2, "", f"error: {want}\n")

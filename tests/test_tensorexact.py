@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from starlift.matrix import matrix_units, op_norm
-from starlift.realform import AntiAutomorphism, StarAlgebra, real_form_basis
+from starlift.realform import AntiAutomorphism, StarAlgebra, detect_blocks, real_form_basis
 from starlift.sampling import random_matrix
 from starlift.subspace import (containment_residual, kernel_rows,
                                max_principal_angle, orth_rows, realify,
                                subspaces_equal)
 from starlift.certify import TraceWitness
-from starlift.tensorexact import (IdealPresentation, detect_blocks,
+from starlift.tensorexact import (IdealPresentation,
                                   exactness_check, fubini, fubini_check,
                                   quotient_kernel_rows, real_frame,
                                   tensor_span_rows)
@@ -111,7 +111,7 @@ class TestSliceMaps:
 
     def test_slices_commute_with_quotient(self):
         # R_phi . (id (x) pi) = pi . R_phi on the tensor span
-        pres = IdealPresentation.from_block_algebra(B23, [0])
+        pres = IdealPresentation(B23, [0])
         rng = np.random.default_rng(3)
         tphi = random_matrix(rng, 2)
         qi = pres.quotient_indices
@@ -130,16 +130,16 @@ class TestIdealPresentation:
         assert detect_blocks(StarAlgebra.full_matrix(3).span, 3) == ((0, 3),)
 
     def test_validate_canonical(self):
-        IdealPresentation.from_block_algebra(B23, [0]).validate()
-        IdealPresentation.from_block_algebra(B23, [1]).validate()
+        IdealPresentation(B23, [0]).validate()
+        IdealPresentation(B23, [1]).validate()
 
     def test_quotient_annihilates_ideal(self):
-        pres = IdealPresentation.from_block_algebra(B23, [0])
+        pres = IdealPresentation(B23, [0])
         for e in pres.ideal_span():
             assert op_norm(pres.quotient_apply(e)) == 0.0
 
     def test_quotient_apply_extracts_complementary_block(self):
-        pres = IdealPresentation.from_block_algebra(B23, [0])
+        pres = IdealPresentation(B23, [0])
         x = np.arange(25.0).reshape(5, 5)
         np.testing.assert_array_equal(pres.quotient_apply(x), x[2:, 2:])
         np.testing.assert_array_equal(pres.quotient_apply(np.stack([x, -x])),
@@ -147,15 +147,15 @@ class TestIdealPresentation:
 
     def test_bad_block_index(self):
         with pytest.raises(ValueError):
-            IdealPresentation.from_block_algebra(B23, [5])
+            IdealPresentation(B23, [5])
 
     def test_ideal_span_size(self):
-        pres = IdealPresentation.from_block_algebra(B23, [0])
+        pres = IdealPresentation(B23, [0])
         assert len(pres.ideal_span()) == 4
         assert len(pres.quotient_indices) == 3
 
     def test_repeated_block_index_names_the_block_once(self):
-        pres = IdealPresentation.from_block_algebra(B23, [1, 0, 1])
+        pres = IdealPresentation(B23, [1, 0, 1])
         assert pres.ideal_blocks == (1, 0)
         assert len(pres.ideal_span()) == 13
         pres.validate()
@@ -188,7 +188,7 @@ def _oracle_kernel_rows(a_leg, b_span, pres):
 
 class TestExactness:
     def test_canonical_instance_block2_plus_3(self):
-        pres = IdealPresentation.from_block_algebra(B23, [0])
+        pres = IdealPresentation(B23, [0])
         report = exactness_check(A2, ANTI2, pres)
         assert report.ok
         assert report.real_kernel.kernel_dim == 32
@@ -202,7 +202,7 @@ class TestExactness:
         assert report.complex_kernel.containment_span_in_kernel < 1e-8
 
     def test_kernel_matches_brute_force_oracle(self):
-        pres = IdealPresentation.from_block_algebra(B23, [0])
+        pres = IdealPresentation(B23, [0])
         form = real_form_basis(ANTI2)
         kernel = quotient_kernel_rows(tensor_span_rows(form, list(B23.span)), pres)
         engine = tensor_rows(form, kernel, 5)
@@ -212,32 +212,32 @@ class TestExactness:
         assert eq, ang
 
     def test_zero_ideal(self):
-        pres = IdealPresentation.from_block_algebra(B23, [])
+        pres = IdealPresentation(B23, [])
         report = exactness_check(A2, ANTI2, pres)
         assert report.real_kernel.kernel_dim == 0
         assert report.ok
 
     def test_full_ideal(self):
-        pres = IdealPresentation.from_block_algebra(B23, [0, 1])
+        pres = IdealPresentation(B23, [0, 1])
         report = exactness_check(A2, ANTI2, pres)
         assert report.real_kernel.kernel_dim == report.real_kernel.span_dim == 104
         assert report.ok
 
     def test_other_summand(self):
-        pres = IdealPresentation.from_block_algebra(B23, [1])
+        pres = IdealPresentation(B23, [1])
         report = exactness_check(A2, ANTI2, pres)
         assert report.ok
         assert report.real_kernel.kernel_dim == 4 * 2 * 9
 
     def test_quaternionic_form(self):
         anti = AntiAutomorphism(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        pres = IdealPresentation.from_block_algebra(B23, [0])
+        pres = IdealPresentation(B23, [0])
         report = exactness_check(A2, anti, pres)
         assert report.ok
 
     def test_three_block_algebra(self):
         b = StarAlgebra.block_diagonal([1, 2, 2])
-        pres = IdealPresentation.from_block_algebra(b, [0, 2])
+        pres = IdealPresentation(b, [0, 2])
         report = exactness_check(A2, ANTI2, pres)
         assert report.ok
 
@@ -246,7 +246,7 @@ class TestFubini:
     def test_no_constraint_gives_everything(self):
         # The ideal made of both blocks is all of B.
         form = real_frame(A2, ANTI2)
-        everything = IdealPresentation.from_block_algebra(B23, [0, 1]).ideal_span()
+        everything = IdealPresentation(B23, [0, 1]).ideal_span()
         rows = fubini(form, B23.frame, everything)
         assert rows.shape[0] == tensor_span_rows(form, B23.frame).shape[0] == 2 * 13
         assert len(form) * rows.shape[0] == 2 * 4 * 13
@@ -255,7 +255,7 @@ class TestFubini:
         assert fubini(real_frame(A2, ANTI2), B23.frame, []).shape[0] == 0
 
     def test_ideal_instance_matches_span(self):
-        pres = IdealPresentation.from_block_algebra(B23, [0])
+        pres = IdealPresentation(B23, [0])
         check = fubini_check(A2, ANTI2, pres)
         assert check.match
         assert check.kernel_dim == check.span_dim == 32

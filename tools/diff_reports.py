@@ -8,17 +8,17 @@ Builds every ``maps``, ``tensor`` and ``certs`` document that
 and once with REV's ``src/``, extracted with ``git archive`` into a
 temporary directory.  Each side runs all documents in one subprocess with
 one BLAS thread, so the two sides differ only in their source.  For each
-document it prints whether the exit code and the stdout bytes match.  When
-the bytes differ it prints the largest difference between corresponding
-floats, or, if the reports differ in more than float values, the first
-JSON path at which they do (``provenance added``, say).  The summary also
-counts the differing documents whose exit codes match and whose reports
-parse to equal values, as after a change of float spelling.  Each
-working-tree report is also graded by the benchmark's correctness oracle,
-``bench/oracle.py`` (imported, not changed): each problem it finds is
-printed, and the summary line ends with their count.
-Exits 0 iff every document matches byte for byte and the oracle finds no
-problem.
+document it prints whether the exit code, the stdout bytes and the stderr
+text match.  When the stdout bytes differ it prints the largest difference
+between corresponding floats, or, if the reports differ in more than float
+values, the first JSON path at which they do (``provenance added``, say).
+The summary also counts the differing documents whose exit codes match
+and whose reports parse to equal values, as after a change of float
+spelling.  Each working-tree report is also graded by the benchmark's
+correctness oracle, ``bench/oracle.py`` (imported, not changed): each
+problem it finds is printed, and the summary line ends with their count.
+Exits 0 iff every document matches byte for byte, stderr included, and
+the oracle finds no problem.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("maps", "tensor", "certs")
 
 # Runs in each side's subprocess: reads [[name, argv], ...] on stdin and
-# writes {"module": ..., "results": {name: [code, stdout]}} to stdout.
+# writes {"module": ..., "results": {name: [code, stdout, stderr]}} to stdout.
 _SIDE = r"""
 import contextlib, io, json, sys
 import starlift
@@ -50,7 +50,7 @@ for name, argv in json.load(sys.stdin):
             code = cli.cmd_dispatch(argv)
         except Exception as exc:
             code, out = -1, io.StringIO(f"uncaught {type(exc).__name__}: {exc}")
-    results[name] = [code, out.getvalue()]
+    results[name] = [code, out.getvalue(), err.getvalue()]
 json.dump({"module": starlift.__file__, "results": results}, sys.stdout)
 """
 
@@ -87,7 +87,8 @@ def extract_src(rev: str, dest: str) -> str:
 
 
 def run_side(src: str, docs, cwd: str) -> dict:
-    """Exit code and stdout of each document, run with ``src`` on the path."""
+    """Exit code, stdout and stderr of each document, run with ``src`` on
+    the path."""
     env = dict(os.environ, PYTHONPATH=src)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -157,8 +158,8 @@ def compare(base: dict, new: dict, docs) -> tuple[int, list[str]]:
     followed by the summary line."""
     lines, differ, equal = [], 0, 0
     for name, _ in docs:
-        (code_a, out_a), (code_b, out_b) = base[name], new[name]
-        if code_a == code_b and out_a == out_b:
+        (code_a, out_a, err_a), (code_b, out_b, err_b) = base[name], new[name]
+        if base[name] == new[name]:
             lines.append(f"same  {name}  exit {code_a}")
             continue
         differ += 1
@@ -175,6 +176,8 @@ def compare(base: dict, new: dict, docs) -> tuple[int, list[str]]:
                 what = (first_difference(doc_a, doc_b) if diff is None
                         else f"max float difference {diff:.3e}")
             note += ", stdout differs: " + what
+        if err_a != err_b:
+            note += ", stderr differs"
         lines.append(f"DIFF  {name}  {note}")
     lines.append(f"{len(docs)} documents, {equal} of the differing ones equal in exit code "
                  f"and value: {len(docs) - differ} identical, {differ} differ")
@@ -185,7 +188,7 @@ def oracle_problems(classes, results) -> list[str]:
     """One line per problem ``bench/oracle.py`` finds in a report."""
     check = _load_bench("oracle").check
     return [f"ORACLE  {name}  {problem}" for name, cls in classes
-            for problem in check(cls, *results[name])]
+            for problem in check(cls, *results[name][:2])]
 
 
 def diff_reports(base_src: str, new_src: str, workloads=WORKLOADS, seeds=(1, 2, 3),
