@@ -424,6 +424,8 @@ class TraceWitness:
         g = as_array(self.gram).astype(np.complex128)
         if g.shape[0] != g.shape[1]:
             raise ValueError("gram matrix must be square")
+        if not np.isfinite(g).all():
+            raise ValueError("gram matrix has a non-finite entry")
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
 
@@ -437,11 +439,12 @@ class TraceWitness:
         return complex(t) if t.ndim == 0 else t
 
     def traciality_residual(self, algebra: StarAlgebra) -> float:
-        """max |tau(ab) - tau(ba)| over pairs of spanning matrices."""
-        s = np.stack(algebra.span)
+        """max |tau(ab) - tau(ba)| over pairs of frame elements (bilinear,
+        so a basis decides it, and the frame makes it scale-free)."""
+        f = algebra.frame
         worst = 0.0
-        for b in batches(len(s), s.size):    # all products s_i s_j, in bounded batches
-            d = self(s[b, None] @ s[None]) - self(s[None] @ s[b, None])
+        for b in batches(len(f), f.size):    # all products f_i f_j, in bounded batches
+            d = self(f[b, None] @ f[None]) - self(f[None] @ f[b, None])
             worst = max(worst, float(np.max(np.hypot(d.real, d.imag))))
         return worst
 

@@ -185,7 +185,8 @@ class StarAlgebra:
 
     A span that is all of a block algebra (``is_block_full``) is accepted
     from its structure; any other span is validated by projecting every
-    adjoint and product onto its frame.
+    adjoint and product of its frame onto the frame.  Frame elements have
+    unit norm, so every validation residual is relative to the span's scale.
     """
 
     n: int
@@ -269,11 +270,11 @@ class StarAlgebra:
         return float(op_norm(bad).max()) if len(bad) else 0.0
 
     def _closure_defect(self) -> float:
-        """The largest adjoint or product residual if it exceeds
-        DEFAULT_TOL, else 0.0."""
-        s = np.stack(self.span)
-        worst = self.worst_residual(s.conj().transpose(0, 2, 1))
-        for b in batches(len(s), s.size):    # all products s_i s_j
-            prods = (s[b, None] @ s[None]).reshape(-1, self.n, self.n)
+        """The largest residual of an adjoint or a product of frame
+        elements if it exceeds DEFAULT_TOL, else 0.0."""
+        f = self.frame
+        worst = self.worst_residual(f.conj().transpose(0, 2, 1))
+        for b in batches(len(f), f.size):    # all products f_i f_j
+            prods = (f[b, None] @ f[None]).reshape(-1, self.n, self.n)
             worst = max(worst, self.worst_residual(prods))
         return worst

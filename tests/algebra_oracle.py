@@ -2,14 +2,16 @@
 
 These are the loop versions that ``starlift.realform`` and
 ``starlift.tensorexact`` replaced with stacked linear algebra: the
-closure check tests every product and adjoint on its own against the
-span, ideal validation runs one containment test per product, the
-Fubini constraints slice one working matrix at a time, and Kronecker
-products and quotient images are formed per element, and block
-detection grows each block row by row.  The differential
-tests compare the two.  The Fubini reference keeps both slice families
-and every choice of functional field, of which ``tensorexact.fubini``
-needs only the right slices.
+closure check tests every product and adjoint of the frame on its own
+against the span, the Fubini constraints slice one working matrix at a
+time, Kronecker products and quotient images are formed per element,
+and block detection grows each block row by row.  Ideal validation runs
+one containment test per product of B's frame with an ideal unit, a
+different computation from the engine's, which reads B's frame between
+each ideal block and the other indices.  The differential tests compare
+the two.  The Fubini reference keeps both slice families and every
+choice of functional field, of which ``tensorexact.fubini`` needs only
+the right slices.
 
 The exactness and Fubini checks here work on whole tensor spans, the
 realified products of A's leg with B, where ``starlift.tensorexact``
@@ -39,28 +41,32 @@ def contains_residual(alg, x, solver=None) -> float:
 
 
 def closure_defect(alg) -> float:
+    """The largest residual of an adjoint or a product of frame elements."""
     solver = _solver(alg)
     worst = 0.0
-    for m in alg.span:
+    for m in alg.frame:
         worst = max(worst, contains_residual(alg, m.conj().T, solver))
-        for k in alg.span:
+        for k in alg.frame:
             worst = max(worst, contains_residual(alg, m @ k, solver))
     return worst
 
 
 def algebra_accepts(alg) -> bool:
-    """The verdict of StarAlgebra validation on ``alg``'s span."""
+    """The verdict of StarAlgebra validation on ``alg``'s span, read on
+    its frame."""
     if closure_defect(alg) > DEFAULT_TOL:
         return False
     return not (alg.unital and contains_residual(alg, np.eye(alg.n)) > DEFAULT_TOL)
 
 
 def validate_ideal(pres, tol: float = 1e-9) -> None:
+    """Every product of an element of B's frame with an ideal unit, on
+    either side, normalized, lies in the ideal."""
     ideal = list(pres.ideal_span())
     if not ideal:
         return
     amb = orth_rows(realify(ideal + [1j * e for e in ideal]))
-    for s in pres.b.span:
+    for s in pres.b.frame:
         for x in ideal:
             for prod in (s @ x, x @ s):
                 if op_norm(prod) <= tol:

@@ -295,8 +295,8 @@ def trace_transport(witness, anti, scale: float, cert, theta_scale, samples: int
 def traciality_residual(witness, algebra) -> float:
     tau = witness_value(witness)
     worst = 0.0
-    for a in algebra.span:
-        for b in algebra.span:
+    for a in algebra.frame:
+        for b in algebra.frame:
             worst = max(worst, abs(tau(a @ b) - tau(b @ a)))
     return worst
 

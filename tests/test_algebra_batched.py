@@ -3,11 +3,12 @@
 Covers A = M1..M4 (in a rotated spanning set), block algebras B, the
 real forms of u = I and u = J, and inputs each check must reject: a span
 not closed under products, one not closed under the adjoint, a one-sided
-"ideal" and a tensor leg that is not a frame.  Spans that are all of a block algebra are accepted
-by their structure, with the product path as their oracle.  The tensor
-checks, solved on B's rows, are compared with the reference on whole
-tensor spans, and block detection with the row-by-row reference on
-random supports.
+"ideal" and a tensor leg that is not a frame.  Every validation reads
+the algebra's frame, so its verdicts do not depend on the span's scale.
+Spans that are all of a block algebra are accepted by their structure,
+with the product path as their oracle.  The tensor checks, solved on
+B's rows, are compared with the reference on whole tensor spans, and
+block detection with the row-by-row reference on random supports.
 """
 
 import itertools
@@ -102,10 +103,16 @@ def test_closure_matches_oracle(n, kind, seed):
 
 @pytest.mark.parametrize("kind", ["not_product_closed", "not_adjoint_closed"])
 def test_unclosed_spans_are_rejected(kind):
-    alg = StarAlgebra(3, _span(kind, 3, np.random.default_rng(0)), validate=False)
-    assert not oracle.algebra_accepts(alg)
-    with pytest.raises(ValueError, match="not closed"):
-        StarAlgebra(3, alg.span)
+    # The residual is read on the frame, so it does not move with the
+    # span's scale; at 1e-6 the products of the raw span fell below the
+    # bound and the span was accepted.
+    span = _span(kind, 3, np.random.default_rng(0))
+    for scale in (1e-6, 1.0, 1e6):
+        alg = StarAlgebra(3, tuple(scale * m for m in span), validate=False)
+        assert not oracle.algebra_accepts(alg)
+        with pytest.raises(ValueError, match="not closed"):
+            StarAlgebra(3, alg.span)
+        assert _error(lambda: StarAlgebra(3, alg.span)) == _error(lambda: StarAlgebra(3, span))
 
 
 def test_closure_checks_every_batch():
@@ -122,8 +129,21 @@ def test_closure_checks_every_batch():
         StarAlgebra(9, alg.span, unital=False)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e5])
+def test_a_large_proper_subalgebra_is_closed(scale):
+    # span{s 1, s X} with X = q (1 (x) sigma_x) q* is C + C, a proper
+    # subalgebra of M_4 that no block structure covers.  Its products grow
+    # as s^2, so an absolute bound on them rejected it from s = 1e3; on
+    # the frame the verdict does not depend on s.
+    q = random_unitary(np.random.default_rng(3), 4)
+    x = q @ np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]]) @ q.conj().T
+    alg = StarAlgebra(4, (scale * np.eye(4), scale * x))
+    assert not alg.is_block_full and len(alg.frame) == 2
+    assert alg._closure_defect() == 0.0
+
+
 STRUCTURE_KINDS = ("block_unitary", "rotated_full", "repeated", "projection", "doubled",
-                   "missing_summand", "off_block", "non_finite")
+                   "missing_summand", "off_block", "non_finite", "rescaled")
 
 
 def _structure_span(kind: str, dims: list, rng) -> tuple:
@@ -139,6 +159,8 @@ def _structure_span(kind: str, dims: list, rng) -> tuple:
     rotated = u @ units @ u.conj().T
     if kind == "block_unitary":
         return n, tuple(rotated)
+    if kind == "rescaled":
+        return n, tuple(rng.choice([1e-6, 1e6]) * rotated)
     if kind == "rotated_full":
         return n, _rotated_full(n, rng).span
     if kind == "repeated":
@@ -191,7 +213,7 @@ def test_structural_validation_matches_the_product_path(kind, dims, unital, data
                 ValueError, "span matrix has a non-finite entry")
         return
     alg = StarAlgebra(n, span, unital, validate=False)
-    if kind in ("block_unitary", "rotated_full", "repeated"):
+    if kind in ("block_unitary", "rotated_full", "repeated", "rescaled"):
         assert alg.is_block_full
     if kind in ("doubled", "missing_summand", "off_block"):
         assert not alg.is_block_full
@@ -224,24 +246,21 @@ def test_a_non_finite_span_is_rejected_before_any_svd(value):
                 StarAlgebra(3, tuple(span), validate=validate)
 
 
-def test_a_rescaled_algebra_is_accepted_by_its_structure():
-    # 1e5 times a rotated M_3 is M_3, but its products are about 1e10 in
-    # size, so their residuals against the frame exceed the absolute
-    # DEFAULT_TOL: the product path rejects it, the structural path does not.
+def test_a_rescaled_algebra_is_accepted_on_both_paths():
+    # 1e5 times a rotated M_3 is M_3.  Its products are about 1e10 in size,
+    # but the product path forms them from the frame, so it accepts the
+    # span as the structural path does.
     span = tuple(1e5 * m for m in _rotated_full(3, np.random.default_rng(0)).span)
     assert StarAlgebra(3, span).is_block_full
     with mock.patch.object(StarAlgebra, "is_block_full", False):
-        with pytest.raises(ValueError, match=r"not closed .* residual 3\.435e-06"):
-            StarAlgebra(3, span)
+        assert StarAlgebra(3, span)._closure_defect() == 0.0
 
 
-def test_ideal_validation_checks_every_batch():
-    # B = M_8 + M_8 with the second summand as the ideal takes many
-    # batches of products; an extra E_{1,9} at the end of B's span
-    # breaks two-sidedness in the last batch only, once B's partition is
-    # set back to the two summands that E_{1,9} joins.
-    # The first B is the whole block algebra, so the ideal is two-sided by
-    # structure; setting is_block_full to False runs its products as well.
+def test_ideal_validation_on_m8_plus_m8():
+    # B = M_8 + M_8 with the second summand as the ideal is accepted by
+    # structure and, with is_block_full set to False, by the block test.
+    # An extra E_{1,9} at the end of B's span breaks two-sidedness once
+    # B's partition is set back to the two summands that E_{1,9} joins.
     b = StarAlgebra.block_diagonal([8, 8])
     IdealPresentation(b, (1,))
     b.__dict__["is_block_full"] = False

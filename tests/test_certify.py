@@ -379,6 +379,12 @@ class TestTraceQd:
         with pytest.raises(ValueError, match="not tracial.*1.000e"):
             trace_qd_verify(cert, witness)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_a_non_finite_gram(self, value):
+        # max(0.0, nan) is 0.0, so a NaN witness would pass the traciality gate.
+        with pytest.raises(ValueError, match="non-finite entry"):
+            TraceWitness(np.array([[value, 0.0], [0.0, 0.5]]))
+
     def test_block_constant_trace_on_block_algebra(self):
         # tau = 0.35 tr on the first block and 0.1 tr on the second is
         # tracial on M_2 + M_3, though not on M_5

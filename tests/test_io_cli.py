@@ -683,26 +683,40 @@ def _rejected_input(kind: str, tmp_path):
         path.write_text(canonical_dumps(doc), encoding="ascii")
         return str(path)
 
-    if kind in ("not_product_closed", "not_adjoint_closed"):
-        if kind == "not_product_closed":
+    if kind in ("not_product_closed", "small_not_product_closed", "not_adjoint_closed"):
+        if kind != "not_adjoint_closed":
+            # At 1e-6 the raw span's products fell below the bound; on the
+            # frame the residual is the same as at scale 1.
             g = np.random.default_rng(5).standard_normal((2, 3, 3))
             h = g[0] + 1j * g[1]
-            span = (np.eye(3), h + h.conj().T, h @ h.conj().T)
+            scale = 1e-6 if kind == "small_not_product_closed" else 1.0
+            span = tuple(scale * m for m in (np.eye(3), h + h.conj().T, h @ h.conj().T))
         else:
             span = tuple(e for e in matrix_units(3) if np.argwhere(e)[0, 0] <= np.argwhere(e)[0, 1])
         alg = StarAlgebra(3, span, validate=False)
         want = ("algebra: span is not closed under product/adjoint: "
                 f"residual {algebra_oracle.closure_defect(alg):.3e}")
         return write("A.json", algebra_to_json(alg)), None, None, want
+    if kind == "below_support":
+        # B = 1e-13 M_2: its entries fall below detect_blocks' support
+        # threshold, so B's own partition is two 1x1 blocks, and span{E_11}
+        # is a one-sided ideal of M_2 that reaches the CLI unpatched.
+        b = StarAlgebra(2, tuple(1e-13 * matrix_units(2)))
+        with mock.patch.object(tensorexact.IdealPresentation, "validate"):
+            pres = tensorexact.IdealPresentation(b, (0,))
+        with pytest.raises(ValueError) as exc:
+            algebra_oracle.validate_ideal(pres)
+        return (None, write("I.json", {"B": algebra_to_json(b), "ideal_blocks": [0]}), None,
+                f"ideal.ideal_blocks: {exc.value}")
     if kind == "ideal_outside_b":
         # B = span{I_2} splits into two 1x1 blocks, but E_11 is not in B.
         b = StarAlgebra(2, (np.eye(2),))
         resid = algebra_oracle.contains_residual(b, matrix_units(1, 2)[0])
         want = f"ideal.ideal_blocks: ideal block 0 does not lie in B: residual {resid:.3e}"
         return None, write("I.json", {"B": algebra_to_json(b), "ideal_blocks": [0]}), None, want
-    # B's own block partition always gives a two-sided ideal, so a
-    # one-sided one needs a partition that is not B's: block 0 = {E_11}
-    # inside B = M_2 + C is one-sided.
+    # Above the support threshold B's own block partition gives a
+    # two-sided ideal, so this one-sided one needs a partition that is
+    # not B's: block 0 = {E_11} inside B = M_2 + C is one-sided.
     b = StarAlgebra.block_diagonal([2, 1])
     blocks = ((0, 1), (1, 2))
     b.__dict__["blocks"] = blocks
@@ -715,8 +729,9 @@ def _rejected_input(kind: str, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["fubini", "exactness"])
-@pytest.mark.parametrize("kind", ["not_product_closed", "not_adjoint_closed",
-                                  "ideal_outside_b", "one_sided"])
+@pytest.mark.parametrize("kind", ["not_product_closed", "small_not_product_closed",
+                                  "not_adjoint_closed", "ideal_outside_b", "one_sided",
+                                  "below_support"])
 def test_rejected_inputs_print_the_oracle_message(workdir, tmp_path, capsys, monkeypatch,
                                                   command, kind):
     # The validation screens its residuals with op_norm_above and measures
@@ -731,6 +746,39 @@ def test_rejected_inputs_print_the_oracle_message(workdir, tmp_path, capsys, mon
     code, out, err = _run([command, "--algebra", algebra or workdir["A2.json"],
                            "--ideal", ideal or workdir["ideal.json"]], capsys)
     assert (code, out, err) == (2, "", f"error: {want}\n")
+
+
+@pytest.mark.parametrize("command", ["fubini", "exactness"])
+@pytest.mark.parametrize("ideal_blocks", [[1], [0, 1]])
+def test_an_ideal_of_an_algebra_with_off_block_dust_is_accepted(workdir, tmp_path, capsys,
+                                                                command, ideal_blocks):
+    # B = span{E_11, E_22, 1e-8 E_22 + 5e-13 E_12} is the diagonal algebra
+    # up to dust below the rank cut, so its frame has two elements and
+    # every union of its blocks is an ideal.
+    units = matrix_units(2)
+    b = StarAlgebra(2, (units[0], units[3], 1e-8 * units[3] + 5e-13 * units[1]))
+    assert len(b.frame) == 2 and b.blocks == ((0, 1), (1, 1))
+    ideal = tmp_path / "dust.json"
+    ideal.write_text(canonical_dumps({"B": algebra_to_json(b), "ideal_blocks": ideal_blocks}))
+    code, out, err = _run([command, "--algebra", workdir["A2.json"],
+                           "--ideal", str(ideal)], capsys)
+    assert code == 0, err
+
+
+def test_a_trace_witness_on_a_rescaled_algebra_is_tracial(tmp_path, capsys):
+    # 1e5 times a rotated M_3 with tau = tr/3: on the raw span, rounding in
+    # products of size 1e10 left |tau(ab) - tau(ba)| at 2.4e-07.
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((9, 9)))
+    span = tuple(1e5 * np.tensordot(q, matrix_units(3), axes=(1, 0)))
+    cert = QDCertificate(StarAlgebra(3, span), FiniteSubset((np.eye(3),)),
+                         LinearMapMat.identity(3), 0.1)
+    (tmp_path / "cert.json").write_text(canonical_dumps(cert_to_json(cert)))
+    (tmp_path / "trace.json").write_text(canonical_dumps({"gram": matrix_to_json(
+        np.eye(3) / 3)}))
+    code, out, err = _run(["trace-audit", "--cert", str(tmp_path / "cert.json"),
+                           "--trace", str(tmp_path / "trace.json")], capsys)
+    assert code == 0, err
+    assert json.loads(out)["verify"]["pass"] is True
 
 
 @pytest.mark.parametrize("command", ["fubini", "exactness"])
