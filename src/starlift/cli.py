@@ -187,9 +187,7 @@ def _cmd_nuclear_verify(args):
     target = None
     if args.target:
         target = map_from_json(load_json(args.target), "target")
-    b_list = None
-    if args.b_list:
-        b_list = [m for m in subset_from_json(load_json(args.b_list), "b_list")]
+    b_list = list(subset_from_json(load_json(args.b_list), "b_list")) if args.b_list else None
     report = nuclear_witness_verify(phi, psi, subset, epsilon=args.epsilon,
                                     target=target, norm_mode=args.norm_mode,
                                     b_list=b_list)

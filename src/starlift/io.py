@@ -158,6 +158,27 @@ def matrix_from_json(doc, path: str = "matrix") -> np.ndarray:
     return arr.real.copy() if fld == "R" else arr
 
 
+def subset_from_json(raw, path: str = "F"):
+    """The complex matrices of a nonempty list of matrix documents (a set
+    F, a span, a map's images): a (k, r, c) stack when they share one
+    shape, else a tuple.  One shape and field are decoded in one pass, as
+    one kr x c document; else ``matrix_from_json`` names the bad entry."""
+    if not isinstance(raw, list) or not raw:
+        raise SchemaError(path, "expected a nonempty list of matrices")
+    try:
+        ((rtype, rows, cols, field),) = {(type(d["rows"]), d["rows"], d["cols"], d["field"])
+                                         for d in raw}
+        if rtype is int and {(type(d["data"]), len(d["data"])) for d in raw} == {
+                (list, rows * cols)}:
+            whole = matrix_from_json({"rows": len(raw) * rows, "cols": cols, "field": field,
+                                      "data": list(chain.from_iterable(d["data"] for d in raw))})
+            return whole.astype(np.complex128).reshape(len(raw), rows, cols)
+    except (KeyError, TypeError, ValueError, OverflowError):    # SchemaError is a ValueError
+        pass
+    mats = [matrix_from_json(m, f"{path}[{i}]").astype(np.complex128) for i, m in enumerate(raw)]
+    return np.stack(mats) if len({m.shape for m in mats}) == 1 else tuple(mats)
+
+
 # -- linear maps --------------------------------------------------------------
 
 
@@ -191,13 +212,11 @@ def map_from_json(doc, path: str = "map") -> LinearMapMat:
     if not isinstance(raw, list) or len(raw) != size:
         raise SchemaError(f"{path}.images",
                           f"expected {size} images in basis order")
-    images = [matrix_from_json(m, f"{path}.images[{i}]").astype(np.complex128)
-              for i, m in enumerate(raw)]
-    for i, im in enumerate(images):
-        if im.shape != (cod, cod):
-            raise SchemaError(f"{path}.images[{i}]",
-                              f"expected a {cod}x{cod} matrix, got {im.shape}")
-    images = np.stack(images)
+    images = subset_from_json(raw, f"{path}.images")
+    if not isinstance(images, np.ndarray) or images.shape[1:] != (cod, cod):
+        i, im = next((i, im) for i, im in enumerate(images) if im.shape != (cod, cod))
+        raise SchemaError(f"{path}.images[{i}]",
+                          f"expected a {cod}x{cod} matrix, got {im.shape}")
     imaginary = images.imag.ravel() != 0
     has_imag = imaginary.any()
     cod_field = doc.get("cod_field")
@@ -222,15 +241,12 @@ def algebra_to_json(a: StarAlgebra) -> dict:
 
 def algebra_from_json(doc, path: str = "algebra") -> StarAlgebra:
     n = _as_dim(_need(doc, "n", path), f"{path}.n")
-    raw = _need(doc, "span", path)
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError(f"{path}.span", "expected a nonempty list of matrices")
-    span = [matrix_from_json(m, f"{path}.span[{i}]") for i, m in enumerate(raw)]
+    span = subset_from_json(_need(doc, "span", path), f"{path}.span")
     unital = _need(doc, "unital", path)
     if not isinstance(unital, bool):
         raise SchemaError(f"{path}.unital", "expected a boolean")
     try:
-        return StarAlgebra(n, tuple(span), unital)
+        return StarAlgebra(n, span, unital)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -257,13 +273,6 @@ def ideal_from_json(doc, path: str = "ideal") -> IdealPresentation:
         return IdealPresentation(b, blocks)
     except ValueError as exc:
         raise SchemaError(f"{path}.ideal_blocks", str(exc)) from exc
-
-
-def subset_from_json(raw, path: str = "F"):
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError(path, "expected a nonempty list of matrices")
-    return [matrix_from_json(m, f"{path}[{i}]").astype(np.complex128)
-            for i, m in enumerate(raw)]
 
 
 # -- certificates and trace witnesses ------------------------------------------

@@ -10,7 +10,7 @@ both parts in the real form.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -136,7 +136,7 @@ class CheckReport:
     ok: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def check_antiautomorphism(anti_or_u, samples: int = 50, seed: int = 0,
@@ -170,9 +170,10 @@ def check_antiautomorphism(anti_or_u, samples: int = 50, seed: int = 0,
 
 def detect_blocks(span, n: int) -> tuple:
     """Finest contiguous block partition supporting every span matrix
-    (entries above 1e-12): a block ends at row r when no row up to r has
-    support past column r."""
-    support = np.any(np.abs(np.asarray(span)) > 1e-12, axis=0)
+    (entries above 1e-12 times the largest one, whatever the scale): a
+    block ends at row r when no row up to r has support past column r."""
+    size = np.abs(np.asarray(span))
+    support = np.any(size > 1e-12 * size.max(initial=0.0), axis=0)
     support = support | support.T | np.eye(n, dtype=bool)
     reach = np.maximum.accumulate(n - 1 - np.argmax(support[:, ::-1], axis=1))
     ends = np.flatnonzero(reach == np.arange(n)) + 1
@@ -190,21 +191,23 @@ class StarAlgebra:
     """
 
     n: int
-    span: tuple
+    span: np.ndarray    # read-only complex stack (k, n, n); built from any sequence of matrices
     unital: bool = True
     validate: bool = True
 
     def __post_init__(self) -> None:
-        mats = tuple(as_array(m).astype(np.complex128) for m in self.span)
-        if not mats:
+        if not len(self.span):
             raise ValueError("span must be nonempty")
-        for m in mats:
-            if m.shape != (self.n, self.n):
-                raise ValueError(f"span matrix has shape {m.shape}, expected ({self.n},{self.n})")
-            if not np.isfinite(m).all():
-                raise ValueError("span matrix has a non-finite entry")
-            m.setflags(write=False)
-        object.__setattr__(self, "span", mats)
+        shapes = ([self.span.shape[1:]] if isinstance(self.span, np.ndarray)
+                  else map(np.shape, self.span))
+        bad = [shape for shape in shapes if shape != (self.n, self.n)]
+        if bad:
+            raise ValueError(f"span matrix has shape {bad[0]}, expected ({self.n},{self.n})")
+        span = np.array(self.span, dtype=np.complex128)
+        if not np.isfinite(span).all():
+            raise ValueError("span matrix has a non-finite entry")
+        span.setflags(write=False)
+        object.__setattr__(self, "span", span)
         if self.validate and not self.is_block_full:
             bad = self._closure_defect()
             if bad > DEFAULT_TOL:
@@ -214,7 +217,7 @@ class StarAlgebra:
 
     @classmethod
     def full_matrix(cls, n: int) -> "StarAlgebra":
-        return cls(n, tuple(matrix_units(n)), unital=True, validate=False)
+        return cls(n, matrix_units(n), unital=True, validate=False)
 
     @classmethod
     def block_diagonal(cls, dims: list[int]) -> "StarAlgebra":
@@ -222,13 +225,12 @@ class StarAlgebra:
         n = sum(dims)
         offsets = np.cumsum([0, *dims[:-1]])
         span = np.concatenate([matrix_units(d, n, off) for d, off in zip(dims, offsets)])
-        return cls(n, tuple(span), unital=True, validate=False)
+        return cls(n, span, unital=True, validate=False)
 
     @cached_property
     def frame(self) -> np.ndarray:
         """Orthonormal (Hilbert-Schmidt) basis of the span, shape (d, n, n)."""
-        frame = np.array(complex_orth_basis(self.span, (self.n, self.n)))
-        frame = frame.reshape(-1, self.n, self.n)
+        frame = complex_orth_basis(self.span)
         frame.setflags(write=False)
         return frame
 
@@ -243,12 +245,10 @@ class StarAlgebra:
         ``blocks``: every entry outside the blocks is exactly 0, and the
         frame has sum size^2 elements.  Such a span is a unital
         *-algebra, and any union of its blocks is a two-sided ideal."""
-        s = np.stack(self.span)
         sizes = [size for _, size in self.blocks]
         label = np.repeat(np.arange(len(sizes)), sizes)
-        if np.any(s[:, label[:, None] != label[None, :]]):
-            return False
-        return len(self.frame) == sum(size * size for size in sizes)
+        return (not np.any(self.span[:, label[:, None] != label[None, :]])
+                and len(self.frame) == sum(size * size for size in sizes))
 
     def _residuals(self, xs: np.ndarray) -> np.ndarray:
         """Least-squares residual matrices of a stack against the span."""

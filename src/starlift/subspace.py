@@ -14,8 +14,6 @@ import math
 
 import numpy as np
 
-from .matrix import as_array
-
 RANK_TOL = 1e-9
 
 
@@ -45,10 +43,10 @@ def orth_rows(v: np.ndarray) -> np.ndarray:
     return vt[:rank]
 
 
-def complex_orth_basis(mats, shape: tuple[int, int]) -> list[np.ndarray]:
-    """Orthonormal (Hilbert-Schmidt) basis of the complex span of mats."""
-    rows = np.array([as_array(m).astype(np.complex128).ravel() for m in mats])
-    return list(orth_rows(rows).reshape(-1, *shape))
+def complex_orth_basis(mats: np.ndarray) -> np.ndarray:
+    """Orthonormal (Hilbert-Schmidt) basis of span_C of a stack (k, r, c), as (d, r, c)."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    return orth_rows(mats.reshape(len(mats), -1)).reshape(-1, *mats.shape[1:])
 
 
 def kernel_rows(a: np.ndarray) -> np.ndarray:

@@ -24,13 +24,13 @@ for each leg element, so every check is solved once on K's rows in M_nb:
 
 The reduction is exact only because the A leg is orthonormal: a leg with
 a repeated or rescaled element would count copies of K that are not
-there.  ``tensor_span_rows`` runs the Gram test on both legs and raises
-on a leg that fails it.
+there.  Each check runs the Gram test once on each of its legs and
+raises on a leg that fails it.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -132,41 +132,36 @@ def _complex_rows(frame: np.ndarray) -> np.ndarray:
     return realify(np.stack([frame, 1j * frame], axis=1).reshape(-1, n, n))
 
 
+def _gram_test(leg) -> np.ndarray:
+    """The leg as a stack, if it is a frame (Hermitian Gram matrix I
+    within ``RANK_TOL``); a leg that is not raises ValueError."""
+    leg = np.asarray(leg)
+    flat = leg.reshape(len(leg), leg.shape[1] ** 2)
+    dev = np.max(np.abs(flat.conj() @ flat.T - np.eye(len(leg))), initial=0.0)
+    if dev > RANK_TOL:
+        raise ValueError(f"tensor leg is not orthonormal: Gram deviation {dev:.3e}")
+    return leg
+
+
 def tensor_span_rows(a_leg, b_leg) -> np.ndarray:
     """B's rows of span_C{a (x) b: a in a_leg, b in b_leg}: the orthonormal
     real rows of K = span_C(b_leg), each b then i times it.  The span is
     span_C(a_leg) (x) K, of real dimension len(a_leg) * len(rows).
 
-    Both legs must be frames (Hermitian Gram matrix I within
-    ``RANK_TOL``); a leg that is not raises ValueError.  An empty leg,
-    given as an array of no matrices, spans the zero subspace.
-    """
-    a, b = np.asarray(a_leg), np.asarray(b_leg)
-    for leg in (a, b):
-        flat = leg.reshape(len(leg), leg.shape[1] ** 2)
-        dev = np.max(np.abs(flat.conj() @ flat.T - np.eye(len(leg))), initial=0.0)
-        if dev > RANK_TOL:
-            raise ValueError(f"tensor leg is not orthonormal: Gram deviation {dev:.3e}")
-    return _complex_rows(b)
+    Both legs must be frames; a leg that is not raises ValueError.  An
+    empty leg, given as an array of no matrices, spans the zero subspace."""
+    _gram_test(a_leg)
+    return _complex_rows(_gram_test(b_leg))
 
 
-def fubini(a_leg, b_leg, ideal) -> np.ndarray:
-    """B's rows of the Fubini product: the elements of
-    span_C(a_leg (x) b_leg) whose right slices against a_leg's dual
-    functionals all lie in the complex span of ``ideal``.
-
-    ``a_leg`` and ``b_leg`` are frames, and ``ideal`` is matrix units of
-    B.  The right slice of sum_i a_i (x) b_i against tr(a_p* .) is b_p,
-    so the product is span_C(a_leg) (x) K for the orthonormal real rows K
-    returned: the elements of span_C(b_leg) in span_C(ideal).
-    """
-    rows = tensor_span_rows(a_leg, b_leg)
-    nb = np.shape(b_leg)[1]
-    ideal = np.reshape(ideal, (-1, nb, nb))
-    # Realified units and i-units are standard basis vectors: a frame.
-    target = realify(np.concatenate([ideal, 1j * ideal]))
+def fubini(rows: np.ndarray, ideal_rows: np.ndarray) -> np.ndarray:
+    """B's rows of the Fubini product, from B's ``rows`` of span_C(a_leg
+    (x) b_leg) and those of span_C(a_leg (x) ideal) (``tensor_span_rows``).
+    The right slice of sum_i a_i (x) b_i against tr(a_p* .) is b_p, so the
+    product is span_C(a_leg) (x) K for the orthonormal real rows K
+    returned: span(rows) meet span(ideal_rows)."""
     # Orthonormal kernel rows times orthonormal rows are orthonormal.
-    return kernel_rows((rows - rows @ target.T @ target).T) @ rows
+    return kernel_rows((rows - rows @ ideal_rows.T @ ideal_rows).T) @ rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +174,7 @@ class KernelCheck:
     match: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def quotient_kernel_rows(b_rows: np.ndarray, pres: IdealPresentation) -> np.ndarray:
@@ -221,15 +216,18 @@ class ExactnessReport:
     ok: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.to_json() if isinstance(v, KernelCheck) else v for k, v in doc.items()}
 
 
-def _frames(a: StarAlgebra, anti: AntiAutomorphism, pres: IdealPresentation):
-    """Inputs of the exactness and Fubini checks as legs: (A's real form
-    as a frame, B's frame, the ideal's matrix units)."""
+def _legs(a: StarAlgebra, anti: AntiAutomorphism, pres: IdealPresentation):
+    """A's real form as a frame and B's rows of its spans with B's frame
+    and with the ideal's units, each leg Gram-tested once."""
     if anti.dim != a.n:
         raise ValueError("antiautomorphism dimension does not match the algebra")
-    return real_frame(a, anti), pres.b.frame, pres.ideal_span()
+    form = real_frame(a, anti)
+    return (form, tensor_span_rows(form, pres.b.frame),
+            _complex_rows(_gram_test(pres.ideal_span())))
 
 
 def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
@@ -243,12 +241,10 @@ def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
     legs have the same rows on B, so each identity is solved once there
     and reported for each leg.
     """
-    form, b_frame, ideal = _frames(a, anti, pres)
-    b_rows = tensor_span_rows(form, b_frame)
-    tensor_span_rows(a.frame, b_frame)          # the Gram test of the complex leg
-    span = tensor_span_rows(form, ideal)
+    form, b_rows, span = _legs(a, anti, pres)
+    _gram_test(a.frame)
     kernel = _compare(quotient_kernel_rows(b_rows, pres), span)
-    fub = _compare(fubini(form, b_frame, ideal), span)
+    fub = _compare(fubini(b_rows, span), span)
 
     # The real-form rows hold the i-multiples of their products, so i times
     # the real-form part spans the same rows and their sum is those rows again.
@@ -275,6 +271,5 @@ def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
 def fubini_check(a: StarAlgebra, anti: AntiAutomorphism,
                  pres: IdealPresentation) -> KernelCheck:
     """Compare fubini(A's real form, B, ideal) with span(A's real form (x) ideal)."""
-    form, b_frame, ideal = _frames(a, anti, pres)
-    return _tensored(_compare(fubini(form, b_frame, ideal), tensor_span_rows(form, ideal)),
-                     form)
+    form, b_rows, span = _legs(a, anti, pres)
+    return _tensored(_compare(fubini(b_rows, span), span), form)

@@ -81,10 +81,11 @@ def validate_ideal(pres, tol: float = 1e-9) -> None:
 
 def detect_blocks(span, n: int) -> tuple:
     """Finest contiguous block partition supporting every span matrix
-    (entries above 1e-12), grown one row at a time."""
+    (entries above 1e-12 times the largest one), grown one row at a time."""
+    cut = 1e-12 * max(float(np.max(np.abs(as_array(m)))) for m in span)
     support = np.zeros((n, n), dtype=bool)
     for m in span:
-        support |= np.abs(as_array(m)) > 1e-12
+        support |= np.abs(as_array(m)) > cut
     support |= support.T
     blocks = []
     start = 0
@@ -163,7 +164,7 @@ def fubini_rows(a1, b1, a, b, anti=None, phi_field: str = REAL, psi_field: str =
     a_duals = [g.conj().T for g in a_leg]
     if phi_field == COMPLEX:
         a_duals = a_duals + [1j * g for g in a_duals]
-    b_dual_grams = [h.conj().T for h in complex_orth_basis(b.span, (nb, nb))]
+    b_dual_grams = [h.conj().T for h in complex_orth_basis(b.span)]
     working_mats = [unrealify(r, (na * nb, na * nb)) for r in working_rows]
 
     def _resid(vecs, target_rows):

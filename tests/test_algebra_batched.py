@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebra_oracle as oracle
+from starlift import tensorexact
 from starlift.cpmaps import COMPLEX, REAL
 from starlift.matrix import matrix_units, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra, detect_blocks, real_form_basis
@@ -266,7 +267,7 @@ def test_ideal_validation_on_m8_plus_m8():
     b.__dict__["is_block_full"] = False
     IdealPresentation(b, (1,))
     extra = matrix_units(16)[8]
-    b = StarAlgebra(16, b.span + (extra,), validate=False)
+    b = StarAlgebra(16, np.concatenate([b.span, [extra]]), validate=False)
     b.__dict__["blocks"] = ((0, 8), (8, 8))
     with pytest.raises(ValueError, match=r"two-sided: residual 1\.000e\+00"):
         IdealPresentation(b, (1,))
@@ -363,7 +364,8 @@ def test_fubini_matches_oracle(size, u_kind, data):
         leg = real_frame(alg, anti)
         want = oracle.fubini_rows(real_form_basis(anti), ideal_cx, alg, b, anti=anti,
                                   phi_field=REAL, psi_field=REAL)
-    _assert_same_frame(oracle.tensor_rows(leg, fubini(leg, b.frame, ideal), b.n), want)
+    rows = fubini(tensor_span_rows(leg, b.frame), tensor_span_rows(leg, ideal))
+    _assert_same_frame(oracle.tensor_rows(leg, rows, b.n), want)
 
 
 @SETTINGS
@@ -419,16 +421,48 @@ def test_checks_match_full_tensor_oracle(size, u_kind, ideal_blocks, seed):
 def test_a_leg_that_is_not_a_frame_is_rejected(bad):
     # The checks count one copy of B's rows per A-leg element, which is
     # right only for a frame, so every entry point that takes an A leg
-    # runs the Gram test on it.
+    # runs the Gram test on it; fubini_check takes A's real form.
     units = np.stack(matrix_units(2))
     leg = {"rescaled": 2.0 * units, "repeated": units[[0, 1, 1]],
            "skewed": units + 0.1 * units[::-1]}[bad]
     pres = IdealPresentation(StarAlgebra.block_diagonal([1, 2]), [1])
     b_frame = pres.b.frame
-    for check in (lambda: tensor_span_rows(leg, b_frame),
-                  lambda: fubini(leg, b_frame, pres.ideal_span())):
-        with pytest.raises(ValueError, match="not orthonormal"):
-            check()
+    with mock.patch.object(tensorexact, "real_frame", return_value=leg):
+        for check in (lambda: tensor_span_rows(leg, b_frame),
+                      lambda: fubini_check(StarAlgebra.full_matrix(2), _anti("T", 2), pres)):
+            with pytest.raises(ValueError, match="not orthonormal"):
+                check()
+
+
+@pytest.mark.parametrize("leg", ["real_form", "a_frame", "b_frame", "ideal"])
+def test_each_leg_is_gram_tested_once_per_check(leg):
+    # exactness_check has four legs (A's real form, A's frame, B's frame
+    # and the ideal's units) and fubini_check the three without A's
+    # frame.  Each check runs one Gram test per leg, and twice a frame in
+    # any of its legs is still rejected.
+    alg = _rotated_full(2, np.random.default_rng(0))
+    pres = IdealPresentation(StarAlgebra.block_diagonal([1, 2]), [1])
+    args = (alg, _anti("T", 2), pres)
+    with mock.patch.object(tensorexact, "_gram_test", wraps=tensorexact._gram_test) as spy:
+        exactness_check(*args)
+        assert spy.call_count == 4
+        fubini_check(*args)
+        assert spy.call_count == 4 + 3
+    form, units = tensorexact.real_frame(*args[:2]), pres.ideal_span()
+    scale = {name: 2.0 if name == leg else 1.0
+             for name in ("real_form", "a_frame", "b_frame", "ideal")}
+    with mock.patch.object(tensorexact, "real_frame", return_value=scale["real_form"] * form), \
+            mock.patch.dict(alg.__dict__, frame=scale["a_frame"] * alg.frame), \
+            mock.patch.dict(pres.b.__dict__, frame=scale["b_frame"] * pres.b.frame), \
+            mock.patch.object(IdealPresentation, "ideal_span",
+                              lambda self: scale["ideal"] * units):
+        with pytest.raises(ValueError, match="tensor leg is not orthonormal"):
+            exactness_check(*args)
+        if leg == "a_frame":
+            fubini_check(*args)
+        else:
+            with pytest.raises(ValueError, match="tensor leg is not orthonormal"):
+                fubini_check(*args)
 
 
 def test_a_complex_leg_that_is_not_a_frame_is_rejected():

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from starlift.certify import FiniteSubset, QDCertificate
@@ -18,7 +18,7 @@ from starlift.cpmaps import LinearMapMat, complexify, compress
 from starlift.io import (SchemaError, algebra_to_json, anti_to_json,
                          canonical_dumps, cert_from_json, cert_to_json,
                          ideal_from_json, map_from_json, map_to_json,
-                         matrix_from_json, matrix_to_json)
+                         matrix_from_json, matrix_to_json, subset_from_json)
 from starlift.matrix import matrix_units, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra
 from starlift.sampling import random_matrix
@@ -216,6 +216,100 @@ class TestMatrixSchema:
         code, out, err_text = _run(["realform", "--phi", str(p)], capsys)
         assert (code, out) == (2, "")
         assert "phi.u.rows" in err_text
+
+
+NUMBERS = st.one_of(st.integers(-3, 3), st.floats(-1e3, 1e3))
+CORRUPTIONS = ["bool", "str", "null", "nan", "inf", "-inf", "pair1", "pair3", "rows", "cols",
+               "data", "real_imag", "not_dict"]
+
+
+def _corrupt(docs: list, j: int, i: int, kind: str) -> None:
+    """Put one corruption into matrix document j of ``docs``, at entry i."""
+    doc = docs[j]
+    data = doc["data"]
+    bad = {"bool": True, "str": "1", "null": None, "nan": float("nan"),
+           "inf": float("inf"), "-inf": float("-inf")}
+    re = data[i][0] if isinstance(data[i], list) else data[i]
+    if kind in bad and isinstance(data[i], list):
+        data[i][0] = bad[kind]
+    elif kind in bad:
+        data[i] = bad[kind]
+    elif kind in ("pair1", "pair3"):
+        data[i] = [re] if kind == "pair1" else [re, 0.0, 1.0]
+    elif kind in ("rows", "cols"):
+        doc[kind] += 1
+    elif kind == "data":
+        data.append(0.0)
+    elif kind == "real_imag":
+        doc["field"], data[i] = "R", [re, 2.0]
+    else:
+        docs[j] = data    # not an object
+
+
+@st.composite
+def _matrix_docs(draw):
+    """1 to 4 matrix documents of one shape, each R or C, with plain
+    entries or [re, im] pairs, after one corruption or none, as read back
+    from JSON (NaN and Infinity literals included)."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    docs = []
+    for _ in range(draw(st.integers(1, 4))):
+        field = draw(st.sampled_from(["R", "C"]))
+        data = [draw(NUMBERS) for _ in range(rows * cols)]
+        if draw(st.booleans()):
+            imag = NUMBERS if field == "C" else st.sampled_from([0, 0.0, -0.0])
+            data = [[re, draw(imag)] for re in data]
+        docs.append({"rows": rows, "cols": cols, "field": field, "data": data})
+    kind = draw(st.sampled_from([None] + CORRUPTIONS))
+    if kind is not None:
+        _corrupt(docs, draw(st.integers(0, len(docs) - 1)),
+                 draw(st.integers(0, rows * cols - 1)), kind)
+    return json.loads(json.dumps(docs))
+
+
+def _decoded(decode):
+    """The (shape, bytes) of each matrix ``decode`` returns, or the message
+    of the SchemaError it raises."""
+    try:
+        return [(m.shape, m.tobytes()) for m in decode()]
+    except SchemaError as exc:
+        return str(exc)
+
+
+class TestMatrixLists:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_matrix_docs())
+    @example([{"rows": True, "cols": 1, "field": "R", "data": [1.0]}])
+    @example([{"rows": 1, "cols": 2, "field": "R", "data": [1.0]},
+              {"rows": 1, "cols": 2, "field": "R", "data": [1.0, 2.0, 3.0]}])
+    def test_one_pass_matches_per_matrix_decoding(self, docs):
+        want = _decoded(lambda: [matrix_from_json(d, f"F[{i}]").astype(np.complex128)
+                                 for i, d in enumerate(docs)])
+        assert _decoded(lambda: subset_from_json(docs, "F")) == want
+
+    def test_a_list_of_one_layout_is_decoded_in_one_call(self):
+        docs = [matrix_to_json(m) for m in 1j * matrix_units(3)]
+        with mock.patch("starlift.io.matrix_from_json", wraps=matrix_from_json) as spy:
+            stack = subset_from_json(docs, "F")
+        assert spy.call_count == 1
+        assert np.array_equal(stack, 1j * matrix_units(3))
+
+    @pytest.mark.parametrize("kind", [k for k in CORRUPTIONS if k != "pair1"])
+    def test_a_bad_map_and_a_bad_algebra_print_the_per_matrix_message(
+            self, workdir, tmp_path, capsys, kind):
+        cases = [(map_to_json(unital_compression_map(np.random.default_rng(0), 3, 2)),
+                  "images", "map", ["cp-check", "--map"]),
+                 (algebra_to_json(StarAlgebra.full_matrix(2)), "span", "algebra",
+                  ["exactness", "--ideal", workdir["ideal.json"], "--algebra"])]
+        for doc, key, name, argv in cases:
+            _corrupt(doc[key], 1, 2, kind)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(SchemaError) as exc:
+                for i, m in enumerate(json.loads(path.read_text())[key]):
+                    matrix_from_json(m, f"{name}.{key}[{i}]")
+            code, out, err = _run(argv + [str(path)], capsys)
+            assert (code, out, err) == (2, "", f"error: {exc.value}\n")
 
 
 class TestMapSchema:
@@ -697,26 +791,15 @@ def _rejected_input(kind: str, tmp_path):
         want = ("algebra: span is not closed under product/adjoint: "
                 f"residual {algebra_oracle.closure_defect(alg):.3e}")
         return write("A.json", algebra_to_json(alg)), None, None, want
-    if kind == "below_support":
-        # B = 1e-13 M_2: its entries fall below detect_blocks' support
-        # threshold, so B's own partition is two 1x1 blocks, and span{E_11}
-        # is a one-sided ideal of M_2 that reaches the CLI unpatched.
-        b = StarAlgebra(2, tuple(1e-13 * matrix_units(2)))
-        with mock.patch.object(tensorexact.IdealPresentation, "validate"):
-            pres = tensorexact.IdealPresentation(b, (0,))
-        with pytest.raises(ValueError) as exc:
-            algebra_oracle.validate_ideal(pres)
-        return (None, write("I.json", {"B": algebra_to_json(b), "ideal_blocks": [0]}), None,
-                f"ideal.ideal_blocks: {exc.value}")
     if kind == "ideal_outside_b":
         # B = span{I_2} splits into two 1x1 blocks, but E_11 is not in B.
         b = StarAlgebra(2, (np.eye(2),))
         resid = algebra_oracle.contains_residual(b, matrix_units(1, 2)[0])
         want = f"ideal.ideal_blocks: ideal block 0 does not lie in B: residual {resid:.3e}"
         return None, write("I.json", {"B": algebra_to_json(b), "ideal_blocks": [0]}), None, want
-    # Above the support threshold B's own block partition gives a
-    # two-sided ideal, so this one-sided one needs a partition that is
-    # not B's: block 0 = {E_11} inside B = M_2 + C is one-sided.
+    # B's own block partition gives a two-sided ideal, so this one-sided
+    # one needs a partition that is not B's: block 0 = {E_11} inside
+    # B = M_2 + C is one-sided.
     b = StarAlgebra.block_diagonal([2, 1])
     blocks = ((0, 1), (1, 2))
     b.__dict__["blocks"] = blocks
@@ -730,8 +813,7 @@ def _rejected_input(kind: str, tmp_path):
 
 @pytest.mark.parametrize("command", ["fubini", "exactness"])
 @pytest.mark.parametrize("kind", ["not_product_closed", "small_not_product_closed",
-                                  "not_adjoint_closed", "ideal_outside_b", "one_sided",
-                                  "below_support"])
+                                  "not_adjoint_closed", "ideal_outside_b", "one_sided"])
 def test_rejected_inputs_print_the_oracle_message(workdir, tmp_path, capsys, monkeypatch,
                                                   command, kind):
     # The validation screens its residuals with op_norm_above and measures
@@ -760,6 +842,21 @@ def test_an_ideal_of_an_algebra_with_off_block_dust_is_accepted(workdir, tmp_pat
     assert len(b.frame) == 2 and b.blocks == ((0, 1), (1, 1))
     ideal = tmp_path / "dust.json"
     ideal.write_text(canonical_dumps({"B": algebra_to_json(b), "ideal_blocks": ideal_blocks}))
+    code, out, err = _run([command, "--algebra", workdir["A2.json"],
+                           "--ideal", str(ideal)], capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("command", ["fubini", "exactness"])
+def test_a_tiny_full_algebra_is_one_block(workdir, tmp_path, capsys, command):
+    # B = 1e-13 M_2: detect_blocks cuts support relative to B's largest
+    # entry, so B has M_2's one 2x2 block and ideal [0] is all of it, as
+    # for M_2.  With an absolute cut of 1e-12 it had two 1x1 blocks, and
+    # span{E_11} is a one-sided ideal of M_2.
+    b = StarAlgebra(2, 1e-13 * matrix_units(2))
+    assert b.blocks == ((0, 2),) and b.is_block_full
+    ideal = tmp_path / "tiny.json"
+    ideal.write_text(canonical_dumps({"B": algebra_to_json(b), "ideal_blocks": [0]}))
     code, out, err = _run([command, "--algebra", workdir["A2.json"],
                            "--ideal", str(ideal)], capsys)
     assert code == 0, err

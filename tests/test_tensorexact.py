@@ -247,12 +247,16 @@ class TestFubini:
         # The ideal made of both blocks is all of B.
         form = real_frame(A2, ANTI2)
         everything = IdealPresentation(B23, [0, 1]).ideal_span()
-        rows = fubini(form, B23.frame, everything)
-        assert rows.shape[0] == tensor_span_rows(form, B23.frame).shape[0] == 2 * 13
+        b_rows = tensor_span_rows(form, B23.frame)
+        rows = fubini(b_rows, tensor_span_rows(form, everything))
+        assert rows.shape[0] == b_rows.shape[0] == 2 * 13
         assert len(form) * rows.shape[0] == 2 * 4 * 13
 
     def test_zero_b_target_gives_zero(self):
-        assert fubini(real_frame(A2, ANTI2), B23.frame, []).shape[0] == 0
+        form = real_frame(A2, ANTI2)
+        zero = IdealPresentation(B23, []).ideal_span()
+        assert fubini(tensor_span_rows(form, B23.frame),
+                      tensor_span_rows(form, zero)).shape[0] == 0
 
     def test_ideal_instance_matches_span(self):
         pres = IdealPresentation(B23, [0])
