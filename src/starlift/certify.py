@@ -32,6 +32,7 @@ COMPLEX_OP = "complex_op"
 REAL_COL1 = "real_col1"
 PHI_SPLIT = "phi_split"
 NORM_MODES = (COMPLEX_OP, REAL_COL1, PHI_SPLIT)
+REAL_FORM_TOL = 1e-8    # an element lies in the real form when ||Phi(x) - x*|| is at most this
 
 NONLINEAR_THETA_FLAG = ("nonlinear theta: the normalizer is input-dependent, "
                         "so the linear homomorphism defect bound does not apply; "
@@ -250,8 +251,8 @@ def qd_complexify(cert: QDCertificate) -> tuple[QDCertificate, DefectReport]:
         raise ValueError("the bookkeeping bound needs a real matrix target")
     anti = cert.anti
     res = real_form_residual(anti, np.stack(cert.subset.elements))
-    if np.any(res > 1e-8):
-        i = int(np.argmax(res > 1e-8))
+    if np.any(res > REAL_FORM_TOL):
+        i = int(np.argmax(res > REAL_FORM_TOL))
         raise ValueError(f"subset element {cert.subset.label(i)} is not in the real form "
                          f"(residual {res[i]:.3e})")
 
@@ -303,7 +304,7 @@ def _realify_working_set(cert: QDCertificate, anti: AntiAutomorphism,
     of its products (see _evaluate), and the theta scale: ``scale``, or
     for None (the "auto" mode) the fixed scale 1/(max N + 1) over those
     images, so the linear theta is contractive there."""
-    inside = real_form_residual(anti, np.stack(cert.subset.elements)) <= 1e-8
+    inside = real_form_residual(anti, np.stack(cert.subset.elements)) <= REAL_FORM_TOL
     subset = FiniteSubset(tuple(part for a, ok in zip(cert.subset.elements, inside)
                                 for part in ((a,) if ok else real_decompose(anti, a))))
     img, prods = _evaluate(cert.phi.apply, np.stack(subset.elements))
@@ -381,6 +382,8 @@ def nuclear_witness_verify(phi: LinearMapMat, psi: LinearMapMat,
     compression witness b the same comparison is repeated between
     b* target(.) b and the b-compressed factorization.
     """
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if phi.cod_dim != psi.dom_dim:
         raise ValueError("factorization dimensions do not chain")
     if target is None:
@@ -491,6 +494,8 @@ def trace_transport(witness: TraceWitness, anti: AntiAutomorphism,
     """
     if witness.dim != anti.dim:
         raise ValueError("trace witness dimension does not match the antiautomorphism")
+    if not np.isfinite(scale):
+        raise ValueError(f"trace transport scale must be finite, got {scale!r}")
     form = real_form_basis(anti)
     imag_on_form = float(np.max(np.abs(witness(form).imag)))
     real_valued = imag_on_form <= 1e-9
@@ -523,7 +528,7 @@ def trace_transport(witness: TraceWitness, anti: AntiAutomorphism,
         if theta_scale.is_linear:
             report["theta_scale"] = theta_scale.value
         elements = np.stack(cert.subset.elements)
-        inside = np.flatnonzero(real_form_residual(anti, elements) <= 1e-8)
+        inside = np.flatnonzero(real_form_residual(anti, elements) <= REAL_FORM_TOL)
         xs = elements[inside]
         pa, tau = cert.phi.apply(xs), witness(xs)
         tau_k = normalized_trace(pa)

@@ -7,11 +7,9 @@ only in the JSON matrix schema (``io``).  The norms take one matrix or a
 stack, and the matrix units come back as one stack.  Spectral quantities
 are compared only through tolerances, never bit-exactly.
 
-A threshold test whose norm no report prints goes through
-``op_norm_above``, which answers ``op_norm(stack) > tol`` from the
-Frobenius norm and runs an SVD only for matrices it cannot decide; the
-answer is the same as the SVD's, so the screen moves no threshold.
-``positivity_defect`` likewise skips the SVD of an exactly zero skew part.
+A validation threshold goes through ``worst_op_norm``, which takes no
+SVD of a stack whose Frobenius norm is below ``DEFAULT_TOL``, and
+``positivity_defect`` skips the SVD of an exactly zero skew part.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 BATCH_ENTRIES = 2**18    # bounds the memory of a batch of stacked products
-SCREEN_GUARD = 1e-12     # relative guard band of the Frobenius screen in op_norm_above
-SCREEN_FLOOR = 1e-140    # the smallest tol that op_norm_above screens
 
 
 def as_array(x) -> np.ndarray:
@@ -63,32 +59,19 @@ def op_norm(m):
     return float(np.linalg.norm(a, 2))
 
 
-def op_norm_above(stack, tol: float) -> np.ndarray:
-    """``op_norm(stack) > tol`` as a bool array of shape (...), for a stack
-    (..., r, c), with an SVD only where the Frobenius norm cannot decide.
-
-    With k = min(r, c), sigma_1 <= F <= sqrt(k) sigma_1, so F <= tol means
-    no and F > sqrt(k) tol means yes.  Both edges are moved outward by a
-    relative guard band, SCREEN_GUARD plus a bound on the rounding of F
-    and of LAPACK's sigma_1 that grows with the entry count, so rounding
-    cannot decide a matrix the other way from ``op_norm``.  A norm that is
-    not finite, or a tol below SCREEN_FLOOR (where F**2 can underflow),
-    leaves the matrix to the SVD.
-    """
+def worst_op_norm(stack) -> float:
+    """The largest operator norm in a stack (..., r, c) if it exceeds
+    DEFAULT_TOL, else 0.0.  Each sigma_1 is at most the stack's Frobenius
+    norm, so a stack whose norm is below DEFAULT_TOL by a relative 1e-6
+    (far above the rounding of a sum of a few million squares) takes no
+    SVD.  The callers pass residuals of frame elements, which have
+    Hilbert-Schmidt norm 1, so the squares need no overflow or underflow
+    guard."""
     a = np.asarray(stack)
-    r, c = a.shape[-2:]
-    flat = np.ascontiguousarray(a).reshape(*a.shape[:-2], r * c)
-    if np.iscomplexobj(flat):
-        flat = flat.view(np.float64)     # (re, im) pairs: the same sum of squares
-    with np.errstate(over="ignore", invalid="ignore"):
-        fro = np.sqrt(np.einsum("...i,...i->...", flat, flat))
-    fro[~np.isfinite(fro) | (tol < SCREEN_FLOOR)] = np.nan
-    guard = SCREEN_GUARD + 4 * (r * c + r + c) * np.finfo(np.float64).eps
-    above = fro > np.sqrt(min(r, c)) * tol * (1.0 + guard)
-    unsure = ~above & ~(fro <= tol * (1.0 - guard))
-    if unsure.any():
-        above[unsure] = op_norm(a[unsure]) > tol
-    return above
+    if np.sqrt(np.vdot(a, a).real) <= DEFAULT_TOL * (1.0 - 1e-6):
+        return 0.0
+    worst = float(np.max(op_norm(a)))
+    return worst if worst > DEFAULT_TOL else 0.0
 
 
 def col_norm1(m):

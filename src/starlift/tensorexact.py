@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .matrix import DEFAULT_TOL, as_arrays, matrix_units, op_norm, op_norm_above
+from .matrix import DEFAULT_TOL, as_arrays, matrix_units, worst_op_norm
 from .realform import AntiAutomorphism, StarAlgebra, real_form_basis
 from .subspace import (RANK_TOL, containment_residual, kernel_rows, orth_rows,
                        realify, subspaces_equal, unrealify)
@@ -118,9 +118,9 @@ class IdealPresentation:
             inside = np.zeros(self.b.n, dtype=bool)
             inside[start:start + size] = True
             cross = self.b.frame * (inside[:, None] != inside[None, :])
-            bad = cross[op_norm_above(cross, DEFAULT_TOL)]
-            if len(bad):    # exact norms for the message
-                raise ValueError(f"ideal span is not two-sided: residual {op_norm(bad).max():.3e}")
+            resid = worst_op_norm(cross)
+            if resid:
+                raise ValueError(f"ideal span is not two-sided: residual {resid:.3e}")
 
 
 # -- B's rows of the spans entering the Fubini and exactness checks -------

@@ -83,8 +83,8 @@ class ThetaScale:
     def __post_init__(self) -> None:
         if self.mode not in ("paper", "fixed"):
             raise ValueError(f"theta mode must be 'paper' or 'fixed', got {self.mode!r}")
-        if self.mode == "fixed" and not (self.value > 0):
-            raise ValueError("fixed theta scale must be positive")
+        if self.mode == "fixed" and not (np.isfinite(self.value) and self.value > 0):
+            raise ValueError(f"fixed theta scale must be positive and finite, got {self.value!r}")
 
     @property
     def is_linear(self) -> bool:

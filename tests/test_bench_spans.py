@@ -59,21 +59,26 @@ def test_unresolved_span_names_are_the_known_ones():
 
 
 def test_the_recorder_times_the_op_norm_screen():
-    # op_norm_above is a public function of ``matrix``, so the recorder
-    # wraps it and rebinds it in every module that imported it.
+    # op_norm and worst_op_norm, the threshold that screens validation
+    # residuals, are public functions of ``matrix``, so the recorder wraps
+    # them and rebinds them in every module that imported them.
     from starlift import matrix, realform, tensorexact
 
-    raw = matrix.op_norm_above
+    raw = {name: getattr(matrix, name) for name in ("op_norm", "worst_op_norm")}
     rec = _spans().Recorder()
     rec.install()
     try:
-        for mod in (matrix, realform, tensorexact):
-            assert mod.op_norm_above is not raw
-            assert mod.op_norm_above.__wrapped__ is raw
+        for mod, name in ((matrix, "op_norm"), (realform, "op_norm"),
+                          (realform, "worst_op_norm"), (tensorexact, "worst_op_norm")):
+            assert getattr(mod, name) is not raw[name]
+            assert getattr(mod, name).__wrapped__ is raw[name]
         # span{1, X} is a proper subalgebra of M_2, so it is validated by
-        # its products, not by its block structure.
+        # its products, not by its block structure, and op_norm measures
+        # its identity residual.
         realform.StarAlgebra(2, (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])))
     finally:
         rec.uninstall()
-    assert matrix.op_norm_above is raw and realform.op_norm_above is raw
-    assert rec.names.index("matrix.op_norm_above") in rec.name    # a span was taken
+    assert all(getattr(mod, name) is raw[name]
+               for mod in (matrix, realform) for name in raw)
+    for name in raw:
+        assert rec.names.index(f"matrix.{name}") in rec.name    # a span was taken

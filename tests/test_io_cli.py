@@ -21,7 +21,7 @@ from starlift.io import (SchemaError, algebra_to_json, anti_to_json,
                          matrix_from_json, matrix_to_json, subset_from_json)
 from starlift.matrix import matrix_units, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra
-from starlift.sampling import random_matrix
+from starlift.sampling import random_matrix, random_unitary
 from starlift.transport import rho_map, sigma_map
 
 import algebra_oracle
@@ -756,6 +756,22 @@ def test_a_tolerance_that_is_not_positive_and_finite_exits_two(
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize("command, option, value, want", [
+    *[("nuclear-verify", "--epsilon", v, f"epsilon must be positive and finite, got {v}")
+      for v in ("-1.0", "0.0", "nan", "inf")],
+    *[("qd-transport", "--theta-mode", f"fixed:{v}",
+       f"fixed theta scale must be positive and finite, got {v}") for v in ("inf", "nan")],
+    *[("trace-audit", "--scale", v, f"trace transport scale must be finite, got {v}")
+      for v in ("inf", "-inf", "nan")]])
+def test_a_parameter_out_of_range_exits_two_naming_it(workdir, capsys, command, option,
+                                                      value, want):
+    # Exit 1 is a verified failure, and a non-finite value must not reach
+    # the arithmetic or the JSON encoder.
+    argv = (["qd-transport", "--cert", workdir["cx_cert.json"], "--direction", "realify"]
+            if command == "qd-transport" else _argv(workdir, command))
+    assert _run(argv + [f"{option}={value}"], capsys) == (2, "", f"error: {want}\n")
+
+
 @pytest.mark.parametrize("command", ["fubini", "exactness"])
 def test_an_ideal_outside_b_exits_two(workdir, tmp_path, capsys, command):
     # B = span{I_2} splits into two 1x1 blocks, but E_11 is not in B.
@@ -816,9 +832,10 @@ def _rejected_input(kind: str, tmp_path):
                                   "not_adjoint_closed", "ideal_outside_b", "one_sided"])
 def test_rejected_inputs_print_the_oracle_message(workdir, tmp_path, capsys, monkeypatch,
                                                   command, kind):
-    # The validation screens its residuals with op_norm_above and measures
-    # exactly only the ones above the tolerance, so each rejection must
-    # still print the residual that the one-at-a-time oracle measures.
+    # The validation measures a whole stack of residuals at once and skips
+    # the SVD when the stack's norm is below the tolerance, so each
+    # rejection must still print the residual that the one-at-a-time
+    # oracle measures.
     algebra, ideal, blocks, want = _rejected_input(kind, tmp_path)
     if blocks is not None:
         # B (n = 3) gets the partition; A (n = 2) keeps its own.
@@ -845,6 +862,39 @@ def test_an_ideal_of_an_algebra_with_off_block_dust_is_accepted(workdir, tmp_pat
     code, out, err = _run([command, "--algebra", workdir["A2.json"],
                            "--ideal", str(ideal)], capsys)
     assert code == 0, err
+
+
+@pytest.mark.parametrize("command", ["fubini", "exactness"])
+@pytest.mark.parametrize("kind", ["proper_subalgebra", "off_block_dust"])
+def test_validation_verdicts_do_not_depend_on_the_scale(workdir, tmp_path, capsys,
+                                                        command, kind):
+    # B is validated on its frame, whose elements have norm 1, so at 1e-150
+    # and 1e150, under cmd_dispatch's errstate that raises on overflow, it
+    # gets the verdict and message it gets at scale 1.  span{1, X}, with X
+    # a rotated 1 (x) sigma_x, is a proper subalgebra of M_4 whose one block
+    # is not in it; the dusty B has two blocks, and block 1 is an ideal.
+    if kind == "proper_subalgebra":
+        q = random_unitary(np.random.default_rng(3), 4)
+        span = np.stack([np.eye(4), q @ np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
+                         @ q.conj().T])
+        ideal_blocks, want = [0], 2
+    else:
+        units = matrix_units(2)
+        span = np.stack([units[0], units[3], 1e-8 * units[3] + 5e-13 * units[1]])
+        ideal_blocks, want = [1], 0
+    results = []
+    for scale in (1.0, 1e-150, 1e150):
+        b = StarAlgebra(len(span[0]), scale * span)
+        assert not b.is_block_full
+        ideal = tmp_path / f"{scale}.json"
+        ideal.write_text(canonical_dumps({"B": algebra_to_json(b),
+                                          "ideal_blocks": ideal_blocks}))
+        code, out, err = _run([command, "--algebra", workdir["A2.json"],
+                               "--ideal", str(ideal)], capsys)
+        results.append((code, err))
+    assert results == [(want, results[0][1])] * 3
+    if want == 2:
+        assert results[0][1].startswith("error: ideal.ideal_blocks: ideal block 0 does not lie")
 
 
 @pytest.mark.parametrize("command", ["fubini", "exactness"])

@@ -1,5 +1,7 @@
-"""Numeric core: norms, the op-norm screen, positivity defects, matrix
-units, Kronecker products."""
+"""Numeric core: norms, the validation threshold, positivity defects,
+matrix units, Kronecker products."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ from hypothesis import strategies as st
 
 from starlift.io import matrix_to_json
 from starlift import matrix
-from starlift.matrix import (BATCH_ENTRIES, SCREEN_FLOOR, SCREEN_GUARD, batches, col_norm1,
-                             doubled_units, hermitian_defect, matrix_units, op_norm,
-                             op_norm_above, positivity_defect, split_norm)
+from starlift.matrix import (BATCH_ENTRIES, DEFAULT_TOL, batches, col_norm1, doubled_units,
+                             hermitian_defect, matrix_units, op_norm, positivity_defect,
+                             split_norm, worst_op_norm)
 from starlift.sampling import random_matrix, random_unitary
 
 
@@ -228,10 +230,10 @@ def test_norms_take_stacks(norm, shape):
     assert got.ravel().tolist() == singles      # bit-equal to one at a time
 
 
-# -- the Frobenius screen ------------------------------------------------------
+# -- the validation threshold ----------------------------------------------
 
 EPS = np.finfo(np.float64).eps
-SCREEN_TOLS = (1e-9, 1e-10, 1.0, 3.5e4, 1e-150)
+SCREEN_EDGE = DEFAULT_TOL * (1.0 - 1e-6)    # worst_op_norm takes no SVD at or below it
 
 
 def _unit_direction(rng, r: int, c: int, cplx: bool, kind: str) -> np.ndarray:
@@ -250,78 +252,42 @@ def _unit_direction(rng, r: int, c: int, cplx: bool, kind: str) -> np.ndarray:
 
 @st.composite
 def screen_cases(draw):
-    """(stack, tol): random, zero, rank-one and full-rank matrices, scaled
-    so that sigma_1 = tol or F sits on either edge of the guard band, each
-    to within a few ulp."""
-    tol = draw(st.sampled_from(SCREEN_TOLS))
+    """Stacks of random, zero, rank-one and full-rank matrices, scaled so
+    that a sigma_1 is DEFAULT_TOL, or then rescaled as a whole so that the
+    stack's norm is on the screen's edge or just past it, each to within a
+    few ulp."""
     r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     cplx = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    k = min(r, c)
     mats = []
     for _ in range(draw(st.integers(0, 5))):
         kind = draw(st.sampled_from(("random", "zero", "rank1", "full")))
         if kind == "zero":
             mats.append(np.zeros((r, c)))
-            continue
-        if kind == "random":
+        elif kind == "random":
             g = rng.standard_normal((r, c)) + (1j * rng.standard_normal((r, c)) if cplx else 0)
-            mats.append(tol * 10.0 ** draw(st.floats(-1.5, 1.5)) * g)
-            continue
-        # The target is sigma_1 itself, or F on the low edge tol (1 - g) or
-        # the high edge sqrt(k) tol (1 + g), with g the guard band or just
-        # past it; F = sigma_1 for rank one and sqrt(k) sigma_1 at full rank.
-        fro_per_sigma = 1.0 if kind == "rank1" else np.sqrt(k)
-        band = draw(st.sampled_from((0.0, 0.5, 1.0, 1.02, 1.05, 1.5))) * SCREEN_GUARD
-        edge = draw(st.sampled_from(("sigma", "low", "high")))
-        fro = {"sigma": tol * fro_per_sigma, "low": tol * (1.0 - band),
-               "high": np.sqrt(k) * tol * (1.0 + band)}[edge]
-        fro *= 1.0 + draw(st.integers(-4, 4)) * EPS
-        mats.append(fro / fro_per_sigma * _unit_direction(rng, r, c, cplx, kind))
-    dtype = np.complex128 if cplx else np.float64
-    return np.array(mats, dtype=dtype).reshape(len(mats), r, c), tol
+            mats.append(DEFAULT_TOL * 10.0 ** draw(st.floats(-1.5, 1.5)) * g)
+        else:
+            sigma = DEFAULT_TOL * (1.0 + draw(st.integers(-4, 4)) * EPS)
+            mats.append(sigma * _unit_direction(rng, r, c, cplx, kind))
+    stack = np.array(mats, dtype=np.complex128 if cplx else np.float64).reshape(-1, r, c)
+    if draw(st.booleans()) and stack.any():
+        # For one rank-one matrix the stack's norm is sigma_1 itself.
+        band = draw(st.sampled_from((0.0, 0.5, 1.0, 1.02, 1.05, 1.5))) * 1e-6
+        stack *= DEFAULT_TOL * (1.0 - band) / np.linalg.norm(stack)
+        stack *= 1.0 + draw(st.integers(-4, 4)) * EPS
+    return stack
 
 
 @settings(max_examples=400, deadline=None)
 @given(screen_cases())
-def test_op_norm_above_is_the_svd_threshold(case):
-    stack, tol = case
-    got = op_norm_above(stack, tol)
-    assert got.dtype == bool and got.shape == stack.shape[:-2]
-    assert got.tolist() == (op_norm(stack) > tol).tolist()
-
-
-def test_op_norm_above_takes_the_svd_only_inside_the_band(monkeypatch):
-    calls = []
-    monkeypatch.setattr(matrix, "op_norm", lambda a: calls.append(len(a)) or op_norm(a))
-    tol = 1e-9
-    clear = np.stack([np.zeros((3, 3)), 0.5 * tol * np.eye(3), 2.0 * tol * np.eye(3),
-                      tol * np.ones((3, 3))])
-    assert op_norm_above(clear, tol).tolist() == [False, False, True, True]
-    assert calls == []
-    # Each of I tol/1.1 and 1.1 I tol/sqrt(3) has sqrt(3) sigma_1 >= F > tol.
-    inside = np.stack([tol / 1.1 * np.eye(3), 1.1 * tol / np.sqrt(3) * np.eye(3)])
-    assert op_norm_above(np.concatenate([clear, inside]), tol).tolist() == \
-        [False, False, True, True, False, False]
-    assert calls == [2]
-
-
-@pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 3), (2, 3, 2, 2)])
-def test_op_norm_above_keeps_the_stack_shape(shape):
-    xs = np.random.default_rng(3).standard_normal(shape)
-    assert op_norm_above(xs, 0.5).tolist() == (op_norm(xs) > 0.5).tolist()
-
-
-def test_op_norm_above_leaves_what_it_cannot_screen_to_the_svd():
-    # F**2 overflows for entries near 1e200, although sigma_1 is finite;
-    # cmd_dispatch raises on overflow, so the screen must not.
-    big = np.stack([1e200 * np.eye(2), np.zeros((2, 2))])
-    with np.errstate(over="raise", invalid="raise"):
-        assert op_norm_above(big, 1e-9).tolist() == [True, False]
-        assert op_norm_above(big, 1e201).tolist() == [False, False]
-    # Below SCREEN_FLOOR, F**2 of tiny entries can underflow to 0.
-    tiny = 1e-170 * np.ones((1, 3, 3))
-    assert op_norm_above(tiny, SCREEN_FLOOR / 1e40).tolist() == [True]
+def test_worst_op_norm_is_the_svd_threshold(stack):
+    norms = op_norm(stack)
+    worst = float(norms.max()) if norms.size else 0.0
+    with mock.patch.object(matrix, "op_norm", wraps=op_norm) as svd:
+        got = worst_op_norm(stack)
+    assert type(got) is float and got == (worst if worst > DEFAULT_TOL else 0.0)
+    assert svd.called == (np.linalg.norm(stack) > SCREEN_EDGE)
 
 
 def _positivity_defect_full(xs):

@@ -59,6 +59,36 @@ class TestAntiAutomorphismValidation:
         assert not rep.ok
         assert rep.unitary_defect > 1e-10
 
+    @pytest.mark.parametrize("defect", ["unitary", "symmetry"])
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+    def test_each_defect_is_bounded_by_1e_10(self, defect, factor):
+        # diag(sqrt(1 + t), 1) has ||u*u - I|| = t and is symmetric; the
+        # rotation by asin(t / 2) is unitary with ||u^T - u|| = t.
+        t = 1e-10 * factor
+        if defect == "unitary":
+            u = np.diag([np.sqrt(1.0 + t), 1.0])
+        else:
+            c, s = np.cos(np.arcsin(t / 2)), t / 2
+            u = np.array([[c, s], [-s, c]])
+        rep = check_antiautomorphism(u, samples=1)
+        unit, sym = rep.unitary_defect, rep.symmetry_defect
+        assert (unit if defect == "unitary" else sym) == pytest.approx(t, rel=1e-5)
+        if factor < 1:
+            AntiAutomorphism(u)
+            return
+        want = (f"u is not unitary: ||u*u - I|| = {unit:.3e}" if defect == "unitary"
+                else f"u^T must equal +-u for an involution: defect {sym:.3e}")
+        with pytest.raises(ValueError) as exc:
+            AntiAutomorphism(u)
+        assert str(exc.value) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_transpose_is_the_validated_identity(self, n):
+        anti = AntiAutomorphism.transpose(n)
+        assert np.array_equal(anti.u, AntiAutomorphism(np.eye(n)).u)
+        assert anti.u.dtype == np.complex128 and not anti.u.flags.writeable
+        assert check_antiautomorphism(anti, samples=5, seed=n).ok
+
 
 def _candidate_u(kind: tuple, move: str, size: float, rng) -> np.ndarray:
     """A 4 x 4 candidate u built from a unitary or a general q: q q^T
@@ -86,8 +116,7 @@ class TestValidationMatchesCheck:
            st.sampled_from((0.0, 3e-11, 1e-10, 1e-9)), st.integers(0, 2**32 - 1))
     def test_raises_exactly_on_a_reported_defect(self, kind, move, size, seed):
         u = _candidate_u(kind, move, size, np.random.default_rng(seed))
-        # The constructor screens the defects without an SVD and measures
-        # them exactly only for its message, which must match the report.
+        # The constructor's verdict and message must match the report.
         rep = check_antiautomorphism(u, samples=2, seed=0)
         if rep.unitary_defect > 1e-10:
             want = f"u is not unitary: ||u*u - I|| = {rep.unitary_defect:.3e}"
