@@ -65,22 +65,18 @@ def _value_norms(xs, mode: str, anti: AntiAutomorphism | None = None,
 
 @dataclass(frozen=True, eq=False)
 class FiniteSubset:
-    """A nonempty list of same-shaped matrices, optionally labelled."""
+    """A nonempty list of square matrices of one size, optionally labelled."""
 
-    elements: tuple
+    elements: np.ndarray    # read-only complex stack (k, n, n); built from any same-shaped sequence
     labels: tuple | None = None
 
     def __post_init__(self) -> None:
-        mats = tuple(as_array(m).astype(np.complex128) for m in self.elements)
-        if not mats:
+        mats = np.array(self.elements, dtype=np.complex128)
+        if not len(mats):
             raise ValueError("finite subset must be nonempty")
-        shape = mats[0].shape
-        if shape[0] != shape[1]:
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError("subset elements must be square")
-        for m in mats:
-            if m.shape != shape:
-                raise ValueError("subset elements must share one dimension")
-            m.setflags(write=False)
+        mats.setflags(write=False)
         object.__setattr__(self, "elements", mats)
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
@@ -93,7 +89,7 @@ class FiniteSubset:
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     def label(self, i: int) -> str:
         if self.labels is not None:
@@ -199,7 +195,7 @@ def _mult_witness(img: np.ndarray, prods: np.ndarray, subset: FiniteSubset,
 def _norm_witness(img: np.ndarray, subset: FiniteSubset, mode: str,
                   anti: AntiAutomorphism | None) -> dict:
     """Worst | ||phi(a)|| - ||a|| | over the subset, from the images."""
-    norms = _value_norms(np.stack(subset.elements), mode, anti, domain=True)
+    norms = _value_norms(subset.elements, mode, anti, domain=True)
     return _worst(np.abs(_value_norms(img, mode) - norms),
                   lambda i: {"element": subset.label(i)})
 
@@ -211,7 +207,7 @@ def qd_verify(cert: QDCertificate) -> DefectReport:
     certificate's convention: operator norms, column-sum norms on real
     matrices, or the split norm ||a|| + ||b|| across a decomposition.
     """
-    img, prods = _evaluate(cert.phi.apply, np.stack(cert.subset.elements))
+    img, prods = _evaluate(cert.phi.apply, cert.subset.elements)
     mult = _mult_witness(img, prods, cert.subset, cert.norm_mode)
     norm = _norm_witness(img, cert.subset, cert.norm_mode, cert.anti)
     return DefectReport(
@@ -224,24 +220,15 @@ def qd_verify(cert: QDCertificate) -> DefectReport:
     )
 
 
-def synthesize_pairs(subset: FiniteSubset) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pair the first half of F with the second half; an odd leftover
-    gets a zero imaginary partner."""
-    mats = subset.elements
-    half = (len(mats) + 1) // 2
-    partners = mats[half:] + (np.zeros_like(mats[0]),) * (2 * half - len(mats))
-    return list(zip(mats[:half], partners))
-
-
 def qd_complexify(cert: QDCertificate) -> tuple[QDCertificate, DefectReport]:
     """Complexify a real-form certificate and check the bookkeeping.
 
-    The complexified multiplicative defect of each synthesized element
-    pair, in the split norm, must not exceed the sum of the four
-    contributing real defects (measured in operator norm); the split
-    norm defect must not exceed the sum of the two real norm defects.
-    Both bounds are triangle inequalities and are verified numerically
-    with a 1e-9 cushion.
+    Complexified element k is F[k] + i F[h + k], h = ceil(|F| / 2), with
+    a zero partner for an odd leftover.  Its multiplicative defect, in the
+    split norm, must not exceed the sum of the four contributing real
+    defects (measured in operator norm); the split norm defect must not
+    exceed the sum of the two real norm defects.  Both bounds are triangle
+    inequalities and are verified numerically with a 1e-9 cushion.
     """
     if cert.anti is None:
         raise ValueError("complexification needs the certificate's antiautomorphism")
@@ -249,22 +236,22 @@ def qd_complexify(cert: QDCertificate) -> tuple[QDCertificate, DefectReport]:
         raise ValueError("qd_complexify expects a real-linear certificate map")
     if cert.phi.cod_field != REAL:
         raise ValueError("the bookkeeping bound needs a real matrix target")
-    anti = cert.anti
-    res = real_form_residual(anti, np.stack(cert.subset.elements))
+    f = cert.subset.elements
+    res = real_form_residual(cert.anti, f)
     if np.any(res > REAL_FORM_TOL):
         i = int(np.argmax(res > REAL_FORM_TOL))
         raise ValueError(f"subset element {cert.subset.label(i)} is not in the real form "
                          f"(residual {res[i]:.3e})")
 
-    phi_c = complexify(cert.phi, anti)
-    parts = np.stack([x for pair in synthesize_pairs(cert.subset) for x in pair])
+    phi_c = complexify(cert.phi, cert.anti)
+    parts = np.concatenate([f, np.zeros_like(f[:len(f) % 2])])    # F padded to even length
     img, prods = _evaluate(cert.phi.apply, parts)
     dop = _value_norms(prods - img[:, None] @ img[None], COMPLEX_OP)
     part_norms = _value_norms(parts, COMPLEX_OP)
     norm_op = np.abs(_value_norms(img, COMPLEX_OP) - part_norms)
 
-    # Complexified element k is re + i im with re, im the parts 2k, 2k + 1.
-    re, im = slice(0, None, 2), slice(1, None, 2)
+    h = len(parts) // 2
+    re, im = slice(0, h), slice(h, None)
     complexified = parts[re] + 1j * parts[im]
     img_c, prod_c = _evaluate(phi_c.apply, complexified)
     norm_defects = np.abs(_value_norms(img_c, PHI_SPLIT) - (part_norms[re] + part_norms[im]))
@@ -278,9 +265,8 @@ def qd_complexify(cert: QDCertificate) -> tuple[QDCertificate, DefectReport]:
     mult_margin = np.max(mult_defects - mult_bounds)
     norm_margin = np.max(norm_defects - norm_bounds)
 
-    new_subset = FiniteSubset(tuple(complexified))
-    new_cert = QDCertificate(cert.algebra, new_subset, phi_c, cert.epsilon,
-                             PHI_SPLIT, anti)
+    new_cert = QDCertificate(cert.algebra, FiniteSubset(complexified), phi_c, cert.epsilon,
+                             PHI_SPLIT, cert.anti)
     report = DefectReport(
         epsilon=cert.epsilon,
         norm_mode=PHI_SPLIT,
@@ -304,10 +290,10 @@ def _realify_working_set(cert: QDCertificate, anti: AntiAutomorphism,
     of its products (see _evaluate), and the theta scale: ``scale``, or
     for None (the "auto" mode) the fixed scale 1/(max N + 1) over those
     images, so the linear theta is contractive there."""
-    inside = real_form_residual(anti, np.stack(cert.subset.elements)) <= REAL_FORM_TOL
-    subset = FiniteSubset(tuple(part for a, ok in zip(cert.subset.elements, inside)
-                                for part in ((a,) if ok else real_decompose(anti, a))))
-    img, prods = _evaluate(cert.phi.apply, np.stack(subset.elements))
+    inside = real_form_residual(anti, cert.subset.elements) <= REAL_FORM_TOL
+    subset = FiniteSubset([part for a, ok in zip(cert.subset.elements, inside)
+                           for part in ((a,) if ok else real_decompose(anti, a))])
+    img, prods = _evaluate(cert.phi.apply, subset.elements)
     if scale is None:
         scale = ThetaScale.for_working_set(
             np.concatenate([img, prods.reshape((-1,) + img.shape[1:])]))
@@ -335,7 +321,7 @@ def qd_realify(cert: QDCertificate, anti: AntiAutomorphism | None = None,
 
     subset, img, prods, scale = _realify_working_set(cert, anti, scale)
     rmap = RealifiedMap(cert.phi, anti, scale)
-    r_img, r_prods = _evaluate(rmap.apply, np.stack(subset.elements))
+    r_img, r_prods = _evaluate(rmap.apply, subset.elements)
     mult_witness = _mult_witness(r_img, r_prods, subset, REAL_COL1)
     norm_witness = _norm_witness(r_img, subset, REAL_COL1, anti)
 
@@ -391,7 +377,7 @@ def nuclear_witness_verify(phi: LinearMapMat, psi: LinearMapMat,
     if target.dom_dim != phi.dom_dim or target.cod_dim != psi.cod_dim:
         raise ValueError("target dimensions do not match the factorization")
 
-    elements = np.stack(subset.elements)
+    elements = subset.elements
     worst = _worst(_value_norms(compose(psi, phi).apply(elements) - target.apply(elements),
                                 norm_mode),
                    lambda i: {"element": subset.label(i)})
@@ -463,10 +449,9 @@ def trace_qd_verify(cert: QDCertificate, witness: TraceWitness) -> DefectReport:
     if residual > DEFAULT_TOL:
         raise ValueError("trace witness is not tracial on the algebra: "
                          f"max |tau(ab) - tau(ba)| = {residual:.3e}")
-    xs = np.stack(cert.subset.elements)
-    img, prods = _evaluate(cert.phi.apply, xs)
+    img, prods = _evaluate(cert.phi.apply, cert.subset.elements)
     mult = _mult_witness(img, prods, cert.subset, cert.norm_mode)
-    d = normalized_trace(img) - witness(xs)
+    d = normalized_trace(img) - witness(cert.subset.elements)
     trace = _worst(np.hypot(d.real, d.imag), lambda i: {"element": cert.subset.label(i)})
     return DefectReport(
         epsilon=cert.epsilon,
@@ -527,9 +512,8 @@ def trace_transport(witness: TraceWitness, anti: AntiAutomorphism,
         report["theta_mode"] = theta_scale.mode
         if theta_scale.is_linear:
             report["theta_scale"] = theta_scale.value
-        elements = np.stack(cert.subset.elements)
-        inside = np.flatnonzero(real_form_residual(anti, elements) <= REAL_FORM_TOL)
-        xs = elements[inside]
+        inside = np.flatnonzero(real_form_residual(anti, cert.subset.elements) <= REAL_FORM_TOL)
+        xs = cert.subset.elements[inside]
         pa, tau = cert.phi.apply(xs), witness(xs)
         tau_k = normalized_trace(pa)
         lhs = normalized_trace(theta(pa, theta_scale)).real

@@ -182,12 +182,15 @@ def _cmd_trace_audit(args):
 def _cmd_nuclear_verify(args):
     phi = map_from_json(load_json(args.phi_map), "phi_map")
     psi = map_from_json(load_json(args.psi_map), "psi_map")
-    elements = subset_from_json(load_json(args.set), "F")
-    subset = FiniteSubset(tuple(elements))
-    target = None
-    if args.target:
-        target = map_from_json(load_json(args.target), "target")
-    b_list = list(subset_from_json(load_json(args.b_list), "b_list")) if args.b_list else None
+    subset = FiniteSubset(subset_from_json(load_json(args.set), "F"))
+    target = map_from_json(load_json(args.target), "target") if args.target else None
+    b_list = None
+    if args.b_list:     # compressions may differ in width, so each is decoded alone
+        raw = load_json(args.b_list)
+        if not isinstance(raw, list) or not raw:
+            raise SchemaError("b_list", "expected a nonempty list of matrices")
+        b_list = [matrix_from_json(b, f"b_list[{i}]").astype(np.complex128)
+                  for i, b in enumerate(raw)]
     report = nuclear_witness_verify(phi, psi, subset, epsilon=args.epsilon,
                                     target=target, norm_mode=args.norm_mode,
                                     b_list=b_list)

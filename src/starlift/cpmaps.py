@@ -81,10 +81,8 @@ class LinearMapMat:
                       dom_field: str = COMPLEX,
                       cod_field: str = COMPLEX) -> "LinearMapMat":
         """Tabulate ``f`` on the canonical domain basis, one element at a time."""
-        images = [as_array(f(b)).astype(np.complex128)
-                  for b in canonical_basis(dom_dim, linearity, dom_field)]
-        return cls(dom_dim, images[0].shape[0], linearity, np.stack(images),
-                   dom_field, cod_field)
+        images = [as_array(f(b)) for b in canonical_basis(dom_dim, linearity, dom_field)]
+        return cls(dom_dim, len(images[0]), linearity, images, dom_field, cod_field)
 
     @classmethod
     def identity(cls, n: int, linearity: str = COMPLEX,
@@ -284,6 +282,8 @@ def cp_defect_real_report(phi: LinearMapMat, level: int, samples: int = 20,
         raise ValueError("cp_defect_real_report expects a real-linear map")
     if level < 1:
         raise ValueError("level must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     n = phi.dom_dim
     rng = np.random.default_rng(seed)
 

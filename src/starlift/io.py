@@ -158,25 +158,33 @@ def matrix_from_json(doc, path: str = "matrix") -> np.ndarray:
     return arr.real.copy() if fld == "R" else arr
 
 
-def subset_from_json(raw, path: str = "F"):
-    """The complex matrices of a nonempty list of matrix documents (a set
-    F, a span, a map's images): a (k, r, c) stack when they share one
-    shape, else a tuple.  One shape and field are decoded in one pass, as
-    one kr x c document; else ``matrix_from_json`` names the bad entry."""
+def subset_from_json(raw, path: str = "F") -> np.ndarray:
+    """The read-only complex (k, r, c) stack of a nonempty list of matrix
+    documents of one shape (a set F, a span, a map's images).  One shape
+    and field are decoded in one pass, as one kr x c document; else each
+    entry alone, ``matrix_from_json`` naming a bad one, and then the first
+    entry shaped unlike ``path[0]`` is rejected at its path."""
     if not isinstance(raw, list) or not raw:
         raise SchemaError(path, "expected a nonempty list of matrices")
+    mats = None
     try:
         ((rtype, rows, cols, field),) = {(type(d["rows"]), d["rows"], d["cols"], d["field"])
                                          for d in raw}
         if rtype is int and {(type(d["data"]), len(d["data"])) for d in raw} == {
                 (list, rows * cols)}:
-            whole = matrix_from_json({"rows": len(raw) * rows, "cols": cols, "field": field,
-                                      "data": list(chain.from_iterable(d["data"] for d in raw))})
-            return whole.astype(np.complex128).reshape(len(raw), rows, cols)
+            mats = matrix_from_json({"rows": len(raw) * rows, "cols": cols, "field": field,
+                                     "data": list(chain.from_iterable(d["data"] for d in raw))}
+                                    ).reshape(len(raw), rows, cols)
     except (KeyError, TypeError, ValueError, OverflowError):    # SchemaError is a ValueError
         pass
-    mats = [matrix_from_json(m, f"{path}[{i}]").astype(np.complex128) for i, m in enumerate(raw)]
-    return np.stack(mats) if len({m.shape for m in mats}) == 1 else tuple(mats)
+    if mats is None:
+        mats = [matrix_from_json(d, f"{path}[{i}]") for i, d in enumerate(raw)]
+        if i := next((i for i, m in enumerate(mats) if m.shape != mats[0].shape), 0):
+            raise SchemaError(f"{path}[{i}]",
+                              f"expected the shape {mats[0].shape} of {path}[0], got {mats[i].shape}")
+    stack = np.array(mats, dtype=np.complex128)
+    stack.setflags(write=False)
+    return stack
 
 
 # -- linear maps --------------------------------------------------------------
@@ -213,10 +221,9 @@ def map_from_json(doc, path: str = "map") -> LinearMapMat:
         raise SchemaError(f"{path}.images",
                           f"expected {size} images in basis order")
     images = subset_from_json(raw, f"{path}.images")
-    if not isinstance(images, np.ndarray) or images.shape[1:] != (cod, cod):
-        i, im = next((i, im) for i, im in enumerate(images) if im.shape != (cod, cod))
-        raise SchemaError(f"{path}.images[{i}]",
-                          f"expected a {cod}x{cod} matrix, got {im.shape}")
+    if images.shape[1:] != (cod, cod):
+        raise SchemaError(f"{path}.images[0]",
+                          f"expected a {cod}x{cod} matrix, got {images.shape[1:]}")
     imaginary = images.imag.ravel() != 0
     has_imag = imaginary.any()
     cod_field = doc.get("cod_field")
@@ -312,8 +319,7 @@ def cert_from_json(doc, path: str = "certificate") -> QDCertificate:
     if "anti" in doc:
         anti = anti_from_json(doc["anti"], f"{path}.anti")
     try:
-        subset = FiniteSubset(tuple(elements),
-                              tuple(labels) if labels else None)
+        subset = FiniteSubset(elements, labels or None)
         cert = QDCertificate(algebra, subset, phi, epsilon, norm_mode, anti)
         if algebra.unital and (d := phi.unitality_defect()) > 1e-9:
             raise ValueError(f"map is not unital: ||phi(1) - 1|| = {d:.3e}")

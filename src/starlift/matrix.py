@@ -64,13 +64,13 @@ def worst_op_norm(stack) -> float:
     DEFAULT_TOL, else 0.0.  Each sigma_1 is at most the stack's Frobenius
     norm, so a stack whose norm is below DEFAULT_TOL by a relative 1e-6
     (far above the rounding of a sum of a few million squares) takes no
-    SVD.  The callers pass residuals of frame elements, which have
-    Hilbert-Schmidt norm 1, so the squares need no overflow or underflow
-    guard."""
-    a = np.asarray(stack)
-    if np.sqrt(np.vdot(a, a).real) <= DEFAULT_TOL * (1.0 - 1e-6):
+    SVD.  That norm is ``np.linalg.norm``'s, since another sum of squares
+    can round to the other side of the edge.  The callers pass residuals
+    of frame elements, which have Hilbert-Schmidt norm 1, so the squares
+    need no overflow or underflow guard."""
+    if np.linalg.norm(stack) <= DEFAULT_TOL * (1.0 - 1e-6):
         return 0.0
-    worst = float(np.max(op_norm(a)))
+    worst = float(np.max(op_norm(stack)))
     return worst if worst > DEFAULT_TOL else 0.0
 
 

@@ -184,19 +184,16 @@ class StarAlgebra:
     """
 
     n: int
-    span: np.ndarray    # read-only complex stack (k, n, n); built from any sequence of matrices
+    span: np.ndarray    # read-only complex stack (k, n, n); built from any same-shaped sequence
     unital: bool = True
     validate: bool = True
 
     def __post_init__(self) -> None:
-        if not len(self.span):
-            raise ValueError("span must be nonempty")
-        shapes = ([self.span.shape[1:]] if isinstance(self.span, np.ndarray)
-                  else map(np.shape, self.span))
-        bad = [shape for shape in shapes if shape != (self.n, self.n)]
-        if bad:
-            raise ValueError(f"span matrix has shape {bad[0]}, expected ({self.n},{self.n})")
         span = np.array(self.span, dtype=np.complex128)
+        if not len(span):
+            raise ValueError("span must be nonempty")
+        if span.shape[1:] != (self.n, self.n):
+            raise ValueError(f"span matrix has shape {span.shape[1:]}, expected ({self.n},{self.n})")
         if not np.isfinite(span).all():
             raise ValueError("span matrix has a non-finite entry")
         span.setflags(write=False)

@@ -95,9 +95,14 @@ class ThetaScale:
         """Parse 'paper' or 'fixed:<value>'."""
         if text == "paper":
             return cls("paper")
-        if text.startswith("fixed:"):
-            return cls("fixed", float(text.split(":", 1)[1]))
-        raise ValueError(f"bad theta mode {text!r}; expected 'paper' or 'fixed:<value>'")
+        mode, _, value = text.partition(":")
+        try:
+            scale = float(value) if mode == "fixed" else None
+        except ValueError:
+            scale = None
+        if scale is None:
+            raise ValueError(f"bad theta mode {text!r}; expected 'paper' or 'fixed:<value>'")
+        return cls("fixed", scale)
 
     @classmethod
     def for_working_set(cls, mats) -> "ThetaScale":

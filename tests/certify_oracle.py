@@ -13,7 +13,7 @@ for equal bits.
 import numpy as np
 
 from starlift.certify import (COMPLEX_OP, NONLINEAR_THETA_FLAG, PHI_SPLIT, REAL_COL1,
-                              DefectReport, FiniteSubset, _evaluate, synthesize_pairs)
+                              DefectReport, FiniteSubset, _evaluate)
 from starlift.cpmaps import (LinearMapMat, _canonical_positive, _combine,
                              complexify, compose, compress)
 from starlift.matrix import as_array
@@ -112,11 +112,21 @@ def qd_verify(cert) -> dict:
                         ).to_json()
 
 
+def _pairs(subset) -> list:
+    """(F[k], F[h + k]) for k < h = ceil(|F| / 2), an odd leftover paired
+    with zero."""
+    mats = list(subset.elements)
+    half = (len(mats) + 1) // 2
+    partners = mats[half:] + [np.zeros_like(mats[0])] * (2 * half - len(mats))
+    return list(zip(mats[:half], partners))
+
+
 def qd_complexify(cert) -> dict:
-    """The bookkeeping report; the pair loops over the synthesized pairs."""
-    pairs = synthesize_pairs(cert.subset)
+    """The bookkeeping report; the pair loops over the pairs of F, which
+    sit interleaved in one stack: parts 2k and 2k + 1 are re and im of
+    complexified element k."""
     phi_c = complexify(cert.phi, cert.anti)
-    parts = np.stack([x for pair in pairs for x in pair])
+    parts = np.stack([x for pair in _pairs(cert.subset) for x in pair])
     img, prods = _evaluate(cert.phi.apply, parts)
     dop = np.array([[op_norm(prods[i, j] - img[i] @ img[j]) for j in range(len(parts))]
                     for i in range(len(parts))])

@@ -7,8 +7,7 @@ from starlift.certify import (AUDIT_CLAIMS, REAL_COL1, FiniteSubset,
                               QDCertificate, TraceWitness, _value_norms,
                               lemma_audit, nuclear_witness_verify,
                               qd_complexify, qd_realify, qd_verify,
-                              synthesize_pairs, trace_qd_verify,
-                              trace_transport)
+                              trace_qd_verify, trace_transport)
 from starlift.cpmaps import LinearMapMat, complexify, compress
 from starlift.io import SchemaError, cert_from_json, cert_to_json
 from starlift.matrix import col_norm1, op_norm
@@ -57,6 +56,13 @@ class TestFiniteSubset:
     def test_labels(self):
         s = FiniteSubset((np.eye(2),), labels=("one",))
         assert s.label(0) == "one"
+
+    def test_elements_are_one_read_only_complex_stack(self):
+        mats = [np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]
+        s = FiniteSubset(mats)
+        assert type(s.elements) is np.ndarray and s.elements.dtype == np.complex128
+        assert s.elements.shape == (2, 2, 2) and not s.elements.flags.writeable
+        assert np.array_equal(s.elements, mats) and mats[0].flags.writeable
 
 
 class TestQDCertificate:
@@ -155,19 +161,26 @@ class TestQdVerify:
         assert rep.max_norm_defect == pytest.approx(expect, abs=1e-12)
 
 
-class TestSynthesizePairs:
-    def test_even_split(self):
-        mats = [np.eye(2) * i for i in range(1, 5)]
-        pairs = synthesize_pairs(FiniteSubset(tuple(mats)))
-        assert len(pairs) == 2
-        assert op_norm(pairs[0][0] - mats[0]) < 1e-14
-        assert op_norm(pairs[0][1] - mats[2]) < 1e-14
+class TestComplexifiedSubset:
+    """qd_complexify's element k is F[k] + i F[h + k] with h = ceil(|F| / 2)."""
 
-    def test_odd_leftover_gets_zero(self):
-        mats = [np.eye(2) * i for i in range(1, 4)]
-        pairs = synthesize_pairs(FiniteSubset(tuple(mats)))
-        assert len(pairs) == 2
-        assert op_norm(pairs[1][1]) == 0.0
+    @staticmethod
+    def _complexified(count):
+        cert = _real_cert(20 + count, count=count)
+        new_cert, _ = qd_complexify(cert)
+        return cert.subset.elements, new_cert.subset.elements
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_even_split(self, count):
+        f, got = self._complexified(count)
+        assert np.array_equal(got, f[:count // 2] + 1j * f[count // 2:])
+
+    @pytest.mark.parametrize("count", [1, 3, 5])
+    def test_odd_leftover_gets_zero(self, count):
+        f, got = self._complexified(count)
+        h = (count + 1) // 2
+        assert np.array_equal(got[:-1], f[:h - 1] + 1j * f[h:])
+        assert np.array_equal(got[-1], f[h - 1])
 
 
 class TestQdComplexify:
@@ -185,15 +198,15 @@ class TestQdComplexify:
 
     def test_pure_real_pairs_match_real_defects(self):
         cert = _real_cert(5)
-        # F padded by as many zeros synthesizes the pairs (a, 0)
-        zeros = (np.zeros((2, 2)),) * len(cert.subset)
-        padded = QDCertificate(cert.algebra, FiniteSubset(cert.subset.elements + zeros),
+        # F padded by as many zeros complexifies to the elements a + i 0
+        f = cert.subset.elements
+        padded = QDCertificate(cert.algebra,
+                               FiniteSubset(np.concatenate([f, np.zeros_like(f)])),
                                cert.phi, cert.epsilon, "complex_op", ANTI2)
         new_cert, rep = qd_complexify(padded)
         # with b = 0 the complexified subset is F itself and split-norm
         # defects reduce to the real operator-norm defects
-        assert np.array_equal(np.stack(new_cert.subset.elements),
-                              np.stack(cert.subset.elements))
+        assert np.array_equal(new_cert.subset.elements, f)
         direct = qd_verify(QDCertificate(cert.algebra, cert.subset, cert.phi,
                                          cert.epsilon, "complex_op", ANTI2))
         assert rep.max_mult_defect == pytest.approx(direct.max_mult_defect,

@@ -187,7 +187,7 @@ def test_check_antiautomorphism_matches_oracle(setup, kind, samples, seed):
 
 @SETTINGS
 @given(setups(), st.sampled_from(("random", "identity", "transpose")), st.booleans(),
-       st.integers(1, 3), st.integers(0, 4), st.integers(0, 100))
+       st.integers(1, 3), st.integers(1, 4), st.integers(0, 100))
 def test_cp_defect_real_report_matches_oracle(setup, kind, real_domain, level, samples,
                                               seed):
     n, _, rng = setup

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from starlift.certify import FiniteSubset, QDCertificate
+from starlift.certify import FiniteSubset, QDCertificate, nuclear_witness_verify
 from starlift import __version__, cli, tensorexact
 from starlift.cli import cmd_dispatch
 from starlift.cpmaps import LinearMapMat, complexify, compress
@@ -762,7 +762,11 @@ def test_a_tolerance_that_is_not_positive_and_finite_exits_two(
     *[("qd-transport", "--theta-mode", f"fixed:{v}",
        f"fixed theta scale must be positive and finite, got {v}") for v in ("inf", "nan")],
     *[("trace-audit", "--scale", v, f"trace transport scale must be finite, got {v}")
-      for v in ("inf", "-inf", "nan")]])
+      for v in ("inf", "-inf", "nan")],
+    *[(command, "--theta-mode", v,
+       f"bad theta mode {v!r}; expected 'paper' or 'fixed:<value>'")
+      for command in ("qd-transport", "trace-audit") for v in ("fixed:abc", "fixed:")],
+    *[("cp-check", "--samples", v, "samples must be >= 1") for v in ("-1", "0")]])
 def test_a_parameter_out_of_range_exits_two_naming_it(workdir, capsys, command, option,
                                                       value, want):
     # Exit 1 is a verified failure, and a non-finite value must not reach
@@ -770,6 +774,44 @@ def test_a_parameter_out_of_range_exits_two_naming_it(workdir, capsys, command, 
     argv = (["qd-transport", "--cert", workdir["cx_cert.json"], "--direction", "realify"]
             if command == "qd-transport" else _argv(workdir, command))
     assert _run(argv + [f"{option}={value}"], capsys) == (2, "", f"error: {want}\n")
+
+
+@pytest.mark.parametrize("name, key, argv", [
+    ("id_cert.json", "F", ["qd-verify", "--cert"]),
+    ("F.json", None, ["nuclear-verify", "--phi-map", "idmap2.json", "--psi-map", "idmap2.json",
+                      "--epsilon", "1e-6", "--set"]),
+    ("A2.json", "span", ["exactness", "--ideal", "ideal.json", "--algebra"]),
+    ("idmap2.json", "images", ["choi", "--map"])])
+def test_a_ragged_list_of_matrices_exits_two_naming_its_entry(workdir, tmp_path, capsys,
+                                                              name, key, argv):
+    # Only the decoder decides that a list's entries share one shape, and
+    # it names the first entry shaped unlike entry 0.
+    doc = json.load(open(workdir[name]))
+    mats = doc[key] if key else doc
+    mats[1] = matrix_to_json(np.eye(3))
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(doc))
+    prefix = {"F": "certificate.F", "span": "algebra.span", "images": "map.images"}.get(key, "F")
+    code, out, err = _run([workdir.get(a, a) for a in argv] + [str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {prefix}[1]: expected the shape (2, 2) of "
+                                       f"{prefix}[0], got (3, 3)\n")
+
+
+def test_a_ragged_b_list_is_decoded_entry_by_entry(workdir, tmp_path, capsys):
+    # Compressions may differ in width: b = 1_2 and a 2x1 column.
+    b_list = [np.eye(2), np.array([[1.0], [1.0j]])]
+    path = tmp_path / "b.json"
+    path.write_text(canonical_dumps([matrix_to_json(b) for b in b_list]))
+    code, out, err = _run(["nuclear-verify", "--phi-map", workdir["idmap2.json"],
+                           "--psi-map", workdir["transpose2.json"], "--set", workdir["F.json"],
+                           "--epsilon", "10", "--b-list", str(path)], capsys)
+    assert (code, err) == (0, "")
+    psi = map_from_json(json.load(open(workdir["transpose2.json"])))
+    subset = FiniteSubset(subset_from_json(json.load(open(workdir["F.json"]))))
+    want = nuclear_witness_verify(LinearMapMat.identity(2), psi, subset, 10.0,
+                                  b_list=[b.astype(np.complex128) for b in b_list])
+    assert json.loads(out)["report"] == json.loads(canonical_dumps(want.to_json()))
+    assert min(want.extra["compressed_defects"]) > 0
 
 
 @pytest.mark.parametrize("command", ["fubini", "exactness"])
