@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cpmaps import COMPLEX, REAL, LinearMapMat, complexify, compress, compose
-from .matrix import (DEFAULT_TOL, as_array, as_arrays, batches, col_norm1,
-                     matrix_units, op_norm, positivity_defect, split_norm)
+from .matrix import (DEFAULT_TOL, _re_im_pairs, as_array, as_arrays, batches,
+                     col_norm1, matrix_units, op_norm, positivity_defect, split_norm)
 from .realform import AntiAutomorphism, StarAlgebra, real_decompose, \
     real_form_basis, real_form_residual
 from .sampling import random_matrix
@@ -569,11 +569,6 @@ class AuditReport:
         return out
 
 
-def _mat_payload(m) -> list:
-    a = as_array(m).astype(np.complex128)
-    return [[float(z.real), float(z.imag)] for z in a.ravel()]
-
-
 def _audit_eqtr1(samples: int, seed: int, scale: float) -> AuditReport:
     claim = "eqtr1_scale1" if scale == 1.0 else "eqtr1_scale_half"
     rng = np.random.default_rng(seed)
@@ -587,7 +582,7 @@ def _audit_eqtr1(samples: int, seed: int, scale: float) -> AuditReport:
         rhs = float(normalized_trace(eta(x)).real)
         resid = abs(lhs - rhs)
         if resid > 1e-12:
-            witness = {"input": _mat_payload(x), "dim": x.shape[0],
+            witness = {"input": _re_im_pairs(x), "dim": x.shape[0],
                        "lhs": float(lhs), "rhs": rhs}
             if abs(rhs) > 1e-12:
                 witness["ratio"] = float(lhs / rhs)
@@ -628,7 +623,7 @@ def _audit_entrywise_cp(claim: str, apply_fn, samples: int, seed: int) -> AuditR
             sa = op_norm(out - out.conj().T)
             worst = min(worst, d)
             if d < -1e-10 or sa > 1e-10:
-                witness = {"level": level, "input": _mat_payload(p),
+                witness = {"level": level, "input": _re_im_pairs(p),
                            "defect": float(d), "selfadjoint_residual": float(sa)}
                 residuals[f"level{level}_defect"] = float(d)
                 return AuditReport(claim, "counterexample", residuals, witness,
@@ -649,7 +644,7 @@ def _audit_eq1t2(samples: int, seed: int) -> AuditReport:
         lhs = float(normalized_trace(theta(a)).real)
         rhs = float(normalized_trace(eta1(a)).real)
         if lhs > rhs + 1e-12:
-            witness = {"input": _mat_payload(a), "dim": a.shape[0],
+            witness = {"input": _re_im_pairs(a), "dim": a.shape[0],
                        "lhs": lhs, "rhs": rhs, "violation": lhs - rhs}
             return AuditReport("eq1t2", "counterexample",
                                {"violation": lhs - rhs}, witness, samples, seed)
@@ -675,7 +670,7 @@ def _audit_theta(claim: str, samples: int, seed: int) -> AuditReport:
             res["multiplicativity_residual"] = float(col_norm1(theta(x @ y)
                                                                - theta(x) @ theta(y)))
         if max(res.values()) > 1e-10:
-            witness = {"x": _mat_payload(x), "y": _mat_payload(y), "dim": x.shape[0], **res}
+            witness = {"x": _re_im_pairs(x), "y": _re_im_pairs(y), "dim": x.shape[0], **res}
             if linearity:
                 witness.update(normalizer_x=theta_normalizer(x),
                                normalizer_y=theta_normalizer(y))

@@ -23,14 +23,14 @@ from . import __version__
 from .certify import (COMPLEX_OP, NORM_MODES, FiniteSubset, lemma_audit,
                       nuclear_witness_verify, qd_complexify, qd_realify,
                       qd_verify, trace_qd_verify, trace_transport)
-from .cpmaps import (COMPLEX, REAL, choi, complexify, compose, cp_defect,
-                     cp_defect_real_report)
-from .io import (SchemaError, anti_from_json, algebra_from_json,
+from .cpmaps import (COMPLEX, REAL, canonical_basis, choi, complexify, compose,
+                     cp_defect, cp_defect_real_report)
+from .io import (SchemaError, _b_list_from_json, anti_from_json, algebra_from_json,
                  canonical_dumps, cert_from_json, cert_to_json,
                  ideal_from_json, load_json, map_from_json, map_to_json,
                  matrix_from_json, matrix_to_json, subset_from_json,
                  trace_from_json)
-from .matrix import DEFAULT_TOL, doubled_units, hermitian_defect, op_norm
+from .matrix import DEFAULT_TOL, hermitian_defect, op_norm
 from .realform import (AntiAutomorphism, check_antiautomorphism, real_decompose,
                        real_form_residual)
 from .tensorexact import exactness_check, fubini_check
@@ -136,7 +136,7 @@ def _cmd_transport(args):
     phi_p, psi_p = transport_factorization(phi, psi)
     before = compose(psi, phi)
     after = compose(psi_p, phi_p)
-    units = doubled_units(phi.dom_dim)
+    units = canonical_basis(phi.dom_dim, REAL)
     resid = np.max(op_norm(after.apply(units) - before.apply(units)))
     return {
         "phi_prime": map_to_json(phi_p),
@@ -184,13 +184,7 @@ def _cmd_nuclear_verify(args):
     psi = map_from_json(load_json(args.psi_map), "psi_map")
     subset = FiniteSubset(subset_from_json(load_json(args.set), "F"))
     target = map_from_json(load_json(args.target), "target") if args.target else None
-    b_list = None
-    if args.b_list:     # compressions may differ in width, so each is decoded alone
-        raw = load_json(args.b_list)
-        if not isinstance(raw, list) or not raw:
-            raise SchemaError("b_list", "expected a nonempty list of matrices")
-        b_list = [matrix_from_json(b, f"b_list[{i}]").astype(np.complex128)
-                  for i, b in enumerate(raw)]
+    b_list = _b_list_from_json(load_json(args.b_list)) if args.b_list else None
     report = nuclear_witness_verify(phi, psi, subset, epsilon=args.epsilon,
                                     target=target, norm_mode=args.norm_mode,
                                     b_list=b_list)

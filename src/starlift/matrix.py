@@ -137,6 +137,14 @@ def doubled_units(n: int) -> np.ndarray:
     return np.concatenate([units, 1j * units])
 
 
+def _re_im_pairs(m) -> list:
+    """The [re, im] pairs of a matrix's entries, row-major, as one list;
+    of a stack (k, r, c), one such list per matrix.  Private, so the
+    benchmark's span recorder counts its time in its caller's layer."""
+    a = np.ascontiguousarray(m, np.complex128)
+    return a.view(np.float64).reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1], 2)).tolist()
+
+
 def split_norm(m):
     """The norm ||c|| = ||a|| + ||b|| for c = a + ib, op norms on parts;
     a float for one matrix, an array of shape (...) for a stack."""

@@ -165,12 +165,13 @@ def detect_blocks(span, n: int) -> tuple:
     """Finest contiguous block partition supporting every span matrix
     (entries above 1e-12 times the largest one, whatever the scale): a
     block ends at row r when no row up to r has support past column r."""
-    size = np.abs(np.asarray(span))
-    support = np.any(size > 1e-12 * size.max(initial=0.0), axis=0)
-    support = support | support.T | np.eye(n, dtype=bool)
+    peak = np.abs(np.asarray(span)).max(axis=0, initial=0.0)
+    support = peak > 1e-12 * peak.max(initial=0.0)
+    support = support | support.T
+    np.fill_diagonal(support, True)
     reach = np.maximum.accumulate(n - 1 - np.argmax(support[:, ::-1], axis=1))
-    ends = np.flatnonzero(reach == np.arange(n)) + 1
-    return tuple((int(s), int(e - s)) for s, e in zip(np.r_[0, ends[:-1]], ends))
+    ends = (np.flatnonzero(reach == np.arange(n)) + 1).tolist()
+    return tuple((s, e - s) for s, e in zip([0, *ends], ends))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,18 +205,6 @@ class StarAlgebra:
                 raise ValueError(f"span is not closed under product/adjoint: residual {bad:.3e}")
             if self.unital and self.contains_residual(np.eye(self.n)) > DEFAULT_TOL:
                 raise ValueError("unital algebra must contain the identity")
-
-    @classmethod
-    def full_matrix(cls, n: int) -> "StarAlgebra":
-        return cls(n, matrix_units(n), unital=True, validate=False)
-
-    @classmethod
-    def block_diagonal(cls, dims: list[int]) -> "StarAlgebra":
-        """Direct sum of full matrix blocks, embedded block-diagonally."""
-        n = sum(dims)
-        offsets = np.cumsum([0, *dims[:-1]])
-        span = np.concatenate([matrix_units(d, n, off) for d, off in zip(dims, offsets)])
-        return cls(n, span, unital=True, validate=False)
 
     @cached_property
     def frame(self) -> np.ndarray:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpmaps import COMPLEX, REAL, LinearMapMat, compose
-from .matrix import as_arrays, col_norm1, doubled_units, matrix_units
+from .cpmaps import COMPLEX, REAL, LinearMapMat, canonical_basis, compose
+from .matrix import as_arrays, col_norm1
 from .realform import AntiAutomorphism, conj_phi
 
 _I = np.eye(2)
@@ -166,12 +166,12 @@ def normalized_trace(x):
 
 def sigma_map(k: int) -> LinearMapMat:
     """sigma on M_k(C) as a real-linear map into M_2k(R)."""
-    return LinearMapMat(k, 2 * k, REAL, sigma(doubled_units(k)), COMPLEX, REAL)
+    return LinearMapMat(k, 2 * k, REAL, sigma(canonical_basis(k, REAL)), COMPLEX, REAL)
 
 
 def rho_map(k: int) -> LinearMapMat:
     """rho on M_2k(R) as a real-linear map into M_k(C)."""
-    return LinearMapMat(2 * k, k, REAL, rho(matrix_units(2 * k)), REAL, COMPLEX)
+    return LinearMapMat(2 * k, k, REAL, rho(canonical_basis(2 * k, REAL, REAL)), REAL, COMPLEX)
 
 
 def transport_factorization(phi: LinearMapMat, psi: LinearMapMat
@@ -219,5 +219,5 @@ class RealifiedMap:
         if not self.scale.is_linear:
             raise ValueError("the paper-mode theta is nonlinear; no LinearMapMat exists")
         n = self.phi.dom_dim
-        images = self.apply(doubled_units(n))
+        images = self.apply(canonical_basis(n, REAL))
         return LinearMapMat(n, images.shape[-1], REAL, images, COMPLEX, REAL)

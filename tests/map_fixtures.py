@@ -1,15 +1,47 @@
-"""Map generators for the tests: unital CP maps with known structure.
+"""Generators for the tests: unitaries, isometries, full and block
+algebras, and unital CP maps with known structure.
 
 Nothing in ``starlift`` calls these; the tests use them to build maps,
-certificates and factorizations whose verdicts are known in advance.
+algebras, certificates and factorizations whose verdicts are known in
+advance.
 """
 
 import numpy as np
 
 from starlift.cpmaps import COMPLEX, REAL, LinearMapMat
-from starlift.matrix import as_array
-from starlift.sampling import random_isometry, random_matrix
+from starlift.matrix import as_array, matrix_units
+from starlift.realform import StarAlgebra
+from starlift.sampling import random_matrix
 from starlift.transport import eta
+
+
+def random_unitary(rng, n: int, field: str = "C") -> np.ndarray:
+    """Haar-ish unitary (orthogonal for field 'R') via QR with phase fix."""
+    q, r = np.linalg.qr(random_matrix(rng, n, n, field))
+    d = np.diagonal(r)
+    ph = d / np.abs(d)
+    return q * ph
+
+
+def random_isometry(rng, n: int, k: int, field: str = "C") -> np.ndarray:
+    """n x k matrix v with v* v = I_k; requires k <= n."""
+    if k > n:
+        raise ValueError(f"isometry needs k <= n, got k={k}, n={n}")
+    u = random_unitary(rng, n, field)
+    return u[:, :k]
+
+
+def full_algebra(n: int) -> StarAlgebra:
+    """M_n spanned by its matrix units."""
+    return StarAlgebra(n, matrix_units(n), validate=False)
+
+
+def block_algebra(dims) -> StarAlgebra:
+    """The direct sum of M_d over ``dims``, embedded block-diagonally."""
+    n = sum(dims)
+    offsets = np.cumsum([0, *dims[:-1]])
+    span = np.concatenate([matrix_units(d, n, off) for d, off in zip(dims, offsets)])
+    return StarAlgebra(n, span, validate=False)
 
 
 def unital_compression_map(rng, n: int, k: int, field: str = COMPLEX,

@@ -19,8 +19,8 @@ from starlift.cli import cmd_dispatch
 from starlift.cpmaps import (LinearMapMat, block_apply, compose, cp_defect,
                              cp_defect_real_report, complexify, doubled_units)
 from starlift.matrix import col_norm1, op_norm, split_norm
-from starlift.realform import AntiAutomorphism, StarAlgebra, real_form_basis
-from starlift.sampling import random_isometry, random_matrix
+from starlift.realform import AntiAutomorphism, real_form_basis
+from starlift.sampling import random_matrix
 from starlift.subspace import orth_rows, realify, subspaces_equal, unrealify
 from starlift.tensorexact import (IdealPresentation, exactness_check,
                                   fubini_check,
@@ -28,7 +28,8 @@ from starlift.tensorexact import (IdealPresentation, exactness_check,
 from starlift.transport import (ThetaScale, rho, sigma, sigma_map, theta,
                                 transport_factorization)
 
-from map_fixtures import unital_compression_map, unital_stinespring_map
+from map_fixtures import (block_algebra, full_algebra, random_isometry,
+                          unital_compression_map, unital_stinespring_map)
 
 
 def _report(num, ok, detail, t0):
@@ -181,7 +182,7 @@ def test_criterion_5_forward_bookkeeping():
         count = int(rng.integers(2, 5))
         subset = FiniteSubset(tuple(rng.standard_normal((n, n))
                                     for _ in range(count)))
-        cert = QDCertificate(StarAlgebra.full_matrix(n), subset, phi,
+        cert = QDCertificate(full_algebra(n), subset, phi,
                              epsilon=100.0, norm_mode="complex_op",
                              anti=AntiAutomorphism.transpose(n))
         _, rep = qd_complexify(cert)
@@ -208,7 +209,7 @@ def test_criterion_6_reverse_transport():
         count = int(rng.integers(2, 4))
         subset = FiniteSubset(tuple(rng.standard_normal((n, n))
                                     for _ in range(count)))
-        cert = QDCertificate(StarAlgebra.full_matrix(n), subset, phi,
+        cert = QDCertificate(full_algebra(n), subset, phi,
                              epsilon=100.0, norm_mode="complex_op",
                              anti=AntiAutomorphism.transpose(n))
         new_cert, rep = qd_realify(cert)
@@ -253,8 +254,8 @@ def test_criterion_8_exactness_with_oracle():
     """Canonical instance: both kernels equal the ideal span (dims exact,
     angle < 1e-6), cross-checked against a brute-force kernel oracle."""
     t0 = time.perf_counter()
-    a2 = StarAlgebra.full_matrix(2)
-    b23 = StarAlgebra.block_diagonal([2, 3])
+    a2 = full_algebra(2)
+    b23 = block_algebra([2, 3])
     anti = AntiAutomorphism.transpose(2)
     pres = IdealPresentation(b23, [0])
     report = exactness_check(a2, anti, pres)
@@ -349,12 +350,12 @@ def _battery() -> bytes:
                                      field="R", terms=2)
         rng = np.random.default_rng(12)
         subset = FiniteSubset(tuple(rng.standard_normal((2, 2)) for _ in range(4)))
-        rcert = QDCertificate(StarAlgebra.full_matrix(2), subset, phi, 9.0,
+        rcert = QDCertificate(full_algebra(2), subset, phi, 9.0,
                               "complex_op", anti)
         rpath = path_for("rc.json", cert_to_json(rcert))
-        apath = path_for("a.json", algebra_to_json(StarAlgebra.full_matrix(2)))
+        apath = path_for("a.json", algebra_to_json(full_algebra(2)))
         ipath = path_for("i.json", {
-            "B": algebra_to_json(StarAlgebra.block_diagonal([2, 3])), "ideal_blocks": [0]})
+            "B": algebra_to_json(block_algebra([2, 3])), "ideal_blocks": [0]})
         phipath = path_for("phi.json", anti_to_json(anti))
 
         commands = [

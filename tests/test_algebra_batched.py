@@ -21,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algebra_oracle as oracle
+from map_fixtures import block_algebra, full_algebra, random_isometry, random_unitary
 from starlift import tensorexact
 from starlift.cpmaps import COMPLEX, REAL
 from starlift.matrix import matrix_units, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra, detect_blocks, real_form_basis
-from starlift.sampling import random_isometry, random_unitary
+
 from starlift.subspace import max_principal_angle
 from starlift.tensorexact import (IdealPresentation, exactness_check, fubini,
                                   fubini_check, quotient_kernel_rows, real_frame,
@@ -59,7 +60,7 @@ def _span(kind: str, n: int, rng) -> tuple:
         return _rotated_full(n, rng).span
     if kind == "block":
         dims = [1, n - 1] if n > 1 else [1]
-        return StarAlgebra.block_diagonal(dims).span
+        return block_algebra(dims).span
     if kind == "not_product_closed":
         # Two random Hermitian matrices: adjoint-closed, but hg is not
         # in span{1, h, g} once n > 1.
@@ -152,7 +153,7 @@ def _structure_span(kind: str, dims: list, rng) -> tuple:
     if kind in ("missing_summand", "off_block"):
         dims = [*dims, 1]
     n = sum(dims)
-    units = np.stack(StarAlgebra.block_diagonal(dims).span)
+    units = np.stack(block_algebra(dims).span)
     # A unitary inside each block keeps every entry outside the blocks exactly 0.
     u = np.zeros((n, n), dtype=complex)
     for start, size in zip(np.cumsum([0, *dims[:-1]]), dims):
@@ -239,7 +240,7 @@ def test_a_non_finite_span_is_rejected_before_any_svd(value):
     # The frame's SVD never returns on an inf entry (LAPACK does not
     # converge) and raises LinAlgError on a NaN one, so the entries are
     # tested first, whatever ``validate`` is.
-    span = np.stack(StarAlgebra.block_diagonal([2, 1]).span)
+    span = np.stack(block_algebra([2, 1]).span)
     span[0, 0, 0] = value
     with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("SVD called")):
         for validate in (True, False):
@@ -262,7 +263,7 @@ def test_ideal_validation_on_m8_plus_m8():
     # structure and, with is_block_full set to False, by the block test.
     # An extra E_{1,9} at the end of B's span breaks two-sidedness once
     # B's partition is set back to the two summands that E_{1,9} joins.
-    b = StarAlgebra.block_diagonal([8, 8])
+    b = block_algebra([8, 8])
     IdealPresentation(b, (1,))
     b.__dict__["is_block_full"] = False
     IdealPresentation(b, (1,))
@@ -276,7 +277,7 @@ def test_ideal_validation_on_m8_plus_m8():
 def _presentation(dims, ideal_blocks, mode: str) -> IdealPresentation:
     """The ideal, built without its validation, so that ``validate`` can be
     compared with the oracle's."""
-    b = StarAlgebra.block_diagonal(list(dims))
+    b = block_algebra(list(dims))
     if mode == "one_sided":
         # B = span{E11, E12, E22} with the ideal span{E11}: closed under
         # left multiplication only (E11 E12 = E12).  B's own partition is
@@ -314,9 +315,9 @@ def test_tensor_checks_validate_the_ideal(check):
     one_sided = _presentation([1], [], "one_sided")
     with pytest.raises(ValueError, match="two-sided"):
         IdealPresentation(one_sided.b, one_sided.ideal_blocks)
-    pres = IdealPresentation(StarAlgebra.block_diagonal([1, 2]), [1])
+    pres = IdealPresentation(block_algebra([1, 2]), [1])
     with mock.patch.object(IdealPresentation, "validate") as spy:
-        check(StarAlgebra.full_matrix(2), _anti("T", 2), pres)
+        check(full_algebra(2), _anti("T", 2), pres)
     spy.assert_not_called()
 
 
@@ -338,7 +339,7 @@ def _tensor_case(size, u_kind, data):
     if u_kind == "J" and a % 2:
         u_kind = "T"
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    alg, b = _rotated_full(a, rng), StarAlgebra.block_diagonal(list(dims))
+    alg, b = _rotated_full(a, rng), block_algebra(list(dims))
     anti = None if u_kind is None else _anti(u_kind, a)
     pres = IdealPresentation(
         b, data.draw(st.lists(st.integers(0, len(dims) - 1), unique=True)))
@@ -410,7 +411,7 @@ def test_checks_match_full_tensor_oracle(size, u_kind, ideal_blocks, seed):
     a, dims = size
     alg = _rotated_full(a, np.random.default_rng(seed))
     anti = _anti("J" if u_kind == "J" and a % 2 == 0 else "T", a)
-    pres = IdealPresentation(StarAlgebra.block_diagonal(list(dims)),
+    pres = IdealPresentation(block_algebra(list(dims)),
                                                 ideal_blocks)
     want = oracle.exactness_check(alg, anti, pres)
     _assert_same_report(exactness_check(alg, anti, pres).to_json(), want)
@@ -425,11 +426,11 @@ def test_a_leg_that_is_not_a_frame_is_rejected(bad):
     units = np.stack(matrix_units(2))
     leg = {"rescaled": 2.0 * units, "repeated": units[[0, 1, 1]],
            "skewed": units + 0.1 * units[::-1]}[bad]
-    pres = IdealPresentation(StarAlgebra.block_diagonal([1, 2]), [1])
+    pres = IdealPresentation(block_algebra([1, 2]), [1])
     b_frame = pres.b.frame
     with mock.patch.object(tensorexact, "real_frame", return_value=leg):
         for check in (lambda: tensor_span_rows(leg, b_frame),
-                      lambda: fubini_check(StarAlgebra.full_matrix(2), _anti("T", 2), pres)):
+                      lambda: fubini_check(full_algebra(2), _anti("T", 2), pres)):
             with pytest.raises(ValueError, match="not orthonormal"):
                 check()
 
@@ -441,7 +442,7 @@ def test_each_leg_is_gram_tested_once_per_check(leg):
     # frame.  Each check runs one Gram test per leg, and twice a frame in
     # any of its legs is still rejected.
     alg = _rotated_full(2, np.random.default_rng(0))
-    pres = IdealPresentation(StarAlgebra.block_diagonal([1, 2]), [1])
+    pres = IdealPresentation(block_algebra([1, 2]), [1])
     args = (alg, _anti("T", 2), pres)
     with mock.patch.object(tensorexact, "_gram_test", wraps=tensorexact._gram_test) as spy:
         exactness_check(*args)
@@ -470,9 +471,9 @@ def test_a_complex_leg_that_is_not_a_frame_is_rejected():
     # the same space with an idempotent Gram matrix, so A's real form is
     # still found; only the Gram test of the complex leg stops
     # exactness_check from reporting twice the complex dimensions.
-    alg = StarAlgebra.full_matrix(2)
+    alg = full_algebra(2)
     alg.__dict__["frame"] = np.concatenate([alg.frame, alg.frame]) / np.sqrt(2.0)
-    pres = IdealPresentation(StarAlgebra.block_diagonal([1, 2]), [1])
+    pres = IdealPresentation(block_algebra([1, 2]), [1])
     real_frame(alg, _anti("T", 2))
     with pytest.raises(ValueError, match="not orthonormal"):
         exactness_check(alg, _anti("T", 2), pres)

@@ -12,21 +12,22 @@ from starlift.cpmaps import LinearMapMat, complexify, compress
 from starlift.io import SchemaError, cert_from_json, cert_to_json
 from starlift.matrix import col_norm1, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra
-from starlift.sampling import random_matrix, random_unitary
+from starlift.sampling import random_matrix
 from starlift.transport import ThetaScale, transport_factorization, upsilon1
 
-from map_fixtures import (unital_compression_map, unital_stinespring_map,
+from map_fixtures import (block_algebra, full_algebra, random_unitary,
+                          unital_compression_map, unital_stinespring_map,
                           unitary_conjugation_map)
 
 ANTI2 = AntiAutomorphism.transpose(2)
-M2 = StarAlgebra.full_matrix(2)
+M2 = full_algebra(2)
 
 
 def _real_cert(seed, n=2, k=3, eps=50.0, count=4):
     rng = np.random.default_rng(seed)
     phi = unital_compression_map(rng, n, k, field="R", terms=2)
     subset = FiniteSubset(tuple(rng.standard_normal((n, n)) for _ in range(count)))
-    return QDCertificate(StarAlgebra.full_matrix(n), subset, phi, eps,
+    return QDCertificate(full_algebra(n), subset, phi, eps,
                          norm_mode="complex_op",
                          anti=AntiAutomorphism.transpose(n))
 
@@ -39,7 +40,7 @@ def _complex_cert(seed, n=2, k=3, eps=50.0, count=3, real_subset=True):
         mats.append(rng.standard_normal((n, n)) if real_subset
                     else random_matrix(rng, n))
     subset = FiniteSubset(tuple(mats))
-    return QDCertificate(StarAlgebra.full_matrix(n), subset, phi, eps,
+    return QDCertificate(full_algebra(n), subset, phi, eps,
                          norm_mode="complex_op",
                          anti=AntiAutomorphism.transpose(n))
 
@@ -123,7 +124,7 @@ class TestQdVerify:
         u = random_unitary(rng, 3)
         phi = unitary_conjugation_map(u)
         subset = FiniteSubset(tuple(random_matrix(rng, 3) for _ in range(4)))
-        cert = QDCertificate(StarAlgebra.full_matrix(3), subset, phi, 1e-9)
+        cert = QDCertificate(full_algebra(3), subset, phi, 1e-9)
         rep = qd_verify(cert)
         assert rep.max_mult_defect <= 1e-9
         assert rep.max_norm_defect <= 1e-9
@@ -352,7 +353,7 @@ class TestTraceQd:
     def test_identity_with_normalized_trace(self):
         rng = np.random.default_rng(15)
         subset = FiniteSubset(tuple(random_matrix(rng, 3) for _ in range(3)))
-        cert = QDCertificate(StarAlgebra.full_matrix(3), subset,
+        cert = QDCertificate(full_algebra(3), subset,
                              LinearMapMat.identity(3), 1e-9)
         rep = trace_qd_verify(cert, TraceWitness(np.eye(3) / 3))
         assert rep.max_trace_defect < 1e-12
@@ -373,7 +374,7 @@ class TestTraceQd:
         subset = FiniteSubset(tuple(random_matrix(rng, 3) for _ in range(3)))
         for _ in range(5):
             u = random_unitary(rng, 3)
-            cert = QDCertificate(StarAlgebra.full_matrix(3), subset,
+            cert = QDCertificate(full_algebra(3), subset,
                                  unitary_conjugation_map(u), 1e-9)
             rep = trace_qd_verify(cert, TraceWitness(np.eye(3) / 3))
             assert rep.max_trace_defect < 1e-10
@@ -401,10 +402,10 @@ class TestTraceQd:
     def test_block_constant_trace_on_block_algebra(self):
         # tau = 0.35 tr on the first block and 0.1 tr on the second is
         # tracial on M_2 + M_3, though not on M_5
-        b23 = StarAlgebra.block_diagonal([2, 3])
+        b23 = block_algebra([2, 3])
         witness = TraceWitness(np.diag([0.35, 0.35, 0.1, 0.1, 0.1]))
         assert witness.traciality_residual(b23) < 1e-15
-        assert witness.traciality_residual(StarAlgebra.full_matrix(5)) > 0.2
+        assert witness.traciality_residual(full_algebra(5)) > 0.2
         cert = QDCertificate(b23, FiniteSubset((np.eye(5),)), LinearMapMat.identity(5), 0.1)
         assert trace_qd_verify(cert, witness).passed
 

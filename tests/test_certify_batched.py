@@ -12,16 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import certify_oracle as oracle
-from map_fixtures import unital_compression_map
+from map_fixtures import full_algebra, random_unitary, unital_compression_map
 from starlift.certify import (COMPLEX_OP, NORM_MODES, PHI_SPLIT, REAL_COL1, FiniteSubset,
                               QDCertificate, TraceWitness, nuclear_witness_verify,
                               qd_complexify, qd_realify, qd_verify, trace_qd_verify,
                               trace_transport)
 from starlift.cpmaps import COMPLEX, REAL, LinearMapMat, canonical_basis, cp_defect_real_report
 from starlift.io import canonical_dumps
-from starlift.realform import (AntiAutomorphism, StarAlgebra, check_antiautomorphism,
-                               real_decompose)
-from starlift.sampling import random_matrix, random_unitary
+from starlift.realform import AntiAutomorphism, check_antiautomorphism, real_decompose
+from starlift.sampling import random_matrix
 from starlift.transport import ThetaScale
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -66,7 +65,7 @@ def _map(rng, n: int, m: int, linearity: str, dom_field: str = COMPLEX,
 
 
 def _cert(n, subset, phi, mode, anti) -> QDCertificate:
-    return QDCertificate(StarAlgebra.full_matrix(n), subset, phi, 1.0, mode, anti)
+    return QDCertificate(full_algebra(n), subset, phi, 1.0, mode, anti)
 
 
 @SETTINGS
@@ -144,14 +143,14 @@ def test_trace_transport_sampling_matches_oracle(setup, samples, seed):
     report = trace_transport(witness, anti, samples=samples, seed=seed)
     assert (report["imag_on_form"], report["traciality_residual"]) == \
         oracle.trace_transport_residuals(witness, anti, 0.5, samples, seed)
-    algebra = StarAlgebra.full_matrix(n)
+    algebra = full_algebra(n)
     assert witness.traciality_residual(algebra) == oracle.traciality_residual(witness, algebra)
 
 
 def test_traciality_residual_in_batches_matches_oracle():
     # M_9 has 81 spanning matrices, so its 6561 products come in 3 batches.
     rng = np.random.default_rng(9)
-    algebra = StarAlgebra.full_matrix(9)
+    algebra = full_algebra(9)
     for gram in (random_matrix(rng, 9), np.eye(9) / 9):
         witness = TraceWitness(gram)
         assert witness.traciality_residual(algebra) == \

@@ -15,18 +15,19 @@ from starlift.certify import FiniteSubset, QDCertificate, nuclear_witness_verify
 from starlift import __version__, cli, tensorexact
 from starlift.cli import cmd_dispatch
 from starlift.cpmaps import LinearMapMat, complexify, compress
-from starlift.io import (SchemaError, algebra_to_json, anti_to_json,
+from starlift.io import (SchemaError, _matrices_to_json, algebra_to_json, anti_to_json,
                          canonical_dumps, cert_from_json, cert_to_json,
                          ideal_from_json, map_from_json, map_to_json,
                          matrix_from_json, matrix_to_json, subset_from_json)
 from starlift.matrix import matrix_units, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra
-from starlift.sampling import random_matrix, random_unitary
+from starlift.sampling import random_matrix
 from starlift.transport import rho_map, sigma_map
 
 import algebra_oracle
 import codec_oracle
-from map_fixtures import unital_compression_map
+from map_fixtures import (block_algebra, full_algebra, random_unitary,
+                          unital_compression_map)
 
 ANTI2 = AntiAutomorphism.transpose(2)
 
@@ -46,7 +47,7 @@ def workdir(tmp_path):
     write("transpose2.json", map_to_json(transpose))
     idm = LinearMapMat.identity(2)
     write("idmap2.json", map_to_json(idm))
-    cert = QDCertificate(StarAlgebra.full_matrix(2),
+    cert = QDCertificate(full_algebra(2),
                          FiniteSubset((np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))),
                          idm, epsilon=1e-6)
     write("id_cert.json", cert_to_json(cert))
@@ -54,16 +55,16 @@ def workdir(tmp_path):
                                  terms=2)
     rng = np.random.default_rng(12)
     subset = FiniteSubset(tuple(rng.standard_normal((2, 2)) for _ in range(4)))
-    rcert = QDCertificate(StarAlgebra.full_matrix(2), subset, phi, 9.0,
+    rcert = QDCertificate(full_algebra(2), subset, phi, 9.0,
                           "complex_op", ANTI2)
     write("real_cert.json", cert_to_json(rcert))
     write("real_map.json", map_to_json(phi))
-    ccert = QDCertificate(StarAlgebra.full_matrix(2), subset,
+    ccert = QDCertificate(full_algebra(2), subset,
                           complexify(phi, ANTI2), 9.0, "complex_op", ANTI2)
     write("cx_cert.json", cert_to_json(ccert))
     write("phi.json", anti_to_json(ANTI2))
-    write("A2.json", algebra_to_json(StarAlgebra.full_matrix(2)))
-    write("ideal.json", {"B": algebra_to_json(StarAlgebra.block_diagonal([2, 3])),
+    write("A2.json", algebra_to_json(full_algebra(2)))
+    write("ideal.json", {"B": algebra_to_json(block_algebra([2, 3])),
                          "ideal_blocks": [0]})
     write("trace.json", {"gram": matrix_to_json(np.eye(2) / 2)})
     write("x.json", matrix_to_json(np.array([[1.0, 2.0 + 1.0j], [0.0, 1.0]])))
@@ -267,6 +268,32 @@ def _matrix_docs(draw):
     return json.loads(json.dumps(docs))
 
 
+ENCODER_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308 / 3, 1.0]),
+                            st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _stacks(draw):
+    """A stack of 1 to 4 matrices of one shape: float64, or complex128 with
+    each matrix's imaginary part drawn or zero of either sign, so that
+    real and complex matrices mix."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    size = shape[1] * shape[2]
+
+    def part():
+        return draw(st.lists(ENCODER_ENTRIES, min_size=size, max_size=size))
+
+    re = np.array([part() for _ in range(shape[0])]).reshape(shape)
+    if draw(st.booleans()):
+        return re
+    stack = np.empty(shape, dtype=np.complex128)
+    stack.real = re    # set part by part, so a zero keeps its sign
+    stack.imag = np.array([part() if draw(st.booleans())
+                           else [draw(st.sampled_from([0.0, -0.0]))] * size
+                           for _ in range(shape[0])]).reshape(shape)
+    return stack
+
+
 def _decoded(decode):
     """The (shape, bytes) of each matrix ``decode`` returns, or the message
     of the SchemaError it raises."""
@@ -294,12 +321,41 @@ class TestMatrixLists:
         assert spy.call_count == 1
         assert np.array_equal(stack, 1j * matrix_units(3))
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_stacks(), st.sampled_from([None, "R", "C"]))
+    @example(np.array([[[1.0 + 0.0j]]]), None)
+    @example(np.array([[[-0.0 - 0.0j, 5e-324]], [[0.0, 1.0 + 2.0j]]]), "R")
+    @example(np.array([[[-0.0 + 5e-324j]], [[1.0 - 0.0j]]]), None)
+    def test_the_stack_encoder_matches_the_per_matrix_one(self, stack, field):
+        def encoded(encode):
+            try:
+                return canonical_dumps(encode())    # keeps the sign of zero and float vs int
+            except ValueError as exc:
+                return str(exc)
+
+        want = encoded(lambda: [codec_oracle.matrix_to_json(m, field) for m in stack])
+        assert encoded(lambda: _matrices_to_json(stack, field)) == want
+        assert encoded(lambda: [matrix_to_json(m, field) for m in stack]) == want
+
+    def test_maps_algebras_and_certificates_encode_lists_as_the_oracle_does(self):
+        def oracle(mats, field=None):
+            return canonical_dumps([codec_oracle.matrix_to_json(m, field) for m in mats])
+
+        real = unital_compression_map(np.random.default_rng(0), 2, 3, field="R")
+        for phi in (real, complexify(real, ANTI2), LinearMapMat.identity(2)):
+            assert canonical_dumps(map_to_json(phi)["images"]) == oracle(phi.images, phi.cod_field)
+        b = block_algebra([1, 2])
+        assert canonical_dumps(algebra_to_json(b)["span"]) == oracle(b.span)
+        subset = FiniteSubset((np.eye(2), np.array([[0.0, 1j], [-0.0, 2.0]])))
+        cert = QDCertificate(full_algebra(2), subset, LinearMapMat.identity(2), 1.0)
+        assert canonical_dumps(cert_to_json(cert)["F"]) == oracle(subset.elements)
+
     @pytest.mark.parametrize("kind", [k for k in CORRUPTIONS if k != "pair1"])
     def test_a_bad_map_and_a_bad_algebra_print_the_per_matrix_message(
             self, workdir, tmp_path, capsys, kind):
         cases = [(map_to_json(unital_compression_map(np.random.default_rng(0), 3, 2)),
                   "images", "map", ["cp-check", "--map"]),
-                 (algebra_to_json(StarAlgebra.full_matrix(2)), "span", "algebra",
+                 (algebra_to_json(full_algebra(2)), "span", "algebra",
                   ["exactness", "--ideal", workdir["ideal.json"], "--algebra"])]
         for doc, key, name, argv in cases:
             _corrupt(doc[key], 1, 2, kind)
@@ -471,7 +527,7 @@ class TestCli:
         anti = AntiAutomorphism(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         rng = np.random.default_rng(3)
         subset = FiniteSubset(tuple(random_matrix(rng, 2) for _ in range(3)))
-        cert = QDCertificate(StarAlgebra.full_matrix(2), subset,
+        cert = QDCertificate(full_algebra(2), subset,
                              LinearMapMat.identity(2), 1e-6, "complex_op", anti)
         path = tmp_path / "cert_j.json"
         path.write_text(canonical_dumps(cert_to_json(cert)), encoding="ascii")
@@ -514,7 +570,7 @@ class TestCli:
     def test_trace_audit_checks_the_witness_is_tracial(self, tmp_path, capsys, dims, gram,
                                                         expect):
         n = sum(dims)
-        cert = QDCertificate(StarAlgebra.block_diagonal(dims), FiniteSubset((np.eye(n),)),
+        cert = QDCertificate(block_algebra(dims), FiniteSubset((np.eye(n),)),
                              LinearMapMat.identity(n), 0.1)
         (tmp_path / "cert.json").write_text(canonical_dumps(cert_to_json(cert)))
         (tmp_path / "trace.json").write_text(canonical_dumps({"gram": matrix_to_json(
@@ -625,7 +681,7 @@ class TestCli:
     def test_a_non_unital_certificate_exits_two(self, tmp_path, capsys):
         # phi(x) = x_11 / 4 on the unital M_2: ||phi(1) - 1|| = 0.75.
         phi = compress(LinearMapMat.identity(2), 0.5 * np.array([[1.0], [0.0]]))
-        cert = QDCertificate(StarAlgebra.full_matrix(2), FiniteSubset((np.eye(2),)), phi, 1.0)
+        cert = QDCertificate(full_algebra(2), FiniteSubset((np.eye(2),)), phi, 1.0)
         p = tmp_path / "non_unital.json"
         p.write_text(canonical_dumps(cert_to_json(cert)), encoding="ascii")
         assert _run(["qd-verify", "--cert", str(p)], capsys) == (
@@ -658,7 +714,7 @@ class TestCli:
         psi = unital_compression_map(rng, 3, 2)
         x = random_matrix(rng, 2)
         subset = FiniteSubset((x, np.eye(2), x))
-        cert = QDCertificate(StarAlgebra.full_matrix(2), subset, phi, 9.0)
+        cert = QDCertificate(full_algebra(2), subset, phi, 9.0)
         files = {}
         for name, doc in (("cert", cert_to_json(cert)),
                           ("trace", {"gram": matrix_to_json(np.eye(2) / 2)}),
@@ -814,6 +870,24 @@ def test_a_ragged_b_list_is_decoded_entry_by_entry(workdir, tmp_path, capsys):
     assert min(want.extra["compressed_defects"]) > 0
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"rows": 1, "cols": 1, "field": "R", "data": [1.0]},
+     "b_list: expected a nonempty list of matrices"),
+    ([], "b_list: expected a nonempty list of matrices"),
+    ([{"rows": 2, "cols": 2, "field": "R", "data": [1.0, 0.0, 0.0, 1.0]},
+      {"rows": 2, "cols": 1, "field": "R", "data": [1.0, "x"]}],
+     "b_list[1].data[1]: expected a number or [re, im] pair, got 'x'"),
+    ([{"rows": 2, "cols": 1, "field": "C", "data": [[1.0, 0.0]]}],
+     "b_list[0].data: expected 2 row-major entries")])
+def test_a_bad_b_list_exits_two_naming_its_path(workdir, tmp_path, capsys, doc, message):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(["nuclear-verify", "--phi-map", workdir["idmap2.json"],
+                           "--psi-map", workdir["idmap2.json"], "--set", workdir["F.json"],
+                           "--epsilon", "10", "--b-list", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["fubini", "exactness"])
 def test_an_ideal_outside_b_exits_two(workdir, tmp_path, capsys, command):
     # B = span{I_2} splits into two 1x1 blocks, but E_11 is not in B.
@@ -858,7 +932,7 @@ def _rejected_input(kind: str, tmp_path):
     # B's own block partition gives a two-sided ideal, so this one-sided
     # one needs a partition that is not B's: block 0 = {E_11} inside
     # B = M_2 + C is one-sided.
-    b = StarAlgebra.block_diagonal([2, 1])
+    b = block_algebra([2, 1])
     blocks = ((0, 1), (1, 2))
     b.__dict__["blocks"] = blocks
     with mock.patch.object(tensorexact.IdealPresentation, "validate"):
@@ -990,10 +1064,10 @@ def test_tensor_checks_at_a_large_size(tmp_path, capsys, command):
     # tensor spans have 2160 real dimensions, the kernels 720.
     paths = {}
     for name, doc in (
-            ("A", algebra_to_json(StarAlgebra.full_matrix(6))),
+            ("A", algebra_to_json(full_algebra(6))),
             ("phi", anti_to_json(AntiAutomorphism(np.kron(np.eye(3), [[0.0, 1.0],
                                                                       [-1.0, 0.0]])))),
-            ("ideal", {"B": algebra_to_json(StarAlgebra.block_diagonal([1, 2, 3, 4])),
+            ("ideal", {"B": algebra_to_json(block_algebra([1, 2, 3, 4])),
                        "ideal_blocks": [0, 2]})):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(canonical_dumps(doc), encoding="ascii")

@@ -13,7 +13,9 @@ from starlift import matrix
 from starlift.matrix import (BATCH_ENTRIES, DEFAULT_TOL, batches, col_norm1, doubled_units,
                              hermitian_defect, matrix_units, op_norm, positivity_defect,
                              split_norm, worst_op_norm)
-from starlift.sampling import random_matrix, random_unitary
+from starlift.sampling import random_matrix
+
+from map_fixtures import random_unitary
 
 
 def _complex_entries(n):

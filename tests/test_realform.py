@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starlift.matrix import op_norm
+from starlift.matrix import matrix_units, op_norm
 from starlift.realform import (AntiAutomorphism, StarAlgebra,
                                check_antiautomorphism, conj_phi,
                                real_decompose, real_form_basis,
                                real_form_residual)
-from starlift.sampling import random_matrix, random_unitary
+from starlift.sampling import random_matrix
+
+from map_fixtures import random_unitary
 
 TRANSPOSE2 = AntiAutomorphism.transpose(2)
 ROTATION = AntiAutomorphism(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -289,14 +291,16 @@ def _complex_dim(a: StarAlgebra) -> int:
 
 class TestStarAlgebra:
     def test_full_matrix(self):
-        a = StarAlgebra.full_matrix(3)
+        a = StarAlgebra(3, matrix_units(3))
         assert _complex_dim(a) == 9
         assert a.contains_residual(np.eye(3)) < 1e-12
+        assert a.is_block_full
 
     def test_block_diagonal(self):
-        b = StarAlgebra.block_diagonal([2, 3])
+        b = StarAlgebra(5, np.concatenate([matrix_units(2, 5), matrix_units(3, 5, 2)]))
         assert b.n == 5
         assert _complex_dim(b) == 13
+        assert b.blocks == ((0, 2), (2, 3)) and b.is_block_full
 
     def test_rejects_non_closed_span(self):
         e12 = np.zeros((2, 2))

@@ -21,9 +21,10 @@ from starlift.tensorexact import (IdealPresentation,
                                   tensor_span_rows)
 
 from algebra_oracle import slice_left_value, slice_right_value, tensor_rows
+from map_fixtures import block_algebra, full_algebra
 
-A2 = StarAlgebra.full_matrix(2)
-B23 = StarAlgebra.block_diagonal([2, 3])
+A2 = full_algebra(2)
+B23 = block_algebra([2, 3])
 ANTI2 = AntiAutomorphism.transpose(2)
 
 
@@ -38,7 +39,7 @@ def _tensor_rows(a, b) -> np.ndarray:
 
 class TestMinTensor:
     def test_full_times_full(self):
-        rows = _tensor_rows(A2, StarAlgebra.full_matrix(3))
+        rows = _tensor_rows(A2, full_algebra(3))
         assert rows.shape == (2 * 36, 2 * 36)
 
     def test_unit_factor(self):
@@ -127,7 +128,7 @@ class TestSliceMaps:
 class TestIdealPresentation:
     def test_detect_blocks(self):
         assert detect_blocks(B23.span, 5) == ((0, 2), (2, 3))
-        assert detect_blocks(StarAlgebra.full_matrix(3).span, 3) == ((0, 3),)
+        assert detect_blocks(full_algebra(3).span, 3) == ((0, 3),)
 
     def test_validate_canonical(self):
         IdealPresentation(B23, [0]).validate()
@@ -236,7 +237,7 @@ class TestExactness:
         assert report.ok
 
     def test_three_block_algebra(self):
-        b = StarAlgebra.block_diagonal([1, 2, 2])
+        b = block_algebra([1, 2, 2])
         pres = IdealPresentation(b, [0, 2])
         report = exactness_check(A2, ANTI2, pres)
         assert report.ok

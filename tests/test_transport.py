@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from starlift.cpmaps import compose, doubled_units
 from starlift.matrix import col_norm1, op_norm
 from starlift.realform import AntiAutomorphism
-from starlift.sampling import random_isometry, random_matrix
+from starlift.sampling import random_matrix
 from starlift.transport import (RealifiedMap, ThetaScale, eta, eta1,
                                 normalized_trace, rho,
                                 rho_map, sigma, sigma_map,
                                 theta, theta_normalizer,
                                 transport_factorization, upsilon, upsilon1)
+
+from map_fixtures import random_isometry
 
 
 def _stinespring(rng, n, k):
