@@ -24,7 +24,6 @@ from .matrix import (DEFAULT_TOL, _re_im_pairs, as_array, as_arrays, batches,
                      col_norm1, matrix_units, op_norm, positivity_defect, split_norm)
 from .realform import AntiAutomorphism, StarAlgebra, real_decompose, \
     real_form_basis, real_form_residual
-from .sampling import random_matrix
 from .transport import RealifiedMap, ThetaScale, eta, eta1, normalized_trace, \
     theta, theta_normalizer, upsilon, upsilon1
 
@@ -33,6 +32,7 @@ REAL_COL1 = "real_col1"
 PHI_SPLIT = "phi_split"
 NORM_MODES = (COMPLEX_OP, REAL_COL1, PHI_SPLIT)
 REAL_FORM_TOL = 1e-8    # an element lies in the real form when ||Phi(x) - x*|| is at most this
+TRACE_SAMPLES = 20      # pairs (a, b) drawn by trace_transport's traciality probe
 
 NONLINEAR_THETA_FLAG = ("nonlinear theta: the normalizer is input-dependent, "
                         "so the linear homomorphism defect bound does not apply; "
@@ -464,8 +464,7 @@ def trace_qd_verify(cert: QDCertificate, witness: TraceWitness) -> DefectReport:
 
 def trace_transport(witness: TraceWitness, anti: AntiAutomorphism,
                     scale: float = 0.5, cert: QDCertificate | None = None,
-                    theta_scale: ThetaScale | None = None,
-                    samples: int = 20, seed: int = 0) -> dict:
+                    theta_scale: ThetaScale | None = None, seed: int = 0) -> dict:
     """Transport a tracial functional to the real form and audit the chain.
 
     The transported functional is upsilon1 . tau; it is only real-linear
@@ -486,8 +485,8 @@ def trace_transport(witness: TraceWitness, anti: AntiAutomorphism,
     real_valued = imag_on_form <= 1e-9
 
     # Per sample the coefficients of a, then of b, each a vector-matrix product.
-    coeff = np.random.default_rng(seed).standard_normal((samples, 2, 1, len(form)))
-    c = (coeff @ form.reshape(len(form), -1)).reshape(samples, 2, anti.dim, anti.dim)
+    coeff = np.random.default_rng(seed).standard_normal((TRACE_SAMPLES, 2, 1, len(form)))
+    c = (coeff @ form.reshape(len(form), -1)).reshape(TRACE_SAMPLES, 2, anti.dim, anti.dim)
     ca, cb = c[:, 0], c[:, 1]
     traciality = np.max(np.abs(upsilon1(witness(ca @ cb), scale)
                                - upsilon1(witness(cb @ ca), scale)), initial=0.0)
@@ -497,7 +496,7 @@ def trace_transport(witness: TraceWitness, anti: AntiAutomorphism,
         "real_valued_on_form": bool(real_valued),
         "imag_on_form": float(imag_on_form),
         "traciality_residual": float(traciality),
-        "samples": samples,
+        "samples": TRACE_SAMPLES,
         "seed": int(seed),
     }
     if not real_valued:
@@ -569,13 +568,19 @@ class AuditReport:
         return out
 
 
+def _random_square(rng: np.random.Generator, k: int) -> np.ndarray:
+    """A k x k matrix with iid N + iN entries, real parts drawn first."""
+    re = rng.standard_normal((k, k))
+    return re + 1j * rng.standard_normal((k, k))
+
+
 def _audit_eqtr1(samples: int, seed: int, scale: float) -> AuditReport:
     claim = "eqtr1_scale1" if scale == 1.0 else "eqtr1_scale_half"
     rng = np.random.default_rng(seed)
     xs = [np.array([[1.0 + 1.0j]])]
     for i in range(samples):
         k = 1 + (i % 4)
-        xs.append(random_matrix(rng, k))
+        xs.append(_random_square(rng, k))
     max_resid = 0.0
     for x in xs:
         lhs = upsilon(normalized_trace(x), scale)
@@ -597,7 +602,7 @@ def _positive_samples(rng, level: int, samples: int,
                       canonical: list[np.ndarray]) -> list[np.ndarray]:
     out = list(canonical)
     for _ in range(samples):
-        c = random_matrix(rng, level)
+        c = _random_square(rng, level)
         p = c.conj().T @ c
         nrm = op_norm(p)
         if nrm > 0:
@@ -637,7 +642,7 @@ def _audit_eq1t2(samples: int, seed: int) -> AuditReport:
     mats = [0.5 * matrix_units(2)[0]]
     for i in range(samples):
         k = 1 + (i % 3)
-        c = random_matrix(rng, k)
+        c = _random_square(rng, k)
         mats.append(c.conj().T @ c)
     worst_slack = np.inf
     for a in mats:
@@ -659,7 +664,7 @@ def _audit_theta(claim: str, samples: int, seed: int) -> AuditReport:
              (np.eye(2, dtype=np.complex128), np.eye(2, dtype=np.complex128))]
     for i in range(samples):
         k = 1 + (i % 3)
-        pairs.append((random_matrix(rng, k), random_matrix(rng, k)))
+        pairs.append((_random_square(rng, k), _random_square(rng, k)))
     linearity = claim == "theta_linearity"
     reported = "additivity_residual" if linearity else "multiplicativity_residual"
     for x, y in pairs:

@@ -52,7 +52,7 @@ def _resolve_tol(args) -> float:
 
 
 def _theta_scale(mode: str) -> ThetaScale | None:
-    return None if mode in ("", "auto") else ThetaScale.parse(mode)
+    return None if mode == "auto" else ThetaScale.parse(mode)
 
 
 # -- handlers -----------------------------------------------------------------
@@ -136,7 +136,7 @@ def _cmd_transport(args):
     phi_p, psi_p = transport_factorization(phi, psi)
     before = compose(psi, phi)
     after = compose(psi_p, phi_p)
-    units = canonical_basis(phi.dom_dim, REAL)
+    units = canonical_basis(phi.dom_dim, REAL, phi.dom_field)
     resid = np.max(op_norm(after.apply(units) - before.apply(units)))
     return {
         "phi_prime": map_to_json(phi_p),

@@ -85,9 +85,9 @@ class LinearMapMat:
         return cls(dom_dim, len(images[0]), linearity, images, dom_field, cod_field)
 
     @classmethod
-    def identity(cls, n: int, linearity: str = COMPLEX,
-                 field: str = COMPLEX) -> "LinearMapMat":
-        return cls(n, n, linearity, canonical_basis(n, linearity, field), field, field)
+    def identity(cls, n: int) -> "LinearMapMat":
+        """The complex-linear identity on M_n(C)."""
+        return cls(n, n, COMPLEX, matrix_units(n))
 
     @property
     def basis(self) -> np.ndarray:

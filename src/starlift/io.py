@@ -85,16 +85,17 @@ def _as_number(value, path: str) -> float:
 # -- matrix ------------------------------------------------------------------
 
 
-def matrix_to_json(m, field: str | None = None) -> dict:
-    """The matrix schema of m; ``field`` defaults to "R" exactly when m
-    has no nonzero imaginary entry, and "R" refuses one."""
-    return _matrices_to_json(as_array(m)[None], field)[0]
+def matrix_to_json(m) -> dict:
+    """The matrix schema of m, with field "R" exactly when m has no
+    nonzero imaginary entry."""
+    return _matrices_to_json(as_array(m)[None])[0]
 
 
 def _matrices_to_json(arr: np.ndarray, field: str | None = None) -> list:
     """The matrix documents of a float64 or complex128 stack (k, r, c),
-    each with its field picked as ``matrix_to_json`` picks it, and one
-    ``tolist()`` per field.  Private, so the benchmark's span recorder
+    with one ``tolist()`` per field.  Each is tagged "R" exactly when it
+    has no nonzero imaginary entry unless ``field`` is given, and a
+    given "R" refuses one.  Private, so the benchmark's span recorder
     counts it in its caller."""
     k, rows, cols = arr.shape
     imaginary = arr.imag.reshape(k, rows * cols).any(axis=1)

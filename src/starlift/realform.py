@@ -132,22 +132,18 @@ class CheckReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def check_antiautomorphism(anti_or_u, samples: int = 50, seed: int = 0,
+def check_antiautomorphism(anti: AntiAutomorphism, samples: int = 50, seed: int = 0,
                            tol: float = DEFAULT_TOL) -> CheckReport:
     """Sample the axioms Phi(xy)=Phi(y)Phi(x), Phi(x*)=Phi(x)*, Phi^2=id.
 
-    Accepts either an AntiAutomorphism or a raw u matrix, so that
-    invalid candidates still produce a report instead of an exception.
+    An invalid u, built with ``AntiAutomorphism(u, validate=False)``,
+    gets a report instead of an exception.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if isinstance(anti_or_u, AntiAutomorphism):
-        anti = anti_or_u
-    else:
-        anti = AntiAutomorphism(anti_or_u, validate=False)
     n = anti.dim
     unit, sym = _u_defects(anti.u)
-    # Per sample: Re x, Im x, Re y, Im y, the stream of two random_matrix calls.
+    # Per sample: Re x, Im x, Re y, Im y, as two complex draws with real parts first.
     g = np.random.default_rng(seed).standard_normal((samples, 2, 2, n, n))
     z = g[:, :, 0] + 1j * g[:, :, 1]
     x, y = z[:, 0], z[:, 1]

@@ -179,12 +179,9 @@ def transport_factorization(phi: LinearMapMat, psi: LinearMapMat
     """Rewrite a factorization through M_n(C) as one through M_2n(R).
 
     Returns (sigma . phi, psi . rho); because rho . sigma is the
-    identity, the composite psi' . phi' equals psi . phi.
+    identity, the composite psi' . phi' equals psi . phi.  ``compose``
+    rejects a psi whose domain is not phi's codomain.
     """
-    if phi.cod_dim != psi.dom_dim:
-        raise ValueError(
-            f"dimension mismatch: phi maps into {phi.cod_dim}, psi expects {psi.dom_dim}"
-        )
     n = phi.cod_dim
     phi_prime = compose(sigma_map(n), phi)
     psi_prime = compose(psi, rho_map(n))

@@ -19,8 +19,9 @@ from starlift.cpmaps import (LinearMapMat, _canonical_positive, _combine,
 from starlift.matrix import as_array
 from starlift.realform import (AntiAutomorphism, CheckReport, real_decompose,
                                real_form_basis, real_form_residual)
-from starlift.sampling import random_matrix
 from starlift.transport import RealifiedMap, ThetaScale, eta1, theta, upsilon1
+
+from map_fixtures import random_matrix
 
 
 # -- one-matrix norms --------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Generators for the tests: unitaries, isometries, full and block
-algebras, and unital CP maps with known structure.
+"""Generators for the tests: random matrices, unitaries, isometries,
+full and block algebras, and unital CP maps with known structure.
 
 Nothing in ``starlift`` calls these; the tests use them to build maps,
 algebras, certificates and factorizations whose verdicts are known in
@@ -11,8 +11,18 @@ import numpy as np
 from starlift.cpmaps import COMPLEX, REAL, LinearMapMat
 from starlift.matrix import as_array, matrix_units
 from starlift.realform import StarAlgebra
-from starlift.sampling import random_matrix
 from starlift.transport import eta
+
+
+def random_matrix(rng, rows: int, cols: int | None = None, field: str = "C") -> np.ndarray:
+    """Dense matrix with iid standard normal entries (complex: N + iN, real
+    parts drawn first); ``rng`` is a Generator or a seed."""
+    rng = np.random.default_rng(rng)
+    cols = rows if cols is None else cols
+    re = rng.standard_normal((rows, cols))
+    if field == "R":
+        return re
+    return re + 1j * rng.standard_normal((rows, cols))
 
 
 def random_unitary(rng, n: int, field: str = "C") -> np.ndarray:

@@ -20,7 +20,6 @@ from starlift.cpmaps import (LinearMapMat, block_apply, compose, cp_defect,
                              cp_defect_real_report, complexify, doubled_units)
 from starlift.matrix import col_norm1, op_norm, split_norm
 from starlift.realform import AntiAutomorphism, real_form_basis
-from starlift.sampling import random_matrix
 from starlift.subspace import orth_rows, realify, subspaces_equal, unrealify
 from starlift.tensorexact import (IdealPresentation, exactness_check,
                                   fubini_check,
@@ -28,7 +27,7 @@ from starlift.tensorexact import (IdealPresentation, exactness_check,
 from starlift.transport import (ThetaScale, rho, sigma, sigma_map, theta,
                                 transport_factorization)
 
-from map_fixtures import (block_algebra, full_algebra, random_isometry,
+from map_fixtures import (block_algebra, full_algebra, random_isometry, random_matrix,
                           unital_compression_map, unital_stinespring_map)
 
 

@@ -12,10 +12,9 @@ from starlift.cpmaps import LinearMapMat, complexify, compress
 from starlift.io import SchemaError, cert_from_json, cert_to_json
 from starlift.matrix import col_norm1, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra
-from starlift.sampling import random_matrix
 from starlift.transport import ThetaScale, transport_factorization, upsilon1
 
-from map_fixtures import (block_algebra, full_algebra, random_unitary,
+from map_fixtures import (block_algebra, full_algebra, random_matrix, random_unitary,
                           unital_compression_map, unital_stinespring_map,
                           unitary_conjugation_map)
 

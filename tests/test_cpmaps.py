@@ -8,12 +8,12 @@ from starlift.cpmaps import (LinearMapMat, basis_size, block_apply, choi,
                              cp_defect_real_report, doubled_units, matrix_units)
 from starlift.matrix import op_norm
 from starlift.realform import AntiAutomorphism
-from starlift.sampling import random_matrix
 from starlift.transport import rho_map, sigma_map
 
-from map_fixtures import eta_map, unital_compression_map
+from map_fixtures import eta_map, random_matrix, unital_compression_map
 
 TRANSPOSE_MAP2 = LinearMapMat.from_function(lambda m: np.asarray(m).T, 2, "C")
+REAL_IDENTITY2 = LinearMapMat.from_function(lambda m: m, 2, "R", dom_field="R", cod_field="R")
 
 
 def _entangled(n):
@@ -40,9 +40,8 @@ class TestLinearMapMat:
         assert op_norm(conj.apply(1j * x) + 1j * conj.apply(x)) < 1e-12
 
     def test_domain_membership_enforced(self):
-        phi = LinearMapMat.identity(2, "R", field="R")
         with pytest.raises(ValueError, match="outside the map's domain span"):
-            phi.apply(np.array([[1.0, 1.0j], [0.0, 1.0]]))
+            REAL_IDENTITY2.apply(np.array([[1.0, 1.0j], [0.0, 1.0]]))
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -158,8 +157,7 @@ class TestCpTransfer:
 class TestComplexify:
     def test_identity_extends_to_identity(self):
         anti = AntiAutomorphism.transpose(2)
-        phi = LinearMapMat.identity(2, "R", field="R")
-        phic = complexify(phi, anti)
+        phic = complexify(REAL_IDENTITY2, anti)
         x = random_matrix(np.random.default_rng(6), 2)
         assert op_norm(phic.apply(x) - x) < 1e-12
 
@@ -191,9 +189,8 @@ class TestComplexify:
         # The real form of u = J has imaginary entries, so it lies outside
         # the domain M_2(R) of a real-domain map.
         anti = AntiAutomorphism(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        bad = LinearMapMat.identity(2, "R", field="R")
         with pytest.raises(ValueError, match="outside the map's domain span"):
-            complexify(bad, anti)
+            complexify(REAL_IDENTITY2, anti)
 
 
 class TestAmplifyCompressCompose:
@@ -292,12 +289,10 @@ def test_basis_layout():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_identity_equals_its_tabulation(n):
-    for linearity, field in (("C", "C"), ("R", "C"), ("R", "R")):
-        fast = LinearMapMat.identity(n, linearity, field)
-        slow = LinearMapMat.from_function(lambda x: x, n, linearity, dom_field=field,
-                                          cod_field=field)
-        assert (fast.cod_dim, fast.dom_field, fast.cod_field) == (n, field, field)
-        assert np.array_equal(fast.images, slow.images)
-        assert np.array_equal(np.signbit(fast.images.view(float)),
-                              np.signbit(slow.images.view(float)))
-        assert len(fast.images) == basis_size(n, linearity, field) == len(fast.basis)
+    fast = LinearMapMat.identity(n)
+    slow = LinearMapMat.from_function(lambda x: x, n)
+    assert (fast.cod_dim, fast.linearity, fast.dom_field, fast.cod_field) == (n, "C", "C", "C")
+    assert np.array_equal(fast.images, slow.images)
+    assert np.array_equal(np.signbit(fast.images.view(float)),
+                          np.signbit(slow.images.view(float)))
+    assert len(fast.images) == basis_size(n, "C") == len(fast.basis)

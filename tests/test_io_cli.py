@@ -21,12 +21,11 @@ from starlift.io import (SchemaError, _matrices_to_json, algebra_to_json, anti_t
                          matrix_from_json, matrix_to_json, subset_from_json)
 from starlift.matrix import matrix_units, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra
-from starlift.sampling import random_matrix
 from starlift.transport import rho_map, sigma_map
 
 import algebra_oracle
 import codec_oracle
-from map_fixtures import (block_algebra, full_algebra, random_unitary,
+from map_fixtures import (block_algebra, full_algebra, random_matrix, random_unitary,
                           unital_compression_map)
 
 ANTI2 = AntiAutomorphism.transpose(2)
@@ -63,6 +62,8 @@ def workdir(tmp_path):
                           complexify(phi, ANTI2), 9.0, "complex_op", ANTI2)
     write("cx_cert.json", cert_to_json(ccert))
     write("phi.json", anti_to_json(ANTI2))
+    write("J2.json", anti_to_json(AntiAutomorphism(np.array([[0.0, 1.0], [-1.0, 0.0]]))))
+    write("idmap3.json", map_to_json(LinearMapMat.identity(3)))
     write("A2.json", algebra_to_json(full_algebra(2)))
     write("ideal.json", {"B": algebra_to_json(block_algebra([2, 3])),
                          "ideal_blocks": [0]})
@@ -335,7 +336,8 @@ class TestMatrixLists:
 
         want = encoded(lambda: [codec_oracle.matrix_to_json(m, field) for m in stack])
         assert encoded(lambda: _matrices_to_json(stack, field)) == want
-        assert encoded(lambda: [matrix_to_json(m, field) for m in stack]) == want
+        if field is None:
+            assert encoded(lambda: [matrix_to_json(m) for m in stack]) == want
 
     def test_maps_algebras_and_certificates_encode_lists_as_the_oracle_does(self):
         def oracle(mats, field=None):
@@ -821,15 +823,55 @@ def test_a_tolerance_that_is_not_positive_and_finite_exits_two(
       for v in ("inf", "-inf", "nan")],
     *[(command, "--theta-mode", v,
        f"bad theta mode {v!r}; expected 'paper' or 'fixed:<value>'")
-      for command in ("qd-transport", "trace-audit") for v in ("fixed:abc", "fixed:")],
-    *[("cp-check", "--samples", v, "samples must be >= 1") for v in ("-1", "0")]])
+      for command in ("qd-transport", "trace-audit") for v in ("fixed:abc", "fixed:", "")],
+    *[("cp-check", "--samples", v, "samples must be >= 1") for v in ("-1", "0")],
+    ("complexify", "--map", "idmap2.json", "map.linearity: complexify expects a real-linear map"),
+    # u = J has no real form inside M_2(R), the domain of real_map.json.
+    ("complexify", "--phi", "J2.json",
+     "input is outside the map's domain span: residual 5.000e-01"),
+    ("nuclear-verify", "--psi-map", "idmap3.json", "factorization dimensions do not chain"),
+    ("nuclear-verify", "--target", "idmap3.json",
+     "target dimensions do not match the factorization")])
 def test_a_parameter_out_of_range_exits_two_naming_it(workdir, capsys, command, option,
                                                       value, want):
     # Exit 1 is a verified failure, and a non-finite value must not reach
-    # the arithmetic or the JSON encoder.
+    # the arithmetic or the JSON encoder.  The last of a repeated option wins.
     argv = (["qd-transport", "--cert", workdir["cx_cert.json"], "--direction", "realify"]
             if command == "qd-transport" else _argv(workdir, command))
+    value = workdir.get(value, value)
     assert _run(argv + [f"{option}={value}"], capsys) == (2, "", f"error: {want}\n")
+
+
+@pytest.mark.parametrize("command, changes, want", [
+    ("qd-verify", {"F": [matrix_to_json(np.eye(3))]},
+     "certificate: subset dimension does not match the algebra"),
+    ("qd-verify", {"phi_map": map_to_json(LinearMapMat.identity(3))},
+     "certificate: map domain does not match the algebra"),
+    ("qd-verify", {"anti": anti_to_json(AntiAutomorphism.transpose(3))},
+     "certificate: antiautomorphism dimension does not match the algebra"),
+    # A non-unital algebra admits phi = id/2 on load, but a trace check does not.
+    ("trace-audit", {"algebra": algebra_to_json(StarAlgebra(2, matrix_units(2), unital=False)),
+                     "phi_map": map_to_json(LinearMapMat(2, 2, "C", 0.5 * matrix_units(2)))},
+     "trace verification needs a unital map")])
+def test_a_certificate_that_breaks_a_precondition_exits_two(workdir, tmp_path, capsys,
+                                                            command, changes, want):
+    doc = {**json.load(open(workdir["id_cert.json"])), **changes}
+    path = tmp_path / "cert.json"
+    path.write_text(canonical_dumps(doc))
+    argv = [command, "--cert", str(path)] + (["--trace", workdir["trace.json"]]
+                                             if command == "trace-audit" else [])
+    assert _run(argv, capsys) == (2, "", f"error: {want}\n")
+
+
+def test_transport_compares_a_real_domain_phi_on_its_own_basis(workdir, tmp_path, capsys):
+    # phi on M_2(R) is tabulated on the real matrix units, not on {E_jl, i E_jl}.
+    phi = unital_compression_map(np.random.default_rng(0), 2, 2, field="R")
+    path = tmp_path / "phi_real.json"
+    path.write_text(canonical_dumps(map_to_json(phi)))
+    code, out, err = _run(["transport", "--phi-map", str(path),
+                           "--psi-map", workdir["idmap2.json"]], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["composition_residual"] == 0.0
 
 
 @pytest.mark.parametrize("name, key, argv", [

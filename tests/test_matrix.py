@@ -8,14 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starlift.io import matrix_to_json
+from starlift.io import _matrices_to_json, matrix_to_json
 from starlift import matrix
 from starlift.matrix import (BATCH_ENTRIES, DEFAULT_TOL, batches, col_norm1, doubled_units,
                              hermitian_defect, matrix_units, op_norm, positivity_defect,
                              split_norm, worst_op_norm)
-from starlift.sampling import random_matrix
 
-from map_fixtures import random_unitary
+from map_fixtures import random_matrix, random_unitary
 
 
 def _complex_entries(n):
@@ -187,15 +186,15 @@ class TestKron:
 class TestMatrixType:
     def test_real_field_rejects_complex_entries(self):
         with pytest.raises(ValueError):
-            matrix_to_json(np.array([[1j]]), "R")
-        assert matrix_to_json(np.array([[2 + 0j]]), "R")["data"] == [2.0]
+            _matrices_to_json(np.array([[[1j]]]), "R")
+        assert _matrices_to_json(np.array([[[2 + 0j]]]), "R")[0]["data"] == [2.0]
 
     def test_field_inference(self):
         assert matrix_to_json(np.eye(2))["field"] == "R"
         assert matrix_to_json(np.eye(2).astype(complex))["field"] == "R"
         assert matrix_to_json(np.array([[1j]]))["field"] == "C"
-        assert matrix_to_json(np.eye(2), "C")["data"] == [[1.0, 0.0], [0.0, 0.0],
-                                                         [0.0, 0.0], [1.0, 0.0]]
+        assert _matrices_to_json(np.eye(2)[None], "C")[0]["data"] == [
+            [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 
 
 def test_split_norm_is_sum_of_part_norms():

@@ -10,7 +10,6 @@ import pytest
 
 from starlift.matrix import matrix_units, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra, detect_blocks, real_form_basis
-from starlift.sampling import random_matrix
 from starlift.subspace import (containment_residual, kernel_rows,
                                max_principal_angle, orth_rows, realify,
                                subspaces_equal)
@@ -21,7 +20,7 @@ from starlift.tensorexact import (IdealPresentation,
                                   tensor_span_rows)
 
 from algebra_oracle import slice_left_value, slice_right_value, tensor_rows
-from map_fixtures import block_algebra, full_algebra
+from map_fixtures import block_algebra, full_algebra, random_matrix
 
 A2 = full_algebra(2)
 B23 = block_algebra([2, 3])

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from starlift.cpmaps import compose, doubled_units
 from starlift.matrix import col_norm1, op_norm
 from starlift.realform import AntiAutomorphism
-from starlift.sampling import random_matrix
 from starlift.transport import (RealifiedMap, ThetaScale, eta, eta1,
                                 normalized_trace, rho,
                                 rho_map, sigma, sigma_map,
                                 theta, theta_normalizer,
                                 transport_factorization, upsilon, upsilon1)
 
-from map_fixtures import random_isometry
+from map_fixtures import random_isometry, random_matrix
 
 
 def _stinespring(rng, n, k):
@@ -229,9 +228,11 @@ class TestTransportFactorization:
 
     def test_dimension_mismatch(self):
         from starlift.cpmaps import LinearMapMat
-        with pytest.raises(ValueError):
+        # compose names the mismatch; transport_factorization has no check of its own.
+        with pytest.raises(ValueError) as exc:
             transport_factorization(LinearMapMat.identity(2),
                                     LinearMapMat.identity(3))
+        assert str(exc.value) == "dimension mismatch: phi maps into 2, psi expects 3"
 
 
 class TestRealifyMap:
