@@ -21,7 +21,8 @@ import numpy as np
 
 from .cpmaps import COMPLEX, REAL, LinearMapMat, complexify, compress, compose
 from .matrix import (DEFAULT_TOL, _re_im_pairs, as_array, as_arrays, batches,
-                     col_norm1, matrix_units, op_norm, positivity_defect, split_norm)
+                     col_norm1, hermitian_defect, matrix_units, op_norm, positivity_defect,
+                     split_norm, unit_squares)
 from .realform import AntiAutomorphism, StarAlgebra, real_decompose, \
     real_form_basis, real_form_residual
 from .transport import RealifiedMap, ThetaScale, eta, eta1, normalized_trace, \
@@ -223,12 +224,12 @@ def qd_verify(cert: QDCertificate) -> DefectReport:
 def qd_complexify(cert: QDCertificate) -> tuple[QDCertificate, DefectReport]:
     """Complexify a real-form certificate and check the bookkeeping.
 
-    Complexified element k is F[k] + i F[h + k], h = ceil(|F| / 2), with
-    a zero partner for an odd leftover.  Its multiplicative defect, in the
-    split norm, must not exceed the sum of the four contributing real
-    defects (measured in operator norm); the split norm defect must not
-    exceed the sum of the two real norm defects.  Both bounds are triangle
-    inequalities and are verified numerically with a 1e-9 cushion.
+    Complexified element k is F[k] + i F[h + k], labelled "x + i y", with
+    h = ceil(|F| / 2) and a zero partner "0" for an odd leftover.  Its
+    multiplicative defect, in the split norm, must not exceed the sum of
+    the four contributing real defects (in operator norm); the split norm
+    defect must not exceed the sum of the two real norm defects.  Both
+    bounds are triangle inequalities, verified with a 1e-9 cushion.
     """
     if cert.anti is None:
         raise ValueError("complexification needs the certificate's antiautomorphism")
@@ -265,8 +266,10 @@ def qd_complexify(cert: QDCertificate) -> tuple[QDCertificate, DefectReport]:
     mult_margin = np.max(mult_defects - mult_bounds)
     norm_margin = np.max(norm_defects - norm_bounds)
 
-    new_cert = QDCertificate(cert.algebra, FiniteSubset(complexified), phi_c, cert.epsilon,
-                             PHI_SPLIT, cert.anti)
+    names = cert.subset.labels or ()
+    labels = [f"{x} + i {y}" for x, y in zip(names[:h], names[h:] + ("0",))]
+    new_cert = QDCertificate(cert.algebra, FiniteSubset(complexified, labels or None), phi_c,
+                             cert.epsilon, PHI_SPLIT, cert.anti)
     report = DefectReport(
         epsilon=cert.epsilon,
         norm_mode=PHI_SPLIT,
@@ -286,13 +289,15 @@ def qd_complexify(cert: QDCertificate) -> tuple[QDCertificate, DefectReport]:
 def _realify_working_set(cert: QDCertificate, anti: AntiAutomorphism,
                          scale: ThetaScale | None = None):
     """The real-form subset qd_realify transports (each element, or its
-    parts r, s when it is outside the real form), phi's images of it and
-    of its products (see _evaluate), and the theta scale: ``scale``, or
-    for None (the "auto" mode) the fixed scale 1/(max N + 1) over those
-    images, so the linear theta is contractive there."""
+    parts r, s, labelled x.r, x.s, outside the real form), phi's images of
+    it and of its products (see _evaluate), and the theta scale: ``scale``,
+    or for None (the "auto" mode) the fixed scale 1/(max N + 1) over
+    those images, so the linear theta is contractive there."""
     inside = real_form_residual(anti, cert.subset.elements) <= REAL_FORM_TOL
-    subset = FiniteSubset([part for a, ok in zip(cert.subset.elements, inside)
-                           for part in ((a,) if ok else real_decompose(anti, a))])
+    parts = [(a,) if ok else real_decompose(anti, a) for a, ok in zip(cert.subset.elements, inside)]
+    labels = [name for x, p in zip(cert.subset.labels or (), parts)
+              for name in ((x,) if len(p) == 1 else (f"{x}.r", f"{x}.s"))]
+    subset = FiniteSubset([m for p in parts for m in p], labels or None)
     img, prods = _evaluate(cert.phi.apply, subset.elements)
     if scale is None:
         scale = ThetaScale.for_working_set(
@@ -478,8 +483,6 @@ def trace_transport(witness: TraceWitness, anti: AntiAutomorphism,
     """
     if witness.dim != anti.dim:
         raise ValueError("trace witness dimension does not match the antiautomorphism")
-    if not np.isfinite(scale):
-        raise ValueError(f"trace transport scale must be finite, got {scale!r}")
     form = real_form_basis(anti)
     imag_on_form = float(np.max(np.abs(witness(form).imag)))
     real_valued = imag_on_form <= 1e-9
@@ -568,10 +571,11 @@ class AuditReport:
         return out
 
 
-def _random_square(rng: np.random.Generator, k: int) -> np.ndarray:
-    """A k x k matrix with iid N + iN entries, real parts drawn first."""
-    re = rng.standard_normal((k, k))
-    return re + 1j * rng.standard_normal((k, k))
+def _random_squares(rng: np.random.Generator, count: int, k: int) -> np.ndarray:
+    """count k x k matrices with iid N + iN entries, each one's real parts
+    drawn before its imaginary parts."""
+    x = rng.standard_normal((count, 2, k, k))
+    return x[:, 0] + 1j * x[:, 1]
 
 
 def _audit_eqtr1(samples: int, seed: int, scale: float) -> AuditReport:
@@ -580,7 +584,7 @@ def _audit_eqtr1(samples: int, seed: int, scale: float) -> AuditReport:
     xs = [np.array([[1.0 + 1.0j]])]
     for i in range(samples):
         k = 1 + (i % 4)
-        xs.append(_random_square(rng, k))
+        xs.append(_random_squares(rng, 1, k)[0])
     max_resid = 0.0
     for x in xs:
         lhs = upsilon(normalized_trace(x), scale)
@@ -598,42 +602,27 @@ def _audit_eqtr1(samples: int, seed: int, scale: float) -> AuditReport:
                        samples, seed)
 
 
-def _positive_samples(rng, level: int, samples: int,
-                      canonical: list[np.ndarray]) -> list[np.ndarray]:
-    out = list(canonical)
-    for _ in range(samples):
-        c = _random_square(rng, level)
-        p = c.conj().T @ c
-        nrm = op_norm(p)
-        if nrm > 0:
-            out.append(p / nrm)
-    return out
-
-
 def _audit_entrywise_cp(claim: str, apply_fn, samples: int, seed: int) -> AuditReport:
-    """Shared audit for the entrywise diag and sum maps: levels 1..3,
-    canonical witnesses first, positivity probed on c*c samples and
-    self-adjointness preservation alongside."""
+    """Shared audit for the entrywise diag and sum maps: levels 1..3, one
+    stack each, canonical witnesses first, positivity probed on c*c
+    samples and self-adjointness preservation alongside."""
     rng = np.random.default_rng(seed)
-    canonical = {
-        2: [np.array([[1.0, 1.0j], [-1.0j, 1.0]]),
-            np.array([[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 1.0]])],
-    }
+    canonical = np.array([[[1.0, 1.0j], [-1.0j, 1.0]], [[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 1.0]]])
     residuals: dict = {}
     for level in (1, 2, 3):
-        worst = np.inf
-        for p in _positive_samples(rng, level, samples, canonical.get(level, [])):
-            out = apply_fn(p)
-            d = positivity_defect(out)
-            sa = op_norm(out - out.conj().T)
-            worst = min(worst, d)
-            if d < -1e-10 or sa > 1e-10:
-                witness = {"level": level, "input": _re_im_pairs(p),
-                           "defect": float(d), "selfadjoint_residual": float(sa)}
-                residuals[f"level{level}_defect"] = float(d)
-                return AuditReport(claim, "counterexample", residuals, witness,
-                                   samples, seed)
-        residuals[f"level{level}_defect"] = float(worst)
+        ps = unit_squares(_random_squares(rng, samples, level))
+        if level == 2:
+            ps = np.concatenate([canonical, ps])
+        out = apply_fn(ps)
+        d, sa = positivity_defect(out), hermitian_defect(out)
+        bad = np.flatnonzero((d < -1e-10) | (sa > 1e-10))
+        if bad.size:
+            i = bad[0]
+            witness = {"level": level, "input": _re_im_pairs(ps[i]),
+                       "defect": float(d[i]), "selfadjoint_residual": float(sa[i])}
+            residuals[f"level{level}_defect"] = float(d[i])
+            return AuditReport(claim, "counterexample", residuals, witness, samples, seed)
+        residuals[f"level{level}_defect"] = float(np.min(d, initial=np.inf))
     return AuditReport(claim, "holds", residuals, None, samples, seed)
 
 
@@ -642,7 +631,7 @@ def _audit_eq1t2(samples: int, seed: int) -> AuditReport:
     mats = [0.5 * matrix_units(2)[0]]
     for i in range(samples):
         k = 1 + (i % 3)
-        c = _random_square(rng, k)
+        c = _random_squares(rng, 1, k)[0]
         mats.append(c.conj().T @ c)
     worst_slack = np.inf
     for a in mats:
@@ -664,7 +653,7 @@ def _audit_theta(claim: str, samples: int, seed: int) -> AuditReport:
              (np.eye(2, dtype=np.complex128), np.eye(2, dtype=np.complex128))]
     for i in range(samples):
         k = 1 + (i % 3)
-        pairs.append((_random_square(rng, k), _random_square(rng, k)))
+        pairs.append(tuple(_random_squares(rng, 2, k)))
     linearity = claim == "theta_linearity"
     reported = "additivity_residual" if linearity else "multiplicativity_residual"
     for x, y in pairs:

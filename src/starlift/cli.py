@@ -166,6 +166,10 @@ def _cmd_qd_transport(args):
 
 
 def _cmd_trace_audit(args):
+    # The transport options are checked whether or not --phi asks for it.
+    theta_scale = _theta_scale(args.theta_mode)
+    if not math.isfinite(args.scale):
+        raise ValueError(f"trace transport scale must be finite, got {args.scale!r}")
     cert = cert_from_json(load_json(args.cert))
     witness = trace_from_json(load_json(args.trace))
     report = trace_qd_verify(cert, witness)
@@ -175,7 +179,7 @@ def _cmd_trace_audit(args):
         chain_cert = cert if cert.phi.linearity == COMPLEX else None
         doc["transport"] = trace_transport(
             witness, anti, scale=args.scale, cert=chain_cert,
-            theta_scale=_theta_scale(args.theta_mode), seed=args.seed)
+            theta_scale=theta_scale, seed=args.seed)
     return doc, report.passed
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import (as_array, as_arrays, doubled_units, matrix_units, op_norm,
-                     positivity_defect)
+                     positivity_defect, unit_squares)
 from .realform import AntiAutomorphism, real_decompose
 from .subspace import realify
 
@@ -295,9 +295,7 @@ def cp_defect_real_report(phi: LinearMapMat, level: int, samples: int = 20,
     nb = len(basis)
     coeff = rng.standard_normal((samples * level * level, nb)) / np.sqrt(nb)
     c = _join_blocks(_combine(coeff, basis).reshape(samples, level * level, n, n), level)
-    p = np.swapaxes(c.conj(), -1, -2) @ c
-    nrm = op_norm(p)
-    candidates = np.concatenate([fixed, p[nrm > 0] / nrm[nrm > 0, None, None]])
+    candidates = np.concatenate([fixed, unit_squares(c)])
 
     defects = positivity_defect(block_apply(phi, candidates, level))
     best = int(np.argmin(defects))      # the first candidate with the least defect

@@ -87,10 +87,19 @@ def col_norm1(m):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def hermitian_defect(m) -> float:
-    """Operator-norm distance from m to its adjoint, ||m - m*||."""
-    a = as_array(m)
-    return op_norm(a - a.conj().T)
+def hermitian_defect(m):
+    """Operator-norm distance from m to its adjoint, ||m - m*||: a float
+    for one matrix, an array of shape (...) for a stack."""
+    a = as_arrays(m)
+    return op_norm(a - np.swapaxes(a.conj(), -1, -2))
+
+
+def unit_squares(c) -> np.ndarray:
+    """The positive elements c*c / ||c*c|| of a stack (k, n, n), as a
+    stack, dropping each c with c*c = 0."""
+    p = np.swapaxes(c.conj(), -1, -2) @ c
+    nrm = op_norm(p)
+    return p[nrm > 0] / nrm[nrm > 0, None, None]
 
 
 def positivity_defect(m):

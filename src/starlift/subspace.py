@@ -56,7 +56,13 @@ def kernel_rows(a: np.ndarray) -> np.ndarray:
         n = a.shape[1] if a.ndim == 2 else 0
         return np.eye(n)
     # Only a wide a needs the full factorization for its null space.
-    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    wide = a.shape[0] < a.shape[1]
+    try:
+        _, s, vt = np.linalg.svd(a, full_matrices=wide)
+    except np.linalg.LinAlgError:
+        # LAPACK's gesdd can fail to converge on a finite a yet factor a^T = conj(V) S U^T.
+        u, s, _ = np.linalg.svd(a.T, full_matrices=wide)
+        vt = u.T
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > RANK_TOL * max(smax, 1.0)))
     return vt[rank:]

@@ -13,10 +13,10 @@ for equal bits.
 import numpy as np
 
 from starlift.certify import (COMPLEX_OP, NONLINEAR_THETA_FLAG, PHI_SPLIT, REAL_COL1,
-                              DefectReport, FiniteSubset, _evaluate)
+                              AuditReport, DefectReport, FiniteSubset, _evaluate)
 from starlift.cpmaps import (LinearMapMat, _canonical_positive, _combine,
                              complexify, compose, compress)
-from starlift.matrix import as_array
+from starlift.matrix import _re_im_pairs, as_array
 from starlift.realform import (AntiAutomorphism, CheckReport, real_decompose,
                                real_form_basis, real_form_residual)
 from starlift.transport import RealifiedMap, ThetaScale, eta1, theta, upsilon1
@@ -159,15 +159,18 @@ def qd_complexify(cert) -> dict:
 
 
 def _working_set(cert, anti, scale):
-    """The real-form subset qd_realify transports, phi's images of it and
+    """The real-form subset qd_realify transports (a labelled F keeps its
+    labels, a split element x becoming x.r and x.s), phi's images of it and
     of its products, and ``scale``, None being the per-certificate constant."""
-    f_real = []
-    for a in cert.subset.elements:
+    f_real, labels = [], []
+    for i, a in enumerate(cert.subset.elements):
         if real_form_residual(anti, a) <= 1e-8:
             f_real.append(a)
+            labels.append(cert.subset.label(i))
         else:
             f_real.extend(real_decompose(anti, a))
-    subset = FiniteSubset(tuple(f_real))
+            labels.extend([cert.subset.label(i) + ".r", cert.subset.label(i) + ".s"])
+    subset = FiniteSubset(tuple(f_real), tuple(labels) if cert.subset.labels else None)
     img, prods = _evaluate(cert.phi.apply, np.stack(subset.elements))
     if scale is None:
         scale = ThetaScale.for_working_set(
@@ -369,3 +372,39 @@ def cp_defect_real_report(phi: LinearMapMat, level: int, samples: int, seed: int
         if r > sa_worst:
             sa_worst, sa_witness = r, x
     return float(defects[best]), candidates[best], float(sa_worst), sa_witness
+
+
+def _positive_samples(rng, level: int, samples: int, canonical: list) -> list:
+    out = list(canonical)
+    for _ in range(samples):
+        c = random_matrix(rng, level)
+        p = c.conj().T @ c
+        nrm = op_norm(p)
+        if nrm > 0:
+            out.append(p / nrm)
+    return out
+
+
+def audit_entrywise_cp(claim: str, apply_fn, samples: int, seed: int) -> dict:
+    """The eta_cp / upsilon_cp audit report, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    canonical = {
+        2: [np.array([[1.0, 1.0j], [-1.0j, 1.0]]),
+            np.array([[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 1.0]])],
+    }
+    residuals: dict = {}
+    for level in (1, 2, 3):
+        worst = np.inf
+        for p in _positive_samples(rng, level, samples, canonical.get(level, [])):
+            out = apply_fn(p)
+            d = positivity_defect(out)
+            sa = op_norm(out - out.conj().T)
+            worst = min(worst, d)
+            if d < -1e-10 or sa > 1e-10:
+                witness = {"level": level, "input": _re_im_pairs(p),
+                           "defect": float(d), "selfadjoint_residual": float(sa)}
+                residuals[f"level{level}_defect"] = float(d)
+                return AuditReport(claim, "counterexample", residuals, witness,
+                                   samples, seed).to_json()
+        residuals[f"level{level}_defect"] = float(worst)
+    return AuditReport(claim, "holds", residuals, None, samples, seed).to_json()

@@ -418,6 +418,17 @@ def test_checks_match_full_tensor_oracle(size, u_kind, ideal_blocks, seed):
     _assert_same_report(fubini_check(alg, anti, pres).to_json(), want["fubini_real"])
 
 
+def test_checks_match_the_oracle_where_gesdd_does_not_converge():
+    # For this draw the oracle's fubini_rows null-spaces a finite 736 x 160
+    # matrix on which LAPACK's gesdd raises "SVD did not converge";
+    # kernel_rows then factors its transpose.
+    alg = _rotated_full(4, np.random.default_rng(377))
+    anti, pres = _anti("J", 4), IdealPresentation(block_algebra([1, 2]), (0,))
+    want = oracle.exactness_check(alg, anti, pres)
+    _assert_same_report(exactness_check(alg, anti, pres).to_json(), want)
+    _assert_same_report(fubini_check(alg, anti, pres).to_json(), want["fubini_real"])
+
+
 @pytest.mark.parametrize("bad", ["rescaled", "repeated", "skewed"])
 def test_a_leg_that_is_not_a_frame_is_rejected(bad):
     # The checks count one copy of B's rows per A-leg element, which is

@@ -1,7 +1,7 @@
 """Stacked certificate measurements against the loop versions.
 
-Every report of the certificate layer, the antiautomorphism probe and the
-real-linear CP probe is compared byte for byte (canonical JSON, so the
+Every report of the certificate layer, the antiautomorphism probe, the
+real-linear CP probe and the entrywise CP lemma audits is compared byte for byte (canonical JSON, so the
 sign of a zero counts) with ``certify_oracle``, over the three norm
 conventions, u = I and u = J, n = 1..4, and subsets that repeat elements
 or hold zeros, so that defects tie and the first worst witness must win.
@@ -15,13 +15,13 @@ import certify_oracle as oracle
 from map_fixtures import (full_algebra, random_matrix, random_unitary,
                           unital_compression_map)
 from starlift.certify import (COMPLEX_OP, NORM_MODES, PHI_SPLIT, REAL_COL1, FiniteSubset,
-                              QDCertificate, TraceWitness, nuclear_witness_verify,
-                              qd_complexify, qd_realify, qd_verify, trace_qd_verify,
-                              trace_transport)
+                              QDCertificate, TraceWitness, _audit_entrywise_cp,
+                              _random_squares, nuclear_witness_verify, qd_complexify,
+                              qd_realify, qd_verify, trace_qd_verify, trace_transport)
 from starlift.cpmaps import COMPLEX, REAL, LinearMapMat, canonical_basis, cp_defect_real_report
 from starlift.io import canonical_dumps
 from starlift.realform import AntiAutomorphism, check_antiautomorphism, real_decompose
-from starlift.transport import ThetaScale
+from starlift.transport import ThetaScale, eta, upsilon
 
 SETTINGS = settings(max_examples=30, deadline=None)
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -206,3 +206,24 @@ def test_cp_defect_real_report_matches_oracle(setup, kind, real_domain, level, s
         assert rep.selfadj_witness is None
     else:
         assert np.array_equal(rep.selfadj_witness, sa_witness)
+
+
+# eta and upsilon(., 1) fail at level 2; the other two hold at every level,
+# so their random samples at levels 2 and 3 are all tested.
+ENTRYWISE_MAPS = {"eta": eta, "upsilon": lambda p: upsilon(p, 1.0),
+                  "identity": lambda p: p, "conjugate": np.conj}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(ENTRYWISE_MAPS)), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_entrywise_cp_audit_matches_oracle(name, samples, seed):
+    apply_fn = ENTRYWISE_MAPS[name]
+    assert _same(_audit_entrywise_cp(name, apply_fn, samples, seed).to_json(),
+                 oracle.audit_entrywise_cp(name, apply_fn, samples, seed))
+
+
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_random_squares_are_successive_single_draws(count, k, seed):
+    stack = _random_squares(np.random.default_rng(seed), count, k)
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(stack, [random_matrix(rng, k) for _ in range(count)])

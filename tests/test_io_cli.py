@@ -19,8 +19,8 @@ from starlift.io import (SchemaError, _matrices_to_json, algebra_to_json, anti_t
                          canonical_dumps, cert_from_json, cert_to_json,
                          ideal_from_json, map_from_json, map_to_json,
                          matrix_from_json, matrix_to_json, subset_from_json)
-from starlift.matrix import matrix_units, op_norm
-from starlift.realform import AntiAutomorphism, StarAlgebra
+from starlift.matrix import matrix_units, op_norm, split_norm
+from starlift.realform import AntiAutomorphism, StarAlgebra, real_decompose
 from starlift.transport import rho_map, sigma_map
 
 import algebra_oracle
@@ -824,6 +824,10 @@ def test_a_tolerance_that_is_not_positive_and_finite_exits_two(
     *[(command, "--theta-mode", v,
        f"bad theta mode {v!r}; expected 'paper' or 'fixed:<value>'")
       for command in ("qd-transport", "trace-audit") for v in ("fixed:abc", "fixed:", "")],
+    # Without --phi there is no transport, but its options are checked all the same.
+    ("trace-audit without --phi", "--theta-mode", "bogus",
+     "bad theta mode 'bogus'; expected 'paper' or 'fixed:<value>'"),
+    ("trace-audit without --phi", "--scale", "nan", "trace transport scale must be finite, got nan"),
     *[("cp-check", "--samples", v, "samples must be >= 1") for v in ("-1", "0")],
     ("complexify", "--map", "idmap2.json", "map.linearity: complexify expects a real-linear map"),
     # u = J has no real form inside M_2(R), the domain of real_map.json.
@@ -836,8 +840,11 @@ def test_a_parameter_out_of_range_exits_two_naming_it(workdir, capsys, command, 
                                                       value, want):
     # Exit 1 is a verified failure, and a non-finite value must not reach
     # the arithmetic or the JSON encoder.  The last of a repeated option wins.
-    argv = (["qd-transport", "--cert", workdir["cx_cert.json"], "--direction", "realify"]
-            if command == "qd-transport" else _argv(workdir, command))
+    argv = {"qd-transport": ["qd-transport", "--cert", workdir["cx_cert.json"],
+                             "--direction", "realify"],
+            "trace-audit without --phi": ["trace-audit", "--cert", workdir["cx_cert.json"],
+                                          "--trace", workdir["trace.json"]],
+            }.get(command) or _argv(workdir, command)
     value = workdir.get(value, value)
     assert _run(argv + [f"{option}={value}"], capsys) == (2, "", f"error: {want}\n")
 
@@ -872,6 +879,117 @@ def test_transport_compares_a_real_domain_phi_on_its_own_basis(workdir, tmp_path
                            "--psi-map", workdir["idmap2.json"]], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["composition_residual"] == 0.0
+
+
+def _write(tmp_path, name, doc) -> str:
+    path = tmp_path / name
+    path.write_text(canonical_dumps(doc))
+    return str(path)
+
+
+def test_qd_verify_in_real_col1_takes_column_sums_of_complex_images(tmp_path, capsys):
+    # A complex-linear compression by real isometries has complex images
+    # with zero imaginary part; its defects are column sums of their real parts.
+    images = unital_compression_map(np.random.default_rng(4), 2, 3, field="R").images
+    phi = lambda x: np.tensordot(x.ravel(), images, axes=1)
+    col1 = lambda m: float(np.max(np.sum(np.abs(m), axis=0)))
+    f = np.random.default_rng(8).standard_normal((3, 2, 2))
+    cert = QDCertificate(full_algebra(2), FiniteSubset(f),
+                         LinearMapMat(2, 3, "C", images.astype(complex)), 1e-6, "real_col1")
+    code, out, err = _run(["qd-verify", "--cert", _write(tmp_path, "cert.json",
+                                                          cert_to_json(cert))], capsys)
+    report = json.loads(out)["report"]
+    assert (code, err, report["norm_mode"]) == (1, "", "real_col1")
+    assert report["max_mult_defect"] == pytest.approx(
+        max(col1(phi(a @ b) - phi(a) @ phi(b)) for a in f for b in f), rel=1e-12)
+    assert report["max_norm_defect"] == pytest.approx(
+        max(abs(col1(phi(a)) - col1(a)) for a in f), rel=1e-12)
+
+
+def test_qd_verify_in_phi_split_splits_domain_norms_by_the_anti(tmp_path, capsys):
+    # Under u = J the identity keeps products exactly, but a domain element
+    # splits as r + i s in J's real form while its image splits entrywise.
+    anti = AntiAutomorphism(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    f = [random_matrix(np.random.default_rng(9 + i), 2) for i in range(3)]
+    cert = QDCertificate(full_algebra(2), FiniteSubset(f), LinearMapMat.identity(2), 1e-6,
+                         "phi_split", anti)
+    code, out, err = _run(["qd-verify", "--cert", _write(tmp_path, "cert.json",
+                                                          cert_to_json(cert))], capsys)
+    report = json.loads(out)["report"]
+    want = max(abs(split_norm(a) - sum(op_norm(p) for p in real_decompose(anti, a)))
+               for a in f)
+    assert (code, err, report["norm_mode"]) == (1, "", "phi_split")
+    assert report["max_mult_defect"] < 1e-14
+    assert report["max_norm_defect"] == pytest.approx(want, rel=1e-12) and want > 0.1
+
+
+def test_trace_audit_flags_a_trace_that_is_not_real_on_the_real_form(workdir, tmp_path,
+                                                                      capsys):
+    # (i/2) tr is tracial on M_2 but imaginary on M_2(R), the real form of u = 1.
+    cert = QDCertificate(full_algebra(2), FiniteSubset((np.eye(2),)), LinearMapMat.identity(2),
+                         0.1)
+    code, out, err = _run(["trace-audit", "--cert", _write(tmp_path, "cert.json",
+                                                            cert_to_json(cert)),
+                           "--trace", _write(tmp_path, "trace.json",
+                                             {"gram": matrix_to_json(0.5j * np.eye(2))}),
+                           "--phi", workdir["phi.json"]], capsys)
+    transport = json.loads(out)["transport"]
+    assert err == "" and code == 1      # tau(1) = i, not the normalized trace 1
+    assert (transport["real_valued_on_form"], transport["imag_on_form"]) == (False, 0.5)
+    assert transport["flags"] == ["witness is not real-valued on the real form; "
+                                  "the transported functional is not real-linear there"]
+    assert transport["traciality_residual"] < 1e-15
+
+
+@pytest.mark.parametrize("command, phi, field", [
+    ("complexify", "real", "R"), ("cp-check", "real", "R"), ("choi", "imaginary", "C")])
+def test_a_map_without_cod_field_has_it_inferred_from_its_images(tmp_path, capsys, command,
+                                                                 phi, field):
+    # Real images give "R" and images with an imaginary part give "C", so
+    # each report is the one for the document that spells its field out.
+    doc = map_to_json({"real": unital_compression_map(np.random.default_rng(4), 2, 3,
+                                                      field="R", terms=2),
+                       "imaginary": LinearMapMat(2, 2, "C", 1j * matrix_units(2))}[phi])
+    assert doc.pop("cod_field") == field
+    reports = [_run([command, "--map", _write(tmp_path, name, d)], capsys)
+               for name, d in (("inferred.json", doc), ("spelled.json", {**doc, "cod_field": field}))]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
+@pytest.mark.parametrize("command", ["fubini", "exactness"])
+def test_the_zero_ideal_has_a_zero_kernel(workdir, tmp_path, capsys, command):
+    # With J = 0 the quotient map is injective: the kernel and its Fubini
+    # product are both the zero space.
+    ideal = _write(tmp_path, "ideal.json", {"B": algebra_to_json(block_algebra([2, 3])),
+                                            "ideal_blocks": []})
+    code, out, err = _run([command, "--algebra", workdir["A2.json"], "--ideal", ideal], capsys)
+    doc = json.loads(out)
+    checks = [doc["fubini"]] if command == "fubini" else [
+        doc["report"][key] for key in ("real_kernel", "complex_kernel", "fubini_real",
+                                       "fubini_complex")]
+    assert (code, err) == (0, "")
+    assert all((c["kernel_dim"], c["span_dim"], c["match"]) == (0, 0, True) for c in checks)
+
+
+@pytest.mark.parametrize("direction, f, labels, want", [
+    # Complexified element k is F[k] + i F[h + k], with a zero partner "0".
+    ("complexify", "real", ("a", "b", "c"), ["a + i c", "b + i 0"]),
+    # An element outside the real form travels as its parts r and s.
+    ("realify", "mixed", ("one", "z"), ["one", "z.r", "z.s"])])
+def test_qd_transport_keeps_the_labels_of_a_labelled_certificate(tmp_path, capsys, direction,
+                                                                 f, labels, want):
+    if f == "real":
+        subset = FiniteSubset(np.random.default_rng(12).standard_normal((3, 2, 2)), labels)
+        phi = unital_compression_map(np.random.default_rng(4), 2, 3, field="R", terms=2)
+    else:
+        subset = FiniteSubset((np.eye(2), np.array([[1.0, 1.0j], [0.0, 2.0]])), labels)
+        phi = LinearMapMat.identity(2)
+    cert = QDCertificate(full_algebra(2), subset, phi, 9.0, "complex_op", ANTI2)
+    code, out, err = _run(["qd-transport", "--cert", _write(tmp_path, "cert.json",
+                                                             cert_to_json(cert)),
+                           "--direction", direction], capsys)
+    assert code in (0, 1) and err == ""
+    assert json.loads(out)["certificate"]["labels"] == want
 
 
 @pytest.mark.parametrize("name, key, argv", [

@@ -5,6 +5,8 @@ that builds the quotient map directly on raw Kronecker products and
 null-spaces it, independently of the subspace engine.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -308,3 +310,25 @@ class TestSubspaceEngine:
         assert rows.shape == (dim, n) and dim == n - rank
         np.testing.assert_allclose(rows @ rows.T, np.eye(dim), atol=1e-12)
         assert np.max(np.abs(a @ rows.T), initial=0.0) < 1e-10
+
+    @pytest.mark.parametrize("shape, rank", [((12, 5), 2), ((5, 5), 4), ((3, 8), 1)])
+    @pytest.mark.parametrize("field", ["R", "C"])
+    def test_kernel_rows_factors_the_transpose_when_the_svd_fails(self, shape, rank, field):
+        # LAPACK's gesdd can raise "SVD did not converge" on a finite
+        # matrix whose transpose it factors; the null space then comes
+        # from the left factor of a^T.
+        m, n = shape
+        rng = np.random.default_rng(m * 10 + n + rank)
+        a = random_matrix(rng, m, rank, field) @ random_matrix(rng, rank, n, field)
+        svd = np.linalg.svd
+
+        def svd_failing_on_a(x, *args, **kwargs):
+            if x is a:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(x, *args, **kwargs)
+
+        with mock.patch.object(np.linalg, "svd", svd_failing_on_a):
+            rows = kernel_rows(a)
+        assert rows.shape == (n - rank, n)
+        np.testing.assert_allclose(rows @ rows.conj().T, np.eye(n - rank), atol=1e-12)
+        assert np.max(np.abs(a @ rows.conj().T), initial=0.0) < 1e-10
