@@ -13,7 +13,7 @@ from .matrix import (DEFAULT_TOL, col_norm1, op_norm, positivity_defect,
                      split_norm)
 from .realform import (AntiAutomorphism, StarAlgebra, check_antiautomorphism,
                        conj_phi, real_decompose, real_form_basis,
-                       real_form_residual)
+                       real_form_residual, real_frame)
 from .cpmaps import (LinearMapMat, choi, complexify,
                      compose, compress, cp_defect, cp_defect_real_report)
 from .transport import (RealifiedMap, ThetaScale, eta, eta1, rho,
@@ -24,13 +24,13 @@ from .certify import (AUDIT_CLAIMS, AuditReport, DefectReport, FiniteSubset,
                       nuclear_witness_verify, qd_complexify, qd_realify,
                       qd_verify, trace_qd_verify, trace_transport)
 from .tensorexact import (IdealPresentation, exactness_check, fubini,
-                          fubini_check, real_frame)
+                          fubini_check)
 
 __all__ = [
     "__version__",
     "DEFAULT_TOL", "col_norm1", "op_norm", "positivity_defect", "split_norm",
     "AntiAutomorphism", "StarAlgebra", "check_antiautomorphism", "conj_phi",
-    "real_decompose", "real_form_basis", "real_form_residual",
+    "real_decompose", "real_form_basis", "real_form_residual", "real_frame",
     "LinearMapMat", "choi", "complexify", "compose",
     "compress", "cp_defect", "cp_defect_real_report",
     "RealifiedMap", "ThetaScale", "eta", "eta1", "rho",
@@ -41,5 +41,4 @@ __all__ = [
     "qd_complexify", "qd_realify", "qd_verify", "trace_qd_verify",
     "trace_transport",
     "IdealPresentation", "exactness_check", "fubini", "fubini_check",
-    "real_frame",
 ]

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cpmaps import COMPLEX, REAL, LinearMapMat, complexify, compress, compose
-from .matrix import (DEFAULT_TOL, _re_im_pairs, as_array, as_arrays, batches,
-                     col_norm1, hermitian_defect, matrix_units, op_norm, positivity_defect,
+from .matrix import (DEFAULT_TOL, _re_im_pairs, as_array, as_arrays, col_norm1,
+                     hermitian_defect, matrix_units, op_norm, positivity_defect,
                      split_norm, unit_squares)
 from .realform import AntiAutomorphism, StarAlgebra, real_decompose, \
-    real_form_basis, real_form_residual
+    real_form_residual, real_frame
 from .transport import RealifiedMap, ThetaScale, eta, eta1, normalized_trace, \
     theta, theta_normalizer, upsilon, upsilon1
 
@@ -33,7 +33,6 @@ REAL_COL1 = "real_col1"
 PHI_SPLIT = "phi_split"
 NORM_MODES = (COMPLEX_OP, REAL_COL1, PHI_SPLIT)
 REAL_FORM_TOL = 1e-8    # an element lies in the real form when ||Phi(x) - x*|| is at most this
-TRACE_SAMPLES = 20      # pairs (a, b) drawn by trace_transport's traciality probe
 
 NONLINEAR_THETA_FLAG = ("nonlinear theta: the normalizer is input-dependent, "
                         "so the linear homomorphism defect bound does not apply; "
@@ -288,16 +287,17 @@ def qd_complexify(cert: QDCertificate) -> tuple[QDCertificate, DefectReport]:
 
 def _realify_working_set(cert: QDCertificate, anti: AntiAutomorphism,
                          scale: ThetaScale | None = None):
-    """The real-form subset qd_realify transports (each element, or its
-    parts r, s, labelled x.r, x.s, outside the real form), phi's images of
-    it and of its products (see _evaluate), and the theta scale: ``scale``,
-    or for None (the "auto" mode) the fixed scale 1/(max N + 1) over
-    those images, so the linear theta is contractive there."""
+    """The real-form subset qd_realify transports (each element x, or
+    outside the real form its parts r, s, labelled x.r, x.s, where x is the
+    input's label), phi's images of it and of its products (see _evaluate),
+    and the theta scale: ``scale``, or for None (the "auto" mode) the fixed
+    scale 1/(max N + 1) over those images, so the linear theta is
+    contractive there."""
     inside = real_form_residual(anti, cert.subset.elements) <= REAL_FORM_TOL
     parts = [(a,) if ok else real_decompose(anti, a) for a, ok in zip(cert.subset.elements, inside)]
-    labels = [name for x, p in zip(cert.subset.labels or (), parts)
-              for name in ((x,) if len(p) == 1 else (f"{x}.r", f"{x}.s"))]
-    subset = FiniteSubset([m for p in parts for m in p], labels or None)
+    labels = [cert.subset.label(i) + suffix for i, p in enumerate(parts)
+              for suffix in (("",) if len(p) == 1 else (".r", ".s"))]
+    subset = FiniteSubset([m for p in parts for m in p], labels)
     img, prods = _evaluate(cert.phi.apply, subset.elements)
     if scale is None:
         scale = ThetaScale.for_working_set(
@@ -432,15 +432,17 @@ class TraceWitness:
         t = np.trace(self.gram @ as_arrays(x), axis1=-2, axis2=-1)
         return complex(t) if t.ndim == 0 else t
 
+    def pair_traces(self, frame: np.ndarray) -> np.ndarray:
+        """M[i, j] = tau(f_i f_j) over a stack (d, n, n), as one matrix
+        product; tau(f_j f_i) is then M.T."""
+        d = len(frame)
+        return (self.gram @ frame).reshape(d, -1) @ frame.swapaxes(1, 2).reshape(d, -1).T
+
     def traciality_residual(self, algebra: StarAlgebra) -> float:
         """max |tau(ab) - tau(ba)| over pairs of frame elements (bilinear,
         so a basis decides it, and the frame makes it scale-free)."""
-        f = algebra.frame
-        worst = 0.0
-        for b in batches(len(f), f.size):    # all products f_i f_j, in bounded batches
-            d = self(f[b, None] @ f[None]) - self(f[None] @ f[b, None])
-            worst = max(worst, float(np.max(np.hypot(d.real, d.imag))))
-        return worst
+        m = self.pair_traces(algebra.frame)
+        return float(np.max(np.abs(m - m.T), initial=0.0))
 
 
 def trace_qd_verify(cert: QDCertificate, witness: TraceWitness) -> DefectReport:
@@ -467,48 +469,40 @@ def trace_qd_verify(cert: QDCertificate, witness: TraceWitness) -> DefectReport:
     )
 
 
-def trace_transport(witness: TraceWitness, anti: AntiAutomorphism,
-                    scale: float = 0.5, cert: QDCertificate | None = None,
-                    theta_scale: ThetaScale | None = None, seed: int = 0) -> dict:
-    """Transport a tracial functional to the real form and audit the chain.
+def trace_transport(witness: TraceWitness, anti: AntiAutomorphism, cert: QDCertificate,
+                    scale: float = 0.5, theta_scale: ThetaScale | None = None) -> dict:
+    """Transport a tracial functional to the real form of the certificate's
+    algebra A and audit the chain.
 
     The transported functional is upsilon1 . tau; it is only real-linear
-    when tau is real-valued on the real form, so witnesses violating that
-    are flagged.  When a certificate is supplied the full defect chain
-    |tau'(theta(phi(a))) - tau_form(a)| is replayed for the elements of F
-    in the real form, with the trace-comparison inequality audited rather
-    than assumed; theta scales by ``theta_scale``, or for None by the
-    constant qd_realify picks for the certificate, and the report records
-    which.
+    when tau is real-valued on A's real form, so witnesses violating that
+    are flagged.  Both that and its traciality are read off every element
+    and every pair of ``real_frame(A, anti)``, which raises ValueError when
+    A is not invariant under Phi.  When the certificate's map is
+    complex-linear the full defect chain |tau'(theta(phi(a))) - tau_form(a)|
+    is replayed for the elements of F in the real form, with the
+    trace-comparison inequality audited rather than assumed; theta scales
+    by ``theta_scale``, or for None by the constant qd_realify picks for
+    the certificate, and the report records which.
     """
     if witness.dim != anti.dim:
         raise ValueError("trace witness dimension does not match the antiautomorphism")
-    form = real_form_basis(anti)
-    imag_on_form = float(np.max(np.abs(witness(form).imag)))
+    form = real_frame(cert.algebra, anti)
+    imag_on_form = float(np.max(np.abs(witness(form).imag), initial=0.0))
     real_valued = imag_on_form <= 1e-9
-
-    # Per sample the coefficients of a, then of b, each a vector-matrix product.
-    coeff = np.random.default_rng(seed).standard_normal((TRACE_SAMPLES, 2, 1, len(form)))
-    c = (coeff @ form.reshape(len(form), -1)).reshape(TRACE_SAMPLES, 2, anti.dim, anti.dim)
-    ca, cb = c[:, 0], c[:, 1]
-    traciality = np.max(np.abs(upsilon1(witness(ca @ cb), scale)
-                               - upsilon1(witness(cb @ ca), scale)), initial=0.0)
+    pairs = upsilon1(witness.pair_traces(form), scale)
 
     report: dict = {
         "scale": scale,
         "real_valued_on_form": bool(real_valued),
-        "imag_on_form": float(imag_on_form),
-        "traciality_residual": float(traciality),
-        "samples": TRACE_SAMPLES,
-        "seed": int(seed),
+        "imag_on_form": imag_on_form,
+        "traciality_residual": float(np.max(np.abs(pairs - pairs.T), initial=0.0)),
     }
     if not real_valued:
         report["flags"] = ["witness is not real-valued on the real form; "
                            "the transported functional is not real-linear there"]
 
-    if cert is not None:
-        if cert.phi.linearity != COMPLEX:
-            raise ValueError("chain replay needs a complex-linear certificate map")
+    if cert.phi.linearity == COMPLEX:
         if theta_scale is None:
             theta_scale = _realify_working_set(cert, anti)[3]
         report["theta_mode"] = theta_scale.mode

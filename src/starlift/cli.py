@@ -77,9 +77,8 @@ def _cmd_complexify(args):
 def _cmd_realform(args):
     doc = load_json(args.phi)
     anti = anti_from_json(doc, validate=False)
-    report = check_antiautomorphism(anti, samples=args.samples, seed=args.seed,
-                                    tol=args.tol)
-    out = {"check": report.to_json()}
+    check = check_antiautomorphism(anti)
+    out = {"check": check}
     if args.matrix:
         x = matrix_from_json(load_json(args.matrix), "matrix")
         r, s = real_decompose(anti, x)
@@ -90,7 +89,7 @@ def _cmd_realform(args):
             "recombine_residual": float(op_norm(x - (r + 1j * s))),
             "real_form_residual": float(real_form_residual(anti, x)),
         }
-    return out, report.ok
+    return out, check["ok"]
 
 
 def _cmd_choi(args):
@@ -175,11 +174,8 @@ def _cmd_trace_audit(args):
     report = trace_qd_verify(cert, witness)
     doc = {"verify": report.to_json()}
     if args.phi:
-        anti = anti_from_json(load_json(args.phi))
-        chain_cert = cert if cert.phi.linearity == COMPLEX else None
-        doc["transport"] = trace_transport(
-            witness, anti, scale=args.scale, cert=chain_cert,
-            theta_scale=theta_scale, seed=args.seed)
+        doc["transport"] = trace_transport(witness, anti_from_json(load_json(args.phi)), cert,
+                                           scale=args.scale, theta_scale=theta_scale)
     return doc, report.passed
 
 
@@ -249,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realform", help="check an antiautomorphism and decompose a matrix")
     p.add_argument("--phi", required=True)
     p.add_argument("--matrix")
-    p.add_argument("--samples", type=int, default=50)
     _add_common(p)
     p.set_defaults(handler="_cmd_realform")
 

@@ -35,26 +35,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .matrix import DEFAULT_TOL, as_arrays, matrix_units, worst_op_norm
-from .realform import AntiAutomorphism, StarAlgebra, real_form_basis
-from .subspace import (RANK_TOL, containment_residual, kernel_rows, orth_rows,
-                       realify, subspaces_equal, unrealify)
-
-
-def real_frame(a: StarAlgebra, anti: AntiAutomorphism) -> np.ndarray:
-    """A's real form {x in A: Phi(x) = x*} as a frame: the real form of
-    M_n projected onto A's realified frame.
-
-    The projection is A's real form only when Phi(A) lies in A, so a
-    containment residual above ``RANK_TOL`` raises ValueError.
-    """
-    fa = a.frame
-    amb = realify(np.concatenate([fa, 1j * fa]))
-    resid = containment_residual(realify(anti.apply(fa)), amb)
-    if resid > RANK_TOL:
-        raise ValueError("the algebra is not invariant under the "
-                         f"antiautomorphism: residual {resid:.3e}")
-    rows = orth_rows(realify(real_form_basis(anti)) @ amb.T @ amb)
-    return unrealify(rows, (-1, a.n, a.n))
+from .realform import AntiAutomorphism, StarAlgebra, real_frame
+from .subspace import (RANK_TOL, containment_residual, kernel_rows, realify,
+                       subspaces_equal, unrealify)
 
 
 @dataclass(frozen=True, eq=False)

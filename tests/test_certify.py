@@ -273,6 +273,24 @@ class TestQdRealify:
         with pytest.raises(ValueError):
             qd_realify(cert)
 
+    def test_parts_are_named_after_the_input(self):
+        # F[0] is outside M_2(R) and splits into F[0].r + i F[0].s; F[1] is
+        # kept.  Scale 1 keeps the transported map unital, as a document must be.
+        f0 = np.array([[1.0, 1.0j], [0.0, 2.0]])
+        cert = QDCertificate(M2, FiniteSubset((f0, np.eye(2))), LinearMapMat.identity(2), 9.0,
+                             anti=ANTI2)
+        new_cert, rep = qd_realify(cert, scale=ThetaScale("fixed", 1.0))
+        labels = ("F[0].r", "F[0].s", "F[1]")
+        assert new_cert.subset.labels == labels
+        r, s, one = new_cert.subset.elements
+        assert np.array_equal(r + 1j * s, f0) and np.array_equal(one, np.eye(2))
+        named = [w[key] for w in rep.witnesses.values()
+                 for key in ("left", "right", "element") if key in w]
+        assert named and set(named) <= set(labels)
+        again = cert_from_json(cert_to_json(new_cert))
+        assert again.subset.labels == labels
+        assert np.array_equal(again.subset.elements, new_cert.subset.elements)
+
     def test_quaternionic_form(self):
         # Under u = J the real-form parts have complex entries; a domain
         # element is measured as col_norm1(sigma(a)), which the identity
@@ -409,10 +427,20 @@ class TestTraceQd:
         assert trace_qd_verify(cert, witness).passed
 
 
+def _trace_cert(algebra=M2, phi=None):
+    """The identity certificate on ``algebra``: F = {1}."""
+    n = algebra.n
+    return QDCertificate(algebra, FiniteSubset((np.eye(n),)),
+                         phi or LinearMapMat.identity(n), 0.1)
+
+
+DIAG2 = block_algebra([1, 1])
+
+
 class TestTraceTransport:
     def test_real_valued_witness_restricts(self):
         tau = TraceWitness(np.eye(2) / 2)
-        rep = trace_transport(tau, ANTI2, scale=1.0)
+        rep = trace_transport(tau, ANTI2, _trace_cert(), scale=1.0)
         assert rep["real_valued_on_form"]
         # the transported functional upsilon1 . tau at scale 1
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -420,26 +448,44 @@ class TestTraceTransport:
 
     def test_normalized_trace_transports_to_real_trace(self):
         tau = TraceWitness(np.eye(2) / 2)
-        rep = trace_transport(tau, ANTI2)
+        rep = trace_transport(tau, ANTI2, _trace_cert())
         assert rep["traciality_residual"] < 1e-10
         assert upsilon1(tau(np.eye(2)), rep["scale"]) == pytest.approx(0.5)
 
     def test_zero_functional(self):
         tau = TraceWitness(np.zeros((2, 2)))
-        rep = trace_transport(tau, ANTI2)
+        rep = trace_transport(tau, ANTI2, _trace_cert())
         assert rep["traciality_residual"] == 0.0 and rep["imag_on_form"] == 0.0
 
     def test_flags_complex_valued_witness(self):
         gram = np.array([[1.0j, 0.0], [0.0, 1.0j]]) / 2
         tau = TraceWitness(gram)
-        rep = trace_transport(tau, ANTI2)
+        rep = trace_transport(tau, ANTI2, _trace_cert())
         assert not rep["real_valued_on_form"]
         assert "flags" in rep
+
+    def test_a_witness_tracial_on_the_algebra_reads_zero(self):
+        # diag(1, 0) is tracial on the diagonal algebra, not on M_2.
+        tau = TraceWitness(np.diag([1.0, 0.0]))
+        assert tau.traciality_residual(M2) == 1.0
+        assert trace_transport(tau, ANTI2, _trace_cert(DIAG2))["traciality_residual"] == 0.0
+
+    def test_a_witness_real_on_the_algebra_is_not_flagged(self):
+        # tau(E12) = i, but E12 is not in the diagonal algebra.
+        tau = TraceWitness(np.array([[1.0, 1.0j], [0.0, 1.0]]))
+        rep = trace_transport(tau, ANTI2, _trace_cert(DIAG2))
+        assert (rep["real_valued_on_form"], rep["imag_on_form"]) == (True, 0.0)
+        assert "flags" not in rep
+
+    def test_a_real_linear_map_has_no_chain(self):
+        phi = unital_compression_map(np.random.default_rng(3), 2, 2, field="R", terms=1)
+        rep = trace_transport(TraceWitness(np.eye(2) / 2), ANTI2, _trace_cert(phi=phi))
+        assert "chain" not in rep and "theta_mode" not in rep
 
     def test_chain_replay_statuses(self):
         cert = _complex_cert(18)
         tau = TraceWitness(np.eye(2) / 2)
-        rep = trace_transport(tau, ANTI2, cert=cert)
+        rep = trace_transport(tau, ANTI2, cert)
         assert len(rep["chain"]) == len(cert.subset)
         for step in rep["chain"]:
             assert "trace_compare_holds" in step

@@ -1,18 +1,22 @@
 """Stacked certificate measurements against the loop versions.
 
-Every report of the certificate layer, the antiautomorphism probe, the
+Every report of the certificate layer, the antiautomorphism check, the
 real-linear CP probe and the entrywise CP lemma audits is compared byte for byte (canonical JSON, so the
 sign of a zero counts) with ``certify_oracle``, over the three norm
 conventions, u = I and u = J, n = 1..4, and subsets that repeat elements
 or hold zeros, so that defects tie and the first worst witness must win.
+A traciality residual is the one value compared to rounding: the library
+forms the traces of all pairs in one matrix product, the oracle one pair
+at a time.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import certify_oracle as oracle
-from map_fixtures import (full_algebra, random_matrix, random_unitary,
+from map_fixtures import (block_algebra, full_algebra, random_matrix, random_unitary,
                           unital_compression_map)
 from starlift.certify import (COMPLEX_OP, NORM_MODES, PHI_SPLIT, REAL_COL1, FiniteSubset,
                               QDCertificate, TraceWitness, _audit_entrywise_cp,
@@ -20,7 +24,8 @@ from starlift.certify import (COMPLEX_OP, NORM_MODES, PHI_SPLIT, REAL_COL1, Fini
                               qd_realify, qd_verify, trace_qd_verify, trace_transport)
 from starlift.cpmaps import COMPLEX, REAL, LinearMapMat, canonical_basis, cp_defect_real_report
 from starlift.io import canonical_dumps
-from starlift.realform import AntiAutomorphism, check_antiautomorphism, real_decompose
+from starlift.realform import (AntiAutomorphism, StarAlgebra, check_antiautomorphism,
+                               real_decompose)
 from starlift.transport import ThetaScale, eta, upsilon
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -29,6 +34,12 @@ J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 def _same(report, reference) -> bool:
     return canonical_dumps(report) == canonical_dumps(reference)
+
+
+def _to_rounding(residual: float):
+    """A traciality residual of the oracle's pair loop, which rounds
+    unlike the library's single matrix product of all pair traces."""
+    return pytest.approx(residual, rel=1e-15, abs=1e-15)
 
 
 @st.composite
@@ -135,27 +146,36 @@ def test_trace_qd_verify_matches_oracle(setup, mode, k, data):
                  oracle.trace_qd_verify(cert, witness))
 
 
+def _invariant_algebra(data, n: int) -> StarAlgebra:
+    """M_n, the diagonal algebra or, for even n, the 2 x 2 blocks: the
+    antiautomorphisms of ``setups`` preserve each."""
+    blocks = data.draw(st.sampled_from([[n], [1] * n] + ([[2] * (n // 2)] if n % 2 == 0 else [])))
+    return block_algebra(blocks)
+
+
 @SETTINGS
-@given(setups(), st.integers(0, 100))
-def test_trace_transport_sampling_matches_oracle(setup, seed):
+@given(setups(), st.booleans(), st.sampled_from((0.5, 1.0)), st.data())
+def test_trace_transport_on_the_real_frame_matches_oracle(setup, tracial, scale, data):
     n, anti, rng = setup
-    witness = TraceWitness(random_matrix(rng, n) if seed % 2 else np.eye(n) / n)
-    report = trace_transport(witness, anti, seed=seed)
-    assert report["samples"] == 20
-    assert (report["imag_on_form"], report["traciality_residual"]) == \
-        oracle.trace_transport_residuals(witness, anti, 0.5, 20, seed)
-    algebra = full_algebra(n)
-    assert witness.traciality_residual(algebra) == oracle.traciality_residual(witness, algebra)
+    algebra = _invariant_algebra(data, n)
+    witness = TraceWitness(np.eye(n) / n if tracial else random_matrix(rng, n))
+    cert = QDCertificate(algebra, FiniteSubset((np.eye(n),)), LinearMapMat.identity(n), 1.0)
+    report = trace_transport(witness, anti, cert, scale)
+    imag_on_form, traciality = oracle.trace_transport_residuals(witness, anti, algebra, scale)
+    assert report["imag_on_form"] == imag_on_form
+    assert report["traciality_residual"] == _to_rounding(traciality)
+    assert witness.traciality_residual(algebra) == \
+        _to_rounding(oracle.traciality_residual(witness, algebra))
 
 
-def test_traciality_residual_in_batches_matches_oracle():
-    # M_9 has 81 spanning matrices, so its 6561 products come in 3 batches.
+def test_traciality_residual_matches_oracle():
+    # M_9: all 6561 pair traces come from one matrix product.
     rng = np.random.default_rng(9)
     algebra = full_algebra(9)
     for gram in (random_matrix(rng, 9), np.eye(9) / 9):
         witness = TraceWitness(gram)
         assert witness.traciality_residual(algebra) == \
-            oracle.traciality_residual(witness, algebra)
+            _to_rounding(oracle.traciality_residual(witness, algebra))
 
 
 @SETTINGS
@@ -170,20 +190,28 @@ def test_trace_transport_chain_matches_oracle(setup, m, mode, scale, data):
                  _map(rng, n, m, COMPLEX), COMPLEX_OP, anti)
     witness = TraceWitness(random_matrix(rng, n) if data.draw(st.booleans()) else np.eye(n) / n)
     theta_scale = None if mode == "auto" else ThetaScale.parse(mode)
-    report = trace_transport(witness, anti, scale, cert, theta_scale, seed=m)
-    assert _same(report, oracle.trace_transport(witness, anti, scale, cert, theta_scale, 20, m))
+    report = trace_transport(witness, anti, cert, scale, theta_scale)
+    reference = oracle.trace_transport(witness, anti, cert, scale, theta_scale)
+    assert report.pop("traciality_residual") == \
+        _to_rounding(reference.pop("traciality_residual"))
+    assert _same(report, reference)
 
 
 @SETTINGS
-@given(setups(), st.sampled_from(("anti", "unitary", "general")), st.integers(1, 5),
-       st.integers(0, 100))
-def test_check_antiautomorphism_matches_oracle(setup, kind, samples, seed):
+@given(setups(), st.sampled_from(("anti", "unitary", "general")))
+def test_check_antiautomorphism_matches_oracle(setup, kind):
     n, anti, rng = setup
     u = {"anti": anti.u, "unitary": random_unitary(rng, n),
          "general": random_matrix(rng, n)}[kind]
-    report = check_antiautomorphism(AntiAutomorphism(u, validate=False), samples=samples,
-                                    seed=seed)
-    assert _same(report.to_json(), oracle.check_antiautomorphism(u, samples, seed, 1e-9))
+    report = check_antiautomorphism(AntiAutomorphism(u, validate=False))
+    assert _same(report, oracle.check_antiautomorphism(u))
+    # The two defects decide the axioms on every pair of the matrix units.
+    axioms = oracle.axiom_residuals(u)
+    assert axioms["star_compatible"] <= 1e-12 * max(1.0, np.linalg.norm(u, 2)) ** 2
+    if report["ok"]:
+        assert max(axioms.values()) <= 1e-9
+    if kind == "general":
+        assert not report["ok"] and axioms["antimultiplicative"] > 1e-9
 
 
 @SETTINGS

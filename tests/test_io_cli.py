@@ -829,6 +829,8 @@ def test_a_tolerance_that_is_not_positive_and_finite_exits_two(
      "bad theta mode 'bogus'; expected 'paper' or 'fixed:<value>'"),
     ("trace-audit without --phi", "--scale", "nan", "trace transport scale must be finite, got nan"),
     *[("cp-check", "--samples", v, "samples must be >= 1") for v in ("-1", "0")],
+    # realform decides from u's two exact defects and draws no samples.
+    ("realform", "--samples", "5", "unrecognized arguments: --samples=5"),
     ("complexify", "--map", "idmap2.json", "map.linearity: complexify expects a real-linear map"),
     # u = J has no real form inside M_2(R), the domain of real_map.json.
     ("complexify", "--phi", "J2.json",
@@ -846,7 +848,10 @@ def test_a_parameter_out_of_range_exits_two_naming_it(workdir, capsys, command, 
                                           "--trace", workdir["trace.json"]],
             }.get(command) or _argv(workdir, command)
     value = workdir.get(value, value)
-    assert _run(argv + [f"{option}={value}"], capsys) == (2, "", f"error: {want}\n")
+    want = f"error: {want}\n"
+    if want.startswith("error: unrecognized arguments"):    # argparse's own message
+        want = cli.build_parser().format_usage() + "starlift: " + want
+    assert _run(argv + [f"{option}={value}"], capsys) == (2, "", want)
 
 
 @pytest.mark.parametrize("command, changes, want", [
@@ -939,6 +944,28 @@ def test_trace_audit_flags_a_trace_that_is_not_real_on_the_real_form(workdir, tm
     assert transport["flags"] == ["witness is not real-valued on the real form; "
                                   "the transported functional is not real-linear there"]
     assert transport["traciality_residual"] < 1e-15
+
+
+def test_trace_audit_rejects_an_algebra_phi_does_not_preserve(workdir, tmp_path, capsys):
+    p = np.ones((2, 2)) / 2
+    cert = QDCertificate(StarAlgebra(2, (p, np.eye(2) - p)), FiniteSubset((np.eye(2),)),
+                         LinearMapMat.identity(2), 0.1)
+    code, out, err = _run(["trace-audit", "--cert", _write(tmp_path, "cert.json",
+                                                            cert_to_json(cert)),
+                           "--trace", workdir["trace.json"],
+                           "--phi", _write(tmp_path, "phi.json",
+                                           {"u": matrix_to_json(np.diag([1.0, 1.0j]))})],
+                          capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the algebra is not invariant under the antiautomorphism")
+
+
+@pytest.mark.parametrize("command", ["realform", "trace-audit"])
+def test_a_report_without_samples_does_not_depend_on_the_seed(workdir, capsys, command):
+    argv = _argv(workdir, command)[:-2]     # without its "--seed", "3"
+    reports = [json.loads(_run(argv + ["--seed", seed], capsys)[1]) for seed in ("1", "7")]
+    assert [r["provenance"].pop("seed") for r in reports] == [1, 7]
+    assert canonical_dumps(reports[0]) == canonical_dumps(reports[1])
 
 
 @pytest.mark.parametrize("command, phi, field", [
