@@ -111,18 +111,20 @@ def _cmd_cp_check(args):
         ok = defect >= -args.tol
         return {"linearity": COMPLEX, "defect": float(defect),
                 "completely_positive": bool(ok)}, ok
-    rep = cp_defect_real_report(phi, level=args.level, samples=args.samples,
-                                seed=args.seed)
-    ok = rep.defect >= -args.tol and rep.selfadj_defect <= args.tol
+    rep = cp_defect_real_report(phi, level=args.level)
+    ok = rep.choi_defect >= -args.tol and rep.selfadj_defect <= args.tol
     doc = {
         "linearity": REAL,
         "level": rep.level,
+        "choi_defect": float(rep.choi_defect),
         "defect": float(rep.defect),
         "selfadjointness_defect": float(rep.selfadj_defect),
         "completely_positive": bool(ok),
-        "provenance": {"samples": rep.samples},
     }
-    if rep.defect < -args.tol and rep.witness is not None:
+    if rep.choi_defect < -args.tol:
+        doc["choi_level"] = rep.choi_level
+        doc["choi_witness"] = matrix_to_json(rep.choi_witness)
+    if rep.defect < -args.tol:
         doc["witness"] = matrix_to_json(rep.witness)
     if rep.selfadj_defect > args.tol and rep.selfadj_witness is not None:
         doc["selfadjointness_witness"] = matrix_to_json(rep.selfadj_witness)
@@ -256,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cp-check", help="complete-positivity defect of a map")
     p.add_argument("--map", required=True)
     p.add_argument("--level", type=int, default=2,
-                   help="amplification level for real-linear maps")
-    p.add_argument("--samples", type=int, default=20)
+                   help="level of the fixed-element probe of a real-linear map")
     _add_common(p)
     p.set_defaults(handler="_cmd_cp_check")
 

@@ -4,11 +4,11 @@ A map is stored by its images on the canonical domain basis, which
 ``canonical_basis`` alone builds: the matrix units for complex-linear
 maps, the doubled family {E_jl, i E_jl} for real-linear maps on a full
 complex matrix space, and the real matrix units when the domain is a
-real matrix space.  Complex-linear complete positivity is decided by the
-Choi matrix; real-linear maps are probed by deterministic sampled
-amplification on elements c*c together with a self-adjointness
-preservation check, and violations always come with the witnessing
-positive element.
+real matrix space.  Complete positivity is decided exactly from the
+stored images, by the Choi matrix of a complex-linear map or the Choi
+matrices of a real-linear map's complexification, and a real-linear
+failure comes with a positive element that witnesses it.  Nothing here
+is sampled.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import (as_array, as_arrays, doubled_units, matrix_units, op_norm,
-                     positivity_defect, unit_squares)
+                     positivity_defect)
 from .realform import AntiAutomorphism, real_decompose
 from .subspace import realify
 
@@ -221,15 +221,31 @@ def choi(phi: LinearMapMat) -> np.ndarray:
     """sum_jl E_jl (x) phi(E_jl) for a complex-linear phi."""
     if phi.linearity != COMPLEX:
         raise ValueError("choi is defined for complex-linear maps; "
-                         "use cp_defect_real_report for real-linear ones")
+                         "cp_defect decides real-linear ones")
     # Block (j, l) is phi(E_jl), the image of the j*n + l-th unit; adding
     # 0.0 turns -0.0 into 0.0, as summing the blocks into a zero matrix does.
     return _join_blocks(phi.images, phi.dom_dim) + 0.0
 
 
 def cp_defect(phi: LinearMapMat) -> float:
-    """Positivity defect of the Choi matrix; >= -tol iff phi is CP."""
-    return positivity_defect(choi(phi))
+    """Positivity defect of phi's Choi matrix; >= -tol iff phi is CP.
+
+    A real-linear map is CP iff its complexification is.  On a real
+    matrix space that is the complex-linear extension, whose Choi matrix
+    joins the images of the real matrix units.  On M_n(C) phi splits into
+    its complex-linear part (phi(x) - i phi(ix))/2 and its
+    conjugate-linear part (phi(x) + i phi(ix))/2, whose Choi matrices C+
+    and C- join (a - ib)/2 and (a + ib)/2, with a the images of the E_jl
+    and b those of the i E_jl; the defect is the smaller of theirs.
+    """
+    n = phi.dom_dim
+    if phi.linearity == COMPLEX:
+        return positivity_defect(choi(phi))
+    if phi.dom_field == REAL:
+        return positivity_defect(_join_blocks(phi.images, n))
+    a, b = phi.images[:n * n], phi.images[n * n:]
+    pair = _join_blocks(np.stack([a - 1j * b, a + 1j * b]) / 2.0, n)
+    return float(np.min(positivity_defect(pair)))
 
 
 # -- real-linear complete positivity -------------------------------------
@@ -237,21 +253,26 @@ def cp_defect(phi: LinearMapMat) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RealCPReport:
-    """Sampled k-positivity probe of a real-linear map.
+    """Complete positivity of a real-linear map.
 
-    ``defect`` is the worst positivity defect of phi^(level)(p) over the
-    deterministic sample of positive elements p = c*c; a negative value
-    certifies a violation and ``witness`` is the offending p.
-    ``selfadj_defect`` is the worst ||phi(x*) - phi(x)*|| seen.
+    ``choi_defect`` is ``cp_defect(phi)``, which decides it, and
+    ``choi_witness`` a positive element at ``choi_level`` whose image
+    under ``block_apply`` has a defect at most ``choi_defect`` (equal
+    when the Choi matrices are Hermitian).  ``defect`` is the worst
+    positivity defect of phi^(level) on the fixed positive elements, and
+    ``witness`` the first element that attains it.  ``selfadj_defect`` is
+    the largest ||phi(b*) - phi(b)*|| over the canonical basis b, and
+    ``selfadj_witness`` the first b that attains it (None when it is 0).
     """
 
+    choi_defect: float
+    choi_level: int
+    choi_witness: np.ndarray
     defect: float
     level: int
-    witness: np.ndarray | None
+    witness: np.ndarray
     selfadj_defect: float
     selfadj_witness: np.ndarray | None
-    samples: int
-    seed: int
 
 
 def _canonical_positive(level: int, n: int, twist: bool = False) -> np.ndarray:
@@ -269,45 +290,56 @@ def _canonical_positive(level: int, n: int, twist: bool = False) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def cp_defect_real_report(phi: LinearMapMat, level: int, samples: int = 20,
-                          seed: int = 0) -> RealCPReport:
-    """Probe level-k positivity of a real-linear map on c*c samples.
+def _choi_witness(phi: LinearMapMat) -> tuple[int, np.ndarray]:
+    """(level, W) with block_apply(phi, W, level) the Choi matrix of a
+    real-domain map, or unitarily equivalent to C+ (+) C- on M_n(C).
 
-    Sampling is deterministic given the seed.  When the domain is a full
-    matrix space the canonical maximally entangled projector is always
-    included, which at level n makes the probe as strong as the Choi
-    criterion for adjoint-preserving maps.
+    On M_n(C), W = ww*/2 with w = sum_j (e_2j + i e_2j+1) (x) e_j has the
+    blocks E_jl/2, -i E_jl/2, i E_jl/2 and E_jl/2, so its image is
+    [[A, -B], [B, A]]/2 up to a permutation, for the joins A and B of a
+    and b; that acts as (A - iB)/2 on the vectors (x, ix) and as
+    (A + iB)/2 on (x, -ix).
     """
+    n = phi.dom_dim
+    if phi.dom_field == REAL:
+        return n, _canonical_positive(n, n)
+    j = np.arange(n)
+    w = np.zeros(2 * n * n, dtype=np.complex128)
+    w[2 * j * n + j] = 1.0
+    w[(2 * j + 1) * n + j] = 1j
+    return 2 * n, np.outer(w, w.conj()) / 2.0
+
+
+def cp_defect_real_report(phi: LinearMapMat, level: int) -> RealCPReport:
+    """Decide complete positivity of a real-linear map from its images,
+    and probe phi^(level) on the fixed positive elements: the identity,
+    the twisted projector (complex domain only) and the canonical one.
+    At level n on a real domain the canonical projector's image is the
+    Choi matrix.  Nothing is sampled."""
     if phi.linearity != REAL:
         raise ValueError("cp_defect_real_report expects a real-linear map")
     if level < 1:
         raise ValueError("level must be >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     n = phi.dom_dim
-    rng = np.random.default_rng(seed)
+    choi_level, choi_witness = _choi_witness(phi)
 
     fixed = [np.eye(level * n, dtype=np.complex128)]
     if phi.dom_field == COMPLEX:
         fixed.append(_canonical_positive(level, n, twist=True))
     fixed.append(_canonical_positive(level, n))
-    basis = phi.basis
-    nb = len(basis)
-    coeff = rng.standard_normal((samples * level * level, nb)) / np.sqrt(nb)
-    c = _join_blocks(_combine(coeff, basis).reshape(samples, level * level, n, n), level)
-    candidates = np.concatenate([fixed, unit_squares(c)])
-
-    defects = positivity_defect(block_apply(phi, candidates, level))
+    defects = positivity_defect(block_apply(phi, np.stack(fixed), level))
     best = int(np.argmin(defects))      # the first candidate with the least defect
-    worst, witness = defects[best], candidates[best]
 
-    xs = _combine(rng.standard_normal((samples, nb)), basis)
-    sa = op_norm(phi.apply(np.swapaxes(xs.conj(), -1, -2))
-                 - np.swapaxes(phi.apply(xs).conj(), -1, -2))
-    sa_worst, sa_witness = 0.0, None
-    if sa.size and sa.max() > 0:
-        first = int(np.argmax(sa))      # the first sample with the largest residual
-        sa_worst, sa_witness = sa[first], xs[first]
+    # phi(b*) read off the images: E_jl* = E_lj, and (i E_jl)* = -i E_lj.
+    adj = np.arange(n * n).reshape(n, n).T.ravel()
+    images = phi.images
+    if phi.dom_field == COMPLEX:
+        adj_images = np.concatenate([images[adj], -images[n * n + adj]])
+    else:
+        adj_images = images[adj]
+    sa = op_norm(adj_images - np.swapaxes(images.conj(), -1, -2))
+    first = int(np.argmax(sa))          # the first basis element with the largest residual
+    sa_worst, sa_witness = (sa[first], phi.basis[first]) if sa[first] > 0 else (0.0, None)
 
-    return RealCPReport(float(worst), level, witness, float(sa_worst),
-                        sa_witness, samples, int(seed))
+    return RealCPReport(cp_defect(phi), choi_level, choi_witness, float(defects[best]),
+                        level, fixed[best], float(sa_worst), sa_witness)

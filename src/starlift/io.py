@@ -267,6 +267,8 @@ def algebra_to_json(a: StarAlgebra) -> dict:
 def algebra_from_json(doc, path: str = "algebra") -> StarAlgebra:
     n = _as_dim(_need(doc, "n", path), f"{path}.n")
     span = subset_from_json(_need(doc, "span", path), f"{path}.span")
+    if not span.any():
+        raise SchemaError(f"{path}.span", "span is zero")
     unital = _need(doc, "unital", path)
     if not isinstance(unital, bool):
         raise SchemaError(f"{path}.unital", "expected a boolean")

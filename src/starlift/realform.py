@@ -168,6 +168,8 @@ class StarAlgebra:
             raise ValueError(f"span matrix has shape {span.shape[1:]}, expected ({self.n},{self.n})")
         if not np.isfinite(span).all():
             raise ValueError("span matrix has a non-finite entry")
+        if not span.any():
+            raise ValueError("span is zero")
         span.setflags(write=False)
         object.__setattr__(self, "span", span)
         if self.validate and not self.is_block_full:

@@ -381,6 +381,32 @@ def cp_defect_real_report(phi: LinearMapMat, level: int, samples: int, seed: int
     return float(defects[best]), candidates[best], float(sa_worst), sa_witness
 
 
+def selfadjointness_defect(phi: LinearMapMat) -> tuple:
+    """(worst, witness) of ||phi(b*) - phi(b)*|| over the canonical basis b."""
+    worst, witness = 0.0, None
+    for b in phi.basis:
+        r = op_norm(phi.apply(b.conj().T) - phi.apply(b).conj().T)
+        if r > worst:
+            worst, witness = r, b
+    return float(worst), witness
+
+
+def real_cp_defect(phi: LinearMapMat) -> float:
+    """The least positivity defect of the Choi matrices of a real-linear
+    map's complexification, built from phi's values on the E_jl and i E_jl
+    one block at a time."""
+    n = phi.dom_dim
+    units = matrix_units(n)
+    if phi.dom_field == "R":
+        parts = [[phi.apply(e) for e in units]]
+    else:
+        a = [phi.apply(e) for e in units]
+        b = [phi.apply(1j * e) for e in units]
+        parts = [[(x - 1j * y) / 2.0 for x, y in zip(a, b)],
+                 [(x + 1j * y) / 2.0 for x, y in zip(a, b)]]
+    return min(positivity_defect(_join_blocks(np.array(p), n)) for p in parts)
+
+
 def _positive_samples(rng, level: int, samples: int, canonical: list) -> list:
     out = list(canonical)
     for _ in range(samples):

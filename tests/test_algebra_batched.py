@@ -248,6 +248,14 @@ def test_a_non_finite_span_is_rejected_before_any_svd(value):
                 StarAlgebra(3, tuple(span), validate=validate)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_an_all_zero_span_is_rejected_naming_it(k):
+    # Its frame is empty, which no residual of the validation can measure.
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="^span is zero$"):
+            StarAlgebra(2, np.zeros((k, 2, 2)), unital=False, validate=validate)
+
+
 def test_a_rescaled_algebra_is_accepted_on_both_paths():
     # 1e5 times a rotated M_3 is M_3.  Its products are about 1e10 in size,
     # but the product path forms them from the frame, so it accepts the

@@ -216,9 +216,8 @@ def test_check_antiautomorphism_matches_oracle(setup, kind):
 
 @SETTINGS
 @given(setups(), st.sampled_from(("random", "identity", "transpose")), st.booleans(),
-       st.integers(1, 3), st.integers(1, 4), st.integers(0, 100))
-def test_cp_defect_real_report_matches_oracle(setup, kind, real_domain, level, samples,
-                                              seed):
+       st.integers(1, 3), st.integers(0, 100))
+def test_cp_defect_real_report_matches_oracle(setup, kind, real_domain, level, seed):
     n, _, rng = setup
     field = REAL if real_domain else COMPLEX
     if kind == "random":
@@ -226,14 +225,66 @@ def test_cp_defect_real_report_matches_oracle(setup, kind, real_domain, level, s
     else:   # adjoint-preserving: every self-adjointness residual is 0
         f = (lambda x: x) if kind == "identity" else (lambda x: np.asarray(x).T)
         phi = LinearMapMat.from_function(f, n, REAL, dom_field=field, cod_field=field)
-    rep = cp_defect_real_report(phi, level, samples=samples, seed=seed)
-    defect, witness, sa, sa_witness = oracle.cp_defect_real_report(phi, level, samples, seed)
+    rep = cp_defect_real_report(phi, level)
+    # The probe is the oracle's sampled one without its random candidates.
+    defect, witness, _, _ = oracle.cp_defect_real_report(phi, level, 0, seed)
     assert rep.defect == defect and np.array_equal(rep.witness, witness)
+    assert rep.choi_defect == oracle.real_cp_defect(phi)
+    sa, sa_witness = oracle.selfadjointness_defect(phi)
     assert rep.selfadj_defect == sa
     if sa_witness is None:
         assert rep.selfadj_witness is None
     else:
         assert np.array_equal(rep.selfadj_witness, sa_witness)
+
+
+def _kraus_map(data, rng, n: int) -> LinearMapMat:
+    """x -> sum A*xA + sum B*conj(x)B, which is CP, or one of its
+    perturbations by +-eps tr(x) 1, +-eps tr(conj x) 1 or -eps x^T."""
+    m = data.draw(st.integers(1, 3))
+    ka, kb = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    a = [random_matrix(rng, n, m) for _ in range(ka)]
+    b = [random_matrix(rng, n, m) for _ in range(kb)]
+    kinds = ["none", "+tr", "-tr", "+trbar", "-trbar"] + (["-transpose"] if m == n else [])
+    kind = data.draw(st.sampled_from(kinds))
+    eps = data.draw(st.sampled_from((0.05, 0.3, 1.0)))
+
+    def f(x):
+        x = np.asarray(x)
+        out = np.zeros((m, m), dtype=complex)
+        for k in a:
+            out += k.conj().T @ x @ k
+        for k in b:
+            out += k.conj().T @ x.conj() @ k
+        sign = -1.0 if kind.startswith("-") else 1.0
+        if kind.endswith("trbar"):
+            out += sign * eps * np.trace(x).conjugate() * np.eye(m)
+        elif kind.endswith("tr"):
+            out += sign * eps * np.trace(x) * np.eye(m)
+        elif kind == "-transpose":
+            out -= eps * x.T
+        return out
+
+    return LinearMapMat.from_function(f, n, REAL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_exact_cp_verdict_agrees_with_the_level_2n_probe(n, seed, data):
+    # A map the exact kernel calls CP shows no violation to the sampled
+    # probe at level 2n; one it calls not CP is shown so by its witness,
+    # replayed one block at a time, which is a positive element.
+    rng = np.random.default_rng(seed)
+    phi = _kraus_map(data, rng, n)
+    rep = cp_defect_real_report(phi, 1)
+    tol = 1e-9
+    sampled, _, _, _ = oracle.cp_defect_real_report(phi, 2 * n, 10, seed % 1000)
+    replay = oracle.positivity_defect(oracle._block_apply(phi, rep.choi_witness,
+                                                          rep.choi_level))
+    assert rep.choi_level == 2 * n
+    assert np.linalg.eigvalsh(rep.choi_witness)[0] >= -1e-12
+    assert replay <= rep.choi_defect + 1e-12
+    assert (rep.choi_defect >= -tol) == (min(sampled, replay) >= -tol)
 
 
 # eta and upsilon(., 1) fail at level 2; the other two hold at every level,

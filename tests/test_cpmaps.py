@@ -6,7 +6,7 @@ import pytest
 from starlift.cpmaps import (LinearMapMat, basis_size, block_apply, choi,
                              complexify, compose, compress, cp_defect,
                              cp_defect_real_report, doubled_units, matrix_units)
-from starlift.matrix import op_norm
+from starlift.matrix import op_norm, positivity_defect
 from starlift.realform import AntiAutomorphism
 from starlift.transport import rho_map, sigma_map
 
@@ -103,30 +103,56 @@ class TestCpDefectReal:
     def test_sigma_is_cp(self):
         for k in (1, 2, 3):
             for level in (1, 2, 3):
-                assert cp_defect_real_report(sigma_map(k), level, samples=6,
-                                             seed=0).defect >= -1e-10
+                assert cp_defect_real_report(sigma_map(k), level).defect >= -1e-10
 
     def test_eta_level2_counterexample(self):
-        rep = cp_defect_real_report(eta_map(1), level=2, samples=5, seed=0)
+        rep = cp_defect_real_report(eta_map(1), level=2)
         assert rep.defect == pytest.approx(-1.0, abs=1e-10)
         expected = np.array([[1.0, 1.0j], [-1.0j, 1.0]])
         assert op_norm(rep.witness - expected) < 1e-12
 
     def test_zero_map(self):
         zero = LinearMapMat.from_function(lambda m: np.zeros((2, 2)), 2, "R")
-        assert cp_defect_real_report(zero, 2, samples=5, seed=0).defect == 0.0
+        assert cp_defect_real_report(zero, 2).defect == 0.0
 
     def test_selfadjointness_reporting(self):
         rep = cp_defect_real_report(
             LinearMapMat.from_function(lambda m: np.asarray(m) * 1.0, 2, "R"),
-            level=1, samples=10, seed=0)
+            level=1)
         assert rep.selfadj_defect < 1e-12
-        ups = cp_defect_real_report(eta_map(2), level=2, samples=10, seed=0)
+        ups = cp_defect_real_report(eta_map(2), level=2)
         assert ups.selfadj_defect > 0.5
 
     def test_rejects_complex_linear(self):
         with pytest.raises(ValueError):
             cp_defect_real_report(LinearMapMat.identity(2), 2)
+
+    def test_tomiyama_map_fails_at_every_level(self):
+        # x -> tr(x) 1 - x/2 on M_3 is 2-positive but not CP.
+        phi = LinearMapMat.from_function(lambda x: np.trace(x) * np.eye(3) - np.asarray(x) / 2,
+                                         3, "R")
+        for level in (1, 2, 3):
+            rep = cp_defect_real_report(phi, level)
+            assert rep.choi_defect == pytest.approx(-0.5, abs=1e-12)
+            assert rep.choi_level == 6
+            replay = positivity_defect(block_apply(phi, rep.choi_witness, rep.choi_level))
+            assert replay <= rep.choi_defect + 1e-12
+        assert cp_defect(phi) == rep.choi_defect
+
+    def test_real_domain_map_uses_the_real_unit_choi_matrix(self):
+        # The complexification of a map on M_n(R) sends E_jl to phi(E_jl),
+        # so its Choi matrix is the join of the stored images.
+        anti = AntiAutomorphism.transpose(2)
+        for trial in range(4):
+            rng = np.random.default_rng(40 + trial)
+            phi = LinearMapMat(2, 3, "R", rng.standard_normal((4, 3, 3)), dom_field="R",
+                               cod_field="R")
+            want = positivity_defect(choi(complexify(phi, anti)))
+            assert cp_defect(phi) == want
+            rep = cp_defect_real_report(phi, 2)
+            assert rep.choi_level == 2
+            assert np.array_equal(rep.choi_witness, _entangled(2))
+            assert positivity_defect(block_apply(phi, rep.choi_witness, 2)) == want
 
 
 class TestCpTransfer:
@@ -149,7 +175,7 @@ class TestCpTransfer:
 
                 phi = LinearMapMat.from_function(f, n, "R", dom_field="R",
                                                  cod_field="R")
-            real_verdict = cp_defect_real_report(phi, level=n, samples=8, seed=5).defect >= -1e-8
+            real_verdict = cp_defect_real_report(phi, level=n).defect >= -1e-8
             cplx_verdict = cp_defect(complexify(phi, anti)) >= -1e-8
             assert real_verdict == cplx_verdict
 

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from starlift.certify import FiniteSubset, QDCertificate, nuclear_witness_verify
 from starlift import __version__, cli, tensorexact
 from starlift.cli import cmd_dispatch
-from starlift.cpmaps import LinearMapMat, complexify, compress
+from starlift.cpmaps import LinearMapMat, block_apply, complexify, compress
 from starlift.io import (SchemaError, _matrices_to_json, algebra_to_json, anti_to_json,
                          canonical_dumps, cert_from_json, cert_to_json,
                          ideal_from_json, map_from_json, map_to_json,
                          matrix_from_json, matrix_to_json, subset_from_json)
-from starlift.matrix import matrix_units, op_norm, split_norm
+from starlift.matrix import matrix_units, op_norm, positivity_defect, split_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra, real_decompose
 from starlift.transport import rho_map, sigma_map
 
@@ -482,6 +482,22 @@ class TestCli:
         assert code == 1
         assert json.loads(out)["defect"] == -1.0
 
+    @pytest.mark.parametrize("level", ["1", "2", "3"])
+    def test_cp_check_fails_the_tomiyama_map_at_every_level(self, tmp_path, capsys, level):
+        # x -> tr(x) 1 - x/2 on M_3 as a real-linear map is 2-positive but
+        # not CP, and the fixed-element probe passes it at level 2.
+        phi = LinearMapMat.from_function(lambda x: np.trace(x) * np.eye(3) - np.asarray(x) / 2,
+                                         3, "R")
+        code, out, _ = _run(["cp-check", "--map", _write(tmp_path, "tomiyama.json",
+                                                         map_to_json(phi)),
+                             "--level", level], capsys)
+        doc = json.loads(out)
+        assert (code, doc["completely_positive"], doc["choi_level"]) == (1, False, 6)
+        assert doc["choi_defect"] == pytest.approx(-0.5, abs=1e-12)
+        replay = positivity_defect(block_apply(phi, matrix_from_json(doc["choi_witness"]), 6))
+        assert replay <= doc["choi_defect"] + 1e-12
+        assert ("witness" in doc) == (level == "3")
+
     def test_cp_check_env_tolerance(self, workdir, capsys, monkeypatch):
         monkeypatch.setenv("STARLIFT_TOL", "10.0")
         code, _, _ = _run(["cp-check", "--map", workdir["transpose2.json"]],
@@ -763,7 +779,7 @@ SUBCOMMANDS = {
     "complexify": ["--map", "real_map.json"],
     "realform": ["--phi", "phi.json", "--matrix", "x.json", "--seed", "3"],
     "choi": ["--map", "transpose2.json"],
-    "cp-check": ["--map", "real_map.json", "--samples", "4", "--seed", "3"],
+    "cp-check": ["--map", "real_map.json", "--seed", "3"],
     "transport": ["--phi-map", "idmap2.json", "--psi-map", "idmap2.json"],
     "qd-verify": ["--cert", "id_cert.json"],
     "qd-transport": ["--cert", "real_cert.json", "--direction", "complexify"],
@@ -828,8 +844,10 @@ def test_a_tolerance_that_is_not_positive_and_finite_exits_two(
     ("trace-audit without --phi", "--theta-mode", "bogus",
      "bad theta mode 'bogus'; expected 'paper' or 'fixed:<value>'"),
     ("trace-audit without --phi", "--scale", "nan", "trace transport scale must be finite, got nan"),
-    *[("cp-check", "--samples", v, "samples must be >= 1") for v in ("-1", "0")],
-    # realform decides from u's two exact defects and draws no samples.
+    # cp-check decides from the stored images and realform from u's two
+    # exact defects; neither draws samples.
+    *[("cp-check", "--samples", v, f"unrecognized arguments: --samples={v}")
+      for v in ("-1", "0")],
     ("realform", "--samples", "5", "unrecognized arguments: --samples=5"),
     ("complexify", "--map", "idmap2.json", "map.linearity: complexify expects a real-linear map"),
     # u = J has no real form inside M_2(R), the domain of real_map.json.
@@ -960,7 +978,7 @@ def test_trace_audit_rejects_an_algebra_phi_does_not_preserve(workdir, tmp_path,
     assert err.startswith("error: the algebra is not invariant under the antiautomorphism")
 
 
-@pytest.mark.parametrize("command", ["realform", "trace-audit"])
+@pytest.mark.parametrize("command", ["cp-check", "realform", "trace-audit"])
 def test_a_report_without_samples_does_not_depend_on_the_seed(workdir, capsys, command):
     argv = _argv(workdir, command)[:-2]     # without its "--seed", "3"
     reports = [json.loads(_run(argv + ["--seed", seed], capsys)[1]) for seed in ("1", "7")]
@@ -1085,6 +1103,15 @@ def test_an_ideal_outside_b_exits_two(workdir, tmp_path, capsys, command):
                            "--ideal", str(ideal)], capsys)
     assert (code, out) == (2, "")
     assert "ideal.ideal_blocks" in err
+
+
+@pytest.mark.parametrize("command", ["fubini", "exactness"])
+def test_an_all_zero_span_exits_two_naming_it(workdir, tmp_path, capsys, command):
+    algebra = _write(tmp_path, "zero.json", {"n": 2, "span": [matrix_to_json(np.zeros((2, 2)))],
+                                             "unital": False})
+    code, out, err = _run([command, "--algebra", algebra, "--ideal", workdir["ideal.json"]],
+                          capsys)
+    assert (code, out, err) == (2, "", "error: algebra.span: span is zero\n")
 
 
 def _rejected_input(kind: str, tmp_path):
@@ -1278,15 +1305,18 @@ def test_an_unwritable_output_exits_two_before_stdout(workdir, tmp_path, capsys)
 
 
 def test_an_overflow_exits_two_with_empty_stdout(workdir, tmp_path, capfd):
-    # A finite 1e308 image entry overflows the real CP probe.  Captured at
-    # the file-descriptor level, so LAPACK's own error handler, which
-    # writes to descriptor 1, would show in stdout.
+    # Finite 1e308 entries at (0, 1) and (1, 0) of one image overflow the
+    # Hermitian part of the real CP check's Choi matrix (one alone no
+    # longer overflows, since nothing is sampled).  Captured at the
+    # file-descriptor level, so LAPACK's own error handler, which writes
+    # to descriptor 1, would show in stdout.
     doc = json.load(open(workdir["real_map.json"]))
-    doc["images"][0]["data"][1] = 1e308
+    image = doc["images"][0]
+    image["data"][1] = image["data"][image["cols"]] = 1e308
     p = tmp_path / "overflow.json"
     p.write_text(json.dumps(doc))
     capfd.readouterr()
-    code = cmd_dispatch(["cp-check", "--map", str(p), "--samples", "4", "--seed", "3"])
+    code = cmd_dispatch(["cp-check", "--map", str(p), "--seed", "3"])
     out, err = capfd.readouterr()
     assert (code, out) == (2, "")
     assert err.startswith("error: overflow")
