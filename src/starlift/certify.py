@@ -16,6 +16,7 @@ expected to fail and the suite freezes those outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -534,10 +535,6 @@ def trace_transport(witness: TraceWitness, anti: AntiAutomorphism, cert: QDCerti
 # -- lemma audits -----------------------------------------------------------
 
 
-AUDIT_CLAIMS = ("eqtr1_scale1", "eqtr1_scale_half", "eta_cp", "upsilon_cp",
-                "eq1t2", "theta_homomorphism", "theta_linearity")
-
-
 @dataclass(frozen=True, eq=False)
 class AuditReport:
     """Outcome of evaluating a documented claim on deterministic samples."""
@@ -572,8 +569,7 @@ def _random_squares(rng: np.random.Generator, count: int, k: int) -> np.ndarray:
     return x[:, 0] + 1j * x[:, 1]
 
 
-def _audit_eqtr1(samples: int, seed: int, scale: float) -> AuditReport:
-    claim = "eqtr1_scale1" if scale == 1.0 else "eqtr1_scale_half"
+def _audit_eqtr1(claim: str, samples: int, seed: int, scale: float) -> AuditReport:
     rng = np.random.default_rng(seed)
     xs = [np.array([[1.0 + 1.0j]])]
     for i in range(samples):
@@ -620,7 +616,7 @@ def _audit_entrywise_cp(claim: str, apply_fn, samples: int, seed: int) -> AuditR
     return AuditReport(claim, "holds", residuals, None, samples, seed)
 
 
-def _audit_eq1t2(samples: int, seed: int) -> AuditReport:
+def _audit_eq1t2(claim: str, samples: int, seed: int) -> AuditReport:
     rng = np.random.default_rng(seed)
     mats = [0.5 * matrix_units(2)[0]]
     for i in range(samples):
@@ -634,10 +630,10 @@ def _audit_eq1t2(samples: int, seed: int) -> AuditReport:
         if lhs > rhs + 1e-12:
             witness = {"input": _re_im_pairs(a), "dim": a.shape[0],
                        "lhs": lhs, "rhs": rhs, "violation": lhs - rhs}
-            return AuditReport("eq1t2", "counterexample",
+            return AuditReport(claim, "counterexample",
                                {"violation": lhs - rhs}, witness, samples, seed)
         worst_slack = min(worst_slack, rhs - lhs)
-    return AuditReport("eq1t2", "holds", {"min_slack": float(worst_slack)},
+    return AuditReport(claim, "holds", {"min_slack": float(worst_slack)},
                        None, samples, seed)
 
 
@@ -667,6 +663,19 @@ def _audit_theta(claim: str, samples: int, seed: int) -> AuditReport:
     return AuditReport(claim, "holds", {}, None, samples, seed)
 
 
+# Each claim's audit, called as audit(claim, samples=..., seed=...).
+_AUDITS = {
+    "eqtr1_scale1": partial(_audit_eqtr1, scale=1.0),
+    "eqtr1_scale_half": partial(_audit_eqtr1, scale=0.5),
+    "eta_cp": partial(_audit_entrywise_cp, apply_fn=eta),
+    "upsilon_cp": partial(_audit_entrywise_cp, apply_fn=partial(upsilon, scale=1.0)),
+    "eq1t2": _audit_eq1t2,
+    "theta_homomorphism": _audit_theta,
+    "theta_linearity": _audit_theta,
+}
+AUDIT_CLAIMS = tuple(_AUDITS)
+
+
 def lemma_audit(claim: str, samples: int = 50, seed: int = 0) -> AuditReport:
     """Evaluate a documented claim on deterministic samples.
 
@@ -675,17 +684,6 @@ def lemma_audit(claim: str, samples: int = 50, seed: int = 0) -> AuditReport:
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if claim == "eqtr1_scale1":
-        return _audit_eqtr1(samples, seed, scale=1.0)
-    if claim == "eqtr1_scale_half":
-        return _audit_eqtr1(samples, seed, scale=0.5)
-    if claim == "eta_cp":
-        return _audit_entrywise_cp("eta_cp", eta, samples, seed)
-    if claim == "upsilon_cp":
-        return _audit_entrywise_cp(
-            "upsilon_cp", lambda p: upsilon(p, 1.0), samples, seed)
-    if claim == "eq1t2":
-        return _audit_eq1t2(samples, seed)
-    if claim in ("theta_homomorphism", "theta_linearity"):
-        return _audit_theta(claim, samples, seed)
-    raise ValueError(f"unknown claim {claim!r}; known: {', '.join(AUDIT_CLAIMS)}")
+    if claim not in _AUDITS:
+        raise ValueError(f"unknown claim {claim!r}; known: {', '.join(AUDIT_CLAIMS)}")
+    return _AUDITS[claim](claim, samples=samples, seed=seed)

@@ -23,8 +23,8 @@ from . import __version__
 from .certify import (COMPLEX_OP, NORM_MODES, FiniteSubset, lemma_audit,
                       nuclear_witness_verify, qd_complexify, qd_realify,
                       qd_verify, trace_qd_verify, trace_transport)
-from .cpmaps import (COMPLEX, REAL, canonical_basis, choi, complexify, compose,
-                     cp_defect, cp_defect_real_report)
+from .cpmaps import (COMPLEX, REAL, choi, complexify, compose, cp_defect,
+                     cp_defect_real_report)
 from .io import (SchemaError, _b_list_from_json, anti_from_json, algebra_from_json,
                  canonical_dumps, cert_from_json, cert_to_json,
                  ideal_from_json, load_json, map_from_json, map_to_json,
@@ -105,6 +105,9 @@ def _cmd_choi(args):
 
 
 def _cmd_cp_check(args):
+    # Checked for every map, though only a real-linear one is probed at it.
+    if args.level < 1:
+        raise ValueError("level must be >= 1")
     phi = map_from_json(load_json(args.map), "map")
     if phi.linearity == COMPLEX:
         defect = cp_defect(phi)
@@ -137,8 +140,7 @@ def _cmd_transport(args):
     phi_p, psi_p = transport_factorization(phi, psi)
     before = compose(psi, phi)
     after = compose(psi_p, phi_p)
-    units = canonical_basis(phi.dom_dim, REAL, phi.dom_field)
-    resid = np.max(op_norm(after.apply(units) - before.apply(units)))
+    resid = np.max(op_norm(after.images - before.apply(after.basis)))
     return {
         "phi_prime": map_to_json(phi_p),
         "psi_prime": map_to_json(psi_p),
@@ -219,7 +221,11 @@ def _cmd_lemma_audit(args):
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(sp, seed: bool = True) -> None:
+# lemma-audit draws from --seed; bench/gen.py passes it to the other three.
+SEEDED = ("realform", "cp-check", "trace-audit", "lemma-audit")
+
+
+def _add_common(sp, seed: bool) -> None:
     sp.add_argument("--tol", type=float, default=None,
                     help=f"tolerance (default: ${ENV_TOL} or {DEFAULT_TOL})")
     sp.add_argument("--output", help="also write the JSON report to this file")
@@ -229,7 +235,8 @@ def _add_common(sp, seed: bool = True) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Built once per process; handlers are named here and looked up at dispatch."""
+    """Built once per process; subcommand ``x-y`` is handled by ``_cmd_x_y``,
+    looked up at dispatch."""
     parser = argparse.ArgumentParser(
         prog="starlift",
         description="verify real-form transport, CP certificates, and tensor "
@@ -241,37 +248,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complexify", help="complexify a real-linear map on a real form")
     p.add_argument("--map", required=True)
     p.add_argument("--phi", help="antiautomorphism JSON (default: transpose)")
-    _add_common(p, seed=False)
-    p.set_defaults(handler="_cmd_complexify")
 
     p = sub.add_parser("realform", help="check an antiautomorphism and decompose a matrix")
     p.add_argument("--phi", required=True)
     p.add_argument("--matrix")
-    _add_common(p)
-    p.set_defaults(handler="_cmd_realform")
 
     p = sub.add_parser("choi", help="emit the Choi matrix of a complex-linear map")
     p.add_argument("--map", required=True)
-    _add_common(p, seed=False)
-    p.set_defaults(handler="_cmd_choi")
 
     p = sub.add_parser("cp-check", help="complete-positivity defect of a map")
     p.add_argument("--map", required=True)
     p.add_argument("--level", type=int, default=2,
                    help="level of the fixed-element probe of a real-linear map")
-    _add_common(p)
-    p.set_defaults(handler="_cmd_cp_check")
 
     p = sub.add_parser("transport", help="rewrite a factorization through real matrices")
     p.add_argument("--phi-map", required=True)
     p.add_argument("--psi-map", required=True)
-    _add_common(p, seed=False)
-    p.set_defaults(handler="_cmd_transport")
 
     p = sub.add_parser("qd-verify", help="verify a quasidiagonality certificate")
     p.add_argument("--cert", required=True)
-    _add_common(p, seed=False)
-    p.set_defaults(handler="_cmd_qd_verify")
 
     p = sub.add_parser("qd-transport", help="transport a certificate across the real form")
     p.add_argument("--cert", required=True)
@@ -279,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", help="antiautomorphism JSON (default: certificate's)")
     p.add_argument("--theta-mode", default="auto",
                    help="paper | fixed:<value> | auto (per-certificate constant)")
-    _add_common(p, seed=False)
-    p.set_defaults(handler="_cmd_qd_transport")
 
     p = sub.add_parser("trace-audit", help="quasidiagonal-trace defects and transport chain")
     p.add_argument("--cert", required=True)
@@ -288,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", help="antiautomorphism JSON enabling the transport replay")
     p.add_argument("--scale", type=float, default=0.5)
     p.add_argument("--theta-mode", default="auto")
-    _add_common(p)
-    p.set_defaults(handler="_cmd_trace_audit")
 
     p = sub.add_parser("nuclear-verify", help="check a factorization against a target map")
     p.add_argument("--phi-map", required=True)
@@ -299,29 +290,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="target map JSON (default: identity)")
     p.add_argument("--b-list", help="JSON list of compression witnesses")
     p.add_argument("--norm-mode", choices=NORM_MODES, default=COMPLEX_OP)
-    _add_common(p, seed=False)
-    p.set_defaults(handler="_cmd_nuclear_verify")
 
     p = sub.add_parser("fubini", help="compare the Fubini product with the ideal span")
     p.add_argument("--algebra", required=True)
     p.add_argument("--ideal", required=True)
     p.add_argument("--phi", help="antiautomorphism JSON (default: transpose)")
-    _add_common(p, seed=False)
-    p.set_defaults(handler="_cmd_fubini")
 
     p = sub.add_parser("exactness", help="kernel identities for a quotient sequence")
     p.add_argument("--algebra", required=True)
     p.add_argument("--ideal", required=True)
     p.add_argument("--phi", help="antiautomorphism JSON (default: transpose)")
-    _add_common(p, seed=False)
-    p.set_defaults(handler="_cmd_exactness")
 
     p = sub.add_parser("lemma-audit", help="audit a documented claim on seeded samples")
     p.add_argument("--claim", required=True)
     p.add_argument("--samples", type=int, default=50)
-    _add_common(p)
-    p.set_defaults(handler="_cmd_lemma_audit")
 
+    for name, p in sub.choices.items():
+        _add_common(p, seed=name in SEEDED)
     return parser
 
 
@@ -337,7 +322,7 @@ def cmd_dispatch(argv) -> int:
         # An overflow or NaN is an error, not a verdict; raising also keeps
         # LAPACK from reporting an illegal argument on file descriptor 1.
         with np.errstate(over="raise", invalid="raise"):
-            doc, ok = globals()[args.handler](args)
+            doc, ok = globals()["_cmd_" + args.command.replace("-", "_")](args)
         doc["provenance"] = {"tool": "starlift", "version": __version__,
                              "seed": getattr(args, "seed", 0), "tol": args.tol,
                              **doc.get("provenance", {})}

@@ -58,8 +58,9 @@ class LinearMapMat:
     cod_field: str = COMPLEX
 
     def __post_init__(self) -> None:
-        if self.linearity not in (COMPLEX, REAL):
-            raise ValueError(f"linearity must be 'C' or 'R', got {self.linearity!r}")
+        for name in ("linearity", "dom_field", "cod_field"):
+            if getattr(self, name) not in (COMPLEX, REAL):
+                raise ValueError(f"{name} must be 'C' or 'R', got {getattr(self, name)!r}")
         if self.linearity == COMPLEX and self.dom_field == REAL:
             raise ValueError("complex-linear maps need a complex domain")
         images = np.asarray(self.images, dtype=np.complex128)

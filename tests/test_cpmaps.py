@@ -50,6 +50,13 @@ class TestLinearMapMat:
     def test_unitality_defect(self):
         assert LinearMapMat.identity(2).unitality_defect() < 1e-14
 
+    @pytest.mark.parametrize("linearity, field, tag", [
+        ("R", "dom_field", "X"), ("C", "cod_field", "x"), ("R", "cod_field", "")])
+    def test_an_unknown_field_tag_is_rejected_naming_it(self, linearity, field, tag):
+        # An unknown domain tag would otherwise be tabulated as a real one.
+        with pytest.raises(ValueError, match=f"^{field} must be 'C' or 'R', got {tag!r}$"):
+            LinearMapMat(2, 2, linearity, matrix_units(2), **{field: tag})
+
 
 class TestChoi:
     def test_identity_channel(self):

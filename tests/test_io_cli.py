@@ -1,8 +1,11 @@
 """Canonical serialization, schema diagnostics, and the CLI surface."""
 
+import ast
 import copy
+import inspect
 import json
 import math
+import os
 import time
 from unittest import mock
 
@@ -12,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from starlift.certify import FiniteSubset, QDCertificate, nuclear_witness_verify
-from starlift import __version__, cli, tensorexact
+from starlift import __version__, certify, cli, tensorexact
 from starlift.cli import cmd_dispatch
 from starlift.cpmaps import LinearMapMat, block_apply, complexify, compress
 from starlift.io import (SchemaError, _matrices_to_json, algebra_to_json, anti_to_json,
@@ -802,6 +805,48 @@ def test_every_subcommand_covers_the_parser():
     assert set(SUBCOMMANDS) == set(choices)
 
 
+# Each subcommand's option strings, in parser order: the common --tol,
+# --output (and --seed) come last.
+OPTIONS = {
+    "complexify": ["--map", "--phi", "--tol", "--output"],
+    "realform": ["--phi", "--matrix", "--tol", "--output", "--seed"],
+    "choi": ["--map", "--tol", "--output"],
+    "cp-check": ["--map", "--level", "--tol", "--output", "--seed"],
+    "transport": ["--phi-map", "--psi-map", "--tol", "--output"],
+    "qd-verify": ["--cert", "--tol", "--output"],
+    "qd-transport": ["--cert", "--direction", "--phi", "--theta-mode", "--tol", "--output"],
+    "trace-audit": ["--cert", "--trace", "--phi", "--scale", "--theta-mode", "--tol",
+                    "--output", "--seed"],
+    "nuclear-verify": ["--phi-map", "--psi-map", "--set", "--epsilon", "--target", "--b-list",
+                       "--norm-mode", "--tol", "--output"],
+    "fubini": ["--algebra", "--ideal", "--phi", "--tol", "--output"],
+    "exactness": ["--algebra", "--ideal", "--phi", "--tol", "--output"],
+    "lemma-audit": ["--claim", "--samples", "--tol", "--output", "--seed"],
+}
+
+
+def test_every_subcommand_has_a_handler_and_its_options():
+    choices = cli.build_parser()._subparsers._group_actions[0].choices
+    assert list(choices) == list(OPTIONS)
+    for name, parser in choices.items():
+        handler = getattr(cli, "_cmd_" + name.replace("-", "_"))
+        assert inspect.isfunction(handler) and handler.__module__ == cli.__name__
+        options = [s for a in parser._actions for s in a.option_strings]
+        assert options == ["-h", "--help"] + OPTIONS[name], name
+    assert {n for n, o in OPTIONS.items() if "--seed" in o} == set(cli.SEEDED)
+
+
+def test_the_benchmark_generates_every_audit_claim_in_order():
+    # bench/gen.py keeps its own copy of the claims; it is read, not imported.
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "gen.py")
+    tree = ast.parse(open(path, encoding="utf-8").read())
+    claims = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["AUDIT_CLAIMS"]]
+    assert claims == [certify.AUDIT_CLAIMS]
+
+
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_every_report_is_canonical_with_provenance(workdir, tmp_path, capsys,
                                                    monkeypatch, command):
@@ -849,6 +894,9 @@ def test_a_tolerance_that_is_not_positive_and_finite_exits_two(
     *[("cp-check", "--samples", v, f"unrecognized arguments: --samples={v}")
       for v in ("-1", "0")],
     ("realform", "--samples", "5", "unrecognized arguments: --samples=5"),
+    # --level is checked before the map is read, whatever its linearity.
+    *[(command, "--level", v, "level must be >= 1")
+      for command in ("cp-check", "cp-check on a complex-linear map") for v in ("0", "-3")],
     ("complexify", "--map", "idmap2.json", "map.linearity: complexify expects a real-linear map"),
     # u = J has no real form inside M_2(R), the domain of real_map.json.
     ("complexify", "--phi", "J2.json",
@@ -864,6 +912,7 @@ def test_a_parameter_out_of_range_exits_two_naming_it(workdir, capsys, command, 
                              "--direction", "realify"],
             "trace-audit without --phi": ["trace-audit", "--cert", workdir["cx_cert.json"],
                                           "--trace", workdir["trace.json"]],
+            "cp-check on a complex-linear map": ["cp-check", "--map", workdir["idmap2.json"]],
             }.get(command) or _argv(workdir, command)
     value = workdir.get(value, value)
     want = f"error: {want}\n"
