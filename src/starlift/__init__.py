@@ -19,10 +19,9 @@ from .cpmaps import (LinearMapMat, choi, complexify,
 from .transport import (RealifiedMap, ThetaScale, eta, eta1, rho,
                         rho_map, sigma, sigma_map, theta, theta_normalizer,
                         transport_factorization, upsilon, upsilon1)
-from .certify import (AUDIT_CLAIMS, AuditReport, DefectReport, FiniteSubset,
-                      QDCertificate, TraceWitness, lemma_audit,
-                      nuclear_witness_verify, qd_complexify, qd_realify,
-                      qd_verify, trace_qd_verify, trace_transport)
+from .certify import (AUDIT_CLAIMS, FiniteSubset, QDCertificate, TraceWitness,
+                      lemma_audit, nuclear_witness_verify, qd_complexify,
+                      qd_realify, qd_verify, trace_qd_verify, trace_transport)
 from .tensorexact import (IdealPresentation, exactness_check, fubini,
                           fubini_check)
 
@@ -36,8 +35,8 @@ __all__ = [
     "RealifiedMap", "ThetaScale", "eta", "eta1", "rho",
     "rho_map", "sigma", "sigma_map", "theta",
     "theta_normalizer", "transport_factorization", "upsilon", "upsilon1",
-    "AUDIT_CLAIMS", "AuditReport", "DefectReport", "FiniteSubset",
-    "QDCertificate", "TraceWitness", "lemma_audit", "nuclear_witness_verify",
+    "AUDIT_CLAIMS", "FiniteSubset", "QDCertificate", "TraceWitness",
+    "lemma_audit", "nuclear_witness_verify",
     "qd_complexify", "qd_realify", "qd_verify", "trace_qd_verify",
     "trace_transport",
     "IdealPresentation", "exactness_check", "fubini", "fubini_check",

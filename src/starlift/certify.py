@@ -10,12 +10,13 @@ quarter-epsilon triangle decomposition, and the real transport through
 the scaled block embedding must respect the linear-mode defect bound.
 The lemma audits evaluate documented claims on deterministic samples and
 either confirm them or emit a replayable counterexample; several are
-expected to fail and the suite freezes those outcomes.
+expected to fail and the suite freezes those outcomes.  Every check
+returns its report as the plain JSON object the CLI prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -128,42 +129,18 @@ class QDCertificate:
             raise ValueError("antiautomorphism dimension does not match the algebra")
 
 
-@dataclass(frozen=True, eq=False)
-class DefectReport:
-    """Measured defects of a certificate, with worst-case witnesses.
-
-    ``passed`` is true iff every measured defect is below epsilon; bound
-    checks and flags from transport bookkeeping live in ``extra``.
-    """
-
-    epsilon: float
-    norm_mode: str
-    max_mult_defect: float | None = None
-    max_norm_defect: float | None = None
-    max_trace_defect: float | None = None
-    witnesses: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        for d in (self.max_mult_defect, self.max_norm_defect, self.max_trace_defect):
-            if d is not None and not (d < self.epsilon):
-                return False
-        return True
-
-    def to_json(self) -> dict:
-        out = {
-            "epsilon": self.epsilon,
-            "norm_mode": self.norm_mode,
-            "pass": self.passed,
-            "witnesses": self.witnesses,
-        }
-        for key in ("max_mult_defect", "max_norm_defect", "max_trace_defect"):
-            if getattr(self, key) is not None:
-                out[key] = getattr(self, key)
-        if self.extra:
-            out["extra"] = self.extra
-        return out
+def _defect_report(epsilon: float, norm_mode: str, witnesses: dict,
+                   extra: dict | None = None, **defects: float) -> dict:
+    """A certificate check's report: the ``max_*_defect`` values given,
+    their worst-case witnesses, and the transport bookkeeping under
+    "extra" (left out when empty).  "pass" holds iff every defect is
+    below epsilon, so a NaN defect fails it."""
+    report = {"epsilon": epsilon, "norm_mode": norm_mode,
+              "pass": all(d < epsilon for d in defects.values()),
+              "witnesses": witnesses, **defects}
+    if extra:
+        report["extra"] = extra
+    return report
 
 
 def _worst(defects: np.ndarray, describe) -> dict:
@@ -201,7 +178,7 @@ def _norm_witness(img: np.ndarray, subset: FiniteSubset, mode: str,
                   lambda i: {"element": subset.label(i)})
 
 
-def qd_verify(cert: QDCertificate) -> DefectReport:
+def qd_verify(cert: QDCertificate) -> dict:
     """Measure the multiplicative and norm defects of a certificate.
 
     The norm defect compares the image norm with the input norm in the
@@ -211,17 +188,12 @@ def qd_verify(cert: QDCertificate) -> DefectReport:
     img, prods = _evaluate(cert.phi.apply, cert.subset.elements)
     mult = _mult_witness(img, prods, cert.subset, cert.norm_mode)
     norm = _norm_witness(img, cert.subset, cert.norm_mode, cert.anti)
-    return DefectReport(
-        epsilon=cert.epsilon,
-        norm_mode=cert.norm_mode,
-        max_mult_defect=mult["defect"],
-        max_norm_defect=norm["defect"],
-        witnesses={"mult": mult, "norm": norm},
-        extra={"unitality_defect": float(cert.phi.unitality_defect())},
-    )
+    return _defect_report(cert.epsilon, cert.norm_mode, {"mult": mult, "norm": norm},
+                          {"unitality_defect": float(cert.phi.unitality_defect())},
+                          max_mult_defect=mult["defect"], max_norm_defect=norm["defect"])
 
 
-def qd_complexify(cert: QDCertificate) -> tuple[QDCertificate, DefectReport]:
+def qd_complexify(cert: QDCertificate) -> tuple[QDCertificate, dict]:
     """Complexify a real-form certificate and check the bookkeeping.
 
     Complexified element k is F[k] + i F[h + k], labelled "x + i y", with
@@ -270,20 +242,13 @@ def qd_complexify(cert: QDCertificate) -> tuple[QDCertificate, DefectReport]:
     labels = [f"{x} + i {y}" for x, y in zip(names[:h], names[h:] + ("0",))]
     new_cert = QDCertificate(cert.algebra, FiniteSubset(complexified, labels or None), phi_c,
                              cert.epsilon, PHI_SPLIT, cert.anti)
-    report = DefectReport(
-        epsilon=cert.epsilon,
-        norm_mode=PHI_SPLIT,
-        max_mult_defect=mult_witness["defect"],
-        max_norm_defect=norm_witness["defect"],
-        witnesses={"mult": mult_witness, "norm": norm_witness},
-        extra={
-            "mult_bound_margin": float(mult_margin),
-            "norm_bound_margin": float(norm_margin),
-            "bounds_hold": bool(mult_margin <= 1e-9 and norm_margin <= 1e-9),
-            "real_defect_op_max": float(np.max(dop)),
-        },
-    )
-    return new_cert, report
+    return new_cert, _defect_report(
+        cert.epsilon, PHI_SPLIT, {"mult": mult_witness, "norm": norm_witness},
+        {"mult_bound_margin": float(mult_margin),
+         "norm_bound_margin": float(norm_margin),
+         "bounds_hold": bool(mult_margin <= 1e-9 and norm_margin <= 1e-9),
+         "real_defect_op_max": float(np.max(dop))},
+        max_mult_defect=mult_witness["defect"], max_norm_defect=norm_witness["defect"])
 
 
 def _realify_working_set(cert: QDCertificate, anti: AntiAutomorphism,
@@ -308,7 +273,7 @@ def _realify_working_set(cert: QDCertificate, anti: AntiAutomorphism,
 
 def qd_realify(cert: QDCertificate, anti: AntiAutomorphism | None = None,
                scale: ThetaScale | None = None
-               ) -> tuple[QDCertificate | None, DefectReport]:
+               ) -> tuple[QDCertificate | None, dict]:
     """Transport a complex certificate to the real form through theta.
 
     Fixed-scale mode produces a genuine real-linear certificate and
@@ -351,22 +316,16 @@ def qd_realify(cert: QDCertificate, anti: AntiAutomorphism | None = None,
     else:
         extra["flags"] = [NONLINEAR_THETA_FLAG]
 
-    report = DefectReport(
-        epsilon=cert.epsilon,
-        norm_mode=REAL_COL1,
-        max_mult_defect=mult_witness["defect"],
-        max_norm_defect=norm_witness["defect"],
-        witnesses={"mult": mult_witness, "norm": norm_witness},
-        extra=extra,
-    )
-    return new_cert, report
+    return new_cert, _defect_report(
+        cert.epsilon, REAL_COL1, {"mult": mult_witness, "norm": norm_witness}, extra,
+        max_mult_defect=mult_witness["defect"], max_norm_defect=norm_witness["defect"])
 
 
 def nuclear_witness_verify(phi: LinearMapMat, psi: LinearMapMat,
                            subset: FiniteSubset, epsilon: float,
                            target: LinearMapMat | None = None,
                            norm_mode: str = COMPLEX_OP,
-                           b_list: list | None = None) -> DefectReport:
+                           b_list: list | None = None) -> dict:
     """Check how well the factorization psi . phi approximates the target.
 
     The defect is max over F of ||psi(phi(a)) - target(a)|| in the given
@@ -397,13 +356,8 @@ def nuclear_witness_verify(phi: LinearMapMat, psi: LinearMapMat,
         extra["compressed_defects"] = per_b
         extra["max_compressed_defect"] = float(max(per_b))
 
-    return DefectReport(
-        epsilon=epsilon,
-        norm_mode=norm_mode,
-        max_norm_defect=worst["defect"],
-        witnesses={"approximation": worst},
-        extra=extra,
-    )
+    return _defect_report(epsilon, norm_mode, {"approximation": worst}, extra,
+                          max_norm_defect=worst["defect"])
 
 
 # -- traces ----------------------------------------------------------------
@@ -446,7 +400,7 @@ class TraceWitness:
         return float(np.max(np.abs(m - m.T), initial=0.0))
 
 
-def trace_qd_verify(cert: QDCertificate, witness: TraceWitness) -> DefectReport:
+def trace_qd_verify(cert: QDCertificate, witness: TraceWitness) -> dict:
     """Quasidiagonal-trace check: multiplicative defects plus the defect
     |tau_k(phi(a)) - tau(a)| against the normalized matrix trace."""
     if cert.phi.unitality_defect() > 1e-9:
@@ -461,13 +415,8 @@ def trace_qd_verify(cert: QDCertificate, witness: TraceWitness) -> DefectReport:
     mult = _mult_witness(img, prods, cert.subset, cert.norm_mode)
     d = normalized_trace(img) - witness(cert.subset.elements)
     trace = _worst(np.hypot(d.real, d.imag), lambda i: {"element": cert.subset.label(i)})
-    return DefectReport(
-        epsilon=cert.epsilon,
-        norm_mode=cert.norm_mode,
-        max_mult_defect=mult["defect"],
-        max_trace_defect=trace["defect"],
-        witnesses={"mult": mult, "trace": trace},
-    )
+    return _defect_report(cert.epsilon, cert.norm_mode, {"mult": mult, "trace": trace},
+                          max_mult_defect=mult["defect"], max_trace_defect=trace["defect"])
 
 
 def trace_transport(witness: TraceWitness, anti: AntiAutomorphism, cert: QDCertificate,
@@ -535,31 +484,15 @@ def trace_transport(witness: TraceWitness, anti: AntiAutomorphism, cert: QDCerti
 # -- lemma audits -----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class AuditReport:
-    """Outcome of evaluating a documented claim on deterministic samples."""
-
-    claim: str
-    verdict: str                  # "holds" | "counterexample"
-    residuals: dict
-    witness: dict | None
-    samples: int
-    seed: int
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict == "holds"
-
-    def to_json(self) -> dict:
-        out = {
-            "claim": self.claim,
-            "verdict": self.verdict,
-            "residuals": self.residuals,
-            "provenance": {"samples": self.samples, "seed": self.seed},
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+def _audit_report(claim: str, residuals: dict, witness: dict | None,
+                  samples: int, seed: int) -> dict:
+    """A lemma audit's report: the claim holds iff no counterexample
+    ``witness`` was found."""
+    report = {"claim": claim, "verdict": "holds" if witness is None else "counterexample",
+              "residuals": residuals, "provenance": {"samples": samples, "seed": seed}}
+    if witness is not None:
+        report["witness"] = witness
+    return report
 
 
 def _random_squares(rng: np.random.Generator, count: int, k: int) -> np.ndarray:
@@ -569,7 +502,7 @@ def _random_squares(rng: np.random.Generator, count: int, k: int) -> np.ndarray:
     return x[:, 0] + 1j * x[:, 1]
 
 
-def _audit_eqtr1(claim: str, samples: int, seed: int, scale: float) -> AuditReport:
+def _audit_eqtr1(claim: str, samples: int, seed: int, scale: float) -> dict:
     rng = np.random.default_rng(seed)
     xs = [np.array([[1.0 + 1.0j]])]
     for i in range(samples):
@@ -579,20 +512,18 @@ def _audit_eqtr1(claim: str, samples: int, seed: int, scale: float) -> AuditRepo
     for x in xs:
         lhs = upsilon(normalized_trace(x), scale)
         rhs = float(normalized_trace(eta(x)).real)
-        resid = abs(lhs - rhs)
+        resid = float(abs(lhs - rhs))
         if resid > 1e-12:
             witness = {"input": _re_im_pairs(x), "dim": x.shape[0],
                        "lhs": float(lhs), "rhs": rhs}
             if abs(rhs) > 1e-12:
                 witness["ratio"] = float(lhs / rhs)
-            return AuditReport(claim, "counterexample",
-                               {"residual": resid}, witness, samples, seed)
+            return _audit_report(claim, {"residual": resid}, witness, samples, seed)
         max_resid = max(max_resid, resid)
-    return AuditReport(claim, "holds", {"max_residual": max_resid}, None,
-                       samples, seed)
+    return _audit_report(claim, {"max_residual": max_resid}, None, samples, seed)
 
 
-def _audit_entrywise_cp(claim: str, apply_fn, samples: int, seed: int) -> AuditReport:
+def _audit_entrywise_cp(claim: str, apply_fn, samples: int, seed: int) -> dict:
     """Shared audit for the entrywise diag and sum maps: levels 1..3, one
     stack each, canonical witnesses first, positivity probed on c*c
     samples and self-adjointness preservation alongside."""
@@ -611,12 +542,12 @@ def _audit_entrywise_cp(claim: str, apply_fn, samples: int, seed: int) -> AuditR
             witness = {"level": level, "input": _re_im_pairs(ps[i]),
                        "defect": float(d[i]), "selfadjoint_residual": float(sa[i])}
             residuals[f"level{level}_defect"] = float(d[i])
-            return AuditReport(claim, "counterexample", residuals, witness, samples, seed)
+            return _audit_report(claim, residuals, witness, samples, seed)
         residuals[f"level{level}_defect"] = float(np.min(d, initial=np.inf))
-    return AuditReport(claim, "holds", residuals, None, samples, seed)
+    return _audit_report(claim, residuals, None, samples, seed)
 
 
-def _audit_eq1t2(claim: str, samples: int, seed: int) -> AuditReport:
+def _audit_eq1t2(claim: str, samples: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     mats = [0.5 * matrix_units(2)[0]]
     for i in range(samples):
@@ -630,14 +561,12 @@ def _audit_eq1t2(claim: str, samples: int, seed: int) -> AuditReport:
         if lhs > rhs + 1e-12:
             witness = {"input": _re_im_pairs(a), "dim": a.shape[0],
                        "lhs": lhs, "rhs": rhs, "violation": lhs - rhs}
-            return AuditReport(claim, "counterexample",
-                               {"violation": lhs - rhs}, witness, samples, seed)
+            return _audit_report(claim, {"violation": lhs - rhs}, witness, samples, seed)
         worst_slack = min(worst_slack, rhs - lhs)
-    return AuditReport(claim, "holds", {"min_slack": float(worst_slack)},
-                       None, samples, seed)
+    return _audit_report(claim, {"min_slack": float(worst_slack)}, None, samples, seed)
 
 
-def _audit_theta(claim: str, samples: int, seed: int) -> AuditReport:
+def _audit_theta(claim: str, samples: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     pairs = [(np.array([[1.0 + 0.0j]]), np.array([[2.0 + 0.0j]])),
              (np.eye(2, dtype=np.complex128), np.eye(2, dtype=np.complex128))]
@@ -658,9 +587,8 @@ def _audit_theta(claim: str, samples: int, seed: int) -> AuditReport:
             if linearity:
                 witness.update(normalizer_x=theta_normalizer(x),
                                normalizer_y=theta_normalizer(y))
-            return AuditReport(claim, "counterexample", {reported: res[reported]},
-                               witness, samples, seed)
-    return AuditReport(claim, "holds", {}, None, samples, seed)
+            return _audit_report(claim, {reported: res[reported]}, witness, samples, seed)
+    return _audit_report(claim, {}, None, samples, seed)
 
 
 # Each claim's audit, called as audit(claim, samples=..., seed=...).
@@ -676,7 +604,7 @@ _AUDITS = {
 AUDIT_CLAIMS = tuple(_AUDITS)
 
 
-def lemma_audit(claim: str, samples: int = 50, seed: int = 0) -> AuditReport:
+def lemma_audit(claim: str, samples: int = 50, seed: int = 0) -> dict:
     """Evaluate a documented claim on deterministic samples.
 
     Verdicts are deterministic given (claim, samples, seed), and every

@@ -12,6 +12,7 @@ command, unreadable file, schema violation, precondition breach).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -151,20 +152,23 @@ def _cmd_transport(args):
 def _cmd_qd_verify(args):
     cert = cert_from_json(load_json(args.cert))
     report = qd_verify(cert)
-    return {"report": report.to_json()}, report.passed
+    return {"report": report}, report["pass"]
 
 
 def _cmd_qd_transport(args):
+    # The options are checked whichever the direction.
+    scale = _theta_scale(args.theta_mode)
     cert = cert_from_json(load_json(args.cert))
+    anti = anti_from_json(load_json(args.phi)) if args.phi else None
     if args.direction == "complexify":
-        new_cert, report = qd_complexify(cert)
+        new_cert, report = qd_complexify(cert if anti is None
+                                         else dataclasses.replace(cert, anti=anti))
     else:
-        anti = anti_from_json(load_json(args.phi)) if args.phi else None
-        new_cert, report = qd_realify(cert, anti=anti, scale=_theta_scale(args.theta_mode))
+        new_cert, report = qd_realify(cert, anti=anti, scale=scale)
     # No bound applies to the nonlinear paper-mode theta.
-    ok = report.passed and (report.extra.get("theta_mode") == "paper"
-                            or report.extra.get("bounds_hold", False))
-    return {"report": report.to_json(),
+    extra = report["extra"]
+    ok = report["pass"] and (extra.get("theta_mode") == "paper" or extra["bounds_hold"])
+    return {"report": report,
             "certificate": cert_to_json(new_cert) if new_cert is not None else None}, ok
 
 
@@ -176,11 +180,11 @@ def _cmd_trace_audit(args):
     cert = cert_from_json(load_json(args.cert))
     witness = trace_from_json(load_json(args.trace))
     report = trace_qd_verify(cert, witness)
-    doc = {"verify": report.to_json()}
+    doc = {"verify": report}
     if args.phi:
         doc["transport"] = trace_transport(witness, anti_from_json(load_json(args.phi)), cert,
                                            scale=args.scale, theta_scale=theta_scale)
-    return doc, report.passed
+    return doc, report["pass"]
 
 
 def _cmd_nuclear_verify(args):
@@ -192,7 +196,7 @@ def _cmd_nuclear_verify(args):
     report = nuclear_witness_verify(phi, psi, subset, epsilon=args.epsilon,
                                     target=target, norm_mode=args.norm_mode,
                                     b_list=b_list)
-    return {"report": report.to_json()}, report.passed
+    return {"report": report}, report["pass"]
 
 
 def _tensor_inputs(args):
@@ -205,17 +209,17 @@ def _tensor_inputs(args):
 
 def _cmd_fubini(args):
     check = fubini_check(*_tensor_inputs(args))
-    return {"fubini": check.to_json()}, check.match
+    return {"fubini": check}, check["match"]
 
 
 def _cmd_exactness(args):
     report = exactness_check(*_tensor_inputs(args))
-    return {"report": report.to_json()}, report.ok
+    return {"report": report}, report["ok"]
 
 
 def _cmd_lemma_audit(args):
     report = lemma_audit(args.claim, samples=args.samples, seed=args.seed)
-    return {"report": report.to_json()}, report.holds
+    return {"report": report}, report["verdict"] == "holds"
 
 
 # -- parser -------------------------------------------------------------------

@@ -25,12 +25,13 @@ for each leg element, so every check is solved once on K's rows in M_nb:
 The reduction is exact only because the A leg is orthonormal: a leg with
 a repeated or rescaled element would count copies of K that are not
 there.  Each check runs the Gram test once on each of its legs and
-raises on a leg that fails it.
+raises on a leg that fails it, and returns its report as the plain JSON
+object the CLI prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,19 +148,6 @@ def fubini(rows: np.ndarray, ideal_rows: np.ndarray) -> np.ndarray:
     return kernel_rows((rows - rows @ ideal_rows.T @ ideal_rows).T) @ rows
 
 
-@dataclass(frozen=True, eq=False)
-class KernelCheck:
-    kernel_dim: int
-    span_dim: int
-    principal_angle: float
-    containment_kernel_in_span: float
-    containment_span_in_kernel: float
-    match: bool
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
 def quotient_kernel_rows(b_rows: np.ndarray, pres: IdealPresentation) -> np.ndarray:
     """ker(pi) inside the span of B's orthonormal real ``b_rows``, as
     orthonormal real rows; ker(id (x) pi) on A_leg (x) span(b_rows) is
@@ -169,38 +157,23 @@ def quotient_kernel_rows(b_rows: np.ndarray, pres: IdealPresentation) -> np.ndar
     return kernel_rows(images.T) @ b_rows   # combos mapping to zero
 
 
-def _compare(kernel: np.ndarray, span: np.ndarray) -> KernelCheck:
-    """The identity kernel = span between B's rows of both."""
+def _compare(kernel: np.ndarray, span: np.ndarray) -> dict:
+    """The identity kernel = span between B's rows of both, as a report."""
     eq, ang = subspaces_equal(kernel, span)
-    return KernelCheck(
-        kernel_dim=len(kernel),
-        span_dim=len(span),
-        principal_angle=float(ang),
-        containment_kernel_in_span=float(containment_residual(kernel, span)),
-        containment_span_in_kernel=float(containment_residual(span, kernel)),
-        match=bool(eq),
-    )
+    return {
+        "kernel_dim": len(kernel),
+        "span_dim": len(span),
+        "principal_angle": float(ang),
+        "containment_kernel_in_span": float(containment_residual(kernel, span)),
+        "containment_span_in_kernel": float(containment_residual(span, kernel)),
+        "match": bool(eq),
+    }
 
 
-def _tensored(check: KernelCheck, leg) -> KernelCheck:
+def _tensored(check: dict, leg) -> dict:
     """A check made on B's rows, for the spans tensored with ``leg``."""
-    return replace(check, kernel_dim=len(leg) * check.kernel_dim,
-                   span_dim=len(leg) * check.span_dim)
-
-
-@dataclass(frozen=True, eq=False)
-class ExactnessReport:
-    real_kernel: KernelCheck
-    complex_kernel: KernelCheck
-    fubini_real: KernelCheck
-    fubini_complex: KernelCheck
-    decomposition: dict
-    dual_field_choice: dict
-    ok: bool
-
-    def to_json(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v.to_json() if isinstance(v, KernelCheck) else v for k, v in doc.items()}
+    return {**check, "kernel_dim": len(leg) * check["kernel_dim"],
+            "span_dim": len(leg) * check["span_dim"]}
 
 
 def _legs(a: StarAlgebra, anti: AntiAutomorphism, pres: IdealPresentation):
@@ -214,7 +187,7 @@ def _legs(a: StarAlgebra, anti: AntiAutomorphism, pres: IdealPresentation):
 
 
 def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
-                    pres: IdealPresentation) -> ExactnessReport:
+                    pres: IdealPresentation) -> dict:
     """Kernel identities for the quotient sequence tensored with A and
     with its real form.
 
@@ -241,18 +214,19 @@ def exactness_check(a: StarAlgebra, anti: AntiAutomorphism,
                                                  _complex_rows(a.frame))[0]),
     }
 
-    ok = kernel.match and fub.match and decomposition["spans_everything"]
-    return ExactnessReport(
-        _tensored(kernel, form), _tensored(kernel, a.frame),
-        _tensored(fub, form), _tensored(fub, a.frame),
-        decomposition,
-        {"phi_field": "either", "psi_field": "R"},
-        ok,
-    )
+    return {
+        "real_kernel": _tensored(kernel, form),
+        "complex_kernel": _tensored(kernel, a.frame),
+        "fubini_real": _tensored(fub, form),
+        "fubini_complex": _tensored(fub, a.frame),
+        "decomposition": decomposition,
+        "dual_field_choice": {"phi_field": "either", "psi_field": "R"},
+        "ok": kernel["match"] and fub["match"] and decomposition["spans_everything"],
+    }
 
 
 def fubini_check(a: StarAlgebra, anti: AntiAutomorphism,
-                 pres: IdealPresentation) -> KernelCheck:
+                 pres: IdealPresentation) -> dict:
     """Compare fubini(A's real form, B, ideal) with span(A's real form (x) ideal)."""
     form, b_rows, span = _legs(a, anti, pres)
     return _tensored(_compare(fubini(b_rows, span), span), form)

@@ -17,7 +17,7 @@ exact defects of u decide.
 import numpy as np
 
 from starlift.certify import (COMPLEX_OP, NONLINEAR_THETA_FLAG, PHI_SPLIT, REAL_COL1,
-                              AuditReport, DefectReport, FiniteSubset, _evaluate)
+                              FiniteSubset, _evaluate)
 from starlift.cpmaps import (LinearMapMat, _canonical_positive, _combine,
                              complexify, compose, compress)
 from starlift.matrix import _re_im_pairs, as_array, matrix_units
@@ -107,14 +107,24 @@ def _norm_witness(img, subset, mode, anti) -> dict:
 # -- certificates ------------------------------------------------------------
 
 
+def _report(epsilon, norm_mode, witnesses, extra, defects: dict) -> dict:
+    """A certificate check's report: it passes when no defect reaches
+    epsilon, and an empty ``extra`` is left out."""
+    doc = {"epsilon": epsilon, "norm_mode": norm_mode, "witnesses": witnesses,
+           "pass": all(d < epsilon for d in defects.values())}
+    doc.update(defects)
+    if extra:
+        doc["extra"] = extra
+    return doc
+
+
 def qd_verify(cert) -> dict:
     img, prods = _evaluate(cert.phi.apply, np.stack(cert.subset.elements))
     mult = _mult_witness(img, prods, cert.subset, cert.norm_mode)
     norm = _norm_witness(img, cert.subset, cert.norm_mode, cert.anti)
-    return DefectReport(cert.epsilon, cert.norm_mode, mult["defect"], norm["defect"],
-                        witnesses={"mult": mult, "norm": norm},
-                        extra={"unitality_defect": float(cert.phi.unitality_defect())}
-                        ).to_json()
+    return _report(cert.epsilon, cert.norm_mode, {"mult": mult, "norm": norm},
+                   {"unitality_defect": float(cert.phi.unitality_defect())},
+                   {"max_mult_defect": mult["defect"], "max_norm_defect": norm["defect"]})
 
 
 def _pairs(subset) -> list:
@@ -153,13 +163,13 @@ def qd_complexify(cert) -> dict:
     mult_witness, norm_witness = _worst(mult_rows), _worst(norm_rows)
     mult_margin = max((r["defect"] - r["bound"] for r in mult_rows), default=-np.inf)
     norm_margin = max((r["defect"] - r["bound"] for r in norm_rows), default=-np.inf)
-    return DefectReport(
-        cert.epsilon, PHI_SPLIT, mult_witness["defect"], norm_witness["defect"],
-        witnesses={"mult": mult_witness, "norm": norm_witness},
-        extra={"mult_bound_margin": float(mult_margin),
-               "norm_bound_margin": float(norm_margin),
-               "bounds_hold": bool(mult_margin <= 1e-9 and norm_margin <= 1e-9),
-               "real_defect_op_max": float(np.max(dop))}).to_json()
+    return _report(
+        cert.epsilon, PHI_SPLIT, {"mult": mult_witness, "norm": norm_witness},
+        {"mult_bound_margin": float(mult_margin),
+         "norm_bound_margin": float(norm_margin),
+         "bounds_hold": bool(mult_margin <= 1e-9 and norm_margin <= 1e-9),
+         "real_defect_op_max": float(np.max(dop))},
+        {"max_mult_defect": mult_witness["defect"], "max_norm_defect": norm_witness["defect"]})
 
 
 def _working_set(cert, anti, scale):
@@ -208,10 +218,9 @@ def qd_realify(cert, anti, scale) -> dict:
         extra["unitality_defect"] = float(rmap.as_linear_map().unitality_defect())
     else:
         extra["flags"] = [NONLINEAR_THETA_FLAG]
-    return DefectReport(cert.epsilon, REAL_COL1, mult_witness["defect"],
-                        norm_witness["defect"],
-                        witnesses={"mult": mult_witness, "norm": norm_witness},
-                        extra=extra).to_json()
+    return _report(cert.epsilon, REAL_COL1, {"mult": mult_witness, "norm": norm_witness},
+                   extra, {"max_mult_defect": mult_witness["defect"],
+                           "max_norm_defect": norm_witness["defect"]})
 
 
 def nuclear_witness_verify(phi, psi, subset, epsilon, target, norm_mode, b_list) -> dict:
@@ -229,8 +238,8 @@ def nuclear_witness_verify(phi, psi, subset, epsilon, target, norm_mode, b_list)
                                    for x in subset.elements)))
         extra["compressed_defects"] = per_b
         extra["max_compressed_defect"] = float(max(per_b))
-    return DefectReport(epsilon, norm_mode, max_norm_defect=worst["defect"],
-                        witnesses={"approximation": worst}, extra=extra).to_json()
+    return _report(epsilon, norm_mode, {"approximation": worst}, extra,
+                   {"max_norm_defect": worst["defect"]})
 
 
 def trace_qd_verify(cert, witness) -> dict:
@@ -240,9 +249,8 @@ def trace_qd_verify(cert, witness) -> dict:
         {"element": cert.subset.label(i),
          "defect": abs(normalized_trace(y) - witness_value(witness)(a))}
         for i, (a, y) in enumerate(zip(cert.subset.elements, img)))
-    return DefectReport(cert.epsilon, cert.norm_mode, max_mult_defect=mult["defect"],
-                        max_trace_defect=trace["defect"],
-                        witnesses={"mult": mult, "trace": trace}).to_json()
+    return _report(cert.epsilon, cert.norm_mode, {"mult": mult, "trace": trace}, {},
+                   {"max_mult_defect": mult["defect"], "max_trace_defect": trace["defect"]})
 
 
 def witness_value(witness):
@@ -425,7 +433,8 @@ def audit_entrywise_cp(claim: str, apply_fn, samples: int, seed: int) -> dict:
         2: [np.array([[1.0, 1.0j], [-1.0j, 1.0]]),
             np.array([[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 1.0]])],
     }
-    residuals: dict = {}
+    report = {"claim": claim, "verdict": "holds", "residuals": {},
+              "provenance": {"samples": samples, "seed": seed}}
     for level in (1, 2, 3):
         worst = np.inf
         for p in _positive_samples(rng, level, samples, canonical.get(level, [])):
@@ -436,8 +445,7 @@ def audit_entrywise_cp(claim: str, apply_fn, samples: int, seed: int) -> dict:
             if d < -1e-10 or sa > 1e-10:
                 witness = {"level": level, "input": _re_im_pairs(p),
                            "defect": float(d), "selfadjoint_residual": float(sa)}
-                residuals[f"level{level}_defect"] = float(d)
-                return AuditReport(claim, "counterexample", residuals, witness,
-                                   samples, seed).to_json()
-        residuals[f"level{level}_defect"] = float(worst)
-    return AuditReport(claim, "holds", residuals, None, samples, seed).to_json()
+                report["residuals"][f"level{level}_defect"] = float(d)
+                return {**report, "verdict": "counterexample", "witness": witness}
+        report["residuals"][f"level{level}_defect"] = float(worst)
+    return report

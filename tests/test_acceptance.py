@@ -184,8 +184,8 @@ def test_criterion_5_forward_bookkeeping():
                              epsilon=100.0, norm_mode="complex_op",
                              anti=AntiAutomorphism.transpose(n))
         _, rep = qd_complexify(cert)
-        if rep.extra["mult_bound_margin"] <= 1e-9 \
-                and rep.extra["norm_bound_margin"] <= 1e-9:
+        if rep["extra"]["mult_bound_margin"] <= 1e-9 \
+                and rep["extra"]["norm_bound_margin"] <= 1e-9:
             good += 1
     elapsed = time.perf_counter() - t0
     _report(5, good == 100 and elapsed < 30.0,
@@ -211,10 +211,10 @@ def test_criterion_6_reverse_transport():
                              epsilon=100.0, norm_mode="complex_op",
                              anti=AntiAutomorphism.transpose(n))
         new_cert, rep = qd_realify(cert)
-        if new_cert is not None and rep.extra["bounds_hold"]:
+        if new_cert is not None and rep["extra"]["bounds_hold"]:
             fixed_ok += 1
         _, rep_paper = qd_realify(cert, scale=ThetaScale("paper"))
-        if any("nonlinear theta" in f for f in rep_paper.extra.get("flags", [])):
+        if any("nonlinear theta" in f for f in rep_paper["extra"].get("flags", [])):
             flagged += 1
     elapsed = time.perf_counter() - t0
     _report(6, fixed_ok == 100 and flagged == 100 and elapsed < 30.0,
@@ -225,23 +225,23 @@ def test_criterion_7_lemma_audits_frozen_outcomes():
     """The audits reproduce the documented verdicts deterministically."""
     t0 = time.perf_counter()
     r1 = lemma_audit("eqtr1_scale1", samples=100, seed=7)
-    ok = (r1.verdict == "counterexample"
-          and abs(r1.witness["ratio"] - 2.0) <= 1e-12)
+    ok = (r1["verdict"] == "counterexample"
+          and abs(r1["witness"]["ratio"] - 2.0) <= 1e-12)
     r2 = lemma_audit("eqtr1_scale_half", samples=100, seed=7)
-    ok &= r2.verdict == "holds" and r2.residuals["max_residual"] < 1e-12
+    ok &= r2["verdict"] == "holds" and r2["residuals"]["max_residual"] < 1e-12
     r3 = lemma_audit("eta_cp", samples=50, seed=7)
-    witness = [complex(re, im) for re, im in r3.witness["input"]]
-    ok &= (r3.verdict == "counterexample" and r3.witness["level"] == 2
-           and abs(r3.witness["defect"] + 1.0) <= 1e-10
+    witness = [complex(re, im) for re, im in r3["witness"]["input"]]
+    ok &= (r3["verdict"] == "counterexample" and r3["witness"]["level"] == 2
+           and abs(r3["witness"]["defect"] + 1.0) <= 1e-10
            and max(abs(a - b) for a, b in zip(witness, [1, 1j, -1j, 1])) < 1e-12)
     r4 = lemma_audit("eq1t2", samples=50, seed=7)
-    w4 = [complex(re, im) for re, im in r4.witness["input"]]
-    ok &= (r4.verdict == "counterexample"
+    w4 = [complex(re, im) for re, im in r4["witness"]["input"]]
+    ok &= (r4["verdict"] == "counterexample"
            and abs(w4[0] - 0.5) < 1e-15
            and max(abs(z) for z in w4[1:]) == 0.0)
     r5 = lemma_audit("theta_linearity", samples=50, seed=7)
-    ok &= (r5.verdict == "counterexample"
-           and r5.witness["additivity_residual"] > 1e-10)
+    ok &= (r5["verdict"] == "counterexample"
+           and r5["witness"]["additivity_residual"] > 1e-10)
     elapsed = time.perf_counter() - t0
     _report(7, ok and elapsed < 5.0,
             "eqtr1 ratio 2, eta_cp defect -1, eq1t2 at 0.5*E11, "
@@ -257,12 +257,13 @@ def test_criterion_8_exactness_with_oracle():
     anti = AntiAutomorphism.transpose(2)
     pres = IdealPresentation(b23, [0])
     report = exactness_check(a2, anti, pres)
-    ok = (report.ok
-          and report.real_kernel.kernel_dim == report.real_kernel.span_dim == 32
-          and report.real_kernel.principal_angle < 1e-6
-          and report.complex_kernel.kernel_dim == 32
-          and report.complex_kernel.principal_angle < 1e-6
-          and report.fubini_real.match and report.fubini_complex.match)
+    ok = (report["ok"]
+          and report["real_kernel"]["kernel_dim"] == 32
+          and report["real_kernel"]["span_dim"] == 32
+          and report["real_kernel"]["principal_angle"] < 1e-6
+          and report["complex_kernel"]["kernel_dim"] == 32
+          and report["complex_kernel"]["principal_angle"] < 1e-6
+          and report["fubini_real"]["match"] and report["fubini_complex"]["match"])
 
     # Independent oracle: raw Kronecker products mapped through the
     # quotient directly, null space by SVD on coefficients.
@@ -291,10 +292,10 @@ def test_criterion_8_exactness_with_oracle():
     ok &= eq and oracle.shape[0] == 32
 
     fub = fubini_check(a2, anti, pres)
-    ok &= fub.match and fub.kernel_dim == 32
+    ok &= fub["match"] and fub["kernel_dim"] == 32
     elapsed = time.perf_counter() - t0
     _report(8, ok and elapsed < 10.0,
-            f"kernels = span (dim 32, angle {report.real_kernel.principal_angle:.1e}), "
+            f"kernels = span (dim 32, angle {report['real_kernel']['principal_angle']:.1e}), "
             f"oracle agrees ({ang:.1e})", t0)
 
 

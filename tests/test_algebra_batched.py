@@ -422,8 +422,8 @@ def test_checks_match_full_tensor_oracle(size, u_kind, ideal_blocks, seed):
     pres = IdealPresentation(block_algebra(list(dims)),
                                                 ideal_blocks)
     want = oracle.exactness_check(alg, anti, pres)
-    _assert_same_report(exactness_check(alg, anti, pres).to_json(), want)
-    _assert_same_report(fubini_check(alg, anti, pres).to_json(), want["fubini_real"])
+    _assert_same_report(exactness_check(alg, anti, pres), want)
+    _assert_same_report(fubini_check(alg, anti, pres), want["fubini_real"])
 
 
 def test_checks_match_the_oracle_where_gesdd_does_not_converge():
@@ -433,8 +433,8 @@ def test_checks_match_the_oracle_where_gesdd_does_not_converge():
     alg = _rotated_full(4, np.random.default_rng(377))
     anti, pres = _anti("J", 4), IdealPresentation(block_algebra([1, 2]), (0,))
     want = oracle.exactness_check(alg, anti, pres)
-    _assert_same_report(exactness_check(alg, anti, pres).to_json(), want)
-    _assert_same_report(fubini_check(alg, anti, pres).to_json(), want["fubini_real"])
+    _assert_same_report(exactness_check(alg, anti, pres), want)
+    _assert_same_report(fubini_check(alg, anti, pres), want["fubini_real"])
 
 
 @pytest.mark.parametrize("bad", ["rescaled", "repeated", "skewed"])

@@ -95,9 +95,9 @@ class TestQdVerify:
         subset = FiniteSubset(tuple(random_matrix(rng, 2) for _ in range(3)))
         cert = QDCertificate(M2, subset, LinearMapMat.identity(2), 1e-6)
         rep = qd_verify(cert)
-        assert rep.max_mult_defect < 1e-12
-        assert rep.max_norm_defect < 1e-12
-        assert rep.passed
+        assert rep["max_mult_defect"] < 1e-12
+        assert rep["max_norm_defect"] < 1e-12
+        assert rep["pass"]
 
     def test_corner_compression_defects(self):
         # phi extracts the top-left entry; E_12 squares to zero but has norm 1
@@ -106,16 +106,16 @@ class TestQdVerify:
         e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
         cert = QDCertificate(M2, FiniteSubset((e12,)), phi, 0.5)
         rep = qd_verify(cert)
-        assert rep.max_mult_defect == pytest.approx(0.0, abs=1e-12)
-        assert rep.max_norm_defect == pytest.approx(1.0, abs=1e-12)
-        assert not rep.passed
+        assert rep["max_mult_defect"] == pytest.approx(0.0, abs=1e-12)
+        assert rep["max_norm_defect"] == pytest.approx(1.0, abs=1e-12)
+        assert not rep["pass"]
 
     def test_epsilon_dominates(self):
         v = np.array([[1.0], [0.0]])
         phi = compress(LinearMapMat.identity(2), v)
         e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
         cert = QDCertificate(M2, FiniteSubset((e12,)), phi, 1.5)
-        assert qd_verify(cert).passed
+        assert qd_verify(cert)["pass"]
 
     def test_homomorphism_certificates_pass(self):
         # unitary conjugation is a faithful unital *-homomorphism
@@ -125,8 +125,8 @@ class TestQdVerify:
         subset = FiniteSubset(tuple(random_matrix(rng, 3) for _ in range(4)))
         cert = QDCertificate(full_algebra(3), subset, phi, 1e-9)
         rep = qd_verify(cert)
-        assert rep.max_mult_defect <= 1e-9
-        assert rep.max_norm_defect <= 1e-9
+        assert rep["max_mult_defect"] <= 1e-9
+        assert rep["max_norm_defect"] <= 1e-9
 
     def test_real_col1_mode(self):
         rng = np.random.default_rng(2)
@@ -135,7 +135,7 @@ class TestQdVerify:
         cert = QDCertificate(M2, subset, phi, 100.0, norm_mode="real_col1",
                              anti=ANTI2)
         rep = qd_verify(cert)
-        assert rep.passed
+        assert rep["pass"]
 
     def test_real_col1_rejects_complex_values(self):
         rng = np.random.default_rng(3)
@@ -158,7 +158,7 @@ class TestQdVerify:
         from starlift.realform import real_decompose
         r, s = real_decompose(anti, a)
         expect = abs(split_norm(a) - (op_norm(r) + op_norm(s)))
-        assert rep.max_norm_defect == pytest.approx(expect, abs=1e-12)
+        assert rep["max_norm_defect"] == pytest.approx(expect, abs=1e-12)
 
 
 class TestComplexifiedSubset:
@@ -193,8 +193,8 @@ class TestQdComplexify:
         subset = FiniteSubset(tuple(rng.standard_normal((2, 2)) for _ in range(4)))
         cert = QDCertificate(M2, subset, phi, 1e-8, anti=ANTI2)
         _, rep = qd_complexify(cert)
-        assert rep.max_mult_defect < 1e-10
-        assert rep.extra["bounds_hold"]
+        assert rep["max_mult_defect"] < 1e-10
+        assert rep["extra"]["bounds_hold"]
 
     def test_pure_real_pairs_match_real_defects(self):
         cert = _real_cert(5)
@@ -209,16 +209,16 @@ class TestQdComplexify:
         assert np.array_equal(new_cert.subset.elements, f)
         direct = qd_verify(QDCertificate(cert.algebra, cert.subset, cert.phi,
                                          cert.epsilon, "complex_op", ANTI2))
-        assert rep.max_mult_defect == pytest.approx(direct.max_mult_defect,
+        assert rep["max_mult_defect"] == pytest.approx(direct["max_mult_defect"],
                                                     abs=1e-10)
-        assert rep.extra["bounds_hold"]
+        assert rep["extra"]["bounds_hold"]
 
     def test_bound_holds_over_seeds(self):
         for seed in range(30):
             cert = _real_cert(100 + seed, n=2, k=3)
             _, rep = qd_complexify(cert)
-            assert rep.extra["mult_bound_margin"] <= 1e-9
-            assert rep.extra["norm_bound_margin"] <= 1e-9
+            assert rep["extra"]["mult_bound_margin"] <= 1e-9
+            assert rep["extra"]["norm_bound_margin"] <= 1e-9
 
     def test_rejects_subset_outside_form(self):
         rng = np.random.default_rng(6)
@@ -240,8 +240,8 @@ class TestQdRealify:
         cert = _complex_cert(8)
         new_cert, rep = qd_realify(cert)
         assert new_cert is not None
-        assert rep.extra["theta_mode"] == "fixed"
-        assert rep.extra["bounds_hold"]
+        assert rep["extra"]["theta_mode"] == "fixed"
+        assert rep["extra"]["bounds_hold"]
         assert new_cert.norm_mode == "real_col1"
 
     def test_zero_defect_transports_to_near_zero(self):
@@ -254,13 +254,13 @@ class TestQdRealify:
         scale = ThetaScale("fixed", 1.0)
         _, rep = qd_realify(cert, scale=scale)
         # scale 1 keeps the homomorphism property through the embedding
-        assert rep.max_mult_defect < 1e-10
+        assert rep["max_mult_defect"] < 1e-10
 
     def test_paper_mode_flags_and_no_cert(self):
         cert = _complex_cert(10)
         new_cert, rep = qd_realify(cert, scale=ThetaScale("paper"))
         assert new_cert is None
-        flags = rep.extra.get("flags", [])
+        flags = rep["extra"].get("flags", [])
         assert any("nonlinear theta" in f for f in flags)
 
     def test_complex_subset_is_decomposed(self):
@@ -284,7 +284,7 @@ class TestQdRealify:
         assert new_cert.subset.labels == labels
         r, s, one = new_cert.subset.elements
         assert np.array_equal(r + 1j * s, f0) and np.array_equal(one, np.eye(2))
-        named = [w[key] for w in rep.witnesses.values()
+        named = [w[key] for w in rep["witnesses"].values()
                  for key in ("left", "right", "element") if key in w]
         assert named and set(named) <= set(labels)
         again = cert_from_json(cert_to_json(new_cert))
@@ -300,9 +300,9 @@ class TestQdRealify:
         subset = FiniteSubset(tuple(random_matrix(rng, 2) for _ in range(3)))
         cert = QDCertificate(M2, subset, LinearMapMat.identity(2), 1e-3, anti=anti)
         new_cert, rep = qd_realify(cert, scale=ThetaScale("fixed", 1.0))
-        assert rep.max_norm_defect < 1e-12 and rep.max_mult_defect < 1e-12
+        assert rep["max_norm_defect"] < 1e-12 and rep["max_mult_defect"] < 1e-12
         assert np.iscomplexobj(new_cert.subset.elements[0])
-        assert qd_verify(new_cert).max_norm_defect < 1e-12
+        assert qd_verify(new_cert)["max_norm_defect"] < 1e-12
 
     def test_domain_col1_norm_is_col_norm1_on_real_matrices(self):
         xs = np.random.default_rng(14).standard_normal((20, 3, 3))
@@ -317,8 +317,8 @@ class TestNuclearWitness:
         phi = LinearMapMat.identity(2)
         subset = FiniteSubset(tuple(random_matrix(rng, 2) for _ in range(3)))
         rep = nuclear_witness_verify(phi, phi, subset, epsilon=1e-9)
-        assert rep.max_norm_defect < 1e-12
-        assert rep.passed
+        assert rep["max_norm_defect"] < 1e-12
+        assert rep["pass"]
 
     def test_corner_roundtrip_loses_e22(self):
         v = np.array([[1.0], [0.0]])
@@ -329,8 +329,8 @@ class TestNuclearWitness:
         e22 = np.diag([0.0, 1.0])
         rep = nuclear_witness_verify(down, up, FiniteSubset((e11, e22)),
                                      epsilon=0.5)
-        assert rep.max_norm_defect == pytest.approx(1.0, abs=1e-12)
-        assert not rep.passed
+        assert rep["max_norm_defect"] == pytest.approx(1.0, abs=1e-12)
+        assert not rep["pass"]
 
     def test_transport_preserves_defect(self):
         for seed in range(100):
@@ -348,8 +348,8 @@ class TestNuclearWitness:
             fp, sp = transport_factorization(fac_phi, fac_psi)
             after = nuclear_witness_verify(fp, sp, subset, epsilon=1e6,
                                            target=target)
-            assert after.max_norm_defect == pytest.approx(
-                before.max_norm_defect, abs=1e-12)
+            assert after["max_norm_defect"] == pytest.approx(
+                before["max_norm_defect"], abs=1e-12)
 
     def test_compressed_witnesses(self):
         rng = np.random.default_rng(14)
@@ -357,7 +357,7 @@ class TestNuclearWitness:
         subset = FiniteSubset((np.eye(2),))
         rep = nuclear_witness_verify(phi, phi, subset, epsilon=1e-9,
                                      b_list=[random_matrix(rng, 2, 2)])
-        assert rep.extra["max_compressed_defect"] < 1e-12
+        assert rep["extra"]["max_compressed_defect"] < 1e-12
 
     def test_dimension_chain_enforced(self):
         with pytest.raises(ValueError):
@@ -373,8 +373,8 @@ class TestTraceQd:
         cert = QDCertificate(full_algebra(3), subset,
                              LinearMapMat.identity(3), 1e-9)
         rep = trace_qd_verify(cert, TraceWitness(np.eye(3) / 3))
-        assert rep.max_trace_defect < 1e-12
-        assert rep.passed
+        assert rep["max_trace_defect"] < 1e-12
+        assert rep["pass"]
 
     def test_scaled_trace_defect(self):
         rng = np.random.default_rng(16)
@@ -384,7 +384,7 @@ class TestTraceQd:
         doubled = TraceWitness(2 * TraceWitness(np.eye(2) / 2).gram)
         rep = trace_qd_verify(cert, doubled)
         expect = max(abs(np.trace(m)) / 2 for m in mats)
-        assert rep.max_trace_defect == pytest.approx(float(expect), abs=1e-12)
+        assert rep["max_trace_defect"] == pytest.approx(float(expect), abs=1e-12)
 
     def test_unitary_conjugation_invariance(self):
         rng = np.random.default_rng(17)
@@ -394,7 +394,7 @@ class TestTraceQd:
             cert = QDCertificate(full_algebra(3), subset,
                                  unitary_conjugation_map(u), 1e-9)
             rep = trace_qd_verify(cert, TraceWitness(np.eye(3) / 3))
-            assert rep.max_trace_defect < 1e-10
+            assert rep["max_trace_defect"] < 1e-10
 
     def test_rejects_non_unital(self):
         v = np.array([[1.0], [0.0]])
@@ -424,7 +424,7 @@ class TestTraceQd:
         assert witness.traciality_residual(b23) < 1e-15
         assert witness.traciality_residual(full_algebra(5)) > 0.2
         cert = QDCertificate(b23, FiniteSubset((np.eye(5),)), LinearMapMat.identity(5), 0.1)
-        assert trace_qd_verify(cert, witness).passed
+        assert trace_qd_verify(cert, witness)["pass"]
 
 
 def _trace_cert(algebra=M2, phi=None):
@@ -495,49 +495,49 @@ class TestTraceTransport:
 class TestLemmaAudit:
     def test_eqtr1_scale1_fails_with_ratio_two(self):
         rep = lemma_audit("eqtr1_scale1", samples=100, seed=7)
-        assert rep.verdict == "counterexample"
-        assert rep.witness["ratio"] == pytest.approx(2.0, abs=1e-12)
+        assert rep["verdict"] == "counterexample"
+        assert rep["witness"]["ratio"] == pytest.approx(2.0, abs=1e-12)
 
     def test_eqtr1_scale_half_holds(self):
         rep = lemma_audit("eqtr1_scale_half", samples=100, seed=7)
-        assert rep.verdict == "holds"
-        assert rep.residuals["max_residual"] < 1e-12
+        assert rep["verdict"] == "holds"
+        assert rep["residuals"]["max_residual"] < 1e-12
 
     def test_eta_cp_level2_counterexample(self):
         rep = lemma_audit("eta_cp", samples=50, seed=3)
-        assert rep.verdict == "counterexample"
-        assert rep.witness["level"] == 2
-        assert rep.witness["defect"] == pytest.approx(-1.0, abs=1e-10)
-        flat = [complex(re, im) for re, im in rep.witness["input"]]
+        assert rep["verdict"] == "counterexample"
+        assert rep["witness"]["level"] == 2
+        assert rep["witness"]["defect"] == pytest.approx(-1.0, abs=1e-10)
+        flat = [complex(re, im) for re, im in rep["witness"]["input"]]
         expected = [1, 1j, -1j, 1]
         assert max(abs(a - b) for a, b in zip(flat, expected)) < 1e-12
-        assert rep.residuals["level1_defect"] >= -1e-10
+        assert rep["residuals"]["level1_defect"] >= -1e-10
 
     def test_upsilon_cp_counterexample(self):
         rep = lemma_audit("upsilon_cp", samples=50, seed=3)
-        assert rep.verdict == "counterexample"
-        assert rep.witness["selfadjoint_residual"] > 1e-10 or \
-            rep.witness["defect"] < -1e-10
+        assert rep["verdict"] == "counterexample"
+        assert rep["witness"]["selfadjoint_residual"] > 1e-10 or \
+            rep["witness"]["defect"] < -1e-10
 
     def test_eq1t2_counterexample_is_half_e11(self):
         rep = lemma_audit("eq1t2", samples=50, seed=3)
-        assert rep.verdict == "counterexample"
-        flat = [complex(re, im) for re, im in rep.witness["input"]]
+        assert rep["verdict"] == "counterexample"
+        flat = [complex(re, im) for re, im in rep["witness"]["input"]]
         assert flat[0] == pytest.approx(0.5)
         assert max(abs(z) for z in flat[1:]) == 0.0
-        assert rep.witness["lhs"] == pytest.approx(1.0 / 6.0, abs=1e-12)
-        assert rep.witness["rhs"] == pytest.approx(0.125, abs=1e-12)
+        assert rep["witness"]["lhs"] == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert rep["witness"]["rhs"] == pytest.approx(0.125, abs=1e-12)
 
     def test_theta_claims_fail(self):
         hom = lemma_audit("theta_homomorphism", samples=20, seed=5)
-        assert hom.verdict == "counterexample"
+        assert hom["verdict"] == "counterexample"
         lin = lemma_audit("theta_linearity", samples=20, seed=5)
-        assert lin.verdict == "counterexample"
-        assert lin.witness["additivity_residual"] > 1e-10
+        assert lin["verdict"] == "counterexample"
+        assert lin["witness"]["additivity_residual"] > 1e-10
 
     def test_deterministic(self):
-        a = lemma_audit("eta_cp", samples=40, seed=11).to_json()
-        b = lemma_audit("eta_cp", samples=40, seed=11).to_json()
+        a = lemma_audit("eta_cp", samples=40, seed=11)
+        b = lemma_audit("eta_cp", samples=40, seed=11)
         assert a == b
 
     def test_unknown_claim(self):
@@ -547,9 +547,9 @@ class TestLemmaAudit:
     def test_all_claims_run(self):
         for claim in AUDIT_CLAIMS:
             rep = lemma_audit(claim, samples=10, seed=1)
-            assert rep.verdict in ("holds", "counterexample")
-            if rep.verdict == "counterexample":
-                assert rep.witness is not None
+            assert rep["verdict"] in ("holds", "counterexample")
+            if rep["verdict"] == "counterexample":
+                assert rep["witness"] is not None
 
 
 class TestGenerators:

@@ -18,13 +18,14 @@ from starlift.certify import FiniteSubset, QDCertificate, nuclear_witness_verify
 from starlift import __version__, certify, cli, tensorexact
 from starlift.cli import cmd_dispatch
 from starlift.cpmaps import LinearMapMat, block_apply, complexify, compress
-from starlift.io import (SchemaError, _matrices_to_json, algebra_to_json, anti_to_json,
-                         canonical_dumps, cert_from_json, cert_to_json,
+from starlift.io import (SchemaError, _matrices_to_json, algebra_from_json, algebra_to_json,
+                         anti_to_json, canonical_dumps, cert_from_json, cert_to_json,
                          ideal_from_json, map_from_json, map_to_json,
-                         matrix_from_json, matrix_to_json, subset_from_json)
+                         matrix_from_json, matrix_to_json, subset_from_json,
+                         trace_from_json)
 from starlift.matrix import matrix_units, op_norm, positivity_defect, split_norm
-from starlift.realform import AntiAutomorphism, StarAlgebra, real_decompose
-from starlift.transport import rho_map, sigma_map
+from starlift.realform import AntiAutomorphism, StarAlgebra, real_decompose, real_form_residual
+from starlift.transport import ThetaScale, rho_map, sigma_map
 
 import algebra_oracle
 import codec_oracle
@@ -541,6 +542,18 @@ class TestCli:
         assert any("nonlinear theta" in f
                    for f in doc["report"]["extra"]["flags"])
 
+    def test_qd_transport_complexify_takes_phi_over_the_certificates(self, workdir, capsys):
+        # --phi replaces the certificate's Phi: the transpose again changes
+        # nothing, and u = J moves the real matrices of F out of the real form.
+        argv = ["qd-transport", "--cert", workdir["real_cert.json"], "--direction", "complexify"]
+        same = _run(argv + ["--phi", workdir["phi.json"]], capsys)
+        assert same == _run(argv, capsys) and same[0] == 0
+        j2 = AntiAutomorphism(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        f0 = cert_from_json(json.load(open(workdir["real_cert.json"]))).subset.elements[0]
+        assert _run(argv + ["--phi", workdir["J2.json"]], capsys) == (
+            2, "", "error: subset element F[0] is not in the real form "
+                   f"(residual {real_form_residual(j2, f0):.3e})\n")
+
     @pytest.mark.parametrize("mode", ["auto", "paper", "fixed:0.5"])
     def test_qd_transport_realify_quaternionic(self, tmp_path, capsys, mode):
         # Under u = J the real-form parts of the subset have complex
@@ -885,6 +898,15 @@ def test_a_tolerance_that_is_not_positive_and_finite_exits_two(
     *[(command, "--theta-mode", v,
        f"bad theta mode {v!r}; expected 'paper' or 'fixed:<value>'")
       for command in ("qd-transport", "trace-audit") for v in ("fixed:abc", "fixed:", "")],
+    # complexify has no use for --theta-mode, but both transport options
+    # are checked whichever the direction.
+    *[("qd-transport complexify", "--theta-mode", v,
+       f"bad theta mode {v!r}; expected 'paper' or 'fixed:<value>'")
+      for v in ("bogus", "fixed:abc", "fixed:", "")],
+    ("qd-transport complexify", "--theta-mode", "fixed:inf",
+     "fixed theta scale must be positive and finite, got inf"),
+    ("qd-transport complexify", "--phi", "/nonexistent.json",
+     "[Errno 2] No such file or directory: '/nonexistent.json'"),
     # Without --phi there is no transport, but its options are checked all the same.
     ("trace-audit without --phi", "--theta-mode", "bogus",
      "bad theta mode 'bogus'; expected 'paper' or 'fixed:<value>'"),
@@ -910,6 +932,7 @@ def test_a_parameter_out_of_range_exits_two_naming_it(workdir, capsys, command, 
     # the arithmetic or the JSON encoder.  The last of a repeated option wins.
     argv = {"qd-transport": ["qd-transport", "--cert", workdir["cx_cert.json"],
                              "--direction", "realify"],
+            "qd-transport complexify": _argv(workdir, "qd-transport"),
             "trace-audit without --phi": ["trace-audit", "--cert", workdir["cx_cert.json"],
                                           "--trace", workdir["trace.json"]],
             "cp-check on a complex-linear map": ["cp-check", "--map", workdir["idmap2.json"]],
@@ -1120,9 +1143,84 @@ def test_a_ragged_b_list_is_decoded_entry_by_entry(workdir, tmp_path, capsys):
     subset = FiniteSubset(subset_from_json(json.load(open(workdir["F.json"]))))
     want = nuclear_witness_verify(LinearMapMat.identity(2), psi, subset, 10.0,
                                   b_list=[b.astype(np.complex128) for b in b_list])
-    assert json.loads(out)["report"] == json.loads(canonical_dumps(want.to_json()))
-    assert min(want.extra["compressed_defects"]) > 0
+    assert json.loads(out)["report"] == json.loads(canonical_dumps(want))
+    assert min(want["extra"]["compressed_defects"]) > 0
 
+
+def _plain(doc) -> bool:
+    """Whether doc is made of JSON's own Python types only: a numpy scalar
+    (np.float64 is a float) or a tuple is not."""
+    if type(doc) is dict:
+        return all(type(k) is str and _plain(v) for k, v in doc.items())
+    if type(doc) is list:
+        return all(map(_plain, doc))
+    return doc is None or type(doc) in (str, int, float, bool)
+
+
+def _load(workdir, name):
+    return json.load(open(workdir[name]))
+
+
+def _cert(workdir, name):
+    return cert_from_json(_load(workdir, name))
+
+
+def _tensor_inputs(workdir):
+    return (algebra_from_json(_load(workdir, "A2.json")), ANTI2,
+            ideal_from_json(_load(workdir, "ideal.json")))
+
+
+# Each check on the shared fixtures, the CLI run that prints its report,
+# and the key of that report in the CLI's document.
+CHECK_REPORTS = {
+    "qd_verify": (lambda w: certify.qd_verify(_cert(w, "id_cert.json")),
+                  ["qd-verify", "--cert", "id_cert.json"], "report"),
+    "qd_complexify": (lambda w: certify.qd_complexify(_cert(w, "real_cert.json"))[1],
+                      ["qd-transport", "--cert", "real_cert.json", "--direction", "complexify"],
+                      "report"),
+    "qd_realify fixed": (lambda w: certify.qd_realify(_cert(w, "cx_cert.json"),
+                                                      scale=ThetaScale.parse("fixed:0.5"))[1],
+                         ["qd-transport", "--cert", "cx_cert.json", "--direction", "realify",
+                          "--theta-mode", "fixed:0.5"], "report"),
+    "qd_realify paper": (lambda w: certify.qd_realify(_cert(w, "cx_cert.json"),
+                                                      scale=ThetaScale("paper"))[1],
+                         ["qd-transport", "--cert", "cx_cert.json", "--direction", "realify",
+                          "--theta-mode", "paper"], "report"),
+    "nuclear_witness_verify": (
+        lambda w: nuclear_witness_verify(
+            map_from_json(_load(w, "idmap2.json")), map_from_json(_load(w, "transpose2.json")),
+            FiniteSubset(subset_from_json(_load(w, "F.json"))), 10.0),
+        ["nuclear-verify", "--phi-map", "idmap2.json", "--psi-map", "transpose2.json",
+         "--set", "F.json", "--epsilon", "10"], "report"),
+    "trace_qd_verify": (lambda w: certify.trace_qd_verify(_cert(w, "cx_cert.json"),
+                                                          trace_from_json(_load(w, "trace.json"))),
+                        ["trace-audit", "--cert", "cx_cert.json", "--trace", "trace.json"],
+                        "verify"),
+    "trace_transport": (lambda w: certify.trace_transport(trace_from_json(_load(w, "trace.json")),
+                                                          ANTI2, _cert(w, "cx_cert.json")),
+                        ["trace-audit", "--cert", "cx_cert.json", "--trace", "trace.json",
+                         "--phi", "phi.json"], "transport"),
+    **{f"lemma_audit {claim}": (lambda w, claim=claim: certify.lemma_audit(claim, 5, 3),
+                                ["lemma-audit", "--claim", claim, "--samples", "5", "--seed", "3"],
+                                "report")
+       for claim in certify.AUDIT_CLAIMS},
+    "exactness_check": (lambda w: tensorexact.exactness_check(*_tensor_inputs(w)),
+                        ["exactness", "--algebra", "A2.json", "--ideal", "ideal.json"], "report"),
+    "fubini_check": (lambda w: tensorexact.fubini_check(*_tensor_inputs(w)),
+                     ["fubini", "--algebra", "A2.json", "--ideal", "ideal.json"], "fubini"),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECK_REPORTS))
+def test_a_check_returns_the_report_the_cli_prints(workdir, capsys, name):
+    # One format: the CLI embeds the object a check returns as it is, so
+    # the object holds nothing the canonical encoder would refuse.
+    check, argv, key = CHECK_REPORTS[name]
+    report = check(workdir)
+    assert _plain(report)
+    code, out, err = _run([workdir.get(a, a) for a in argv], capsys)
+    assert code in (0, 1), err
+    assert json.loads(out)[key] == json.loads(canonical_dumps(report))
 
 @pytest.mark.parametrize("doc, message", [
     ({"rows": 1, "cols": 1, "field": "R", "data": [1.0]},
