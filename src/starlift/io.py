@@ -1,18 +1,22 @@
 """Canonical JSON serialization and the documented artifact schemas.
 
-Documents are canonicalized by the stdlib encoder (sorted keys, compact
-separators, ASCII, floats in Python's shortest round-trip spelling,
-trailing newline) so that reports are byte-diffable in CI and
-save(load(doc)) reproduces the file exactly.  Matrices are plain numpy
-arrays; their field tag exists only in the matrix schema.  Schema
-violations raise :class:`SchemaError` naming the offending field.
+Documents are canonicalized as the stdlib encoder writes them (sorted
+keys, compact separators, ASCII, floats in Python's shortest round-trip
+spelling, trailing newline) so that reports are byte-diffable in CI and
+save(load(doc)) reproduces the file exactly.  The float payloads of large
+matrix documents are spelled from a table of their distinct magnitudes,
+one stdlib spelling each, when that is predicted to be faster; the text
+is the same either way.  Matrices are plain numpy arrays; their field tag
+exists only in the matrix schema.  Schema violations raise
+:class:`SchemaError` naming the offending field.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+import re
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -42,9 +46,159 @@ def _default(obj):
     raise ValueError(f"cannot serialize {type(obj).__name__} canonically")
 
 
-def canonical_dumps(obj) -> str:
+def _plain_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
                       allow_nan=False, default=_default) + "\n"
+
+
+# The table path's cost model in ns, on a 2-vCPU x86-64 VM with CPython
+# 3.11 and numpy 2.4 (CHANGES.md): the stdlib encoder spells a float in
+# _SPELL_NS plus _CHAR_NS per character, and the table path costs _FLOAT_NS
+# per payload float (checking, converting, deduplicating, gathering,
+# joining), _DISTINCT_NS per distinct magnitude beyond its spelling and
+# _PAYLOAD_NS per payload, as fitted on 198 synthetic documents, and
+# _FIXED_NS per document, as measured on the smallest benchmark reports,
+# each written once among the others as a CLI run writes it.  The table is
+# used when its predicted saving is above _MARGIN of the predicted spelling
+# time, which covers the fit's error.
+_SPELL_NS, _CHAR_NS = 160, 27
+_FLOAT_NS, _DISTINCT_NS, _PAYLOAD_NS, _FIXED_NS = 170, 120, 1_700, 125_000
+_MARGIN = 0.1
+# Characters in the longest spelling of a float, -2.2250738585072014e-308.
+_LONGEST = 24
+# Before the exact count, the repeats are estimated from a leading window
+# of each kind of payload, of at most _WINDOW floats and an eighth of the
+# document's, so a document without repeats reads few floats, and the
+# length of a spelling from a strided sample of _STRIDED entries of each.
+_WINDOW, _STRIDED = 256, 8
+_MATRIX_KEYS = {"rows", "cols", "field", "data"}
+_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
+_MAGNITUDE = np.uint64(2 ** 63 - 1)
+_INF_BITS = 0x7FF0000000000000
+
+
+def canonical_dumps(obj) -> str:
+    """obj as canonical JSON: the text of the stdlib encoder with sorted
+    keys, compact separators, ASCII, no NaN or infinity and a trailing
+    newline.  The float payloads of matrix documents may be spelled from a
+    table of the document's distinct magnitudes, which gives the same text."""
+    docs = []
+    try:
+        _matrix_docs([obj], docs)
+    except RecursionError:    # cyclic or deeply nested: the encoder reports it
+        return _plain_dumps(obj)
+    texts = _payload_texts([doc["data"] for doc in docs]) if docs else None
+    if texts is None:
+        return _plain_dumps(obj)
+    marks = {id(doc): {**doc, "data": f"\0{i}"} for i, doc in enumerate(docs)}
+    parts = _PLACEHOLDER.split(_plain_dumps(_skeleton(obj, marks)))
+    found = parts[1::2]
+    if len(found) != len(texts) or set(found) != set(map(str, range(len(texts)))):
+        return _plain_dumps(obj)    # report text that reads as a placeholder
+    parts[1::2] = [texts[int(i)] for i in found]
+    return "".join(parts)
+
+
+def _matrix_docs(obj, docs: list) -> None:
+    """Append each matrix document with a nonempty data list found in the
+    dicts and lists of obj, a dict or a list, to docs.  Private, as are the
+    helpers below, so the benchmark's span recorder counts them in
+    ``canonical_dumps``."""
+    for value in obj.values() if type(obj) is dict else obj:
+        if type(value) is dict:
+            if value.keys() == _MATRIX_KEYS and type(value["data"]) is list and value["data"]:
+                docs.append(value)
+            else:
+                _matrix_docs(value, docs)
+        elif type(value) is list:
+            _matrix_docs(value, docs)
+
+
+def _skeleton(obj, marks: dict):
+    """obj with each dict whose id is a key of marks replaced by its mark."""
+    if type(obj) is dict:
+        return marks.get(id(obj)) or {key: _skeleton(value, marks)
+                                      for key, value in obj.items()}
+    if type(obj) is list:
+        return [_skeleton(value, marks) for value in obj]
+    return obj
+
+
+def _table_pays(floats: int, distinct: float, payloads: int, chars: float) -> bool:
+    """Whether spelling ``floats`` payload floats with ``distinct``
+    magnitudes in ``payloads`` payloads from a table is predicted to be
+    faster, by the margin, when a spelling has ``chars`` characters."""
+    spelling = floats * (_SPELL_NS + _CHAR_NS * chars)
+    table = (distinct * (_SPELL_NS + _CHAR_NS * chars + _DISTINCT_NS) + floats * _FLOAT_NS
+             + payloads * _PAYLOAD_NS + _FIXED_NS)
+    return spelling - table > _MARGIN * spelling
+
+
+def _floats(flat: list, pairs: list) -> list | None:
+    """The floats of flat payload entries followed by those of [re, im]
+    pair entries, or None when an entry is anything else."""
+    entries = _flat_entries(flat, _FLOAT), _flat_entries(pairs, _FLOAT)
+    return None if None in entries else entries[0][0] + entries[1][0]
+
+
+def _payload_texts(payloads: list) -> list | None:
+    """The JSON text of each payload, each distinct magnitude spelled once
+    by the stdlib encoder and a negative entry as "-" and its magnitude's
+    spelling, or None to leave the document to the encoder: when a payload
+    holds anything but floats or [re, im] pairs of floats, when one is not
+    finite, or when the table is not predicted to pay.  Each prediction
+    before the last, exact one takes a quantity at its best: every float
+    repeating and the longest spelling; the window's repeats and the
+    longest spelling; every float repeating and the sample's spelling
+    length."""
+    paired = [type(data[0]) is list for data in payloads]
+    order = sorted(range(len(payloads)), key=paired.__getitem__)    # flat ones first
+    sizes = [len(payloads[i]) * (1 + paired[i]) for i in order]
+    total, count = sum(sizes), len(payloads)
+    if not _table_pays(total, 0, count, _LONGEST):
+        return None
+    window = max(2, min(_WINDOW, total // 8))
+    sample = _floats(*(list(islice(chain.from_iterable(
+        payloads[i] for i in order if paired[i] is pair), window >> pair))
+        for pair in (False, True)))
+    if sample is None:
+        return None
+    # A set keys a float's |x| by its bit pattern, NaN aside, which only
+    # lowers the estimate; the exact count below keys on the bits.
+    if not _table_pays(total, total * len(set(map(abs, sample))) / len(sample), count,
+                       _LONGEST):
+        return None
+    flat, pairs = (list(chain.from_iterable(payloads[i] for i in order if paired[i] is pair))
+                   for pair in (False, True))
+    sample = _floats(flat[::max(1, len(flat) // _STRIDED)],
+                     pairs[::max(1, len(pairs) // _STRIDED)])
+    if sample is None:
+        return None
+    chars = (len(json.dumps(sample, separators=(",", ":"))) - 1) / len(sample) - 1
+    if not _table_pays(total, 0, count, chars):
+        return None
+    floats = _floats(flat, pairs)
+    if floats is None:
+        return None
+    arr = np.array(floats, dtype=np.float64)
+    # The sorted distinct bit patterns of the magnitudes, NaN last above
+    # infinity, and the index of each float's: -0.0 shares 0.0's.
+    mags, index = np.unique(arr.view(np.uint64) & _MAGNITUDE, return_inverse=True)
+    if mags[-1] >= _INF_BITS or not _table_pays(total, len(mags), count, chars):
+        return None
+    spelled = json.dumps(mags.view(np.float64).tolist(), separators=(",", ":"))[1:-1].split(",")
+    table = np.array(spelled + ["-" + s for s in spelled], dtype=object)
+    seps = [","] * len(flat) + [",", "],["] * len(pairs)
+    ends = list(accumulate(sizes, initial=0))
+    for i, end in zip(order, ends[1:]):
+        seps[end - 1] = "]]" if paired[i] else "]"
+    pieces = [None] * (2 * total)
+    pieces[::2] = table[index + len(mags) * np.signbit(arr)].tolist()
+    pieces[1::2] = seps
+    texts = [None] * count
+    for i, start, end in zip(order, ends, ends[1:]):
+        texts[i] = ("[[" if paired[i] else "[") + "".join(pieces[2 * start:2 * end])
+    return texts
 
 
 def load_json(path):
@@ -77,9 +231,15 @@ def _as_dim(value, path: str) -> int:
 
 
 def _as_number(value, path: str) -> float:
+    """A JSON number as a float; an integer beyond the float range reads
+    as an infinity, as a decimal beyond it does, and the caller's
+    finiteness check names it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 # -- matrix ------------------------------------------------------------------
@@ -114,7 +274,7 @@ def _matrices_to_json(arr: np.ndarray, field: str | None = None) -> list:
 
 def _entry(value, field: str, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_as_number(value, path))
     if isinstance(value, list) and 1 <= len(value) <= 2:
         re = _as_number(value[0], f"{path}[0]")
         im = _as_number(value[1], f"{path}[1]") if len(value) == 2 else 0.0
@@ -125,23 +285,41 @@ def _entry(value, field: str, path: str) -> complex:
 
 
 _NUMBER_TYPES = {int, float}
+_FLOAT = {float}
+
+
+def _flat_entries(data: list, types: set) -> tuple | None:
+    """The entries of a matrix document's data as one flat list, and
+    whether they are [re, im] pairs, when all are numbers of exactly the
+    given types or all are pairs of them, else None.  Exact types keep
+    bool, str and numpy scalars out."""
+    kinds = set(map(type, data))
+    if kinds <= types:
+        return data, False
+    if kinds == {list} and set(map(len, data)) == {2}:
+        flat = list(chain.from_iterable(data))
+        if set(map(type, flat)) <= types:
+            return flat, True
+    return None
 
 
 def _uniform_entries(data: list, field: str) -> np.ndarray | None:
     """The entries as a complex vector when all are plain numbers or all
     are valid [re, im] pairs, else None: the caller then parses entry by
-    entry, which names the first bad one.  Exact types keep bool and str
-    out; the values are those of complex(re, im)."""
-    kinds = set(map(type, data))
-    if kinds <= _NUMBER_TYPES:
-        return np.array(data, dtype=np.float64).astype(np.complex128)
-    if kinds == {list} and set(map(len, data)) == {2}:
-        flat = list(chain.from_iterable(data))
-        if set(map(type, flat)) <= _NUMBER_TYPES:
-            arr = np.array(flat, dtype=np.float64).view(np.complex128)
-            if field == "C" or not arr.imag.any():
-                return arr
-    return None
+    entry, which names the first bad one (an integer beyond the float
+    range too).  The values are those of complex(re, im)."""
+    entries = _flat_entries(data, _NUMBER_TYPES)
+    if entries is None:
+        return None
+    flat, paired = entries
+    try:
+        arr = np.array(flat, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not paired:
+        return arr.astype(np.complex128)
+    arr = arr.view(np.complex128)
+    return arr if field == "C" or not arr.imag.any() else None
 
 
 def matrix_from_json(doc, path: str = "matrix") -> np.ndarray:
@@ -184,7 +362,7 @@ def subset_from_json(raw, path: str = "F") -> np.ndarray:
             mats = matrix_from_json({"rows": len(raw) * rows, "cols": cols, "field": field,
                                      "data": list(chain.from_iterable(d["data"] for d in raw))}
                                     ).reshape(len(raw), rows, cols)
-    except (KeyError, TypeError, ValueError, OverflowError):    # SchemaError is a ValueError
+    except (KeyError, TypeError, ValueError):    # SchemaError is a ValueError
         pass
     if mats is None:
         mats = [matrix_from_json(d, f"{path}[{i}]") for i, d in enumerate(raw)]

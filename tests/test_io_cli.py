@@ -18,7 +18,8 @@ from starlift.certify import FiniteSubset, QDCertificate, nuclear_witness_verify
 from starlift import __version__, certify, cli, tensorexact
 from starlift.cli import cmd_dispatch
 from starlift.cpmaps import LinearMapMat, block_apply, complexify, compress
-from starlift.io import (SchemaError, _matrices_to_json, algebra_from_json, algebra_to_json,
+from starlift.io import (SchemaError, _default, _matrices_to_json, _payload_texts,
+                         algebra_from_json, algebra_to_json,
                          anti_to_json, canonical_dumps, cert_from_json, cert_to_json,
                          ideal_from_json, map_from_json, map_to_json,
                          matrix_from_json, matrix_to_json, subset_from_json,
@@ -89,6 +90,50 @@ def _typed(doc):
     return int(doc) if isinstance(doc, np.integer) else doc
 
 
+# Payload values for the table path: both zeros, the smallest subnormal and
+# normal floats, both sides of the switches to exponent spelling, and
+# spellings of several lengths.  An ODD value leaves its document to the
+# one-call encoder, which spells it or raises.
+TABLE_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0,
+                1e-05, 0.0001, 1 / 3, -2 / 7, 0.1, 1.0]
+ODD_VALUES = [1, -3, True, False, np.float64(0.25), math.nan, math.inf, -math.inf]
+# Report text that looks like a payload or like a placeholder ("\x000").
+LABELS = ['"data":-1', "\x000", '"\x000"', "\x00", "x"]
+
+
+@st.composite
+def _payload_reports(draw):
+    """A report whose matrix payloads repeat a few magnitudes with both
+    signs, some large enough for the table, in flat and [re, im] layouts."""
+    pool = np.array(draw(st.lists(st.sampled_from(TABLE_VALUES)
+                                  | st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=1, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    entries = draw(st.sampled_from([1, 40, 400, 400]))
+    mats = []
+    for paired in draw(st.lists(st.booleans(), min_size=1, max_size=6)):
+        size = entries * (1 + paired)
+        values = pool[rng.integers(0, pool.size, size)] * rng.choice([-1.0, 1.0], size)
+        data = values.reshape(-1, 2).tolist() if paired else values.tolist()
+        mats.append({"rows": 1, "cols": entries, "field": "CR"[paired], "data": data})
+    if draw(st.integers(0, 3)) == 0:
+        data = draw(st.sampled_from(mats))["data"]
+        i = draw(st.integers(0, len(data) - 1))
+        odd = draw(st.sampled_from(ODD_VALUES))
+        data[i] = [odd, data[i][1]] if type(data[i]) is list else odd
+    doc = {"images": mats, "labels": draw(st.lists(st.sampled_from(LABELS), max_size=2)),
+           "epsilon": draw(st.sampled_from(TABLE_VALUES + ODD_VALUES))}
+    if draw(st.integers(0, 3)) == 0:
+        doc["first"] = mats[0]    # one matrix document in two places
+    return doc
+
+
+def _one_call_dumps(doc) -> str:
+    """The stdlib encoder's text of doc, as one call writes it."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                      allow_nan=False, default=_default) + "\n"
+
+
 class TestCanonicalJson:
     def test_sorted_keys_and_float_format(self):
         text = canonical_dumps({"b": 0.5, "a": 1.0, "c": [True, None, "x"]})
@@ -132,6 +177,47 @@ class TestCanonicalJson:
         assert json.loads(text) == json.loads(codec_oracle.canonical_dumps(doc))
         assert canonical_dumps(json.loads(text)) == text
         assert _typed(json.loads(text)) == _typed(doc)    # float type and zero sign kept
+
+    def test_a_cyclic_document_raises_the_encoders_error(self):
+        doc = {"images": [{"rows": 1, "cols": 1, "field": "R", "data": [0.5]}]}
+        doc["images"].append(doc)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            canonical_dumps(doc)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_payload_reports())
+    def test_the_table_writes_what_one_encoder_call_writes(self, doc):
+        try:
+            want = _one_call_dumps(doc)
+        except ValueError:
+            with pytest.raises(ValueError):
+                canonical_dumps(doc)
+        else:
+            assert canonical_dumps(doc) == want
+
+    def test_the_table_is_used_only_where_it_is_predicted_to_pay(self):
+        # 60 payloads of 32 floats: the same counts pay for a table of 8
+        # long spellings but not for one of 3 short ones.
+        rng = np.random.default_rng(0)
+        signs = rng.choice([-1.0, 1.0], (60, 32))
+        long = rng.standard_normal(8)               # 17 significant digits
+        cases = {
+            "repeated long": (long[rng.integers(0, 8, (60, 32))] * signs, True),
+            "repeated short": (np.array([0.0, 0.5, 1.0])[rng.integers(0, 3, (60, 32))] * signs,
+                               False),
+            "distinct long": (rng.standard_normal((60, 32)), False),
+            "few": (long[rng.integers(0, 8, (2, 8))], False),
+        }
+        for name, (values, table) in cases.items():
+            payloads = values.tolist()
+            assert (_payload_texts(payloads) is not None) == table, name
+            doc = {"images": [{"rows": 1, "cols": len(data), "field": "R", "data": data}
+                              for data in payloads]}
+            assert canonical_dumps(doc) == _one_call_dumps(doc), name
+        texts = _payload_texts([[1 / 3, -0.0, 1e16, -1 / 3] * 50, [[0.0, -1 / 3]] * 100] * 5)
+        assert texts[:2] == ["[" + ",".join(["0.3333333333333333", "-0.0", "1e+16",
+                                             "-0.3333333333333333"] * 50) + "]",
+                             "[" + ",".join(["[0.0,-0.3333333333333333]"] * 100) + "]"]
 
 
 class TestMatrixSchema:
@@ -980,6 +1066,29 @@ def _write(tmp_path, name, doc) -> str:
     path = tmp_path / name
     path.write_text(canonical_dumps(doc))
     return str(path)
+
+
+@pytest.mark.parametrize("command, name, path, value, where", [
+    ("realform", "x.json", ("data", 1), 10 ** 400, "matrix.data[1]"),
+    ("realform", "x.json", ("data", 0, 0), -10 ** 400, "matrix.data[0]"),
+    ("cp-check", "real_map.json", ("images", 0, "data", 0), 10 ** 400, "map.images[0].data[0]"),
+    ("qd-verify", "id_cert.json", ("epsilon",), 10 ** 400, "certificate.epsilon"),
+    ("qd-verify", "id_cert.json", ("F", 1, "data", 1), [10 ** 400, 0], "certificate.F[1].data[1]"),
+    ("trace-audit", "trace.json", ("gram", "data", 3), -10 ** 400, "trace.gram.data[3]"),
+])
+def test_an_integer_beyond_the_float_range_exits_two_naming_it(workdir, tmp_path, capsys,
+                                                               command, name, path, value,
+                                                               where):
+    # json reads a 400-digit integer as an int that float() overflows on;
+    # it is a non-finite number at its path, as 1e400 is.
+    doc = json.load(open(workdir[name]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    argv = _argv(workdir, command)
+    argv[argv.index(workdir[name])] = _write(tmp_path, "big.json", doc)
+    assert _run(argv, capsys) == (2, "", f"error: {where}: non-finite number\n")
 
 
 def test_qd_verify_in_real_col1_takes_column_sums_of_complex_images(tmp_path, capsys):
