@@ -5,7 +5,7 @@ keys, compact separators, ASCII, floats in Python's shortest round-trip
 spelling, trailing newline) so that reports are byte-diffable in CI and
 save(load(doc)) reproduces the file exactly.  The float payloads of large
 matrix documents are spelled from a table of their distinct magnitudes,
-one stdlib spelling each, when that is predicted to be faster; the text
+one stdlib spelling each, when many of them repeat a magnitude; the text
 is the same either way.  Matrices are plain numpy arrays; their field tag
 exists only in the matrix schema.  Schema violations raise
 :class:`SchemaError` naming the offending field.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -51,26 +51,13 @@ def _plain_dumps(obj) -> str:
                       allow_nan=False, default=_default) + "\n"
 
 
-# The table path's cost model in ns, on a 2-vCPU x86-64 VM with CPython
-# 3.11 and numpy 2.4 (CHANGES.md): the stdlib encoder spells a float in
-# _SPELL_NS plus _CHAR_NS per character, and the table path costs _FLOAT_NS
-# per payload float (checking, converting, deduplicating, gathering,
-# joining), _DISTINCT_NS per distinct magnitude beyond its spelling and
-# _PAYLOAD_NS per payload, as fitted on 198 synthetic documents, and
-# _FIXED_NS per document, as measured on the smallest benchmark reports,
-# each written once among the others as a CLI run writes it.  The table is
-# used when its predicted saving is above _MARGIN of the predicted spelling
-# time, which covers the fit's error.
-_SPELL_NS, _CHAR_NS = 160, 27
-_FLOAT_NS, _DISTINCT_NS, _PAYLOAD_NS, _FIXED_NS = 170, 120, 1_700, 125_000
-_MARGIN = 0.1
-# Characters in the longest spelling of a float, -2.2250738585072014e-308.
-_LONGEST = 24
-# Before the exact count, the repeats are estimated from a leading window
-# of each kind of payload, of at most _WINDOW floats and an eighth of the
-# document's, so a document without repeats reads few floats, and the
-# length of a spelling from a strided sample of _STRIDED entries of each.
-_WINDOW, _STRIDED = 256, 8
+# A document's matrix payloads are spelled from the table of its distinct
+# magnitudes when they hold at least _MIN_FLOATS floats and at least half
+# of these repeat a magnitude; a leading window of at most _WINDOW floats
+# of the first payload refuses the table early when fewer than a quarter
+# of its floats repeat one.  CHANGES.md derives the three numbers from
+# the benchmark's reports.
+_MIN_FLOATS, _WINDOW = 1024, 256
 _MATRIX_KEYS = {"rows", "cols", "field", "data"}
 _PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
 _MAGNITUDE = np.uint64(2 ** 63 - 1)
@@ -84,10 +71,10 @@ def canonical_dumps(obj) -> str:
     table of the document's distinct magnitudes, which gives the same text."""
     docs = []
     try:
-        _matrix_docs([obj], docs)
+        floats = _matrix_docs([obj], docs)
     except RecursionError:    # cyclic or deeply nested: the encoder reports it
         return _plain_dumps(obj)
-    texts = _payload_texts([doc["data"] for doc in docs]) if docs else None
+    texts = _payload_texts([doc["data"] for doc in docs]) if floats >= _MIN_FLOATS else None
     if texts is None:
         return _plain_dumps(obj)
     marks = {id(doc): {**doc, "data": f"\0{i}"} for i, doc in enumerate(docs)}
@@ -99,19 +86,23 @@ def canonical_dumps(obj) -> str:
     return "".join(parts)
 
 
-def _matrix_docs(obj, docs: list) -> None:
+def _matrix_docs(obj, docs: list) -> int:
     """Append each matrix document with a nonempty data list found in the
-    dicts and lists of obj, a dict or a list, to docs.  Private, as are the
-    helpers below, so the benchmark's span recorder counts them in
-    ``canonical_dumps``."""
+    dicts and lists of obj, a dict or a list, to docs, and return the
+    number of their payload floats, each entry of a data list that starts
+    with a list counting two.  Private, as are the helpers below, so the
+    benchmark's span recorder counts them in ``canonical_dumps``."""
+    floats = 0
     for value in obj.values() if type(obj) is dict else obj:
         if type(value) is dict:
-            if value.keys() == _MATRIX_KEYS and type(value["data"]) is list and value["data"]:
+            if value.keys() == _MATRIX_KEYS and type(data := value["data"]) is list and data:
                 docs.append(value)
+                floats += len(data) << (type(data[0]) is list)
             else:
-                _matrix_docs(value, docs)
+                floats += _matrix_docs(value, docs)
         elif type(value) is list:
-            _matrix_docs(value, docs)
+            floats += _matrix_docs(value, docs)
+    return floats
 
 
 def _skeleton(obj, marks: dict):
@@ -124,80 +115,40 @@ def _skeleton(obj, marks: dict):
     return obj
 
 
-def _table_pays(floats: int, distinct: float, payloads: int, chars: float) -> bool:
-    """Whether spelling ``floats`` payload floats with ``distinct``
-    magnitudes in ``payloads`` payloads from a table is predicted to be
-    faster, by the margin, when a spelling has ``chars`` characters."""
-    spelling = floats * (_SPELL_NS + _CHAR_NS * chars)
-    table = (distinct * (_SPELL_NS + _CHAR_NS * chars + _DISTINCT_NS) + floats * _FLOAT_NS
-             + payloads * _PAYLOAD_NS + _FIXED_NS)
-    return spelling - table > _MARGIN * spelling
-
-
-def _floats(flat: list, pairs: list) -> list | None:
-    """The floats of flat payload entries followed by those of [re, im]
-    pair entries, or None when an entry is anything else."""
-    entries = _flat_entries(flat, _FLOAT), _flat_entries(pairs, _FLOAT)
-    return None if None in entries else entries[0][0] + entries[1][0]
-
-
 def _payload_texts(payloads: list) -> list | None:
     """The JSON text of each payload, each distinct magnitude spelled once
     by the stdlib encoder and a negative entry as "-" and its magnitude's
     spelling, or None to leave the document to the encoder: when a payload
     holds anything but floats or [re, im] pairs of floats, when one is not
-    finite, or when the table is not predicted to pay.  Each prediction
-    before the last, exact one takes a quantity at its best: every float
-    repeating and the longest spelling; the window's repeats and the
-    longest spelling; every float repeating and the sample's spelling
-    length."""
+    finite, when fewer than a quarter of the first payload's window repeat
+    a magnitude, or when fewer than half of all floats do."""
     paired = [type(data[0]) is list for data in payloads]
-    order = sorted(range(len(payloads)), key=paired.__getitem__)    # flat ones first
-    sizes = [len(payloads[i]) * (1 + paired[i]) for i in order]
-    total, count = sum(sizes), len(payloads)
-    if not _table_pays(total, 0, count, _LONGEST):
+    window = _flat_entries(payloads[0][:_WINDOW >> paired[0]], _FLOAT)
+    # A set keys a float's |x| by its value, which counts a NaN as distinct
+    # and so only refuses more; the exact count below keys on the bits.
+    if window is None or 4 * len(set(map(abs, window[0]))) > 3 * len(window[0]):
         return None
-    window = max(2, min(_WINDOW, total // 8))
-    sample = _floats(*(list(islice(chain.from_iterable(
-        payloads[i] for i in order if paired[i] is pair), window >> pair))
-        for pair in (False, True)))
-    if sample is None:
+    pairs = list(chain.from_iterable(data for data, pair in zip(payloads, paired) if pair))
+    if pairs and (set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}):
         return None
-    # A set keys a float's |x| by its bit pattern, NaN aside, which only
-    # lowers the estimate; the exact count below keys on the bits.
-    if not _table_pays(total, total * len(set(map(abs, sample))) / len(sample), count,
-                       _LONGEST):
-        return None
-    flat, pairs = (list(chain.from_iterable(payloads[i] for i in order if paired[i] is pair))
-                   for pair in (False, True))
-    sample = _floats(flat[::max(1, len(flat) // _STRIDED)],
-                     pairs[::max(1, len(pairs) // _STRIDED)])
-    if sample is None:
-        return None
-    chars = (len(json.dumps(sample, separators=(",", ":"))) - 1) / len(sample) - 1
-    if not _table_pays(total, 0, count, chars):
-        return None
-    floats = _floats(flat, pairs)
-    if floats is None:
+    floats = list(chain.from_iterable(chain.from_iterable(data) if pair else data
+                                      for data, pair in zip(payloads, paired)))
+    if set(map(type, floats)) != _FLOAT:
         return None
     arr = np.array(floats, dtype=np.float64)
     # The sorted distinct bit patterns of the magnitudes, NaN last above
     # infinity, and the index of each float's: -0.0 shares 0.0's.
     mags, index = np.unique(arr.view(np.uint64) & _MAGNITUDE, return_inverse=True)
-    if mags[-1] >= _INF_BITS or not _table_pays(total, len(mags), count, chars):
+    if mags[-1] >= _INF_BITS or 2 * len(mags) > len(floats):
         return None
     spelled = json.dumps(mags.view(np.float64).tolist(), separators=(",", ":"))[1:-1].split(",")
     table = np.array(spelled + ["-" + s for s in spelled], dtype=object)
-    seps = [","] * len(flat) + [",", "],["] * len(pairs)
-    ends = list(accumulate(sizes, initial=0))
-    for i, end in zip(order, ends[1:]):
-        seps[end - 1] = "]]" if paired[i] else "]"
-    pieces = [None] * (2 * total)
-    pieces[::2] = table[index + len(mags) * np.signbit(arr)].tolist()
-    pieces[1::2] = seps
-    texts = [None] * count
-    for i, start, end in zip(order, ends, ends[1:]):
-        texts[i] = ("[[" if paired[i] else "[") + "".join(pieces[2 * start:2 * end])
+    words = iter(table[index + len(mags) * np.signbit(arr)].tolist())
+    texts = []
+    for data, pair in zip(payloads, paired):
+        w = islice(words, len(data) << pair)
+        texts.append("[[" + "],[".join(map(",".join, zip(w, w))) + "]]" if pair
+                     else "[" + ",".join(w) + "]")
     return texts
 
 
@@ -424,8 +375,8 @@ def map_from_json(doc, path: str = "map") -> LinearMapMat:
     imaginary = images.imag.ravel() != 0
     has_imag = imaginary.any()
     cod_field = doc.get("cod_field")
-    if cod_field is None:
-        cod_field = COMPLEX if has_imag else REAL
+    if cod_field is None:    # a complex-linear map sends i*E to i*phi(E)
+        cod_field = COMPLEX if has_imag or lin == COMPLEX else REAL
     if cod_field not in (COMPLEX, REAL):
         raise SchemaError(f"{path}.cod_field", "must be 'C' or 'R'")
     if cod_field == REAL and has_imag:

@@ -59,3 +59,28 @@ def test_the_table_prints_one_line_per_metric():
 def test_every_end_to_end_metric_of_the_benchmark_is_summarized():
     names = [name for name, _ in _tool().end_to_end_metrics()]
     assert names[:2] == ["setup_s", "docs_per_s"] and "doc_p90_ms" in names
+
+
+BOUNDS = {"doc_p90_ms": 0.25, "docs_per_s": 0.25, "setup_s": 0.25}
+
+
+def test_a_median_worse_than_its_bound_is_named_and_none_is_said_so():
+    tool = _tool()
+    assert tool.beyond_bounds(tool.summarize(BASE, NEW, METRICS), METRICS, BOUNDS) == [
+        "no end-to-end median is worse than its bound"]
+    # p90 up by 40% (lower is better) and throughput down by 30% (higher is
+    # better) cross the 25% bound; setup up by 20% does not.
+    new = [dict(run, doc_p90_ms=1.4 * run["doc_p90_ms"], docs_per_s=0.7 * run["docs_per_s"],
+                setup_s=0.24) for run in BASE]
+    lines = tool.beyond_bounds(tool.summarize(BASE, new, METRICS), METRICS, BOUNDS)
+    assert [line.split(":")[0] for line in lines] == ["doc_p90_ms", "docs_per_s"]
+    assert lines[0] == ("doc_p90_ms: the change's median 27.23 is 40.0% worse than 19.45, "
+                        "beyond the bound of 25%")
+    assert "30.0% worse than 94.5" in lines[1]
+
+
+def test_the_bounds_are_those_of_the_benchmark():
+    tool = _tool()
+    bounds = tool.end_to_end_bounds()
+    assert list(bounds) == [name for name, _ in tool.end_to_end_metrics()]
+    assert all(0 < bound < 1 for bound in bounds.values())

@@ -19,7 +19,7 @@ from starlift import __version__, certify, cli, tensorexact
 from starlift.cli import cmd_dispatch
 from starlift.cpmaps import LinearMapMat, block_apply, complexify, compress
 from starlift.io import (SchemaError, _default, _matrices_to_json, _payload_texts,
-                         algebra_from_json, algebra_to_json,
+                         _matrix_docs as _walk_matrix_docs, algebra_from_json, algebra_to_json,
                          anti_to_json, canonical_dumps, cert_from_json, cert_to_json,
                          ideal_from_json, map_from_json, map_to_json,
                          matrix_from_json, matrix_to_json, subset_from_json,
@@ -134,6 +134,51 @@ def _one_call_dumps(doc) -> str:
                       allow_nan=False, default=_default) + "\n"
 
 
+def _takes_table(doc) -> bool:
+    """Whether canonical_dumps spells doc's payloads from the table: it
+    asks for their texts only at the float floor and up, and gets them
+    unless the window or the exact count refuses."""
+    texts = []
+
+    def spy(payloads):
+        texts.append(_payload_texts(payloads))
+        return texts[-1]
+
+    with mock.patch("starlift.io._payload_texts", spy):
+        canonical_dumps(doc)
+    return texts not in ([], [None])
+
+
+def _images(*payloads) -> dict:
+    return {"images": [{"rows": 1, "cols": len(data), "field": "CR"[type(data[0]) is not list],
+                        "data": data} for data in payloads]}
+
+
+_REPEATS = [0.5, -1 / 3, 1 / 3, -0.0]
+_DISTINCT = np.random.default_rng(5).standard_normal(768).tolist()
+# The edges of the rule, each with the decision it gets: the float floor,
+# the window of the first payload against the exact count, an int or a
+# bool in the window, a first payload of [re, im] pairs, and past the
+# window ints and bools, or an entry that is not a pair among pairs.
+EDGE_REPORTS = {
+    "1023 floats, all repeating": (_images(_REPEATS * 255 + _REPEATS[:3]), False),
+    "1024 floats, all repeating": (_images(_REPEATS * 256), True),
+    "the window repeats, the rest is distinct": (
+        _images(_REPEATS * 64, _DISTINCT[:256], _DISTINCT[256:512], _DISTINCT[512:]), False),
+    "the window is distinct, the rest repeats": (
+        _images(_DISTINCT[:256], *[_REPEATS * 64] * 3), False),
+    "an int in the window": (_images([*_REPEATS * 8, 1, *_REPEATS * 248]), False),
+    "a bool in the window": (_images([True, *_REPEATS * 256]), False),
+    "an int and a bool past the window": (_images(_REPEATS * 256 + [3, False]), False),
+    "an [re, im] first payload": (
+        _images([[0.5, -0.0]] * 256, [[-1 / 3, 0.5]] * 256), True),
+    "a pair of three floats past the window": (
+        _images([[0.5, -0.0]] * 256, [[-1 / 3, 0.5]] * 255 + [[0.5, 0.5, 0.5]]), False),
+    "a number among pairs past the window": (
+        _images([[0.5, -0.0]] * 256, [[-1 / 3, 0.5]] * 255 + [0.5]), False),
+}
+
+
 class TestCanonicalJson:
     def test_sorted_keys_and_float_format(self):
         text = canonical_dumps({"b": 0.5, "a": 1.0, "c": [True, None, "x"]})
@@ -186,6 +231,19 @@ class TestCanonicalJson:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_payload_reports())
+    @example(EDGE_REPORTS["1023 floats, all repeating"][0])
+    @example(EDGE_REPORTS["1024 floats, all repeating"][0])
+    @example(EDGE_REPORTS["the window repeats, the rest is distinct"][0])
+    @example(EDGE_REPORTS["the window is distinct, the rest repeats"][0])
+    @example(EDGE_REPORTS["an int in the window"][0])
+    @example(EDGE_REPORTS["a bool in the window"][0])
+    @example(EDGE_REPORTS["an int and a bool past the window"][0])
+    @example(EDGE_REPORTS["an [re, im] first payload"][0])
+    @example(EDGE_REPORTS["a pair of three floats past the window"][0])
+    @example(EDGE_REPORTS["a number among pairs past the window"][0])
+    @example({**_images(_REPEATS * 256), "labels": ["\x000"]})    # reads as a placeholder
+    @example(_images(_REPEATS * 256 + [math.nan]))
+    @example(_images([[0.5, -0.0]] * 256, [[-math.inf, 0.5]]))
     def test_the_table_writes_what_one_encoder_call_writes(self, doc):
         try:
             want = _one_call_dumps(doc)
@@ -196,28 +254,42 @@ class TestCanonicalJson:
             assert canonical_dumps(doc) == want
 
     def test_the_table_is_used_only_where_it_is_predicted_to_pay(self):
-        # 60 payloads of 32 floats: the same counts pay for a table of 8
-        # long spellings but not for one of 3 short ones.
+        # 60 payloads of 32 floats, 1920 in all: the table is used when at
+        # least half of them repeat a magnitude, whatever the length of its
+        # spellings, and not for a document below 1024 floats; then the
+        # edges of the rule.
         rng = np.random.default_rng(0)
         signs = rng.choice([-1.0, 1.0], (60, 32))
         long = rng.standard_normal(8)               # 17 significant digits
         cases = {
             "repeated long": (long[rng.integers(0, 8, (60, 32))] * signs, True),
             "repeated short": (np.array([0.0, 0.5, 1.0])[rng.integers(0, 3, (60, 32))] * signs,
-                               False),
+                               True),
             "distinct long": (rng.standard_normal((60, 32)), False),
             "few": (long[rng.integers(0, 8, (2, 8))], False),
         }
-        for name, (values, table) in cases.items():
-            payloads = values.tolist()
-            assert (_payload_texts(payloads) is not None) == table, name
-            doc = {"images": [{"rows": 1, "cols": len(data), "field": "R", "data": data}
-                              for data in payloads]}
+        cases = {name: (_images(*values.tolist()), table)
+                 for name, (values, table) in cases.items()} | EDGE_REPORTS
+        for name, (doc, table) in cases.items():
+            assert _takes_table(doc) == table, name
             assert canonical_dumps(doc) == _one_call_dumps(doc), name
         texts = _payload_texts([[1 / 3, -0.0, 1e16, -1 / 3] * 50, [[0.0, -1 / 3]] * 100] * 5)
         assert texts[:2] == ["[" + ",".join(["0.3333333333333333", "-0.0", "1e+16",
                                              "-0.3333333333333333"] * 50) + "]",
                              "[" + ",".join(["[0.0,-0.3333333333333333]"] * 100) + "]"]
+
+    def test_the_walk_counts_payload_floats(self):
+        # A pair counts two, an empty data list is not a payload, and matrix
+        # documents are found in nested lists and dicts but not inside one.
+        pairs = {"rows": 1, "cols": 2, "field": "C", "data": [[0.5, 1.0], [0.0, -1.0]]}
+        flat = {"rows": 1, "cols": 3, "field": "R", "data": [0.5, 1.0, 2.0]}
+        empty = {"rows": 1, "cols": 0, "field": "R", "data": []}
+        doc = {"a": [pairs, {"b": [[flat]]}], "c": empty, "d": {"data": [1.0, 2.0], "rows": 1},
+               "e": {"rows": 1, "cols": 1, "field": "R", "data": [1.0], "f": [[9.0]]}}
+        docs = []
+        assert _walk_matrix_docs([doc], docs) == 7
+        assert [id(d) for d in docs] == [id(pairs), id(flat)]
+        assert _walk_matrix_docs([[]], []) == 0
 
 
 class TestMatrixSchema:
@@ -1179,6 +1251,21 @@ def test_a_map_without_cod_field_has_it_inferred_from_its_images(tmp_path, capsy
     assert doc.pop("cod_field") == field
     reports = [_run([command, "--map", _write(tmp_path, name, d)], capsys)
                for name, d in (("inferred.json", doc), ("spelled.json", {**doc, "cod_field": field}))]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
+def test_a_complex_linear_map_without_cod_field_has_a_complex_codomain(tmp_path, capsys):
+    # A complex-linear map sends i*E to i*phi(E), so its codomain is complex
+    # even when the images of the matrix units are real: transport of the
+    # identity reads the same with cod_field left out as spelled out.
+    doc = {"dom": 2, "cod": 2, "linearity": "C",
+           "images": [matrix_to_json(e) for e in matrix_units(2).real]}
+    assert {image["field"] for image in doc["images"]} == {"R"}
+    assert map_from_json(doc).cod_field == "C"
+    reports = []
+    for name, d in (("inferred.json", doc), ("spelled.json", {**doc, "cod_field": "C"})):
+        path = _write(tmp_path, name, d)
+        reports.append(_run(["transport", "--phi-map", path, "--psi-map", path], capsys))
     assert reports[0] == reports[1] and reports[0][0] == 0
 
 

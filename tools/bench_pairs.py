@@ -11,7 +11,10 @@ end-to-end metric of ``BENCHMARK.json`` it prints each side's median and
 quartiles, the number of pairs the change won, and whether two rules
 hold for a claimed gain: the change wins at least nine pairs in ten, and
 its median is better than REV's by more than REV's interquartile range.
-Exits 1 when a run fails or the benchmark's oracle grades one incorrect.
+Below the table it names each metric whose median with the change is
+worse than REV's by more than the metric's ``bound``, a relative change.
+Incorrect runs are counted per side; exits 1 when a run fails or the
+benchmark's oracle grades a run of the change incorrect.
 """
 
 from __future__ import annotations
@@ -31,10 +34,19 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from diff_reports import extract_src  # noqa: E402
 
 
+def _end_to_end() -> list[dict]:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)["end_to_end"]
+
+
 def end_to_end_metrics() -> list[tuple[str, str]]:
     """(name, "lower" or "higher") of each end-to-end metric."""
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
+    return [(m["name"], m["better"]) for m in _end_to_end()]
+
+
+def end_to_end_bounds() -> dict[str, float]:
+    """The bound of each end-to-end metric, a relative change."""
+    return {m["name"]: m["bound"] for m in _end_to_end()}
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -64,6 +76,22 @@ def summarize(base: list[dict], new: list[dict], metrics) -> list[dict]:
     return rows
 
 
+def beyond_bounds(rows: list[dict], metrics, bounds: dict[str, float]) -> list[str]:
+    """One line per metric whose change median is worse than the base
+    median by more than its bound, as a share of the base median, or one
+    line saying that none is."""
+    better = dict(metrics)
+    lines = []
+    for r in rows:
+        base, new = r["base"][1], r["new"][1]
+        worse = (new - base if better[r["metric"]] == "lower" else base - new) / abs(base)
+        if worse > bounds[r["metric"]]:
+            lines.append(f"{r['metric']}: the change's median {new:.4g} is {100 * worse:.1f}% "
+                         f"worse than {base:.4g}, beyond the bound of "
+                         f"{100 * bounds[r['metric']]:g}%")
+    return lines or ["no end-to-end median is worse than its bound"]
+
+
 def format_rows(rows: list[dict], rev: str) -> list[str]:
     def q(v):
         return f"{v[1]:.4g} [{v[0]:.4g}, {v[2]:.4g}]"
@@ -86,28 +114,30 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     metrics = end_to_end_metrics()
-    base, new, bad = [], [], 0
+    runs = {"base": [], "new": []}
+    bad = {"base": 0, "new": 0}
     with tempfile.TemporaryDirectory() as tmp:
         extract_src(args.rev, tmp)
         for i in range(args.pairs):
-            sides = [(tmp, base), (ROOT, new)]
-            for root, runs in sides if i % 2 == 0 else sides[::-1]:
+            sides = [("base", tmp), ("new", ROOT)]
+            for side, root in sides if i % 2 == 0 else sides[::-1]:
                 try:
                     result = run_once(root, args.workload, args.seed, args.seconds)
                 except RuntimeError as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     return 1
-                bad += not result["correct"]
-                runs.append({k: result["metrics"][k]["value"] for k, _ in metrics})
+                bad[side] += not result["correct"]
+                runs[side].append({k: result["metrics"][k]["value"] for k, _ in metrics})
             print(f"pair {i + 1}: " + ", ".join(
-                f"{k} {base[-1][k]:.4g} -> {new[-1][k]:.4g}" for k, _ in metrics),
+                f"{k} {runs['base'][-1][k]:.4g} -> {runs['new'][-1][k]:.4g}" for k, _ in metrics),
                 file=sys.stderr)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
-          f"{args.rev} first in odd pairs, {bad} incorrect runs")
-    for line in format_rows(summarize(base, new, metrics), args.rev):
+          f"{args.rev} first in odd pairs, incorrect runs: {bad['base']} at {args.rev}, "
+          f"{bad['new']} with the change")
+    rows = summarize(runs["base"], runs["new"], metrics)
+    for line in format_rows(rows, args.rev) + beyond_bounds(rows, metrics, end_to_end_bounds()):
         print(line)
-    return 1 if bad else 0
-
+    return 1 if bad["new"] else 0
 
 if __name__ == "__main__":
     sys.exit(main())
