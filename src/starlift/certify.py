@@ -8,7 +8,7 @@ witnesses.  The transport routines replay the complex <-> real
 bookkeeping at desk scale: complexification must respect the
 quarter-epsilon triangle decomposition, and the real transport through
 the scaled block embedding must respect the linear-mode defect bound.
-The lemma audits evaluate documented claims on deterministic samples and
+The lemma audits decide documented claims on fixed finite inputs and
 either confirm them or emit a replayable counterexample; several are
 expected to fail and the suite freezes those outcomes.  Every check
 returns its report as the plain JSON object the CLI prints.
@@ -21,10 +21,11 @@ from functools import partial
 
 import numpy as np
 
-from .cpmaps import COMPLEX, REAL, LinearMapMat, complexify, compress, compose
+from .cpmaps import (COMPLEX, REAL, LinearMapMat, complexify, compress, compose,
+                     cp_defect_real_report)
 from .matrix import (DEFAULT_TOL, _re_im_pairs, as_array, as_arrays, col_norm1,
-                     hermitian_defect, matrix_units, op_norm, positivity_defect,
-                     split_norm, unit_squares)
+                     doubled_units, hermitian_defect, matrix_units, op_norm,
+                     positivity_defect, split_norm)
 from .realform import AntiAutomorphism, StarAlgebra, real_decompose, \
     real_form_residual, real_frame
 from .transport import RealifiedMap, ThetaScale, eta, eta1, normalized_trace, \
@@ -484,95 +485,66 @@ def trace_transport(witness: TraceWitness, anti: AntiAutomorphism, cert: QDCerti
 # -- lemma audits -----------------------------------------------------------
 
 
-def _audit_report(claim: str, residuals: dict, witness: dict | None,
-                  samples: int, seed: int) -> dict:
-    """A lemma audit's report: the claim holds iff no counterexample
-    ``witness`` was found."""
-    report = {"claim": claim, "verdict": "holds" if witness is None else "counterexample",
-              "residuals": residuals, "provenance": {"samples": samples, "seed": seed}}
-    if witness is not None:
-        report["witness"] = witness
-    return report
-
-
-def _random_squares(rng: np.random.Generator, count: int, k: int) -> np.ndarray:
-    """count k x k matrices with iid N + iN entries, each one's real parts
-    drawn before its imaginary parts."""
-    x = rng.standard_normal((count, 2, k, k))
-    return x[:, 0] + 1j * x[:, 1]
-
-
-def _audit_eqtr1(claim: str, samples: int, seed: int, scale: float) -> dict:
-    rng = np.random.default_rng(seed)
-    xs = [np.array([[1.0 + 1.0j]])]
-    for i in range(samples):
-        k = 1 + (i % 4)
-        xs.append(_random_squares(rng, 1, k)[0])
+def _audit_eqtr1(claim: str, scale: float) -> tuple[dict, dict | None]:
+    """upsilon(tau(x)) = tau(eta(x)) for the normalized traces tau.  Both
+    sides are real-linear in x, so after the fixed candidate [[1 + i]] the
+    doubled units of M_k(C), k = 1..4, decide it, one stack per k."""
     max_resid = 0.0
-    for x in xs:
-        lhs = upsilon(normalized_trace(x), scale)
-        rhs = float(normalized_trace(eta(x)).real)
-        resid = float(abs(lhs - rhs))
-        if resid > 1e-12:
-            witness = {"input": _re_im_pairs(x), "dim": x.shape[0],
-                       "lhs": float(lhs), "rhs": rhs}
-            if abs(rhs) > 1e-12:
-                witness["ratio"] = float(lhs / rhs)
-            return _audit_report(claim, {"residual": resid}, witness, samples, seed)
-        max_resid = max(max_resid, resid)
-    return _audit_report(claim, {"max_residual": max_resid}, None, samples, seed)
-
-
-def _audit_entrywise_cp(claim: str, apply_fn, samples: int, seed: int) -> dict:
-    """Shared audit for the entrywise diag and sum maps: levels 1..3, one
-    stack each, canonical witnesses first, positivity probed on c*c
-    samples and self-adjointness preservation alongside."""
-    rng = np.random.default_rng(seed)
-    canonical = np.array([[[1.0, 1.0j], [-1.0j, 1.0]], [[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 1.0]]])
-    residuals: dict = {}
-    for level in (1, 2, 3):
-        ps = unit_squares(_random_squares(rng, samples, level))
-        if level == 2:
-            ps = np.concatenate([canonical, ps])
-        out = apply_fn(ps)
-        d, sa = positivity_defect(out), hermitian_defect(out)
-        bad = np.flatnonzero((d < -1e-10) | (sa > 1e-10))
+    for xs in [np.array([[[1.0 + 1.0j]]])] + [doubled_units(k) for k in range(1, 5)]:
+        lhs = upsilon(normalized_trace(xs), scale)
+        rhs = normalized_trace(eta(xs)).real
+        resid = np.abs(lhs - rhs)
+        bad = np.flatnonzero(resid > 1e-12)
         if bad.size:
             i = bad[0]
-            witness = {"level": level, "input": _re_im_pairs(ps[i]),
-                       "defect": float(d[i]), "selfadjoint_residual": float(sa[i])}
-            residuals[f"level{level}_defect"] = float(d[i])
-            return _audit_report(claim, residuals, witness, samples, seed)
-        residuals[f"level{level}_defect"] = float(np.min(d, initial=np.inf))
-    return _audit_report(claim, residuals, None, samples, seed)
+            witness = {"input": _re_im_pairs(xs[i]), "dim": xs.shape[-1],
+                       "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+            if abs(rhs[i]) > 1e-12:
+                witness["ratio"] = float(lhs[i] / rhs[i])
+            return {"residual": float(resid[i])}, witness
+        max_resid = max(max_resid, float(np.max(resid)))
+    return {"max_residual": max_resid}, None
 
 
-def _audit_eq1t2(claim: str, samples: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    mats = [0.5 * matrix_units(2)[0]]
-    for i in range(samples):
-        k = 1 + (i % 3)
-        c = _random_squares(rng, 1, k)[0]
-        mats.append(c.conj().T @ c)
-    worst_slack = np.inf
-    for a in mats:
-        lhs = float(normalized_trace(theta(a)).real)
-        rhs = float(normalized_trace(eta1(a)).real)
-        if lhs > rhs + 1e-12:
-            witness = {"input": _re_im_pairs(a), "dim": a.shape[0],
-                       "lhs": lhs, "rhs": rhs, "violation": lhs - rhs}
-            return _audit_report(claim, {"violation": lhs - rhs}, witness, samples, seed)
-        worst_slack = min(worst_slack, rhs - lhs)
-    return _audit_report(claim, {"min_slack": float(worst_slack)}, None, samples, seed)
+def _audit_entrywise_cp(claim: str, apply_fn) -> tuple[dict, dict | None]:
+    """Positivity at every level of an entrywise map.  On M_k it is the
+    k-fold amplification of its scalar map f on C, so it is positive at
+    every level iff f is completely positive and preserves adjoints, and
+    cp_defect_real_report decides both from f's images of 1 and i.  The
+    witness is always the twisted element [[1, i], [-i, 1]] of the
+    level-2 probe, not the probe's least-defect element: its image
+    [[f(1), f(i)], [f(-i), f(1)]] is self-adjoint iff f preserves
+    adjoints, and up to a swap of blocks it is twice the image of f's
+    Choi witness, so its defect is at most twice ``choi_defect``."""
+    images = apply_fn(doubled_units(1))
+    rep = cp_defect_real_report(LinearMapMat(1, images.shape[-1], REAL, images), 2)
+    residuals = {"choi_defect": rep.choi_defect, "selfadjoint_defect": rep.selfadj_defect}
+    if rep.choi_defect >= -1e-10 and rep.selfadj_defect <= 1e-10:
+        return residuals, None
+    twisted = np.array([[1.0, 1.0j], [-1.0j, 1.0]])
+    out = apply_fn(twisted)
+    return residuals, {"level": 2, "input": _re_im_pairs(twisted),
+                       "defect": float(positivity_defect(out)),
+                       "selfadjoint_residual": float(hermitian_defect(out))}
 
 
-def _audit_theta(claim: str, samples: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
+def _audit_eq1t2(claim: str) -> tuple[dict, dict | None]:
+    """tau(theta(a)) <= tau(eta1(a)) for positive a in M_k(C).  There
+    tau(theta(a)) = Re tr a / (k (N(a) + 1)) and tau(eta1(a)) = tr a / 2k,
+    so the claim fails exactly when N(a) < 1, as on 0.5 E11."""
+    a = 0.5 * matrix_units(2)[0]
+    lhs = float(normalized_trace(theta(a)).real)
+    rhs = float(normalized_trace(eta1(a)).real)
+    violation = lhs - rhs
+    witness = {"input": _re_im_pairs(a), "dim": a.shape[0], "lhs": lhs, "rhs": rhs,
+               "violation": violation}
+    return {"violation": violation}, witness if violation > 1e-12 else None
+
+
+def _audit_theta(claim: str) -> tuple[dict, dict | None]:
+    """theta_homomorphism or theta_linearity on two fixed pairs (x, y)."""
     pairs = [(np.array([[1.0 + 0.0j]]), np.array([[2.0 + 0.0j]])),
              (np.eye(2, dtype=np.complex128), np.eye(2, dtype=np.complex128))]
-    for i in range(samples):
-        k = 1 + (i % 3)
-        pairs.append(tuple(_random_squares(rng, 2, k)))
     linearity = claim == "theta_linearity"
     reported = "additivity_residual" if linearity else "multiplicativity_residual"
     for x, y in pairs:
@@ -587,11 +559,12 @@ def _audit_theta(claim: str, samples: int, seed: int) -> dict:
             if linearity:
                 witness.update(normalizer_x=theta_normalizer(x),
                                normalizer_y=theta_normalizer(y))
-            return _audit_report(claim, {reported: res[reported]}, witness, samples, seed)
-    return _audit_report(claim, {}, None, samples, seed)
+            return {reported: res[reported]}, witness
+    return {}, None
 
 
-# Each claim's audit, called as audit(claim, samples=..., seed=...).
+# Each claim's audit, called as audit(claim); it returns (residuals, witness),
+# the witness None when the claim holds.
 _AUDITS = {
     "eqtr1_scale1": partial(_audit_eqtr1, scale=1.0),
     "eqtr1_scale_half": partial(_audit_eqtr1, scale=0.5),
@@ -605,13 +578,19 @@ AUDIT_CLAIMS = tuple(_AUDITS)
 
 
 def lemma_audit(claim: str, samples: int = 50, seed: int = 0) -> dict:
-    """Evaluate a documented claim on deterministic samples.
+    """Evaluate a documented claim on the audit's fixed finite inputs.
 
-    Verdicts are deterministic given (claim, samples, seed), and every
-    counterexample verdict carries a replayable witness.
+    Nothing is sampled, so the report depends on the claim alone, apart
+    from its provenance, which records ``samples`` (at least 1) and
+    ``seed``.  Every counterexample verdict carries a replayable witness.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if claim not in _AUDITS:
         raise ValueError(f"unknown claim {claim!r}; known: {', '.join(AUDIT_CLAIMS)}")
-    return _AUDITS[claim](claim, samples=samples, seed=seed)
+    residuals, witness = _AUDITS[claim](claim)
+    report = {"claim": claim, "verdict": "holds" if witness is None else "counterexample",
+              "residuals": residuals, "provenance": {"samples": samples, "seed": seed}}
+    if witness is not None:
+        report["witness"] = witness
+    return report

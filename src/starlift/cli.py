@@ -225,7 +225,7 @@ def _cmd_lemma_audit(args):
 # -- parser -------------------------------------------------------------------
 
 
-# lemma-audit draws from --seed; bench/gen.py passes it to the other three.
+# These accept --seed, which bench/gen.py passes, and record it; none draws from it.
 SEEDED = ("realform", "cp-check", "trace-audit", "lemma-audit")
 
 
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal", required=True)
     p.add_argument("--phi", help="antiautomorphism JSON (default: transpose)")
 
-    p = sub.add_parser("lemma-audit", help="audit a documented claim on seeded samples")
+    p = sub.add_parser("lemma-audit", help="audit a documented claim on fixed inputs")
     p.add_argument("--claim", required=True)
     p.add_argument("--samples", type=int, default=50)
 

@@ -94,14 +94,6 @@ def hermitian_defect(m):
     return op_norm(a - np.swapaxes(a.conj(), -1, -2))
 
 
-def unit_squares(c) -> np.ndarray:
-    """The positive elements c*c / ||c*c|| of a stack (k, n, n), as a
-    stack, dropping each c with c*c = 0."""
-    p = np.swapaxes(c.conj(), -1, -2) @ c
-    nrm = op_norm(p)
-    return p[nrm > 0] / nrm[nrm > 0, None, None]
-
-
 def positivity_defect(m):
     """Defect of being a positive element: lambda_min(herm) - ||skew||.
 

@@ -1,8 +1,13 @@
 """Certificates: defect measurement, transport bookkeeping, lemma audits."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import starlift
 from starlift.certify import (AUDIT_CLAIMS, REAL_COL1, FiniteSubset,
                               QDCertificate, TraceWitness, _value_norms,
                               lemma_audit, nuclear_witness_verify,
@@ -12,7 +17,8 @@ from starlift.cpmaps import LinearMapMat, complexify, compress
 from starlift.io import SchemaError, cert_from_json, cert_to_json
 from starlift.matrix import col_norm1, op_norm
 from starlift.realform import AntiAutomorphism, StarAlgebra
-from starlift.transport import ThetaScale, transport_factorization, upsilon1
+from starlift.transport import (ThetaScale, eta1, normalized_trace, theta, theta_normalizer,
+                                transport_factorization, upsilon1)
 
 from map_fixtures import (block_algebra, full_algebra, random_matrix, random_unitary,
                           unital_compression_map, unital_stinespring_map,
@@ -511,13 +517,14 @@ class TestLemmaAudit:
         flat = [complex(re, im) for re, im in rep["witness"]["input"]]
         expected = [1, 1j, -1j, 1]
         assert max(abs(a - b) for a, b in zip(flat, expected)) < 1e-12
-        assert rep["residuals"]["level1_defect"] >= -1e-10
+        assert rep["residuals"] == {"choi_defect": -0.5, "selfadjoint_defect": 2.0}
 
     def test_upsilon_cp_counterexample(self):
         rep = lemma_audit("upsilon_cp", samples=50, seed=3)
         assert rep["verdict"] == "counterexample"
         assert rep["witness"]["selfadjoint_residual"] > 1e-10 or \
             rep["witness"]["defect"] < -1e-10
+        assert rep["residuals"] == {"choi_defect": 0.0, "selfadjoint_defect": 2.0}
 
     def test_eq1t2_counterexample_is_half_e11(self):
         rep = lemma_audit("eq1t2", samples=50, seed=3)
@@ -527,6 +534,22 @@ class TestLemmaAudit:
         assert max(abs(z) for z in flat[1:]) == 0.0
         assert rep["witness"]["lhs"] == pytest.approx(1.0 / 6.0, abs=1e-12)
         assert rep["witness"]["rhs"] == pytest.approx(0.125, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.floats(0.05, 4.0), st.integers(0, 2**32 - 1))
+    def test_eq1t2_sides_have_closed_forms(self, k, size, seed):
+        # On a positive a in M_k, tau(theta(a)) = Re tr a / (k (N(a) + 1))
+        # and tau(eta1(a)) = tr a / 2k, so the claim fails iff N(a) < 1.
+        c = random_matrix(seed, k)
+        a = c.conj().T @ c
+        a *= size / theta_normalizer(a)
+        n, tr = theta_normalizer(a), np.trace(a).real
+        lhs = normalized_trace(theta(a)).real
+        rhs = normalized_trace(eta1(a)).real
+        assert lhs == pytest.approx(tr / (k * (n + 1)), rel=1e-12)
+        assert rhs == pytest.approx(tr / (2 * k), rel=1e-12)
+        if abs(n - 1.0) > 1e-9:
+            assert (lhs > rhs) == (n < 1.0)
 
     def test_theta_claims_fail(self):
         hom = lemma_audit("theta_homomorphism", samples=20, seed=5)
@@ -550,6 +573,15 @@ class TestLemmaAudit:
             assert rep["verdict"] in ("holds", "counterexample")
             if rep["verdict"] == "counterexample":
                 assert rep["witness"] is not None
+
+
+def test_no_module_draws_random_numbers():
+    # Every check decides on fixed inputs; see the cpmaps and certify docs.
+    src = Path(starlift.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for word in ("np.random", "numpy.random", "default_rng", "import random"):
+            assert word not in text, f"{path.name} mentions {word}"
 
 
 class TestGenerators:

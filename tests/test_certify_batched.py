@@ -1,18 +1,19 @@
 """Stacked certificate measurements against the loop versions.
 
-Every report of the certificate layer, the antiautomorphism check, the
-real-linear CP probe and the entrywise CP lemma audits is compared byte for byte (canonical JSON, so the
+Every report of the certificate layer, the antiautomorphism check and the
+real-linear CP probe is compared byte for byte (canonical JSON, so the
 sign of a zero counts) with ``certify_oracle``, over the three norm
 conventions, u = I and u = J, n = 1..4, and subsets that repeat elements
 or hold zeros, so that defects tie and the first worst witness must win.
 A traciality residual is the one value compared to rounding: the library
 forms the traces of all pairs in one matrix product, the oracle one pair
-at a time.
+at a time.  The exact entrywise CP lemma audits are compared with the
+oracle's sampled ones by verdict and witness.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import certify_oracle as oracle
@@ -20,10 +21,12 @@ from map_fixtures import (block_algebra, full_algebra, random_matrix, random_uni
                           unital_compression_map)
 from starlift.certify import (COMPLEX_OP, NORM_MODES, PHI_SPLIT, REAL_COL1, FiniteSubset,
                               QDCertificate, TraceWitness, _audit_entrywise_cp,
-                              _random_squares, nuclear_witness_verify, qd_complexify,
+                              nuclear_witness_verify, qd_complexify,
                               qd_realify, qd_verify, trace_qd_verify, trace_transport)
-from starlift.cpmaps import COMPLEX, REAL, LinearMapMat, canonical_basis, cp_defect_real_report
+from starlift.cpmaps import (COMPLEX, REAL, LinearMapMat, block_apply, canonical_basis,
+                             cp_defect_real_report)
 from starlift.io import canonical_dumps
+from starlift.matrix import doubled_units
 from starlift.realform import (AntiAutomorphism, StarAlgebra, check_antiautomorphism,
                                real_decompose)
 from starlift.transport import ThetaScale, eta, upsilon
@@ -288,7 +291,7 @@ def test_exact_cp_verdict_agrees_with_the_level_2n_probe(n, seed, data):
 
 
 # eta and upsilon(., 1) fail at level 2; the other two hold at every level,
-# so their random samples at levels 2 and 3 are all tested.
+# so the reference's random samples at levels 2 and 3 are all tested.
 ENTRYWISE_MAPS = {"eta": eta, "upsilon": lambda p: upsilon(p, 1.0),
                   "identity": lambda p: p, "conjugate": np.conj}
 
@@ -296,13 +299,66 @@ ENTRYWISE_MAPS = {"eta": eta, "upsilon": lambda p: upsilon(p, 1.0),
 @SETTINGS
 @given(st.sampled_from(sorted(ENTRYWISE_MAPS)), st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_entrywise_cp_audit_matches_oracle(name, samples, seed):
+    # The exact audit reaches the sampled reference's verdict, and a
+    # counterexample with the same witness, byte for byte.
     apply_fn = ENTRYWISE_MAPS[name]
-    assert _same(_audit_entrywise_cp(name, apply_fn, samples, seed),
-                 oracle.audit_entrywise_cp(name, apply_fn, samples, seed))
+    _, witness = _audit_entrywise_cp(name, apply_fn)
+    reference = oracle.audit_entrywise_cp(name, apply_fn, samples, seed)
+    assert (witness is None) == (reference["verdict"] == "holds")
+    assert witness is None or _same(witness, reference["witness"])
 
 
-@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_random_squares_are_successive_single_draws(count, k, seed):
-    stack = _random_squares(np.random.default_rng(seed), count, k)
+def _scalar_map(kind: str, m: int, rng) -> tuple:
+    """The images (f(1), f(i)) of a real-linear f: C -> M_m: z p + conj(z) q
+    for positive p, q (CP and adjoint-preserving), that with a real
+    multiple of the identity added to f(i) (adjoints broken), or two
+    random matrices."""
+    if kind == "random":
+        return random_matrix(rng, m), random_matrix(rng, m)
+    p, q = (c.conj().T @ c for c in (random_matrix(rng, m), random_matrix(rng, m)))
+    shift = rng.standard_normal() * np.eye(m) if kind == "shifted" else 0.0
+    return p + q, 1j * (p - q) + shift
+
+
+@SETTINGS
+@given(st.sampled_from(("cp", "shifted", "random")), st.integers(1, 3),
+       st.integers(1, 10), st.integers(0, 2**32 - 1))
+@example("given", 1, 1, 0)
+def test_an_entrywise_counterexample_replays_on_its_witness(kind, m, samples, seed):
+    # f(z) = Re z + Im z / 2 preserves positivity on C but not adjoints;
+    # the least-defect element of the level-2 probe, [[1, 1], [1, 1]], has
+    # a positive self-adjoint image, so only the twisted witness shows it.
     rng = np.random.default_rng(seed)
-    assert np.array_equal(stack, [random_matrix(rng, k) for _ in range(count)])
+    one, i = (np.eye(1), 0.5 * np.eye(1)) if kind == "given" else _scalar_map(kind, m, rng)
+    apply_fn = lambda x: np.kron(x.real, one) + np.kron(x.imag, i)    # noqa: E731
+    residuals, witness = _audit_entrywise_cp(kind, apply_fn)
+    assert (witness is None) == (residuals["choi_defect"] >= -1e-10
+                                 and residuals["selfadjoint_defect"] <= 1e-10)
+    if witness is not None:
+        assert witness["defect"] < -1e-10 or witness["selfadjoint_residual"] > 1e-10
+        assert witness["defect"] <= 2 * residuals["choi_defect"] + 1e-12
+    # Sampling can miss a failure but never finds one the exact audit misses.
+    reference = oracle.audit_entrywise_cp(kind, apply_fn, samples, seed)
+    assert reference["verdict"] == "holds" or witness is not None
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(ENTRYWISE_MAPS) + ["random"]), st.integers(1, 4),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_an_entrywise_map_is_the_amplification_of_its_scalar_map(name, k, m, seed):
+    # The scalar map f on C is read off the images of 1 and i; a random
+    # real-linear f into M_m sends a + ib to a f(1) + b f(i) entrywise.
+    rng = np.random.default_rng(seed)
+    if name == "random":
+        one, i = _scalar_map("random", m, rng)
+        apply_fn = lambda x: np.kron(x.real, one) + np.kron(x.imag, i)    # noqa: E731
+    else:
+        apply_fn = ENTRYWISE_MAPS[name]
+    images = apply_fn(doubled_units(1))
+    f = LinearMapMat(1, images.shape[-1], REAL, images)
+    x = random_matrix(rng, k)
+    got, want = block_apply(f, x, k), apply_fn(x)
+    if name == "random":    # each entry is a two-term sum, rounded in either order
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    else:
+        assert np.array_equal(got, want)

@@ -32,8 +32,8 @@ def test_working_tree_matches_itself_on_seed_one_maps():
 
 
 def test_working_tree_matches_itself_on_seed_one_certs():
-    # The certs documents run every seeded computation: the lemma audits
-    # draw whole stacks of samples.
+    # The certs documents hold every subcommand that takes --seed, the
+    # lemma audits among them; none draws from it.
     _matches_itself("certs")
 
 

@@ -1231,12 +1231,32 @@ def test_trace_audit_rejects_an_algebra_phi_does_not_preserve(workdir, tmp_path,
     assert err.startswith("error: the algebra is not invariant under the antiautomorphism")
 
 
-@pytest.mark.parametrize("command", ["cp-check", "realform", "trace-audit"])
+@pytest.mark.parametrize("command", ["cp-check", "realform", "trace-audit", "lemma-audit"])
 def test_a_report_without_samples_does_not_depend_on_the_seed(workdir, capsys, command):
+    # Any integer is a seed; the report records it and draws nothing from it.
     argv = _argv(workdir, command)[:-2]     # without its "--seed", "3"
-    reports = [json.loads(_run(argv + ["--seed", seed], capsys)[1]) for seed in ("1", "7")]
-    assert [r["provenance"].pop("seed") for r in reports] == [1, 7]
-    assert canonical_dumps(reports[0]) == canonical_dumps(reports[1])
+    runs = [_run(argv + ["--seed", seed], capsys) for seed in ("-1", "1", "7")]
+    reports = [json.loads(out) for _, out, _ in runs]
+    assert [r["provenance"].pop("seed") for r in reports] == [-1, 1, 7]
+    if command == "lemma-audit":    # the audit's own provenance records it too
+        assert [r["report"]["provenance"].pop("seed") for r in reports] == [-1, 1, 7]
+    assert len({code for code, _, _ in runs}) == 1
+    assert len({canonical_dumps(r) for r in reports}) == 1
+
+
+@pytest.mark.parametrize("claim", certify.AUDIT_CLAIMS)
+def test_lemma_audit_samples_decide_nothing(capsys, claim):
+    # The audits draw no samples, so a billion of them cost nothing.
+    runs = []
+    for samples in (1, 10**9):
+        t0 = time.perf_counter()
+        code, out, err = _run(["lemma-audit", "--claim", claim, "--samples", str(samples)],
+                              capsys)
+        assert time.perf_counter() - t0 < 1.0
+        doc = json.loads(out)
+        assert doc["report"]["provenance"].pop("samples") == samples
+        runs.append((code, canonical_dumps(doc), err))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("command, phi, field", [

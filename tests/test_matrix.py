@@ -12,7 +12,7 @@ from starlift.io import _matrices_to_json, matrix_to_json
 from starlift import matrix
 from starlift.matrix import (BATCH_ENTRIES, DEFAULT_TOL, batches, col_norm1, doubled_units,
                              hermitian_defect, matrix_units, op_norm, positivity_defect,
-                             split_norm, unit_squares, worst_op_norm)
+                             split_norm, worst_op_norm)
 
 from map_fixtures import random_matrix, random_unitary
 
@@ -207,16 +207,6 @@ def test_split_norm_is_sum_of_part_norms():
 def test_hermitian_defect():
     assert hermitian_defect(np.eye(2)) == 0.0
     assert hermitian_defect([[0, 2], [0, 0]]) == pytest.approx(2.0)
-
-
-@pytest.mark.parametrize("k", [1, 3])
-def test_unit_squares_are_normalized_squares_without_the_zeros(k):
-    rng = np.random.default_rng(5)
-    cs = np.stack([random_matrix(rng, k), np.zeros((k, k)), random_matrix(rng, k)])
-    got = unit_squares(cs)
-    want = [c.conj().T @ c / op_norm(c.conj().T @ c) for c in cs[[0, 2]]]
-    assert got.shape == (2, k, k) and np.array_equal(got, want)
-    assert np.allclose(op_norm(got), 1.0) and np.all(positivity_defect(got) > -1e-12)
 
 
 def test_batches_cover_the_range_in_order():
