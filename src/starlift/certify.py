@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .cpmaps import (COMPLEX, REAL, LinearMapMat, complexify, compress, compose,
-                     cp_defect_real_report)
+                     cp_defect, selfadjointness_defect)
 from .matrix import (DEFAULT_TOL, _re_im_pairs, as_array, as_arrays, col_norm1,
                      doubled_units, hermitian_defect, matrix_units, op_norm,
                      positivity_defect, split_norm)
@@ -272,8 +272,7 @@ def _realify_working_set(cert: QDCertificate, anti: AntiAutomorphism,
     return subset, img, prods, scale
 
 
-def qd_realify(cert: QDCertificate, anti: AntiAutomorphism | None = None,
-               scale: ThetaScale | None = None
+def qd_realify(cert: QDCertificate, scale: ThetaScale | None = None
                ) -> tuple[QDCertificate | None, dict]:
     """Transport a complex certificate to the real form through theta.
 
@@ -287,8 +286,7 @@ def qd_realify(cert: QDCertificate, anti: AntiAutomorphism | None = None,
     """
     if cert.phi.linearity != COMPLEX:
         raise ValueError("qd_realify expects a complex-linear certificate map")
-    anti = anti if anti is not None else cert.anti
-    if anti is None:
+    if (anti := cert.anti) is None:
         raise ValueError("realification needs an antiautomorphism")
 
     subset, img, prods, scale = _realify_working_set(cert, anti, scale)
@@ -509,17 +507,17 @@ def _audit_eqtr1(claim: str, scale: float) -> tuple[dict, dict | None]:
 def _audit_entrywise_cp(claim: str, apply_fn) -> tuple[dict, dict | None]:
     """Positivity at every level of an entrywise map.  On M_k it is the
     k-fold amplification of its scalar map f on C, so it is positive at
-    every level iff f is completely positive and preserves adjoints, and
-    cp_defect_real_report decides both from f's images of 1 and i.  The
-    witness is always the twisted element [[1, i], [-i, 1]] of the
-    level-2 probe, not the probe's least-defect element: its image
-    [[f(1), f(i)], [f(-i), f(1)]] is self-adjoint iff f preserves
-    adjoints, and up to a swap of blocks it is twice the image of f's
-    Choi witness, so its defect is at most twice ``choi_defect``."""
+    every level iff f is completely positive and preserves adjoints:
+    ``cp_defect`` and ``selfadjointness_defect`` decide both from f's
+    images of 1 and i.  The witness is always the twisted element
+    [[1, i], [-i, 1]]: its image [[f(1), f(i)], [f(-i), f(1)]] is
+    self-adjoint iff f preserves adjoints, and up to a swap of blocks it
+    is twice the image of f's Choi witness, so its defect is at most
+    twice ``choi_defect``."""
     images = apply_fn(doubled_units(1))
-    rep = cp_defect_real_report(LinearMapMat(1, images.shape[-1], REAL, images), 2)
-    residuals = {"choi_defect": rep.choi_defect, "selfadjoint_defect": rep.selfadj_defect}
-    if rep.choi_defect >= -1e-10 and rep.selfadj_defect <= 1e-10:
+    f = LinearMapMat(1, images.shape[-1], REAL, images)
+    residuals = {"choi_defect": cp_defect(f), "selfadjoint_defect": selfadjointness_defect(f)[0]}
+    if residuals["choi_defect"] >= -1e-10 and residuals["selfadjoint_defect"] <= 1e-10:
         return residuals, None
     twisted = np.array([[1.0, 1.0j], [-1.0j, 1.0]])
     out = apply_fn(twisted)

@@ -24,8 +24,8 @@ from . import __version__
 from .certify import (COMPLEX_OP, NORM_MODES, FiniteSubset, lemma_audit,
                       nuclear_witness_verify, qd_complexify, qd_realify,
                       qd_verify, trace_qd_verify, trace_transport)
-from .cpmaps import (COMPLEX, REAL, choi, complexify, compose, cp_defect,
-                     cp_defect_real_report)
+from .cpmaps import (COMPLEX, REAL, choi, choi_witness, complexify, compose, cp_defect,
+                     cp_defect_real_report, selfadjointness_defect)
 from .io import (SchemaError, _b_list_from_json, anti_from_json, algebra_from_json,
                  canonical_dumps, cert_from_json, cert_to_json,
                  ideal_from_json, load_json, map_from_json, map_to_json,
@@ -110,28 +110,22 @@ def _cmd_cp_check(args):
     if args.level < 1:
         raise ValueError("level must be >= 1")
     phi = map_from_json(load_json(args.map), "map")
+    choi_defect = cp_defect(phi)
     if phi.linearity == COMPLEX:
-        defect = cp_defect(phi)
-        ok = defect >= -args.tol
-        return {"linearity": COMPLEX, "defect": float(defect),
-                "completely_positive": bool(ok)}, ok
-    rep = cp_defect_real_report(phi, level=args.level)
-    ok = rep.choi_defect >= -args.tol and rep.selfadj_defect <= args.tol
-    doc = {
-        "linearity": REAL,
-        "level": rep.level,
-        "choi_defect": float(rep.choi_defect),
-        "defect": float(rep.defect),
-        "selfadjointness_defect": float(rep.selfadj_defect),
-        "completely_positive": bool(ok),
-    }
-    if rep.choi_defect < -args.tol:
-        doc["choi_level"] = rep.choi_level
-        doc["choi_witness"] = matrix_to_json(rep.choi_witness)
-    if rep.defect < -args.tol:
-        doc["witness"] = matrix_to_json(rep.witness)
-    if rep.selfadj_defect > args.tol and rep.selfadj_witness is not None:
-        doc["selfadjointness_witness"] = matrix_to_json(rep.selfadj_witness)
+        ok = choi_defect >= -args.tol
+        return {"linearity": COMPLEX, "defect": choi_defect, "completely_positive": bool(ok)}, ok
+    sa, sa_witness = selfadjointness_defect(phi)
+    defect, witness = cp_defect_real_report(phi, args.level)
+    ok = choi_defect >= -args.tol and sa <= args.tol
+    doc = {"linearity": REAL, "level": args.level, "choi_defect": choi_defect, "defect": defect,
+           "selfadjointness_defect": sa, "completely_positive": bool(ok)}
+    if choi_defect < -args.tol:
+        doc["choi_level"], choi_w = choi_witness(phi)
+        doc["choi_witness"] = matrix_to_json(choi_w)
+    if defect < -args.tol:
+        doc["witness"] = matrix_to_json(witness)
+    if sa > args.tol:
+        doc["selfadjointness_witness"] = matrix_to_json(sa_witness)
     return doc, ok
 
 
@@ -159,12 +153,14 @@ def _cmd_qd_transport(args):
     # The options are checked whichever the direction.
     scale = _theta_scale(args.theta_mode)
     cert = cert_from_json(load_json(args.cert))
-    anti = anti_from_json(load_json(args.phi)) if args.phi else None
+    if args.phi:
+        cert = dataclasses.replace(cert, anti=anti_from_json(load_json(args.phi)))
+    elif cert.anti is None:
+        raise SchemaError("certificate.anti", "missing required field (or give --phi)")
     if args.direction == "complexify":
-        new_cert, report = qd_complexify(cert if anti is None
-                                         else dataclasses.replace(cert, anti=anti))
+        new_cert, report = qd_complexify(cert)
     else:
-        new_cert, report = qd_realify(cert, anti=anti, scale=scale)
+        new_cert, report = qd_realify(cert, scale=scale)
     # No bound applies to the nonlinear paper-mode theta.
     extra = report["extra"]
     ok = report["pass"] and (extra.get("theta_mode") == "paper" or extra["bounds_hold"])

@@ -6,9 +6,11 @@ maps, the doubled family {E_jl, i E_jl} for real-linear maps on a full
 complex matrix space, and the real matrix units when the domain is a
 real matrix space.  Complete positivity is decided exactly from the
 stored images, by the Choi matrix of a complex-linear map or the Choi
-matrices of a real-linear map's complexification, and a real-linear
-failure comes with a positive element that witnesses it.  Nothing here
-is sampled.
+matrices of a real-linear map's complexification (``cp_defect``).  The
+rest of a real-linear check is one call per measurement, so a caller
+computes only what it reports: ``selfadjointness_defect``,
+``choi_witness`` (a positive element that witnesses a failure) and the
+level-k probe ``cp_defect_real_report``.  Nothing here is sampled.
 """
 
 from __future__ import annotations
@@ -252,28 +254,19 @@ def cp_defect(phi: LinearMapMat) -> float:
 # -- real-linear complete positivity -------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class RealCPReport:
-    """Complete positivity of a real-linear map.
-
-    ``choi_defect`` is ``cp_defect(phi)``, which decides it, and
-    ``choi_witness`` a positive element at ``choi_level`` whose image
-    under ``block_apply`` has a defect at most ``choi_defect`` (equal
-    when the Choi matrices are Hermitian).  ``defect`` is the worst
-    positivity defect of phi^(level) on the fixed positive elements, and
-    ``witness`` the first element that attains it.  ``selfadj_defect`` is
-    the largest ||phi(b*) - phi(b)*|| over the canonical basis b, and
-    ``selfadj_witness`` the first b that attains it (None when it is 0).
-    """
-
-    choi_defect: float
-    choi_level: int
-    choi_witness: np.ndarray
-    defect: float
-    level: int
-    witness: np.ndarray
-    selfadj_defect: float
-    selfadj_witness: np.ndarray | None
+def selfadjointness_defect(phi: LinearMapMat) -> tuple[float, np.ndarray | None]:
+    """The largest ||phi(b*) - phi(b)*|| over the canonical basis b, and
+    the first b that attains it (None when it is 0).  The residual is
+    real-linear, so it vanishes on the basis iff phi preserves adjoints."""
+    n = phi.dom_dim
+    # phi(b*) read off the images: E_jl* = E_lj, and (i E_jl)* = -i E_lj.
+    adj = np.arange(n * n).reshape(n, n).T.ravel()
+    images = phi.images
+    adj_images = images[adj] if len(images) == n * n else \
+        np.concatenate([images[adj], -images[n * n + adj]])
+    sa = op_norm(adj_images - np.swapaxes(images.conj(), -1, -2))
+    first = int(np.argmax(sa))          # the first basis element with the largest residual
+    return (float(sa[first]), phi.basis[first]) if sa[first] > 0 else (0.0, None)
 
 
 def _canonical_positive(level: int, n: int, twist: bool = False) -> np.ndarray:
@@ -291,9 +284,11 @@ def _canonical_positive(level: int, n: int, twist: bool = False) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _choi_witness(phi: LinearMapMat) -> tuple[int, np.ndarray]:
-    """(level, W) with block_apply(phi, W, level) the Choi matrix of a
-    real-domain map, or unitarily equivalent to C+ (+) C- on M_n(C).
+def choi_witness(phi: LinearMapMat) -> tuple[int, np.ndarray]:
+    """(level, W), a positive W with block_apply(phi, W, level) the Choi
+    matrix of a real-domain map, or unitarily equivalent to C+ (+) C- on
+    M_n(C), so its defect is at most ``cp_defect(phi)`` (equal when the
+    Choi matrices are Hermitian).
 
     On M_n(C), W = ww*/2 with w = sum_j (e_2j + i e_2j+1) (x) e_j has the
     blocks E_jl/2, -i E_jl/2, i E_jl/2 and E_jl/2, so its image is
@@ -311,36 +306,22 @@ def _choi_witness(phi: LinearMapMat) -> tuple[int, np.ndarray]:
     return 2 * n, np.outer(w, w.conj()) / 2.0
 
 
-def cp_defect_real_report(phi: LinearMapMat, level: int) -> RealCPReport:
-    """Decide complete positivity of a real-linear map from its images,
-    and probe phi^(level) on the fixed positive elements: the identity,
-    the twisted projector (complex domain only) and the canonical one.
-    At level n on a real domain the canonical projector's image is the
-    Choi matrix.  Nothing is sampled."""
+def cp_defect_real_report(phi: LinearMapMat, level: int) -> tuple[float, np.ndarray]:
+    """Probe phi^(level) of a real-linear map on the fixed positive
+    elements: the identity, the twisted projector (complex domain only)
+    and the canonical one.  Returns the worst positivity defect and the
+    first element that attains it.  At level n on a real domain the
+    canonical projector's image is the Choi matrix; ``cp_defect``, not
+    this probe, decides complete positivity."""
     if phi.linearity != REAL:
         raise ValueError("cp_defect_real_report expects a real-linear map")
     if level < 1:
         raise ValueError("level must be >= 1")
     n = phi.dom_dim
-    choi_level, choi_witness = _choi_witness(phi)
-
     fixed = [np.eye(level * n, dtype=np.complex128)]
     if phi.dom_field == COMPLEX:
         fixed.append(_canonical_positive(level, n, twist=True))
     fixed.append(_canonical_positive(level, n))
     defects = positivity_defect(block_apply(phi, np.stack(fixed), level))
     best = int(np.argmin(defects))      # the first candidate with the least defect
-
-    # phi(b*) read off the images: E_jl* = E_lj, and (i E_jl)* = -i E_lj.
-    adj = np.arange(n * n).reshape(n, n).T.ravel()
-    images = phi.images
-    if phi.dom_field == COMPLEX:
-        adj_images = np.concatenate([images[adj], -images[n * n + adj]])
-    else:
-        adj_images = images[adj]
-    sa = op_norm(adj_images - np.swapaxes(images.conj(), -1, -2))
-    first = int(np.argmax(sa))          # the first basis element with the largest residual
-    sa_worst, sa_witness = (sa[first], phi.basis[first]) if sa[first] > 0 else (0.0, None)
-
-    return RealCPReport(cp_defect(phi), choi_level, choi_witness, float(defects[best]),
-                        level, fixed[best], float(sa_worst), sa_witness)
+    return float(defects[best]), fixed[best]

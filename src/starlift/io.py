@@ -22,7 +22,7 @@ import numpy as np
 
 from .certify import NORM_MODES, FiniteSubset, QDCertificate, TraceWitness
 from .cpmaps import COMPLEX, REAL, LinearMapMat, basis_size
-from .matrix import _re_im_pairs, as_array
+from .matrix import DEFAULT_TOL, _re_im_pairs, as_array
 from .realform import AntiAutomorphism, StarAlgebra
 from .tensorexact import IdealPresentation
 
@@ -226,9 +226,8 @@ def _matrices_to_json(arr: np.ndarray, field: str | None = None) -> list:
 def _entry(value, field: str, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(_as_number(value, path))
-    if isinstance(value, list) and 1 <= len(value) <= 2:
-        re = _as_number(value[0], f"{path}[0]")
-        im = _as_number(value[1], f"{path}[1]") if len(value) == 2 else 0.0
+    if isinstance(value, list) and len(value) == 2:
+        re, im = _as_number(value[0], f"{path}[0]"), _as_number(value[1], f"{path}[1]")
         if field == "R" and im != 0.0:
             raise SchemaError(path, "field 'R' entry has nonzero imaginary part")
         return complex(re, im)
@@ -472,9 +471,19 @@ def cert_from_json(doc, path: str = "certificate") -> QDCertificate:
         cert = QDCertificate(algebra, subset, phi, epsilon, norm_mode, anti)
         if algebra.unital and (d := phi.unitality_defect()) > 1e-9:
             raise ValueError(f"map is not unital: ||phi(1) - 1|| = {d:.3e}")
-        return cert
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
+    # F lies in all of M_n.  Else each element is measured relative to its
+    # Hilbert-Schmidt norm, as the algebra's frame is.
+    if len(algebra.frame) < algebra.n ** 2:
+        norms = np.linalg.norm(elements, axis=(1, 2))
+        unit = elements / np.where(norms > 0, norms, 1.0)[:, None, None]
+        if algebra.worst_residual(unit):
+            resid = [algebra.contains_residual(x) for x in unit]
+            i = int(np.argmax(np.array(resid) > DEFAULT_TOL))
+            raise SchemaError(f"{path}.F[{i}]",
+                              f"not in the algebra: relative residual {resid[i]:.3e}")
+    return cert
 
 
 def trace_from_json(doc, path: str = "trace") -> TraceWitness:

@@ -82,7 +82,7 @@ def test_criterion_2_sigma_rho_are_cp():
     for k in (1, 2, 3):
         for level in (1, 2, 3):
             cp_worst = min(cp_worst,
-                           cp_defect_real_report(sigma_map(k), level).defect)
+                           cp_defect_real_report(sigma_map(k), level)[0])
     rep_worst = 0.0
     for k in (1, 2, 3, 4):
         # rho(m) = w* m w for w[2l, l] = 1/sqrt(2), w[2l + 1, l] = i/sqrt(2).
@@ -157,7 +157,7 @@ def test_criterion_4_cp_transfer_equivalence():
         n = 2 + (idx % 2)          # n in {2, 3}
         phi, intended_cp = _cp_ensemble_map(idx, n)
         anti = AntiAutomorphism.transpose(n)
-        real_ok = cp_defect_real_report(phi, level=n).defect >= -1e-8
+        real_ok = cp_defect_real_report(phi, level=n)[0] >= -1e-8
         cplx_ok = cp_defect(complexify(phi, anti)) >= -1e-8
         if real_ok == cplx_ok:
             agreements += 1

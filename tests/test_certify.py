@@ -84,6 +84,34 @@ class TestQDCertificate:
         cert_from_json(cert_to_json(QDCertificate(StarAlgebra(2, M2.span, unital=False),
                                                   cert.subset, phi, 1.0)))
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 2), min_size=2, max_size=3), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_a_document_loads_exactly_the_f_in_its_algebra(self, dims, rotate, seed):
+        # A random block subalgebra, rotated so that its span is validated
+        # rather than read off its blocks, at two span scales: F loads, and
+        # F with a relative 1e-6 entry off the blocks fails at that element.
+        # A zero element counts as in A.
+        rng = np.random.default_rng(seed)
+        n = sum(dims)
+        u = random_unitary(rng, n) if rotate else np.eye(n)
+        span = u @ block_algebra(dims).span @ u.conj().T
+        coeff = rng.standard_normal((3, len(span))) + 1j * rng.standard_normal((3, len(span)))
+        inside = np.tensordot(coeff, span, axes=1)
+        inside[2] = 0.0
+        outside = inside.copy()     # entry (0, n - 1) joins the first and last blocks
+        outside[1] += 1e-6 * np.linalg.norm(inside[1]) * u[:, :1] @ u[:, -1:].conj().T
+        for scale in (1e-6, 1e6):
+            def load(f):
+                return cert_from_json(cert_to_json(QDCertificate(
+                    StarAlgebra(n, scale * span), FiniteSubset(scale * f),
+                    LinearMapMat.identity(n), 1e-6)))
+
+            assert load(inside).subset.elements.shape == (3, n, n)
+            with pytest.raises(SchemaError, match="not in the algebra") as err:
+                load(outside)
+            assert err.value.path == "certificate.F[1]"
+
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
             QDCertificate(M2, FiniteSubset((np.eye(2),)),
@@ -525,6 +553,16 @@ class TestLemmaAudit:
         assert rep["witness"]["selfadjoint_residual"] > 1e-10 or \
             rep["witness"]["defect"] < -1e-10
         assert rep["residuals"] == {"choi_defect": 0.0, "selfadjoint_defect": 2.0}
+
+    @pytest.mark.parametrize("claim", ["eta_cp", "upsilon_cp"])
+    def test_entrywise_cp_audits_run_no_probe(self, claim, monkeypatch):
+        # cp_defect and selfadjointness_defect decide from the scalar map's
+        # images; no amplification is evaluated.
+        def refuse(*args):
+            raise AssertionError("block_apply called")
+
+        monkeypatch.setattr(starlift.cpmaps, "block_apply", refuse)
+        assert lemma_audit(claim, samples=50, seed=3)["verdict"] == "counterexample"
 
     def test_eq1t2_counterexample_is_half_e11(self):
         rep = lemma_audit("eq1t2", samples=50, seed=3)

@@ -24,7 +24,8 @@ from starlift.certify import (COMPLEX_OP, NORM_MODES, PHI_SPLIT, REAL_COL1, Fini
                               nuclear_witness_verify, qd_complexify,
                               qd_realify, qd_verify, trace_qd_verify, trace_transport)
 from starlift.cpmaps import (COMPLEX, REAL, LinearMapMat, block_apply, canonical_basis,
-                             cp_defect_real_report)
+                             choi_witness, cp_defect, cp_defect_real_report,
+                             selfadjointness_defect)
 from starlift.io import canonical_dumps
 from starlift.matrix import doubled_units
 from starlift.realform import (AntiAutomorphism, StarAlgebra, check_antiautomorphism,
@@ -228,17 +229,18 @@ def test_cp_defect_real_report_matches_oracle(setup, kind, real_domain, level, s
     else:   # adjoint-preserving: every self-adjointness residual is 0
         f = (lambda x: x) if kind == "identity" else (lambda x: np.asarray(x).T)
         phi = LinearMapMat.from_function(f, n, REAL, dom_field=field, cod_field=field)
-    rep = cp_defect_real_report(phi, level)
+    probe_defect, probe_witness = cp_defect_real_report(phi, level)
     # The probe is the oracle's sampled one without its random candidates.
     defect, witness, _, _ = oracle.cp_defect_real_report(phi, level, 0, seed)
-    assert rep.defect == defect and np.array_equal(rep.witness, witness)
-    assert rep.choi_defect == oracle.real_cp_defect(phi)
+    assert probe_defect == defect and np.array_equal(probe_witness, witness)
+    assert cp_defect(phi) == oracle.real_cp_defect(phi)
     sa, sa_witness = oracle.selfadjointness_defect(phi)
-    assert rep.selfadj_defect == sa
+    selfadj_defect, selfadj_witness = selfadjointness_defect(phi)
+    assert selfadj_defect == sa
     if sa_witness is None:
-        assert rep.selfadj_witness is None
+        assert selfadj_witness is None
     else:
-        assert np.array_equal(rep.selfadj_witness, sa_witness)
+        assert np.array_equal(selfadj_witness, sa_witness)
 
 
 def _kraus_map(data, rng, n: int) -> LinearMapMat:
@@ -279,15 +281,15 @@ def test_exact_cp_verdict_agrees_with_the_level_2n_probe(n, seed, data):
     # replayed one block at a time, which is a positive element.
     rng = np.random.default_rng(seed)
     phi = _kraus_map(data, rng, n)
-    rep = cp_defect_real_report(phi, 1)
+    choi_defect = cp_defect(phi)
+    choi_level, choi_w = choi_witness(phi)
     tol = 1e-9
     sampled, _, _, _ = oracle.cp_defect_real_report(phi, 2 * n, 10, seed % 1000)
-    replay = oracle.positivity_defect(oracle._block_apply(phi, rep.choi_witness,
-                                                          rep.choi_level))
-    assert rep.choi_level == 2 * n
-    assert np.linalg.eigvalsh(rep.choi_witness)[0] >= -1e-12
-    assert replay <= rep.choi_defect + 1e-12
-    assert (rep.choi_defect >= -tol) == (min(sampled, replay) >= -tol)
+    replay = oracle.positivity_defect(oracle._block_apply(phi, choi_w, choi_level))
+    assert choi_level == 2 * n
+    assert np.linalg.eigvalsh(choi_w)[0] >= -1e-12
+    assert replay <= choi_defect + 1e-12
+    assert (choi_defect >= -tol) == (min(sampled, replay) >= -tol)
 
 
 # eta and upsilon(., 1) fail at level 2; the other two hold at every level,

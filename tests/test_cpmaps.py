@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from starlift.cpmaps import (LinearMapMat, basis_size, block_apply, choi,
+from starlift.cpmaps import (LinearMapMat, basis_size, block_apply, choi, choi_witness,
                              complexify, compose, compress, cp_defect,
-                             cp_defect_real_report, doubled_units, matrix_units)
+                             cp_defect_real_report, doubled_units, matrix_units,
+                             selfadjointness_defect)
 from starlift.matrix import op_norm, positivity_defect
 from starlift.realform import AntiAutomorphism
 from starlift.transport import rho_map, sigma_map
@@ -110,25 +111,24 @@ class TestCpDefectReal:
     def test_sigma_is_cp(self):
         for k in (1, 2, 3):
             for level in (1, 2, 3):
-                assert cp_defect_real_report(sigma_map(k), level).defect >= -1e-10
+                assert cp_defect_real_report(sigma_map(k), level)[0] >= -1e-10
 
     def test_eta_level2_counterexample(self):
-        rep = cp_defect_real_report(eta_map(1), level=2)
-        assert rep.defect == pytest.approx(-1.0, abs=1e-10)
+        defect, witness = cp_defect_real_report(eta_map(1), level=2)
+        assert defect == pytest.approx(-1.0, abs=1e-10)
         expected = np.array([[1.0, 1.0j], [-1.0j, 1.0]])
-        assert op_norm(rep.witness - expected) < 1e-12
+        assert op_norm(witness - expected) < 1e-12
 
     def test_zero_map(self):
         zero = LinearMapMat.from_function(lambda m: np.zeros((2, 2)), 2, "R")
-        assert cp_defect_real_report(zero, 2).defect == 0.0
+        assert cp_defect_real_report(zero, 2)[0] == 0.0
 
     def test_selfadjointness_reporting(self):
-        rep = cp_defect_real_report(
-            LinearMapMat.from_function(lambda m: np.asarray(m) * 1.0, 2, "R"),
-            level=1)
-        assert rep.selfadj_defect < 1e-12
-        ups = cp_defect_real_report(eta_map(2), level=2)
-        assert ups.selfadj_defect > 0.5
+        sa, _ = selfadjointness_defect(
+            LinearMapMat.from_function(lambda m: np.asarray(m) * 1.0, 2, "R"))
+        assert sa < 1e-12
+        ups, _ = selfadjointness_defect(eta_map(2))
+        assert ups > 0.5
 
     def test_rejects_complex_linear(self):
         with pytest.raises(ValueError):
@@ -138,13 +138,14 @@ class TestCpDefectReal:
         # x -> tr(x) 1 - x/2 on M_3 is 2-positive but not CP.
         phi = LinearMapMat.from_function(lambda x: np.trace(x) * np.eye(3) - np.asarray(x) / 2,
                                          3, "R")
-        for level in (1, 2, 3):
-            rep = cp_defect_real_report(phi, level)
-            assert rep.choi_defect == pytest.approx(-0.5, abs=1e-12)
-            assert rep.choi_level == 6
-            replay = positivity_defect(block_apply(phi, rep.choi_witness, rep.choi_level))
-            assert replay <= rep.choi_defect + 1e-12
-        assert cp_defect(phi) == rep.choi_defect
+        # The verdict takes no level: cp_defect and the Choi witness are
+        # read off the images alone.
+        choi_defect = cp_defect(phi)
+        choi_level, witness = choi_witness(phi)
+        assert choi_defect == pytest.approx(-0.5, abs=1e-12)
+        assert choi_level == 6
+        replay = positivity_defect(block_apply(phi, witness, choi_level))
+        assert replay <= choi_defect + 1e-12
 
     def test_real_domain_map_uses_the_real_unit_choi_matrix(self):
         # The complexification of a map on M_n(R) sends E_jl to phi(E_jl),
@@ -156,10 +157,10 @@ class TestCpDefectReal:
                                cod_field="R")
             want = positivity_defect(choi(complexify(phi, anti)))
             assert cp_defect(phi) == want
-            rep = cp_defect_real_report(phi, 2)
-            assert rep.choi_level == 2
-            assert np.array_equal(rep.choi_witness, _entangled(2))
-            assert positivity_defect(block_apply(phi, rep.choi_witness, 2)) == want
+            choi_level, witness = choi_witness(phi)
+            assert choi_level == 2
+            assert np.array_equal(witness, _entangled(2))
+            assert positivity_defect(block_apply(phi, witness, 2)) == want
 
 
 class TestCpTransfer:
@@ -182,7 +183,7 @@ class TestCpTransfer:
 
                 phi = LinearMapMat.from_function(f, n, "R", dom_field="R",
                                                  cod_field="R")
-            real_verdict = cp_defect_real_report(phi, level=n).defect >= -1e-8
+            real_verdict = cp_defect_real_report(phi, level=n)[0] >= -1e-8
             cplx_verdict = cp_defect(complexify(phi, anti)) >= -1e-8
             assert real_verdict == cplx_verdict
 

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from starlift.certify import FiniteSubset, QDCertificate, nuclear_witness_verify
-from starlift import __version__, certify, cli, tensorexact
+from starlift import __version__, certify, cli, cpmaps, tensorexact
 from starlift.cli import cmd_dispatch
 from starlift.cpmaps import LinearMapMat, block_apply, complexify, compress
 from starlift.io import (SchemaError, _default, _matrices_to_json, _payload_texts,
@@ -30,8 +30,8 @@ from starlift.transport import ThetaScale, rho_map, sigma_map
 
 import algebra_oracle
 import codec_oracle
-from map_fixtures import (block_algebra, full_algebra, random_matrix, random_unitary,
-                          unital_compression_map)
+from map_fixtures import (block_algebra, eta_map, full_algebra, random_matrix,
+                          random_unitary, unital_compression_map)
 
 ANTI2 = AntiAutomorphism.transpose(2)
 
@@ -67,6 +67,7 @@ def workdir(tmp_path):
                           complexify(phi, ANTI2), 9.0, "complex_op", ANTI2)
     write("cx_cert.json", cert_to_json(ccert))
     write("phi.json", anti_to_json(ANTI2))
+    write("phi3.json", anti_to_json(AntiAutomorphism.transpose(3)))
     write("J2.json", anti_to_json(AntiAutomorphism(np.array([[0.0, 1.0], [-1.0, 0.0]]))))
     write("idmap3.json", map_to_json(LinearMapMat.identity(3)))
     write("A2.json", algebra_to_json(full_algebra(2)))
@@ -328,7 +329,7 @@ class TestMatrixSchema:
             matrix_from_json(doc)
 
     def test_uniform_and_per_entry_parsing_agree(self):
-        mixed = [3, -2.5, [0.25], [-0.0, -1.5], [7, 0], 1e300]
+        mixed = [3, -2.5, [0.25, 0.0], [-0.0, -1.5], [7, 0], 1e300]
         pairs = [[3, 0.0], [-2.5, 0.0], [0.25, 0.0], [-0.0, -1.5], [7, 0], [1e300, 0.0]]
         numbers = [3, -2.5, 0.25, -0.0, 7, 1e300]
         got = {}
@@ -349,6 +350,9 @@ class TestMatrixSchema:
         ([[1.0, 0.0], [False, 0.0]], "matrix.data[1][0]"),
         ([[1.0, 0.0], [2.0, "0"]], "matrix.data[1][1]"),
         ([[1.0, 0.0], [2.0, 0.0, 3.0]], "matrix.data[1]"),
+        # An entry is a number or an [re, im] pair; [x] is neither.
+        ([[1.0], [2.0]], "matrix.data[0]"),
+        ([1.0, [2.0]], "matrix.data[1]"),
     ])
     def test_uniform_layouts_still_name_bad_entries(self, data, path):
         doc = {"rows": 1, "cols": 2, "field": "C", "data": data}
@@ -659,6 +663,18 @@ class TestCli:
         replay = positivity_defect(block_apply(phi, matrix_from_json(doc["choi_witness"]), 6))
         assert replay <= doc["choi_defect"] + 1e-12
         assert ("witness" in doc) == (level == "3")
+
+    @pytest.mark.parametrize("name, builds", [("sigma", 0), ("eta", 1)])
+    def test_cp_check_builds_a_choi_witness_only_for_a_failing_map(
+            self, tmp_path, capsys, monkeypatch, name, builds):
+        calls = []
+        monkeypatch.setattr(cli, "choi_witness", lambda phi: calls.append(phi) or
+                            cpmaps.choi_witness(phi))
+        phi = {"sigma": sigma_map(2), "eta": eta_map(2)}[name]
+        code, out, _ = _run(["cp-check", "--map", _write(tmp_path, "phi.json",
+                                                         map_to_json(phi))], capsys)
+        doc = json.loads(out)
+        assert (code, len(calls), "choi_witness" in doc) == (builds, builds, bool(builds))
 
     def test_cp_check_env_tolerance(self, workdir, capsys, monkeypatch):
         monkeypatch.setenv("STARLIFT_TOL", "10.0")
@@ -1065,6 +1081,9 @@ def test_a_tolerance_that_is_not_positive_and_finite_exits_two(
      "fixed theta scale must be positive and finite, got inf"),
     ("qd-transport complexify", "--phi", "/nonexistent.json",
      "[Errno 2] No such file or directory: '/nonexistent.json'"),
+    # --phi replaces the certificate's antiautomorphism in either direction.
+    *[(command, "--phi", "phi3.json", "antiautomorphism dimension does not match the algebra")
+      for command in ("qd-transport", "qd-transport complexify")],
     # Without --phi there is no transport, but its options are checked all the same.
     ("trace-audit without --phi", "--theta-mode", "bogus",
      "bad theta mode 'bogus'; expected 'paper' or 'fixed:<value>'"),
@@ -1112,7 +1131,15 @@ def test_a_parameter_out_of_range_exits_two_naming_it(workdir, capsys, command, 
     # A non-unital algebra admits phi = id/2 on load, but a trace check does not.
     ("trace-audit", {"algebra": algebra_to_json(StarAlgebra(2, matrix_units(2), unital=False)),
                      "phi_map": map_to_json(LinearMapMat(2, 2, "C", 0.5 * matrix_units(2)))},
-     "trace verification needs a unital map")])
+     "trace verification needs a unital map"),
+    # F = {E12, E21} lies outside the diagonal algebra C + C.
+    ("qd-verify", {"algebra": algebra_to_json(block_algebra([1, 1])),
+                   "F": [matrix_to_json(e) for e in matrix_units(2)[1:3]]},
+     "certificate.F[0]: not in the algebra: relative residual 1.000e+00"),
+    # Entries are numbers or [re, im] pairs, not one-element lists.
+    ("qd-verify", {"F": [{"rows": 2, "cols": 2, "field": "R",
+                          "data": [[1.0], [0.0], [0.0], [2.0]]}]},
+     "certificate.F[0].data[0]: expected a number or [re, im] pair, got [1.0]")])
 def test_a_certificate_that_breaks_a_precondition_exits_two(workdir, tmp_path, capsys,
                                                             command, changes, want):
     doc = {**json.load(open(workdir["id_cert.json"])), **changes}
@@ -1121,6 +1148,20 @@ def test_a_certificate_that_breaks_a_precondition_exits_two(workdir, tmp_path, c
     argv = [command, "--cert", str(path)] + (["--trace", workdir["trace.json"]]
                                              if command == "trace-audit" else [])
     assert _run(argv, capsys) == (2, "", f"error: {want}\n")
+
+
+@pytest.mark.parametrize("direction", ["complexify", "realify"])
+def test_a_transport_without_an_antiautomorphism_exits_two_naming_it(workdir, tmp_path,
+                                                                     capsys, direction):
+    name = "real_cert.json" if direction == "complexify" else "cx_cert.json"
+    doc = json.load(open(workdir[name]))
+    del doc["anti"]
+    argv = ["qd-transport", "--cert", _write(tmp_path, "cert.json", doc),
+            "--direction", direction]
+    assert _run(argv, capsys) == (2, "", "error: certificate.anti: missing required field "
+                                         "(or give --phi)\n")
+    code, _, err = _run(argv + ["--phi", workdir["phi.json"]], capsys)
+    assert (code, err) == (0, "")
 
 
 def test_transport_compares_a_real_domain_phi_on_its_own_basis(workdir, tmp_path, capsys):

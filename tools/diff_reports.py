@@ -1,6 +1,6 @@
 """Compare the CLI reports of the working tree with those of a git revision.
 
-    python3 tools/diff_reports.py REV [--seeds 1 2 3]
+    python3 tools/diff_reports.py REV [--seeds 1 2 3 7]
 
 Builds every ``maps``, ``tensor`` and ``certs`` document that
 ``bench/gen.py`` makes for each seed and runs each document's argv through
@@ -191,7 +191,7 @@ def oracle_problems(classes, results) -> list[str]:
             for problem in check(cls, *results[name][:2])]
 
 
-def diff_reports(base_src: str, new_src: str, workloads=WORKLOADS, seeds=(1, 2, 3),
+def diff_reports(base_src: str, new_src: str, workloads=WORKLOADS, seeds=(1, 2, 3, 7),
                  out=None) -> int:
     """Print the comparison of the two source trees and the oracle's
     problems with the new one; 0 iff all documents match and none has one."""
@@ -212,7 +212,7 @@ def diff_reports(base_src: str, new_src: str, workloads=WORKLOADS, seeds=(1, 2, 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision whose src/ is the baseline")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 7])
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         base_src = extract_src(args.rev, tmp)
